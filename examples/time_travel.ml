@@ -1,8 +1,9 @@
 (* Time travel: persistent snapshots on the versioned BST.
 
    The version histories that make linearizable range queries possible
-   also make O(1) persistent snapshots free: pin a timestamp and the
-   structure's past stays queryable while writers keep going.
+   also make O(1) persistent snapshots free: an open snapshot handle pins
+   its timestamp, and the structure's past stays queryable — from any
+   domain — while writers keep going.
 
      dune exec examples/time_travel.exe *)
 
@@ -18,14 +19,14 @@ let () =
   for k = 100 to 109 do
     ignore (Ledger.insert t k)
   done;
-  let day1 = Ledger.take_snapshot t in
+  let day1 = Ledger.snapshot t in
 
   (* day 2: some accounts close, new ones open *)
   ignore (Ledger.delete t 103);
   ignore (Ledger.delete t 107);
   ignore (Ledger.insert t 110);
   ignore (Ledger.insert t 111);
-  let day2 = Ledger.take_snapshot t in
+  let day2 = Ledger.snapshot t in
 
   (* day 3: concurrent activity while the auditor replays history *)
   let writers =
@@ -36,17 +37,17 @@ let () =
                   ignore (Ledger.insert t k)
                 done)))
   in
-  show "day 1 (frozen):" (Ledger.range_query_at t day1 ~lo:100 ~hi:199);
-  show "day 2 (frozen):" (Ledger.range_query_at t day2 ~lo:100 ~hi:199);
+  show "day 1 (frozen):" (Ledger.collect_at t day1 ~lo:100 ~hi:199);
+  show "day 2 (frozen):" (Ledger.collect_at t day2 ~lo:100 ~hi:199);
   List.iter Domain.join writers;
   show "today:" (Ledger.range_query t ~lo:100 ~hi:299);
   Printf.printf "\naccount 103: open on day 1? %b  open on day 2? %b\n"
-    (Ledger.contains_at t day1 103)
-    (Ledger.contains_at t day2 103);
+    (Ledger.lookup_at t day1 103)
+    (Ledger.lookup_at t day2 103);
 
   (* snapshots pin history against pruning; release when done *)
-  Ledger.release_snapshot t day1;
-  Ledger.release_snapshot t day2;
+  Ledger.snap_release t day1;
+  Ledger.snap_release t day2;
   let edges, versions = Ledger.version_chain_stats t in
   Printf.printf "version chains after release: %d versions over %d edges\n"
     versions edges

@@ -28,30 +28,12 @@ module type S = sig
   (** Quiescent use only. *)
 end
 
-module type RQ = sig
+(** The snapshot core: the one read primitive each range-query structure
+    writes for itself.  A snapshot takes one timestamp label; every read
+    against it resolves at that label (Wei et al., constant-time
+    snapshots).  Range queries are derived from it by {!Ranges}. *)
+module type SNAPSHOT = sig
   include S
-
-  val range_query : t -> lo:int -> hi:int -> int list
-  (** Linearizable snapshot of the keys in [lo, hi], sorted ascending. *)
-
-  val range_query_labeled : t -> lo:int -> hi:int -> int * int list
-  (** [range_query] plus the timestamp label the structure claims for the
-      snapshot, in the structure's own provider clock (compare it only
-      against values read from that same provider).  The label is the
-      instant whose abstract set contents the result asserts to be — the
-      claim the snapshot oracle in [lib/check] mechanically validates. *)
-
-  val range_queries_labeled : t -> (int * int) array -> int * int list array
-  (** Execute every [(lo, hi)] range of the batch under a {e single}
-      snapshot acquisition: one label covers all results, and result [i]
-      is the linearizable snapshot of [ranges.(i)] at that label (sorted
-      ascending, exactly as {!range_query} would return it).  The
-      acquisition cost — the timestamp advance, and for the lock- and
-      EBR-based techniques the snapshot critical section — is paid once
-      per batch instead of once per range, which is the paper's
-      amortization kernel lifted to a batch API; the serving layer's RQ
-      coalescing is built on it.  An empty batch still acquires (callers
-      should not submit one). *)
 
   type snap
   (** A constant-time snapshot handle: one timestamp label plus whatever
@@ -62,13 +44,14 @@ module type RQ = sig
 
   val snapshot : t -> snap
   (** Acquire a snapshot handle.  Must be released with {!snap_release}
-      from the {e same domain} (the pin lives in per-domain state).
-      Holding a handle delays history pruning structure-wide; release
-      promptly. *)
+      from the {e same domain} (the pin lives in per-domain state); reads
+      may come from any domain.  Holding a handle delays history pruning
+      structure-wide; release promptly. *)
 
   val snap_label : snap -> int
   (** The timestamp label of the captured cut, in the structure's own
-      provider clock — the claim the multi-point oracle validates. *)
+      provider clock (compare it only against values read from that same
+      provider) — the claim the snapshot oracle in [lib/check] validates. *)
 
   val snap_release : t -> snap -> unit
   (** Release the handle's pin.  Idempotent; reads against a released
@@ -79,9 +62,8 @@ module type RQ = sig
       {!snap_label} — with no label acquisition. *)
 
   val collect_at : t -> snap -> lo:int -> hi:int -> int list
-  (** Sorted keys of [lo, hi] in the snapshot's cut, exactly what
-      {!range_query} would have returned had it drawn this label; no
-      label acquisition. *)
+  (** Sorted keys of [lo, hi] in the snapshot's cut; no label
+      acquisition. *)
 
   val quiesce : t -> unit
   (** Announce a reclamation quiescence point: the calling domain holds
@@ -93,4 +75,40 @@ module type RQ = sig
   (** Stop participating in [t]'s reclamation grace protocol; call when
       a domain is done operating on [t].  Idempotent; any later op
       re-onlines the domain.  No-op where [quiesce] is. *)
+end
+
+module type RQ = sig
+  include SNAPSHOT
+
+  val range_query : t -> lo:int -> hi:int -> int list
+  (** Linearizable snapshot of the keys in [lo, hi], sorted ascending. *)
+
+  val range_query_labeled : t -> lo:int -> hi:int -> int * int list
+  (** [range_query] plus the label of the snapshot it read. *)
+end
+
+(** [read_labeled ~snapshot ~snap_label ~snap_release read t ~lo ~hi]
+    takes a snapshot, runs [read] against it, releases it on both exits
+    (propagating any exception) and returns the label with the result.
+    No [Fun.protect] closure: the handle is the only allocation beyond
+    the result.  {!Ranges} is this function applied to a core; a
+    value-polymorphic map, which no functor over [SNAPSHOT] can take,
+    calls it directly. *)
+let read_labeled ~snapshot ~snap_label ~snap_release read t ~lo ~hi =
+  let s = snapshot t in
+  match read t s ~lo ~hi with
+  | r ->
+    snap_release t s;
+    (snap_label s, r)
+  | exception e ->
+    snap_release t s;
+    raise e
+
+(** The range entry points every structure derives from its core. *)
+module Ranges (C : SNAPSHOT) = struct
+  let range_query_labeled t ~lo ~hi =
+    read_labeled ~snapshot:C.snapshot ~snap_label:C.snap_label
+      ~snap_release:C.snap_release C.collect_at t ~lo ~hi
+
+  let range_query t ~lo ~hi = snd (range_query_labeled t ~lo ~hi)
 end

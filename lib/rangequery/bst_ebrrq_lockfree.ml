@@ -4,7 +4,7 @@ module type LOGICAL = sig
   val raw : int Atomic.t
 end
 
-module Make (R : Hwts_reclaim.Intf.BACKEND) (T : LOGICAL) = struct
+module Core (R : Hwts_reclaim.Intf.BACKEND) (T : LOGICAL) = struct
   type node = Leaf of leaf | Internal of inode
 
   and leaf = {
@@ -213,6 +213,12 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : LOGICAL) = struct
              the original inserter is stalled before its own label. *)
           label l.itime;
           label l.dtime;
+          (* Known gap, unlike citrus_ebrrq's locked deletes: any helper
+             can splice the leaf out right after the flag CAS, before
+             this deleter reaches [retire], so a scan can find the leaf
+             in neither the tree nor limbo.  Retiring earlier cannot
+             close it — the splice is not this domain's step.  Closing it
+             takes EBR-RQ's announcement of to-be-deleted nodes. *)
           let done_ = if cleanup r then true else finish t key r.leaf in
           Reclaim.retire t.ebr l;
           done_
@@ -281,23 +287,9 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : LOGICAL) = struct
     Reclaim.fold_limbo t.ebr ~init:() ~f:(fun () l -> visit l);
     List.sort_uniq compare (Sync.Scratch.Int_buffer.to_list buf)
 
-  let range_query_labeled t ~lo ~hi =
-    Reclaim.with_op t.ebr (fun () ->
-        let ts = T.snapshot () in
-        (ts, collect_ts t ts ~lo ~hi))
-
-  let range_query t ~lo ~hi = snd (range_query_labeled t ~lo ~hi)
-
-  (* Batched ranges under one snapshot advance; the shared EBR op-section
-     also pins every limbo node once for the whole batch. *)
-  let range_queries_labeled t ranges =
-    Reclaim.with_op t.ebr (fun () ->
-        let ts = T.snapshot () in
-        (ts, Array.map (fun (lo, hi) -> collect_ts t ts ~lo ~hi) ranges))
-
   (* Snapshot handle: a non-scoped op section pins the limbo lists for
-     the handle's lifetime, and the label is one [T.snapshot] advance —
-     the same acquisition a labeled RQ pays, paid once.  Same-domain
+     the handle's lifetime, and the label is one [T.snapshot] advance.
+     Same-domain
      acquire/release; release promptly (an open handle holds the EBR
      epoch back). *)
   type snap = { s_label : int; mutable s_live : bool }
@@ -318,13 +310,13 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : LOGICAL) = struct
       Reclaim.exit t.ebr
     end
 
-  let collect_at t s ~lo ~hi = collect_ts t s.s_label ~lo ~hi
+  let collect_at t s ~lo ~hi = collect_ts t (snap_label s) ~lo ~hi
 
   (* Point read at the held label: directed descent to the external leaf
      for [key] (keys never relocate in this tree), then the limbo lists
      for a just-unlinked leaf still covered at [ts]. *)
   let lookup_at t sn key =
-    let ts = sn.s_label in
+    let ts = snap_label sn in
     let hit l =
       l.lkey = key && covers ts l
       &&
@@ -356,4 +348,10 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : LOGICAL) = struct
   let limbo_size t = Reclaim.limbo_size t.ebr
   let quiesce t = Reclaim.quiesce t.ebr
   let offline t = Reclaim.offline t.ebr
+end
+
+module Make (R : Hwts_reclaim.Intf.BACKEND) (T : LOGICAL) = struct
+  module C = Core (R) (T)
+  include C
+  include Dstruct.Ordered_set.Ranges (C)
 end

@@ -1,4 +1,4 @@
-module Make (T : Hwts.Timestamp.S) = struct
+module Core (T : Hwts.Timestamp.S) = struct
   module V = Vcas_obj.Make (T)
 
   type node = Leaf of int | Internal of inode
@@ -11,33 +11,17 @@ module Make (T : Hwts.Timestamp.S) = struct
   let inf1 = max_int - 1
   let inf2 = max_int
 
-  type t = {
-    r : inode;
-    s : inode;
-    registry : Rq_registry.t;
-    pins : int list Atomic.t; (* persistent-snapshot timestamps *)
-  }
-
-  type pin = int
-
-  (* Registry-backed snapshot handle (the [Ordered_set.RQ] one): the
-     guard stamp occupies the domain's announce slot — the same pruning
-     floor every range query publishes — for the handle's whole
-     lifetime, and the label is the cut all reads resolve against. *)
-  type snap = { s_guard : int; s_label : int; mutable s_live : bool }
+  type t = { r : inode; s : inode; registry : Rq_registry.t }
 
   let name = "vcas-bst(" ^ T.name ^ ")"
   let clean target = { target; flagged = false; tagged = false }
 
   (* Bound version chains: after labeling our own write at [label], cut
-     history that neither an active range query nor a pinned snapshot can
-     need (announce-then-read makes this safe).  The registry floor is the
-     cached one: refreshed lazily, guaranteed never to lead the true
-     minimum.  Pins are few, so they are still folded in on every call. *)
+     history that no open snapshot can need (announce-then-read makes
+     this safe).  The registry floor is the cached one: refreshed lazily,
+     guaranteed never to lead the true minimum. *)
   let prune_with t cell label =
-    let floor = Rq_registry.min_active_cached t.registry ~default:label in
-    let floor = List.fold_left min floor (Atomic.get t.pins) in
-    V.prune cell floor
+    V.prune cell (Rq_registry.min_active_cached t.registry ~default:label)
 
   let create () =
     let s =
@@ -54,7 +38,7 @@ module Make (T : Hwts.Timestamp.S) = struct
         right = V.make (clean (Leaf inf2));
       }
     in
-    { r; s; registry = Rq_registry.create (); pins = Atomic.make [] }
+    { r; s; registry = Rq_registry.create () }
 
   let child n = function L -> n.left | R -> n.right
   let other = function L -> R | R -> L
@@ -216,99 +200,23 @@ module Make (T : Hwts.Timestamp.S) = struct
     Hwts_trace.Span.exit Hwts_trace.Traverse;
     Sync.Scratch.Int_buffer.to_list buf
 
-  (* Range query: fix the snapshot time by advancing the timestamp (vCAS
-     protocol: the RQ is the advancing operation), then traverse the
-     versioned edges at that time. *)
-  let range_query_labeled t ~lo ~hi =
-    (* announce a lower bound first so concurrent pruning stays safe; the
-       protected exit keeps a raising traversal from pinning its slot (and
-       with it every version chain) forever *)
-    ignore (Rq_registry.announce t.registry ~read:T.read_floor);
-    Fun.protect
-      ~finally:(fun () -> Rq_registry.exit_rq t.registry)
-      (fun () ->
-        let ts = T.snapshot () in
-        ( ts,
-          collect_keys ~read_edge:(fun c -> V.read_at c ts) ~lo ~hi
-            (Internal t.s) ))
-
-  let range_query t ~lo ~hi = snd (range_query_labeled t ~lo ~hi)
-
-  (* Batched ranges: one announce + one [T.snapshot] labels the whole
-     batch; every range is then a read-only [read_at] traversal of the
-     same cut.  Acquisition cost per range drops by the batch size. *)
-  let range_queries_labeled t ranges =
-    ignore (Rq_registry.announce t.registry ~read:T.read_floor);
-    Fun.protect
-      ~finally:(fun () -> Rq_registry.exit_rq t.registry)
-      (fun () ->
-        let ts = T.snapshot () in
-        ( ts,
-          Array.map
-            (fun (lo, hi) ->
-              collect_keys ~read_edge:(fun c -> V.read_at c ts) ~lo ~hi
-                (Internal t.s))
-            ranges ))
+  (* Snapshot: fix the cut by advancing the timestamp (vCAS protocol: the
+     reader is the advancing operation); reads then traverse the
+     versioned edges at that label. *)
+  type snap = Rq_registry.snap
 
   let snapshot t =
-    let guard = Rq_registry.announce t.registry ~read:T.read_floor in
-    match T.snapshot () with
-    | label -> { s_guard = guard; s_label = label; s_live = true }
-    | exception e ->
-      Rq_registry.release t.registry guard;
-      raise e
+    Rq_registry.snapshot t.registry ~floor:T.read_floor ~label:T.snapshot
 
-  let snap_label s = s.s_label
-
-  let snap_release t s =
-    if s.s_live then begin
-      s.s_live <- false;
-      Rq_registry.release t.registry s.s_guard
-    end
+  let snap_label = Rq_registry.snap_label
+  let snap_release t s = Rq_registry.snap_release t.registry s
 
   let collect_at t s ~lo ~hi =
-    collect_keys
-      ~read_edge:(fun c -> V.read_at c s.s_label)
-      ~lo ~hi (Internal t.s)
-
-  let lookup_at t s key =
-    let ts = s.s_label in
-    let rec down node =
-      match node with
-      | Leaf k -> k = key
-      | Internal n -> down (V.read_at (child n (dir_of n key)) ts).target
-    in
-    down (Internal t.s)
-
-  let rec add_pin t ts =
-    let old = Atomic.get t.pins in
-    if not (Atomic.compare_and_set t.pins old (ts :: old)) then add_pin t ts
-
-  let rec remove_pin t ts =
-    let old = Atomic.get t.pins in
-    let rec drop_one = function
-      | [] -> []
-      | x :: rest -> if x = ts then rest else x :: drop_one rest
-    in
-    if not (Atomic.compare_and_set t.pins old (drop_one old)) then
-      remove_pin t ts
-
-  let take_snapshot t =
-    (* pin a conservative lower bound first, exactly like a range query
-       announces, so a concurrent prune cannot outrun us *)
-    let guard = T.read_floor () in
-    add_pin t guard;
-    let ts = T.snapshot () in
-    add_pin t ts;
-    remove_pin t guard;
-    ts
-
-  let release_snapshot t ts = remove_pin t ts
-
-  let range_query_at t ts ~lo ~hi =
+    let ts = snap_label s in
     collect_keys ~read_edge:(fun c -> V.read_at c ts) ~lo ~hi (Internal t.s)
 
-  let contains_at t ts key =
+  let lookup_at t s key =
+    let ts = snap_label s in
     let rec down node =
       match node with
       | Leaf k -> k = key
@@ -333,4 +241,10 @@ module Make (T : Hwts.Timestamp.S) = struct
      reclamation grace protocol to participate in. *)
   let quiesce _ = ()
   let offline _ = ()
+end
+
+module Make (T : Hwts.Timestamp.S) = struct
+  module C = Core (T)
+  include C
+  include Dstruct.Ordered_set.Ranges (C)
 end

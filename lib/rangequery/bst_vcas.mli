@@ -2,9 +2,15 @@
 
     The Natarajan–Mittal tree with every child edge replaced by a
     {!Vcas_obj} versioned object.  Every update linearizes at exactly one
-    versioned CAS, so a range query that fixes a snapshot time [ts]
-    (advancing the timestamp, per vCAS's protocol) and traverses the tree
-    through [read_at ts] sees a consistent snapshot without locks.
+    versioned CAS, so a snapshot that fixes a time [ts] (advancing the
+    timestamp, per vCAS's protocol) and traverses the tree through
+    [read_at ts] sees a consistent cut without locks.
+
+    The snapshot handle is also the time-travel primitive: an open handle
+    pins the versions its label needs, so [collect_at] and [lookup_at]
+    keep answering for that instant — from any domain — while updates
+    continue, until [snap_release].  Range queries are derived from it
+    ({!Dstruct.Ordered_set.Ranges}).
 
     Instantiate with {!Hwts.Timestamp.Logical} for the baseline or
     {!Hwts.Timestamp.Hardware} for the TSC port — the code is identical,
@@ -12,27 +18,6 @@
 
 module Make (T : Hwts.Timestamp.S) : sig
   include Dstruct.Ordered_set.RQ
-
-  type pin
-  (** A pinned moment in the structure's history (the persistent,
-      cross-thread variant; the per-domain [snap] handle of
-      {!Dstruct.Ordered_set.RQ} is the cheap one). *)
-
-  val take_snapshot : t -> pin
-  (** Fix the current state as a persistent snapshot.  The snapshot's
-      versions are protected from pruning until released, from any
-      thread.  O(1): no copying — this is the versioned structure's
-      native superpower. *)
-
-  val release_snapshot : t -> pin -> unit
-  (** Allow the snapshot's history to be reclaimed.  Idempotence is not
-      guaranteed; release once. *)
-
-  val range_query_at : t -> pin -> lo:int -> hi:int -> int list
-  (** Time travel: the keys in [lo, hi] as of the snapshot. *)
-
-  val contains_at : t -> pin -> int -> bool
-  (** Membership as of the snapshot. *)
 
   val version_chain_stats : t -> int * int
   (** (number of edges sampled, total retained versions) along the leftmost

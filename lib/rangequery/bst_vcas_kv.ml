@@ -23,22 +23,13 @@ module Make (T : Hwts.Timestamp.S) = struct
   let inf1 = max_int - 1
   let inf2 = max_int
 
-  type 'v t = {
-    r : 'v inode;
-    s : 'v inode;
-    registry : Rq_registry.t;
-    pins : int list Atomic.t;
-  }
-
-  type snap = int
+  type 'v t = { r : 'v inode; s : 'v inode; registry : Rq_registry.t }
 
   let name = "vcas-bst-kv(" ^ T.name ^ ")"
   let clean target = { target; flagged = false; tagged = false }
 
   let prune_with t cell label =
-    let floor = Rq_registry.min_active_cached t.registry ~default:label in
-    let floor = List.fold_left min floor (Atomic.get t.pins) in
-    V.prune cell floor
+    V.prune cell (Rq_registry.min_active_cached t.registry ~default:label)
 
   let create () =
     let s =
@@ -55,7 +46,7 @@ module Make (T : Hwts.Timestamp.S) = struct
         right = V.make (clean (Leaf (inf2, None)));
       }
     in
-    { r; s; registry = Rq_registry.create (); pins = Atomic.make [] }
+    { r; s; registry = Rq_registry.create () }
 
   let child n = function L -> n.left | R -> n.right
   let other = function L -> R | R -> L
@@ -235,64 +226,24 @@ module Make (T : Hwts.Timestamp.S) = struct
     Hwts_trace.Span.exit Hwts_trace.Traverse;
     r
 
-  let range_query_labeled t ~lo ~hi =
-    ignore (Rq_registry.announce t.registry ~read:T.read_floor);
-    Fun.protect
-      ~finally:(fun () -> Rq_registry.exit_rq t.registry)
-      (fun () ->
-        let ts = T.snapshot () in
-        (ts, collect_range ~read_edge:(fun c -> V.read_at c ts) t ~lo ~hi))
-
-  let range_query t ~lo ~hi = snd (range_query_labeled t ~lo ~hi)
-
-  (* Batched ranges under one snapshot acquisition; the serving layer's
-     RQ coalescing is built on this. *)
-  let range_queries_labeled t ranges =
-    ignore (Rq_registry.announce t.registry ~read:T.read_floor);
-    Fun.protect
-      ~finally:(fun () -> Rq_registry.exit_rq t.registry)
-      (fun () ->
-        let ts = T.snapshot () in
-        ( ts,
-          Array.map
-            (fun (lo, hi) ->
-              collect_range ~read_edge:(fun c -> V.read_at c ts) t ~lo ~hi)
-            ranges ))
-
   let to_alist t =
     collect_range ~read_edge:V.read t ~lo:min_int ~hi:(inf0 - 1)
 
   let size t = List.length (to_alist t)
 
-  (* persistent snapshots, as in Bst_vcas *)
+  (* Snapshot handle, as in Bst_vcas: the guard stamp occupies the
+     domain's announce slot for the handle's lifetime, and the label is
+     one [T.snapshot] advance. *)
+  type snap = Rq_registry.snap
 
-  let rec add_pin t ts =
-    let old = Atomic.get t.pins in
-    if not (Atomic.compare_and_set t.pins old (ts :: old)) then add_pin t ts
+  let snapshot t =
+    Rq_registry.snapshot t.registry ~floor:T.read_floor ~label:T.snapshot
 
-  let rec remove_pin t ts =
-    let old = Atomic.get t.pins in
-    let rec drop_one = function
-      | [] -> []
-      | x :: rest -> if x = ts then rest else x :: drop_one rest
-    in
-    if not (Atomic.compare_and_set t.pins old (drop_one old)) then
-      remove_pin t ts
+  let snap_label = Rq_registry.snap_label
+  let snap_release t s = Rq_registry.snap_release t.registry s
 
-  let take_snapshot t =
-    let guard = T.read_floor () in
-    add_pin t guard;
-    let ts = T.snapshot () in
-    add_pin t ts;
-    remove_pin t guard;
-    ts
-
-  let release_snapshot t ts = remove_pin t ts
-
-  let range_query_at t ts ~lo ~hi =
-    collect_range ~read_edge:(fun c -> V.read_at c ts) t ~lo ~hi
-
-  let find_at t ts key =
+  let lookup_at t s key =
+    let ts = snap_label s in
     let rec down node =
       match node with
       | Leaf (k, v) -> if k = key then v else None
@@ -300,28 +251,16 @@ module Make (T : Hwts.Timestamp.S) = struct
     in
     down (Internal t.s)
 
-  (* Registry-backed snapshot handle, as in Bst_vcas: the guard stamp
-     occupies the domain's announce slot for the handle's lifetime. *)
-  type shandle = { s_guard : int; s_label : int; mutable s_live : bool }
+  let collect_at t s ~lo ~hi =
+    let ts = snap_label s in
+    collect_range ~read_edge:(fun c -> V.read_at c ts) t ~lo ~hi
 
-  let snapshot t =
-    let guard = Rq_registry.announce t.registry ~read:T.read_floor in
-    match T.snapshot () with
-    | label -> { s_guard = guard; s_label = label; s_live = true }
-    | exception e ->
-      Rq_registry.release t.registry guard;
-      raise e
+  (* The map's values are polymorphic, so it takes the derived range
+     entry points from the shared derivation function rather than from
+     the [Ordered_set.Ranges] functor. *)
+  let range_query_labeled t ~lo ~hi =
+    Dstruct.Ordered_set.read_labeled ~snapshot ~snap_label ~snap_release
+      collect_at t ~lo ~hi
 
-  let snap_label s = s.s_label
-
-  let snap_release t s =
-    if s.s_live then begin
-      s.s_live <- false;
-      Rq_registry.release t.registry s.s_guard
-    end
-
-  let find_snap t s key = find_at t s.s_label key
-
-  let range_snap t s ~lo ~hi =
-    collect_range ~read_edge:(fun c -> V.read_at c s.s_label) t ~lo ~hi
+  let range_query t ~lo ~hi = snd (range_query_labeled t ~lo ~hi)
 end

@@ -6,10 +6,11 @@
     every operation (including [set] over an existing key) keeps the
     single-linearizing-write property that makes snapshots consistent.
 
-    Same timestamp discipline as {!Bst_vcas}: updates label by helping,
-    range queries fix their snapshot with [T.snapshot ()], histories are
-    pruned under the active-RQ registry, and persistent snapshots pin the
-    past for time-travel reads. *)
+    Same timestamp discipline as {!Bst_vcas}: updates label by helping, a
+    snapshot fixes its cut with [T.snapshot ()], and histories are pruned
+    under the active-RQ registry.  The snapshot handle is the one read
+    primitive: an open handle pins the past for time-travel reads from
+    any domain, and the range entry points are derived from it. *)
 
 module Make (T : Hwts.Timestamp.S) : sig
   type 'v t
@@ -27,39 +28,34 @@ module Make (T : Hwts.Timestamp.S) : sig
   val find : 'v t -> int -> 'v option
   val mem : 'v t -> int -> bool
 
-  val range_query : 'v t -> lo:int -> hi:int -> (int * 'v) list
-  (** Linearizable snapshot of the bindings in [lo, hi], ascending. *)
-
-  val range_query_labeled : 'v t -> lo:int -> hi:int -> int * (int * 'v) list
-  (** [range_query] plus the timestamp label the snapshot claims, in the
-      provider's clock (see {!Dstruct.Ordered_set.RQ}). *)
-
-  val range_queries_labeled : 'v t -> (int * int) array -> int * (int * 'v) list array
-  (** Every [(lo, hi)] range of the batch under a single snapshot
-      acquisition: one label covers all results (see
-      {!Dstruct.Ordered_set.RQ.range_queries_labeled}). *)
-
   val to_alist : 'v t -> (int * 'v) list
   (** Quiescent use only. *)
 
   val size : 'v t -> int
 
   type snap
+  (** Snapshot handle (the value-carrying analogue of
+      {!Dstruct.Ordered_set.SNAPSHOT}): acquire and release from one
+      domain; any number of point and range reads against the captured
+      cut, from any domain, with zero further label acquisitions. *)
 
-  val take_snapshot : 'v t -> snap
-  val release_snapshot : 'v t -> snap -> unit
-  val range_query_at : 'v t -> snap -> lo:int -> hi:int -> (int * 'v) list
-  val find_at : 'v t -> snap -> int -> 'v option
+  val snapshot : 'v t -> snap
+  val snap_label : snap -> int
 
-  type shandle
-  (** Registry-backed snapshot handle (the per-domain, announce-slot
-      variant of {!Dstruct.Ordered_set.RQ}): acquire/release from one
-      domain, arbitrarily many point and range reads against the captured
-      cut with zero further label acquisitions. *)
+  val snap_release : 'v t -> snap -> unit
+  (** Idempotent. *)
 
-  val snapshot : 'v t -> shandle
-  val snap_label : shandle -> int
-  val snap_release : 'v t -> shandle -> unit
-  val find_snap : 'v t -> shandle -> int -> 'v option
-  val range_snap : 'v t -> shandle -> lo:int -> hi:int -> (int * 'v) list
+  val lookup_at : 'v t -> snap -> int -> 'v option
+  (** The binding of one key in the snapshot's cut. *)
+
+  val collect_at : 'v t -> snap -> lo:int -> hi:int -> (int * 'v) list
+  (** The bindings of [lo, hi] in the snapshot's cut, ascending. *)
+
+  val range_query : 'v t -> lo:int -> hi:int -> (int * 'v) list
+  (** Linearizable snapshot of the bindings in [lo, hi], ascending:
+      snapshot, [collect_at], release. *)
+
+  val range_query_labeled : 'v t -> lo:int -> hi:int -> int * (int * 'v) list
+  (** [range_query] plus the label of the snapshot it read, in the
+      provider's clock. *)
 end

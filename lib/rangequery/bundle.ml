@@ -60,7 +60,7 @@ module Make (T : Hwts.Timestamp.S) = struct
 
   (* [hops] counts entries visited; recorded as the chain depth a snapshot
      read had to traverse. *)
-  let rec find_at_counted hops e ts =
+  let rec entry_at hops e ts =
     let ets = wait_label e in
     if ets <= ts then begin
       Hwts_obs.Histogram.record depth hops;
@@ -71,11 +71,9 @@ module Make (T : Hwts.Timestamp.S) = struct
       | None ->
         Hwts_obs.Histogram.record depth hops;
         None
-      | Some o -> find_at_counted (hops + 1) o ts
+      | Some o -> entry_at (hops + 1) o ts
 
-  let find_at e ts = find_at_counted 1 e ts
-
-  (* Allocation-free variant of [find_at]: a range query calls this once
+  (* Allocation-free variant of [read_at_opt]: a range query calls this once
      per node it visits, so wrapping each result in [Some] (and the
      second chain walk the old exhausted-chain fallback did) showed up
      directly in words/op.  When the chain is exhausted the deepest entry
@@ -97,7 +95,7 @@ module Make (T : Hwts.Timestamp.S) = struct
     in
     go 1 (Atomic.get t)
 
-  let read_at_opt t ts = find_at (Atomic.get t) ts
+  let read_at_opt t ts = entry_at 1 (Atomic.get t) ts
 
   let prune t min_ts =
     let rec cut e =

@@ -1,4 +1,4 @@
-module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
+module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
   module B = Bundle.Make (T)
 
   type node = {
@@ -234,10 +234,9 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
   let buf_scratch : Sync.Scratch.Int_buffer.t Sync.Scratch.t =
     Sync.Scratch.make (fun () -> Sync.Scratch.Int_buffer.create ())
 
-  (* Bundling range query: announce a lower bound, then fix the snapshot
-     with a second clock read so concurrent pruning stays safe.  In-order
-     traversal fills the per-domain buffer ascending; the result list is
-     snapshotted from it once. *)
+  (* Bundling range read at a snapshot label.  In-order traversal fills
+     the per-domain buffer ascending; the result list is snapshotted from
+     it once. *)
   let collect_ts t ts ~lo ~hi =
     let buf = Sync.Scratch.get buf_scratch in
     Sync.Scratch.Int_buffer.clear buf;
@@ -255,52 +254,23 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
     Hwts_trace.Span.exit Hwts_trace.Traverse;
     Sync.Scratch.Int_buffer.to_list buf
 
-  let range_query_labeled t ~lo ~hi =
-    ignore (Rq_registry.announce t.registry ~read:T.read_floor);
-    Fun.protect
-      ~finally:(fun () -> Rq_registry.exit_rq t.registry)
-      (fun () ->
-        let ts = T.read () in
-        (ts, collect_ts t ts ~lo ~hi))
-
-  let range_query t ~lo ~hi = snd (range_query_labeled t ~lo ~hi)
-
-  (* Batched ranges under one snapshot read (bundles dereference at a
-     fixed [ts], so every range of the batch shares the same cut). *)
-  let range_queries_labeled t ranges =
-    ignore (Rq_registry.announce t.registry ~read:T.read_floor);
-    Fun.protect
-      ~finally:(fun () -> Rq_registry.exit_rq t.registry)
-      (fun () ->
-        let ts = T.read () in
-        (ts, Array.map (fun (lo, hi) -> collect_ts t ts ~lo ~hi) ranges))
-
-  (* Snapshot handle: announce-slot guard + plain [T.read] label, as in
-     the other bundle structures. *)
-  type snap = { s_guard : int; s_label : int; mutable s_live : bool }
+  (* Snapshot handle: the announce-slot guard keeps bundle pruning below
+     the captured label for the handle's lifetime; bundles never advance
+     the clock for reads, so the label is a plain [T.read]. *)
+  type snap = Rq_registry.snap
 
   let snapshot t =
-    let guard = Rq_registry.announce t.registry ~read:T.read_floor in
-    match T.read () with
-    | label -> { s_guard = guard; s_label = label; s_live = true }
-    | exception e ->
-      Rq_registry.release t.registry guard;
-      raise e
+    Rq_registry.snapshot t.registry ~floor:T.read_floor ~label:T.read
 
-  let snap_label s = s.s_label
+  let snap_label = Rq_registry.snap_label
+  let snap_release t s = Rq_registry.snap_release t.registry s
 
-  let snap_release t s =
-    if s.s_live then begin
-      s.s_live <- false;
-      Rq_registry.release t.registry s.s_guard
-    end
-
-  let collect_at t s ~lo ~hi = collect_ts t s.s_label ~lo ~hi
+  let collect_at t s ~lo ~hi = collect_ts t (snap_label s) ~lo ~hi
 
   (* Point read at the held label: directed descent through the bundled
      child links at [ts]. *)
   let lookup_at t sn key =
-    let ts = sn.s_label in
+    let ts = snap_label sn in
     let rec walk = function
       | None -> false
       | Some n ->
@@ -336,4 +306,10 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
     match Atomic.get t.root.right with
     | None -> (0, 0)
     | Some n -> spine (0, 0) n
+end
+
+module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
+  module C = Core (R) (T)
+  include C
+  include Dstruct.Ordered_set.Ranges (C)
 end

@@ -1,4 +1,4 @@
-module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
+module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
   type node = {
     key : int;
     left : node option Atomic.t;
@@ -148,12 +148,21 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
           delete_two_children t key prev d curr right_child l r
       end
 
+  (* Retire before unlinking, inside the labeled section.  A scan that
+     walks the tree after the unlink folds limbo after it too, so it finds
+     the node there; retiring after the unlink would leave a window in
+     which the node is in neither, and a scan whose label predates the
+     delete would lose the key.  Early retirement cannot free a node a reader
+     still covers: under EBR this domain's open op section holds the
+     epoch back until after the unlink, and under QSBR a domain that
+     quiesces after the retirement takes its next label after this
+     section — at or above [dtime] — so the node no longer covers it. *)
   and splice_out t prev d curr repl =
     Sync.Rwlock.with_read t.ts_lock (fun () ->
+        Reclaim.retire t.ebr curr;
         Atomic.set curr.dtime (T.read ());
         Atomic.set (child prev d) repl);
     curr.marked <- true;
-    Reclaim.retire t.ebr curr;
     Sync.Spinlock.unlock curr.lock;
     Sync.Spinlock.unlock prev.lock;
     true
@@ -184,8 +193,11 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
       in
       (* One shared-mode section labels the delete of [curr], the
          relocation of [succ] and the birth of its replacement with one
-         timestamp, so snapshots see the whole step or none of it. *)
+         timestamp, so snapshots see the whole step or none of it.  Both
+         are retired first, as in [splice_out]. *)
       Sync.Rwlock.with_read t.ts_lock (fun () ->
+          Reclaim.retire t.ebr curr;
+          Reclaim.retire t.ebr succ;
           let now = T.read () in
           Atomic.set replacement.itime now;
           Atomic.set curr.dtime now;
@@ -197,8 +209,6 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
         Reclaim.wait_until_quiescent t.ebr;
         Atomic.set succ_prev.left succ_right
       end;
-      Reclaim.retire t.ebr curr;
-      Reclaim.retire t.ebr succ;
       Sync.Spinlock.unlock succ.lock;
       if succ_prev != curr then Sync.Spinlock.unlock succ_prev.lock;
       Sync.Spinlock.unlock curr.lock;
@@ -241,33 +251,12 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
     Reclaim.fold_limbo t.ebr ~init:() ~f:(fun () n -> visit n);
     List.sort_uniq compare (Sync.Scratch.Int_buffer.to_list buf)
 
-  let range_query_labeled t ~lo ~hi =
-    Reclaim.with_op t.ebr (fun () ->
-        (* Exclusive mode: the RQ's snapshot point cannot interleave with
-           any update's read-and-label section. *)
-        let ts =
-          Sync.Rwlock.with_write t.ts_lock (fun () -> T.snapshot ())
-        in
-        (ts, collect_ts t ts ~lo ~hi))
-
-  let range_query t ~lo ~hi = snd (range_query_labeled t ~lo ~hi)
-
-  (* Batched ranges: the exclusive write-locked snapshot section — the
-     expensive part of this technique — runs once for the whole batch;
-     each range then traverses read-side only. *)
-  let range_queries_labeled t ranges =
-    Reclaim.with_op t.ebr (fun () ->
-        let ts =
-          Sync.Rwlock.with_write t.ts_lock (fun () -> T.snapshot ())
-        in
-        (ts, Array.map (fun (lo, hi) -> collect_ts t ts ~lo ~hi) ranges))
-
   (* Snapshot handle: a non-scoped op section pins the limbo lists for
      the handle's whole lifetime (the EBR-RQ form of history retention),
-     and the label is taken under the exclusive timestamp lock exactly as
-     a labeled RQ would — but only once, at acquisition.  Acquire and
-     release from the same domain, and release promptly: an open handle
-     delays every grace period. *)
+     and the label is taken under the exclusive timestamp lock, so it
+     cannot interleave with any update's read-and-label section.  Acquire
+     and release from the same domain, and release promptly: an open
+     handle delays every grace period. *)
   type snap = { s_label : int; mutable s_live : bool }
 
   let snapshot t =
@@ -286,14 +275,14 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
       Reclaim.exit t.ebr
     end
 
-  let collect_at t s ~lo ~hi = collect_ts t s.s_label ~lo ~hi
+  let collect_at t s ~lo ~hi = collect_ts t (snap_label s) ~lo ~hi
 
   (* Point read at the held label: descend the current tree by key — on
      an equal key that does not cover [ts] keep descending right, where a
      relocation may have left the original node still linked — then scan
      limbo for just-unlinked nodes, as [collect_ts] does. *)
   let lookup_at t sn key =
-    let ts = sn.s_label in
+    let ts = snap_label sn in
     let in_tree =
       Reclaim.with_read t.ebr (fun () ->
           let rec walk = function
@@ -329,4 +318,10 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
   let reclaimed t = Reclaim.reclaimed t.ebr
   let quiesce t = Reclaim.quiesce t.ebr
   let offline t = Reclaim.offline t.ebr
+end
+
+module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
+  module C = Core (R) (T)
+  include C
+  include Dstruct.Ordered_set.Ranges (C)
 end

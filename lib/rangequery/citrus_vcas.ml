@@ -1,4 +1,4 @@
-module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
+module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
   module V = Vcas_obj.Make (T)
 
   type node = {
@@ -184,8 +184,8 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
   let buf_scratch : Sync.Scratch.Int_buffer.t Sync.Scratch.t =
     Sync.Scratch.make (fun () -> Sync.Scratch.Int_buffer.create ())
 
-  (* vCAS range query: the RQ advances the timestamp to fix its snapshot.
-     The relocation delete is two versioned writes, so de-duplicate. *)
+  (* vCAS range read at a snapshot label.  The relocation delete is two
+     versioned writes, so de-duplicate. *)
   let collect_ts t ts ~lo ~hi =
     let buf = Sync.Scratch.get buf_scratch in
     Sync.Scratch.Int_buffer.clear buf;
@@ -203,52 +203,22 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
     Hwts_trace.Span.exit Hwts_trace.Traverse;
     List.sort_uniq compare (Sync.Scratch.Int_buffer.to_list buf)
 
-  let range_query_labeled t ~lo ~hi =
-    ignore (Rq_registry.announce t.registry ~read:T.read_floor);
-    Fun.protect
-      ~finally:(fun () -> Rq_registry.exit_rq t.registry)
-      (fun () ->
-        let ts = T.snapshot () in
-        (ts, collect_ts t ts ~lo ~hi))
-
-  let range_query t ~lo ~hi = snd (range_query_labeled t ~lo ~hi)
-
-  (* Batched ranges under one snapshot acquisition (see
-     {!Dstruct.Ordered_set.RQ}): each range re-walks the same cut. *)
-  let range_queries_labeled t ranges =
-    ignore (Rq_registry.announce t.registry ~read:T.read_floor);
-    Fun.protect
-      ~finally:(fun () -> Rq_registry.exit_rq t.registry)
-      (fun () ->
-        let ts = T.snapshot () in
-        (ts, Array.map (fun (lo, hi) -> collect_ts t ts ~lo ~hi) ranges))
-
-  (* Snapshot handle: announce-slot guard + captured label, as in the
-     other registry-backed structures.  Reads at the held label need no
-     grace section: these variants never retire nodes (GC keeps spliced
+  (* Snapshot handle: announce-slot guard + captured label; the RQ is the
+     advancing operation (vCAS).  Reads at the held label need no grace
+     section: these variants never retire nodes (GC keeps spliced
      subtrees alive), so [read_at] walks are safe unprotected. *)
-  type snap = { s_guard : int; s_label : int; mutable s_live : bool }
+  type snap = Rq_registry.snap
 
   let snapshot t =
-    let guard = Rq_registry.announce t.registry ~read:T.read_floor in
-    match T.snapshot () with
-    | label -> { s_guard = guard; s_label = label; s_live = true }
-    | exception e ->
-      Rq_registry.release t.registry guard;
-      raise e
+    Rq_registry.snapshot t.registry ~floor:T.read_floor ~label:T.snapshot
 
-  let snap_label s = s.s_label
+  let snap_label = Rq_registry.snap_label
+  let snap_release t s = Rq_registry.snap_release t.registry s
 
-  let snap_release t s =
-    if s.s_live then begin
-      s.s_live <- false;
-      Rq_registry.release t.registry s.s_guard
-    end
-
-  let collect_at t s ~lo ~hi = collect_ts t s.s_label ~lo ~hi
+  let collect_at t s ~lo ~hi = collect_ts t (snap_label s) ~lo ~hi
 
   let lookup_at t s key =
-    let ts = s.s_label in
+    let ts = snap_label s in
     let rec walk = function
       | None -> false
       | Some n ->
@@ -272,4 +242,10 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
   let size t = List.length (to_list t)
   let quiesce t = Grace.quiesce t.grace
   let offline t = Grace.offline t.grace
+end
+
+module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
+  module C = Core (R) (T)
+  include C
+  include Dstruct.Ordered_set.Ranges (C)
 end

@@ -1,4 +1,4 @@
-module Make (T : Hwts.Timestamp.S) = struct
+module Core (T : Hwts.Timestamp.S) = struct
   module B = Bundle.Make (T)
 
   (* Nodes are a variant with an inline record: [Atomic.get next] yields
@@ -170,7 +170,8 @@ module Make (T : Hwts.Timestamp.S) = struct
      bundle carries no entry labeled <= [ts] (it postdates the snapshot,
      or its insert label is still pending) — falls back to the head,
      whose bundle covers all history.  This also makes the seek safe to
-     run after the clock read, which the batched variant relies on. *)
+     run any time after the clock read, which a long-held snapshot
+     handle relies on. *)
   let collect_ts t ts ~lo ~hi =
     let pred, _ = search t lo in
     let start =
@@ -202,58 +203,25 @@ module Make (T : Hwts.Timestamp.S) = struct
     Hwts_trace.Span.exit Hwts_trace.Traverse;
     Sync.Scratch.Int_buffer.to_list buf
 
-  let range_query_labeled t ~lo ~hi =
-    ignore (Rq_registry.announce t.registry ~read:T.read_floor);
-    Fun.protect
-      ~finally:(fun () -> Rq_registry.exit_rq t.registry)
-      (fun () ->
-        let ts = T.read () in
-        (ts, collect_ts t ts ~lo ~hi))
-
-  let range_query t ~lo ~hi = snd (range_query_labeled t ~lo ~hi)
-
-  (* Batched ranges under one clock read.  Each range re-runs its own raw
-     seek *after* [ts] is taken — safe, because a predecessor that
-     postdates the snapshot fails the [read_at_opt] probe and falls back
-     to the head, whose bundle covers all history. *)
-  let range_queries_labeled t ranges =
-    ignore (Rq_registry.announce t.registry ~read:T.read_floor);
-    Fun.protect
-      ~finally:(fun () -> Rq_registry.exit_rq t.registry)
-      (fun () ->
-        let ts = T.read () in
-        (ts, Array.map (fun (lo, hi) -> collect_ts t ts ~lo ~hi) ranges))
-
   (* Snapshot handle: the announce-slot guard keeps bundle pruning below
      the captured label for the handle's lifetime.  Bundles never advance
-     the clock for reads, so the label is a plain [T.read] — exactly what
-     a single labeled RQ would claim. *)
-  type snap = { s_guard : int; s_label : int; mutable s_live : bool }
+     the clock for reads, so the label is a plain [T.read]. *)
+  type snap = Rq_registry.snap
 
   let snapshot t =
-    let guard = Rq_registry.announce t.registry ~read:T.read_floor in
-    match T.read () with
-    | label -> { s_guard = guard; s_label = label; s_live = true }
-    | exception e ->
-      Rq_registry.release t.registry guard;
-      raise e
+    Rq_registry.snapshot t.registry ~floor:T.read_floor ~label:T.read
 
-  let snap_label s = s.s_label
+  let snap_label = Rq_registry.snap_label
+  let snap_release t s = Rq_registry.snap_release t.registry s
 
-  let snap_release t s =
-    if s.s_live then begin
-      s.s_live <- false;
-      Rq_registry.release t.registry s.s_guard
-    end
-
-  let collect_at t s ~lo ~hi = collect_ts t s.s_label ~lo ~hi
+  let collect_at t s ~lo ~hi = collect_ts t (snap_label s) ~lo ~hi
 
   (* Point read at the held label: raw-seek a predecessor (validated
      against the snapshot exactly like [collect_ts], else fall back to
      the head) and chase bundled links — membership at [ts] is exactly
      appearing on the bundled successor chain at [ts]. *)
   let lookup_at t sn key =
-    let ts = sn.s_label in
+    let ts = snap_label sn in
     let pred, _ = search t key in
     let start =
       match pred with
@@ -294,4 +262,10 @@ module Make (T : Hwts.Timestamp.S) = struct
      reclamation grace protocol to participate in. *)
   let quiesce _ = ()
   let offline _ = ()
+end
+
+module Make (T : Hwts.Timestamp.S) = struct
+  module C = Core (T)
+  include C
+  include Dstruct.Ordered_set.Ranges (C)
 end

@@ -143,25 +143,45 @@ let retire_pin t slot =
   Sync.Pause.point ();
   ignore (Atomic.fetch_and_add t.active (-1))
 
-let exit_rq t =
-  let slot = Sync.Slot.my_slot () in
-  let p = t.pins.(slot) in
-  if p.n > 0 then p.n <- p.n - 1;
-  retire_pin t slot
+(* A domain may close handle A after acquiring B, so the pin to retire
+   is identified by its stamp value, not LIFO position; the search starts
+   at the newest pin, so the common LIFO release is O(1).  Silently
+   ignores a stamp not held (the handle layer guarantees at-most-once
+   release).  [find_pin] is a top-level recursion so the release on every
+   range query allocates no closure. *)
+let rec find_pin p ts i =
+  if i < 0 then -1 else if p.ts.(i) = ts then i else find_pin p ts (i - 1)
 
-(* Out-of-order release for snapshot handles: a domain may close handle A
-   after acquiring B, so the pin to retire is identified by its stamp
-   value, not LIFO position.  Silently ignores a stamp not held (the
-   handle layer guarantees at-most-once release). *)
 let release t ts =
   let slot = Sync.Slot.my_slot () in
   let p = t.pins.(slot) in
-  let rec find i = if i < 0 then -1 else if p.ts.(i) = ts then i else find (i - 1) in
-  let i = find (p.n - 1) in
+  let i = find_pin p ts (p.n - 1) in
   if i >= 0 then begin
     p.ts.(i) <- p.ts.(p.n - 1);
     p.n <- p.n - 1;
     retire_pin t slot
+  end
+
+(* The snapshot handle of every registry-backed structure: the guard
+   stamp occupies the domain's announce slot — the pruning floor — for
+   the handle's lifetime, and [label] is the cut all reads resolve
+   against. *)
+type snap = { guard : int; label : int; mutable live : bool }
+
+let snapshot t ~floor ~label =
+  let guard = announce t ~read:floor in
+  match label () with
+  | label -> { guard; label; live = true }
+  | exception e ->
+    release t guard;
+    raise e
+
+let snap_label s = s.label
+
+let snap_release t s =
+  if s.live then begin
+    s.live <- false;
+    release t s.guard
   end
 
 (* Zero announced RQs is the common case for update-heavy mixes: one load

@@ -21,17 +21,27 @@ val announce : t -> read:(unit -> int) -> int
     which a floor could outrun an announced-but-unseen RQ.  Returns the
     announced snapshot timestamp. *)
 
-val exit_rq : t -> unit
-(** Retire the calling domain's most recent announcement.  A domain may
-    hold several announcements at once (nested RQs under an open snapshot
-    handle); the published slot stays the minimum over the ones still
-    open, so retiring an inner RQ cannot unpin an enclosing snapshot. *)
-
 val release : t -> int -> unit
 (** Retire the calling domain's announcement that was stamped with the
     given timestamp (the value {!announce} returned), wherever it sits in
     the domain's open set — snapshot handles close out of order.  A stamp
-    not currently held is ignored. *)
+    not currently held is ignored.  A release in LIFO order is O(1). *)
+
+type snap
+(** A snapshot handle pinned by this registry: one announce-slot pin plus
+    the label its reads resolve against. *)
+
+val snapshot : t -> floor:(unit -> int) -> label:(unit -> int) -> snap
+(** Announce with [floor] (a lower bound on [label ()], e.g. the
+    provider's [read_floor]), then take the label.  The technique picks
+    the label read: vCAS advances the clock ([snapshot]), bundles read it
+    ([read]).  If [label] raises, the pin is released and the exception
+    propagates.  Release from the same domain with {!snap_release}. *)
+
+val snap_label : snap -> int
+
+val snap_release : t -> snap -> unit
+(** Retire the handle's pin.  Idempotent. *)
 
 val min_active : t -> default:int -> int
 (** Oldest announced snapshot, or [default] when no RQ is active.  When

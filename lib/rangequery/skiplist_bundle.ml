@@ -1,6 +1,6 @@
 let max_level = Dstruct.Skip_level.max_level
 
-module Make (T : Hwts.Timestamp.S) = struct
+module Core (T : Hwts.Timestamp.S) = struct
   module B = Bundle.Make (T)
 
   type node = {
@@ -286,53 +286,23 @@ module Make (T : Hwts.Timestamp.S) = struct
     Hwts_trace.Span.exit Hwts_trace.Traverse;
     Sync.Scratch.Int_buffer.to_list buf
 
-  let range_query_labeled t ~lo ~hi =
-    ignore (Rq_registry.announce t.registry ~read:T.read_floor);
-    Fun.protect
-      ~finally:(fun () -> Rq_registry.exit_rq t.registry)
-      (fun () ->
-        let ts = T.read () in
-        (ts, collect_ts t ts ~lo ~hi))
-
-  let range_query t ~lo ~hi = snd (range_query_labeled t ~lo ~hi)
-
-  (* Batched ranges under one snapshot read, shared by every bundle
-     dereference of the batch. *)
-  let range_queries_labeled t ranges =
-    ignore (Rq_registry.announce t.registry ~read:T.read_floor);
-    Fun.protect
-      ~finally:(fun () -> Rq_registry.exit_rq t.registry)
-      (fun () ->
-        let ts = T.read () in
-        (ts, Array.map (fun (lo, hi) -> collect_ts t ts ~lo ~hi) ranges))
-
   (* Snapshot handle: announce-slot guard + plain [T.read] label, as in
      the other bundle structures. *)
-  type snap = { s_guard : int; s_label : int; mutable s_live : bool }
+  type snap = Rq_registry.snap
 
   let snapshot t =
-    let guard = Rq_registry.announce t.registry ~read:T.read_floor in
-    match T.read () with
-    | label -> { s_guard = guard; s_label = label; s_live = true }
-    | exception e ->
-      Rq_registry.release t.registry guard;
-      raise e
+    Rq_registry.snapshot t.registry ~floor:T.read_floor ~label:T.read
 
-  let snap_label s = s.s_label
+  let snap_label = Rq_registry.snap_label
+  let snap_release t s = Rq_registry.snap_release t.registry s
 
-  let snap_release t s =
-    if s.s_live then begin
-      s.s_live <- false;
-      Rq_registry.release t.registry s.s_guard
-    end
-
-  let collect_at t s ~lo ~hi = collect_ts t s.s_label ~lo ~hi
+  let collect_at t s ~lo ~hi = collect_ts t (snap_label s) ~lo ~hi
 
   (* Point read at the held label: raw-find a predecessor (fall back to
      the head when it postdates the snapshot), then chase level-0 bundles
      — membership at [ts] is appearing on the bundled chain at [ts]. *)
   let lookup_at t sn key =
-    let ts = sn.s_label in
+    let ts = snap_label sn in
     let sc = get_scratch t in
     ignore (find t key sc.preds sc.succs);
     let start =
@@ -372,4 +342,10 @@ module Make (T : Hwts.Timestamp.S) = struct
      reclamation grace protocol to participate in. *)
   let quiesce _ = ()
   let offline _ = ()
+end
+
+module Make (T : Hwts.Timestamp.S) = struct
+  module C = Core (T)
+  include C
+  include Dstruct.Ordered_set.Ranges (C)
 end

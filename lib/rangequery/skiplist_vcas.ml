@@ -1,6 +1,6 @@
 let max_level = Dstruct.Skip_level.max_level
 
-module Make (T : Hwts.Timestamp.S) = struct
+module Core (T : Hwts.Timestamp.S) = struct
   module V = Vcas_obj.Make (T)
 
   type node = {
@@ -287,8 +287,8 @@ module Make (T : Hwts.Timestamp.S) = struct
     Hwts_trace.Span.exit Hwts_trace.Traverse;
     !found
 
-  (* vCAS range query: advance the clock, walk level 0 at the snapshot.
-     The start node must have been *linked* at the snapshot time. *)
+  (* vCAS range read: walk level 0 at the snapshot label.  The start node
+     must have been *linked* at that time. *)
   let collect_ts t ts ~lo ~hi =
     let sc = get_scratch t in
     ignore (find t lo sc);
@@ -313,55 +313,25 @@ module Make (T : Hwts.Timestamp.S) = struct
     Hwts_trace.Span.exit Hwts_trace.Traverse;
     Sync.Scratch.Int_buffer.to_list buf
 
-  let range_query_labeled t ~lo ~hi =
-    ignore (Rq_registry.announce t.registry ~read:T.read_floor);
-    Fun.protect
-      ~finally:(fun () -> Rq_registry.exit_rq t.registry)
-      (fun () ->
-        let ts = T.snapshot () in
-        (ts, collect_ts t ts ~lo ~hi))
-
-  let range_query t ~lo ~hi = snd (range_query_labeled t ~lo ~hi)
-
-  (* Batched ranges under one snapshot acquisition: each range re-seeks
-     its own start but reads level 0 at the shared [ts]. *)
-  let range_queries_labeled t ranges =
-    ignore (Rq_registry.announce t.registry ~read:T.read_floor);
-    Fun.protect
-      ~finally:(fun () -> Rq_registry.exit_rq t.registry)
-      (fun () ->
-        let ts = T.snapshot () in
-        (ts, Array.map (fun (lo, hi) -> collect_ts t ts ~lo ~hi) ranges))
-
   (* Snapshot handle: the announce-slot guard pins version chains for the
-     handle's lifetime; every read resolves against the captured label
-     with no further acquisition. *)
-  type snap = { s_guard : int; s_label : int; mutable s_live : bool }
+     handle's lifetime; the RQ is the advancing operation (vCAS), and
+     every read resolves against the captured label with no further
+     acquisition. *)
+  type snap = Rq_registry.snap
 
   let snapshot t =
-    let guard = Rq_registry.announce t.registry ~read:T.read_floor in
-    match T.snapshot () with
-    | label -> { s_guard = guard; s_label = label; s_live = true }
-    | exception e ->
-      Rq_registry.release t.registry guard;
-      raise e
+    Rq_registry.snapshot t.registry ~floor:T.read_floor ~label:T.snapshot
 
-  let snap_label s = s.s_label
-
-  let snap_release t s =
-    if s.s_live then begin
-      s.s_live <- false;
-      Rq_registry.release t.registry s.s_guard
-    end
-
-  let collect_at t s ~lo ~hi = collect_ts t s.s_label ~lo ~hi
+  let snap_label = Rq_registry.snap_label
+  let snap_release t s = Rq_registry.snap_release t.registry s
+  let collect_at t s ~lo ~hi = collect_ts t (snap_label s) ~lo ~hi
 
   (* Point read at the held label: raw-find a candidate predecessor
      (validated by its link label, else fall back to the head) and walk
      level 0 through the version chains, like [collect_ts] but without
      touching the collection buffer. *)
   let lookup_at t s key =
-    let ts = s.s_label in
+    let ts = snap_label s in
     let sc = get_scratch t in
     ignore (find t key sc);
     let pred = sc.preds.(0) in
@@ -397,4 +367,10 @@ module Make (T : Hwts.Timestamp.S) = struct
      reclamation grace protocol to participate in. *)
   let quiesce _ = ()
   let offline _ = ()
+end
+
+module Make (T : Hwts.Timestamp.S) = struct
+  module C = Core (T)
+  include C
+  include Dstruct.Ordered_set.Ranges (C)
 end

@@ -12,9 +12,9 @@
     Keys live in [1, key_space], partitioned contiguously: shard [i] owns
     [[i*span + 1, (i+1)*span]].  Each shard runs one worker domain that
     drains its queue in arrival order; point operations keep per-shard
-    FIFO semantics, and all range sub-queries drained together execute —
-    when coalescing is on — under a single snapshot acquisition via
-    [range_queries_labeled].  That is the paper's amortization kernel at
+    FIFO semantics, and all range sub-queries and MultiGets drained
+    together execute — when coalescing is on — under a single
+    {!Hwts_snapshot.t} acquisition.  That is the paper's amortization kernel at
     service scale: the batcher pays one timestamp advance (and, for the
     lock-based techniques, one snapshot critical section) for every range
     in the drain. *)

@@ -1,7 +1,7 @@
 (** First-class snapshot handles and the multi-point query engine.
 
     The paper's amortization argument is that one timestamp acquisition
-    can cover many reads; {!Dstruct.Ordered_set.RQ} exposes the
+    can cover many reads; {!Dstruct.Ordered_set.SNAPSHOT} is the
     per-structure half of that (a [snap] handle plus [lookup_at] /
     [collect_at]).  This module packs structure + handle into one
     existential value, so callers above the structure layer — the

@@ -315,35 +315,30 @@ let lazylist_bundle_m (module T : Hwts.Timestamp.S) :
 module Kv_as_set (T : Hwts.Timestamp.S) = struct
   module K = Rangequery.Bst_vcas_kv.Make (T)
 
-  type t = unit K.t
+  module C = struct
+    type t = unit K.t
 
-  let name = K.name
-  let create () = K.create ()
-  let insert t k = K.add t k ()
-  let delete t k = K.remove t k
-  let contains t k = K.mem t k
-  let range_query t ~lo ~hi = List.map fst (K.range_query t ~lo ~hi)
+    let name = K.name
+    let create () = K.create ()
+    let insert t k = K.add t k ()
+    let delete t k = K.remove t k
+    let contains t k = K.mem t k
+    let to_list t = List.map fst (K.to_alist t)
+    let size t = K.size t
 
-  let range_query_labeled t ~lo ~hi =
-    let ts, kvs = K.range_query_labeled t ~lo ~hi in
-    (ts, List.map fst kvs)
+    type snap = K.snap
 
-  let range_queries_labeled t ranges =
-    let ts, kvss = K.range_queries_labeled t ranges in
-    (ts, Array.map (List.map fst) kvss)
+    let snapshot t = K.snapshot t
+    let snap_label s = K.snap_label s
+    let snap_release t s = K.snap_release t s
+    let lookup_at t s k = K.lookup_at t s k <> None
+    let collect_at t s ~lo ~hi = List.map fst (K.collect_at t s ~lo ~hi)
+    let quiesce _ = ()
+    let offline _ = ()
+  end
 
-  let to_list t = List.map fst (K.to_alist t)
-  let size t = K.size t
-
-  type snap = K.shandle
-
-  let snapshot t = K.snapshot t
-  let snap_label s = K.snap_label s
-  let snap_release t s = K.snap_release t s
-  let lookup_at t s k = K.find_snap t s k <> None
-  let collect_at t s ~lo ~hi = List.map fst (K.range_snap t s ~lo ~hi)
-  let quiesce _ = ()
-  let offline _ = ()
+  include C
+  include Dstruct.Ordered_set.Ranges (C)
 end
 
 let bst_vcas_kv_m (module T : Hwts.Timestamp.S) :

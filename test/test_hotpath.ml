@@ -102,7 +102,7 @@ let prune_safety_stress () =
                 while not (Atomic.get release) do
                   Domain.cpu_relax ()
                 done;
-                Rangequery.Rq_registry.exit_rq reg)))
+                Rangequery.Rq_registry.release reg ts)))
   in
   while Atomic.get announced < n_rq do
     Domain.cpu_relax ()
@@ -135,7 +135,8 @@ let prune_safety_stress () =
 
 (* A timestamp provider whose [snapshot] can be tripped to raise:
    structures call it after announcing the RQ, so a raising snapshot
-   exercises exactly the traversal-raised path the Fun.protect guards. *)
+   exercises the path on which the registry handle must give its
+   announcement back. *)
 module Trip_clock = struct
   let name = "trip"
   let is_hardware = false
@@ -173,6 +174,49 @@ let rq_slot_released_on_raise () =
     true
     (versions <= (edges * 3) + 8)
 
+(* The derivation itself, against a stub core that counts acquisitions
+   and releases and whose [collect_at] raises on demand: the raise must
+   reach the caller, and the handle must be released exactly once on
+   both exits. *)
+module Counting_core = struct
+  type t = { mutable acquired : int; mutable released : int }
+
+  let name = "counting-stub"
+  let create () = { acquired = 0; released = 0 }
+  let insert _ _ = false
+  let delete _ _ = false
+  let contains _ _ = false
+  let to_list _ = []
+  let size _ = 0
+
+  type snap = int
+
+  let snapshot t =
+    t.acquired <- t.acquired + 1;
+    40 + t.acquired
+
+  let snap_label s = s
+  let snap_release t _ = t.released <- t.released + 1
+  let lookup_at _ _ _ = false
+  let collect_at _ _ ~lo ~hi = if lo > hi then raise Stdlib.Exit else [ lo; hi ]
+  let quiesce _ = ()
+  let offline _ = ()
+end
+
+let derived_range_releases_once () =
+  let module D = Dstruct.Ordered_set.Ranges (Counting_core) in
+  let t = Counting_core.create () in
+  (try
+     ignore (D.range_query t ~lo:2 ~hi:1);
+     Alcotest.fail "range_query should have propagated the raise"
+   with Stdlib.Exit -> ());
+  Alcotest.(check (pair int int)) "raise: one acquire, one release" (1, 1)
+    (t.acquired, t.released);
+  Alcotest.(check (pair int (list int))) "label and keys of the read" (42, [ 1; 2 ])
+    (D.range_query_labeled t ~lo:1 ~hi:2);
+  Alcotest.(check (pair int int)) "success: one acquire, one release" (2, 2)
+    (t.acquired, t.released)
+
 let () =
   Alcotest.run "hotpath"
     [
@@ -194,5 +238,7 @@ let () =
         [
           Alcotest.test_case "released when traversal raises" `Quick
             rq_slot_released_on_raise;
+          Alcotest.test_case "derived range releases once on raise" `Quick
+            derived_range_releases_once;
         ] );
     ]

@@ -165,23 +165,23 @@ module BH = Rangequery.Bst_vcas.Make (Hwts.Timestamp.Hardware)
 let snapshot_time_travel () =
   let t = BH.create () in
   List.iter (fun k -> ignore (BH.insert t k)) [ 1; 2; 3; 4; 5 ];
-  let past = BH.take_snapshot t in
+  let past = BH.snapshot t in
   ignore (BH.delete t 2);
   ignore (BH.delete t 4);
   ignore (BH.insert t 9);
   Alcotest.(check (list int)) "present" [ 1; 3; 5; 9 ]
     (BH.range_query t ~lo:1 ~hi:10);
   Alcotest.(check (list int)) "past" [ 1; 2; 3; 4; 5 ]
-    (BH.range_query_at t past ~lo:1 ~hi:10);
-  Alcotest.(check bool) "contains_at deleted key" true (BH.contains_at t past 2);
-  Alcotest.(check bool) "contains_at future key" false (BH.contains_at t past 9);
-  BH.release_snapshot t past
+    (BH.collect_at t past ~lo:1 ~hi:10);
+  Alcotest.(check bool) "lookup_at deleted key" true (BH.lookup_at t past 2);
+  Alcotest.(check bool) "lookup_at future key" false (BH.lookup_at t past 9);
+  BH.snap_release t past
 
 let snapshot_survives_pruning_churn () =
   with_refresh_period 1 @@ fun () ->
   let t = BH.create () in
   ignore (BH.insert t 42);
-  let past = BH.take_snapshot t in
+  let past = BH.snapshot t in
   (* churn hard: pruning runs on every update, but the pin must protect
      the snapshot's versions *)
   for _ = 1 to 500 do
@@ -190,9 +190,9 @@ let snapshot_survives_pruning_churn () =
   done;
   ignore (BH.delete t 42);
   Alcotest.(check (list int)) "pinned state intact" [ 42 ]
-    (BH.range_query_at t past ~lo:0 ~hi:100);
+    (BH.collect_at t past ~lo:0 ~hi:100);
   Alcotest.(check (list int)) "current state" [] (BH.range_query t ~lo:0 ~hi:100);
-  BH.release_snapshot t past;
+  BH.snap_release t past;
   (* after release, churn shrinks history again *)
   for _ = 1 to 200 do
     ignore (BH.insert t 42);
@@ -209,8 +209,8 @@ let snapshot_stable_under_concurrency () =
   for k = 1 to 64 do
     ignore (BH.insert t (2 * k))
   done;
-  let past = BH.take_snapshot t in
-  let baseline = BH.range_query_at t past ~lo:0 ~hi:200 in
+  let past = BH.snapshot t in
+  let baseline = BH.collect_at t past ~lo:0 ~hi:200 in
   let stop = Atomic.make false in
   let results =
     Util.spawn_workers 3 (fun me ->
@@ -227,7 +227,7 @@ let snapshot_stable_under_concurrency () =
         else begin
           let ok = ref true in
           while not (Atomic.get stop) do
-            if BH.range_query_at t past ~lo:0 ~hi:200 <> baseline then
+            if BH.collect_at t past ~lo:0 ~hi:200 <> baseline then
               ok := false
           done;
           !ok
@@ -235,7 +235,7 @@ let snapshot_stable_under_concurrency () =
   in
   Alcotest.(check (list bool)) "snapshot immutable under churn"
     [ true; true; true ] results;
-  BH.release_snapshot t past
+  BH.snap_release t past
 
 (* ---------- bundles ---------- *)
 
@@ -325,7 +325,7 @@ let registry_basics () =
   Alcotest.(check int) "active min" 100
     (Rangequery.Rq_registry.min_active r ~default:500);
   Alcotest.(check int) "count" 1 (Rangequery.Rq_registry.active_count r);
-  Rangequery.Rq_registry.exit_rq r;
+  Rangequery.Rq_registry.release r announced;
   Alcotest.(check int) "cleared" 0 (Rangequery.Rq_registry.active_count r)
 
 let registry_across_domains () =
@@ -335,14 +335,15 @@ let registry_across_domains () =
     List.init 3 (fun i ->
         Domain.spawn (fun () ->
             Sync.Slot.with_slot (fun _ ->
-                ignore
-                  (Rangequery.Rq_registry.announce r ~read:(fun () ->
-                       (i + 1) * 100));
+                let ts =
+                  Rangequery.Rq_registry.announce r ~read:(fun () ->
+                      (i + 1) * 100)
+                in
                 ignore (Atomic.fetch_and_add announced 1);
                 while not (Atomic.get release) do
                   Domain.cpu_relax ()
                 done;
-                Rangequery.Rq_registry.exit_rq r)))
+                Rangequery.Rq_registry.release r ts)))
   in
   while Atomic.get announced < 3 do
     Domain.cpu_relax ()
@@ -374,29 +375,29 @@ let registry_zero_active_early_exit () =
     (Hwts_obs.Counter.sum early);
   Alcotest.(check int) "no slot was scanned" s0 (Hwts_obs.Counter.sum scans);
   (* One announced RQ flips it: the scan path runs and finds the stamp. *)
-  ignore (Rangequery.Rq_registry.announce r ~read:(fun () -> 5));
+  let ts = Rangequery.Rq_registry.announce r ~read:(fun () -> 5) in
   Alcotest.(check int) "scan finds the announcement" 5
     (Rangequery.Rq_registry.min_active r ~default:7);
   Alcotest.(check int) "scan counter moved" (s0 + 1)
     (Hwts_obs.Counter.sum scans);
   Alcotest.(check int) "early-exit counter did not" (e0 + 2)
     (Hwts_obs.Counter.sum early);
-  Rangequery.Rq_registry.exit_rq r
+  Rangequery.Rq_registry.release r ts
 
 let registry_pin_multiset () =
   (* One domain holding several announcements at once — a snapshot handle
      plus RQs running under it.  The published floor must stay the
      minimum over ALL open pins for the slot's whole occupancy, survive
-     LIFO exits of inner RQs, and support out-of-order release by stamp
+     LIFO releases of inner RQs, and support out-of-order release by stamp
      (snapshot handles close whenever their user closes them). *)
   let r = Rangequery.Rq_registry.create () in
   let outer = Rangequery.Rq_registry.announce r ~read:(fun () -> 10) in
-  ignore (Rangequery.Rq_registry.announce r ~read:(fun () -> 50));
+  let inner = Rangequery.Rq_registry.announce r ~read:(fun () -> 50) in
   Alcotest.(check int) "two pins" 2 (Rangequery.Rq_registry.active_count r);
   Alcotest.(check int) "floor is the outer pin" 10
     (Rangequery.Rq_registry.min_active r ~default:99);
-  Rangequery.Rq_registry.exit_rq r;
-  (* exit_rq pops the inner announcement, NOT the slot wholesale *)
+  Rangequery.Rq_registry.release r inner;
+  (* the LIFO release pops the inner announcement, NOT the slot wholesale *)
   Alcotest.(check int) "outer survives inner exit" 10
     (Rangequery.Rq_registry.min_active r ~default:99);
   let inner2 = Rangequery.Rq_registry.announce r ~read:(fun () -> 70) in
@@ -415,10 +416,11 @@ let registry_pin_multiset () =
 let snapshot_pinned_across_nested_rqs_and_pruning () =
   (* The announce-slot lifetime trap: hold a Snapshot.t-style handle open
      on a bundled structure, run ordinary range queries on the SAME
-     domain (each announces and exits the registry), and churn updates
-     from another domain with the pruning floor refreshed on every
-     operation.  A registry that tracked only the latest announcement
-     per slot would unpin the handle at the first inner exit, the churn
+     domain (each announces and releases its own registry pin), and
+     churn updates from another domain with the pruning floor refreshed
+     on every operation.  A registry that tracked only the latest
+     announcement per slot would unpin the handle at the first inner
+     release, the churn
      would prune the bundle entries the handle's label still needs, and
      the cut would change under the open handle. *)
   with_refresh_period 1 @@ fun () ->

@@ -83,40 +83,36 @@ trace-smoke: build
 	dune exec test/validate_metrics.exe -- /tmp/trace_metrics.json
 	dune exec test/validate_metrics.exe -- /tmp/trace-chrome.json
 
-# The perf-trajectory gate's self-test: the checked-in scaling artifact
-# diffed against itself must pass, a copy with Mops/s scaled to 60% must
-# trip the regression verdict, and the JSON report must validate.  The
-# single-series perturbation then slows only one zoo provider's series:
-# the gate must still trip, proving a regression confined to one
-# provider cannot hide behind the healthy rest of the zoo.
+# The perf-trajectory gate's self-test, over every checked-in family
+# with a throughput (the family specs in lib/benchkit/family.ml say
+# which points each compares): each artifact diffed against itself must
+# pass and its report must validate; a copy with one series' Mops/s
+# scaled to 60% must trip the regression verdict, proving a regression
+# confined to one provider or backend cannot hide behind the healthy
+# rest; a whole-file slowdown must trip it too; and two different
+# families must be refused rather than compared.
+TREND_SERIES := BENCH_scaling.json:bst-vcas/tl2 \
+  BENCH_reclaim.json:bst-ebrrq-lockfree/qsbr \
+  BENCH_snapshot.json:skiplist-bundle/rdtscp-strict/snapshot \
+  BENCH_serve.json:bst-vcas/logical/coalesce=true \
+  BENCH_hotpath.json:citrus-vcas \
+  BENCH_obs.json:bst-vcas/rdtscp
+
 trend-guard: build
-	dune exec bench/trendcheck.exe -- BENCH_scaling.json BENCH_scaling.json \
-	  -out /tmp/trend-report.json
-	dune exec test/validate_metrics.exe -- /tmp/trend-report.json
+	for fs in $(TREND_SERIES); do \
+	  f=$${fs%%:*}; s=$${fs#*:}; \
+	  dune exec bench/trendcheck.exe -- $$f $$f -out /tmp/trend-report.json \
+	    || exit 1; \
+	  dune exec test/validate_metrics.exe -- /tmp/trend-report.json || exit 1; \
+	  dune exec bench/trendcheck.exe -- -perturb 0.6 -perturb-series "$$s" \
+	    -out /tmp/trend-perturbed.json $$f || exit 1; \
+	  ! dune exec bench/trendcheck.exe -- $$f /tmp/trend-perturbed.json \
+	    || exit 1; \
+	done
 	dune exec bench/trendcheck.exe -- -perturb 0.6 \
 	  -out /tmp/trend-perturbed.json BENCH_scaling.json
 	! dune exec bench/trendcheck.exe -- BENCH_scaling.json /tmp/trend-perturbed.json
-	dune exec bench/trendcheck.exe -- -perturb 0.6 \
-	  -perturb-series bst-vcas/tl2 \
-	  -out /tmp/trend-perturbed-series.json BENCH_scaling.json
-	! dune exec bench/trendcheck.exe -- BENCH_scaling.json \
-	  /tmp/trend-perturbed-series.json
-	dune exec bench/trendcheck.exe -- BENCH_reclaim.json BENCH_reclaim.json \
-	  -out /tmp/trend-reclaim.json
-	dune exec test/validate_metrics.exe -- /tmp/trend-reclaim.json
-	dune exec bench/trendcheck.exe -- -perturb 0.6 \
-	  -perturb-series bst-ebrrq-lockfree/qsbr \
-	  -out /tmp/trend-reclaim-perturbed.json BENCH_reclaim.json
-	! dune exec bench/trendcheck.exe -- BENCH_reclaim.json \
-	  /tmp/trend-reclaim-perturbed.json
-	dune exec bench/trendcheck.exe -- BENCH_snapshot.json BENCH_snapshot.json \
-	  -out /tmp/trend-snapshot.json
-	dune exec test/validate_metrics.exe -- /tmp/trend-snapshot.json
-	dune exec bench/trendcheck.exe -- -perturb 0.6 \
-	  -perturb-series skiplist-bundle/rdtscp-strict/snap-snapshot \
-	  -out /tmp/trend-snapshot-perturbed.json BENCH_snapshot.json
-	! dune exec bench/trendcheck.exe -- BENCH_snapshot.json \
-	  /tmp/trend-snapshot-perturbed.json
+	! dune exec bench/trendcheck.exe -- BENCH_scaling.json BENCH_reclaim.json
 
 # Refresh the checked-in tail-attribution artifact: 3 structures x the
 # 6-provider zoo, p50/p99/p999 dominant-phase bands per op class.
@@ -204,6 +200,7 @@ bench-obs: build
 # scratch reuse, cached floor) over the same seeded fixed-op runs.
 bench-hotpath: build
 	dune exec bench/hotpath.exe -- -trials 5 -out BENCH_hotpath.json
+	dune exec test/validate_metrics.exe -- BENCH_hotpath.json
 
 # Refresh the checked-in domain-scaling artifact: every structure under
 # the logical, rdtscp-strict and adaptive providers across

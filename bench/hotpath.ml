@@ -12,90 +12,39 @@
 
    Reports Mops/s and minor-heap words allocated per operation (summed
    [Gc.minor_words] deltas of the worker domains), one JSON line per
-   structure, to BENCH_hotpath.json. *)
+   structure, to BENCH_hotpath.json.  Fixed-op legs make words/op
+   essentially exact; the paired, rotated trials of Benchkit.Kit keep
+   wall-clock drift off the Mops/s comparison. *)
+
+module J = Hwts_obs.Json
+module Kit = Benchkit.Kit
 
 let default_out = "BENCH_hotpath.json"
-
-type leg = {
-  mops : float;
-  words_per_op : float;
-  minor_words : float;
-  total_ops : int;
-  elapsed : float;
-}
-
 let optimized_period = Rangequery.Rq_registry.refresh_period ()
 
-let set_baseline () =
-  Sync.Scratch.set_enabled false;
-  Rangequery.Rq_registry.set_refresh_period 1
+let set_optimized on =
+  Sync.Scratch.set_enabled on;
+  Rangequery.Rq_registry.set_refresh_period (if on then optimized_period else 1)
 
-let set_optimized () =
-  Sync.Scratch.set_enabled true;
-  Rangequery.Rq_registry.set_refresh_period optimized_period
+let run_leg make config ~warmup : Kit.row =
+  let r = Kit.harness_leg make config ~warmup in
+  [
+    ("mops", J.Float r.Workload.Harness.mops);
+    ("words_per_op", J.Float r.words_per_op);
+    ("minor_words", J.Float r.minor_words);
+    ("total_ops", J.Int r.total_ops);
+    ("elapsed", J.Float r.elapsed);
+  ]
 
-let run_leg make config ~warmup =
-  (* Fresh structure per leg: prefill is seeded, so both legs start from
-     the same contents and replay the same op sequence.  Compact first so
-     a leg does not pay major-GC debt for its predecessor's garbage. *)
-  Gc.compact ();
-  let target = Workload.Harness.make_target make config in
-  if warmup > 0 then
-    ignore
-      (Workload.Harness.run_prepared target
-         { config with fixed_ops = Some warmup });
-  let r = Workload.Harness.run_prepared target config in
+(* Per-structure key range: the O(n) list runs at a size it can carry, so
+   its paired ratios measure the optimizations rather than pointer-chase
+   saturation. *)
+let config_for name config =
   {
-    mops = r.Workload.Harness.mops;
-    words_per_op = r.Workload.Harness.words_per_op;
-    minor_words = r.Workload.Harness.minor_words;
-    total_ops = r.Workload.Harness.total_ops;
-    elapsed = r.Workload.Harness.elapsed;
+    config with
+    Workload.Harness.key_range =
+      Workload.Targets.preferred_key_range name ~default:config.Workload.Harness.key_range;
   }
-
-let median xs =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  a.(Array.length a / 2)
-
-let summarize legs =
-  {
-    mops = median (List.map (fun l -> l.mops) legs);
-    words_per_op = median (List.map (fun l -> l.words_per_op) legs);
-    minor_words = median (List.map (fun l -> l.minor_words) legs);
-    total_ops = (List.hd legs).total_ops;
-    elapsed = median (List.map (fun l -> l.elapsed) legs);
-  }
-
-(* Paired, order-alternating trials with component-wise medians: fixed-op
-   legs make words/op essentially exact, but wall-clock Mops on a shared
-   machine drifts, so each trial runs both legs back to back (alternating
-   which goes first) rather than all of one leg before all of the other —
-   a slow phase of the machine then lands on both sides equally. *)
-let run_paired_trials make config ~warmup ~trials =
-  let base_legs = ref [] and opt_legs = ref [] in
-  for i = 1 to trials do
-    let base () =
-      set_baseline ();
-      base_legs := run_leg make config ~warmup :: !base_legs
-    and opt () =
-      set_optimized ();
-      opt_legs := run_leg make config ~warmup :: !opt_legs
-    in
-    if i mod 2 = 1 then (base (); opt ()) else (opt (); base ())
-  done;
-  set_optimized ();
-  (summarize !base_legs, summarize !opt_legs)
-
-let leg_json l =
-  Hwts_obs.Json.Obj
-    [
-      ("mops", Hwts_obs.Json.Float l.mops);
-      ("words_per_op", Hwts_obs.Json.Float l.words_per_op);
-      ("minor_words", Hwts_obs.Json.Float l.minor_words);
-      ("total_ops", Hwts_obs.Json.Int l.total_ops);
-      ("elapsed", Hwts_obs.Json.Float l.elapsed);
-    ]
 
 (* Guard mode: re-measure the optimized leg with fault injection left at
    its default (disabled) and compare against the recorded artifact.  The
@@ -104,73 +53,41 @@ let leg_json l =
    fixed-op so it is compared near-exactly, while wall-clock throughput
    gets a generous shared-machine tolerance. *)
 let run_guard ~path ~ts ~config ~warmup ~trials ~tol =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let body = really_input_string ic len in
-  close_in ic;
-  let lines =
-    match Hwts_obs.Json.parse_lines body with
-    | Ok l -> l
-    | Error e -> failwith (Printf.sprintf "guard: cannot parse %s: %s" path e)
-  in
   let recorded =
-    List.filter_map
-      (fun j ->
-        match
-          ( Hwts_obs.Json.(member "type" j |> Option.map to_str),
-            Hwts_obs.Json.member "structure" j,
-            Hwts_obs.Json.member "optimized" j )
-        with
-        | Some (Some "comparison"), Some s, Some opt ->
-          let f field =
-            match Hwts_obs.Json.(member field opt |> Option.map to_float) with
-            | Some (Some v) -> v
-            | _ -> nan
-          in
-          Option.map
-            (fun name -> (name, f "mops", f "words_per_op"))
-            (Hwts_obs.Json.to_str s)
-        | _ -> None)
-      lines
+    match Benchkit.Family.read_lines path with
+    | Ok lines -> Benchkit.Family.(points hotpath lines)
+    | Error e -> failwith ("guard: " ^ e)
   in
   if recorded = [] then failwith (Printf.sprintf "guard: no comparisons in %s" path);
-  Printf.printf "%-16s %10s %10s %12s %12s  %s\n" "structure" "ref-mops"
-    "now-mops" "ref-w/op" "now-w/op" "verdict";
-  let failures = ref 0 in
-  List.iter
-    (fun (name, ref_mops, ref_wpo) ->
-      match List.assoc_opt name Workload.Targets.all with
-      | None -> ()
-      | Some make ->
-        let config =
-          {
-            config with
-            Workload.Harness.key_range =
-              Workload.Targets.preferred_key_range name
-                ~default:config.Workload.Harness.key_range;
-          }
-        in
-        set_optimized ();
-        let legs =
-          List.init trials (fun _ -> run_leg (make ts) config ~warmup)
-        in
-        let now = summarize legs in
-        (* words/op is deterministic up to GC bookkeeping: 2% + 1 word of
-           slack; Mops/s absorbs machine drift via [tol]. *)
-        let wpo_ok = now.words_per_op <= (ref_wpo *. 1.02) +. 1.0 in
-        let mops_ok = now.mops >= ref_mops *. (1. -. tol) in
-        let ok = wpo_ok && mops_ok in
-        if not ok then incr failures;
-        Printf.printf "%-16s %10.3f %10.3f %12.1f %12.1f  %s\n%!" name ref_mops
-          now.mops ref_wpo now.words_per_op
-          (if ok then "ok"
-           else if not wpo_ok then "FAIL (allocation regression)"
-           else "FAIL (throughput regression)"))
-    recorded;
-  if !failures > 0 then begin
-    Printf.printf
-      "guard: %d structure(s) regressed vs %s with faults disabled\n" !failures
-      path;
+  Printf.printf "%-16s %10s %10s %12s %12s  %s\n" "structure" "ref-mops" "now-mops" "ref-w/op"
+    "now-w/op" "verdict";
+  set_optimized true;
+  let failures =
+    List.filter
+      (fun { Benchkit.Family.series = name; mops = ref_mops; words_per_op = ref_wpo; _ } ->
+        match List.assoc_opt name Workload.Targets.all with
+        | None -> false
+        | Some make ->
+          let legs =
+            List.init trials (fun _ -> run_leg (make ts) (config_for name config) ~warmup)
+          in
+          let now = Kit.summarize legs in
+          let now_mops = Kit.num now "mops" and now_wpo = Kit.num now "words_per_op" in
+          (* words/op is deterministic up to GC bookkeeping: 2% + 1 word of
+             slack; Mops/s absorbs machine drift via [tol]. *)
+          let wpo_ok = now_wpo <= (ref_wpo *. 1.02) +. 1.0 in
+          let mops_ok = now_mops >= ref_mops *. (1. -. tol) in
+          Printf.printf "%-16s %10.3f %10.3f %12.1f %12.1f  %s\n%!" name ref_mops now_mops ref_wpo
+            now_wpo
+            (if not wpo_ok then "FAIL (allocation regression)"
+             else if not mops_ok then "FAIL (throughput regression)"
+             else "ok");
+          not (wpo_ok && mops_ok))
+      recorded
+  in
+  if failures <> [] then begin
+    Printf.printf "guard: %d structure(s) regressed vs %s with faults disabled\n"
+      (List.length failures) path;
     exit 1
   end
   else Printf.printf "guard: no overhead vs %s with faults disabled\n" path
@@ -216,15 +133,7 @@ let () =
   (* Latency instrumentation off: the measured path should contain only
      the structures' own work. *)
   Hwts_obs.Config.set_enabled false;
-  let ts =
-    match Workload.Targets.ts_of_name !provider with
-    | Some ts -> ts
-    | None ->
-      Printf.eprintf "unknown provider %S; known providers:\n%s"
-        !provider
-        (Workload.Targets.provider_help ());
-      exit 2
-  in
+  let ts = Kit.provider !provider in
   let config =
     {
       Workload.Harness.default with
@@ -236,76 +145,53 @@ let () =
     }
   in
   if !guard <> "" then begin
-    run_guard ~path:!guard ~ts ~config ~warmup:!warmup ~trials:!trials
-      ~tol:!guard_tol;
+    run_guard ~path:!guard ~ts ~config ~warmup:!warmup ~trials:!trials ~tol:!guard_tol;
     exit 0
   end;
-  let structures =
-    List.filter
-      (fun (name, _) -> !only = "" || name = !only)
-      Workload.Targets.all
+  let meta =
+    [
+      ("threads", J.Int !threads);
+      ("ops_per_thread", J.Int !ops);
+      ("key_range", J.Int !key_range);
+      ("rq_len", J.Int !rq_len);
+      ("mix", J.Str (Workload.Mix.label config.mix));
+      ("provider", J.Str (Workload.Targets.ts_name ts));
+      ("seed", J.Int config.seed);
+      ("refresh_period", J.Int optimized_period);
+      ("trials", J.Int !trials);
+    ]
   in
-  let oc = open_out !out in
-  Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
-  let emit json =
-    output_string oc (Hwts_obs.Json.to_string json);
-    output_char oc '\n'
-  in
-  emit
-    (Hwts_obs.Json.Obj
-       [
-         ("name", Hwts_obs.Json.Str "bench.hotpath");
-         ("type", Hwts_obs.Json.Str "meta");
-         ("threads", Hwts_obs.Json.Int !threads);
-         ("ops_per_thread", Hwts_obs.Json.Int !ops);
-         ("key_range", Hwts_obs.Json.Int !key_range);
-         ("rq_len", Hwts_obs.Json.Int !rq_len);
-         ("mix", Hwts_obs.Json.Str (Workload.Mix.label config.mix));
-         ("provider", Hwts_obs.Json.Str (Workload.Targets.ts_name ts));
-         ("seed", Hwts_obs.Json.Int config.seed);
-         ("refresh_period", Hwts_obs.Json.Int optimized_period);
-         ("trials", Hwts_obs.Json.Int !trials);
-       ]);
-  Printf.printf "%-16s %10s %10s %12s %12s %8s %8s\n" "structure"
-    "base-mops" "opt-mops" "base-w/op" "opt-w/op" "w-red%" "mops-x";
+  Kit.with_artifact ~path:!out ~family:"bench.hotpath" meta @@ fun emit ->
+  Printf.printf "%-16s %10s %10s %12s %12s %8s %8s\n" "structure" "base-mops" "opt-mops"
+    "base-w/op" "opt-w/op" "w-red%" "mops-x";
   List.iter
     (fun (name, make) ->
-      if not (Workload.Targets.supports name ts) then
+      if !only <> "" && name <> !only then ()
+      else if not (Workload.Targets.supports name ts) then
         Printf.printf "%-16s (skipped: logical-clock-only structure)\n%!" name
       else begin
-      (* Per-structure key range: the O(n) list runs at a size it can
-         carry, so its paired ratios measure the optimizations rather
-         than pointer-chase saturation. *)
-      let config =
-        {
-          config with
-          Workload.Harness.key_range =
-            Workload.Targets.preferred_key_range name
-              ~default:config.Workload.Harness.key_range;
-        }
-      in
-      let make = make ts in
-      let base, opt =
-        run_paired_trials make config ~warmup:!warmup ~trials:!trials
-      in
-      let reduction =
-        if base.words_per_op = 0. then 0.
-        else (base.words_per_op -. opt.words_per_op) /. base.words_per_op *. 100.
-      in
-      let ratio = if base.mops = 0. then 0. else opt.mops /. base.mops in
-      Printf.printf "%-16s %10.3f %10.3f %12.1f %12.1f %7.1f%% %8.2f\n%!" name
-        base.mops opt.mops base.words_per_op opt.words_per_op reduction ratio;
-      emit
-        (Hwts_obs.Json.Obj
-           [
-             ("name", Hwts_obs.Json.Str "bench.hotpath");
-             ("type", Hwts_obs.Json.Str "comparison");
-             ("structure", Hwts_obs.Json.Str name);
-             ("baseline", leg_json base);
-             ("optimized", leg_json opt);
-             ("words_per_op_reduction_pct", Hwts_obs.Json.Float reduction);
-             ("mops_ratio", Hwts_obs.Json.Float ratio);
-           ])
+        (* arm 0 = baseline, arm 1 = optimized *)
+        let legs =
+          Kit.paired ~arms:2 ~trials:!trials (fun ~trial:_ arm ->
+              set_optimized (arm = 1);
+              run_leg (make ts) (config_for name config) ~warmup:!warmup)
+        in
+        set_optimized true;
+        let base = Kit.summarize legs.(0) and opt = Kit.summarize legs.(1) in
+        let bw = Kit.num base "words_per_op" and ow = Kit.num opt "words_per_op" in
+        let bm = Kit.num base "mops" and om = Kit.num opt "mops" in
+        let reduction = if bw = 0. then 0. else (bw -. ow) /. bw *. 100. in
+        let ratio = if bm = 0. then 0. else om /. bm in
+        Printf.printf "%-16s %10.3f %10.3f %12.1f %12.1f %7.1f%% %8.2f\n%!" name bm om bw ow
+          reduction ratio;
+        emit "comparison"
+          [
+            ("structure", J.Str name);
+            ("baseline", J.Obj base);
+            ("optimized", J.Obj opt);
+            ("words_per_op_reduction_pct", J.Float reduction);
+            ("mops_ratio", J.Float ratio);
+          ]
       end)
-    structures;
+    Workload.Targets.all;
   Printf.printf "wrote %s\n" !out

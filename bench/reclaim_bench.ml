@@ -18,11 +18,14 @@
    the cheap fast path.  The EXPERIMENTS.md recipe plots exactly this
    trade (announce_per_op down, limbo_hwm up).
 
-   Pairing discipline as in bench/scaling.ml: each trial runs all
-   backends back to back at the same (structure, domains) point with a
-   rotating starting backend, points keep component-wise medians, and
-   the throughput gate uses each leg's best trial so a stolen scheduler
+   Pairing discipline (Benchkit.Kit): each trial runs all backends back
+   to back at the same (structure, domains) point with a rotating
+   starting backend, points keep component-wise medians, and the
+   throughput gate uses each leg's best trial so a stolen scheduler
    quantum cannot fail the gate on its own. *)
+
+module J = Hwts_obs.Json
+module Kit = Benchkit.Kit
 
 let default_out = "BENCH_reclaim.json"
 
@@ -34,17 +37,6 @@ let backend_names = List.map Workload.Targets.reclaim_name backends
    they have no announce-vs-limbo trade to measure. *)
 let structures = [ "bst-ebrrq-lockfree"; "citrus-ebrrq" ]
 
-type point = {
-  mops : float;
-  total_ops : int;
-  announce_per_op : float;
-  quiesces : int;
-  retired : int;
-  reclaimed : int;
-  limbo_hwm : int;
-  grace_waits : int;
-}
-
 let counter name =
   match Hwts_obs.Registry.counter_value name with Some v -> v | None -> 0
 
@@ -53,84 +45,26 @@ let watermark name =
   | Some (Hwts_obs.Registry.Watermark w) -> Hwts_obs.Watermark.get w
   | _ -> 0
 
-let run_leg structure reclaim config ~warmup =
-  Gc.compact ();
+(* Counters (and the limbo high-water mark) restart at zero after the
+   warmup, so a leg's numbers cover exactly its measured ops. *)
+let run_leg structure reclaim config ~warmup : Kit.row =
   let inst = Workload.Targets.instance ~reclaim structure `Logical in
-  let target = Workload.Harness.make_target inst.Workload.Targets.structure config in
-  if warmup > 0 then
-    ignore
-      (Workload.Harness.run_prepared target
-         { config with Workload.Harness.fixed_ops = Some warmup });
-  (* Counters (and the limbo high-water mark) restart at zero after the
-     warmup, so a leg's numbers cover exactly its measured ops. *)
-  Hwts_obs.Registry.reset_all ();
-  let r = Workload.Harness.run_prepared target config in
+  let r =
+    Kit.harness_leg ~after_warmup:Hwts_obs.Registry.reset_all
+      inst.Workload.Targets.structure config ~warmup
+  in
   let ops = r.Workload.Harness.total_ops in
-  {
-    mops = r.Workload.Harness.mops;
-    total_ops = ops;
-    announce_per_op =
-      float_of_int (counter "reclaim.announce_stores") /. float_of_int (max 1 ops);
-    quiesces = counter "reclaim.quiesces";
-    retired = counter "reclaim.retired";
-    reclaimed = counter "reclaim.reclaimed";
-    limbo_hwm = watermark "reclaim.limbo_hwm";
-    grace_waits = counter "reclaim.grace_waits";
-  }
-
-let median xs =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  a.(Array.length a / 2)
-
-let fmedian xs =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  a.(Array.length a / 2)
-
-let summarize legs =
-  {
-    mops = fmedian (List.map (fun l -> l.mops) legs);
-    total_ops = (List.hd legs).total_ops;
-    announce_per_op = fmedian (List.map (fun l -> l.announce_per_op) legs);
-    quiesces = median (List.map (fun l -> l.quiesces) legs);
-    retired = median (List.map (fun l -> l.retired) legs);
-    reclaimed = median (List.map (fun l -> l.reclaimed) legs);
-    limbo_hwm = median (List.map (fun l -> l.limbo_hwm) legs);
-    grace_waits = median (List.map (fun l -> l.grace_waits) legs);
-  }
-
-let best_mops legs = List.fold_left (fun m l -> Float.max m l.mops) 0. legs
-
-let point_json ~structure ~reclaim ~domains p =
-  Hwts_obs.Json.Obj
-    [
-      ("name", Hwts_obs.Json.Str "bench.reclaim");
-      ("type", Hwts_obs.Json.Str "point");
-      ("structure", Hwts_obs.Json.Str structure);
-      ("reclaim", Hwts_obs.Json.Str reclaim);
-      ("domains", Hwts_obs.Json.Int domains);
-      ("mops", Hwts_obs.Json.Float p.mops);
-      ("total_ops", Hwts_obs.Json.Int p.total_ops);
-      ("announce_per_op", Hwts_obs.Json.Float p.announce_per_op);
-      ("quiesces", Hwts_obs.Json.Int p.quiesces);
-      ("retired", Hwts_obs.Json.Int p.retired);
-      ("reclaimed", Hwts_obs.Json.Int p.reclaimed);
-      ("limbo_hwm", Hwts_obs.Json.Int p.limbo_hwm);
-      ("grace_waits", Hwts_obs.Json.Int p.grace_waits);
-    ]
-
-let parse_domains s =
-  match
-    List.filter_map
-      (fun tok ->
-        match int_of_string_opt (String.trim tok) with
-        | Some n when n >= 1 -> Some n
-        | _ -> None)
-      (String.split_on_char ',' s)
-  with
-  | [] -> failwith ("no valid domain counts in " ^ s)
-  | ds -> List.sort_uniq compare ds
+  [
+    ("mops", J.Float r.mops);
+    ("total_ops", J.Int ops);
+    ( "announce_per_op",
+      J.Float (float_of_int (counter "reclaim.announce_stores") /. float_of_int (max 1 ops)) );
+    ("quiesces", J.Int (counter "reclaim.quiesces"));
+    ("retired", J.Int (counter "reclaim.retired"));
+    ("reclaimed", J.Int (counter "reclaim.reclaimed"));
+    ("limbo_hwm", J.Int (watermark "reclaim.limbo_hwm"));
+    ("grace_waits", J.Int (counter "reclaim.grace_waits"));
+  ]
 
 let () =
   let domains_spec = ref "1,2" in
@@ -167,7 +101,7 @@ let () =
     (fun _ -> ())
     "reclaim_bench: reclamation-backend sweep (announce stores per op, \
      limbo high water, throughput) over the retiring EBR-RQ structures";
-  let domain_counts = parse_domains !domains_spec in
+  let domain_counts = Kit.counts ~what:"domain counts" !domains_spec in
   (* The announce-store counters are the measurement, so the registry
      must be live — unlike the throughput-only benches that switch it
      off.  It is live for every backend alike, so ratios are fair. *)
@@ -182,107 +116,85 @@ let () =
       mix = Workload.Mix.of_label !mix;
     }
   in
-  let oc = open_out !out in
-  Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
-  let emit json =
-    output_string oc (Hwts_obs.Json.to_string json);
-    output_char oc '\n'
+  let meta =
+    [
+      ("domains", J.List (List.map (fun d -> J.Int d) domain_counts));
+      ("ops_per_domain", J.Int !ops);
+      ("key_range", J.Int !key_range);
+      ("rq_len", J.Int !rq_len);
+      ("mix", J.Str !mix);
+      ("trials", J.Int !trials);
+      ("mops_floor", J.Float !mops_floor);
+      ("provider", J.Str "logical");
+      ("reclaimers", J.List (List.map (fun n -> J.Str n) backend_names));
+    ]
   in
-  emit
-    (Hwts_obs.Json.Obj
-       [
-         ("name", Hwts_obs.Json.Str "bench.reclaim");
-         ("type", Hwts_obs.Json.Str "meta");
-         ( "domains",
-           Hwts_obs.Json.List
-             (List.map (fun d -> Hwts_obs.Json.Int d) domain_counts) );
-         ("ops_per_domain", Hwts_obs.Json.Int !ops);
-         ("key_range", Hwts_obs.Json.Int !key_range);
-         ("rq_len", Hwts_obs.Json.Int !rq_len);
-         ("mix", Hwts_obs.Json.Str !mix);
-         ("trials", Hwts_obs.Json.Int !trials);
-         ("mops_floor", Hwts_obs.Json.Float !mops_floor);
-         ("provider", Hwts_obs.Json.Str "logical");
-         ("cores", Hwts_obs.Json.Int (Domain.recommended_domain_count ()));
-         ( "reclaimers",
-           Hwts_obs.Json.List
-             (List.map (fun n -> Hwts_obs.Json.Str n) backend_names) );
-       ]);
-  Printf.printf "%-18s %-9s %7s %9s %12s %9s %9s %9s\n" "structure" "reclaim"
-    "domains" "mops" "announce/op" "retired" "limbo^" "graces";
-  let all_ok = ref true in
-  List.iter
-    (fun structure ->
-      List.iter
-        (fun d ->
-          let n = List.length backends in
-          let arr = Array.of_list backends in
-          let legs = Array.make n [] in
-          for t = 0 to !trials - 1 do
-            for i = 0 to n - 1 do
-              let idx = (t + i) mod n in
-              legs.(idx) <-
-                run_leg structure arr.(idx) (config d) ~warmup:!warmup
-                :: legs.(idx)
-            done
-          done;
-          let points = Array.map summarize legs in
-          let bests = Array.map best_mops legs in
-          Array.iteri
-            (fun i p ->
-              let rname = List.nth backend_names i in
-              Printf.printf "%-18s %-9s %7d %9.3f %12.4f %9d %9d %9d\n%!"
-                structure rname d p.mops p.announce_per_op p.retired
-                p.limbo_hwm p.grace_waits;
-              emit (point_json ~structure ~reclaim:rname ~domains:d p))
-            points;
-          (* The gate, per point: both QSBR backends must beat EBR on the
-             mechanism (strictly fewer announce stores per op) while
-             keeping best-of-trials throughput above the floor. *)
-          let ebr = points.(0) and ebr_best = bests.(0) in
-          for i = 1 to n - 1 do
-            let p = points.(i) in
-            let ratio =
-              if ebr_best <= 0. then 1. else bests.(i) /. ebr_best
+  let all_ok =
+    Kit.with_artifact ~path:!out ~family:"bench.reclaim" meta @@ fun emit ->
+    Printf.printf "%-18s %-9s %7s %9s %12s %9s %9s %9s\n" "structure" "reclaim"
+      "domains" "mops" "announce/op" "retired" "limbo^" "graces";
+    let all_ok = ref true in
+    List.iter
+      (fun structure ->
+        List.iter
+          (fun d ->
+            let arr = Array.of_list backends in
+            let legs =
+              Kit.paired ~arms:(Array.length arr) ~trials:!trials (fun ~trial:_ i ->
+                  run_leg structure arr.(i) (config d) ~warmup:!warmup)
             in
-            let announce_ok = p.announce_per_op < ebr.announce_per_op in
-            let mops_ok = ratio >= !mops_floor in
-            if not (announce_ok && mops_ok) then all_ok := false;
-            emit
-              (Hwts_obs.Json.Obj
-                 [
-                   ("name", Hwts_obs.Json.Str "bench.reclaim");
-                   ("type", Hwts_obs.Json.Str "gate");
-                   ("structure", Hwts_obs.Json.Str structure);
-                   ("reclaim", Hwts_obs.Json.Str (List.nth backend_names i));
-                   ("domains", Hwts_obs.Json.Int d);
-                   ("announce_per_op", Hwts_obs.Json.Float p.announce_per_op);
-                   ( "ebr_announce_per_op",
-                     Hwts_obs.Json.Float ebr.announce_per_op );
-                   ("announce_ok", Hwts_obs.Json.Bool announce_ok);
-                   ("mops_ratio", Hwts_obs.Json.Float ratio);
-                   ("mops_ok", Hwts_obs.Json.Bool mops_ok);
-                   ("ok", Hwts_obs.Json.Bool (announce_ok && mops_ok));
-                 ]);
-            Printf.printf
-              "  gate %-9s vs ebr: announce %0.4f vs %0.4f (%s), mops ratio \
-               %.3f (%s)\n%!"
-              (List.nth backend_names i)
-              p.announce_per_op ebr.announce_per_op
-              (if announce_ok then "ok" else "NOT FEWER")
-              ratio
-              (if mops_ok then "ok" else "BELOW FLOOR")
-          done)
-        domain_counts)
-    structures;
-  emit
-    (Hwts_obs.Json.Obj
-       [
-         ("name", Hwts_obs.Json.Str "bench.reclaim");
-         ("type", Hwts_obs.Json.Str "summary");
-         ("ok", Hwts_obs.Json.Bool !all_ok);
-       ]);
+            let points = Array.map Kit.summarize legs in
+            Array.iteri
+              (fun i p ->
+                let rname = List.nth backend_names i in
+                Printf.printf "%-18s %-9s %7d %9.3f %12.4f %9.0f %9.0f %9.0f\n%!"
+                  structure rname d (Kit.num p "mops") (Kit.num p "announce_per_op")
+                  (Kit.num p "retired") (Kit.num p "limbo_hwm") (Kit.num p "grace_waits");
+                emit "point"
+                  ([
+                     ("structure", J.Str structure);
+                     ("reclaim", J.Str rname);
+                     ("domains", J.Int d);
+                   ]
+                  @ p))
+              points;
+            (* The gate, per point: both QSBR backends must beat EBR on the
+               mechanism (strictly fewer announce stores per op) while
+               keeping best-of-trials throughput above the floor. *)
+            let ebr_announce = Kit.num points.(0) "announce_per_op" in
+            for i = 1 to Array.length arr - 1 do
+              let rname = List.nth backend_names i in
+              let announce = Kit.num points.(i) "announce_per_op" in
+              let ratio = Kit.best_ratio legs.(i) legs.(0) "mops" in
+              let announce_ok = announce < ebr_announce in
+              let mops_ok = ratio >= !mops_floor in
+              if not (announce_ok && mops_ok) then all_ok := false;
+              emit "gate"
+                [
+                  ("structure", J.Str structure);
+                  ("reclaim", J.Str rname);
+                  ("domains", J.Int d);
+                  ("announce_per_op", J.Float announce);
+                  ("ebr_announce_per_op", J.Float ebr_announce);
+                  ("announce_ok", J.Bool announce_ok);
+                  ("mops_ratio", J.Float ratio);
+                  ("mops_ok", J.Bool mops_ok);
+                  ("ok", J.Bool (announce_ok && mops_ok));
+                ];
+              Printf.printf
+                "  gate %-9s vs ebr: announce %0.4f vs %0.4f (%s), mops ratio \
+                 %.3f (%s)\n%!"
+                rname announce ebr_announce
+                (if announce_ok then "ok" else "NOT FEWER")
+                ratio
+                (if mops_ok then "ok" else "BELOW FLOOR")
+            done)
+          domain_counts)
+      structures;
+    emit "summary" [ ("ok", J.Bool !all_ok) ];
+    !all_ok
+  in
   Printf.printf "reclaim gate: %s\nwrote %s\n"
-    (if !all_ok then "ok" else "FAILED")
+    (if all_ok then "ok" else "FAILED")
     !out;
-  if not !all_ok then exit 1
+  if not all_ok then exit 1

@@ -27,60 +27,26 @@
    point also records how often the provider migrated and at which labels
    (chronological switch points from the final trial).
 
-   Pairing discipline (as in bench/hotpath.ml): each trial runs all
-   providers back to back at the same domain count, rotating which goes
-   first, and points keep component-wise medians, so machine drift lands
-   on every series equally. *)
+   Pairing discipline (Benchkit.Kit): each trial runs all providers back
+   to back at the same domain count, rotating which goes first, and
+   points keep component-wise medians, so machine drift lands on every
+   series equally. *)
+
+module J = Hwts_obs.Json
+module Kit = Benchkit.Kit
 
 let default_out = "BENCH_scaling.json"
 
-type point = {
-  mops : float;
-  words_per_op : float;
-  per_domain_cv : float;
-  imbalance : float;
-  total_ops : int;
-  elapsed : float;
-}
-
-let run_leg make config ~warmup =
-  Gc.compact ();
-  let target = Workload.Harness.make_target make config in
-  if warmup > 0 then
-    ignore
-      (Workload.Harness.run_prepared target
-         { config with Workload.Harness.fixed_ops = Some warmup });
-  let r = Workload.Harness.run_prepared target config in
-  {
-    mops = r.Workload.Harness.mops;
-    words_per_op = r.Workload.Harness.words_per_op;
-    per_domain_cv = Workload.Harness.per_thread_mops_cv r;
-    imbalance = Workload.Harness.imbalance r;
-    total_ops = r.Workload.Harness.total_ops;
-    elapsed = r.Workload.Harness.elapsed;
-  }
-
-let median xs =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  a.(Array.length a / 2)
-
-(* Scheduler preemption on a shared box only ever *slows* a leg, so the
-   max over paired trials is the noise-robust estimator when comparing
-   providers: a genuine systematic overhead slows every trial and still
-   shows up, while a single stolen quantum does not.  Reported points
-   keep medians; only the adaptive-margin gauge uses best-of. *)
-let best_mops legs = List.fold_left (fun m l -> Float.max m l.mops) 0. legs
-
-let summarize legs =
-  {
-    mops = median (List.map (fun l -> l.mops) legs);
-    words_per_op = median (List.map (fun l -> l.words_per_op) legs);
-    per_domain_cv = median (List.map (fun l -> l.per_domain_cv) legs);
-    imbalance = median (List.map (fun l -> l.imbalance) legs);
-    total_ops = (List.hd legs).total_ops;
-    elapsed = median (List.map (fun l -> l.elapsed) legs);
-  }
+let run_leg make config ~warmup : Kit.row =
+  let r = Kit.harness_leg make config ~warmup in
+  [
+    ("mops", J.Float r.Workload.Harness.mops);
+    ("words_per_op", J.Float r.words_per_op);
+    ("per_domain_mops_cv", J.Float (Workload.Harness.per_thread_mops_cv r));
+    ("per_domain_imbalance", J.Float (Workload.Harness.imbalance r));
+    ("total_ops", J.Int r.total_ops);
+    ("elapsed", J.Float r.elapsed);
+  ]
 
 (* The swept provider zoo: the paper's two poles (logical FAA, sharded
    strict TSC), the three flock/verlib logical-clock optimizations, and
@@ -96,80 +62,34 @@ let zoo_names = List.map Workload.Targets.ts_name zoo
    adaptive leg gets a *fresh* instance (its sensing state and switch log
    are per-instance); the leg's migration count and, for the final leg,
    the chronological switch points (direction, label at the fold) are
-   kept alongside. *)
+   kept alongside.  Scheduler preemption on a shared box only ever
+   *slows* a leg, so the adaptive-margin gauge compares each provider's
+   best trial; reported points keep medians. *)
 let run_zoo name make config ~warmup ~trials =
-  let n = List.length zoo in
-  let providers = Array.of_list zoo in
-  let legs = Array.make n [] in
   let switch_counts = ref [] and last_switch_points = ref [] in
-  let run_one idx =
-    match providers.(idx) with
-    | `Adaptive ->
-      let inst = Workload.Targets.instance name `Adaptive in
-      let leg = run_leg inst.Workload.Targets.structure config ~warmup in
-      (match inst.Workload.Targets.adaptive with
-      | Some ctl ->
-        switch_counts := ctl.Hwts.Timestamp.switch_count () :: !switch_counts;
-        last_switch_points := ctl.Hwts.Timestamp.switch_points ()
-      | None -> ());
-      legs.(idx) <- leg :: legs.(idx)
-    | ts -> legs.(idx) <- run_leg (make ts) config ~warmup :: legs.(idx)
+  let providers = Array.of_list zoo in
+  let legs =
+    Kit.paired ~arms:(Array.length providers) ~trials (fun ~trial:_ i ->
+        match providers.(i) with
+        | `Adaptive ->
+          let inst = Workload.Targets.instance name `Adaptive in
+          let leg = run_leg inst.Workload.Targets.structure config ~warmup in
+          Option.iter
+            (fun ctl ->
+              switch_counts := ctl.Hwts.Timestamp.switch_count () :: !switch_counts;
+              last_switch_points := ctl.Hwts.Timestamp.switch_points ())
+            inst.Workload.Targets.adaptive;
+          leg
+        | ts -> run_leg (make ts) config ~warmup)
   in
-  for t = 0 to trials - 1 do
-    for i = 0 to n - 1 do
-      run_one ((t + i) mod n)
-    done
-  done;
-  ( Array.to_list (Array.map summarize legs),
-    (median !switch_counts, !last_switch_points),
-    Array.to_list (Array.map best_mops legs) )
+  ( Array.to_list (Array.map Kit.summarize legs),
+    (Kit.median !switch_counts, !last_switch_points),
+    Array.to_list (Array.map (fun l -> Kit.best l "mops") legs) )
 
-let point_json ?switches ?switch_points ~structure ~provider ~domains p =
-  Hwts_obs.Json.Obj
-    ([
-       ("name", Hwts_obs.Json.Str "bench.scaling");
-       ("type", Hwts_obs.Json.Str "point");
-       ("structure", Hwts_obs.Json.Str structure);
-       ("provider", Hwts_obs.Json.Str provider);
-       ("domains", Hwts_obs.Json.Int domains);
-       ("mops", Hwts_obs.Json.Float p.mops);
-       ("words_per_op", Hwts_obs.Json.Float p.words_per_op);
-       ("per_domain_mops_cv", Hwts_obs.Json.Float p.per_domain_cv);
-       ("per_domain_imbalance", Hwts_obs.Json.Float p.imbalance);
-       ("total_ops", Hwts_obs.Json.Int p.total_ops);
-       ("elapsed", Hwts_obs.Json.Float p.elapsed);
-     ]
-    @ (match switches with
-      | None -> []
-      | Some n -> [ ("switches", Hwts_obs.Json.Int n) ])
-    @
-    match switch_points with
-    | None -> []
-    | Some pts ->
-      [
-        ( "switch_points",
-          Hwts_obs.Json.List
-            (List.map
-               (fun (dir, label) ->
-                 Hwts_obs.Json.Obj
-                   [
-                     ("dir", Hwts_obs.Json.Str dir);
-                     ("at", Hwts_obs.Json.Int label);
-                   ])
-               pts) );
-      ])
-
-let parse_domains s =
-  match
-    List.filter_map
-      (fun tok ->
-        match int_of_string_opt (String.trim tok) with
-        | Some n when n >= 1 -> Some n
-        | _ -> None)
-      (String.split_on_char ',' s)
-  with
-  | [] -> failwith ("no valid domain counts in " ^ s)
-  | ds -> List.sort_uniq compare ds
+let print_point name provider d p =
+  Printf.printf "%-18s %-14s %8d %10.3f %10.1f %8.3f %8.2f\n%!" name provider d
+    (Kit.num p "mops") (Kit.num p "words_per_op") (Kit.num p "per_domain_mops_cv")
+    (Kit.num p "per_domain_imbalance")
 
 let () =
   let domains_spec =
@@ -206,7 +126,7 @@ let () =
     (fun _ -> ())
     "scaling: provider-zoo domain sweep (the Fig. 1/2 crossover plus the \
      flock/verlib logical-clock schemes)";
-  let domain_counts = parse_domains !domains_spec in
+  let domain_counts = Kit.counts ~what:"domain counts" !domains_spec in
   Hwts_obs.Config.set_enabled false;
   let config domains =
     {
@@ -223,79 +143,72 @@ let () =
       (fun (name, _) -> !only = "" || name = !only)
       Workload.Targets.all
   in
-  let oc = open_out !out in
-  Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
-  let emit json =
-    output_string oc (Hwts_obs.Json.to_string json);
-    output_char oc '\n'
+  let meta =
+    [
+      ("domains", J.List (List.map (fun d -> J.Int d) domain_counts));
+      ("ops_per_domain", J.Int !ops);
+      ("key_range", J.Int !key_range);
+      ("rq_len", J.Int !rq_len);
+      ("mix", J.Str !mix);
+      ("trials", J.Int !trials);
+      ("providers", J.List (List.map (fun n -> J.Str n) zoo_names));
+    ]
   in
-  emit
-    (Hwts_obs.Json.Obj
-       [
-         ("name", Hwts_obs.Json.Str "bench.scaling");
-         ("type", Hwts_obs.Json.Str "meta");
-         ( "domains",
-           Hwts_obs.Json.List
-             (List.map (fun d -> Hwts_obs.Json.Int d) domain_counts) );
-         ("ops_per_domain", Hwts_obs.Json.Int !ops);
-         ("key_range", Hwts_obs.Json.Int !key_range);
-         ("rq_len", Hwts_obs.Json.Int !rq_len);
-         ("mix", Hwts_obs.Json.Str !mix);
-         ("trials", Hwts_obs.Json.Int !trials);
-         ("cores", Hwts_obs.Json.Int (Domain.recommended_domain_count ()));
-         ( "providers",
-           Hwts_obs.Json.List
-             (List.map (fun n -> Hwts_obs.Json.Str n) zoo_names) );
-       ]);
+  Kit.with_artifact ~path:!out ~family:"bench.scaling" meta @@ fun emit ->
+  let point ~structure ~provider ~domains ?(extra = []) p =
+    emit "point"
+      ([
+         ("structure", J.Str structure);
+         ("provider", J.Str provider);
+         ("domains", J.Int domains);
+       ]
+      @ p @ extra)
+  in
   Printf.printf "%-18s %-14s %8s %10s %10s %8s %8s\n" "structure" "provider"
     "domains" "mops" "w/op" "cv" "imbal";
   let crossover_structures = ref [] in
   List.iter
     (fun (name, make) ->
-      if not (Workload.Targets.supports name `Hardware_strict) then begin
+      if not (Workload.Targets.supports name `Hardware_strict) then
         (* Logical-only structure: one series, no crossover to look for. *)
         List.iter
           (fun d ->
             let p = run_leg (make `Logical) (config d) ~warmup:!warmup in
-            Printf.printf "%-18s %-14s %8d %10.3f %10.1f %8.3f %8.2f\n%!" name
-              "logical" d p.mops p.words_per_op p.per_domain_cv p.imbalance;
-            emit (point_json ~structure:name ~provider:"logical" ~domains:d p))
+            print_point name "logical" d p;
+            point ~structure:name ~provider:"logical" ~domains:d p)
           domain_counts
-      end
       else begin
-        let index_of x l =
-          let rec go i = function
-            | [] -> invalid_arg "index_of"
-            | y :: t -> if x = y then i else go (i + 1) t
-          in
-          go 0 l
-        in
-        let li = index_of "logical" zoo_names
-        and si = index_of "rdtscp-strict" zoo_names in
         let series =
           List.map
             (fun d ->
               let points, (switches, switch_points), bests =
                 run_zoo name make (config d) ~warmup:!warmup ~trials:!trials
               in
-              List.iter
-                (fun (provider, p) ->
-                  Printf.printf "%-18s %-14s %8d %10.3f %10.1f %8.3f %8.2f\n%!"
-                    name provider d p.mops p.words_per_op p.per_domain_cv
-                    p.imbalance;
-                  if provider = "adaptive" then
-                    emit
-                      (point_json ~structure:name ~provider ~domains:d
-                         ~switches ~switch_points p)
-                  else emit (point_json ~structure:name ~provider ~domains:d p))
-                (List.combine zoo_names points);
-              (d, points, bests))
+              List.iter2
+                (fun provider p ->
+                  print_point name provider d p;
+                  let extra =
+                    if provider <> "adaptive" then []
+                    else
+                      [
+                        ("switches", J.Int switches);
+                        ( "switch_points",
+                          J.List
+                            (List.map
+                               (fun (dir, label) ->
+                                 J.Obj [ ("dir", J.Str dir); ("at", J.Int label) ])
+                               switch_points) );
+                      ]
+                  in
+                  point ~structure:name ~provider ~domains:d ~extra p)
+                zoo_names points;
+              (d, List.combine zoo_names points, bests))
             domain_counts
         in
         (* The acceptance gauge: at every point the adaptive series should
            be within tolerance of whichever fixed provider won there.
-           Ratios come from each leg's best trial (see best_mops); the
-           adaptive provider is the last zoo entry. *)
+           Ratios come from each leg's best trial; the adaptive provider is
+           the last zoo entry. *)
         let worst_ratio =
           List.fold_left
             (fun acc (_, _, bests) ->
@@ -311,80 +224,63 @@ let () =
           "%-18s adaptive margin: worst adaptive/best-of ratio %.3f (%s)\n%!"
           name worst_ratio
           (if margin_ok then "ok" else "BELOW 0.9");
-        emit
-          (Hwts_obs.Json.Obj
-             [
-               ("name", Hwts_obs.Json.Str "bench.scaling");
-               ("type", Hwts_obs.Json.Str "adaptive_margin");
-               ("structure", Hwts_obs.Json.Str name);
-               ("worst_ratio", Hwts_obs.Json.Float worst_ratio);
-               ("ok", Hwts_obs.Json.Bool margin_ok);
-             ]);
+        emit "adaptive_margin"
+          [
+            ("structure", J.Str name);
+            ("worst_ratio", J.Float worst_ratio);
+            ("ok", J.Bool margin_ok);
+          ];
         (* The Fig. 1/2 shape: logical ahead at the smallest count, strict
            ahead at some larger one.  Alongside, the single-threaded-gap
            gauge of the zoo: which fixed provider wins at the smallest
            domain count, and whether any zoo scheme matches the logical
            baseline there (the gap the flock optimizations exist to
            close). *)
+        let mops points provider = Kit.num (List.assoc provider points) "mops" in
         let d0, points0, _ = List.hd series in
-        let log0 = List.nth points0 li and strict0 = List.nth points0 si in
-        let logical_wins_at_min = log0.mops >= strict0.mops in
+        let log0 = mops points0 "logical" in
+        let logical_wins_at_min = log0 >= mops points0 "rdtscp-strict" in
         let crossover =
           List.find_map
             (fun (d, points, _) ->
-              if d > d0 && (List.nth points si).mops > (List.nth points li).mops
+              if d > d0 && mops points "rdtscp-strict" > mops points "logical"
               then Some d
               else None)
             series
         in
         let zoo_best_at_min, zoo_best_name =
-          List.fold_left2
-            (fun (bm, bn) p pname ->
-              if pname <> "adaptive" && p.mops > bm then (p.mops, pname)
-              else (bm, bn))
-            (0., "") points0 zoo_names
+          List.fold_left
+            (fun (bm, bn) (pname, p) ->
+              let m = Kit.num p "mops" in
+              if pname <> "adaptive" && m > bm then (m, pname) else (bm, bn))
+            (0., "") points0
         in
         let shape_found = logical_wins_at_min && crossover <> None in
         if shape_found then crossover_structures := name :: !crossover_structures;
-        emit
-          (Hwts_obs.Json.Obj
-             [
-               ("name", Hwts_obs.Json.Str "bench.scaling");
-               ("type", Hwts_obs.Json.Str "shape");
-               ("structure", Hwts_obs.Json.Str name);
-               ("min_domains", Hwts_obs.Json.Int d0);
-               ("logical_wins_at_min", Hwts_obs.Json.Bool logical_wins_at_min);
-               ( "crossover_domains",
-                 match crossover with
-                 | Some d -> Hwts_obs.Json.Int d
-                 | None -> Hwts_obs.Json.Null );
-               ("shape_found", Hwts_obs.Json.Bool shape_found);
-               ("zoo_best_at_min", Hwts_obs.Json.Str zoo_best_name);
-               ( "zoo_closes_gap_at_min",
-                 Hwts_obs.Json.Bool (zoo_best_at_min >= log0.mops) );
-             ])
+        emit "shape"
+          [
+            ("structure", J.Str name);
+            ("min_domains", J.Int d0);
+            ("logical_wins_at_min", J.Bool logical_wins_at_min);
+            ( "crossover_domains",
+              match crossover with Some d -> J.Int d | None -> J.Null );
+            ("shape_found", J.Bool shape_found);
+            ("zoo_best_at_min", J.Str zoo_best_name);
+            ("zoo_closes_gap_at_min", J.Bool (zoo_best_at_min >= log0));
+          ]
       end)
     structures;
-  emit
-    (Hwts_obs.Json.Obj
-       [
-         ("name", Hwts_obs.Json.Str "bench.scaling");
-         ("type", Hwts_obs.Json.Str "summary");
-         ( "crossover_structures",
-           Hwts_obs.Json.List
-             (List.map
-                (fun s -> Hwts_obs.Json.Str s)
-                (List.rev !crossover_structures)) );
-         ( "crossover_observed",
-           Hwts_obs.Json.Bool (!crossover_structures <> []) );
-       ]);
-  (match !crossover_structures with
+  let crossovers = List.rev !crossover_structures in
+  emit "summary"
+    [
+      ("crossover_structures", J.List (List.map (fun s -> J.Str s) crossovers));
+      ("crossover_observed", J.Bool (crossovers <> []));
+    ];
+  (match crossovers with
   | [] ->
     Printf.printf
       "no logical->strict crossover on this machine (cores=%d); see the \
        honesty note in bench/scaling.ml\n"
       (Domain.recommended_domain_count ())
-  | cs ->
-    Printf.printf "crossover shape found for: %s\n"
-      (String.concat ", " (List.rev cs)));
+  | cs -> Printf.printf "crossover shape found for: %s\n" (String.concat ", " cs));
   Printf.printf "wrote %s\n" !out

@@ -12,25 +12,16 @@
    scale; the coalesce=false arm acquires once per subrange by
    construction, so its ratio is exactly 1.
 
-   Pairing discipline (as in bench/scaling.ml): both arms run back to
-   back per trial with the starting arm rotating, points keep medians,
-   and the throughput gate uses each arm's best trial — on a shared box
+   Pairing discipline (Benchkit.Kit): both arms run back to back per
+   trial with the starting arm rotating, points keep medians, and the
+   throughput gate uses each arm's best trial — on a shared box
    preemption only ever slows a leg, so best-of is the noise-robust
    comparator while a real systematic cost still shows up. *)
 
-let default_out = "BENCH_serve.json"
+module J = Hwts_obs.Json
+module Kit = Benchkit.Kit
 
-type leg = {
-  mops : float;
-  ops_sent : int;
-  elapsed : float;
-  rq_ops : int;
-  snapshots : int;
-  acq_per_range : float;
-  batch_mean : float;
-  p50_range_ns : float;
-  p99_range_ns : float;
-}
+let default_out = "BENCH_serve.json"
 
 let c_snapshots = Hwts_obs.Registry.counter "serve.rq.snapshots"
 let c_rq_ops = Hwts_obs.Registry.counter "serve.rq.ops"
@@ -38,7 +29,7 @@ let h_rq_batch = Hwts_obs.Registry.histogram "serve.rq.batch"
 let h_client_range = Hwts_obs.Registry.histogram "serve.client.latency.range"
 
 let run_leg ~structure ~provider ~shards ~key_space ~coalesce ~connections
-    ~pipeline ~ops ~rq_len ~mix ~theta =
+    ~pipeline ~ops ~rq_len ~mix ~theta : Kit.row =
   Gc.compact ();
   Hwts_obs.Registry.reset_all ();
   let router =
@@ -72,73 +63,19 @@ let run_leg ~structure ~provider ~shards ~key_space ~coalesce ~connections
   end;
   let snapshots = Hwts_obs.Counter.sum c_snapshots in
   let rq_ops = Hwts_obs.Counter.sum c_rq_ops in
-  {
-    mops =
-      float_of_int r.Serve.Client.ops_sent /. r.Serve.Client.elapsed /. 1e6;
-    ops_sent = r.Serve.Client.ops_sent;
-    elapsed = r.Serve.Client.elapsed;
-    rq_ops;
-    snapshots;
-    acq_per_range =
-      (if rq_ops = 0 then 1.
-       else float_of_int snapshots /. float_of_int rq_ops);
-    batch_mean = Hwts_obs.Histogram.mean h_rq_batch;
-    p50_range_ns = Hwts_obs.Histogram.percentile h_client_range 50.;
-    p99_range_ns = Hwts_obs.Histogram.percentile h_client_range 99.;
-  }
-
-let median xs =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  a.(Array.length a / 2)
-
-let summarize legs =
-  {
-    mops = median (List.map (fun l -> l.mops) legs);
-    ops_sent = (List.hd legs).ops_sent;
-    elapsed = median (List.map (fun l -> l.elapsed) legs);
-    rq_ops = median (List.map (fun l -> l.rq_ops) legs);
-    snapshots = median (List.map (fun l -> l.snapshots) legs);
-    acq_per_range = median (List.map (fun l -> l.acq_per_range) legs);
-    batch_mean = median (List.map (fun l -> l.batch_mean) legs);
-    p50_range_ns = median (List.map (fun l -> l.p50_range_ns) legs);
-    p99_range_ns = median (List.map (fun l -> l.p99_range_ns) legs);
-  }
-
-let best_mops legs = List.fold_left (fun m l -> Float.max m l.mops) 0. legs
-
-let point_json ~structure ~provider ~connections ~pipeline ~coalesce p =
-  Hwts_obs.Json.Obj
-    [
-      ("name", Hwts_obs.Json.Str "bench.serve");
-      ("type", Hwts_obs.Json.Str "point");
-      ("structure", Hwts_obs.Json.Str structure);
-      ("provider", Hwts_obs.Json.Str provider);
-      ("connections", Hwts_obs.Json.Int connections);
-      ("pipeline", Hwts_obs.Json.Int pipeline);
-      ("coalesce", Hwts_obs.Json.Bool coalesce);
-      ("mops", Hwts_obs.Json.Float p.mops);
-      ("ops", Hwts_obs.Json.Int p.ops_sent);
-      ("elapsed", Hwts_obs.Json.Float p.elapsed);
-      ("rq_ops", Hwts_obs.Json.Int p.rq_ops);
-      ("rq_snapshots", Hwts_obs.Json.Int p.snapshots);
-      ("acquires_per_range", Hwts_obs.Json.Float p.acq_per_range);
-      ("rq_batch_mean", Hwts_obs.Json.Float p.batch_mean);
-      ("p50_range_ns", Hwts_obs.Json.Float p.p50_range_ns);
-      ("p99_range_ns", Hwts_obs.Json.Float p.p99_range_ns);
-    ]
-
-let parse_ints what s =
-  match
-    List.filter_map
-      (fun tok ->
-        match int_of_string_opt (String.trim tok) with
-        | Some n when n >= 1 -> Some n
-        | _ -> None)
-      (String.split_on_char ',' s)
-  with
-  | [] -> failwith ("no valid " ^ what ^ " in " ^ s)
-  | ns -> List.sort_uniq compare ns
+  [
+    ("mops", J.Float (float_of_int r.ops_sent /. r.elapsed /. 1e6));
+    ("ops", J.Int r.ops_sent);
+    ("elapsed", J.Float r.elapsed);
+    ("rq_ops", J.Int rq_ops);
+    ("rq_snapshots", J.Int snapshots);
+    ( "acquires_per_range",
+      J.Float
+        (if rq_ops = 0 then 1. else float_of_int snapshots /. float_of_int rq_ops) );
+    ("rq_batch_mean", J.Float (Hwts_obs.Histogram.mean h_rq_batch));
+    ("p50_range_ns", J.Float (Hwts_obs.Histogram.percentile h_client_range 50.));
+    ("p99_range_ns", J.Float (Hwts_obs.Histogram.percentile h_client_range 99.));
+  ]
 
 let () =
   let conns_spec = ref "1,2,4" in
@@ -182,46 +119,27 @@ let () =
     "serve_bench: connections x pipeline x coalesce sweep of the sharded \
      range-query server (one snapshot acquisition per drained batch vs one \
      per range)";
-  let provider =
-    match Workload.Targets.ts_of_name !provider_name with
-    | Some ts -> ts
-    | None ->
-      Printf.eprintf "serve_bench: unknown provider %s\n%s" !provider_name
-        (Workload.Targets.provider_help ());
-      exit 2
-  in
-  let connections = parse_ints "connection counts" !conns_spec in
-  let pipelines = parse_ints "pipeline depths" !pipelines_spec in
+  let provider = Kit.provider !provider_name in
+  let connections = Kit.counts ~what:"connection counts" !conns_spec in
+  let pipelines = Kit.counts ~what:"pipeline depths" !pipelines_spec in
   let mix_t = Workload.Mix.of_label !mix in
   Hwts_obs.Config.set_enabled true;
-  let oc = open_out !out in
-  Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
-  let emit json =
-    output_string oc (Hwts_obs.Json.to_string json);
-    output_char oc '\n'
+  let meta =
+    [
+      ("structure", J.Str !structure);
+      ("provider", J.Str !provider_name);
+      ("shards", J.Int !shards);
+      ("key_space", J.Int !key_space);
+      ("ops_per_connection", J.Int !ops);
+      ("rq_len", J.Int !rq_len);
+      ("mix", J.Str !mix);
+      ("theta", J.Float !theta);
+      ("trials", J.Int !trials);
+      ("connections", J.List (List.map (fun c -> J.Int c) connections));
+      ("pipelines", J.List (List.map (fun d -> J.Int d) pipelines));
+    ]
   in
-  emit
-    (Hwts_obs.Json.Obj
-       [
-         ("name", Hwts_obs.Json.Str "bench.serve");
-         ("type", Hwts_obs.Json.Str "meta");
-         ("structure", Hwts_obs.Json.Str !structure);
-         ("provider", Hwts_obs.Json.Str !provider_name);
-         ("shards", Hwts_obs.Json.Int !shards);
-         ("key_space", Hwts_obs.Json.Int !key_space);
-         ("ops_per_connection", Hwts_obs.Json.Int !ops);
-         ("rq_len", Hwts_obs.Json.Int !rq_len);
-         ("mix", Hwts_obs.Json.Str !mix);
-         ("theta", Hwts_obs.Json.Float !theta);
-         ("trials", Hwts_obs.Json.Int !trials);
-         ( "connections",
-           Hwts_obs.Json.List
-             (List.map (fun c -> Hwts_obs.Json.Int c) connections) );
-         ( "pipelines",
-           Hwts_obs.Json.List
-             (List.map (fun d -> Hwts_obs.Json.Int d) pipelines) );
-         ("cores", Hwts_obs.Json.Int (Domain.recommended_domain_count ()));
-       ]);
+  Kit.with_artifact ~path:!out ~family:"bench.serve" meta @@ fun emit ->
   Printf.printf "%-6s %-9s %-9s %10s %14s %12s\n" "conns" "pipeline" "coalesce"
     "mops" "acq/range" "batch mean";
   (* gate accumulators over depth >= 4 pairs *)
@@ -232,44 +150,39 @@ let () =
     (fun conns ->
       List.iter
         (fun pipeline ->
-          let arms = [| []; [] |] in
-          (* index 0 = coalesced, 1 = per-RQ *)
-          let run_arm idx =
-            let leg =
-              run_leg ~structure:!structure ~provider ~shards:!shards
-                ~key_space:!key_space ~coalesce:(idx = 0) ~connections:conns
-                ~pipeline ~ops:!ops ~rq_len:!rq_len ~mix:mix_t ~theta:!theta
-            in
-            arms.(idx) <- leg :: arms.(idx)
+          (* arm 0 = coalesced, arm 1 = per-RQ *)
+          let legs =
+            Kit.paired ~arms:2 ~trials:!trials (fun ~trial:_ arm ->
+                run_leg ~structure:!structure ~provider ~shards:!shards
+                  ~key_space:!key_space ~coalesce:(arm = 0) ~connections:conns
+                  ~pipeline ~ops:!ops ~rq_len:!rq_len ~mix:mix_t ~theta:!theta)
           in
-          for t = 0 to !trials - 1 do
-            if t mod 2 = 0 then begin
-              run_arm 0;
-              run_arm 1
-            end
-            else begin
-              run_arm 1;
-              run_arm 0
-            end
-          done;
+          let points = Array.map Kit.summarize legs in
           Array.iteri
-            (fun idx legs ->
-              let coalesce = idx = 0 in
-              let p = summarize legs in
+            (fun arm p ->
+              let coalesce = arm = 0 in
               Printf.printf "%-6d %-9d %-9b %10.3f %14.3f %12.2f\n%!" conns
-                pipeline coalesce p.mops p.acq_per_range p.batch_mean;
-              emit
-                (point_json ~structure:!structure ~provider:!provider_name
-                   ~connections:conns ~pipeline ~coalesce p))
-            arms;
+                pipeline coalesce (Kit.num p "mops") (Kit.num p "acquires_per_range")
+                (Kit.num p "rq_batch_mean");
+              emit "point"
+                ([
+                   ("structure", J.Str !structure);
+                   ("provider", J.Str !provider_name);
+                   ("connections", J.Int conns);
+                   ("pipeline", J.Int pipeline);
+                   ("coalesce", J.Bool coalesce);
+                 ]
+                @ p))
+            points;
           if pipeline >= 4 then begin
             incr gated_points;
-            let pc = summarize arms.(0) and pr = summarize arms.(1) in
-            if pc.acq_per_range >= pr.acq_per_range then
-              acq_lower_everywhere := false;
-            let bc = best_mops arms.(0) and br = best_mops arms.(1) in
-            if br > 0. then
-              worst_tp_ratio := Float.min !worst_tp_ratio (bc /. br)
+            if
+              Kit.num points.(0) "acquires_per_range"
+              >= Kit.num points.(1) "acquires_per_range"
+            then acq_lower_everywhere := false;
+            if Kit.best legs.(1) "mops" > 0. then
+              worst_tp_ratio :=
+                Float.min !worst_tp_ratio (Kit.best_ratio legs.(0) legs.(1) "mops")
           end)
         pipelines)
     connections;
@@ -279,17 +192,12 @@ let () =
      coalesced/per-RQ throughput ratio %.3f (%s)\n"
     !gated_points !acq_lower_everywhere !worst_tp_ratio
     (if tp_ok then "ok" else "BELOW 0.9");
-  emit
-    (Hwts_obs.Json.Obj
-       [
-         ("name", Hwts_obs.Json.Str "bench.serve");
-         ("type", Hwts_obs.Json.Str "summary");
-         ("gated_points", Hwts_obs.Json.Int !gated_points);
-         ( "acquires_strictly_lower",
-           Hwts_obs.Json.Bool !acq_lower_everywhere );
-         ("worst_throughput_ratio", Hwts_obs.Json.Float !worst_tp_ratio);
-         ("throughput_ok", Hwts_obs.Json.Bool tp_ok);
-         ( "coalesce_wins",
-           Hwts_obs.Json.Bool (!acq_lower_everywhere && tp_ok) );
-       ]);
+  emit "summary"
+    [
+      ("gated_points", J.Int !gated_points);
+      ("acquires_strictly_lower", J.Bool !acq_lower_everywhere);
+      ("worst_throughput_ratio", J.Float !worst_tp_ratio);
+      ("throughput_ok", J.Bool tp_ok);
+      ("coalesce_wins", J.Bool (!acq_lower_everywhere && tp_ok));
+    ];
   Printf.printf "wrote %s\n" !out

@@ -21,9 +21,12 @@
    the rdtscp-strict/logical throughput ratio must drift toward 1 as k
    grows.  Per-structure crossover lines record that movement.
 
-   Pairing discipline as in bench/reclaim_bench.ml: each trial runs
-   both arms back to back with a rotating starting arm, points keep
-   medians, gates use each arm's best trial. *)
+   Pairing discipline (Benchkit.Kit): each trial runs both arms back to
+   back with a rotating starting arm, points keep medians, gates use
+   each arm's best trial. *)
+
+module J = Hwts_obs.Json
+module Kit = Benchkit.Kit
 
 let default_out = "BENCH_snapshot.json"
 
@@ -34,15 +37,13 @@ let providers : Workload.Targets.ts list =
 
 let gate_ks = [ 4; 16; 64 ]
 
-type leg = { mops : float; acquires_per_read : float }
-
 let counter name =
   match Hwts_obs.Registry.counter_value name with Some v -> v | None -> 0
 
 (* One arm at one point: [reads] constituent reads in batches of [k],
    keys drawn uniformly from the prefilled range. *)
 let run_leg (type a) (module S : Dstruct.Ordered_set.RQ with type t = a)
-    (st : a) ~key_range ~k ~reads ~coalesced ~seed =
+    (st : a) ~key_range ~k ~reads ~coalesced ~seed : Kit.row =
   Gc.compact ();
   Hwts_obs.Registry.reset_all ();
   let rng = Dstruct.Prng.make ~seed in
@@ -65,26 +66,13 @@ let run_leg (type a) (module S : Dstruct.Ordered_set.RQ with type t = a)
   done;
   let dt = Unix.gettimeofday () -. t0 in
   let nreads = iters * k in
-  {
-    mops = (if dt > 0. then float_of_int nreads /. dt /. 1e6 else 0.);
-    acquires_per_read =
-      float_of_int (counter "snapshot.acquires")
-      /. float_of_int (max 1 (counter "snapshot.reads"));
-  }
-
-let fmedian xs =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  a.(Array.length a / 2)
-
-let summarize legs =
-  {
-    mops = fmedian (List.map (fun l -> l.mops) legs);
-    acquires_per_read =
-      fmedian (List.map (fun l -> l.acquires_per_read) legs);
-  }
-
-let best_mops legs = List.fold_left (fun m l -> Float.max m l.mops) 0. legs
+  [
+    ("mops", J.Float (if dt > 0. then float_of_int nreads /. dt /. 1e6 else 0.));
+    ( "acquires_per_read",
+      J.Float
+        (float_of_int (counter "snapshot.acquires")
+        /. float_of_int (max 1 (counter "snapshot.reads"))) );
+  ]
 
 let () =
   let ks_spec = ref "1,4,16,64,256" in
@@ -120,171 +108,120 @@ let () =
     (fun _ -> ())
     "snapshot_bench: reads-per-snapshot amortization sweep (one label \
      acquisition covering k reads vs k single-read acquisitions)";
-  let ks =
-    match
-      List.filter_map
-        (fun tok ->
-          match int_of_string_opt (String.trim tok) with
-          | Some n when n >= 1 -> Some n
-          | _ -> None)
-        (String.split_on_char ',' !ks_spec)
-    with
-    | [] -> failwith ("no valid k values in " ^ !ks_spec)
-    | ks -> List.sort_uniq compare ks
-  in
+  let ks = Kit.counts ~what:"k values" !ks_spec in
   (* the acquires/reads counters ARE the measurement; live for both arms
      alike, so throughput ratios stay fair *)
   Hwts_obs.Config.set_enabled true;
-  let oc = open_out !out in
-  Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
-  let emit json =
-    output_string oc (Hwts_obs.Json.to_string json);
-    output_char oc '\n'
+  let meta =
+    [
+      ("structures", J.List (List.map (fun s -> J.Str s) structures));
+      ( "providers",
+        J.List (List.map (fun p -> J.Str (Workload.Targets.ts_name p)) providers) );
+      ("ks", J.List (List.map (fun k -> J.Int k) ks));
+      ("reads", J.Int !reads);
+      ("key_range", J.Int !key_range);
+      ("trials", J.Int !trials);
+      ("mops_floor", J.Float !mops_floor);
+      ("eps", J.Float !eps);
+    ]
   in
-  emit
-    (Hwts_obs.Json.Obj
-       [
-         ("name", Hwts_obs.Json.Str "bench.snapshot");
-         ("type", Hwts_obs.Json.Str "meta");
-         ( "structures",
-           Hwts_obs.Json.List
-             (List.map (fun s -> Hwts_obs.Json.Str s) structures) );
-         ( "providers",
-           Hwts_obs.Json.List
-             (List.map
-                (fun p -> Hwts_obs.Json.Str (Workload.Targets.ts_name p))
-                providers) );
-         ("ks", Hwts_obs.Json.List (List.map (fun k -> Hwts_obs.Json.Int k) ks));
-         ("reads", Hwts_obs.Json.Int !reads);
-         ("key_range", Hwts_obs.Json.Int !key_range);
-         ("trials", Hwts_obs.Json.Int !trials);
-         ("mops_floor", Hwts_obs.Json.Float !mops_floor);
-         ("eps", Hwts_obs.Json.Float !eps);
-         ("cores", Hwts_obs.Json.Int (Domain.recommended_domain_count ()));
-       ]);
-  Printf.printf "%-16s %-13s %5s %12s %12s %14s\n" "structure" "provider" "k"
-    "snap Mops" "indep Mops" "acquires/read";
-  let all_ok = ref true in
-  List.iter
-    (fun structure ->
-      (* per (structure, k): snapshot-arm mops by provider, for crossover *)
-      let snap_mops = Hashtbl.create 32 in
-      List.iter
-        (fun provider ->
-          let pname = Workload.Targets.ts_name provider in
-          let inst = Workload.Targets.instance structure provider in
-          let (module S) = inst.Workload.Targets.structure in
-          let st = S.create () in
-          ignore
-            (Workload.Harness.prefill (module S) st ~key_range:!key_range
-               ~seed:!seed);
-          S.offline st;
-          List.iter
-            (fun k ->
-              let legs = [| []; [] |] in
-              (* arm 0 = snapshot, arm 1 = independent *)
-              for t = 0 to !trials - 1 do
-                for i = 0 to 1 do
-                  let arm = (t + i) mod 2 in
-                  legs.(arm) <-
-                    run_leg (module S) st ~key_range:!key_range ~k
-                      ~reads:!reads
-                      ~coalesced:(arm = 0)
-                      ~seed:(!seed + (1000 * t) + arm)
-                    :: legs.(arm)
-                done
-              done;
-              let snap = summarize legs.(0)
-              and indep = summarize legs.(1) in
-              Hashtbl.replace snap_mops (pname, k) (best_mops legs.(0));
-              Printf.printf "%-16s %-13s %5d %12.3f %12.3f %14.5f\n%!"
-                structure pname k snap.mops indep.mops snap.acquires_per_read;
-              List.iter
-                (fun (arm, p) ->
-                  emit
-                    (Hwts_obs.Json.Obj
-                       [
-                         ("name", Hwts_obs.Json.Str "bench.snapshot");
-                         ("type", Hwts_obs.Json.Str "point");
-                         ("structure", Hwts_obs.Json.Str structure);
-                         ("provider", Hwts_obs.Json.Str pname);
-                         ("k", Hwts_obs.Json.Int k);
-                         ("arm", Hwts_obs.Json.Str arm);
-                         ("mops", Hwts_obs.Json.Float p.mops);
-                         ( "acquires_per_read",
-                           Hwts_obs.Json.Float p.acquires_per_read );
-                       ]))
-                [ ("snapshot", snap); ("independent", indep) ];
-              if List.mem k gate_ks then begin
-                let acquires_ok =
-                  snap.acquires_per_read
-                  <= (1. +. !eps) /. float_of_int k
+  let all_ok =
+    Kit.with_artifact ~path:!out ~family:"bench.snapshot" meta @@ fun emit ->
+    Printf.printf "%-16s %-13s %5s %12s %12s %14s\n" "structure" "provider" "k"
+      "snap Mops" "indep Mops" "acquires/read";
+    let all_ok = ref true in
+    List.iter
+      (fun structure ->
+        (* per (structure, k): snapshot-arm best mops by provider, for
+           crossover *)
+        let snap_mops = Hashtbl.create 32 in
+        List.iter
+          (fun provider ->
+            let pname = Workload.Targets.ts_name provider in
+            let inst = Workload.Targets.instance structure provider in
+            let (module S) = inst.Workload.Targets.structure in
+            let st = S.create () in
+            ignore
+              (Workload.Harness.prefill (module S) st ~key_range:!key_range
+                 ~seed:!seed);
+            S.offline st;
+            List.iter
+              (fun k ->
+                (* arm 0 = snapshot, arm 1 = independent *)
+                let legs =
+                  Kit.paired ~arms:2 ~trials:!trials (fun ~trial arm ->
+                      run_leg (module S) st ~key_range:!key_range ~k ~reads:!reads
+                        ~coalesced:(arm = 0)
+                        ~seed:(!seed + (1000 * trial) + arm))
                 in
-                let ratio =
-                  let ib = best_mops legs.(1) in
-                  if ib <= 0. then 1. else best_mops legs.(0) /. ib
-                in
-                let mops_ok = ratio >= !mops_floor in
-                if not (acquires_ok && mops_ok) then all_ok := false;
-                emit
-                  (Hwts_obs.Json.Obj
-                     [
-                       ("name", Hwts_obs.Json.Str "bench.snapshot");
-                       ("type", Hwts_obs.Json.Str "gate");
-                       ("structure", Hwts_obs.Json.Str structure);
-                       ("provider", Hwts_obs.Json.Str pname);
-                       ("k", Hwts_obs.Json.Int k);
-                       ( "acquires_per_read",
-                         Hwts_obs.Json.Float snap.acquires_per_read );
-                       ( "acquires_bound",
-                         Hwts_obs.Json.Float ((1. +. !eps) /. float_of_int k)
-                       );
-                       ("acquires_ok", Hwts_obs.Json.Bool acquires_ok);
-                       ("mops_ratio", Hwts_obs.Json.Float ratio);
-                       ("mops_ok", Hwts_obs.Json.Bool mops_ok);
-                       ("ok", Hwts_obs.Json.Bool (acquires_ok && mops_ok));
-                     ]);
-                if not (acquires_ok && mops_ok) then
-                  Printf.printf
-                    "  gate k=%d FAILED: acquires/read %.5f (bound %.5f, \
-                     %s), mops ratio %.3f (%s)\n%!"
-                    k snap.acquires_per_read
-                    ((1. +. !eps) /. float_of_int k)
-                    (if acquires_ok then "ok" else "OVER")
-                    ratio
-                    (if mops_ok then "ok" else "BELOW FLOOR")
-              end)
-            ks)
-        providers;
-      (* crossover movement: the strict-TSC arm's throughput relative to
-         logical, per k — amortization must close the provider gap *)
-      List.iter
-        (fun k ->
-          match
-            ( Hashtbl.find_opt snap_mops ("logical", k),
-              Hashtbl.find_opt snap_mops ("rdtscp-strict", k) )
-          with
-          | Some lg, Some st_m when lg > 0. ->
-            emit
-              (Hwts_obs.Json.Obj
-                 [
-                   ("name", Hwts_obs.Json.Str "bench.snapshot");
-                   ("type", Hwts_obs.Json.Str "crossover");
-                   ("structure", Hwts_obs.Json.Str structure);
-                   ("k", Hwts_obs.Json.Int k);
-                   ("strict_vs_logical", Hwts_obs.Json.Float (st_m /. lg));
-                 ])
-          | _ -> ())
-        ks)
-    structures;
-  emit
-    (Hwts_obs.Json.Obj
-       [
-         ("name", Hwts_obs.Json.Str "bench.snapshot");
-         ("type", Hwts_obs.Json.Str "summary");
-         ("ok", Hwts_obs.Json.Bool !all_ok);
-       ]);
+                let snap = Kit.summarize legs.(0) and indep = Kit.summarize legs.(1) in
+                let acquires = Kit.num snap "acquires_per_read" in
+                Hashtbl.replace snap_mops (pname, k) (Kit.best legs.(0) "mops");
+                Printf.printf "%-16s %-13s %5d %12.3f %12.3f %14.5f\n%!" structure
+                  pname k (Kit.num snap "mops") (Kit.num indep "mops") acquires;
+                List.iter
+                  (fun (arm, p) ->
+                    emit "point"
+                      ([
+                         ("structure", J.Str structure);
+                         ("provider", J.Str pname);
+                         ("k", J.Int k);
+                         ("arm", J.Str arm);
+                       ]
+                      @ p))
+                  [ ("snapshot", snap); ("independent", indep) ];
+                if List.mem k gate_ks then begin
+                  let bound = (1. +. !eps) /. float_of_int k in
+                  let acquires_ok = acquires <= bound in
+                  let ratio = Kit.best_ratio legs.(0) legs.(1) "mops" in
+                  let mops_ok = ratio >= !mops_floor in
+                  if not (acquires_ok && mops_ok) then begin
+                    all_ok := false;
+                    Printf.printf
+                      "  gate k=%d FAILED: acquires/read %.5f (bound %.5f, %s), \
+                       mops ratio %.3f (%s)\n%!"
+                      k acquires bound
+                      (if acquires_ok then "ok" else "OVER")
+                      ratio
+                      (if mops_ok then "ok" else "BELOW FLOOR")
+                  end;
+                  emit "gate"
+                    [
+                      ("structure", J.Str structure);
+                      ("provider", J.Str pname);
+                      ("k", J.Int k);
+                      ("acquires_per_read", J.Float acquires);
+                      ("acquires_bound", J.Float bound);
+                      ("acquires_ok", J.Bool acquires_ok);
+                      ("mops_ratio", J.Float ratio);
+                      ("mops_ok", J.Bool mops_ok);
+                      ("ok", J.Bool (acquires_ok && mops_ok));
+                    ]
+                end)
+              ks)
+          providers;
+        (* crossover movement: the strict-TSC arm's throughput relative to
+           logical, per k — amortization must close the provider gap *)
+        List.iter
+          (fun k ->
+            match
+              ( Hashtbl.find_opt snap_mops ("logical", k),
+                Hashtbl.find_opt snap_mops ("rdtscp-strict", k) )
+            with
+            | Some lg, Some st_m when lg > 0. ->
+              emit "crossover"
+                [
+                  ("structure", J.Str structure);
+                  ("k", J.Int k);
+                  ("strict_vs_logical", J.Float (st_m /. lg));
+                ]
+            | _ -> ())
+          ks)
+      structures;
+    emit "summary" [ ("ok", J.Bool !all_ok) ];
+    !all_ok
+  in
   Printf.printf "snapshot gate: %s\nwrote %s\n"
-    (if !all_ok then "ok" else "FAILED")
+    (if all_ok then "ok" else "FAILED")
     !out;
-  if not !all_ok then exit 1
+  if not all_ok then exit 1

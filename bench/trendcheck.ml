@@ -1,13 +1,11 @@
 (* Standalone perf-trajectory gate (the bench-side twin of `hwts-cli
-   trend`): diff two BENCH_*.json artifacts by paired median Mops/s
-   ratios, exit 1 on a regression verdict.  Also provides -perturb, the
-   self-test fixture `make trend-guard` uses: a copy of an artifact with
-   every throughput figure scaled must trip the gate, the unscaled one
-   must not. *)
+   trend`): diff two runs of one BENCH_*.json family by paired median
+   Mops/s ratios, exit 1 on a regression verdict.  Also provides
+   -perturb, the self-test fixture `make trend-guard` uses: a copy of an
+   artifact with every throughput figure scaled must trip the gate, the
+   unscaled one must not. *)
 
 let () =
-  let base = ref "" in
-  let cur = ref "" in
   let margin = ref 0.25 in
   let out = ref "" in
   let perturb = ref nan in
@@ -33,48 +31,32 @@ let () =
     (fun a -> positional := a :: !positional)
     "trendcheck [-margin M] BASELINE CURRENT\n\
      trendcheck -perturb FACTOR -out FILE BASELINE";
-  (match List.rev !positional with
-  | [ b ] when not (Float.is_nan !perturb) -> base := b
-  | [ b; c ] -> base := b; cur := c
-  | _ ->
-    prerr_endline "trendcheck: expected BASELINE CURRENT (or -perturb FACTOR -out FILE BASELINE)";
-    exit 2);
-  if not (Float.is_nan !perturb) then begin
-    if !out = "" then begin
-      prerr_endline "trendcheck: -perturb requires -out";
-      exit 2
-    end;
+  let out_opt = if !out = "" then None else Some !out in
+  match (List.rev !positional, Float.is_nan !perturb) with
+  | [ src ], false -> (
+    let dst =
+      match out_opt with
+      | Some dst -> dst
+      | None ->
+        prerr_endline "trendcheck: -perturb requires -out";
+        exit 2
+    in
     let only = if !perturb_series = "" then None else Some !perturb_series in
     match
-      Hwts_trace.Trend.write_perturbed ?only ~src:!base ~dst:!out
-        ~factor:!perturb ()
+      Benchkit.Trend.write_perturbed ?only ~src ~dst ~factor:!perturb ()
     with
     | Ok () ->
-      Printf.printf "wrote %s (mops x %g%s)\n" !out !perturb
-        (if !perturb_series = "" then "" else ", series " ^ !perturb_series);
-      exit 0
+      Printf.printf "wrote %s (mops x %g%s)\n" dst !perturb
+        (if !perturb_series = "" then "" else ", series " ^ !perturb_series)
     | Error e ->
       Printf.eprintf "trendcheck: %s\n" e;
-      exit 2
-  end;
-  match Hwts_trace.Trend.compare_files ~base:!base ~cur:!cur ~margin:!margin with
-  | Error e ->
-    Printf.eprintf "trendcheck: %s\n" e;
-    exit 2
-  | Ok r ->
-    if r.Hwts_trace.Trend.series = [] then begin
-      Printf.eprintf "trendcheck: no comparable points between %s and %s\n"
-        !base !cur;
-      exit 2
-    end;
-    Hwts_trace.Trend.print_human r;
-    if !out <> "" then begin
-      let oc = open_out !out in
-      output_string oc (Hwts_trace.Trend.to_json_lines ~base:!base ~cur:!cur r);
-      close_out oc;
-      Printf.printf "(report -> %s)\n" !out
-    end;
+      exit 2)
+  | [ base; cur ], true ->
     exit
-      (match r.Hwts_trace.Trend.verdict with
-      | Hwts_trace.Trend.Regression -> 1
-      | Hwts_trace.Trend.Ok_ | Hwts_trace.Trend.Improvement -> 0)
+      (Benchkit.Trend.gate ~prog:"trendcheck" ?out:out_opt ~base ~cur
+         ~margin:!margin ())
+  | _ ->
+    prerr_endline
+      "trendcheck: expected BASELINE CURRENT (or -perturb FACTOR -out FILE \
+       BASELINE)";
+    exit 2

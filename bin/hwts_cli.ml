@@ -437,29 +437,7 @@ let check structure provider reclaim seed rounds no_faults multi fixture_out =
 (* Perf-trajectory gate: diff two bench artifacts, exit 1 on regression
    so CI can gate on it mechanically. *)
 let trend base cur margin out =
-  match Hwts_trace.Trend.compare_files ~base ~cur ~margin with
-  | Error e ->
-    Printf.eprintf "hwts-cli trend: %s\n" e;
-    2
-  | Ok r ->
-    if r.Hwts_trace.Trend.series = [] then begin
-      Printf.eprintf "hwts-cli trend: no comparable points between %s and %s\n"
-        base cur;
-      2
-    end
-    else begin
-      Hwts_trace.Trend.print_human r;
-      (match out with
-      | None -> ()
-      | Some path ->
-        let oc = open_out path in
-        output_string oc (Hwts_trace.Trend.to_json_lines ~base ~cur r);
-        close_out oc;
-        Printf.printf "(report -> %s)\n" path);
-      match r.Hwts_trace.Trend.verdict with
-      | Hwts_trace.Trend.Regression -> 1
-      | Hwts_trace.Trend.Ok_ | Hwts_trace.Trend.Improvement -> 0
-    end
+  Benchkit.Trend.gate ~prog:"hwts-cli trend" ?out ~base ~cur ~margin ()
 
 (* Tail-attribution sweep: run the traced harness for a small grid of
    structures x providers and collect which phase dominates each latency
@@ -881,8 +859,9 @@ let trend_cmd =
   Cmd.v
     (Cmd.info "trend"
        ~doc:
-         "Diff two BENCH_*.json artifacts (paired median Mops/s ratios); \
-          exits 1 on a regression verdict, 2 when nothing is comparable")
+         "Diff two runs of one BENCH_*.json family (paired median Mops/s \
+          ratios); exits 1 on a regression verdict, 2 when nothing is \
+          comparable")
     Term.(const trend $ base $ cur $ margin $ out)
 
 let trace_report_cmd =

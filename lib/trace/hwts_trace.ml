@@ -1,5 +1,4 @@
 (* Library interface module: the span API at the top level (callers
-   write [Hwts_trace.Span.enter]), the trend gate as a submodule. *)
+   write [Hwts_trace.Span.enter]). *)
 
 include Trace
-module Trend = Trend

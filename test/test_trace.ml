@@ -277,146 +277,6 @@ let stall_watchdog () =
           Alcotest.(check int) "huge budget flags nothing" 0
             (List.length (T.stalls ~budget:max_int ()))))
 
-(* ---------- trend gate ---------- *)
-
-let mk_point series subkey mops =
-  J.Obj
-    [
-      ("name", J.Str "bench.scaling");
-      ("type", J.Str "point");
-      ("structure", J.Str series);
-      ("provider", J.Str "logical");
-      ("domains", J.Int subkey);
-      ("mops", J.Float mops);
-      ("words_per_op", J.Float 10.);
-    ]
-
-let trend_verdicts () =
-  let base =
-    [ mk_point "a" 1 1.0; mk_point "a" 2 2.0; mk_point "b" 1 4.0 ]
-  in
-  let same = T.Trend.compare_lines ~base ~cur:base ~margin:0.25 in
-  Alcotest.(check string) "identical inputs are ok" "ok"
-    (T.Trend.verdict_name same.T.Trend.verdict);
-  Alcotest.(check int) "all series paired" 2
-    (List.length same.T.Trend.series);
-  let slow =
-    [ mk_point "a" 1 0.5; mk_point "a" 2 1.0; mk_point "b" 1 4.0 ]
-  in
-  let reg = T.Trend.compare_lines ~base ~cur:slow ~margin:0.25 in
-  Alcotest.(check string) "halved series regresses" "regression"
-    (T.Trend.verdict_name reg.T.Trend.verdict);
-  let fast =
-    [ mk_point "a" 1 2.0; mk_point "a" 2 4.0; mk_point "b" 1 8.0 ]
-  in
-  let imp = T.Trend.compare_lines ~base ~cur:fast ~margin:0.25 in
-  Alcotest.(check string) "doubled overall improves" "improvement"
-    (T.Trend.verdict_name imp.T.Trend.verdict);
-  (* within-margin noise is not a verdict either way *)
-  let noisy = [ mk_point "a" 1 0.9; mk_point "a" 2 2.1; mk_point "b" 1 3.9 ] in
-  let ok = T.Trend.compare_lines ~base ~cur:noisy ~margin:0.25 in
-  Alcotest.(check string) "noise within margin is ok" "ok"
-    (T.Trend.verdict_name ok.T.Trend.verdict);
-  (* unpaired points are surfaced, not silently dropped *)
-  let extra = mk_point "c" 1 1.0 :: base in
-  let un = T.Trend.compare_lines ~base ~cur:extra ~margin:0.25 in
-  Alcotest.(check int) "unmatched counted" 1 un.T.Trend.unmatched
-
-let mk_zoo_point provider subkey mops =
-  J.Obj
-    [
-      ("name", J.Str "bench.scaling");
-      ("type", J.Str "point");
-      ("structure", J.Str "bst-vcas");
-      ("provider", J.Str provider);
-      ("domains", J.Int subkey);
-      ("mops", J.Float mops);
-      ("words_per_op", J.Float 10.);
-    ]
-
-let zoo_providers =
-  [ "logical"; "delayed"; "multislot"; "tl2"; "rdtscp-strict"; "adaptive" ]
-
-let trend_zoo_series_matching () =
-  (* Every zoo provider forms its own series: a regression in one
-     provider's points must trip the gate even when the other five hold,
-     and the pairing must never cross providers. *)
-  let base =
-    List.concat_map
-      (fun p -> [ mk_zoo_point p 1 2.0; mk_zoo_point p 2 4.0 ])
-      zoo_providers
-  in
-  let cur =
-    List.map
-      (fun l ->
-        match l with
-        | J.Obj fields
-          when List.assoc_opt "provider" fields = Some (J.Str "tl2") ->
-          J.Obj
-            (List.map
-               (fun (k, v) ->
-                 match (k, v) with
-                 | "mops", J.Float m -> (k, J.Float (m *. 0.5))
-                 | _ -> (k, v))
-               fields)
-        | l -> l)
-      base
-  in
-  let r = T.Trend.compare_lines ~base ~cur ~margin:0.25 in
-  Alcotest.(check int) "one series per provider" (List.length zoo_providers)
-    (List.length r.T.Trend.series);
-  Alcotest.(check string) "halved tl2 series regresses" "regression"
-    (T.Trend.verdict_name r.T.Trend.verdict);
-  List.iter
-    (fun (s : T.Trend.series_diff) ->
-      let expect = if s.T.Trend.sd_series = "bst-vcas/tl2" then 0.5 else 1.0 in
-      Alcotest.(check (float 0.001))
-        ("median ratio for " ^ s.T.Trend.sd_series)
-        expect s.T.Trend.sd_median_ratio)
-    r.T.Trend.series
-
-let perturb_single_series () =
-  (* write_perturbed ~only: the file-level twin of the series test, used
-     by `make trend-guard` to prove the gate sees one provider regress. *)
-  let src = Filename.temp_file "trend-zoo" ".json" in
-  let dst = Filename.temp_file "trend-zoo-perturbed" ".json" in
-  Fun.protect ~finally:(fun () -> Sys.remove src; Sys.remove dst)
-  @@ fun () ->
-  let oc = open_out src in
-  List.iter
-    (fun p ->
-      output_string oc (J.to_string (mk_zoo_point p 1 2.0));
-      output_char oc '\n')
-    zoo_providers;
-  close_out oc;
-  (match
-     T.Trend.write_perturbed ~only:"bst-vcas/multislot" ~src ~dst ~factor:0.4
-       ()
-   with
-  | Error e -> Alcotest.failf "perturb failed: %s" e
-  | Ok () -> ());
-  (match T.Trend.compare_files ~base:src ~cur:dst ~margin:0.25 with
-  | Error e -> Alcotest.failf "diff failed: %s" e
-  | Ok r ->
-    Alcotest.(check string) "single-series perturbation trips the gate"
-      "regression"
-      (T.Trend.verdict_name r.T.Trend.verdict);
-    List.iter
-      (fun (s : T.Trend.series_diff) ->
-        let expect =
-          if s.T.Trend.sd_series = "bst-vcas/multislot" then 0.4 else 1.0
-        in
-        Alcotest.(check (float 0.001))
-          ("ratio for " ^ s.T.Trend.sd_series)
-          expect s.T.Trend.sd_median_ratio)
-      r.T.Trend.series);
-  (* a series with no points is an error, not a silent no-op *)
-  match
-    T.Trend.write_perturbed ~only:"bst-vcas/nope" ~src ~dst ~factor:0.4 ()
-  with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "perturbing a missing series should error"
-
 let chrome_names_switch_targets () =
   (* A Switch instant's aux word is 1 + the mode index the adaptive
      provider migrated to; the Chrome export must surface it by name. *)
@@ -446,27 +306,6 @@ let chrome_names_switch_targets () =
               [ "switch:tl2"; "switch:tsc"; "switch" ]
           | Ok _ -> Alcotest.fail "expected a single chrome object"))
 
-let trend_report_roundtrip () =
-  let base = [ mk_point "a" 1 1.0; mk_point "b" 1 2.0 ] in
-  let cur = [ mk_point "a" 1 0.5; mk_point "b" 1 2.0 ] in
-  let r = T.Trend.compare_lines ~base ~cur ~margin:0.25 in
-  match J.parse_lines (T.Trend.to_json_lines ~base:"B" ~cur:"C" r) with
-  | Error e -> Alcotest.failf "trend json unparseable: %s" e
-  | Ok lines ->
-    let of_type t =
-      List.filter
-        (fun l -> Option.bind (J.member "type" l) J.to_str = Some t)
-        lines
-    in
-    Alcotest.(check int) "one meta line" 1 (List.length (of_type "meta"));
-    Alcotest.(check int) "one line per series" 2
-      (List.length (of_type "series"));
-    (match of_type "verdict" with
-    | [ v ] ->
-      Alcotest.(check (option string)) "verdict value" (Some "regression")
-        (Option.bind (J.member "verdict" v) J.to_str)
-    | _ -> Alcotest.fail "expected exactly one verdict line")
-
 let () =
   Alcotest.run "trace"
     [
@@ -484,15 +323,6 @@ let () =
       );
       ( "export",
         [ Alcotest.test_case "json round-trip" `Quick exporter_roundtrip ] );
-      ( "trend",
-        [
-          Alcotest.test_case "verdicts" `Quick trend_verdicts;
-          Alcotest.test_case "report round-trip" `Quick trend_report_roundtrip;
-          Alcotest.test_case "zoo series matching" `Quick
-            trend_zoo_series_matching;
-          Alcotest.test_case "single-series perturbation" `Quick
-            perturb_single_series;
-        ] );
       ( "chrome",
         [
           Alcotest.test_case "switch instants carry their target" `Quick

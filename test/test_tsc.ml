@@ -87,15 +87,20 @@ let measured_costs () =
   Alcotest.(check bool) "fence costs more than bare rdtsc" true (fenced > rdtsc)
 
 let wall_clock_agreement () =
-  (* A busy 20ms window must measure ~20ms in TSC cycles. *)
-  let t0 = Tsc.monotonic_ns () in
-  let c0 = Tsc.rdtscp_lfence () in
-  while Tsc.monotonic_ns () - t0 < 20_000_000 do
-    Tsc.cpu_relax ()
-  done;
-  let cycles = Tsc.rdtscp_lfence () - c0 in
-  let measured_ns = Tsc.cycles_to_ns cycles in
-  let err = abs_float (measured_ns -. 20_000_000.) /. 20_000_000. in
+  (* A busy 20ms window must measure its monotonic length in TSC cycles.
+     Window ends are clock pairs, so a preemption between a TSC read and
+     its monotonic read cannot skew them; the best of three windows keeps
+     a heavily loaded machine from failing the check on one bad window. *)
+  let window () =
+    let t0, c0 = Tsc.clock_pair () in
+    while Tsc.monotonic_ns () - t0 < 20_000_000 do
+      Tsc.cpu_relax ()
+    done;
+    let t1, c1 = Tsc.clock_pair () in
+    let wall_ns = float_of_int (t1 - t0) in
+    abs_float (Tsc.cycles_to_ns (c1 - c0) -. wall_ns) /. wall_ns
+  in
+  let err = List.fold_left Float.min infinity (List.init 3 (fun _ -> window ())) in
   Alcotest.(check bool) "within 10% of wall clock" true (err < 0.10)
 
 let pinning () =

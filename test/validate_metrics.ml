@@ -1,438 +1,11 @@
-(* Validate a --metrics-out JSON-lines file (used by `make bench-smoke`):
-   every line must parse, and the canonical metric set — timestamp ties,
-   vCAS helping, bundle prunes, EBR epochs, per-op-class latency — must be
-   present with the expected shape. *)
+(* Validate an artifact (used by the Makefile bench targets): every line
+   must parse, and the lines must satisfy the spec of the family they
+   belong to (Benchkit.Family) — a bench sweep's schema and gate, a
+   tail-attribution grid, a trend report, or a metrics export's
+   canonical counters and histograms.  Chrome trace files and torture
+   trace artifacts are recognized separately. *)
 
 module J = Hwts_obs.Json
-
-let required_counters =
-  [
-    "timestamp.strict.ties";
-    "rangequery.vcas.help_attempts";
-    "rangequery.bundle.prunes";
-    "ebr.epoch_advances";
-    "reclaim.announce_stores";
-    "reclaim.retired";
-    "reclaim.invariant_violations";
-    "rcu.sync_wait_spins";
-  ]
-
-let required_histograms =
-  [
-    "harness.latency.insert";
-    "harness.latency.delete";
-    "harness.latency.contains";
-    "harness.latency.range";
-  ]
-
-(* A bench/scaling.exe artifact is also JSON lines but carries sweep
-   points, not registry metrics; validate its own schema: a meta line, a
-   summary line, and points covering the whole provider zoo — logical,
-   delayed, multislot, tl2, rdtscp-strict and adaptive — at >= 2 domain
-   counts, each with the full measurement tuple; every swept structure
-   must also carry its adaptive_margin verdict line. *)
-let validate_scaling path lines =
-  let points =
-    List.filter (fun l -> J.member "type" l = Some (J.Str "point")) lines
-  in
-  let has ty =
-    List.exists (fun l -> J.member "type" l = Some (J.Str ty)) lines
-  in
-  let errors = ref [] in
-  let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
-  if not (has "meta") then err "no meta line";
-  if not (has "summary") then err "no summary line";
-  if not (has "shape") then err "no per-structure shape line";
-  let field_of l name = J.member name l in
-  List.iter
-    (fun p ->
-      let str name =
-        match field_of p name with Some (J.Str s) -> Some s | _ -> None
-      in
-      if str "structure" = None then err "point without structure";
-      if str "provider" = None then err "point without provider";
-      if Option.bind (field_of p "domains") J.to_int = None then
-        err "point without integer domains";
-      List.iter
-        (fun f ->
-          if Option.bind (field_of p f) J.to_float = None then
-            err "point without %s (structure %s)" f
-              (Option.value ~default:"?" (str "structure")))
-        [ "mops"; "words_per_op"; "per_domain_mops_cv" ])
-    points;
-  let distinct proj =
-    List.sort_uniq compare (List.filter_map proj points)
-  in
-  let providers =
-    distinct (fun p ->
-        match J.member "provider" p with Some (J.Str s) -> Some s | _ -> None)
-  in
-  let domain_counts =
-    distinct (fun p -> Option.bind (J.member "domains" p) J.to_int)
-  in
-  let structures =
-    distinct (fun p ->
-        match J.member "structure" p with Some (J.Str s) -> Some s | _ -> None)
-  in
-  List.iter
-    (fun required ->
-      if not (List.mem required providers) then
-        err "points must cover the %s provider (found: %s)" required
-          (String.concat ", " providers))
-    [ "logical"; "delayed"; "multislot"; "tl2"; "rdtscp-strict"; "adaptive" ];
-  (* Every structure with an adaptive point owes a margin verdict, and
-     every adaptive point carries its migration count. *)
-  let margin_structures =
-    List.filter_map
-      (fun l ->
-        if J.member "type" l = Some (J.Str "adaptive_margin") then
-          match J.member "structure" l with
-          | Some (J.Str s) -> Some s
-          | _ -> None
-        else None)
-      lines
-  in
-  List.iter
-    (fun p ->
-      if J.member "provider" p = Some (J.Str "adaptive") then begin
-        (match J.member "structure" p with
-        | Some (J.Str s) when List.mem s margin_structures -> ()
-        | Some (J.Str s) -> err "no adaptive_margin line for %s" s
-        | _ -> ());
-        if Option.bind (J.member "switches" p) J.to_int = None then
-          err "adaptive point without integer switches"
-      end)
-    points;
-  if List.length domain_counts < 2 then
-    err "points must cover >= 2 domain counts (found %d)"
-      (List.length domain_counts);
-  if List.length structures < 4 then
-    err "points must cover >= 4 structures (found %d)"
-      (List.length structures);
-  if !errors = [] then begin
-    Printf.printf
-      "ok: scaling sweep in %s (%d points, %d structures, domains %s)\n" path
-      (List.length points) (List.length structures)
-      (String.concat "," (List.map string_of_int domain_counts));
-    exit 0
-  end
-  else begin
-    List.iter (Printf.eprintf "validate_metrics: scaling: %s\n")
-      (List.sort_uniq compare !errors);
-    exit 1
-  end
-
-(* A bench/serve_bench.exe artifact: a meta line, a summary line with
-   the coalesce gate, and per-point lines covering both coalesce arms.
-   The acceptance shape of the serving experiment: wherever pipeline
-   depth reaches 4, the coalesced arm must acquire strictly fewer
-   snapshots per range op than the per-RQ arm (whose ratio is 1 by
-   construction) without giving up throughput beyond a noise floor. *)
-let validate_serve path lines =
-  let errors = ref [] in
-  let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
-  let has ty =
-    List.exists (fun l -> J.member "type" l = Some (J.Str ty)) lines
-  in
-  if not (has "meta") then err "no meta line";
-  if not (has "summary") then err "no summary line";
-  let points =
-    List.filter (fun l -> J.member "type" l = Some (J.Str "point")) lines
-  in
-  if points = [] then err "no point lines";
-  let pt_int p f = Option.bind (J.member f p) J.to_int in
-  let pt_float p f = Option.bind (J.member f p) J.to_float in
-  let pt_bool p f =
-    match J.member f p with Some (J.Bool b) -> Some b | _ -> None
-  in
-  List.iter
-    (fun p ->
-      (match J.member "structure" p with
-      | Some (J.Str _) -> ()
-      | _ -> err "point without structure");
-      (match J.member "provider" p with
-      | Some (J.Str _) -> ()
-      | _ -> err "point without provider");
-      List.iter
-        (fun f ->
-          if pt_int p f = None then err "point without integer %s" f)
-        [ "connections"; "pipeline"; "rq_ops"; "rq_snapshots" ];
-      List.iter
-        (fun f ->
-          if pt_float p f = None then err "point without %s" f)
-        [ "mops"; "acquires_per_range" ];
-      if pt_bool p "coalesce" = None then err "point without coalesce bool")
-    points;
-  let arm coalesce =
-    List.filter (fun p -> pt_bool p "coalesce" = Some coalesce) points
-  in
-  let on = arm true and off = arm false in
-  if on = [] then err "no coalesce=true points";
-  if off = [] then err "no coalesce=false points";
-  (* pair the arms by (connections, pipeline) and apply the gate at
-     depth >= 4 *)
-  let deep_pairs =
-    List.filter_map
-      (fun pc ->
-        match (pt_int pc "connections", pt_int pc "pipeline") with
-        | Some c, Some d when d >= 4 ->
-          List.find_opt
-            (fun pr ->
-              pt_int pr "connections" = Some c
-              && pt_int pr "pipeline" = Some d)
-            off
-          |> Option.map (fun pr -> (c, d, pc, pr))
-        | _ -> None)
-      on
-  in
-  if deep_pairs = [] then
-    err "no paired coalesce arms at pipeline depth >= 4";
-  List.iter
-    (fun (c, d, pc, pr) ->
-      match
-        ( pt_float pc "acquires_per_range",
-          pt_float pr "acquires_per_range",
-          pt_float pc "mops",
-          pt_float pr "mops" )
-      with
-      | Some ac, Some ar, Some mc, Some mr ->
-        if ac >= ar then
-          err
-            "conns=%d depth=%d: coalesced acquires/range %.3f not strictly \
-             below per-RQ %.3f"
-            c d ac ar;
-        if mr > 0. && mc /. mr < 0.75 then
-          err
-            "conns=%d depth=%d: coalesced throughput %.3f below 0.75x per-RQ \
-             %.3f"
-            c d mc mr
-      | _ -> ())
-    deep_pairs;
-  if !errors = [] then begin
-    Printf.printf
-      "ok: serve sweep in %s (%d points, %d gated pairs at depth >= 4)\n" path
-      (List.length points) (List.length deep_pairs);
-    exit 0
-  end
-  else begin
-    List.iter (Printf.eprintf "validate_metrics: serve: %s\n")
-      (List.sort_uniq compare !errors);
-    exit 1
-  end
-
-(* A bench/reclaim_bench.exe artifact: a meta line, a summary line whose
-   [ok] carries the whole-run verdict, points covering every reclamation
-   backend (ebr, qsbr, qsbr-tsc) over >= 2 retiring structures, and per
-   (structure, domains, backend) gate lines.  The acceptance shape: both
-   QSBR backends must announce strictly less often per op than EBR while
-   holding throughput above the floor the bench ran with — a checked-in
-   artifact that failed its own gate fails validation too. *)
-let validate_reclaim path lines =
-  let errors = ref [] in
-  let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
-  let of_type t =
-    List.filter (fun l -> J.member "type" l = Some (J.Str t)) lines
-  in
-  if of_type "meta" = [] then err "no meta line";
-  (match of_type "summary" with
-  | [ s ] -> (
-    match J.member "ok" s with
-    | Some (J.Bool true) -> ()
-    | Some (J.Bool false) -> err "summary gate failed (ok=false)"
-    | _ -> err "summary line without ok bool")
-  | ss -> err "expected exactly one summary line, found %d" (List.length ss));
-  let points = of_type "point" in
-  if points = [] then err "no point lines";
-  let str l name = Option.bind (J.member name l) J.to_str in
-  List.iter
-    (fun p ->
-      if str p "structure" = None then err "point without structure";
-      if str p "reclaim" = None then err "point without reclaim";
-      if Option.bind (J.member "domains" p) J.to_int = None then
-        err "point without integer domains";
-      List.iter
-        (fun f ->
-          if Option.bind (J.member f p) J.to_float = None then
-            err "point without %s" f)
-        [ "mops"; "announce_per_op" ];
-      List.iter
-        (fun f ->
-          if Option.bind (J.member f p) J.to_int = None then
-            err "point without integer %s" f)
-        [ "retired"; "reclaimed"; "limbo_hwm"; "quiesces" ])
-    points;
-  let distinct field =
-    List.sort_uniq compare (List.filter_map (fun p -> str p field) points)
-  in
-  let backends = distinct "reclaim" and structures = distinct "structure" in
-  List.iter
-    (fun required ->
-      if not (List.mem required backends) then
-        err "points must cover the %s backend (found: %s)" required
-          (String.concat ", " backends))
-    [ "ebr"; "qsbr"; "qsbr-tsc" ];
-  if List.length structures < 2 then
-    err "points must cover >= 2 retiring structures (found %d)"
-      (List.length structures);
-  let gates = of_type "gate" in
-  if gates = [] then err "no gate lines";
-  List.iter
-    (fun g ->
-      match (J.member "announce_ok" g, J.member "mops_ok" g, J.member "ok" g) with
-      | Some (J.Bool a), Some (J.Bool m), Some (J.Bool o) ->
-        if not a then
-          err "gate %s/%s: announce stores per op not strictly below ebr"
-            (Option.value ~default:"?" (str g "structure"))
-            (Option.value ~default:"?" (str g "reclaim"));
-        if not m then
-          err "gate %s/%s: throughput below the floor"
-            (Option.value ~default:"?" (str g "structure"))
-            (Option.value ~default:"?" (str g "reclaim"));
-        ignore o
-      | _ -> err "gate line without announce_ok/mops_ok/ok bools")
-    gates;
-  if !errors = [] then begin
-    Printf.printf
-      "ok: reclaim sweep in %s (%d points, %d structures x %d backends, %d \
-       gates)\n"
-      path (List.length points) (List.length structures)
-      (List.length backends) (List.length gates);
-    exit 0
-  end
-  else begin
-    List.iter (Printf.eprintf "validate_metrics: reclaim: %s\n")
-      (List.sort_uniq compare !errors);
-    exit 1
-  end
-
-(* A bench/snapshot_bench.exe artifact: a meta line, a summary line whose
-   [ok] carries the whole-run verdict, paired points (snapshot vs
-   independent arms) over the reads-per-snapshot sweep, gate lines at
-   the gated k values, and per-structure crossover lines tracking the
-   strict-TSC/logical throughput ratio.  The acceptance shape: the
-   snapshot arm's acquisitions per read must fall as 1/k — strictly
-   decreasing along the k axis within every (structure, provider)
-   series — and every gate line must hold both its acquires bound and
-   its throughput floor.  A checked-in artifact that failed its own
-   gate fails validation too. *)
-let validate_snapshot path lines =
-  let errors = ref [] in
-  let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
-  let of_type t =
-    List.filter (fun l -> J.member "type" l = Some (J.Str t)) lines
-  in
-  if of_type "meta" = [] then err "no meta line";
-  (match of_type "summary" with
-  | [ s ] -> (
-    match J.member "ok" s with
-    | Some (J.Bool true) -> ()
-    | Some (J.Bool false) -> err "summary gate failed (ok=false)"
-    | _ -> err "summary line without ok bool")
-  | ss -> err "expected exactly one summary line, found %d" (List.length ss));
-  let points = of_type "point" in
-  if points = [] then err "no point lines";
-  let str l name = Option.bind (J.member name l) J.to_str in
-  let fl l name = Option.bind (J.member name l) J.to_float in
-  let int_ l name = Option.bind (J.member name l) J.to_int in
-  List.iter
-    (fun p ->
-      if str p "structure" = None then err "point without structure";
-      if str p "provider" = None then err "point without provider";
-      if int_ p "k" = None then err "point without integer k";
-      (match str p "arm" with
-      | Some ("snapshot" | "independent") -> ()
-      | Some a -> err "unknown arm %S" a
-      | None -> err "point without arm");
-      List.iter
-        (fun f -> if fl p f = None then err "point without %s" f)
-        [ "mops"; "acquires_per_read" ])
-    points;
-  let arm name = List.filter (fun p -> str p "arm" = Some name) points in
-  let snap = arm "snapshot" and indep = arm "independent" in
-  if snap = [] then err "no snapshot-arm points";
-  if indep = [] then err "no independent-arm points";
-  let distinct field =
-    List.sort_uniq compare (List.filter_map (fun p -> str p field) points)
-  in
-  let structures = distinct "structure" and providers = distinct "provider" in
-  if List.length structures < 3 then
-    err "points must cover >= 3 structures (found %d)"
-      (List.length structures);
-  List.iter
-    (fun required ->
-      if not (List.mem required providers) then
-        err "points must cover the %s provider (found: %s)" required
-          (String.concat ", " providers))
-    [ "logical"; "rdtscp-strict" ];
-  (* within each (structure, provider) series, the snapshot arm's
-     acquires/read must strictly decrease along k — the 1/k mechanism,
-     not just a fast constant *)
-  List.iter
-    (fun s ->
-      List.iter
-        (fun pv ->
-          let series =
-            List.filter
-              (fun p -> str p "structure" = Some s && str p "provider" = Some pv)
-              snap
-            |> List.filter_map (fun p ->
-                   match (int_ p "k", fl p "acquires_per_read") with
-                   | Some k, Some a -> Some (k, a)
-                   | _ -> None)
-            |> List.sort compare
-          in
-          let rec strictly_down = function
-            | (k1, a1) :: ((k2, a2) :: _ as rest) ->
-              if a2 >= a1 then
-                err
-                  "%s/%s: snapshot-arm acquires/read not strictly decreasing \
-                   (%.5f at k=%d -> %.5f at k=%d)"
-                  s pv a1 k1 a2 k2;
-              strictly_down rest
-            | _ -> ()
-          in
-          if List.length series >= 2 then strictly_down series)
-        providers)
-    structures;
-  let gates = of_type "gate" in
-  if gates = [] then err "no gate lines";
-  List.iter
-    (fun g ->
-      let who () =
-        Printf.sprintf "%s/%s k=%s"
-          (Option.value ~default:"?" (str g "structure"))
-          (Option.value ~default:"?" (str g "provider"))
-          (match int_ g "k" with Some k -> string_of_int k | None -> "?")
-      in
-      match
-        (J.member "acquires_ok" g, J.member "mops_ok" g, J.member "ok" g)
-      with
-      | Some (J.Bool a), Some (J.Bool m), Some (J.Bool o) ->
-        if not a then err "gate %s: acquires/read over the (1+eps)/k bound" (who ());
-        if not m then err "gate %s: snapshot arm below the throughput floor" (who ());
-        ignore o
-      | _ -> err "gate line without acquires_ok/mops_ok/ok bools")
-    gates;
-  let crossovers = of_type "crossover" in
-  if crossovers = [] then err "no crossover lines";
-  List.iter
-    (fun c ->
-      if fl c "strict_vs_logical" = None then
-        err "crossover line without strict_vs_logical")
-    crossovers;
-  if !errors = [] then begin
-    Printf.printf
-      "ok: snapshot sweep in %s (%d points, %d structures x %d providers, %d \
-       gates, %d crossover lines)\n"
-      path (List.length points) (List.length structures)
-      (List.length providers) (List.length gates) (List.length crossovers);
-    exit 0
-  end
-  else begin
-    List.iter (Printf.eprintf "validate_metrics: snapshot: %s\n")
-      (List.sort_uniq compare !errors);
-    exit 1
-  end
 
 (* A Chrome trace_event artifact (hwts-cli run --trace-out) is a single
    JSON object, not lines: validate the envelope and that every event
@@ -469,110 +42,6 @@ let validate_chrome path doc =
     (List.sort_uniq compare !errors);
   exit 1
 
-let trace_phase_names =
-  [
-    "acquire"; "traverse"; "cas_retry"; "ebr"; "reclaim"; "wait"; "snapshot";
-    "other";
-  ]
-
-(* A tail-attribution artifact (hwts-cli trace-report): a trace.report
-   meta line plus trace.tailattr band lines covering the promised grid
-   of >= 3 structures x 2 providers with the three rank bands. *)
-let validate_tailattr path lines =
-  let errors = ref [] in
-  let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
-  let attrs =
-    List.filter (fun l -> J.member "name" l = Some (J.Str "trace.tailattr")) lines
-  in
-  if attrs = [] then err "no trace.tailattr lines";
-  let str l name = Option.bind (J.member name l) J.to_str in
-  List.iter
-    (fun a ->
-      (match str a "band" with
-      | Some ("p50" | "p99" | "p999") -> ()
-      | Some b -> err "unknown band %S" b
-      | None -> err "tailattr line without band");
-      (match str a "dominant" with
-      | Some d when List.mem d trace_phase_names -> ()
-      | Some d -> err "dominant %S is not a known phase" d
-      | None -> err "tailattr line without dominant");
-      (match Option.bind (J.member "dominant_share" a) J.to_float with
-      | Some s when s >= 0. && s <= 1. -> ()
-      | Some s -> err "dominant_share %g out of [0,1]" s
-      | None -> err "tailattr line without dominant_share");
-      if Option.bind (J.member "mean_cycles" a) J.to_float = None then
-        err "tailattr line without mean_cycles";
-      if Option.bind (J.member "ops" a) J.to_int = None then
-        err "tailattr line without ops")
-    attrs;
-  let distinct field =
-    List.sort_uniq compare (List.filter_map (fun a -> str a field) attrs)
-  in
-  let structures = distinct "structure" and providers = distinct "provider" in
-  if List.length structures < 3 then
-    err "tailattr must cover >= 3 structures (found %d)"
-      (List.length structures);
-  List.iter
-    (fun required ->
-      if not (List.mem required providers) then
-        err "tailattr must cover the %s provider (found: %s)" required
-          (String.concat ", " providers))
-    [ "logical"; "delayed"; "multislot"; "tl2"; "rdtscp-strict"; "adaptive" ];
-  if !errors = [] then begin
-    Printf.printf
-      "ok: tail attribution in %s (%d band lines, %d structures x %d providers)\n"
-      path (List.length attrs) (List.length structures) (List.length providers);
-    exit 0
-  end
-  else begin
-    List.iter (Printf.eprintf "validate_metrics: tailattr: %s\n")
-      (List.sort_uniq compare !errors);
-    exit 1
-  end
-
-(* A trend gate report (hwts-cli trend / bench/trendcheck -out): one meta
-   line, per-series ratio lines, exactly one verdict line. *)
-let validate_trend path lines =
-  let errors = ref [] in
-  let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
-  let of_type t =
-    List.filter (fun l -> J.member "type" l = Some (J.Str t)) lines
-  in
-  (match of_type "meta" with
-  | [ m ] ->
-    if Option.bind (J.member "margin" m) J.to_float = None then
-      err "meta line without margin"
-  | ms -> err "expected exactly one meta line, found %d" (List.length ms));
-  let series = of_type "series" in
-  if series = [] then err "no series lines";
-  List.iter
-    (fun s ->
-      if Option.bind (J.member "series" s) J.to_str = None then
-        err "series line without series name";
-      List.iter
-        (fun f ->
-          if Option.bind (J.member f s) J.to_float = None then
-            err "series line without %s" f)
-        [ "median_ratio"; "min_ratio"; "max_ratio" ])
-    series;
-  (match of_type "verdict" with
-  | [ v ] -> (
-    match Option.bind (J.member "verdict" v) J.to_str with
-    | Some ("ok" | "regression" | "improvement") -> ()
-    | Some x -> err "unknown verdict %S" x
-    | None -> err "verdict line without verdict")
-  | vs -> err "expected exactly one verdict line, found %d" (List.length vs));
-  if !errors = [] then begin
-    Printf.printf "ok: trend report in %s (%d series)\n" path
-      (List.length series);
-    exit 0
-  end
-  else begin
-    List.iter (Printf.eprintf "validate_metrics: trend: %s\n")
-      (List.sort_uniq compare !errors);
-    exit 1
-  end
-
 let () =
   if Array.length Sys.argv < 2 then begin
     prerr_endline "usage: validate_metrics FILE";
@@ -592,11 +61,7 @@ let () =
   (* Torture trace artifacts (lib/check recorder histories) live next to
      metrics files but are human-readable event logs, not registry JSON;
      recognize and skip them rather than failing the parse. *)
-  if
-    String.length content >= String.length Hwts_check.Torture.trace_header
-    && String.sub content 0 (String.length Hwts_check.Torture.trace_header)
-       = Hwts_check.Torture.trace_header
-  then begin
+  if String.starts_with ~prefix:Hwts_check.Torture.trace_header content then begin
     Printf.printf "ok: %s is a check trace artifact, not a metrics file\n" path;
     exit 0
   end;
@@ -604,71 +69,13 @@ let () =
   | Error e ->
     Printf.eprintf "%s: invalid JSON lines: %s\n" path e;
     exit 1
-  | Ok [ doc ] when J.member "traceEvents" doc <> None ->
-    validate_chrome path doc
-  | Ok lines
-    when List.exists
-           (fun l -> J.member "name" l = Some (J.Str "bench.scaling"))
-           lines ->
-    validate_scaling path lines
-  | Ok lines
-    when List.exists
-           (fun l -> J.member "name" l = Some (J.Str "bench.serve"))
-           lines ->
-    validate_serve path lines
-  | Ok lines
-    when List.exists
-           (fun l -> J.member "name" l = Some (J.Str "bench.reclaim"))
-           lines ->
-    validate_reclaim path lines
-  | Ok lines
-    when List.exists
-           (fun l -> J.member "name" l = Some (J.Str "bench.snapshot"))
-           lines ->
-    validate_snapshot path lines
-  | Ok lines
-    when List.exists
-           (fun l -> J.member "name" l = Some (J.Str "trend.check"))
-           lines ->
-    validate_trend path lines
-  | Ok lines
-    when List.exists
-           (fun l -> J.member "name" l = Some (J.Str "trace.report"))
-           lines ->
-    validate_tailattr path lines
-  | Ok lines ->
-    let find name =
-      List.find_opt (fun l -> J.member "name" l = Some (J.Str name)) lines
-    in
-    let missing = ref [] in
-    let require name check what =
-      match find name with
-      | Some l when check l -> ()
-      | Some _ -> missing := Printf.sprintf "%s (%s)" name what :: !missing
-      | None -> missing := Printf.sprintf "%s (absent)" name :: !missing
-    in
-    List.iter
-      (fun n ->
-        require n
-          (fun l ->
-            J.member "type" l = Some (J.Str "counter")
-            && Option.bind (J.member "value" l) J.to_int <> None)
-          "counter with an integer value")
-      required_counters;
-    List.iter
-      (fun n ->
-        require n
-          (fun l ->
-            J.member "type" l = Some (J.Str "histogram")
-            && Option.bind (J.member "p50" l) J.to_float <> None
-            && Option.bind (J.member "p99" l) J.to_float <> None)
-          "histogram with p50/p99")
-      required_histograms;
-    if !missing = [] then begin
-      Printf.printf "ok: %d metric lines in %s\n" (List.length lines) path;
-      exit 0
-    end
-    else begin
-      List.iter (Printf.eprintf "validate_metrics: missing %s\n") !missing;
-      exit 1
-    end
+  | Ok [ doc ] when J.member "traceEvents" doc <> None -> validate_chrome path doc
+  | Ok lines -> (
+    let family = Benchkit.Family.detect lines in
+    match Benchkit.Family.validate family lines with
+    | Ok summary -> Printf.printf "ok: %s in %s\n" summary path
+    | Error errors ->
+      List.iter
+        (Printf.eprintf "validate_metrics: %s: %s\n" family.Benchkit.Family.name)
+        errors;
+      exit 1)

@@ -89,8 +89,9 @@ trace-smoke: build
 # pass and its report must validate; a copy with one series' Mops/s
 # scaled to 60% must trip the regression verdict, proving a regression
 # confined to one provider or backend cannot hide behind the healthy
-# rest; a whole-file slowdown must trip it too; and two different
-# families must be refused rather than compared.
+# rest; a whole-file slowdown must trip it too (exit 1: a regression,
+# not an error); and two different families must be refused rather than
+# compared (exit 2 with the family-mismatch message).
 TREND_SERIES := BENCH_scaling.json:bst-vcas/tl2 \
   BENCH_reclaim.json:bst-ebrrq-lockfree/qsbr \
   BENCH_snapshot.json:skiplist-bundle/rdtscp-strict/snapshot \
@@ -106,13 +107,15 @@ trend-guard: build
 	  dune exec test/validate_metrics.exe -- /tmp/trend-report.json || exit 1; \
 	  dune exec bench/trendcheck.exe -- -perturb 0.6 -perturb-series "$$s" \
 	    -out /tmp/trend-perturbed.json $$f || exit 1; \
-	  ! dune exec bench/trendcheck.exe -- $$f /tmp/trend-perturbed.json \
-	    || exit 1; \
+	  dune exec bench/trendcheck.exe -- $$f /tmp/trend-perturbed.json; \
+	  test $$? -eq 1 || exit 1; \
 	done
 	dune exec bench/trendcheck.exe -- -perturb 0.6 \
 	  -out /tmp/trend-perturbed.json BENCH_scaling.json
-	! dune exec bench/trendcheck.exe -- BENCH_scaling.json /tmp/trend-perturbed.json
-	! dune exec bench/trendcheck.exe -- BENCH_scaling.json BENCH_reclaim.json
+	dune exec bench/trendcheck.exe -- BENCH_scaling.json /tmp/trend-perturbed.json; \
+	  test $$? -eq 1
+	out=$$(dune exec bench/trendcheck.exe -- BENCH_scaling.json BENCH_reclaim.json 2>&1); \
+	  test $$? -eq 2 && echo "$$out" | grep -q 'is a bench.scaling artifact but'
 
 # Refresh the checked-in tail-attribution artifact: 3 structures x the
 # 6-provider zoo, p50/p99/p999 dominant-phase bands per op class.

@@ -83,7 +83,7 @@ let run_zoo name make config ~warmup ~trials =
         | ts -> run_leg (make ts) config ~warmup)
   in
   ( Array.to_list (Array.map Kit.summarize legs),
-    (Kit.median !switch_counts, !last_switch_points),
+    (Benchkit.Family.median !switch_counts, !last_switch_points),
     Array.to_list (Array.map (fun l -> Kit.best l "mops") legs) )
 
 let print_point name provider d p =

@@ -101,6 +101,13 @@ let distinct f lines =
 
 let num l f = Option.bind (get l f) J.to_float
 
+let median = function
+  | [] -> invalid_arg "Family.median: no values"
+  | xs ->
+    let a = Array.of_list xs in
+    Array.sort compare a;
+    a.(Array.length a / 2)
+
 let check lines rule =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in

@@ -91,6 +91,15 @@ val detect : J.t list -> t
 val matches : sel -> J.t -> bool
 (** Whether a line has every field value the selection names. *)
 
+val num : J.t -> string -> float option
+(** A numeric field of a line; a dotted name reaches into a nested
+    object. *)
+
+val median : 'a list -> 'a
+(** The sweep convention for medians: the upper middle element of the
+    sorted values ([a.(n/2)]), so an even count picks a measured value
+    rather than an average.  Raises [Invalid_argument] on no values. *)
+
 val validate : t -> J.t list -> (string, string list) result
 (** [Ok summary] or the sorted, de-duplicated rule violations. *)
 

@@ -2,11 +2,6 @@ module J = Hwts_obs.Json
 
 type row = (string * J.t) list
 
-let median xs =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  a.(Array.length a / 2)
-
 let summarize = function
   | [] -> invalid_arg "Kit.summarize: no legs"
   | first :: _ as legs ->
@@ -14,12 +9,12 @@ let summarize = function
     List.map
       (fun (k, v) ->
         match v with
-        | J.Int _ -> (k, J.Int (median (List.filter_map J.to_int (column k))))
-        | J.Float _ -> (k, J.Float (median (List.filter_map J.to_float (column k))))
+        | J.Int _ -> (k, J.Int (Family.median (List.filter_map J.to_int (column k))))
+        | J.Float _ -> (k, J.Float (Family.median (List.filter_map J.to_float (column k))))
         | _ -> (k, v))
       first
 
-let num row k = Option.value ~default:nan (Option.bind (List.assoc_opt k row) J.to_float)
+let num row k = Option.value ~default:nan (Family.num (J.Obj row) k)
 let best legs k = List.fold_left (fun m l -> Float.max m (num l k)) 0. legs
 
 let best_ratio a b k =

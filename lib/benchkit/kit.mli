@@ -17,15 +17,12 @@ type row = (string * J.t) list
 (** One measured leg, or a summarized point: named numbers, in the
     order they are written out. *)
 
-val median : 'a list -> 'a
-(** The upper middle element ([a.(n/2)] of the sorted list). *)
-
 val summarize : row list -> row
-(** Component-wise median of the legs' [Int] and [Float] fields, in the
+(** Component-wise {!Family.median} of the legs' [Int] and [Float] fields, in the
     first leg's field order; other fields are kept from the first leg. *)
 
 val num : row -> string -> float
-(** A numeric field; [nan] when absent. *)
+(** {!Family.num} of the row; [nan] when absent. *)
 
 val best : row list -> string -> float
 (** The largest value of a field over the legs. *)

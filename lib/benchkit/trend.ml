@@ -34,14 +34,6 @@ let verdict_name = function
   | Regression -> "regression"
   | Improvement -> "improvement"
 
-let median xs =
-  match List.sort compare xs with
-  | [] -> 0.
-  | sorted ->
-    let n = List.length sorted in
-    let a = Array.of_list sorted in
-    if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
-
 let compare_lines ~base ~cur ~margin =
   let family = Family.detect base in
   let bp = Family.points family base and cp = Family.points family cur in
@@ -74,14 +66,16 @@ let compare_lines ~base ~cur ~margin =
         {
           sd_series = name;
           sd_points = List.length here;
-          sd_median_ratio = median ratios;
+          sd_median_ratio = Family.median ratios;
           sd_min_ratio = List.fold_left Float.min infinity ratios;
           sd_max_ratio = List.fold_left Float.max 0. ratios;
-          sd_words_ratio = (if wr = [] then 1. else median wr);
+          sd_words_ratio = (if wr = [] then 1. else Family.median wr);
         })
       names
   in
-  let overall = median (List.map (fun s -> s.sd_median_ratio) series) in
+  let overall =
+    if series = [] then 0. else Family.median (List.map (fun s -> s.sd_median_ratio) series)
+  in
   let verdict =
     if series = [] then Ok_
     else if List.exists (fun s -> s.sd_median_ratio < 1. -. margin) series then Regression

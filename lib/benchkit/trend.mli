@@ -2,8 +2,8 @@
     family.
 
     Takes each run's trend points from its {!Family} spec, pairs them by
-    series and sub-key, and renders a verdict on per-series median
-    Mops/s ratios with a noise margin — a regression gate a change can
+    series and sub-key, and renders a verdict on per-series
+    {!Family.median} Mops/s ratios with a noise margin — a regression gate a change can
     run instead of eyeballing. *)
 
 type series_diff = {

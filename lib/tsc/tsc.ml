@@ -48,37 +48,23 @@ let read_cached () =
   c.left <- c.left - 1;
   c.v
 
-let clock_pair () =
-  let best_width = ref max_int and best = ref (0, 0) in
-  for _ = 1 to 5 do
-    let t0 = monotonic_ns () in
-    let c = rdtscp_lfence () in
-    let t1 = monotonic_ns () in
-    if t1 - t0 < !best_width then begin
-      best_width := t1 - t0;
-      best := (t0 + ((t1 - t0) / 2), c)
-    end
-  done;
-  !best
-
 (* Calibrate the TSC frequency against the monotonic clock.  A ~5 ms busy
-   window gives better than 0.1% accuracy, plenty for reporting; the
-   median of three windows keeps one disturbed window out of the cached
-   value. *)
-let calibrate_window () =
+   window gives better than 0.1% accuracy, plenty for reporting. *)
+let calibrate_cycles_per_ns () =
   let window_ns = 5_000_000 in
-  let t0_ns, c0 = clock_pair () in
-  while monotonic_ns () - t0_ns < window_ns do
-    cpu_relax ()
-  done;
-  let t1_ns, c1 = clock_pair () in
+  let t0_ns = monotonic_ns () in
+  let c0 = rdtscp_lfence () in
+  let rec spin () =
+    if monotonic_ns () - t0_ns < window_ns then begin
+      cpu_relax ();
+      spin ()
+    end
+  in
+  spin ();
+  let c1 = rdtscp_lfence () in
+  let t1_ns = monotonic_ns () in
   let dns = t1_ns - t0_ns and dcy = c1 - c0 in
   if dns <= 0 || dcy <= 0 then 1.0 else float_of_int dcy /. float_of_int dns
-
-let calibrate_cycles_per_ns () =
-  match List.sort compare (List.init 3 (fun _ -> calibrate_window ())) with
-  | [ _; mid; _ ] -> mid
-  | _ -> assert false
 
 let cycles_per_ns_cache = Atomic.make nan
 

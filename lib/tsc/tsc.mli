@@ -63,16 +63,9 @@ val pin_to_cpu : int -> bool
 val num_cpus : unit -> int
 (** Number of online CPUs. *)
 
-val clock_pair : unit -> int * int
-(** A [(monotonic_ns, rdtscp_lfence)] reading taken at one instant: the
-    TSC read is bracketed by two monotonic reads, and the tightest of a
-    few brackets is kept, so a preemption between the two clocks' reads
-    cannot skew a window measured from pairs. *)
-
 val cycles_per_ns : unit -> float
 (** Measured TSC frequency in cycles per nanosecond.  Calibrated once,
-    lazily, against the monotonic clock: the median of three short
-    windows, each bounded by {!clock_pair} readings. *)
+    lazily, against the monotonic clock over a short window. *)
 
 val cycles_to_ns : int -> float
 (** Convert a TSC delta to nanoseconds using {!cycles_per_ns}. *)

@@ -1,20 +1,35 @@
 module Core (T : Hwts.Timestamp.S) = struct
   module V = Vcas_obj.Make (T)
 
-  type node = Leaf of int | Internal of inode
-  and inode = { ikey : int; left : edge V.t; right : edge V.t }
-  and edge = { target : node; flagged : bool; tagged : bool }
-
-  type dir = L | R
+  (* Every child edge is a versioned cell holding a [node].  A clean edge
+     is its target node itself; only a flagged (leaf being deleted) or
+     tagged (parent being spliced out) edge allocates a [Mark] around its
+     target, and a [Mark]'s target is never itself a [Mark].  A tree level
+     is therefore three heap blocks: cell, version, node.  CAS still
+     compares versions, which are fresh per write, so reinstalling a node
+     that was linked before cannot be mistaken for an unchanged edge. *)
+  type node =
+    | Leaf of int
+    | Internal of { ikey : int; left : node V.t; right : node V.t }
+    | Mark of { target : node; flagged : bool; tagged : bool }
 
   let inf0 = max_int - 2
   let inf1 = max_int - 1
-  let inf2 = max_int
 
-  type t = { r : inode; s : inode; registry : Rq_registry.t }
+  (* [root] is the Natarajan–Mittal sentinel [r]'s left edge, the only
+     part of [r] a traversal reads.  It always holds the sentinel [s]:
+     a real key's leaf hangs below an internal node under [s], so [s] is
+     at most a seek's ancestor and no update writes [root]. *)
+  type t = { root : node V.t; registry : Rq_registry.t }
 
   let name = "vcas-bst(" ^ T.name ^ ")"
-  let clean target = { target; flagged = false; tagged = false }
+  let target = function Mark m -> m.target | node -> node
+  let flagged = function Mark m -> m.flagged | _ -> false
+  let tagged = function Mark m -> m.tagged | _ -> false
+  let marked = function Mark _ -> true | _ -> false
+
+  let edge target ~flagged ~tagged =
+    if flagged || tagged then Mark { target; flagged; tagged } else target
 
   (* Bound version chains: after labeling our own write at [label], cut
      history that no open snapshot can need (announce-then-read makes
@@ -25,92 +40,87 @@ module Core (T : Hwts.Timestamp.S) = struct
 
   let create () =
     let s =
-      {
-        ikey = inf1;
-        left = V.make (clean (Leaf inf0));
-        right = V.make (clean (Leaf inf1));
-      }
+      Internal
+        { ikey = inf1; left = V.make (Leaf inf0); right = V.make (Leaf inf1) }
     in
-    let r =
-      {
-        ikey = inf2;
-        left = V.make (clean (Internal s));
-        right = V.make (clean (Leaf inf2));
-      }
-    in
-    { r; s; registry = Rq_registry.create () }
+    { root = V.make s; registry = Rq_registry.create () }
 
-  let child n = function L -> n.left | R -> n.right
-  let other = function L -> R | R -> L
-  let dir_of n key = if key < n.ikey then L else R
-
+  (* The seek record names cells rather than (node, direction) pairs:
+     [par_cell] holds the edge to the leaf, [sib_cell] the parent's other
+     edge, [anc_cell] the ancestor's edge to [successor]. *)
   type seek_record = {
-    ancestor : inode;
-    anc_dir : dir;
+    anc_cell : node V.t;
     successor : node;
-    parent : inode;
-    par_dir : dir;
-    par_ver : edge V.version;
+    par_cell : node V.t;
+    sib_cell : node V.t;
+    par_ver : node V.version;
     leaf_key : int;
     leaf : node;
   }
 
   let seek t key =
-    let rec descend ancestor anc_dir successor parent par_dir par_ver =
-      let par_edge = V.value par_ver in
-      match par_edge.target with
+    let rec descend anc_cell successor par_cell sib_cell par_ver node =
+      match node with
+      | Mark m ->
+        descend anc_cell successor par_cell sib_cell par_ver m.target
       | Leaf k ->
         {
-          ancestor;
-          anc_dir;
+          anc_cell;
           successor;
-          parent;
-          par_dir;
+          par_cell;
+          sib_cell;
           par_ver;
           leaf_key = k;
-          leaf = par_edge.target;
+          leaf = node;
         }
       | Internal n ->
-        let ancestor, anc_dir, successor =
-          if par_edge.tagged then (ancestor, anc_dir, successor)
-          else (parent, par_dir, par_edge.target)
+        let anc_cell, successor =
+          if tagged (V.value par_ver) then (anc_cell, successor)
+          else (par_cell, node)
         in
-        let d = dir_of n key in
-        descend ancestor anc_dir successor n d (V.head (child n d))
+        let cell, sib =
+          if key < n.ikey then (n.left, n.right) else (n.right, n.left)
+        in
+        let ver = V.head cell in
+        descend anc_cell successor cell sib ver (V.value ver)
     in
     Hwts_trace.Span.enter Hwts_trace.Traverse;
-    let r = descend t.r L (Internal t.s) t.s L (V.head t.s.left) in
+    (* Entering [s] through the clean [root] edge makes [root] the
+       ancestor cell and [s] the successor, the seek's usual start; the
+       sibling argument is replaced at that same step. *)
+    let root = V.head t.root in
+    let s = V.value root in
+    let r = descend t.root s t.root t.root root s in
     Hwts_trace.Span.exit Hwts_trace.Traverse;
     r
 
   let cleanup r =
-    let key_cell = child r.parent r.par_dir in
-    let sibling_cell = child r.parent (other r.par_dir) in
-    let key_edge = V.read key_cell in
-    let promote_cell = if key_edge.flagged then sibling_cell else key_cell in
+    let promote_cell =
+      if flagged (V.read r.par_cell) then r.sib_cell else r.par_cell
+    in
     let rec tag () =
       let ver = V.head promote_cell in
       let e = V.value ver in
-      if e.tagged then e
+      if tagged e then e
       else
-        let tagged = { e with tagged = true } in
-        if V.cas promote_cell ver tagged then tagged else tag ()
+        let tagged_e =
+          Mark { target = target e; flagged = flagged e; tagged = true }
+        in
+        if V.cas promote_cell ver tagged_e then tagged_e else tag ()
     in
     let promoted = tag () in
-    let anc_cell = child r.ancestor r.anc_dir in
-    let anc_ver = V.head anc_cell in
+    let anc_ver = V.head r.anc_cell in
     let anc_edge = V.value anc_ver in
-    anc_edge.target == r.successor
-    && (not anc_edge.tagged)
-    && V.cas anc_cell anc_ver
-         { target = promoted.target; flagged = promoted.flagged; tagged = false }
+    target anc_edge == r.successor
+    && (not (tagged anc_edge))
+    && V.cas r.anc_cell anc_ver
+         (edge (target promoted) ~flagged:(flagged promoted) ~tagged:false)
 
   let rec insert t key =
     assert (key < inf0);
     let r = seek t key in
-    let par_edge = V.value r.par_ver in
     if r.leaf_key = key then false
-    else if par_edge.flagged || par_edge.tagged then begin
+    else if marked (V.value r.par_ver) then begin
       ignore (cleanup r);
       insert t key
     end
@@ -121,43 +131,35 @@ module Core (T : Hwts.Timestamp.S) = struct
       in
       let internal =
         Internal
-          {
-            ikey = max key r.leaf_key;
-            left = V.make (clean small);
-            right = V.make (clean big);
-          }
+          { ikey = max key r.leaf_key; left = V.make small; right = V.make big }
       in
-      let cell = child r.parent r.par_dir in
-      match V.cas_with cell r.par_ver (clean internal) with
+      match V.cas_with r.par_cell r.par_ver internal with
       | Some installed ->
-        prune_with t cell (V.timestamp installed);
+        prune_with t r.par_cell (V.timestamp installed);
         true
-      | None -> begin
-        let e = V.read cell in
-        if e.target == r.leaf && (e.flagged || e.tagged) then ignore (cleanup r);
+      | None ->
+        let e = V.read r.par_cell in
+        if target e == r.leaf && marked e then ignore (cleanup r);
         insert t key
-      end
     end
 
   let rec delete t key =
     let r = seek t key in
-    let par_edge = V.value r.par_ver in
     if r.leaf_key <> key then false
-    else if par_edge.flagged || par_edge.tagged then begin
+    else if marked (V.value r.par_ver) then begin
       ignore (cleanup r);
       delete t key
     end
     else begin
-      let cell = child r.parent r.par_dir in
-      match V.cas_with cell r.par_ver { par_edge with flagged = true } with
+      let flag = Mark { target = r.leaf; flagged = true; tagged = false } in
+      match V.cas_with r.par_cell r.par_ver flag with
       | Some installed ->
-        prune_with t cell (V.timestamp installed);
+        prune_with t r.par_cell (V.timestamp installed);
         if cleanup r then true else finish t key r.leaf
-      | None -> begin
-        let e = V.read cell in
-        if e.target == r.leaf && (e.flagged || e.tagged) then ignore (cleanup r);
+      | None ->
+        let e = V.read r.par_cell in
+        if target e == r.leaf && marked e then ignore (cleanup r);
         delete t key
-      end
     end
 
   and finish t key leaf =
@@ -170,10 +172,11 @@ module Core (T : Hwts.Timestamp.S) = struct
     let rec down node =
       match node with
       | Leaf k -> k = key
-      | Internal n -> down (V.read (child n (dir_of n key))).target
+      | Internal n -> down (V.read (if key < n.ikey then n.left else n.right))
+      | Mark m -> down m.target
     in
     Hwts_trace.Span.enter Hwts_trace.Traverse;
-    let r = down (Internal t.s) in
+    let r = down (V.read t.root) in
     Hwts_trace.Span.exit Hwts_trace.Traverse;
     r
 
@@ -192,11 +195,12 @@ module Core (T : Hwts.Timestamp.S) = struct
         if k >= lo && k <= hi && k < inf0 then
           Sync.Scratch.Int_buffer.push buf k
       | Internal n ->
-        if lo < n.ikey then collect (read_edge n.left).target;
-        if hi >= n.ikey then collect (read_edge n.right).target
+        if lo < n.ikey then collect (read_edge n.left);
+        if hi >= n.ikey then collect (read_edge n.right)
+      | Mark m -> collect m.target
     in
     Hwts_trace.Span.enter Hwts_trace.Traverse;
-    collect root;
+    collect (read_edge root);
     Hwts_trace.Span.exit Hwts_trace.Traverse;
     Sync.Scratch.Int_buffer.to_list buf
 
@@ -213,30 +217,28 @@ module Core (T : Hwts.Timestamp.S) = struct
 
   let collect_at t s ~lo ~hi =
     let ts = snap_label s in
-    collect_keys ~read_edge:(fun c -> V.read_at c ts) ~lo ~hi (Internal t.s)
+    collect_keys ~read_edge:(fun c -> V.read_at c ts) ~lo ~hi t.root
 
   let lookup_at t s key =
     let ts = snap_label s in
     let rec down node =
       match node with
       | Leaf k -> k = key
-      | Internal n -> down (V.read_at (child n (dir_of n key)) ts).target
+      | Internal n ->
+        down (V.read_at (if key < n.ikey then n.left else n.right) ts)
+      | Mark m -> down m.target
     in
-    down (Internal t.s)
+    down (V.read_at t.root ts)
 
-  let to_list t =
-    collect_keys ~read_edge:V.read ~lo:min_int ~hi:max_int (Internal t.s)
-
+  let to_list t = collect_keys ~read_edge:V.read ~lo:min_int ~hi:max_int t.root
   let size t = List.length (to_list t)
 
   let version_chain_stats t =
     let rec spine (edges, versions) cell =
-      let count = V.chain_length cell in
-      match (V.read cell).target with
-      | Leaf _ -> (edges + 1, versions + count)
-      | Internal n -> spine (edges + 1, versions + count) n.left
+      let acc = (edges + 1, versions + V.chain_length cell) in
+      match target (V.read cell) with Internal n -> spine acc n.left | _ -> acc
     in
-    spine (0, 0) t.s.left
+    spine (0, 0) t.root
   (* Versioned links / bundles retain old values under GC; there is no
      reclamation grace protocol to participate in. *)
   let quiesce _ = ()

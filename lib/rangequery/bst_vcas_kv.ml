@@ -2,143 +2,136 @@ module Make (T : Hwts.Timestamp.S) = struct
   module V = Vcas_obj.Make (T)
 
   (* Natarajan–Mittal external BST with value-carrying leaves; every child
-     edge is a versioned object.  Mirrors Bst_vcas, plus value plumbing
-     and leaf replacement for update-in-place. *)
+     edge is a versioned object.  Mirrors Bst_vcas (same edge encoding: a
+     clean edge is its target node, a flagged or tagged one a [Mark]),
+     plus value plumbing and leaf replacement for update-in-place. *)
 
-  type 'v node = Leaf of leaf_key * 'v option | Internal of 'v inode
-
-  and 'v inode = {
-    ikey : int;
-    left : 'v edge V.t;
-    right : 'v edge V.t;
-  }
-
-  and 'v edge = { target : 'v node; flagged : bool; tagged : bool }
+  type 'v node =
+    | Leaf of leaf_key * 'v option
+    | Internal of { ikey : int; left : 'v node V.t; right : 'v node V.t }
+    | Mark of { target : 'v node; flagged : bool; tagged : bool }
 
   and leaf_key = int
 
-  type dir = L | R
-
   let inf0 = max_int - 2
   let inf1 = max_int - 1
-  let inf2 = max_int
 
-  type 'v t = { r : 'v inode; s : 'v inode; registry : Rq_registry.t }
+  type 'v t = { root : 'v node V.t; registry : Rq_registry.t }
 
   let name = "vcas-bst-kv(" ^ T.name ^ ")"
-  let clean target = { target; flagged = false; tagged = false }
+  let target = function Mark m -> m.target | node -> node
+  let flagged = function Mark m -> m.flagged | _ -> false
+  let tagged = function Mark m -> m.tagged | _ -> false
+  let marked = function Mark _ -> true | _ -> false
+
+  let edge target ~flagged ~tagged =
+    if flagged || tagged then Mark { target; flagged; tagged } else target
 
   let prune_with t cell label =
     V.prune cell (Rq_registry.min_active_cached t.registry ~default:label)
 
   let create () =
     let s =
-      {
-        ikey = inf1;
-        left = V.make (clean (Leaf (inf0, None)));
-        right = V.make (clean (Leaf (inf1, None)));
-      }
+      Internal
+        {
+          ikey = inf1;
+          left = V.make (Leaf (inf0, None));
+          right = V.make (Leaf (inf1, None));
+        }
     in
-    let r =
-      {
-        ikey = inf2;
-        left = V.make (clean (Internal s));
-        right = V.make (clean (Leaf (inf2, None)));
-      }
-    in
-    { r; s; registry = Rq_registry.create () }
-
-  let child n = function L -> n.left | R -> n.right
-  let other = function L -> R | R -> L
-  let dir_of n key = if key < n.ikey then L else R
+    { root = V.make s; registry = Rq_registry.create () }
 
   type 'v seek_record = {
-    ancestor : 'v inode;
-    anc_dir : dir;
+    anc_cell : 'v node V.t;
     successor : 'v node;
-    parent : 'v inode;
-    par_dir : dir;
-    par_ver : 'v edge V.version;
+    par_cell : 'v node V.t;
+    sib_cell : 'v node V.t;
+    par_ver : 'v node V.version;
     leaf_key : int;
-    leaf_value : 'v option;
     leaf : 'v node;
   }
 
   let seek t key =
-    let rec descend ancestor anc_dir successor parent par_dir par_ver =
-      let par_edge = V.value par_ver in
-      match par_edge.target with
-      | Leaf (k, v) ->
+    let rec descend anc_cell successor par_cell sib_cell par_ver node =
+      match node with
+      | Mark m ->
+        descend anc_cell successor par_cell sib_cell par_ver m.target
+      | Leaf (k, _) ->
         {
-          ancestor;
-          anc_dir;
+          anc_cell;
           successor;
-          parent;
-          par_dir;
+          par_cell;
+          sib_cell;
           par_ver;
           leaf_key = k;
-          leaf_value = v;
-          leaf = par_edge.target;
+          leaf = node;
         }
       | Internal n ->
-        let ancestor, anc_dir, successor =
-          if par_edge.tagged then (ancestor, anc_dir, successor)
-          else (parent, par_dir, par_edge.target)
+        let anc_cell, successor =
+          if tagged (V.value par_ver) then (anc_cell, successor)
+          else (par_cell, node)
         in
-        let d = dir_of n key in
-        descend ancestor anc_dir successor n d (V.head (child n d))
+        let cell, sib =
+          if key < n.ikey then (n.left, n.right) else (n.right, n.left)
+        in
+        let ver = V.head cell in
+        descend anc_cell successor cell sib ver (V.value ver)
     in
     Hwts_trace.Span.enter Hwts_trace.Traverse;
-    let r = descend t.r L (Internal t.s) t.s L (V.head t.s.left) in
+    (* Entering [s] through the clean [root] edge makes [root] the
+       ancestor cell and [s] the successor, the seek's usual start; the
+       sibling argument is replaced at that same step. *)
+    let root = V.head t.root in
+    let s = V.value root in
+    let r = descend t.root s t.root t.root root s in
     Hwts_trace.Span.exit Hwts_trace.Traverse;
     r
 
   let cleanup r =
-    let key_cell = child r.parent r.par_dir in
-    let sibling_cell = child r.parent (other r.par_dir) in
-    let key_edge = V.read key_cell in
-    let promote_cell = if key_edge.flagged then sibling_cell else key_cell in
+    let promote_cell =
+      if flagged (V.read r.par_cell) then r.sib_cell else r.par_cell
+    in
     let rec tag () =
       let ver = V.head promote_cell in
       let e = V.value ver in
-      if e.tagged then e
+      if tagged e then e
       else
-        let tagged = { e with tagged = true } in
-        if V.cas promote_cell ver tagged then tagged else tag ()
+        let tagged_e =
+          Mark { target = target e; flagged = flagged e; tagged = true }
+        in
+        if V.cas promote_cell ver tagged_e then tagged_e else tag ()
     in
     let promoted = tag () in
-    let anc_cell = child r.ancestor r.anc_dir in
-    let anc_ver = V.head anc_cell in
+    let anc_ver = V.head r.anc_cell in
     let anc_edge = V.value anc_ver in
-    anc_edge.target == r.successor
-    && (not anc_edge.tagged)
-    && V.cas anc_cell anc_ver
-         { target = promoted.target; flagged = promoted.flagged; tagged = false }
+    target anc_edge == r.successor
+    && (not (tagged anc_edge))
+    && V.cas r.anc_cell anc_ver
+         (edge (target promoted) ~flagged:(flagged promoted) ~tagged:false)
 
-  (* Shared update driver: on key hit run [on_hit], on miss link a fresh
-     internal with the new leaf.  Both paths are single versioned CASes. *)
+  (* Shared update driver: on a key hit replace the leaf (when
+     [overwrite]), on a miss link a fresh internal with the new leaf.
+     Both paths are single versioned CASes. *)
   let rec update t key value ~overwrite =
     assert (key < inf0);
     let r = seek t key in
-    let par_edge = V.value r.par_ver in
+    let par_marked = marked (V.value r.par_ver) in
     if r.leaf_key = key then
       if not overwrite then false
       else begin
         (* replace the leaf in place *)
-        if par_edge.flagged || par_edge.tagged then begin
+        if par_marked then begin
           ignore (cleanup r);
           update t key value ~overwrite
         end
-        else begin
-          let cell = child r.parent r.par_dir in
-          match V.cas_with cell r.par_ver (clean (Leaf (key, Some value))) with
+        else
+          match V.cas_with r.par_cell r.par_ver (Leaf (key, Some value)) with
           | Some installed ->
-            prune_with t cell (V.timestamp installed);
+            prune_with t r.par_cell (V.timestamp installed);
             true
           | None -> update t key value ~overwrite
-        end
       end
-    else if par_edge.flagged || par_edge.tagged then begin
+    else if par_marked then begin
       ignore (cleanup r);
       update t key value ~overwrite
     end
@@ -149,20 +142,15 @@ module Make (T : Hwts.Timestamp.S) = struct
       in
       let internal =
         Internal
-          {
-            ikey = max key r.leaf_key;
-            left = V.make (clean small);
-            right = V.make (clean big);
-          }
+          { ikey = max key r.leaf_key; left = V.make small; right = V.make big }
       in
-      let cell = child r.parent r.par_dir in
-      match V.cas_with cell r.par_ver (clean internal) with
+      match V.cas_with r.par_cell r.par_ver internal with
       | Some installed ->
-        prune_with t cell (V.timestamp installed);
+        prune_with t r.par_cell (V.timestamp installed);
         true
       | None ->
-        let e = V.read cell in
-        if e.target == r.leaf && (e.flagged || e.tagged) then ignore (cleanup r);
+        let e = V.read r.par_cell in
+        if target e == r.leaf && marked e then ignore (cleanup r);
         update t key value ~overwrite
     end
 
@@ -171,21 +159,20 @@ module Make (T : Hwts.Timestamp.S) = struct
 
   let rec remove t key =
     let r = seek t key in
-    let par_edge = V.value r.par_ver in
     if r.leaf_key <> key then false
-    else if par_edge.flagged || par_edge.tagged then begin
+    else if marked (V.value r.par_ver) then begin
       ignore (cleanup r);
       remove t key
     end
     else begin
-      let cell = child r.parent r.par_dir in
-      match V.cas_with cell r.par_ver { par_edge with flagged = true } with
+      let flag = Mark { target = r.leaf; flagged = true; tagged = false } in
+      match V.cas_with r.par_cell r.par_ver flag with
       | Some installed ->
-        prune_with t cell (V.timestamp installed);
+        prune_with t r.par_cell (V.timestamp installed);
         if cleanup r then true else finish t key r.leaf
       | None ->
-        let e = V.read cell in
-        if e.target == r.leaf && (e.flagged || e.tagged) then ignore (cleanup r);
+        let e = V.read r.par_cell in
+        if target e == r.leaf && marked e then ignore (cleanup r);
         remove t key
     end
 
@@ -199,10 +186,11 @@ module Make (T : Hwts.Timestamp.S) = struct
     let rec down node =
       match node with
       | Leaf (k, v) -> if k = key then v else None
-      | Internal n -> down (V.read (child n (dir_of n key))).target
+      | Internal n -> down (V.read (if key < n.ikey then n.left else n.right))
+      | Mark m -> down m.target
     in
     Hwts_trace.Span.enter Hwts_trace.Traverse;
-    let r = down (Internal t.s) in
+    let r = down (V.read t.root) in
     Hwts_trace.Span.exit Hwts_trace.Traverse;
     r
 
@@ -217,12 +205,13 @@ module Make (T : Hwts.Timestamp.S) = struct
         else acc)
       | Internal n ->
         let acc =
-          if hi >= n.ikey then collect acc (read_edge n.right).target else acc
+          if hi >= n.ikey then collect acc (read_edge n.right) else acc
         in
-        if lo < n.ikey then collect acc (read_edge n.left).target else acc
+        if lo < n.ikey then collect acc (read_edge n.left) else acc
+      | Mark m -> collect acc m.target
     in
     Hwts_trace.Span.enter Hwts_trace.Traverse;
-    let r = collect [] (Internal t.s) in
+    let r = collect [] (read_edge t.root) in
     Hwts_trace.Span.exit Hwts_trace.Traverse;
     r
 
@@ -247,9 +236,11 @@ module Make (T : Hwts.Timestamp.S) = struct
     let rec down node =
       match node with
       | Leaf (k, v) -> if k = key then v else None
-      | Internal n -> down (V.read_at (child n (dir_of n key)) ts).target
+      | Internal n ->
+        down (V.read_at (if key < n.ikey then n.left else n.right) ts)
+      | Mark m -> down m.target
     in
-    down (Internal t.s)
+    down (V.read_at t.root ts)
 
   let collect_at t s ~lo ~hi =
     let ts = snap_label s in

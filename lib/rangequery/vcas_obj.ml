@@ -1,11 +1,27 @@
 module Make (T : Hwts.Timestamp.S) = struct
+  (* The label lives in the version itself, as its first field, so a
+     traversal step touches the cell and the version and nothing else.
+     [ts] is never read or written as a record field after allocation:
+     only through [label] and [cas_label] below. *)
   type 'a version = {
+    mutable ts : int; (* 0 = not yet labeled *)
     v : 'a;
-    ts : int Atomic.t; (* 0 = not yet labeled *)
     older : 'a version option Atomic.t;
   }
 
   type 'a t = 'a version Atomic.t
+
+  (* Typed atomic access to a version's label.  [%atomic_load] and
+     [%atomic_cas] are the primitives behind [Atomic.get] and
+     [Atomic.compare_and_set]; they act on field 0 of the block they are
+     given, and an [Atomic.t] is nothing but a one-field mutable block.
+     Applied to a version they therefore read and CAS [ts] with the same
+     ordering guarantees as an [int Atomic.t].  The field holds an
+     immediate, so the CAS's write barrier records nothing, and typing
+     the externals at ['a version -> int] keeps them off every other
+     field and every other type. *)
+  external label : 'a version -> int = "%atomic_load"
+  external cas_label : 'a version -> int -> int -> bool = "%atomic_cas"
 
   (* Shared across all instantiations: the registry get-or-creates by name,
      and the counters shard per domain internally. *)
@@ -20,16 +36,16 @@ module Make (T : Hwts.Timestamp.S) = struct
      (including the installer labeling its own write); [help_wins] counts
      the CASes that actually assigned the label. *)
   let init_ts version =
-    if Atomic.get version.ts = 0 then begin
+    if label version = 0 then begin
       if Hwts_obs.Config.enabled () then
         Hwts_obs.Counter.incr help_attempts;
       let now = T.read () in
-      if Atomic.compare_and_set version.ts 0 now then
+      if cas_label version 0 now then
         if Hwts_obs.Config.enabled () then Hwts_obs.Counter.incr help_wins
     end
 
   let make v =
-    let version = { v; ts = Atomic.make 0; older = Atomic.make None } in
+    let version = { ts = 0; v; older = Atomic.make None } in
     init_ts version;
     Atomic.make version
 
@@ -39,14 +55,14 @@ module Make (T : Hwts.Timestamp.S) = struct
     version
 
   let value version = version.v
-  let timestamp version = Atomic.get version.ts
+  let timestamp = label
   let read t = (head t).v
 
   let cas_with t expected v =
     (* The expected head is already labeled (head labels), so a new version
        installed after it can only get an equal or later label. *)
     let candidate =
-      { v; ts = Atomic.make 0; older = Atomic.make (Some expected) }
+      { ts = 0; v; older = Atomic.make (Some expected) }
     in
     if Atomic.get t == expected && Atomic.compare_and_set t expected candidate
     then begin
@@ -90,7 +106,7 @@ module Make (T : Hwts.Timestamp.S) = struct
      labeled by the [init_ts] call, so the caller can re-check the label). *)
   let rec version_at version ts hops =
     init_ts version;
-    if Atomic.get version.ts <= ts then begin
+    if label version <= ts then begin
       if Hwts_obs.Config.enabled () then Hwts_obs.Counter.add read_hops hops;
       version
     end
@@ -105,13 +121,13 @@ module Make (T : Hwts.Timestamp.S) = struct
 
   let read_at_opt t ts =
     let version = version_at (Atomic.get t) ts 0 in
-    if Atomic.get version.ts <= ts then Some version.v else None
+    if label version <= ts then Some version.v else None
 
   (* keep the newest version labeled <= min_ts; sever everything older.
      Pending (ts = 0) versions are newer than any labeled one, so keep
      walking. *)
   let rec cut version min_ts =
-    let ts = Atomic.get version.ts in
+    let ts = label version in
     if ts <> 0 && ts <= min_ts then begin
       if Hwts_obs.Config.enabled () && Atomic.get version.older <> None then
         Hwts_obs.Counter.incr prunes;

@@ -48,12 +48,29 @@ let read_cached () =
   c.left <- c.left - 1;
   c.v
 
+(* A [(monotonic_ns, TSC)] reading of one instant.  The TSC read sits
+   between two monotonic reads and the tightest of five brackets is kept,
+   so a preemption between the two clocks' reads cannot skew a window
+   measured from such pairs. *)
+let clock_pair () =
+  let rec best n width pair =
+    if n = 0 then pair
+    else
+      let t0 = monotonic_ns () in
+      let c = rdtscp_lfence () in
+      let t1 = monotonic_ns () in
+      if t1 - t0 < width then best (n - 1) (t1 - t0) (t0 + ((t1 - t0) / 2), c)
+      else best (n - 1) width pair
+  in
+  best 5 max_int (0, 0)
+
 (* Calibrate the TSC frequency against the monotonic clock.  A ~5 ms busy
-   window gives better than 0.1% accuracy, plenty for reporting. *)
+   window gives better than 0.1% accuracy, plenty for reporting; each end
+   is a bracketed [clock_pair], so a preemption at either end cannot
+   stretch one clock's span and not the other's. *)
 let calibrate_cycles_per_ns () =
   let window_ns = 5_000_000 in
-  let t0_ns = monotonic_ns () in
-  let c0 = rdtscp_lfence () in
+  let t0_ns, c0 = clock_pair () in
   let rec spin () =
     if monotonic_ns () - t0_ns < window_ns then begin
       cpu_relax ();
@@ -61,8 +78,7 @@ let calibrate_cycles_per_ns () =
     end
   in
   spin ();
-  let c1 = rdtscp_lfence () in
-  let t1_ns = monotonic_ns () in
+  let t1_ns, c1 = clock_pair () in
   let dns = t1_ns - t0_ns and dcy = c1 - c0 in
   if dns <= 0 || dcy <= 0 then 1.0 else float_of_int dcy /. float_of_int dns
 

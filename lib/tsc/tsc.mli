@@ -63,9 +63,17 @@ val pin_to_cpu : int -> bool
 val num_cpus : unit -> int
 (** Number of online CPUs. *)
 
+val clock_pair : unit -> int * int
+(** [(monotonic_ns, TSC)] at one instant: a fenced TSC read bracketed by
+    two {!monotonic_ns} reads, the tightest of five brackets kept, with
+    the monotonic time taken at the bracket's midpoint.  Windows measured
+    between two pairs are immune to a preemption between the clocks'
+    reads. *)
+
 val cycles_per_ns : unit -> float
 (** Measured TSC frequency in cycles per nanosecond.  Calibrated once,
-    lazily, against the monotonic clock over a short window. *)
+    lazily, against the monotonic clock over a short window whose ends
+    are {!clock_pair} readings. *)
 
 val cycles_to_ns : int -> float
 (** Convert a TSC delta to nanoseconds using {!cycles_per_ns}. *)

@@ -73,6 +73,75 @@ let vcas_concurrent_single_winner () =
   Alcotest.(check int) "final value" rounds (V.read o);
   Alcotest.(check int) "one winner per round" rounds (List.fold_left ( + ) 0 wins)
 
+(* A clock whose next [read] can be armed to park the reading domain, so
+   a test can hold an installer between publishing a version and
+   labeling it.  Every read returns a fresh value, so racing helpers each
+   propose a different label and only agreement on the winner's passes. *)
+module Gate = struct
+  let name = "gate"
+  let is_hardware = false
+  let word = Atomic.make 100
+
+  (* 0 = open, 1 = armed (the next read parks), 2 = a reader is parked *)
+  let gate = Atomic.make 0
+
+  let read () =
+    if Atomic.get gate = 1 && Atomic.compare_and_set gate 1 2 then
+      while Atomic.get gate = 2 do
+        Domain.cpu_relax ()
+      done;
+    Atomic.fetch_and_add word 1
+
+  let read_floor () = Atomic.get word
+  let advance () = Atomic.fetch_and_add word 1
+  let snapshot = advance
+end
+
+module VG = Rangequery.Vcas_obj.Make (Gate)
+
+let vcas_helpers_agree_on_pending_label () =
+  let prev = Hwts_obs.Config.enabled () in
+  Hwts_obs.Config.set_enabled true;
+  Fun.protect ~finally:(fun () -> Hwts_obs.Config.set_enabled prev)
+  @@ fun () ->
+  let o = VG.make "old" in
+  Atomic.set Gate.gate 1;
+  let installer = Domain.spawn (fun () -> VG.write_with o "new") in
+  (* parked inside its own labeling read: "new" is the published head and
+     its label is still 0 *)
+  while Atomic.get Gate.gate <> 2 do
+    Domain.cpu_relax ()
+  done;
+  let wins () =
+    Option.get (Hwts_obs.Registry.counter_value "rangequery.vcas.help_wins")
+  in
+  let wins_before = wins () in
+  let ready = Atomic.make 0 in
+  let seen =
+    Util.spawn_workers 8 (fun _ ->
+        Atomic.incr ready;
+        while Atomic.get ready < 8 do
+          Domain.cpu_relax ()
+        done;
+        let h = VG.head o in
+        (VG.value h, VG.timestamp h))
+  in
+  let helped = wins () - wins_before in
+  Atomic.set Gate.gate 0;
+  let installed = Domain.join installer in
+  let label = snd (List.hd seen) in
+  Alcotest.(check bool) "nonzero label" true (label > 0);
+  List.iter
+    (fun (v, ts) ->
+      Alcotest.(check string) "helper saw the pending version" "new" v;
+      Alcotest.(check int) "helpers agree on one label" label ts)
+    seen;
+  Alcotest.(check int) "installer keeps the helped label" label
+    (VG.timestamp installed);
+  Alcotest.(check int) "exactly one helper labeled it" 1 helped;
+  Alcotest.(check int) "installer's late CAS won nothing" 1
+    (wins () - wins_before)
+
 let vcas_qcheck_read_at =
   Util.qcheck ~count:200 "vcas read_at returns version in force"
     QCheck2.Gen.(list_size (int_range 1 30) (int_range 1 1000))
@@ -499,6 +568,50 @@ let obs_inert () =
       Alcotest.(check (option int)) "forced ties counted when enabled" (Some 5)
         ties_on)
 
+(* ---------- memory layout ---------- *)
+
+(* Heap words each key adds to a vCAS structure, over 8192 seeded inserts
+   under the logical clock.  A vCAS BST level is cell -> version -> node,
+   so one more block per level shows up here as whole words per key,
+   without timing anything. *)
+module LL = Hwts.Timestamp.Logical ()
+
+let words_per_key create insert =
+  let keys = 8192 in
+  let t = create () in
+  let words () = Obj.reachable_words (Obj.repr t) in
+  let empty = words () in
+  let rng = Util.rng 0x1A40 in
+  let n = ref 0 in
+  while !n < keys do
+    if insert t (Dstruct.Prng.below rng (1 lsl 30)) then incr n
+  done;
+  float_of_int (words () - empty) /. float_of_int keys
+
+let layout_bound name bound words () =
+  let w = words () in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.2f words/key <= %.1f" name w bound)
+    true (w <= bound)
+
+let layout_cases =
+  let module Bst = Rangequery.Bst_vcas.Make (LL) in
+  let module Kv = Rangequery.Bst_vcas_kv.Make (LL) in
+  let module Citrus =
+    Rangequery.Citrus_vcas.Make (Hwts_reclaim.Ebr_backend) (LL)
+  in
+  let module Skip = Rangequery.Skiplist_vcas.Make (LL) in
+  [
+    ("bst-vcas", 22., fun () -> words_per_key Bst.create Bst.insert);
+    ( "bst-vcas-kv",
+      25.,
+      fun () -> words_per_key Kv.create (fun t k -> Kv.add t k k) );
+    ("citrus-vcas", 26., fun () -> words_per_key Citrus.create Citrus.insert);
+    ("skiplist-vcas", 28., fun () -> words_per_key Skip.create Skip.insert);
+  ]
+  |> List.map (fun (name, bound, words) ->
+         Alcotest.test_case name `Quick (layout_bound name bound words))
+
 let () =
   Alcotest.run "rq-units"
     [
@@ -508,6 +621,8 @@ let () =
           Alcotest.test_case "read_at" `Quick vcas_read_at;
           Alcotest.test_case "helping labels" `Quick vcas_helping_labels_pending;
           Alcotest.test_case "single winner" `Slow vcas_concurrent_single_winner;
+          Alcotest.test_case "helpers agree on a pending label" `Quick
+            vcas_helpers_agree_on_pending_label;
           Alcotest.test_case "prune" `Quick vcas_prune;
           Alcotest.test_case "chains bounded" `Quick vcas_chains_stay_bounded;
           Alcotest.test_case "chains bounded by staleness" `Quick
@@ -541,4 +656,5 @@ let () =
         ] );
       ( "observability",
         [ Alcotest.test_case "obs is inert" `Quick obs_inert ] );
+      ("layout", layout_cases);
     ]

@@ -79,37 +79,35 @@ let calibration () =
   Alcotest.(check bool) "2100 cycles ~ 1000ns at ~2.1GHz" true
     (ns > 100. && ns < 10_000.)
 
-let measured_costs () =
-  let cost f = Tsc.measure_cost_cycles ~iters:20_000 f in
-  let rdtsc = cost Tsc.rdtsc in
-  let fenced = cost Tsc.rdtscp_lfence in
-  Alcotest.(check bool) "positive" true (rdtsc > 0.);
-  Alcotest.(check bool) "fence costs more than bare rdtsc" true (fenced > rdtsc)
+(* Median cost, in TSC cycles, of a batch of 100 reads over 200 batches.
+   A preemption inflates only the batch it lands in, and the median
+   ignores that batch; one long mean would absorb it. *)
+let median_batch_cycles reader =
+  let batch () =
+    let start = Tsc.rdtscp_lfence () in
+    for _ = 1 to 100 do
+      ignore (Sys.opaque_identity (reader ()))
+    done;
+    Tsc.rdtscp_lfence () - start
+  in
+  ignore (batch ());
+  let costs = Array.init 200 (fun _ -> batch ()) in
+  Array.sort compare costs;
+  costs.(100)
 
-(* A [(monotonic_ns, TSC)] reading of one instant: the TSC read sits
-   between two monotonic reads and the tightest of a few brackets is kept,
-   so a preemption between the two clocks' reads cannot skew a window
-   measured from such pairs. *)
-let clock_pair () =
-  let best_width = ref max_int and best = ref (0, 0) in
-  for _ = 1 to 5 do
-    let t0 = Tsc.monotonic_ns () in
-    let c = Tsc.rdtscp_lfence () in
-    let t1 = Tsc.monotonic_ns () in
-    if t1 - t0 < !best_width then begin
-      best_width := t1 - t0;
-      best := (t0 + ((t1 - t0) / 2), c)
-    end
-  done;
-  !best
+let measured_costs () =
+  let rdtsc = median_batch_cycles Tsc.rdtsc in
+  let fenced = median_batch_cycles Tsc.rdtscp_lfence in
+  Alcotest.(check bool) "positive" true (rdtsc > 0);
+  Alcotest.(check bool) "fence costs more than bare rdtsc" true (fenced > rdtsc)
 
 let wall_clock_agreement () =
   (* A busy 20ms window must measure its monotonic length in TSC cycles. *)
-  let t0, c0 = clock_pair () in
+  let t0, c0 = Tsc.clock_pair () in
   while Tsc.monotonic_ns () - t0 < 20_000_000 do
     Tsc.cpu_relax ()
   done;
-  let t1, c1 = clock_pair () in
+  let t1, c1 = Tsc.clock_pair () in
   let wall_ns = float_of_int (t1 - t0) in
   let err = abs_float (Tsc.cycles_to_ns (c1 - c0) -. wall_ns) /. wall_ns in
   Alcotest.(check bool) "within 10% of wall clock" true (err < 0.10)

@@ -6,10 +6,13 @@ type node = {
   mutable marked : bool; (* accessed under [lock] only *)
 }
 
-type t = { root : node (* sentinel: key = min_key, tree in [right] *); rcu_dom : Rcu.t }
+(* Read sections and grace waits come from the EBR backend's RCU
+   domain; nothing is retired, so no limbo is needed. *)
+module Reads = Hwts_reclaim.Ebr_backend.Reads
+
+type t = { root : node (* sentinel: key = min_key, tree in [right] *); rcu_dom : Reads.t }
 
 let name = "citrus"
-let rcu t = t.rcu_dom
 
 let make_node key left right =
   {
@@ -21,7 +24,7 @@ let make_node key left right =
   }
 
 let create () =
-  { root = make_node Ordered_set.min_key None None; rcu_dom = Rcu.create () }
+  { root = make_node Ordered_set.min_key None None; rcu_dom = Reads.create () }
 
 type dir = L | R
 
@@ -42,7 +45,7 @@ let find root key =
   in
   walk root R (Atomic.get root.right)
 
-let traverse t key = Rcu.with_read t.rcu_dom (fun () -> find t.root key)
+let traverse t key = Reads.with_read t.rcu_dom (fun () -> find t.root key)
 
 let contains t key =
   let _, _, found = traverse t key in
@@ -145,7 +148,7 @@ and delete_two_children t key prev d curr right_child l r =
     if succ_prev != curr then begin
       (* Readers that entered before the replacement may still be heading
          for the original successor: let them drain before unlinking it. *)
-      Rcu.synchronize t.rcu_dom;
+      Reads.wait_until_quiescent t.rcu_dom;
       Atomic.set succ_prev.left succ_right
     end;
     Sync.Spinlock.unlock succ.lock;

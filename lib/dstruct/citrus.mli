@@ -7,6 +7,3 @@
     unlinking the original successor, so in-flight readers still find it. *)
 
 include Ordered_set.S
-
-val rcu : t -> Rcu.t
-(** The tree's RCU domain (exposed for metrics and tests). *)

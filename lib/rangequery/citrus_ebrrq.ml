@@ -14,10 +14,9 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
     type t = node
   end)
 
-  (* One backend instance serves both roles the original code split
-     between lib/rcu and lib/ebr: read sections protect unlocked
-     traversals (and the two-children delete's grace wait), op sections
-     pin limbo for RQ recovery. *)
+  (* One backend instance serves both roles: read sections protect
+     unlocked traversals (and the two-children delete's grace wait), op
+     sections pin limbo for RQ recovery. *)
   type t = {
     root : node;
     ebr : Reclaim.t;

@@ -1,7 +1,8 @@
-(* Mirror of the gate in lib/ebr (which cannot depend on this library):
-   HWTS_RECLAIM_DEBUG=1 makes protocol violations fatal; by default they
-   bump the shared [reclaim.invariant_violations] counter and the
-   operation degrades (over-retained limbo) instead of aborting a
+(* HWTS_RECLAIM_DEBUG=1 makes reclamation-protocol violations (an op
+   section entered twice, a retire outside any op section, an unpaired
+   read-section exit, a grace wait inside a read section) fatal.  By
+   default they only bump [reclaim.invariant_violations] and the
+   operation degrades (limbo over-retains) instead of aborting a
    server. *)
 
 let enabled =

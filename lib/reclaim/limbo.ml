@@ -1,0 +1,93 @@
+(* The limbo core every backend shares: per-slot lists of retired nodes,
+   each stamped at retirement and dropped once the backend's free bound
+   has passed its stamp.  The backends differ only in where stamps and
+   bounds come from — EBR: its epoch, freeing at [epoch - 2]; plain
+   QSBR: its epoch, freeing at [epoch - 1] (quiescence announcements
+   lag one epoch behind op announcements); the TSC variant: [rdtscp],
+   freeing below the oldest online quiescence stamp less the skew.
+
+   Only a slot's owner rewrites its list, so a plain get/set pair cannot
+   lose concurrent entries; any domain may fold over a snapshot of all
+   lists (the EBR-RQ recovery of just-deleted nodes). *)
+
+type 'a entry = { node : 'a; stamp : int }
+
+type 'a t = {
+  lists : 'a entry list Atomic.t array; (* owner-mutated, anyone-read *)
+  reclaimed : int Atomic.t;
+  on_free : ('a -> unit) option;
+      (* runs on the trimming domain as an entry is dropped; the
+         poison-on-free tortures use it to mark nodes whose reuse after
+         this point would be a use-after-free *)
+  limbo_len : Hwts_obs.Histogram.t;
+}
+
+(* Backend-neutral series, so bench.reclaim compares like with like. *)
+let retired_total = Hwts_obs.Registry.counter "reclaim.retired"
+let reclaimed_total = Hwts_obs.Registry.counter "reclaim.reclaimed"
+let limbo_hwm = Hwts_obs.Registry.watermark "reclaim.limbo_hwm"
+
+let create ?on_free ~limbo_len () =
+  {
+    lists = Sync.Padding.atomic_array Sync.Slot.max_slots [];
+    reclaimed = Atomic.make 0;
+    on_free;
+    limbo_len;
+  }
+
+let push t slot node ~stamp =
+  Hwts_obs.Counter.incr retired_total;
+  let cell = t.lists.(slot) in
+  Atomic.set cell ({ node; stamp } :: Atomic.get cell)
+
+(* Free every entry of [slot] with [bound - stamp > 0] (signed, so
+   stamps may wrap) and return how many were dropped.  One traversal
+   computes the histogram length, the surviving entries and the dropped
+   count together. *)
+let trim t slot ~bound =
+  let cell = t.lists.(slot) in
+  let total = ref 0 and dropped = ref 0 in
+  let keep =
+    List.filter
+      (fun e ->
+        incr total;
+        let live = bound - e.stamp <= 0 in
+        if not live then begin
+          incr dropped;
+          match t.on_free with None -> () | Some f -> f e.node
+        end;
+        live)
+      (Atomic.get cell)
+  in
+  if Hwts_obs.Config.enabled () then begin
+    Hwts_obs.Histogram.record t.limbo_len !total;
+    Hwts_obs.Watermark.observe limbo_hwm !total
+  end;
+  if !dropped > 0 then begin
+    Atomic.set cell keep;
+    ignore (Atomic.fetch_and_add t.reclaimed !dropped);
+    Hwts_obs.Counter.add reclaimed_total !dropped
+  end;
+  !dropped
+
+let fold t ~init ~f =
+  let acc = ref init in
+  for slot = 0 to Sync.Slot.max_slots - 1 do
+    List.iter (fun e -> acc := f !acc e.node) (Atomic.get t.lists.(slot))
+  done;
+  !acc
+
+let size t = fold t ~init:0 ~f:(fun n _ -> n + 1)
+let reclaimed t = Atomic.get t.reclaimed
+
+(* The epoch-advance test of both epoch-stamped schemes: every slot is
+   either idle or announcing [epoch].  Only the idle sentinel differs —
+   0 for an EBR slot outside any op section, [Qsbr.offline_stamp] for
+   an offline QSBR domain. *)
+let all_announced ~idle announce epoch =
+  let all = ref true in
+  for slot = 0 to Array.length announce - 1 do
+    let a = Atomic.get announce.(slot) in
+    if a <> idle && a <> epoch then all := false
+  done;
+  !all

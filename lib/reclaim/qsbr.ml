@@ -61,13 +61,10 @@ module type ORDER = sig
 end
 
 let quiesces = Hwts_obs.Registry.counter "reclaim.quiesces"
-let retired_total = Hwts_obs.Registry.counter "reclaim.retired"
-let reclaimed_total = Hwts_obs.Registry.counter "reclaim.reclaimed"
 let grace_waits = Hwts_obs.Registry.counter "reclaim.grace_waits"
 let grace_wait_spins = Hwts_obs.Registry.counter "reclaim.grace_wait_spins"
 let announce_stores = Hwts_obs.Registry.counter "reclaim.announce_stores"
 let limbo_len = Hwts_obs.Registry.histogram "reclaim.limbo_len"
-let limbo_hwm = Hwts_obs.Registry.watermark "reclaim.limbo_hwm"
 
 module Make_with_order
     (O : ORDER)
@@ -76,7 +73,6 @@ module Make_with_order
     end) =
 struct
   type node = N.t
-  type entry = { node : N.t; stamp : int }
 
   type dstate = {
     mutable online : bool;
@@ -88,12 +84,10 @@ struct
     order : O.t;
     announce : int Atomic.t array;
     safe : int Atomic.t array;
-    limbo : entry list Atomic.t array; (* owner-mutated, anyone-read *)
+    limbo : N.t Limbo.t;
     epoch_frequency : int;
     waiters : int Atomic.t; (* pending wait_until_quiescent calls *)
     dls : dstate Domain.DLS.key;
-    reclaimed : int Atomic.t;
-    on_free : (N.t -> unit) option;
   }
 
   let create ?(epoch_frequency = 64) ?on_free () =
@@ -101,42 +95,18 @@ struct
       order = O.create ();
       announce = Sync.Padding.atomic_array Sync.Slot.max_slots offline_stamp;
       safe = Sync.Padding.atomic_array Sync.Slot.max_slots 0;
-      limbo = Sync.Padding.atomic_array Sync.Slot.max_slots [];
+      limbo = Limbo.create ?on_free ~limbo_len ();
       epoch_frequency;
       waiters = Sync.Padding.atomic 0;
       dls =
         Domain.DLS.new_key (fun () ->
             { online = false; nesting = 0; since_trim = 0 });
-      reclaimed = Atomic.make 0;
-      on_free;
     }
 
   let trim t slot =
-    let bound = O.free_bound t.order ~announce:t.announce in
-    let cell = t.limbo.(slot) in
-    let entries = Atomic.get cell in
-    let total = ref 0 and dropped = ref 0 in
-    let keep =
-      List.filter
-        (fun e ->
-          incr total;
-          let live = bound - e.stamp <= 0 in
-          if not live then begin
-            incr dropped;
-            match t.on_free with None -> () | Some f -> f e.node
-          end;
-          live)
-        entries
-    in
-    if Hwts_obs.Config.enabled () then begin
-      Hwts_obs.Histogram.record limbo_len !total;
-      Hwts_obs.Watermark.observe limbo_hwm !total
-    end;
-    if !dropped > 0 then begin
-      Atomic.set cell keep;
-      ignore (Atomic.fetch_and_add t.reclaimed !dropped);
-      Hwts_obs.Counter.add reclaimed_total !dropped
-    end
+    ignore
+      (Limbo.trim t.limbo slot
+         ~bound:(O.free_bound t.order ~announce:t.announce))
 
   (* First touch brings the domain online: publish a quiescence stamp
      (its ops all start after this point) and install the safe-point
@@ -190,10 +160,7 @@ struct
     let d = Domain.DLS.get t.dls in
     Debug.check d.online "Qsbr.retire before any enter";
     let slot = Sync.Slot.my_slot () in
-    Hwts_obs.Counter.incr retired_total;
-    let cell = t.limbo.(slot) in
-    let entry = { node; stamp = O.retire_stamp t.order } in
-    Atomic.set cell (entry :: Atomic.get cell);
+    Limbo.push t.limbo slot node ~stamp:(O.retire_stamp t.order);
     d.since_trim <- d.since_trim + 1;
     if d.since_trim >= t.epoch_frequency then begin
       d.since_trim <- 0;
@@ -270,15 +237,9 @@ struct
     done;
     Hwts_trace.Span.exit Hwts_trace.Wait
 
-  let fold_limbo t ~init ~f =
-    let acc = ref init in
-    for slot = 0 to Sync.Slot.max_slots - 1 do
-      List.iter (fun e -> acc := f !acc e.node) (Atomic.get t.limbo.(slot))
-    done;
-    !acc
-
-  let limbo_size t = fold_limbo t ~init:0 ~f:(fun n _ -> n + 1)
-  let reclaimed t = Atomic.get t.reclaimed
+  let fold_limbo t ~init ~f = Limbo.fold t.limbo ~init ~f
+  let limbo_size t = Limbo.size t.limbo
+  let reclaimed t = Limbo.reclaimed t.limbo
 end
 
 (* Plain QSBR: one shared epoch counter, touched only at quiescence
@@ -294,19 +255,15 @@ module Epoch_order = struct
 
   let after_publish g ~announce =
     let epoch = Atomic.get g in
-    let all_current = ref true in
-    for slot = 0 to Sync.Slot.max_slots - 1 do
-      let a = Atomic.get announce.(slot) in
-      if a <> offline_stamp && a <> epoch then all_current := false
-    done;
-    if !all_current then ignore (Atomic.compare_and_set g epoch (epoch + 1))
+    if Limbo.all_announced ~idle:offline_stamp announce epoch then
+      ignore (Atomic.compare_and_set g epoch (epoch + 1))
 
   (* Safe at [stamp <= epoch - 2]: an op holding a reference to a node
      retired at stamp [e] started before the unlink, hence before the
      quiescence announcements that let the epoch reach [e + 2] — all of
      which happened after the unlink (the retire's read of [e] orders
-     them).  See the EBR argument in lib/ebr; only the announcement
-     schedule differs. *)
+     them).  Only the announcement schedule differs from the EBR
+     backend. *)
   let free_bound g ~announce:_ = Atomic.get g - 1
 end
 

@@ -30,15 +30,8 @@ module Hardware_clock : CLOCK = struct
   let name = "qsbr-tsc"
   let read () = Tsc.rdtscp ()
 
-  (* HWTS_QSBR_SKEW overrides for boxes where the Ordo handshake is
-     noisy (or in tests); otherwise measure once, lazily. *)
-  let bound =
-    lazy
-      (match Sys.getenv_opt "HWTS_QSBR_SKEW" with
-      | Some s -> ( match int_of_string_opt s with Some n when n >= 0 -> n | _ -> Hwts.Ordo.uncertainty ())
-      | None -> Hwts.Ordo.uncertainty ())
-
-  let skew () = Lazy.force bound
+  (* Measured once by Ordo's handshake, then cached. *)
+  let skew = Hwts.Ordo.uncertainty
 end
 
 module Make_clocked (C : CLOCK) = struct

@@ -222,10 +222,24 @@ let torture ?(multi = false) structure provider () =
   (match o.Torture.failure with
   | None -> ()
   | Some f ->
-    Alcotest.failf "%s/%s: oracle violation in round %d (reproduced=%b)\n%s"
+    (* leave the full history behind as a replayable fixture; the
+       multi-point case shares structure, provider and seed with the
+       single-point one, so its file is tagged like the checked-in
+       multi fixture *)
+    let file =
+      if multi then
+        Printf.sprintf "check-%s-%s-multi-seed%d.trace" structure
+          (Workload.Targets.ts_name provider)
+          cfg.Torture.seed
+      else Torture.trace_path cfg
+    in
+    let path = Filename.concat (Sys.getcwd ()) file in
+    Torture.write_trace ~path cfg f;
+    Alcotest.failf
+      "%s/%s: oracle violation in round %d (reproduced=%b), trace in %s\n%s"
       structure
       (Workload.Targets.ts_name provider)
-      f.Torture.round f.Torture.reproduced
+      f.Torture.round f.Torture.reproduced path
       (Oracle.explain ~initial:f.Torture.initial f.Torture.minimized));
   Alcotest.(check bool)
     "fault schedule fired" true

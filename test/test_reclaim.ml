@@ -1,7 +1,11 @@
-(* lib/reclaim backend tests: per-backend lifecycle, QSBR grace
-   semantics (starvation, waiter release, offline liveness), the
-   TSC-stamped variant near counter wrap, and poison-on-free tortures —
-   backend-level seeded rounds plus the full structures at 8 domains.
+(* lib/reclaim backend tests: the protocol basics on every backend
+   (limbo visibility, trims, op sections pinning limbo, read-section
+   nesting and grace waits, conservation), the EBR backend's own read
+   sections and epoch, per-backend lifecycle, QSBR grace semantics
+   (starvation, waiter release, offline liveness), the
+   TSC-stamped variant near counter wrap, protocol violations degrading
+   instead of raising, and poison-on-free tortures — backend-level
+   seeded rounds plus the full structures at 8 domains.
 
    Every multi-domain scenario here is bounded: workers run a fixed op
    count and go offline at the end, and offline bumps the safe counter,
@@ -19,6 +23,26 @@ module Cell = struct
 end
 
 let cell v = { Cell.poisoned = false; v }
+
+(* Repeat [step] until [finished] holds.  The epoch backends' free rules
+   count rounds, so they get at most [rounds] steps.  qsbr-tsc's counts
+   cycles: it frees an entry only once quiescence stamps pass it by the
+   Ordo skew bound, which a loaded box can measure in milliseconds, so it
+   gets up to two seconds instead. *)
+let drain name ~rounds finished step =
+  if name = Reclaim.Qsbr_tsc.backend_name then begin
+    let deadline = Unix.gettimeofday () +. 2.0 in
+    while (not (finished ())) && Unix.gettimeofday () < deadline do
+      step ()
+    done
+  end
+  else begin
+    let n = ref 0 in
+    while (not (finished ())) && !n < rounds do
+      incr n;
+      step ()
+    done
+  end
 
 let backends : (string * (module Reclaim.Intf.BACKEND)) list =
   [
@@ -45,12 +69,11 @@ let lifecycle (module B : Reclaim.Intf.BACKEND) () =
   Alcotest.(check bool) "limbo holds retirements" true (R.limbo_size r > 0);
   (* Enough boundary announcements / op sections for any backend's free
      rule (two epochs of lag at most) to run dry. *)
-  let rounds = ref 0 in
-  while R.limbo_size r > 0 && !rounds < 64 do
-    incr rounds;
-    R.with_op r (fun () -> ());
-    R.quiesce r
-  done;
+  drain R.name ~rounds:64
+    (fun () -> R.limbo_size r = 0)
+    (fun () ->
+      R.with_op r (fun () -> ());
+      R.quiesce r);
   R.offline r;
   Alcotest.(check int) "limbo drained" 0 (R.limbo_size r);
   Alcotest.(check int) "every retirement freed" n !freed;
@@ -101,11 +124,9 @@ let starvation (module B : Reclaim.Intf.BACKEND) () =
       Atomic.set release true;
       Domain.join d;
       (* peer offline: the next boundary announcements free everything *)
-      let rounds = ref 0 in
-      while R.limbo_size r > 0 && !rounds < 64 do
-        incr rounds;
-        R.quiesce r
-      done;
+      drain R.name ~rounds:64
+        (fun () -> R.limbo_size r = 0)
+        (fun () -> R.quiesce r);
       Alcotest.(check int) "offline unblocked the frees" 0 (R.limbo_size r);
       R.offline r)
 
@@ -171,33 +192,272 @@ let near_wrap () =
   R.offline r;
   Alcotest.(check int) "all freed across the wrap" n !freed
 
-(* The Rcu.synchronize busy-wait is observable: a reader holding a read
-   section while another domain synchronizes must bump the spin
-   counter. *)
-let sync_wait_spins_counted () =
-  let rcu = Rcu.create () in
-  let before = counter "rcu.sync_wait_spins" in
-  let in_section = Atomic.make false and hold = Atomic.make true in
+(* ---------- protocol basics, every backend ---------- *)
+
+(* [fold_limbo] sees what was retired. *)
+let retire_visible (module B : Reclaim.Intf.BACKEND) () =
+  let module R = B.Make (Cell) in
+  let r = R.create () in
+  R.with_op r (fun () ->
+      R.retire r (cell 11);
+      R.retire r (cell 22));
+  let seen = R.fold_limbo r ~init:[] ~f:(fun acc c -> c.Cell.v :: acc) in
+  Alcotest.(check (list int)) "limbo contents" [ 11; 22 ]
+    (List.sort compare seen);
+  Alcotest.(check int) "size" 2 (R.limbo_size r);
+  R.offline r
+
+(* Alone, a domain passing op sections and quiescence points frees what
+   it retired: the epoch (or clock) moves and the trims catch up. *)
+let trim_reclaims (module B : Reclaim.Intf.BACKEND) () =
+  let module R = B.Make (Cell) in
+  let r = R.create ~epoch_frequency:1 () in
+  R.with_op r (fun () -> R.retire r (cell 7));
+  drain R.name ~rounds:10
+    (fun () -> R.reclaimed r = 1)
+    (fun () ->
+      R.with_op r (fun () -> ());
+      R.quiesce r);
+  (* checked while still online: offline trims on its own *)
+  Alcotest.(check int) "reclaimed" 1 (R.reclaimed r);
+  Alcotest.(check int) "limbo drained" 0 (R.limbo_size r);
+  R.offline r
+
+(* A domain parked inside an op section, announcing a stale epoch (EBR)
+   or never quiescing (QSBR), blocks every free; once it leaves, frees
+   resume. *)
+let stale_thread_blocks (module B : Reclaim.Intf.BACKEND) () =
+  let module R = B.Make (Cell) in
+  let r = R.create ~epoch_frequency:1 () in
+  let inside = Atomic.make false and release = Atomic.make false in
   let d =
     Domain.spawn (fun () ->
         Sync.Slot.with_slot (fun _ ->
-            Rcu.read_lock rcu;
-            Atomic.set in_section true;
-            (* Bounded hold: long enough that the synchronizing domain
-               observes it, short enough to never stall the suite. *)
-            let deadline = Unix.gettimeofday () +. 0.05 in
-            while Atomic.get hold && Unix.gettimeofday () < deadline do
+            R.enter r;
+            Atomic.set inside true;
+            while not (Atomic.get release) do
               Domain.cpu_relax ()
             done;
-            Rcu.read_unlock rcu))
+            R.exit r;
+            R.offline r))
   in
-  Sync.Slot.with_slot (fun _ ->
-      while not (Atomic.get in_section) do
-        Domain.cpu_relax ()
-      done;
-      Rcu.synchronize rcu;
-      Atomic.set hold false;
-      Domain.join d);
+  while not (Atomic.get inside) do
+    Domain.cpu_relax ()
+  done;
+  let churn () =
+    R.with_op r (fun () -> ());
+    R.quiesce r
+  in
+  R.with_op r (fun () -> R.retire r (cell 1));
+  for _ = 1 to 16 do
+    churn ()
+  done;
+  let while_parked = R.reclaimed r in
+  Atomic.set release true;
+  Domain.join d;
+  (* EBR's failed advance attempts above armed its hold-off: let it
+     lapse, then allow for the cached clock that paces it to refresh
+     (once per [Tsc.refresh_period] reads) and for the three advances
+     that carry the epoch past the retirement. *)
+  Unix.sleepf 0.001;
+  drain R.name
+    ~rounds:(Tsc.refresh_period () + 3)
+    (fun () -> R.reclaimed r = 1)
+    churn;
+  R.offline r;
+  Alcotest.(check int) "blocked by the parked op" 0 while_parked;
+  Alcotest.(check int) "freed after it left" 1 (R.reclaimed r)
+
+(* An op section open on another domain keeps a node retired under it
+   in limbo, visible to that domain's [fold_limbo], however much the
+   retiring domain churns. *)
+let active_op_protects (module B : Reclaim.Intf.BACKEND) () =
+  let module R = B.Make (Cell) in
+  let r = R.create ~epoch_frequency:1 () in
+  let entered = Atomic.make false in
+  let retired = Atomic.make false and release = Atomic.make false in
+  let scanner =
+    Domain.spawn (fun () ->
+        Sync.Slot.with_slot (fun _ ->
+            R.enter r;
+            Atomic.set entered true;
+            (* wait until another domain retires under us *)
+            while not (Atomic.get retired) do
+              Domain.cpu_relax ()
+            done;
+            let seen = R.fold_limbo r ~init:0 ~f:(fun n _ -> n + 1) in
+            while not (Atomic.get release) do
+              Domain.cpu_relax ()
+            done;
+            R.exit r;
+            R.offline r;
+            seen))
+  in
+  ignore
+    (Util.spawn_workers 1 (fun _ ->
+         (* the retire must happen under the scanner's open op, so wait
+            for its announcement — otherwise the churn below is free to
+            reclaim and the test races against the domain scheduler *)
+         while not (Atomic.get entered) do
+           Domain.cpu_relax ()
+         done;
+         R.with_op r (fun () -> R.retire r (cell 99));
+         Atomic.set retired true;
+         (* churn: without the scanner's open op these would reclaim *)
+         for _ = 1 to 10 do
+           R.with_op r (fun () -> ());
+           R.quiesce r
+         done;
+         R.offline r));
+  let under_op = R.reclaimed r in
+  Atomic.set release true;
+  let seen = Domain.join scanner in
+  Alcotest.(check int) "node still in limbo under active op" 0 under_op;
+  Alcotest.(check bool) "scanner saw the retired node" true (seen >= 1)
+
+(* A grace wait started while a reader sits in a read section blocks
+   until that section closes.  [nested]: the reader holds two nested
+   sections and has left the inner one, which must not release the
+   wait. *)
+let wait_blocks_on_reader ~nested (module B : Reclaim.Intf.BACKEND) () =
+  let module R = B.Make (Cell) in
+  let r = R.create () in
+  let inside = Atomic.make false and release = Atomic.make false in
+  let waited = Atomic.make false in
+  let reader =
+    Domain.spawn (fun () ->
+        Sync.Slot.with_slot (fun _ ->
+            R.with_read r (fun () ->
+                if nested then R.with_read r (fun () -> ());
+                Atomic.set inside true;
+                while not (Atomic.get release) do
+                  Domain.cpu_relax ()
+                done);
+            R.offline r))
+  in
+  while not (Atomic.get inside) do
+    Domain.cpu_relax ()
+  done;
+  let waiter =
+    Domain.spawn (fun () ->
+        Sync.Slot.with_slot (fun _ ->
+            R.wait_until_quiescent r;
+            Atomic.set waited true))
+  in
+  Unix.sleepf 0.05;
+  let blocked = not (Atomic.get waited) in
+  Atomic.set release true;
+  Domain.join waiter;
+  Domain.join reader;
+  Alcotest.(check bool) "wait blocked by the open section" true blocked;
+  Alcotest.(check bool) "wait returned after the section closed" true
+    (Atomic.get waited)
+
+let read_nesting = wait_blocks_on_reader ~nested:true
+
+(* A reader that enters after a grace wait started must not block it:
+   run waits concurrently with a storm of short read sections. *)
+let new_readers_dont_block (module B : Reclaim.Intf.BACKEND) () =
+  let module R = B.Make (Cell) in
+  let r = R.create () in
+  let stop = Atomic.make false in
+  let readers =
+    List.init 2 (fun _ ->
+        Domain.spawn (fun () ->
+            Sync.Slot.with_slot (fun _ ->
+                while not (Atomic.get stop) do
+                  R.with_read r (fun () -> ())
+                done;
+                R.offline r)))
+  in
+  for _ = 1 to 50 do
+    R.wait_until_quiescent r
+  done;
+  Atomic.set stop true;
+  List.iter Domain.join readers;
+  R.offline r;
+  Alcotest.(check pass) "all grace waits returned" () ()
+
+(* Conservation: everything retired is either in limbo or reclaimed, for
+   any interleaving of retires, empty ops and quiescence points. *)
+let accounting (module B : Reclaim.Intf.BACKEND) =
+  let module R = B.Make (Cell) in
+  Util.qcheck ~count:100 "retire/reclaim accounting"
+    QCheck2.Gen.(list_size (int_range 1 100) (int_range 0 2))
+    (fun ops ->
+      let r = R.create ~epoch_frequency:1 () in
+      let retired = ref 0 in
+      List.iter
+        (function
+          | 0 ->
+            R.with_op r (fun () ->
+                R.retire r (cell !retired);
+                incr retired)
+          | 1 -> R.with_op r (fun () -> ())
+          | _ -> R.quiesce r)
+        ops;
+      R.offline r;
+      R.limbo_size r + R.reclaimed r = !retired)
+
+(* ---------- the EBR backend's read sections and epoch ---------- *)
+
+module E = Reclaim.Ebr_backend.Make (Cell)
+
+let debug_off () =
+  Alcotest.(check bool) "debug off in the test env" false
+    (Sys.getenv_opt "HWTS_RECLAIM_DEBUG" <> None)
+
+(* Whether the calling domain sits in a read section, seen through the
+   debug-off degrade path: a grace wait from inside one counts exactly
+   one violation, from outside none. *)
+let in_read_section e =
+  let before = counter "reclaim.invariant_violations" in
+  E.wait_until_quiescent e;
+  counter "reclaim.invariant_violations" > before
+
+let rcu_nesting () =
+  debug_off ();
+  let e = E.create () in
+  Alcotest.(check bool) "outside" false (in_read_section e);
+  E.read_lock e;
+  E.read_lock e;
+  Alcotest.(check bool) "nested" true (in_read_section e);
+  E.read_unlock e;
+  Alcotest.(check bool) "still inside" true (in_read_section e);
+  E.read_unlock e;
+  Alcotest.(check bool) "left" false (in_read_section e)
+
+(* With no reader in any section, a grace wait returns without spinning. *)
+let rcu_synchronize_idle () =
+  let e = E.create () in
+  let before = counter "rcu.sync_wait_spins" in
+  E.wait_until_quiescent e;
+  E.wait_until_quiescent e;
+  Alcotest.(check int) "no spins without readers" before
+    (counter "rcu.sync_wait_spins")
+
+let rcu_synchronize_waits =
+  wait_blocks_on_reader ~nested:false (module Reclaim.Ebr_backend)
+
+(* Alone, every op section's advance attempt succeeds: the epoch moves
+   on each one. *)
+let ebr_epoch_advances () =
+  let e = E.create ~epoch_frequency:1 () in
+  let advances () = counter "ebr.epoch_advances" in
+  let e0 = advances () in
+  E.with_op e (fun () -> E.retire e (cell 1));
+  let e1 = advances () in
+  E.with_op e (fun () -> ());
+  Alcotest.(check bool) "epoch moved" true (e1 > e0);
+  Alcotest.(check bool) "and moves again" true (advances () > e1)
+
+(* ---------- observability ---------- *)
+
+(* The EBR backend's grace-wait busy-wait is observable: a wait blocked
+   on another domain's read section bumps the spin counter. *)
+let sync_wait_spins_counted () =
+  let before = counter "rcu.sync_wait_spins" in
+  rcu_synchronize_waits ();
   Alcotest.(check bool) "spins counted" true
     (counter "rcu.sync_wait_spins" > before)
 
@@ -205,17 +465,33 @@ let sync_wait_spins_counted () =
    aborting: a double enter bumps the invariant counter and the op
    proceeds. *)
 let invariant_degrades () =
-  Alcotest.(check bool) "debug off in the test env" false
-    (Sys.getenv_opt "HWTS_RECLAIM_DEBUG" <> None);
-  let module E = Ebr.Make (Cell) in
-  let e = E.create () in
+  debug_off ();
+  let module R = Reclaim.Ebr_backend.Make (Cell) in
+  let r = R.create () in
   let before = counter "reclaim.invariant_violations" in
-  E.enter e;
-  E.enter e;
+  R.enter r;
+  R.enter r;
   (* violation: op section entered twice *)
-  E.exit e;
+  R.exit r;
   Alcotest.(check bool) "violation counted, not raised" true
     (counter "reclaim.invariant_violations" > before)
+
+(* The read-section violations degrade the same way on every backend: an
+   unpaired [read_unlock] and a grace wait from inside a read section
+   are counted, and neither raises nor waits for the caller itself. *)
+let violations_degrade (module B : Reclaim.Intf.BACKEND) () =
+  debug_off ();
+  let module R = B.Make (Cell) in
+  let r = R.create () in
+  let violations () = counter "reclaim.invariant_violations" in
+  let before = violations () in
+  R.read_unlock r;
+  Alcotest.(check int) "unpaired read_unlock counted" (before + 1)
+    (violations ());
+  R.with_read r (fun () -> R.wait_until_quiescent r);
+  Alcotest.(check int) "grace wait in a read section counted" (before + 2)
+    (violations ());
+  R.offline r
 
 (* Backend-level poison torture: worker domains race to unlink cells
    from a small shared array (retiring what they unlink) while readers
@@ -304,9 +580,35 @@ let backend_cases mk =
 let qsbr_only = List.filter (fun (n, _) -> n <> "ebr") backends
 
 let () =
+  (* Measure qsbr-tsc's skew bound now, before any test spawns a domain
+     to load the box: Ordo's first [uncertainty] call runs the handshake
+     and caches its result for every later instance. *)
+  ignore (Hwts.Ordo.uncertainty ());
   let tc = Alcotest.test_case in
   Alcotest.run "reclaim"
-    [
+    (List.map
+       (fun (n, b) ->
+         ( n,
+           [
+             tc "retire visible" `Quick (retire_visible b);
+             tc "trim reclaims" `Quick (trim_reclaims b);
+             tc "stale thread blocks" `Slow (stale_thread_blocks b);
+             tc "active op protects" `Slow (active_op_protects b);
+             tc "read nesting" `Slow (read_nesting b);
+             tc "new readers don't block" `Slow (new_readers_dont_block b);
+             accounting b;
+           ]
+           @
+           if n = "ebr" then [ tc "epoch advances" `Quick ebr_epoch_advances ]
+           else [] ))
+       backends
+    @ [
+      ( "rcu",
+        [
+          tc "nesting" `Quick rcu_nesting;
+          tc "synchronize idle" `Quick rcu_synchronize_idle;
+          tc "synchronize waits" `Slow rcu_synchronize_waits;
+        ] );
       ( "lifecycle",
         List.map
           (fun (n, f) -> tc ("retire/free " ^ n) `Quick f)
@@ -327,7 +629,10 @@ let () =
         [
           tc "rcu sync wait spins" `Quick sync_wait_spins_counted;
           tc "invariant degrades" `Quick invariant_degrades;
-        ] );
+        ]
+        @ List.map
+            (fun (n, f) -> tc ("violations degrade " ^ n) `Quick f)
+            (backend_cases violations_degrade) );
       ( "poison",
         List.map
           (fun (n, b) -> tc ("500 seeded rounds " ^ n) `Slow (poison_rounds b))
@@ -342,4 +647,4 @@ let () =
                     (structure_poison s reclaim))
                 [ "bst-ebrrq-lockfree"; "citrus-ebrrq" ])
             [ ("ebr", `Ebr); ("qsbr", `Qsbr); ("qsbr-tsc", `Qsbr_tsc) ] );
-    ]
+      ])

@@ -7,7 +7,7 @@ SMOKE_METRICS := /tmp/obs.json
   bench-scaling bench-scaling-smoke bench-adaptive bench-adaptive-smoke \
   bench-provider-zoo trace-smoke trend-guard bench-tailattr \
   bench-serve bench-serve-smoke bench-reclaim bench-reclaim-smoke \
-  bench-snapshot bench-snapshot-smoke clean
+  bench-snapshot bench-snapshot-smoke e2e-pairs clean
 
 all: build
 
@@ -244,6 +244,16 @@ bench-adaptive-smoke: build
 	dune exec bin/hwts_cli.exe -- run bst-vcas --provider adaptive \
 	  --seconds 0.2 --threads 4 --metrics-out /tmp/adaptive_obs.json
 	dune exec test/validate_metrics.exe -- /tmp/adaptive_obs.json
+
+# Alternating pairs of the served-request benchmark, BASE against the
+# working tree, each side built from source in a temporary checkout:
+#   make e2e-pairs BASE=<rev> WORKLOAD=<name> [PAIRS=10]
+# Prints medians, quartiles and pairs won for setup_s and server_rss_mb.
+PAIRS ?= 10
+e2e-pairs:
+	@test -n "$(BASE)" && test -n "$(WORKLOAD)" || \
+	  { echo "usage: make e2e-pairs BASE=<rev> WORKLOAD=<name> [PAIRS=10]" >&2; exit 2; }
+	bash bench/pairs.sh $(BASE) $(WORKLOAD) $(PAIRS)
 
 clean:
 	dune clean

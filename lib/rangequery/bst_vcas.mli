@@ -1,10 +1,11 @@
 (** vCAS-augmented lock-free external BST (the Figure-2 system).
 
-    The Natarajan–Mittal tree with every child edge replaced by a
-    {!Vcas_obj} versioned object.  Every update linearizes at exactly one
-    versioned CAS, so a snapshot that fixes a time [ts] (advancing the
-    timestamp, per vCAS's protocol) and traverses the tree through
-    [read_at ts] sees a consistent cut without locks.
+    The Natarajan–Mittal tree ([Bst_vcas_core], shared with
+    {!Bst_vcas_kv}) with every child edge replaced by a {!Vcas_obj}
+    version chain whose head is a mutable field of the parent node.
+    Every update linearizes at exactly one versioned CAS, so a snapshot
+    that fixes a time [ts] (advancing the timestamp, per vCAS's protocol)
+    and traverses the tree at [ts] sees a consistent cut without locks.
 
     The snapshot handle is also the time-travel primitive: an open handle
     pins the versions its label needs, so [collect_at] and [lookup_at]

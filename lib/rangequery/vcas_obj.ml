@@ -1,12 +1,14 @@
 module Make (T : Hwts.Timestamp.S) = struct
   (* The label lives in the version itself, as its first field, so a
-     traversal step touches the cell and the version and nothing else.
+     traversal step touches the head and the version and nothing else.
      [ts] is never read or written as a record field after allocation:
-     only through [label] and [cas_label] below. *)
+     only through [label] and [cas_label] below.  [older] is a plain
+     field; a version whose [older] is itself ends the chain, so no
+     option and no [Atomic.t] sits between two links. *)
   type 'a version = {
     mutable ts : int; (* 0 = not yet labeled *)
     v : 'a;
-    older : 'a version option Atomic.t;
+    mutable older : 'a version;
   }
 
   type 'a t = 'a version Atomic.t
@@ -44,33 +46,86 @@ module Make (T : Hwts.Timestamp.S) = struct
         if Hwts_obs.Config.enabled () then Hwts_obs.Counter.incr help_wins
     end
 
-  let make v =
-    let version = { ts = 0; v; older = Atomic.make None } in
-    init_ts version;
-    Atomic.make version
+  (* ---- heads: the newest version of a chain, kept wherever the caller
+     likes (a cell below, or a mutable field of the caller's node) ---- *)
 
-  let head t =
-    let version = Atomic.get t in
+  let first v =
+    let rec version = { ts = 0; v; older = version } in
+    init_ts version;
+    version
+
+  (* The expected head is already labeled (readers label the heads they
+     return), so a successor installed after it can only get an equal or
+     later label. *)
+  let successor expected v = { ts = 0; v; older = expected }
+
+  let publish version =
+    (* fault injection: version installed but unlabeled — readers must
+       help (the helping protocol under test) *)
+    Sync.Pause.point ();
+    init_ts version
+
+  let labeled version =
     init_ts version;
     version
 
   let value version = version.v
   let timestamp = label
+
+  (* The chain walks are module-level recursions with explicit arguments:
+     a [let rec] nested inside the reading function would allocate a
+     closure on every call, and [read_at] runs once per node visited by a
+     range query.  Returns the newest version labeled <= [ts], or the
+     chain's oldest version when none qualifies (every version it meets is
+     labeled by the [init_ts] call, so the caller can re-check the label). *)
+  let found version hops =
+    if Hwts_obs.Config.enabled () then Hwts_obs.Counter.add read_hops hops;
+    version
+
+  let rec version_at version ts hops =
+    init_ts version;
+    if label version <= ts then found version hops
+    else
+      let older = version.older in
+      if older == version then found version hops
+      else version_at older ts (hops + 1)
+
+  let value_at head ts = (version_at head ts 0).v
+
+  (* keep the newest version labeled <= min_ts; sever everything older.
+     Pending (ts = 0) versions are newer than any labeled one, so keep
+     walking. *)
+  let rec prune_from version min_ts =
+    let ts = label version in
+    let older = version.older in
+    if older == version then ()
+    else if ts <> 0 && ts <= min_ts then begin
+      if Hwts_obs.Config.enabled () then Hwts_obs.Counter.incr prunes;
+      version.older <- version
+    end
+    else prune_from older min_ts
+
+  let chain_of head =
+    let rec count acc version =
+      let older = version.older in
+      if older == version then acc else count (acc + 1) older
+    in
+    count 1 head
+
+  (* ---- cells: a head in its own [Atomic.t] ---- *)
+
+  let make v = Atomic.make (first v)
+  let head t = labeled (Atomic.get t)
   let read t = (head t).v
 
   let cas_with t expected v =
-    (* The expected head is already labeled (head labels), so a new version
-       installed after it can only get an equal or later label. *)
-    let candidate =
-      { ts = 0; v; older = Atomic.make (Some expected) }
-    in
-    if Atomic.get t == expected && Atomic.compare_and_set t expected candidate
-    then begin
-      (* fault injection: version installed but unlabeled — readers must
-         help (the helping protocol under test) *)
-      Sync.Pause.point ();
-      init_ts candidate;
-      Some candidate
+    if Atomic.get t == expected then begin
+      let candidate = successor expected v in
+      if Atomic.compare_and_set t expected candidate then begin
+        publish candidate;
+        Some candidate
+      end
+      else None
     end
     else None
 
@@ -97,54 +152,7 @@ module Make (T : Hwts.Timestamp.S) = struct
       retry 1
 
   let write t v = ignore (write_with t v)
-
-  (* The chain walks are module-level recursions with explicit arguments:
-     a [let rec] nested inside the reading function would allocate a
-     closure on every call, and [read_at] runs once per node visited by a
-     range query.  Returns the newest version labeled <= [ts], or the
-     chain's oldest version when none qualifies (every version it meets is
-     labeled by the [init_ts] call, so the caller can re-check the label). *)
-  let rec version_at version ts hops =
-    init_ts version;
-    if label version <= ts then begin
-      if Hwts_obs.Config.enabled () then Hwts_obs.Counter.add read_hops hops;
-      version
-    end
-    else
-      match Atomic.get version.older with
-      | None ->
-        if Hwts_obs.Config.enabled () then Hwts_obs.Counter.add read_hops hops;
-        version
-      | Some older -> version_at older ts (hops + 1)
-
-  let read_at t ts = (version_at (Atomic.get t) ts 0).v
-
-  let read_at_opt t ts =
-    let version = version_at (Atomic.get t) ts 0 in
-    if label version <= ts then Some version.v else None
-
-  (* keep the newest version labeled <= min_ts; sever everything older.
-     Pending (ts = 0) versions are newer than any labeled one, so keep
-     walking. *)
-  let rec cut version min_ts =
-    let ts = label version in
-    if ts <> 0 && ts <= min_ts then begin
-      if Hwts_obs.Config.enabled () && Atomic.get version.older <> None then
-        Hwts_obs.Counter.incr prunes;
-      Atomic.set version.older None
-    end
-    else
-      match Atomic.get version.older with
-      | None -> ()
-      | Some older -> cut older min_ts
-
-  let prune t min_ts = cut (Atomic.get t) min_ts
-
-  let chain_length t =
-    let rec count acc version =
-      match Atomic.get version.older with
-      | None -> acc
-      | Some older -> count (acc + 1) older
-    in
-    count 1 (Atomic.get t)
+  let read_at t ts = value_at (Atomic.get t) ts
+  let prune t min_ts = prune_from (Atomic.get t) min_ts
+  let chain_length t = chain_of (Atomic.get t)
 end

@@ -17,6 +17,45 @@ module Make (T : Hwts.Timestamp.S) : sig
   type 'a t
   type 'a version
 
+  (** {2 Heads}
+
+      A chain is named by its head, the newest version.  A caller that
+      keeps the head in a mutable field of its own node (one pointer per
+      edge, Wei et al.'s shape) drives the chain with these, and CASes
+      its field itself; a version whose older link is itself ends the
+      chain. *)
+
+  val first : 'a -> 'a version
+  (** A one-version chain holding the value, labeled now. *)
+
+  val successor : 'a version -> 'a -> 'a version
+  (** [successor expected v]: an unlabeled version holding [v] whose
+      older link is [expected].  Install it with a CAS from [expected],
+      then {!publish} it. *)
+
+  val publish : 'a version -> unit
+  (** Label a just-installed successor (helping: a reader may have
+      labeled it first). *)
+
+  val labeled : 'a version -> 'a version
+  (** The head itself, labeled (helping) — what a reader must see before
+      it uses a head's value. *)
+
+  val value_at : 'a version -> int -> 'a
+  (** [value_at head ts]: the value of the newest version labeled
+      [<= ts], or the oldest retained value when every version is newer.
+      [value_at head max_int] is [value (labeled head)]. *)
+
+  val prune_from : 'a version -> int -> unit
+  (** {!prune} for a chain named by its head. *)
+
+  val chain_of : 'a version -> int
+  (** {!chain_length} for a chain named by its head. *)
+
+  (** {2 Cells}
+
+      A head in its own [Atomic.t]. *)
+
   val make : 'a -> 'a t
 
   val head : 'a t -> 'a version
@@ -50,10 +89,6 @@ module Make (T : Hwts.Timestamp.S) : sig
   val read_at : 'a t -> int -> 'a
   (** Value at snapshot time [ts]: the newest version labeled [<= ts], or
       the creation value when every version is newer. *)
-
-  val read_at_opt : 'a t -> int -> 'a option
-  (** Like {!read_at} but [None] when no version is labeled [<= ts] — lets
-      a traversal detect a starting object that postdates its snapshot. *)
 
   val prune : 'a t -> int -> unit
   (** [prune t min_ts] drops versions that no snapshot at or after

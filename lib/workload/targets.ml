@@ -323,7 +323,7 @@ module Kv_as_set (T : Hwts.Timestamp.S) = struct
     let insert t k = K.add t k ()
     let delete t k = K.remove t k
     let contains t k = K.mem t k
-    let to_list t = List.map fst (K.to_alist t)
+    let to_list = K.keys
     let size t = K.size t
 
     type snap = K.snap
@@ -331,8 +331,8 @@ module Kv_as_set (T : Hwts.Timestamp.S) = struct
     let snapshot t = K.snapshot t
     let snap_label s = K.snap_label s
     let snap_release t s = K.snap_release t s
-    let lookup_at t s k = K.lookup_at t s k <> None
-    let collect_at t s ~lo ~hi = List.map fst (K.collect_at t s ~lo ~hi)
+    let lookup_at = K.mem_at
+    let collect_at = K.keys_at
     let quiesce _ = ()
     let offline _ = ()
   end

@@ -185,6 +185,150 @@ let vcas_prune () =
   Alcotest.(check int) "snapshot at 250 intact" 2 (V.read_at o 250);
   Alcotest.(check int) "newest intact" 3 (V.read_at o 1000)
 
+(* ---------- self-loop chain ends ---------- *)
+
+(* One chain behind either API.  [write v] installs a version holding [v]
+   and returns its label; [prune floor] cuts below [floor]; [chain ()]
+   counts retained versions; [read_at ts] reads at a label. *)
+type chain = {
+  write : int -> int;
+  prune : int -> unit;
+  chain : unit -> int;
+  read_at : int -> int;
+}
+
+let cell_chain () =
+  let o = V.make 0 in
+  {
+    write = (fun v -> V.timestamp (V.write_with o v));
+    prune = V.prune o;
+    chain = (fun () -> V.chain_length o);
+    read_at = V.read_at o;
+  }
+
+(* The head kept in a caller's field, as the BST keeps its edges. *)
+type 'a holder = { mutable head : 'a }
+
+let head_chain () =
+  let h = { head = V.first 0 } in
+  {
+    write =
+      (fun v ->
+        let c = V.successor h.head v in
+        h.head <- c;
+        V.publish c;
+        V.timestamp c);
+    prune = (fun floor -> V.prune_from h.head floor);
+    chain = (fun () -> V.chain_of h.head);
+    read_at = (fun ts -> V.value_at h.head ts);
+  }
+
+(* A snapshot held at label 150 across N overwrites pins the first
+   version; releasing it and making one more labeled write, pruned at its
+   own label, cuts the chain back to that write alone. *)
+let vcas_self_loop_chain make () =
+  reset ();
+  M.set 100;
+  let c = make () in
+  let held = 150 and n = 20 in
+  for i = 1 to n do
+    M.set (200 + i);
+    c.prune (min held (c.write i))
+  done;
+  Alcotest.(check int) "held snapshot reads its value" 0 (c.read_at held);
+  Alcotest.(check int) "N+1 versions while held" (n + 1) (c.chain ());
+  Alcotest.(check int) "newest" n (c.read_at max_int);
+  M.set 1_000;
+  let label = c.write (n + 1) in
+  c.prune label;
+  Alcotest.(check int) "one version after release" 1 (c.chain ());
+  Alcotest.(check int) "value after release" (n + 1) (c.read_at label)
+
+(* A writer prunes every write at the registry floor, as the structures
+   do, while a reader on another domain holds snapshots and reads at
+   their labels.  Every read must return a write labeled at or before
+   the reader's label: a prune that cut the chain under a reader would
+   leave it at a newer version.  The labels are recorded by the writer
+   and checked after both domains finish. *)
+module RL = Hwts.Timestamp.Logical ()
+module VR = Rangequery.Vcas_obj.Make (RL)
+
+let vcas_read_at_races_prune ~in_field () =
+  let registry = Rangequery.Rq_registry.create () in
+  let max_writes = 200_000 and snapshots = 1_000 in
+  let labels = Array.make (max_writes + 1) 0 in
+  let cell = VR.make 0 and h = { head = VR.first 0 } in
+  labels.(0) <- VR.timestamp (if in_field then h.head else VR.head cell);
+  let install v =
+    if in_field then begin
+      let c = VR.successor h.head v in
+      h.head <- c;
+      VR.publish c;
+      c
+    end
+    else VR.write_with cell v
+  in
+  let read_at ts =
+    if in_field then VR.value_at h.head ts else VR.read_at cell ts
+  in
+  let started = Atomic.make 0 and reader_done = Atomic.make false in
+  let writer_done = Atomic.make false in
+  let reads =
+    Util.spawn_workers 2 (fun me ->
+        Atomic.incr started;
+        while Atomic.get started < 2 do
+          Domain.cpu_relax ()
+        done;
+        if me = 0 then begin
+          let i = ref 1 in
+          while !i <= max_writes && not (Atomic.get reader_done) do
+            let c = install !i in
+            let label = VR.timestamp c in
+            labels.(!i) <- label;
+            VR.prune_from c
+              (Rangequery.Rq_registry.min_active_cached registry
+                 ~default:label);
+            if !i mod 7 = 0 then ignore (RL.advance ());
+            incr i
+          done;
+          Atomic.set writer_done true;
+          []
+        end
+        else begin
+          let seen = ref [] and taken = ref 0 and moved = ref false in
+          (* at least [snapshots], and on until one read saw a write *)
+          while
+            (!taken < snapshots || not !moved) && not (Atomic.get writer_done)
+          do
+            incr taken;
+            let s =
+              Rangequery.Rq_registry.snapshot registry ~floor:RL.read_floor
+                ~label:RL.snapshot
+            in
+            let l = Rangequery.Rq_registry.snap_label s in
+            (* hold the snapshot long enough for writes to land in it *)
+            for _ = 1 to 8 do
+              for _ = 1 to 64 do
+                Domain.cpu_relax ()
+              done;
+              let v = read_at l in
+              if v > 0 then moved := true;
+              seen := (l, v) :: !seen
+            done;
+            Rangequery.Rq_registry.snap_release registry s
+          done;
+          Atomic.set reader_done true;
+          !seen
+        end)
+  in
+  let reads = List.concat reads in
+  let newer = List.length (List.filter (fun (l, v) -> labels.(v) > l) reads) in
+  let moved = List.exists (fun (_, v) -> v > 0) reads in
+  Alcotest.(check bool) "reads saw the writer's versions" true moved;
+  Alcotest.(check int)
+    (Printf.sprintf "reads newer than their label (of %d)" (List.length reads))
+    0 newer
+
 (* Run [f] with the cached-floor staleness knob pinned to [period]. *)
 let with_refresh_period period f =
   let prev = Rangequery.Rq_registry.refresh_period () in
@@ -305,6 +449,52 @@ let snapshot_stable_under_concurrency () =
   Alcotest.(check (list bool)) "snapshot immutable under churn"
     [ true; true; true ] results;
   BH.snap_release t past
+
+(* ---------- field CAS and the write barrier ---------- *)
+
+(* The vCAS BST CASes fresh versions into edge fields of its nodes
+   through a C stub.  Once the tree is promoted to the major heap, each
+   such CAS stores a minor-heap pointer into a major-heap block; without
+   the runtime's write barrier the next minor collection would leave that
+   edge dangling.  Every write below is followed by a collection, then by
+   reads of the current tree, of a snapshot taken before any of the
+   writes, and of single keys at that snapshot. *)
+let field_cas_survives_gc name ts () =
+  let module S = (val List.assoc name Workload.Targets.all ts) in
+  let t = S.create () in
+  let base = List.init 256 (fun i -> 4 * i) in
+  List.iter (fun k -> ignore (S.insert t k)) base;
+  Gc.full_major ();
+  let past = S.snapshot t in
+  let module IS = Set.Make (Int) in
+  let model = ref (IS.of_list base) in
+  for r = 0 to 127 do
+    ignore (S.insert t ((4 * r) + 1));
+    ignore (S.delete t (4 * r));
+    model := IS.add ((4 * r) + 1) (IS.remove (4 * r) !model);
+    if r mod 2 = 0 then Gc.minor () else Gc.full_major ();
+    Alcotest.(check (list int)) "current tree" (IS.elements !model) (S.to_list t);
+    Alcotest.(check (list int))
+      "snapshot before the writes" base
+      (S.collect_at t past ~lo:0 ~hi:1_024);
+    Alcotest.(check bool) "deleted key at the snapshot" true
+      (S.lookup_at t past (4 * r));
+    Alcotest.(check bool) "inserted key at the snapshot" false
+      (S.lookup_at t past ((4 * r) + 1))
+  done;
+  S.snap_release t past
+
+let field_cas_cases =
+  List.concat_map
+    (fun name ->
+      List.map
+        (fun (ts, provider) ->
+          Alcotest.test_case
+            (Printf.sprintf "%s/%s" name provider)
+            `Quick
+            (field_cas_survives_gc name ts))
+        [ (`Logical, "logical"); (`Hardware_strict, "rdtscp-strict") ])
+    [ "bst-vcas"; "bst-vcas-kv" ]
 
 (* ---------- bundles ---------- *)
 
@@ -568,14 +758,51 @@ let obs_inert () =
       Alcotest.(check (option int)) "forced ties counted when enabled" (Some 5)
         ties_on)
 
+(* ---------- reserved keys ---------- *)
+
+module LL = Hwts.Timestamp.Logical ()
+
+(* The tree's sentinels sit at max_int - 2 .. max_int.  Neither the set
+   nor the map reports those keys present, now or in a snapshot, on an
+   empty tree or on one holding real keys. *)
+let sentinels_absent () =
+  let module Bst = Rangequery.Bst_vcas.Make (LL) in
+  let module Kv = Rangequery.Bst_vcas_kv.Make (LL) in
+  let reserved = [ max_int - 2; max_int - 1; max_int ] in
+  let check what t_mem =
+    List.iter
+      (fun k ->
+        Alcotest.(check bool) (Printf.sprintf "%s %d" what k) false (t_mem k))
+      reserved
+  in
+  let s = Bst.create () and m = Kv.create () in
+  let probe label =
+    check (label ^ ": set contains") (Bst.contains s);
+    check (label ^ ": map mem") (Kv.mem m);
+    Alcotest.(check bool) (label ^ ": map find") true
+      (List.for_all (fun k -> Kv.find m k = None) reserved);
+    let ss = Bst.snapshot s and ms = Kv.snapshot m in
+    check (label ^ ": set lookup_at") (Bst.lookup_at s ss);
+    check (label ^ ": map mem_at") (Kv.mem_at m ms);
+    Alcotest.(check bool) (label ^ ": map lookup_at") true
+      (List.for_all (fun k -> Kv.lookup_at m ms k = None) reserved);
+    Bst.snap_release s ss;
+    Kv.snap_release m ms
+  in
+  probe "empty";
+  List.iter
+    (fun k ->
+      ignore (Bst.insert s k);
+      Kv.set m k k)
+    [ 5; max_int - 3; 1 ];
+  probe "populated"
+
 (* ---------- memory layout ---------- *)
 
 (* Heap words each key adds to a vCAS structure, over 8192 seeded inserts
-   under the logical clock.  A vCAS BST level is cell -> version -> node,
-   so one more block per level shows up here as whole words per key,
-   without timing anything. *)
-module LL = Hwts.Timestamp.Logical ()
-
+   under the logical clock.  A vCAS BST level is version -> node (the
+   edge's head is a field of the parent), so one more block per level
+   shows up here as whole words per key, without timing anything. *)
 let words_per_key create insert =
   let keys = 8192 in
   let t = create () in
@@ -602,12 +829,12 @@ let layout_cases =
   in
   let module Skip = Rangequery.Skiplist_vcas.Make (LL) in
   [
-    ("bst-vcas", 22., fun () -> words_per_key Bst.create Bst.insert);
+    ("bst-vcas", 14., fun () -> words_per_key Bst.create Bst.insert);
     ( "bst-vcas-kv",
-      25.,
+      15.,
       fun () -> words_per_key Kv.create (fun t k -> Kv.add t k k) );
-    ("citrus-vcas", 26., fun () -> words_per_key Citrus.create Citrus.insert);
-    ("skiplist-vcas", 28., fun () -> words_per_key Skip.create Skip.insert);
+    ("citrus-vcas", 22., fun () -> words_per_key Citrus.create Citrus.insert);
+    ("skiplist-vcas", 26., fun () -> words_per_key Skip.create Skip.insert);
   ]
   |> List.map (fun (name, bound, words) ->
          Alcotest.test_case name `Quick (layout_bound name bound words))
@@ -624,6 +851,14 @@ let () =
           Alcotest.test_case "helpers agree on a pending label" `Quick
             vcas_helpers_agree_on_pending_label;
           Alcotest.test_case "prune" `Quick vcas_prune;
+          Alcotest.test_case "self-loop chain (cell)" `Quick
+            (vcas_self_loop_chain cell_chain);
+          Alcotest.test_case "self-loop chain (head in field)" `Quick
+            (vcas_self_loop_chain head_chain);
+          Alcotest.test_case "read_at races prune (cell)" `Quick
+            (vcas_read_at_races_prune ~in_field:false);
+          Alcotest.test_case "read_at races prune (head in field)" `Quick
+            (vcas_read_at_races_prune ~in_field:true);
           Alcotest.test_case "chains bounded" `Quick vcas_chains_stay_bounded;
           Alcotest.test_case "chains bounded by staleness" `Quick
             vcas_chains_bounded_by_staleness;
@@ -654,6 +889,9 @@ let () =
           Alcotest.test_case "snapshot pinned across nested RQs + pruning"
             `Slow snapshot_pinned_across_nested_rqs_and_pruning;
         ] );
+      ("field-cas", field_cas_cases);
+      ( "reserved keys",
+        [ Alcotest.test_case "sentinels absent" `Quick sentinels_absent ] );
       ( "observability",
         [ Alcotest.test_case "obs is inert" `Quick obs_inert ] );
       ("layout", layout_cases);

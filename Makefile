@@ -7,7 +7,7 @@ SMOKE_METRICS := /tmp/obs.json
   bench-scaling bench-scaling-smoke bench-adaptive bench-adaptive-smoke \
   bench-provider-zoo trace-smoke trend-guard bench-tailattr \
   bench-serve bench-serve-smoke bench-reclaim bench-reclaim-smoke \
-  bench-snapshot bench-snapshot-smoke e2e-pairs clean
+  bench-snapshot bench-snapshot-smoke e2e-smoke e2e-pairs clean
 
 all: build
 
@@ -22,7 +22,13 @@ test:
 fmt-check:
 	dune build @fmt
 
-check: build fmt-check test check-smoke
+check: build fmt-check test check-smoke e2e-smoke
+
+# Every served workload at 2,000 requests, each answer checked and the
+# metric names and units matched against BENCHMARK.json (~5 s): a change
+# that breaks the served path fails here, not only in a pairs run.
+e2e-smoke: build
+	dune build @bench/e2e/smoke
 
 # Seeded fault-injection torture of every structure under the logical,
 # rdtscp-strict and adaptive providers (the adaptive rounds force-migrate

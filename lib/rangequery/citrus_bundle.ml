@@ -1,15 +1,28 @@
 module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
   module B = Bundle.Make (T)
 
-  type node = {
-    key : int;
-    left : node option Atomic.t; (* raw links: elemental operations *)
-    right : node option Atomic.t;
-    bleft : node option B.t; (* bundled links: range queries *)
-    bright : node option B.t;
-    lock : Sync.Spinlock.t;
-    mutable marked : bool;
-  }
+  (* A [Node]'s inline record is its block, and an absent child is [Nil],
+     as in citrus_ebrrq.ml.  [left] (field 1), [right] (2) and [lock] (3)
+     are written only through {!Field_lock}, so the field order
+     matters. *)
+  type node =
+    | Nil
+    | Node of {
+        key : int;
+        mutable left : node; (* raw links: elemental operations *)
+        mutable right : node;
+        mutable lock : bool;
+        mutable marked : bool;
+        bleft : node B.t; (* bundled links: range queries *)
+        bright : node B.t;
+      }
+
+  module F = Field_lock.Make (struct
+    type t = node
+
+    let lock_field = 3
+    let locked = function Node n -> n.lock | Nil -> false
+  end)
 
   (* The backend is used purely as a grace mechanism here: read sections
      around unlocked traversals, [wait_until_quiescent] before the
@@ -26,48 +39,63 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
   (* Fresh nodes' bundles start pending; the installing update labels them
      together with the link entry. *)
   let make_node key l r =
-    {
-      key;
-      left = Atomic.make l;
-      right = Atomic.make r;
-      bleft = B.make_pending l;
-      bright = B.make_pending r;
-      lock = Sync.Spinlock.make ();
-      marked = false;
-    }
+    Node
+      {
+        key;
+        left = l;
+        right = r;
+        lock = false;
+        marked = false;
+        bleft = B.make_pending l;
+        bright = B.make_pending r;
+      }
 
   let create () =
     let root =
-      {
-        key = Dstruct.Ordered_set.min_key;
-        left = Atomic.make None;
-        right = Atomic.make None;
-        bleft = B.make None;
-        bright = B.make None;
-        lock = Sync.Spinlock.make ();
-        marked = false;
-      }
+      Node
+        {
+          key = Dstruct.Ordered_set.min_key;
+          left = Nil;
+          right = Nil;
+          lock = false;
+          marked = false;
+          bleft = B.make Nil;
+          bright = B.make Nil;
+        }
     in
     { root; grace = Grace.create (); registry = Rq_registry.create () }
 
   type dir = L | R
 
-  let child n = function L -> n.left | R -> n.right
-  let bchild n = function L -> n.bleft | R -> n.bright
-  let dir_of n key = if key < n.key then L else R
+  let key_of = function Node n -> n.key | Nil -> max_int
+  let marked = function Node n -> n.marked | Nil -> false
+  let mark = function Node n -> n.marked <- true | Nil -> ()
+
+  let child n d =
+    match n with
+    | Node n -> ( match d with L -> n.left | R -> n.right)
+    | Nil -> Nil
+
+  let set_child n d ~was v = F.link n (match d with L -> 1 | R -> 2) ~was v
+
+  (* the bundled link from [n] toward [d]; [n] is never [Nil] *)
+  let bchild n d =
+    match n with
+    | Node n -> ( match d with L -> n.bleft | R -> n.bright)
+    | Nil -> invalid_arg "Citrus_bundle.bchild: Nil"
+
+  let dir_of n key = if key < key_of n then L else R
 
   let find root key =
-    let rec walk prev d curr =
-      match curr with
-      | None -> (prev, d, None)
-      | Some n ->
-        if n.key = key then (prev, d, Some n)
-        else
-          let d' = dir_of n key in
-          walk n d' (Atomic.get (child n d'))
+    let rec walk prev d n =
+      match n with
+      | Node m when m.key <> key ->
+        let d' = if key < m.key then L else R in
+        walk n d' (child n d')
+      | Node _ | Nil -> (prev, d, n)
     in
     Hwts_trace.Span.enter Hwts_trace.Traverse;
-    let r = walk root R (Atomic.get root.right) in
+    let r = walk root R (child root R) in
     Hwts_trace.Span.exit Hwts_trace.Traverse;
     r
 
@@ -75,21 +103,18 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
 
   let contains t key =
     let _, _, found = traverse t key in
-    found <> None
-
-  let child_is n d c =
-    match Atomic.get (child n d) with Some x -> x == c | None -> false
+    found != Nil
 
   let prune_with t bundle ts =
     B.prune bundle (Rq_registry.min_active_cached t.registry ~default:ts)
 
   (* Re-walk from the root under [prev.lock] and require the walk to end
-     at the same empty slot.  "Unmarked and still None" is not enough for
+     at the same empty slot.  "Unmarked and still Nil" is not enough for
      an insert: a successor relocation re-keys a position (the
      replacement carries [succ.key] where [curr.key] stood), so a slot
      chosen by an earlier unlocked traversal can be live and empty yet no
      longer on [key]'s search path — the relocation's final
-     [succ_prev.left := succ_right] restores the very [None] the stale
+     [succ_prev.left := succ_right] restores the very [Nil] the stale
      inserter validated, and the attached node would be shadowed
      (reachable by no search, so the key silently vanishes).  A fresh
      walk sees the current routing, and any re-keying that lands between
@@ -97,72 +122,67 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
      relocation already holds — which includes every attach point it
      moves. *)
   let confirm t prev d key =
-    match find t.root key with
-    | p', d', None -> p' == prev && d' = d
-    | _, _, Some _ -> false
+    let p', d', n = find t.root key in
+    n == Nil && p' == prev && d' = d
 
   let rec insert t key =
     assert (key > Dstruct.Ordered_set.min_key && key <= Dstruct.Ordered_set.max_key);
     let prev, d, found = traverse t key in
-    match found with
-    | Some _ -> false
-    | None ->
-      Sync.Spinlock.lock prev.lock;
+    if found != Nil then false
+    else begin
+      F.lock prev;
       let valid =
-        (not prev.marked)
-        && Atomic.get (child prev d) = None
-        && confirm t prev d key
+        (not (marked prev)) && child prev d == Nil && confirm t prev d key
       in
       if valid then begin
-        let node = make_node key None None in
+        let node = make_node key Nil Nil in
         let link = bchild prev d in
-        B.prepare link (Some node);
+        B.prepare link node;
         (* timestamp before the raw link (the commit point elemental
            traversals observe), and the fresh node's bundles labeled
            before it is reachable so no neighbour can prepare on a
            pending bundle *)
         let ts = T.advance () in
-        B.label node.bleft ts;
-        B.label node.bright ts;
-        Atomic.set (child prev d) (Some node);
+        B.label (bchild node L) ts;
+        B.label (bchild node R) ts;
+        set_child prev d ~was:Nil node;
         B.label link ts;
         prune_with t link ts;
-        Sync.Spinlock.unlock prev.lock;
+        F.unlock prev;
         true
       end
       else begin
-        Sync.Spinlock.unlock prev.lock;
+        F.unlock prev;
         insert t key
       end
+    end
 
   let leftmost parent0 start =
     let rec walk sprev s =
-      match Atomic.get s.left with None -> (sprev, s) | Some nl -> walk s nl
+      match child s L with Nil -> (sprev, s) | nl -> walk s nl
     in
     walk parent0 start
 
   let rec delete t key =
-    let prev, d, found = traverse t key in
-    match found with
-    | None -> false
-    | Some curr ->
-      Sync.Spinlock.lock prev.lock;
-      Sync.Spinlock.lock curr.lock;
-      let valid = (not prev.marked) && (not curr.marked) && child_is prev d curr in
+    let prev, d, curr = traverse t key in
+    if curr == Nil then false
+    else begin
+      F.lock prev;
+      F.lock curr;
+      let valid =
+        (not (marked prev)) && (not (marked curr)) && child prev d == curr
+      in
       if not valid then begin
-        Sync.Spinlock.unlock curr.lock;
-        Sync.Spinlock.unlock prev.lock;
+        F.unlock curr;
+        F.unlock prev;
         delete t key
       end
-      else begin
-        let l = Atomic.get curr.left and r = Atomic.get curr.right in
-        match (l, r) with
-        | None, None -> splice_out t prev d curr None
-        | (Some _ as only), None | None, (Some _ as only) ->
-          splice_out t prev d curr only
-        | Some _, Some right_child ->
-          delete_two_children t key prev d curr right_child l r
-      end
+      else
+        let l = child curr L and r = child curr R in
+        if l == Nil then splice_out t prev d curr r
+        else if r == Nil then splice_out t prev d curr l
+        else delete_two_children t key prev d curr l r
+    end
 
   and splice_out t prev d curr repl =
     let link = bchild prev d in
@@ -170,64 +190,63 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
     (* timestamp before the unlink: once a traversal can miss [curr],
        every later snapshot timestamp covers the delete *)
     let ts = T.advance () in
-    Atomic.set (child prev d) repl;
-    curr.marked <- true;
+    set_child prev d ~was:curr repl;
+    mark curr;
     B.label link ts;
     prune_with t link ts;
-    Sync.Spinlock.unlock curr.lock;
-    Sync.Spinlock.unlock prev.lock;
+    F.unlock curr;
+    F.unlock prev;
     true
 
-  and delete_two_children t key prev d curr right_child l r =
-    let succ_prev, succ = leftmost curr right_child in
-    if succ_prev != curr then Sync.Spinlock.lock succ_prev.lock;
-    Sync.Spinlock.lock succ.lock;
+  and delete_two_children t key prev d curr l r =
+    let succ_prev, succ = leftmost curr r in
+    if succ_prev != curr then F.lock succ_prev;
+    F.lock succ;
     let valid =
-      (not succ.marked)
-      && (not succ_prev.marked)
-      && Atomic.get succ.left = None
-      &&
-      if succ_prev == curr then succ == right_child else child_is succ_prev L succ
+      (not (marked succ))
+      && (not (marked succ_prev))
+      && child succ L == Nil
+      && if succ_prev == curr then succ == r else child succ_prev L == succ
     in
     if not valid then begin
-      Sync.Spinlock.unlock succ.lock;
-      if succ_prev != curr then Sync.Spinlock.unlock succ_prev.lock;
-      Sync.Spinlock.unlock curr.lock;
-      Sync.Spinlock.unlock prev.lock;
+      F.unlock succ;
+      if succ_prev != curr then F.unlock succ_prev;
+      F.unlock curr;
+      F.unlock prev;
       delete t key
     end
     else begin
-      let succ_right = Atomic.get succ.right in
+      let succ_right = child succ R in
       let direct = succ_prev == curr in
       let replacement =
-        make_node succ.key l (if direct then succ_right else r)
+        make_node (key_of succ) l (if direct then succ_right else r)
       in
       let link = bchild prev d in
-      B.prepare link (Some replacement);
-      if not direct then B.prepare succ_prev.bleft succ_right;
+      B.prepare link replacement;
+      if not direct then B.prepare (bchild succ_prev L) succ_right;
       (* One timestamp for every entry — the whole relocation is a single
          atomic step for snapshot traversals — taken before the raw swap
          so observable effects never precede their label; the replacement
          node's own bundles are labeled before it becomes reachable *)
       let ts = T.advance () in
-      B.label replacement.bleft ts;
-      B.label replacement.bright ts;
-      Atomic.set (child prev d) (Some replacement);
-      curr.marked <- true;
-      succ.marked <- true;
+      B.label (bchild replacement L) ts;
+      B.label (bchild replacement R) ts;
+      set_child prev d ~was:curr replacement;
+      mark curr;
+      mark succ;
       B.label link ts;
-      if not direct then B.label succ_prev.bleft ts;
+      if not direct then B.label (bchild succ_prev L) ts;
       prune_with t link ts;
       if not direct then begin
         (* Elemental traversals may still be en route to the original
            successor through the old links: drain them before unlinking. *)
         Grace.wait_until_quiescent t.grace;
-        Atomic.set succ_prev.left succ_right
+        set_child succ_prev L ~was:succ succ_right
       end;
-      Sync.Spinlock.unlock succ.lock;
-      if succ_prev != curr then Sync.Spinlock.unlock succ_prev.lock;
-      Sync.Spinlock.unlock curr.lock;
-      Sync.Spinlock.unlock prev.lock;
+      F.unlock succ;
+      if succ_prev != curr then F.unlock succ_prev;
+      F.unlock curr;
+      F.unlock prev;
       true
     end
 
@@ -240,17 +259,16 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
   let collect_ts t ts ~lo ~hi =
     let buf = Sync.Scratch.get buf_scratch in
     Sync.Scratch.Int_buffer.clear buf;
-    let rec walk node_opt =
-      match node_opt with
-      | None -> ()
-      | Some n ->
+    let rec walk = function
+      | Nil -> ()
+      | Node n ->
         if lo < n.key then walk (B.read_at n.bleft ts);
         if n.key >= lo && n.key <= hi then
           Sync.Scratch.Int_buffer.push buf n.key;
         if hi > n.key then walk (B.read_at n.bright ts)
     in
     Hwts_trace.Span.enter Hwts_trace.Traverse;
-    walk (B.read_at t.root.bright ts);
+    walk (B.read_at (bchild t.root R) ts);
     Hwts_trace.Span.exit Hwts_trace.Traverse;
     Sync.Scratch.Int_buffer.to_list buf
 
@@ -272,24 +290,23 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
   let lookup_at t sn key =
     let ts = snap_label sn in
     let rec walk = function
-      | None -> false
-      | Some n ->
-        if n.key = key then true
-        else walk (B.read_at (bchild n (dir_of n key)) ts)
+      | Nil -> false
+      | Node m as n ->
+        m.key = key || walk (B.read_at (bchild n (dir_of n key)) ts)
     in
     Hwts_trace.Span.enter Hwts_trace.Traverse;
-    let r = walk (B.read_at t.root.bright ts) in
+    let r = walk (B.read_at (bchild t.root R) ts) in
     Hwts_trace.Span.exit Hwts_trace.Traverse;
     r
 
   let to_list t =
     let rec walk acc = function
-      | None -> acc
-      | Some n ->
-        let acc = walk acc (Atomic.get n.right) in
-        walk (n.key :: acc) (Atomic.get n.left)
+      | Nil -> acc
+      | Node n ->
+        let acc = walk acc n.right in
+        walk (n.key :: acc) n.left
     in
-    walk [] (Atomic.get t.root.right)
+    walk [] (child t.root R)
 
   let size t = List.length (to_list t)
   let quiesce t = Grace.quiesce t.grace
@@ -297,15 +314,11 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
   let active_rqs t = Rq_registry.active_count t.registry
 
   let bundle_stats t =
-    let rec spine (links, entries) n =
-      let links = links + 1 and entries = entries + B.length n.bleft in
-      match Atomic.get n.left with
-      | None -> (links, entries)
-      | Some l -> spine (links, entries) l
+    let rec spine links entries = function
+      | Nil -> (links, entries)
+      | Node n -> spine (links + 1) (entries + B.length n.bleft) n.left
     in
-    match Atomic.get t.root.right with
-    | None -> (0, 0)
-    | Some n -> spine (0, 0) n
+    spine 0 0 (child t.root R)
 end
 
 module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct

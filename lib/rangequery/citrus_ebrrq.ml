@@ -1,14 +1,29 @@
 module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
-  type node = {
-    key : int;
-    left : node option Atomic.t;
-    right : node option Atomic.t;
-    lock : Sync.Spinlock.t;
-    mutable marked : bool;
-    itime : int Atomic.t; (* set before the node is linked *)
-    dtime : int Atomic.t; (* 0 = alive *)
-    mutable poisoned : bool; (* set by the reclaimer when freed *)
-  }
+  (* One block per key.  A [Node]'s inline record is its block, and an
+     absent child is [Nil], which is no block at all.  [left] (field 1),
+     [right] (2) and [lock] (3) are written only through {!Field_lock}, so
+     the field order matters.  A node is allocated inside the labeled
+     section that links it, so its [itime] is immutable; [dtime] is a
+     plain field (see [covers]). *)
+  type node =
+    | Nil
+    | Node of {
+        key : int;
+        mutable left : node;
+        mutable right : node;
+        mutable lock : bool;
+        mutable marked : bool;
+        itime : int;
+        mutable dtime : int; (* 0 = alive *)
+        mutable poisoned : bool; (* set by the reclaimer when freed *)
+      }
+
+  module F = Field_lock.Make (struct
+    type t = node
+
+    let lock_field = 3
+    let locked = function Node n -> n.lock | Nil -> false
+  end)
 
   module Reclaim = R.Make (struct
     type t = node
@@ -25,44 +40,56 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
 
   let name = "ebrrq-citrus(" ^ T.name ^ ")"
 
-  let make_node key l r =
-    {
-      key;
-      left = Atomic.make l;
-      right = Atomic.make r;
-      lock = Sync.Spinlock.make ();
-      marked = false;
-      itime = Atomic.make 0;
-      dtime = Atomic.make 0;
-      poisoned = false;
-    }
+  let make_node key itime left right =
+    Node
+      {
+        key;
+        left;
+        right;
+        lock = false;
+        marked = false;
+        itime;
+        dtime = 0;
+        poisoned = false;
+      }
 
   let create () =
-    let root = make_node Dstruct.Ordered_set.min_key None None in
-    Atomic.set root.itime 1;
     {
-      root;
-      ebr = Reclaim.create ~on_free:(fun n -> n.poisoned <- true) ();
+      root = make_node Dstruct.Ordered_set.min_key 1 Nil Nil;
+      ebr =
+        Reclaim.create
+          ~on_free:(function Node n -> n.poisoned <- true | Nil -> ())
+          ();
       ts_lock = Sync.Rwlock.make ();
     }
 
   type dir = L | R
 
-  let child n = function L -> n.left | R -> n.right
-  let dir_of n key = if key < n.key then L else R
+  let key_of = function Node n -> n.key | Nil -> max_int
+  let marked = function Node n -> n.marked | Nil -> false
+  let mark = function Node n -> n.marked <- true | Nil -> ()
+  let set_dtime n ts = match n with Node n -> n.dtime <- ts | Nil -> ()
 
-  let find root key =
-    let rec walk prev d curr =
-      match curr with
-      | None -> (prev, d, None)
-      | Some n ->
-        if n.key = key then (prev, d, Some n)
-        else
-          let d' = dir_of n key in
-          walk n d' (Atomic.get (child n d'))
+  let child n d =
+    match n with
+    | Node n -> ( match d with L -> n.left | R -> n.right)
+    | Nil -> Nil
+
+  let set_child n d ~was v = F.link n (match d with L -> 1 | R -> 2) ~was v
+  let dir_of n k = if k < key_of n then L else R
+
+  (* [(prev, d, n)]: [n] is [prev]'s [d] child and holds [key], or is
+     [Nil] where [key] would be attached. *)
+  let find root k =
+    let rec walk prev d n =
+      match n with
+      | Node m when m.key <> k ->
+        let d' = if k < m.key then L else R in
+        walk n d' (child n d')
+      | Node _ | Nil -> (prev, d, n)
     in
     Hwts_trace.Span.enter Hwts_trace.Traverse;
-    let r = walk root R (Atomic.get root.right) in
+    let r = walk root R (child root R) in
     Hwts_trace.Span.exit Hwts_trace.Traverse;
     r
 
@@ -71,21 +98,17 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
   let contains t key =
     Reclaim.with_op t.ebr (fun () ->
         let _, _, found = traverse t key in
-        found <> None)
+        found != Nil)
 
-  let child_is n d c =
-    match Atomic.get (child n d) with Some x -> x == c | None -> false
-
-  (* Fresh re-walk under [prev.lock]: a successor relocation re-keys a
+  (* Fresh re-walk under [prev]'s lock: a successor relocation re-keys a
      position, so a slot from an earlier unlocked traversal can be
      unmarked and empty yet off [key]'s current search path (the final
-     [succ_prev.left := succ_right] restores the observed [None]); an
+     [succ_prev.left := succ_right] restores the observed [Nil]); an
      attach there would be shadowed and the key lost.  See the matching
      comment in citrus_bundle.ml for the full argument. *)
   let confirm t prev d key =
-    match find t.root key with
-    | p', d', None -> p' == prev && d' = d
-    | _, _, Some _ -> false
+    let p', d', n = find t.root key in
+    n == Nil && p' == prev && d' = d
 
   let rec insert t key =
     assert (key > Dstruct.Ordered_set.min_key && key <= Dstruct.Ordered_set.max_key);
@@ -93,59 +116,53 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
 
   and insert_locked t key =
     let prev, d, found = traverse t key in
-    match found with
-    | Some _ -> false
-    | None ->
-      Sync.Spinlock.lock prev.lock;
+    if found != Nil then false
+    else begin
+      F.lock prev;
       let valid =
-        (not prev.marked)
-        && Atomic.get (child prev d) = None
-        && confirm t prev d key
+        (not (marked prev)) && child prev d == Nil && confirm t prev d key
       in
       if valid then begin
-        let node = make_node key None None in
         (* Atomic read-and-label: shared mode on the timestamp lock. *)
         Sync.Rwlock.with_read t.ts_lock (fun () ->
-            Atomic.set node.itime (T.read ());
-            Atomic.set (child prev d) (Some node));
-        Sync.Spinlock.unlock prev.lock;
+            set_child prev d ~was:Nil (make_node key (T.read ()) Nil Nil));
+        F.unlock prev;
         true
       end
       else begin
-        Sync.Spinlock.unlock prev.lock;
+        F.unlock prev;
         insert_locked t key
       end
+    end
 
   let leftmost parent0 start =
     let rec walk sprev s =
-      match Atomic.get s.left with None -> (sprev, s) | Some nl -> walk s nl
+      match child s L with Nil -> (sprev, s) | nl -> walk s nl
     in
     walk parent0 start
 
   let rec delete t key = Reclaim.with_op t.ebr (fun () -> delete_locked t key)
 
   and delete_locked t key =
-    let prev, d, found = traverse t key in
-    match found with
-    | None -> false
-    | Some curr ->
-      Sync.Spinlock.lock prev.lock;
-      Sync.Spinlock.lock curr.lock;
-      let valid = (not prev.marked) && (not curr.marked) && child_is prev d curr in
+    let prev, d, curr = traverse t key in
+    if curr == Nil then false
+    else begin
+      F.lock prev;
+      F.lock curr;
+      let valid =
+        (not (marked prev)) && (not (marked curr)) && child prev d == curr
+      in
       if not valid then begin
-        Sync.Spinlock.unlock curr.lock;
-        Sync.Spinlock.unlock prev.lock;
+        F.unlock curr;
+        F.unlock prev;
         delete_locked t key
       end
-      else begin
-        let l = Atomic.get curr.left and r = Atomic.get curr.right in
-        match (l, r) with
-        | None, None -> splice_out t prev d curr None
-        | (Some _ as only), None | None, (Some _ as only) ->
-          splice_out t prev d curr only
-        | Some _, Some right_child ->
-          delete_two_children t key prev d curr right_child l r
-      end
+      else
+        let l = child curr L and r = child curr R in
+        if l == Nil then splice_out t prev d curr r
+        else if r == Nil then splice_out t prev d curr l
+        else delete_two_children t key prev d curr l r
+    end
 
   (* Retire before unlinking, inside the labeled section.  A scan that
      walks the tree after the unlink folds limbo after it too, so it finds
@@ -159,37 +176,33 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
   and splice_out t prev d curr repl =
     Sync.Rwlock.with_read t.ts_lock (fun () ->
         Reclaim.retire t.ebr curr;
-        Atomic.set curr.dtime (T.read ());
-        Atomic.set (child prev d) repl);
-    curr.marked <- true;
-    Sync.Spinlock.unlock curr.lock;
-    Sync.Spinlock.unlock prev.lock;
+        set_dtime curr (T.read ());
+        set_child prev d ~was:curr repl);
+    mark curr;
+    F.unlock curr;
+    F.unlock prev;
     true
 
-  and delete_two_children t key prev d curr right_child l r =
-    let succ_prev, succ = leftmost curr right_child in
-    if succ_prev != curr then Sync.Spinlock.lock succ_prev.lock;
-    Sync.Spinlock.lock succ.lock;
+  and delete_two_children t key prev d curr l r =
+    let succ_prev, succ = leftmost curr r in
+    if succ_prev != curr then F.lock succ_prev;
+    F.lock succ;
     let valid =
-      (not succ.marked)
-      && (not succ_prev.marked)
-      && Atomic.get succ.left = None
-      &&
-      if succ_prev == curr then succ == right_child else child_is succ_prev L succ
+      (not (marked succ))
+      && (not (marked succ_prev))
+      && child succ L == Nil
+      && if succ_prev == curr then succ == r else child succ_prev L == succ
     in
     if not valid then begin
-      Sync.Spinlock.unlock succ.lock;
-      if succ_prev != curr then Sync.Spinlock.unlock succ_prev.lock;
-      Sync.Spinlock.unlock curr.lock;
-      Sync.Spinlock.unlock prev.lock;
+      F.unlock succ;
+      if succ_prev != curr then F.unlock succ_prev;
+      F.unlock curr;
+      F.unlock prev;
       delete_locked t key
     end
     else begin
-      let succ_right = Atomic.get succ.right in
+      let succ_right = child succ R in
       let direct = succ_prev == curr in
-      let replacement =
-        make_node succ.key l (if direct then succ_right else r)
-      in
       (* One shared-mode section labels the delete of [curr], the
          relocation of [succ] and the birth of its replacement with one
          timestamp, so snapshots see the whole step or none of it.  Both
@@ -198,28 +211,38 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
           Reclaim.retire t.ebr curr;
           Reclaim.retire t.ebr succ;
           let now = T.read () in
-          Atomic.set replacement.itime now;
-          Atomic.set curr.dtime now;
-          Atomic.set succ.dtime now;
-          Atomic.set (child prev d) (Some replacement));
-      curr.marked <- true;
-      succ.marked <- true;
+          let replacement =
+            make_node (key_of succ) now l (if direct then succ_right else r)
+          in
+          set_dtime curr now;
+          set_dtime succ now;
+          set_child prev d ~was:curr replacement);
+      mark curr;
+      mark succ;
       if not direct then begin
         Reclaim.wait_until_quiescent t.ebr;
-        Atomic.set succ_prev.left succ_right
+        set_child succ_prev L ~was:succ succ_right
       end;
-      Sync.Spinlock.unlock succ.lock;
-      if succ_prev != curr then Sync.Spinlock.unlock succ_prev.lock;
-      Sync.Spinlock.unlock curr.lock;
-      Sync.Spinlock.unlock prev.lock;
+      F.unlock succ;
+      if succ_prev != curr then F.unlock succ_prev;
+      F.unlock curr;
+      F.unlock prev;
       true
     end
 
   (* A key is in the snapshot iff some node holding it was inserted at or
-     before [ts] and not deleted at or before [ts]. *)
-  let covers ts n =
-    let it = Atomic.get n.itime and dt = Atomic.get n.dtime in
-    it > 0 && it <= ts && (dt = 0 || dt > ts)
+     before [ts] and not deleted at or before [ts].  [dtime] is read
+     without a fence: a snapshot takes [ts_lock] exclusively, so every
+     labeled section that completed before it happens-before the scan,
+     and a section that starts later writes a [dtime] above [ts] — read
+     as 0 or as that value, the node covers [ts] either way. *)
+  let covers ts = function
+    | Node n ->
+      let covered = n.itime <= ts && (n.dtime = 0 || n.dtime > ts) in
+      if covered && n.poisoned then
+        Hwts_reclaim.Debug.poison_hit "citrus node covered after free";
+      covered
+    | Nil -> false
 
   let buf_scratch : Sync.Scratch.Int_buffer.t Sync.Scratch.t =
     Sync.Scratch.make (fun () -> Sync.Scratch.Int_buffer.create ())
@@ -228,27 +251,25 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
     let buf = Sync.Scratch.get buf_scratch in
     Sync.Scratch.Int_buffer.clear buf;
     let visit n =
-      if n.key >= lo && n.key <= hi && covers ts n then begin
-        if n.poisoned then
-          Hwts_reclaim.Debug.poison_hit "citrus node covered after free";
-        Sync.Scratch.Int_buffer.push buf n.key
-      end
+      let k = key_of n in
+      if k >= lo && k <= hi && covers ts n then
+        Sync.Scratch.Int_buffer.push buf k
     in
     Hwts_trace.Span.enter Hwts_trace.Traverse;
     Reclaim.with_read t.ebr (fun () ->
         let rec walk = function
-          | None -> ()
-          | Some n ->
-            if lo < n.key then walk (Atomic.get n.left);
-            if n.key > Dstruct.Ordered_set.min_key then visit n;
-            if hi > n.key then walk (Atomic.get n.right)
+          | Nil -> ()
+          | Node m as n ->
+            if lo < m.key then walk m.left;
+            if m.key > Dstruct.Ordered_set.min_key then visit n;
+            if hi > m.key then walk m.right
         in
-        walk (Atomic.get t.root.right));
+        walk (child t.root R));
     Hwts_trace.Span.exit Hwts_trace.Traverse;
     (* Recently deleted nodes may already be unlinked: recover them
        from the limbo lists, as EBR-RQ does. *)
     Reclaim.fold_limbo t.ebr ~init:() ~f:(fun () n -> visit n);
-    List.sort_uniq compare (Sync.Scratch.Int_buffer.to_list buf)
+    Sync.Scratch.Int_buffer.to_sorted_list buf
 
   (* Snapshot handle: a non-scoped op section pins the limbo lists for
      the handle's whole lifetime (the EBR-RQ form of history retention),
@@ -280,37 +301,27 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
      an equal key that does not cover [ts] keep descending right, where a
      relocation may have left the original node still linked — then scan
      limbo for just-unlinked nodes, as [collect_ts] does. *)
-  let lookup_at t sn key =
+  let lookup_at t sn k =
     let ts = snap_label sn in
+    let holds n = key_of n = k && covers ts n in
     let in_tree =
       Reclaim.with_read t.ebr (fun () ->
-          let rec walk = function
-            | None -> false
-            | Some n ->
-              (n.key = key && covers ts n)
-              || walk (Atomic.get (child n (dir_of n key)))
+          let rec walk n =
+            n != Nil && (holds n || walk (child n (dir_of n k)))
           in
-          walk (Atomic.get t.root.right))
+          walk (child t.root R))
     in
     in_tree
-    || Reclaim.fold_limbo t.ebr ~init:false ~f:(fun acc n ->
-           acc
-           ||
-           if n.key = key && covers ts n then begin
-             if n.poisoned then
-               Hwts_reclaim.Debug.poison_hit "citrus node covered after free";
-             true
-           end
-           else false)
+    || Reclaim.fold_limbo t.ebr ~init:false ~f:(fun acc n -> acc || holds n)
 
   let to_list t =
     let rec walk acc = function
-      | None -> acc
-      | Some n ->
-        let acc = walk acc (Atomic.get n.right) in
-        walk (n.key :: acc) (Atomic.get n.left)
+      | Nil -> acc
+      | Node n ->
+        let acc = walk acc n.right in
+        walk (n.key :: acc) n.left
     in
-    walk [] (Atomic.get t.root.right)
+    walk [] (child t.root R)
 
   let size t = List.length (to_list t)
   let limbo_size t = Reclaim.limbo_size t.ebr

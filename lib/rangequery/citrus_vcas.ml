@@ -1,13 +1,25 @@
 module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
   module V = Vcas_obj.Make (T)
 
-  type node = {
-    key : int;
-    left : node option V.t;
-    right : node option V.t;
-    lock : Sync.Spinlock.t;
-    mutable marked : bool;
-  }
+  (* A [Node]'s inline record is its block, and an absent child is [Nil],
+     as in citrus_ebrrq.ml.  [lock] (field 3) is taken only through
+     {!Field_lock}. *)
+  type node =
+    | Nil
+    | Node of {
+        key : int;
+        left : node V.t;
+        right : node V.t;
+        mutable lock : bool;
+        mutable marked : bool;
+      }
+
+  module F = Field_lock.Make (struct
+    type t = node
+
+    let lock_field = 3
+    let locked = function Node n -> n.lock | Nil -> false
+  end)
 
   (* The backend is used purely as a grace mechanism here: read sections
      around unlocked traversals, [wait_until_quiescent] before the
@@ -22,38 +34,40 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
   let name = "vcas-citrus(" ^ T.name ^ ")"
 
   let make_node key l r =
-    {
-      key;
-      left = V.make l;
-      right = V.make r;
-      lock = Sync.Spinlock.make ();
-      marked = false;
-    }
+    Node
+      { key; left = V.make l; right = V.make r; lock = false; marked = false }
 
   let create () =
     {
-      root = make_node Dstruct.Ordered_set.min_key None None;
+      root = make_node Dstruct.Ordered_set.min_key Nil Nil;
       grace = Grace.create ();
       registry = Rq_registry.create ();
     }
 
   type dir = L | R
 
-  let child n = function L -> n.left | R -> n.right
-  let dir_of n key = if key < n.key then L else R
+  let key_of = function Node n -> n.key | Nil -> max_int
+  let marked = function Node n -> n.marked | Nil -> false
+  let mark = function Node n -> n.marked <- true | Nil -> ()
+
+  (* the versioned link from [n] toward [d]; [n] is never [Nil] *)
+  let child n d =
+    match n with
+    | Node n -> ( match d with L -> n.left | R -> n.right)
+    | Nil -> invalid_arg "Citrus_vcas.child: Nil"
+
+  let dir_of n key = if key < key_of n then L else R
 
   let find root key =
-    let rec walk prev d curr =
-      match curr with
-      | None -> (prev, d, None)
-      | Some n ->
-        if n.key = key then (prev, d, Some n)
-        else
-          let d' = dir_of n key in
-          walk n d' (V.read (child n d'))
+    let rec walk prev d n =
+      match n with
+      | Node m when m.key <> key ->
+        let d' = if key < m.key then L else R in
+        walk n d' (V.read (child n d'))
+      | Node _ | Nil -> (prev, d, n)
     in
     Hwts_trace.Span.enter Hwts_trace.Traverse;
-    let r = walk root R (V.read root.right) in
+    let r = walk root R (V.read (child root R)) in
     Hwts_trace.Span.exit Hwts_trace.Traverse;
     r
 
@@ -61,10 +75,7 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
 
   let contains t key =
     let _, _, found = traverse t key in
-    found <> None
-
-  let child_is n d c =
-    match V.read (child n d) with Some x -> x == c | None -> false
+    found != Nil
 
   (* versioned write + history pruning under the announce-then-read rule;
      the pruning floor comes from the lazily refreshed registry cache *)
@@ -74,110 +85,110 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
       (Rq_registry.min_active_cached t.registry
          ~default:(V.timestamp installed))
 
-  (* Fresh re-walk under [prev.lock]: a successor relocation re-keys a
+  (* Fresh re-walk under [prev]'s lock: a successor relocation re-keys a
      position, so a slot from an earlier unlocked traversal can be
      unmarked and empty yet off [key]'s current search path (the final
-     unlink restores the observed [None]); an attach there would be
+     unlink restores the observed [Nil]); an attach there would be
      shadowed and the key lost.  See the matching comment in
      citrus_bundle.ml for the full argument. *)
   let confirm t prev d key =
-    match find t.root key with
-    | p', d', None -> p' == prev && d' = d
-    | _, _, Some _ -> false
+    let p', d', n = find t.root key in
+    n == Nil && p' == prev && d' = d
 
   let rec insert t key =
     assert (key > Dstruct.Ordered_set.min_key && key <= Dstruct.Ordered_set.max_key);
     let prev, d, found = traverse t key in
-    match found with
-    | Some _ -> false
-    | None ->
-      Sync.Spinlock.lock prev.lock;
+    if found != Nil then false
+    else begin
+      F.lock prev;
       let valid =
-        (not prev.marked)
-        && V.read (child prev d) = None
+        (not (marked prev))
+        && V.read (child prev d) == Nil
         && confirm t prev d key
       in
       if valid then begin
-        write_pruned t (child prev d) (Some (make_node key None None));
-        Sync.Spinlock.unlock prev.lock;
+        write_pruned t (child prev d) (make_node key Nil Nil);
+        F.unlock prev;
         true
       end
       else begin
-        Sync.Spinlock.unlock prev.lock;
+        F.unlock prev;
         insert t key
       end
+    end
 
   let leftmost parent0 start =
     let rec walk sprev s =
-      match V.read s.left with None -> (sprev, s) | Some nl -> walk s nl
+      match V.read (child s L) with Nil -> (sprev, s) | nl -> walk s nl
     in
     walk parent0 start
 
   let rec delete t key =
-    let prev, d, found = traverse t key in
-    match found with
-    | None -> false
-    | Some curr ->
-      Sync.Spinlock.lock prev.lock;
-      Sync.Spinlock.lock curr.lock;
-      let valid = (not prev.marked) && (not curr.marked) && child_is prev d curr in
+    let prev, d, curr = traverse t key in
+    if curr == Nil then false
+    else begin
+      F.lock prev;
+      F.lock curr;
+      let valid =
+        (not (marked prev))
+        && (not (marked curr))
+        && V.read (child prev d) == curr
+      in
       if not valid then begin
-        Sync.Spinlock.unlock curr.lock;
-        Sync.Spinlock.unlock prev.lock;
+        F.unlock curr;
+        F.unlock prev;
         delete t key
       end
-      else begin
-        let l = V.read curr.left and r = V.read curr.right in
-        match (l, r) with
-        | None, None -> splice_out t prev d curr None
-        | (Some _ as only), None | None, (Some _ as only) ->
-          splice_out t prev d curr only
-        | Some _, Some right_child ->
-          delete_two_children t key prev d curr right_child l r
-      end
+      else
+        let l = V.read (child curr L) and r = V.read (child curr R) in
+        if l == Nil then splice_out t prev d curr r
+        else if r == Nil then splice_out t prev d curr l
+        else delete_two_children t key prev d curr l r
+    end
 
   and splice_out t prev d curr repl =
-    curr.marked <- true;
+    mark curr;
     write_pruned t (child prev d) repl;
-    Sync.Spinlock.unlock curr.lock;
-    Sync.Spinlock.unlock prev.lock;
+    F.unlock curr;
+    F.unlock prev;
     true
 
-  and delete_two_children t key prev d curr right_child l r =
-    let succ_prev, succ = leftmost curr right_child in
-    if succ_prev != curr then Sync.Spinlock.lock succ_prev.lock;
-    Sync.Spinlock.lock succ.lock;
+  and delete_two_children t key prev d curr l r =
+    let succ_prev, succ = leftmost curr r in
+    if succ_prev != curr then F.lock succ_prev;
+    F.lock succ;
     let valid =
-      (not succ.marked)
-      && (not succ_prev.marked)
-      && V.read succ.left = None
+      (not (marked succ))
+      && (not (marked succ_prev))
+      && V.read (child succ L) == Nil
       &&
-      if succ_prev == curr then succ == right_child else child_is succ_prev L succ
+      if succ_prev == curr then succ == r
+      else V.read (child succ_prev L) == succ
     in
     if not valid then begin
-      Sync.Spinlock.unlock succ.lock;
-      if succ_prev != curr then Sync.Spinlock.unlock succ_prev.lock;
-      Sync.Spinlock.unlock curr.lock;
-      Sync.Spinlock.unlock prev.lock;
+      F.unlock succ;
+      if succ_prev != curr then F.unlock succ_prev;
+      F.unlock curr;
+      F.unlock prev;
       delete t key
     end
     else begin
-      let succ_right = V.read succ.right in
+      let succ_right = V.read (child succ R) in
       let direct = succ_prev == curr in
       let replacement =
-        make_node succ.key l (if direct then succ_right else r)
+        make_node (key_of succ) l (if direct then succ_right else r)
       in
-      curr.marked <- true;
-      succ.marked <- true;
-      write_pruned t (child prev d) (Some replacement);
+      mark curr;
+      mark succ;
+      write_pruned t (child prev d) replacement;
       if not direct then begin
         Grace.wait_until_quiescent t.grace;
-        write_pruned t succ_prev.left succ_right
+        write_pruned t (child succ_prev L) succ_right
       end;
-      Sync.Spinlock.unlock succ.lock;
-      if succ_prev != curr then Sync.Spinlock.unlock succ_prev.lock;
-      Sync.Spinlock.unlock curr.lock;
-      Sync.Spinlock.unlock prev.lock;
+      F.unlock succ;
+      if succ_prev != curr then F.unlock succ_prev;
+      F.unlock curr;
+      F.unlock prev;
       true
     end
 
@@ -189,19 +200,18 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
   let collect_ts t ts ~lo ~hi =
     let buf = Sync.Scratch.get buf_scratch in
     Sync.Scratch.Int_buffer.clear buf;
-    let rec walk node_opt =
-      match node_opt with
-      | None -> ()
-      | Some n ->
+    let rec walk = function
+      | Nil -> ()
+      | Node n ->
         if lo < n.key then walk (V.read_at n.left ts);
         if n.key >= lo && n.key <= hi then
           Sync.Scratch.Int_buffer.push buf n.key;
         if hi > n.key then walk (V.read_at n.right ts)
     in
     Hwts_trace.Span.enter Hwts_trace.Traverse;
-    walk (V.read_at t.root.right ts);
+    walk (V.read_at (child t.root R) ts);
     Hwts_trace.Span.exit Hwts_trace.Traverse;
-    List.sort_uniq compare (Sync.Scratch.Int_buffer.to_list buf)
+    Sync.Scratch.Int_buffer.to_sorted_list buf
 
   (* Snapshot handle: announce-slot guard + captured label; the RQ is the
      advancing operation (vCAS).  Reads at the held label need no grace
@@ -220,24 +230,23 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
   let lookup_at t s key =
     let ts = snap_label s in
     let rec walk = function
-      | None -> false
-      | Some n ->
-        if n.key = key then true
-        else walk (V.read_at (child n (dir_of n key)) ts)
+      | Nil -> false
+      | Node m as n ->
+        m.key = key || walk (V.read_at (child n (dir_of n key)) ts)
     in
     Hwts_trace.Span.enter Hwts_trace.Traverse;
-    let r = walk (V.read_at t.root.right ts) in
+    let r = walk (V.read_at (child t.root R) ts) in
     Hwts_trace.Span.exit Hwts_trace.Traverse;
     r
 
   let to_list t =
     let rec walk acc = function
-      | None -> acc
-      | Some n ->
+      | Nil -> acc
+      | Node n ->
         let acc = walk acc (V.read n.right) in
         walk (n.key :: acc) (V.read n.left)
     in
-    walk [] (V.read t.root.right)
+    walk [] (V.read (child t.root R))
 
   let size t = List.length (to_list t)
   let quiesce t = Grace.quiesce t.grace

@@ -89,12 +89,26 @@ module Core (T : Hwts.Timestamp.S) = struct
     Hwts_trace.Span.exit Hwts_trace.Traverse;
     !lfound
 
+  (* An insert labels its bundles before it sets [fully_linked], so a
+     snapshot may already hold a linked node that is not yet fully
+     linked.  Point ops wait for such a node instead of calling it
+     absent, as [insert] does (and as the lazy skip list does). *)
+  let await_linked n =
+    while not (Atomic.get n.fully_linked) do
+      Tsc.cpu_relax ()
+    done
+
   let contains t key =
     let { preds; succs; _ } = get_scratch t in
     let lfound = find t key preds succs in
     lfound <> -1
-    && Atomic.get succs.(lfound).fully_linked
-    && not (Atomic.get succs.(lfound).marked)
+    &&
+    let n = succs.(lfound) in
+    (not (Atomic.get n.marked))
+    && begin
+         await_linked n;
+         not (Atomic.get n.marked)
+       end
 
   let t_null =
     {
@@ -154,9 +168,7 @@ module Core (T : Hwts.Timestamp.S) = struct
     if lfound <> -1 then begin
       let found = succs.(lfound) in
       if not (Atomic.get found.marked) then begin
-        while not (Atomic.get found.fully_linked) do
-          Tsc.cpu_relax ()
-        done;
+        await_linked found;
         false
       end
       else insert t key
@@ -185,6 +197,9 @@ module Core (T : Hwts.Timestamp.S) = struct
               B.label link ts;
               B.label node.b0 ts;
               prune_with t link ts;
+              (* fault injection: labeled and linked, not yet fully
+                 linked — point ops must wait, not answer "absent" *)
+              Sync.Pause.point ();
               Atomic.set node.fully_linked true;
               `Added
             end)
@@ -204,6 +219,14 @@ module Core (T : Hwts.Timestamp.S) = struct
         match victim with
         | Some _ -> victim
         | None ->
+          let lfound =
+            if lfound <> -1 && not (Atomic.get succs.(lfound).fully_linked)
+            then begin
+              await_linked succs.(lfound);
+              find t key preds succs
+            end
+            else lfound
+          in
           if lfound <> -1 && ok_to_delete succs.(lfound) lfound then begin
             let v = succs.(lfound) in
             Sync.Spinlock.lock v.lock;

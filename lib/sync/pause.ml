@@ -95,9 +95,32 @@ let inject st =
     (* microsleep: guarantees a reschedule even under light load *)
     Unix.sleepf (1e-6 *. float_of_int (1 + (r lsr 2 land 7)))
 
+(* [park_at]: a test sets [period_word] to -1, which routes every point to
+   [slow_point], and [countdown] picks the point that parks. *)
+let countdown = Padding.atomic 0
+let parked_word = Padding.atomic false
+
+let park_at n =
+  assert (n >= 1 && not (enabled ()));
+  Atomic.set countdown n;
+  Atomic.set period_word (-1)
+
+let parked () = Atomic.get parked_word
+let unpark () = Atomic.set parked_word false
+
+let park () =
+  Atomic.set period_word 0;
+  Atomic.set parked_word true;
+  while Atomic.get parked_word do
+    Domain.cpu_relax ()
+  done
+
 let slow_point () =
   let p = Atomic.get period_word in
-  if p > 0 then begin
+  if p < 0 then begin
+    if Atomic.fetch_and_add countdown (-1) = 1 then park ()
+  end
+  else if p > 0 then begin
     let st = Domain.DLS.get dls in
     let e = Atomic.get epoch in
     if st.epoch <> e then begin
@@ -107,4 +130,4 @@ let slow_point () =
     if next st mod p = 0 then inject st
   end
 
-let point () = if Atomic.get period_word > 0 then slow_point ()
+let point () = if Atomic.get period_word <> 0 then slow_point ()

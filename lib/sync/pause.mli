@@ -32,3 +32,16 @@ val point : unit -> unit
 
 val injected : unit -> int
 (** Total disturbances injected since program start (all domains). *)
+
+(** {2 Parking, for deterministic tests} *)
+
+val park_at : int -> unit
+(** [park_at n]: the [n]th point reached from now on, by any domain,
+    parks its caller until {!unpark}; every other point stays a no-op.
+    Injection must be off. *)
+
+val parked : unit -> bool
+(** Whether a caller is parked at a point. *)
+
+val unpark : unit -> unit
+(** Let the parked caller continue. *)

@@ -20,15 +20,24 @@ let make create = { create; key = Domain.DLS.new_key create }
 let get t = if Atomic.get state then Domain.DLS.get t.key else t.create ()
 
 module Int_buffer = struct
-  type t = { mutable data : int array; mutable len : int }
+  (* [ascending]: every push so far was above the one before it. *)
+  type t = {
+    mutable data : int array;
+    mutable len : int;
+    mutable ascending : bool;
+  }
 
   let create ?(capacity = 64) () =
-    { data = Array.make (max 1 capacity) 0; len = 0 }
+    { data = Array.make (max 1 capacity) 0; len = 0; ascending = true }
 
-  let clear b = b.len <- 0
+  let clear b =
+    b.len <- 0;
+    b.ascending <- true
+
   let length b = b.len
 
   let push b x =
+    if b.len > 0 && x <= b.data.(b.len - 1) then b.ascending <- false;
     if b.len = Array.length b.data then begin
       let bigger = Array.make (2 * Array.length b.data) 0 in
       Array.blit b.data 0 bigger 0 b.len;
@@ -40,4 +49,8 @@ module Int_buffer = struct
   let to_list b =
     let rec take acc i = if i < 0 then acc else take (b.data.(i) :: acc) (i - 1) in
     take [] (b.len - 1)
+
+  let to_sorted_list b =
+    let l = to_list b in
+    if b.ascending then l else List.sort_uniq Int.compare l
 end

@@ -37,4 +37,9 @@ module Int_buffer : sig
 
   val to_list : t -> int list
   (** Elements in push order; allocates only the result list. *)
+
+  val to_sorted_list : t -> int list
+  (** Elements ascending, without duplicates.  When every push since
+      {!clear} was above the one before it, this is {!to_list}; otherwise
+      the list is sorted and de-duplicated. *)
 end

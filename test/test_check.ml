@@ -310,6 +310,10 @@ let fixture_files =
     "fixtures/check-bst-vcas-multislot-seed61893.trace";
     "fixtures/check-bst-vcas-tl2-seed61893.trace";
     "fixtures/check-skiplist-bundle-rdtscp-strict-multi-seed61893.trace";
+    (* the round that once showed a snapshot holding a key that a
+       concurrent delete called absent (insert labeled, not yet fully
+       linked) *)
+    "fixtures/check-skiplist-bundle-rdtscp-strict-multi-seed12648430.trace";
   ]
 
 let replay_fixture path () =

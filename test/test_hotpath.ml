@@ -38,6 +38,23 @@ let int_buffer_basics () =
   Int_buffer.push b 7;
   Alcotest.(check (list int)) "reusable after clear" [ 7 ] (Int_buffer.to_list b)
 
+(* [to_sorted_list] returns ascending, duplicate-free keys whatever the
+   push order; a clear forgets an earlier out-of-order push. *)
+let int_buffer_sorted () =
+  let b = Int_buffer.create ~capacity:2 () in
+  let fill keys =
+    Int_buffer.clear b;
+    List.iter (Int_buffer.push b) keys;
+    Int_buffer.to_sorted_list b
+  in
+  Alcotest.(check (list int)) "empty" [] (fill []);
+  Alcotest.(check (list int)) "ascending" [ 1; 2; 5; 9 ] (fill [ 1; 2; 5; 9 ]);
+  Alcotest.(check (list int)) "unordered" [ 1; 2; 5; 9 ] (fill [ 5; 1; 9; 2 ]);
+  Alcotest.(check (list int))
+    "duplicates" [ 1; 3; 4 ] (fill [ 1; 3; 3; 4; 1 ]);
+  Alcotest.(check (list int)) "adjacent duplicate" [ 2 ] (fill [ 2; 2 ]);
+  Alcotest.(check (list int)) "after an unordered fill" [ 4; 6 ] (fill [ 4; 6 ])
+
 (* ---------- determinism: scratch reuse must be invisible ---------- *)
 
 (* One seeded single-domain op script; returns every observable output:
@@ -221,7 +238,10 @@ let () =
   Alcotest.run "hotpath"
     [
       ( "int-buffer",
-        [ Alcotest.test_case "push/grow/clear/order" `Quick int_buffer_basics ]
+        [
+          Alcotest.test_case "push/grow/clear/order" `Quick int_buffer_basics;
+          Alcotest.test_case "to_sorted_list" `Quick int_buffer_sorted;
+        ]
       );
       ( "determinism",
         [

@@ -294,6 +294,52 @@ let per_impl (module S : RQSET) =
     t "static backdrop" `Slow (static_backdrop (module S));
   ]
 
+(* ---------- skiplist-bundle: an insert before fully_linked ----------
+
+   An insert labels its bundles, then sets [fully_linked].  The inserter
+   is parked at the pause point between the two: a snapshot taken then
+   holds the key, so [contains] and [delete] must agree with it.  They
+   wait for the inserter instead of answering "absent"; the reader gets
+   200 ms to answer early, which it may only do wrongly. *)
+let skiplist_bundle_waits_for_labeled_insert () =
+  let module LB = Hwts.Timestamp.Logical () in
+  let module S = Rangequery.Skiplist_bundle.Make (LB) in
+  let t = S.create () in
+  List.iter (fun k -> ignore (S.insert t k)) [ 10; 30 ];
+  let spawn f = Domain.spawn (fun () -> Sync.Slot.with_slot (fun _ -> f ())) in
+  (* the insert's points: the link bundle's prepare and label, the new
+     node's bundle label, then the one before [fully_linked] *)
+  Sync.Pause.park_at 4;
+  let inserter = spawn (fun () -> S.insert t 20) in
+  while not (Sync.Pause.parked ()) do
+    Domain.cpu_relax ()
+  done;
+  let snap = S.snapshot t in
+  let seen = S.lookup_at t snap 20 in
+  S.snap_release t snap;
+  let answered = Atomic.make false in
+  let reader =
+    spawn (fun () ->
+        let found = S.contains t 20 in
+        let deleted = S.delete t 20 in
+        Atomic.set answered true;
+        (found, deleted))
+  in
+  let deadline = Unix.gettimeofday () +. 0.2 in
+  while (not (Atomic.get answered)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  let early = Atomic.get answered in
+  Sync.Pause.unpark ();
+  let inserted = Domain.join inserter in
+  let found, deleted = Domain.join reader in
+  Alcotest.(check bool) "the snapshot holds the labeled key" true seen;
+  Alcotest.(check bool) "no answer while the insert is parked" false early;
+  Alcotest.(check bool) "contains" true found;
+  Alcotest.(check bool) "delete" true deleted;
+  Alcotest.(check bool) "insert" true inserted;
+  Alcotest.(check (list int)) "final" [ 10; 30 ] (S.to_list t)
+
 let () =
   Alcotest.run "rangequery"
     [
@@ -304,5 +350,10 @@ let () =
             forced_ties_sequential;
           Alcotest.test_case "concurrent smoke under ties" `Slow
             forced_ties_concurrent_smoke;
+        ] );
+      ( "visibility",
+        [
+          Alcotest.test_case "skiplist-bundle point ops wait for an insert"
+            `Quick skiplist_bundle_waits_for_labeled_insert;
         ] );
     ]

@@ -452,13 +452,20 @@ let snapshot_stable_under_concurrency () =
 
 (* ---------- field CAS and the write barrier ---------- *)
 
-(* The vCAS BST CASes fresh versions into edge fields of its nodes
-   through a C stub.  Once the tree is promoted to the major heap, each
-   such CAS stores a minor-heap pointer into a major-heap block; without
-   the runtime's write barrier the next minor collection would leave that
-   edge dangling.  Every write below is followed by a collection, then by
-   reads of the current tree, of a snapshot taken before any of the
-   writes, and of single keys at that snapshot. *)
+(* Runs [f] on a fresh domain and waits for it.  A citrus-ebrrq
+   snapshot holds an op section on the domain that took it, so writes
+   made while it is held come from another domain. *)
+let on_worker f = ignore (Util.spawn_workers 1 (fun _ -> f ()))
+
+(* The vCAS BST and the three Citrus trees store fresh nodes (or fresh
+   versions) into fields of their nodes through a C stub.  Once the tree
+   is promoted to the major heap, each such store puts a minor-heap
+   pointer into a major-heap block; without the runtime's write barrier
+   the next minor collection would leave that edge dangling.  Every
+   round of writes below is followed by a collection, then by reads of
+   the current tree, of a snapshot taken before any of the writes, and
+   of single keys at that snapshot.  The ascending base makes every
+   delete after the first one a two-children delete. *)
 let field_cas_survives_gc name ts () =
   let module S = (val List.assoc name Workload.Targets.all ts) in
   let t = S.create () in
@@ -469,11 +476,13 @@ let field_cas_survives_gc name ts () =
   let module IS = Set.Make (Int) in
   let model = ref (IS.of_list base) in
   for r = 0 to 127 do
-    ignore (S.insert t ((4 * r) + 1));
-    ignore (S.delete t (4 * r));
+    on_worker (fun () ->
+        ignore (S.insert t ((4 * r) + 1));
+        ignore (S.delete t (4 * r)));
     model := IS.add ((4 * r) + 1) (IS.remove (4 * r) !model);
     if r mod 2 = 0 then Gc.minor () else Gc.full_major ();
-    Alcotest.(check (list int)) "current tree" (IS.elements !model) (S.to_list t);
+    Alcotest.(check (list int))
+      "current tree" (IS.elements !model) (S.to_list t);
     Alcotest.(check (list int))
       "snapshot before the writes" base
       (S.collect_at t past ~lo:0 ~hi:1_024);
@@ -494,7 +503,62 @@ let field_cas_cases =
             `Quick
             (field_cas_survives_gc name ts))
         [ (`Logical, "logical"); (`Hardware_strict, "rdtscp-strict") ])
-    [ "bst-vcas"; "bst-vcas-kv" ]
+    [
+      "bst-vcas"; "bst-vcas-kv"; "citrus-ebrrq"; "citrus-bundle"; "citrus-vcas";
+    ]
+
+(* A citrus-ebrrq two-children delete unlinks its victim for good (a
+   replacement carries the successor's key), so a snapshot taken before
+   it finds the key only in limbo.  The snapshot's op section must keep
+   that node from being freed through any amount of later churn: the
+   reclaimer poisons what it frees, and a covered poisoned node counts a
+   [reclaim.poison_hits].  Once the snapshot is released, the same churn
+   frees nodes, so the freeing path is live in this test.  Under EBR the
+   snapshot holder needs no quiescence of its own; the QSBR backends
+   would make the delete's grace wait wait for it. *)
+let citrus_limbo_keeps_relocated () =
+  let module LL = Hwts.Timestamp.Logical () in
+  let module Ce =
+    Rangequery.Citrus_ebrrq.Make (Hwts_reclaim.Ebr_backend) (LL)
+  in
+  let t = Ce.create () in
+  (* 70 is the successor's parent, so the delete of 50 relocates 60 *)
+  List.iter (fun k -> ignore (Ce.insert t k)) [ 50; 30; 70; 60; 80; 65 ];
+  let poison () =
+    Option.value ~default:0
+      (Hwts_obs.Registry.counter_value "reclaim.poison_hits")
+  in
+  let hits = poison () in
+  let churn ops =
+    for i = 1 to ops do
+      let k = 1_000 + (i mod 64) in
+      ignore (Ce.insert t k);
+      ignore (Ce.delete t k);
+      Ce.quiesce t
+    done
+  in
+  let past = Ce.snapshot t in
+  on_worker (fun () -> ignore (Ce.delete t 50));
+  Alcotest.(check (list int)) "50 is out of the tree" [ 30; 60; 65; 70; 80 ]
+    (Ce.to_list t);
+  on_worker (fun () -> churn 4_096);
+  Alcotest.(check bool) "found at the snapshot" true (Ce.lookup_at t past 50);
+  Alcotest.(check (list int))
+    "range at the snapshot" [ 30; 50; 60; 65; 70; 80 ]
+    (Ce.collect_at t past ~lo:0 ~hi:100);
+  Alcotest.(check int) "no poisoned node covered" hits (poison ());
+  Ce.snap_release t past;
+  let reclaimed = Ce.reclaimed t in
+  let deadline = Unix.gettimeofday () +. 2. in
+  while Ce.reclaimed t = reclaimed && Unix.gettimeofday () < deadline do
+    on_worker (fun () -> churn 256)
+  done;
+  Alcotest.(check bool) "frees after the release" true
+    (Ce.reclaimed t > reclaimed);
+  let now = Ce.snapshot t in
+  Alcotest.(check bool)
+    "gone at a later snapshot" false (Ce.lookup_at t now 50);
+  Ce.snap_release t now
 
 (* ---------- bundles ---------- *)
 
@@ -799,21 +863,27 @@ let sentinels_absent () =
 
 (* ---------- memory layout ---------- *)
 
-(* Heap words each key adds to a vCAS structure, over 8192 seeded inserts
-   under the logical clock.  A vCAS BST level is version -> node (the
-   edge's head is a field of the parent), so one more block per level
-   shows up here as whole words per key, without timing anything. *)
+(* Heap words each key adds to a structure, over seeded inserts from
+   1024 to 8192 keys under the logical clock.  One more heap block per node shows up here
+   as whole words per key, without timing anything.  The bounds are the
+   measured values, so a block added back to any node fails this. *)
 let words_per_key create insert =
-  let keys = 8192 in
+  let warm = 1024 and keys = 8192 in
   let t = create () in
   let words () = Obj.reachable_words (Obj.repr t) in
-  let empty = words () in
   let rng = Util.rng 0x1A40 in
   let n = ref 0 in
-  while !n < keys do
-    if insert t (Dstruct.Prng.below rng (1 lsl 30)) then incr n
-  done;
-  float_of_int (words () - empty) /. float_of_int keys
+  let fill upto =
+    while !n < upto do
+      if insert t (Dstruct.Prng.below rng (1 lsl 30)) then incr n
+    done
+  in
+  (* the slope after [warm] keys: per-structure state that the first
+     operations allocate once is not a per-key cost *)
+  fill warm;
+  let base = words () in
+  fill keys;
+  float_of_int (words () - base) /. float_of_int (keys - warm)
 
 let layout_bound name bound words () =
   let w = words () in
@@ -822,19 +892,30 @@ let layout_bound name bound words () =
     true (w <= bound)
 
 let layout_cases =
+  let module Ebr = Hwts_reclaim.Ebr_backend in
   let module Bst = Rangequery.Bst_vcas.Make (LL) in
   let module Kv = Rangequery.Bst_vcas_kv.Make (LL) in
-  let module Citrus =
-    Rangequery.Citrus_vcas.Make (Hwts_reclaim.Ebr_backend) (LL)
-  in
-  let module Skip = Rangequery.Skiplist_vcas.Make (LL) in
+  let module Cv = Rangequery.Citrus_vcas.Make (Ebr) (LL) in
+  let module Cb = Rangequery.Citrus_bundle.Make (Ebr) (LL) in
+  let module Ce = Rangequery.Citrus_ebrrq.Make (Ebr) (LL) in
+  let module Sv = Rangequery.Skiplist_vcas.Make (LL) in
+  let module Sb = Rangequery.Skiplist_bundle.Make (LL) in
+  let module Lb = Rangequery.Lazylist_bundle.Make (LL) in
+  let module Bl = Rangequery.Bst_ebrrq_lockfree.Make (Ebr) (LL) in
   [
     ("bst-vcas", 14., fun () -> words_per_key Bst.create Bst.insert);
     ( "bst-vcas-kv",
       15.,
       fun () -> words_per_key Kv.create (fun t k -> Kv.add t k k) );
-    ("citrus-vcas", 22., fun () -> words_per_key Citrus.create Citrus.insert);
-    ("skiplist-vcas", 26., fun () -> words_per_key Skip.create Skip.insert);
+    ("citrus-vcas", 18., fun () -> words_per_key Cv.create Cv.insert);
+    ("citrus-bundle", 28., fun () -> words_per_key Cb.create Cb.insert);
+    ("citrus-ebrrq", 9., fun () -> words_per_key Ce.create Ce.insert);
+    ("skiplist-vcas", 26., fun () -> words_per_key Sv.create Sv.insert);
+    ("skiplist-bundle", 33., fun () -> words_per_key Sb.create Sb.insert);
+    ("lazylist-bundle", 22., fun () -> words_per_key Lb.create Lb.insert);
+    ( "bst-ebrrq-lockfree",
+      33.,
+      fun () -> words_per_key Bl.create Bl.insert );
   ]
   |> List.map (fun (name, bound, words) ->
          Alcotest.test_case name `Quick (layout_bound name bound words))
@@ -890,6 +971,11 @@ let () =
             `Slow snapshot_pinned_across_nested_rqs_and_pruning;
         ] );
       ("field-cas", field_cas_cases);
+      ( "limbo",
+        [
+          Alcotest.test_case "citrus-ebrrq relocated key under a snapshot"
+            `Quick citrus_limbo_keeps_relocated;
+        ] );
       ( "reserved keys",
         [ Alcotest.test_case "sentinels absent" `Quick sentinels_absent ] );
       ( "observability",

@@ -253,12 +253,13 @@ bench-adaptive-smoke: build
 
 # Alternating pairs of the served-request benchmark, BASE against the
 # working tree, each side built from source in a temporary checkout:
-#   make e2e-pairs BASE=<rev> WORKLOAD=<name> [PAIRS=10]
-# Prints medians, quartiles and pairs won for setup_s and server_rss_mb.
+#   make e2e-pairs BASE=<rev> WORKLOAD=<name|all> [PAIRS=10]
+# Prints medians, quartiles and pairs won for setup_s and server_rss_mb,
+# per workload (`all`: every workload in BENCHMARK.json, in turn).
 PAIRS ?= 10
 e2e-pairs:
 	@test -n "$(BASE)" && test -n "$(WORKLOAD)" || \
-	  { echo "usage: make e2e-pairs BASE=<rev> WORKLOAD=<name> [PAIRS=10]" >&2; exit 2; }
+	  { echo "usage: make e2e-pairs BASE=<rev> WORKLOAD=<name|all> [PAIRS=10]" >&2; exit 2; }
 	bash bench/pairs.sh $(BASE) $(WORKLOAD) $(PAIRS)
 
 clean:

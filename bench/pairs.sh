@@ -2,8 +2,11 @@
 # Alternating pairs of the served-request benchmark: a base revision
 # against the working tree.  Run from the repository root:
 #
-#   bash bench/pairs.sh BASE WORKLOAD [PAIRS] [-- HWTS_BENCH_ARGS...]
-#   make e2e-pairs BASE=<rev> WORKLOAD=<name> [PAIRS=10]
+#   bash bench/pairs.sh BASE WORKLOAD|all [PAIRS] [-- HWTS_BENCH_ARGS...]
+#   make e2e-pairs BASE=<rev> WORKLOAD=<name|all> [PAIRS=10]
+#
+# WORKLOAD `all` runs the pairs for every workload BENCHMARK.json
+# declares, one workload after the other.
 #
 # Both sides are built from source in temporary checkouts under $TMPDIR:
 # BASE from `git archive`, the working tree (uncommitted and untracked
@@ -13,16 +16,16 @@
 # the side that runs first alternates from pair to pair, so a drift of
 # the machine during the run lands on both sides equally.
 #
-# Prints one line per run, then, for `setup_s` and `server_rss_mb` (lower
-# is better for both), the median and quartiles [q1–q3] of each side and
-# the number of pairs the working tree won.  The bench/e2e README's rule
-# for a claimed gain is: won in at least 9 of 10 pairs, and the medians
-# differ by more than the base's quartile spread.  Exits 1 if any run
-# failed a request or did not finish.
+# Prints one line per run, then, per workload and for `setup_s` and
+# `server_rss_mb` (lower is better for both), the median and quartiles
+# [q1–q3] of each side and the number of pairs the working tree won.
+# The bench/e2e README's rule for a claimed gain is: won in at least 9
+# of 10 pairs, and the medians differ by more than the base's quartile
+# spread.  Exits 1 if any run failed a request or did not finish.
 set -euo pipefail
 
 if [ $# -lt 2 ] || [ ! -f dune-project ] || [ ! -d bench/e2e ]; then
-  echo "usage (from the repository root): bash bench/pairs.sh BASE WORKLOAD [PAIRS] [-- HWTS_BENCH_ARGS]" >&2
+  echo "usage (from the repository root): bash bench/pairs.sh BASE WORKLOAD|all [PAIRS] [-- HWTS_BENCH_ARGS]" >&2
   exit 2
 fi
 base=$1
@@ -35,6 +38,11 @@ if [ $# -gt 0 ] && [ "$1" != "--" ]; then
 fi
 [ "${1:-}" = "--" ] && shift
 extra=("$@")
+if [ "$workload" = all ]; then
+  workloads=$(sed -n 's/.*{"name": *"\([^"]*\)", *"why".*/\1/p' BENCHMARK.json)
+else
+  workloads=$workload
+fi
 
 rev=$(git rev-parse --verify "$base^{commit}")
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/hwts-pairs.XXXXXX")
@@ -55,40 +63,43 @@ for side in base tree; do
       ./bench/e2e/hwts_bench.exe 1>&2)
 done
 
-# run SIDE PAIR: one benchmark run; appends "pair side setup rss failed"
-# to $tmp/runs.
+# run WORKLOAD SIDE PAIR: one benchmark run; appends "workload pair side
+# setup rss failed" to $tmp/runs.
 run() {
-  local side=$1 pair=$2 out
+  local workload=$1 side=$2 pair=$3 out
   out=$(cd "$tmp/$side" &&
     ./_build/default/bench/e2e/hwts_bench.exe --workload "$workload" \
       --out "$tmp/out-$side" ${extra[@]+"${extra[@]}"}) || {
     echo "pair $pair: $side run exited non-zero" >&2
-    echo "$pair $side nan nan 1" >>"$tmp/runs"
+    echo "$workload $pair $side nan nan 1" >>"$tmp/runs"
     return
   }
   local setup rss failed
   setup=$(awk -v w="$workload" '$1 == w && $2 == "setup_s" { print $3 }' <<<"$out")
   rss=$(awk -v w="$workload" '$1 == w && $2 == "server_rss_mb" { print $3 }' <<<"$out")
   failed=$(tail -n 1 <<<"$out" | sed -n 's/.*"failed":\([0-9]*\).*/\1/p')
-  echo "$pair $side ${setup:-nan} ${rss:-nan} ${failed:-1}" >>"$tmp/runs"
+  echo "$workload $pair $side ${setup:-nan} ${rss:-nan} ${failed:-1}" >>"$tmp/runs"
   printf 'pair %2d %-4s setup_s %-8s server_rss_mb %-8s failed %s\n' \
     "$pair" "$side" "${setup:-nan}" "${rss:-nan}" "${failed:-?}"
 }
 
-for ((p = 1; p <= pairs; p++)); do
-  if ((p % 2)); then
-    run base "$p"
-    run tree "$p"
-  else
-    run tree "$p"
-    run base "$p"
-  fi
+for w in $workloads; do
+  [ "$w" = "$workload" ] || echo "== $w"
+  for ((p = 1; p <= pairs; p++)); do
+    if ((p % 2)); then
+      run "$w" base "$p"
+      run "$w" tree "$p"
+    else
+      run "$w" tree "$p"
+      run "$w" base "$p"
+    fi
+  done
 done
 
-# quartiles COLUMN SIDE: "median q1 q3" of one metric on one side, with
-# linear interpolation between order statistics.
+# quartiles WORKLOAD COLUMN SIDE: "median q1 q3" of one metric on one
+# side, with linear interpolation between order statistics.
 quartiles() {
-  awk -v c="$1" -v s="$2" '$2 == s { print $c }' "$tmp/runs" | sort -g |
+  awk -v w="$1" -v c="$2" -v s="$3" '$1 == w && $3 == s { print $c }' "$tmp/runs" | sort -g |
     awk '
       function q(f,   h, i) {
         h = (NR - 1) * f; i = int(h)
@@ -98,19 +109,21 @@ quartiles() {
       END { print q(0.5), q(0.25), q(0.75) }'
 }
 
-echo "$workload: $pairs pairs, base $(git rev-parse --short "$rev") vs working tree${extra[*]+, args: ${extra[*]}}"
-for metric in setup_s:3 server_rss_mb:4; do
-  name=${metric%:*} col=${metric#*:}
-  read -r bm b1 b3 <<<"$(quartiles "$col" base)"
-  read -r tm t1 t3 <<<"$(quartiles "$col" tree)"
-  won=$(awk -v c="$col" '
-      $2 == "base" { b[$1] = $c } $2 == "tree" { t[$1] = $c }
-      END { for (p in b) if (t[p] + 0 < b[p] + 0) n++; print n + 0 }' "$tmp/runs")
-  awk -v n="$name" -v bm="$bm" -v b1="$b1" -v b3="$b3" -v tm="$tm" \
-    -v t1="$t1" -v t3="$t3" -v won="$won" -v pairs="$pairs" 'BEGIN {
-      printf "%-14s base %.4g [%.4g-%.4g]  tree %.4g [%.4g-%.4g]  change %+.1f%%  pairs won %d/%d\n",
-        n, bm, b1, b3, tm, t1, t3, 100 * (tm / bm - 1), won, pairs }'
+for w in $workloads; do
+  echo "$w: $pairs pairs, base $(git rev-parse --short "$rev") vs working tree${extra[*]+, args: ${extra[*]}}"
+  for metric in setup_s:4 server_rss_mb:5; do
+    name=${metric%:*} col=${metric#*:}
+    read -r bm b1 b3 <<<"$(quartiles "$w" "$col" base)"
+    read -r tm t1 t3 <<<"$(quartiles "$w" "$col" tree)"
+    won=$(awk -v w="$w" -v c="$col" '
+        $1 != w { next } $3 == "base" { b[$2] = $c } $3 == "tree" { t[$2] = $c }
+        END { for (p in b) if (t[p] + 0 < b[p] + 0) n++; print n + 0 }' "$tmp/runs")
+    awk -v n="$name" -v bm="$bm" -v b1="$b1" -v b3="$b3" -v tm="$tm" \
+      -v t1="$t1" -v t3="$t3" -v won="$won" -v pairs="$pairs" 'BEGIN {
+        printf "%-14s base %.4g [%.4g-%.4g]  tree %.4g [%.4g-%.4g]  change %+.1f%%  pairs won %d/%d\n",
+          n, bm, b1, b3, tm, t1, t3, 100 * (tm / bm - 1), won, pairs }'
+  done
 done
-failed=$(awk '{ n += $5 } END { print n + 0 }' "$tmp/runs")
+failed=$(awk '{ n += $6 } END { print n + 0 }' "$tmp/runs")
 echo "failed requests: $failed"
 [ "$failed" -eq 0 ]

@@ -12,44 +12,51 @@
     bundle, the newest entry labeled at or before their snapshot, spinning
     briefly on pending entries exactly as the original protocol does.
 
-    Mutators of one bundle must already be serialized by the owning
-    structure's node lock; readers are lock-free. *)
+    A bundle is named by its head, the newest entry, which the owning
+    structure keeps in a mutable field of its node and replaces itself
+    (one pointer per link, as in {!Vcas_obj}).  Mutators of one bundle
+    must already be serialized by the owning structure's node lock;
+    readers are lock-free. *)
 
 module Make (T : Hwts.Timestamp.S) : sig
-  type 'a t
+  type 'a entry = 'a Chain.version
+  (** The {!Vcas_obj} version record: one block per entry, whose chain
+      ends in an entry whose older link is itself. *)
 
-  val make : 'a -> 'a t
-  (** Bundle whose initial entry is labeled immediately (for structure
-      roots created before any snapshot). *)
+  val first : 'a -> 'a entry
+  (** A one-entry bundle labeled immediately (for structure roots created
+      before any snapshot). *)
 
-  val make_pending : 'a -> 'a t
-  (** Bundle whose initial entry awaits labeling by the installing update
+  val pending : 'a -> 'a entry
+  (** A one-entry bundle that awaits labeling by the installing update
       (for nodes created inside an operation). *)
 
-  val prepare : 'a t -> 'a -> unit
-  (** Push a pending entry for a new target.  Caller holds the node lock;
-      the previous head must already be labeled. *)
+  val successor : 'a entry -> 'a -> 'a entry
+  (** [successor head target]: a pending entry for [target] whose older
+      link is [head], which must already be labeled.  The caller holds
+      the node lock, installs it in place of [head], then {!label}s it. *)
 
-  val label : 'a t -> int -> unit
-  (** Label the pending head entry.  One update may label several bundles
-      with the same timestamp to make a multi-link change atomic. *)
+  val label : 'a entry -> int -> unit
+  (** Label a pending entry.  One update may label several bundles with
+      the same timestamp to make a multi-link change atomic. *)
 
-  val read : 'a t -> 'a
-  (** Current head target, pending or not (elemental-path debugging). *)
+  val value : 'a entry -> 'a
+  (** The entry's target, pending or not (elemental-path debugging). *)
 
-  val read_at : 'a t -> int -> 'a
+  val value_at : 'a entry -> int -> 'a
   (** Target at snapshot [ts]; spins on pending entries; falls back to the
       oldest entry if the whole chain is newer (only reachable-at-[ts]
       bundles may be read, so this is the creation value). *)
 
-  val read_at_opt : 'a t -> int -> 'a option
-  (** Like {!read_at} but [None] when no entry is labeled [<= ts] — used
-      to detect a traversal starting point that did not exist at [ts]. *)
+  val exists_at : 'a entry -> int -> bool
+  (** Whether some entry is labeled [<= ts] — used to detect a traversal
+      starting point that did not exist at [ts].  Allocates nothing. *)
 
-  val prune : 'a t -> int -> unit
+  val prune_from : 'a entry -> int -> unit
   (** Drop entries that no snapshot at or after [min_ts] can need (keeps
       the newest entry labeled [<= min_ts] and everything newer).  Caller
       holds the node lock. *)
 
-  val length : 'a t -> int
+  val chain_of : 'a entry -> int
+  (** Number of retained entries. *)
 end

@@ -2,9 +2,9 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
   module B = Bundle.Make (T)
 
   (* A [Node]'s inline record is its block, and an absent child is [Nil],
-     as in citrus_ebrrq.ml.  [left] (field 1), [right] (2) and [lock] (3)
-     are written only through {!Field_lock}, so the field order
-     matters. *)
+     as in citrus_ebrrq.ml.  [left] (field 1), [right] (2), [lock] (3)
+     and the bundle heads [bleft] (5) and [bright] (6) are written only
+     through {!Field_lock}, so the field order matters. *)
   type node =
     | Nil
     | Node of {
@@ -13,8 +13,8 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
         mutable right : node;
         mutable lock : bool;
         mutable marked : bool;
-        bleft : node B.t; (* bundled links: range queries *)
-        bright : node B.t;
+        mutable bleft : node B.entry; (* bundled links: range queries *)
+        mutable bright : node B.entry;
       }
 
   module F = Field_lock.Make (struct
@@ -46,8 +46,8 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
         right = r;
         lock = false;
         marked = false;
-        bleft = B.make_pending l;
-        bright = B.make_pending r;
+        bleft = B.pending l;
+        bright = B.pending r;
       }
 
   let create () =
@@ -59,8 +59,8 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
           right = Nil;
           lock = false;
           marked = false;
-          bleft = B.make Nil;
-          bright = B.make Nil;
+          bleft = B.first Nil;
+          bright = B.first Nil;
         }
     in
     { root; grace = Grace.create (); registry = Rq_registry.create () }
@@ -78,11 +78,20 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
 
   let set_child n d ~was v = F.link n (match d with L -> 1 | R -> 2) ~was v
 
-  (* the bundled link from [n] toward [d]; [n] is never [Nil] *)
+  (* the head of the bundled link from [n] toward [d]; [n] is never
+     [Nil] *)
   let bchild n d =
     match n with
     | Node n -> ( match d with L -> n.bleft | R -> n.bright)
     | Nil -> invalid_arg "Citrus_bundle.bchild: Nil"
+
+  (* Push a pending entry for [target] onto the bundled link from [n]
+     toward [d]; the caller holds [n]'s lock and labels the entry. *)
+  let prepare n d target =
+    let was = bchild n d in
+    let entry = B.successor was target in
+    F.install n (match d with L -> 5 | R -> 6) ~was entry;
+    entry
 
   let dir_of n key = if key < key_of n then L else R
 
@@ -105,8 +114,8 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
     let _, _, found = traverse t key in
     found != Nil
 
-  let prune_with t bundle ts =
-    B.prune bundle (Rq_registry.min_active_cached t.registry ~default:ts)
+  let prune_with t entry ts =
+    B.prune_from entry (Rq_registry.min_active_cached t.registry ~default:ts)
 
   (* Re-walk from the root under [prev.lock] and require the walk to end
      at the same empty slot.  "Unmarked and still Nil" is not enough for
@@ -136,8 +145,7 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
       in
       if valid then begin
         let node = make_node key Nil Nil in
-        let link = bchild prev d in
-        B.prepare link node;
+        let link = prepare prev d node in
         (* timestamp before the raw link (the commit point elemental
            traversals observe), and the fresh node's bundles labeled
            before it is reachable so no neighbour can prepare on a
@@ -185,8 +193,7 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
     end
 
   and splice_out t prev d curr repl =
-    let link = bchild prev d in
-    B.prepare link repl;
+    let link = prepare prev d repl in
     (* timestamp before the unlink: once a traversal can miss [curr],
        every later snapshot timestamp covers the delete *)
     let ts = T.advance () in
@@ -221,9 +228,8 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
       let replacement =
         make_node (key_of succ) l (if direct then succ_right else r)
       in
-      let link = bchild prev d in
-      B.prepare link replacement;
-      if not direct then B.prepare (bchild succ_prev L) succ_right;
+      let link = prepare prev d replacement in
+      if not direct then ignore (prepare succ_prev L succ_right);
       (* One timestamp for every entry — the whole relocation is a single
          atomic step for snapshot traversals — taken before the raw swap
          so observable effects never precede their label; the replacement
@@ -262,13 +268,13 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
     let rec walk = function
       | Nil -> ()
       | Node n ->
-        if lo < n.key then walk (B.read_at n.bleft ts);
+        if lo < n.key then walk (B.value_at n.bleft ts);
         if n.key >= lo && n.key <= hi then
           Sync.Scratch.Int_buffer.push buf n.key;
-        if hi > n.key then walk (B.read_at n.bright ts)
+        if hi > n.key then walk (B.value_at n.bright ts)
     in
     Hwts_trace.Span.enter Hwts_trace.Traverse;
-    walk (B.read_at (bchild t.root R) ts);
+    walk (B.value_at (bchild t.root R) ts);
     Hwts_trace.Span.exit Hwts_trace.Traverse;
     Sync.Scratch.Int_buffer.to_list buf
 
@@ -292,10 +298,10 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
     let rec walk = function
       | Nil -> false
       | Node m as n ->
-        m.key = key || walk (B.read_at (bchild n (dir_of n key)) ts)
+        m.key = key || walk (B.value_at (bchild n (dir_of n key)) ts)
     in
     Hwts_trace.Span.enter Hwts_trace.Traverse;
-    let r = walk (B.read_at (bchild t.root R) ts) in
+    let r = walk (B.value_at (bchild t.root R) ts) in
     Hwts_trace.Span.exit Hwts_trace.Traverse;
     r
 
@@ -316,7 +322,7 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
   let bundle_stats t =
     let rec spine links entries = function
       | Nil -> (links, entries)
-      | Node n -> spine (links + 1) (entries + B.length n.bleft) n.left
+      | Node n -> spine (links + 1) (entries + B.chain_of n.bleft) n.left
     in
     spine 0 0 (child t.root R)
 end

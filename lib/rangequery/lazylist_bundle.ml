@@ -1,40 +1,39 @@
 module Core (T : Hwts.Timestamp.S) = struct
   module B = Bundle.Make (T)
 
-  (* Nodes are a variant with an inline record: [Atomic.get next] yields
-     the successor block directly (or the immediate [Nil]), so a traversal
-     step costs two dependent loads where the previous
-     [node option Atomic.t] layout paid three (atomic box -> option box ->
-     node).  On a list whose every operation is an O(n) pointer chase,
-     that constant factor — and keeping bundle dereferences off the raw
-     search path below — is the whole game. *)
+  (* A node is one block, the inline record of [Node], and the list end
+     is the immediate [Nil], as in the Citrus trees: a raw traversal step
+     is one load of [next].  On a list whose every operation is an O(n)
+     pointer chase, that constant factor — and keeping bundle
+     dereferences off the raw search path below — is the whole game.
+     [next] (field 1), [lock] (2), [marked] (3) and [b] (4) are written
+     only through {!Field_lock}, so the field order matters. *)
   type node =
     | Nil
     | Node of {
         key : int;
-        next : node Atomic.t; (* raw link; Nil = list end *)
-        b : node B.t; (* bundled link *)
-        lock : Sync.Spinlock.t;
-        marked : bool Atomic.t;
+        mutable next : node; (* raw link; Nil = list end *)
+        mutable lock : bool;
+        mutable marked : bool;
+        mutable b : node B.entry; (* bundled link *)
       }
+
+  module F = Field_lock.Make (struct
+    type t = node
+
+    let lock_field = 2
+    let locked = function Node n -> n.lock | Nil -> false
+  end)
 
   type t = { head : node; registry : Rq_registry.t }
 
   let name = "bundle-lazylist(" ^ T.name ^ ")"
 
-  let make_node key next b =
-    Node
-      {
-        key;
-        next = Atomic.make next;
-        b;
-        lock = Sync.Spinlock.make ();
-        marked = Atomic.make false;
-      }
+  let make_node key next b = Node { key; next; lock = false; marked = false; b }
 
   let create () =
     {
-      head = make_node Dstruct.Ordered_set.min_key Nil (B.make Nil);
+      head = make_node Dstruct.Ordered_set.min_key Nil (B.first Nil);
       registry = Rq_registry.create ();
     }
 
@@ -47,7 +46,7 @@ module Core (T : Hwts.Timestamp.S) = struct
       match pred with
       | Nil -> assert false
       | Node p -> (
-        let curr = Atomic.get p.next in
+        let curr = p.next in
         match curr with
         | Node c when c.key < key -> walk curr
         | _ -> (pred, curr))
@@ -61,80 +60,85 @@ module Core (T : Hwts.Timestamp.S) = struct
     match pred with
     | Nil -> assert false
     | Node p ->
-      (not (Atomic.get p.marked))
-      && (match curr with Node c -> not (Atomic.get c.marked) | Nil -> true)
-      && Atomic.get p.next == curr
+      (not p.marked)
+      && (match curr with Node c -> not c.marked | Nil -> true)
+      && p.next == curr
 
-  let prune_with t bundle ts =
-    B.prune bundle (Rq_registry.min_active_cached t.registry ~default:ts)
+  let prune_with t entry ts =
+    B.prune_from entry (Rq_registry.min_active_cached t.registry ~default:ts)
+
+  (* Push a pending entry for [target] onto [pred]'s bundle; the caller
+     holds [pred]'s lock and labels the entry. *)
+  let prepare pred target =
+    match pred with
+    | Nil -> assert false
+    | Node p ->
+      let was = p.b in
+      let entry = B.successor was target in
+      F.install pred 4 ~was entry;
+      entry
 
   let rec insert t key =
     assert (
       key > Dstruct.Ordered_set.min_key && key <= Dstruct.Ordered_set.max_key);
     let pred, curr = search t key in
-    match pred with
-    | Nil -> assert false
-    | Node p ->
-      Sync.Spinlock.lock p.lock;
-      if not (validate pred curr) then begin
-        Sync.Spinlock.unlock p.lock;
-        insert t key
-      end
-      else begin
-        let result =
-          if node_key curr = key then false
-          else begin
-            let nb = B.make_pending curr in
-            let node = make_node key curr nb in
-            B.prepare p.b node;
-            (* timestamp before the raw link (the point-op commit), and
-               the new node's own bundle labeled before the node is
-               reachable: a neighbour that locks it right after linking
-               must never find a pending bundle to prepare on *)
-            let ts = T.advance () in
-            B.label nb ts;
-            Atomic.set p.next node;
-            B.label p.b ts;
-            prune_with t p.b ts;
-            true
-          end
-        in
-        Sync.Spinlock.unlock p.lock;
-        result
-      end
+    F.lock pred;
+    if not (validate pred curr) then begin
+      F.unlock pred;
+      insert t key
+    end
+    else begin
+      let result =
+        if node_key curr = key then false
+        else begin
+          let nb = B.pending curr in
+          let node = make_node key curr nb in
+          let link = prepare pred node in
+          (* timestamp before the raw link (the point-op commit), and
+             the new node's own bundle labeled before the node is
+             reachable: a neighbour that locks it right after linking
+             must never find a pending bundle to prepare on *)
+          let ts = T.advance () in
+          B.label nb ts;
+          F.link pred 1 ~was:curr node;
+          B.label link ts;
+          prune_with t link ts;
+          true
+        end
+      in
+      F.unlock pred;
+      result
+    end
 
   let rec delete t key =
     let pred, curr = search t key in
     match curr with
     | Nil -> false
     | Node c when c.key <> key -> false
-    | Node c -> (
-      match pred with
-      | Nil -> assert false
-      | Node p ->
-        Sync.Spinlock.lock p.lock;
-        Sync.Spinlock.lock c.lock;
-        (* [curr] (not a rebuilt node) keeps the physical equality the
-           validation relies on *)
-        if not (validate pred curr) then begin
-          Sync.Spinlock.unlock c.lock;
-          Sync.Spinlock.unlock p.lock;
-          delete t key
-        end
-        else begin
-          let after = Atomic.get c.next in
-          B.prepare p.b after;
-          (* timestamp first, then mark: once a contains can observe the
-             deletion, every later snapshot timestamp covers it *)
-          let ts = T.advance () in
-          Atomic.set c.marked true;
-          Atomic.set p.next after;
-          B.label p.b ts;
-          prune_with t p.b ts;
-          Sync.Spinlock.unlock c.lock;
-          Sync.Spinlock.unlock p.lock;
-          true
-        end)
+    | Node c ->
+      F.lock pred;
+      F.lock curr;
+      (* [curr] (not a rebuilt node) keeps the physical equality the
+         validation relies on *)
+      if not (validate pred curr) then begin
+        F.unlock curr;
+        F.unlock pred;
+        delete t key
+      end
+      else begin
+        let after = c.next in
+        let link = prepare pred after in
+        (* timestamp first, then mark: once a contains can observe the
+           deletion, every later snapshot timestamp covers it *)
+        let ts = T.advance () in
+        F.set curr 3;
+        F.link pred 1 ~was:curr after;
+        B.label link ts;
+        prune_with t link ts;
+        F.unlock curr;
+        F.unlock pred;
+        true
+      end
 
   (* Direct walk rather than [search]: the 80%-contains mix pays for the
      (pred, curr) tuple [search] allocates on every call, and contains
@@ -144,12 +148,11 @@ module Core (T : Hwts.Timestamp.S) = struct
       match n with
       | Nil -> false
       | Node c ->
-        if c.key < key then walk (Atomic.get c.next)
-        else c.key = key && not (Atomic.get c.marked)
+        if c.key < key then walk c.next else c.key = key && not c.marked
     in
     Hwts_trace.Span.enter Hwts_trace.Traverse;
     let r =
-      match t.head with Nil -> false | Node h -> walk (Atomic.get h.next)
+      match t.head with Nil -> false | Node h -> walk h.next
     in
     Hwts_trace.Span.exit Hwts_trace.Traverse;
     r
@@ -172,25 +175,20 @@ module Core (T : Hwts.Timestamp.S) = struct
      whose bundle covers all history.  This also makes the seek safe to
      run any time after the clock read, which a long-held snapshot
      handle relies on. *)
+  let start_at t key ts =
+    match search t key with
+    | (Node p as pred), _ when (not p.marked) && B.exists_at p.b ts -> pred
+    | _ -> t.head
+
   let collect_ts t ts ~lo ~hi =
-    let pred, _ = search t lo in
-    let start =
-      match pred with
-      | Nil -> t.head
-      | Node p ->
-        if Atomic.get p.marked then t.head
-        else (
-          match B.read_at_opt p.b ts with
-          | Some _ -> pred
-          | None -> t.head)
-    in
+    let start = start_at t lo ts in
     let buf = Sync.Scratch.get buf_scratch in
     Sync.Scratch.Int_buffer.clear buf;
     let rec walk n =
       match n with
       | Nil -> ()
       | Node r -> (
-        match B.read_at r.b ts with
+        match B.value_at r.b ts with
         | Nil -> ()
         | Node m as succ ->
           if m.key <= hi then begin
@@ -222,22 +220,12 @@ module Core (T : Hwts.Timestamp.S) = struct
      appearing on the bundled successor chain at [ts]. *)
   let lookup_at t sn key =
     let ts = snap_label sn in
-    let pred, _ = search t key in
-    let start =
-      match pred with
-      | Nil -> t.head
-      | Node p ->
-        if Atomic.get p.marked then t.head
-        else (
-          match B.read_at_opt p.b ts with
-          | Some _ -> pred
-          | None -> t.head)
-    in
+    let start = start_at t key ts in
     let rec walk n =
       match n with
       | Nil -> false
       | Node r -> (
-        match B.read_at r.b ts with
+        match B.value_at r.b ts with
         | Nil -> false
         | Node m as succ ->
           if m.key > key then false else m.key = key || walk succ)
@@ -252,10 +240,10 @@ module Core (T : Hwts.Timestamp.S) = struct
       match n with
       | Nil -> List.rev acc
       | Node r ->
-        let acc = if Atomic.get r.marked then acc else r.key :: acc in
-        walk acc (Atomic.get r.next)
+        let acc = if r.marked then acc else r.key :: acc in
+        walk acc r.next
     in
-    match t.head with Nil -> [] | Node h -> walk [] (Atomic.get h.next)
+    match t.head with Nil -> [] | Node h -> walk [] h.next
 
   let size t = List.length (to_list t)
   (* Versioned links / bundles retain old values under GC; there is no

@@ -3,45 +3,55 @@ let max_level = Dstruct.Skip_level.max_level
 module Core (T : Hwts.Timestamp.S) = struct
   module B = Bundle.Make (T)
 
+  (* One block per node plus its tower.  [b0] (field 2), [lock] (3),
+     [marked] (4) and [fully_linked] (5) are written only through
+     {!Field_lock}, so the field order matters; so are the tower's slots,
+     once the node is linked. *)
   type node = {
     key : int;
-    next : node Atomic.t array; (* raw links, all levels; [||] for tail *)
-    b0 : node option B.t; (* bundled level-0 link; None = list end *)
-    lock : Sync.Spinlock.t;
-    marked : bool Atomic.t;
-    fully_linked : bool Atomic.t;
-    top_level : int;
+    next : node array; (* raw links, all levels; [||] for tail *)
+    mutable b0 : node B.entry; (* bundled level-0 link *)
+    mutable lock : bool;
+    mutable marked : bool;
+    mutable fully_linked : bool;
   }
+
+  let top_level n = Array.length n.next - 1
+
+  module F = Field_lock.Make (struct
+    type t = node
+
+    let lock_field = 3
+    let locked n = n.lock
+  end)
 
   type t = { head : node; registry : Rq_registry.t }
 
   let name = "bundle-skiplist(" ^ T.name ^ ")"
 
-  let make_node key top_level next_init b0 =
-    {
-      key;
-      next = Array.init (top_level + 1) (fun _ -> Atomic.make next_init);
-      b0;
-      lock = Sync.Spinlock.make ();
-      marked = Atomic.make false;
-      fully_linked = Atomic.make false;
-      top_level;
-    }
-
+  (* The tail ends every level.  Its bundle is never read (every walk
+     stops at its key, [max_int]), so it is a one-entry chain that points
+     back at the tail, tied to it with [let rec]. *)
   let create () =
-    let tail =
+    let ts = T.read_floor () in
+    let rec tail =
       {
         key = max_int;
         next = [||];
-        b0 = B.make None;
-        lock = Sync.Spinlock.make ();
-        marked = Atomic.make false;
-        fully_linked = Atomic.make true;
-        top_level = max_level;
+        b0 = end_;
+        lock = false;
+        marked = false;
+        fully_linked = true;
+      }
+    and end_ = { Chain.ts; v = tail; older = end_ } in
+    let head =
+      {
+        tail with
+        key = Dstruct.Ordered_set.min_key;
+        next = Array.make (max_level + 1) tail;
+        b0 = B.first tail;
       }
     in
-    let head = make_node Dstruct.Ordered_set.min_key max_level tail (B.make (Some tail)) in
-    Atomic.set head.fully_linked true;
     { head; registry = Rq_registry.create () }
 
   let random_level = Dstruct.Skip_level.random
@@ -77,10 +87,10 @@ module Core (T : Hwts.Timestamp.S) = struct
     let lfound = ref (-1) in
     let pred = ref t.head in
     for level = max_level downto 0 do
-      let curr = ref (Atomic.get !pred.next.(level)) in
+      let curr = ref !pred.next.(level) in
       while !curr.key < key do
         pred := !curr;
-        curr := Atomic.get !curr.next.(level)
+        curr := !curr.next.(level)
       done;
       if !lfound = -1 && !curr.key = key then lfound := level;
       preds.(level) <- !pred;
@@ -94,7 +104,7 @@ module Core (T : Hwts.Timestamp.S) = struct
      linked.  Point ops wait for such a node instead of calling it
      absent, as [insert] does (and as the lazy skip list does). *)
   let await_linked n =
-    while not (Atomic.get n.fully_linked) do
+    while not n.fully_linked do
       Tsc.cpu_relax ()
     done
 
@@ -104,39 +114,31 @@ module Core (T : Hwts.Timestamp.S) = struct
     lfound <> -1
     &&
     let n = succs.(lfound) in
-    (not (Atomic.get n.marked))
+    (not n.marked)
     && begin
          await_linked n;
-         not (Atomic.get n.marked)
+         not n.marked
        end
 
-  let t_null =
-    {
-      key = min_int;
-      next = [||];
-      b0 = B.make None;
-      lock = Sync.Spinlock.make ();
-      marked = Atomic.make false;
-      fully_linked = Atomic.make false;
-      top_level = 0;
-    }
-
+  (* Lock (unlock) each distinct predecessor of levels 0..[top] once:
+     equal predecessors are adjacent. *)
   let with_locked_preds preds succs top ~validate_succ f =
     let rec lock_from level last =
       if level <= top then begin
         let pred = preds.(level) in
-        if pred != last then Sync.Spinlock.lock pred.lock;
+        if pred != last then F.lock pred;
         lock_from (level + 1) pred
       end
     in
     let rec unlock_from level last =
       if level <= top then begin
         let pred = preds.(level) in
-        if pred != last then Sync.Spinlock.unlock pred.lock;
+        if pred != last then F.unlock pred;
         unlock_from (level + 1) pred
       end
     in
-    lock_from 0 t_null;
+    F.lock preds.(0);
+    lock_from 1 preds.(0);
     let valid =
       let ok = ref true in
       for level = 0 to top do
@@ -145,20 +147,29 @@ module Core (T : Hwts.Timestamp.S) = struct
            bundle: preparing on it would collide with its inserter's
            in-flight label, so treat it like a marked node and retry *)
         if
-          Atomic.get pred.marked
-          || (not (Atomic.get pred.fully_linked))
-          || (validate_succ && Atomic.get succ.marked)
-          || Atomic.get pred.next.(level) != succ
+          pred.marked
+          || (not pred.fully_linked)
+          || (validate_succ && succ.marked)
+          || pred.next.(level) != succ
         then ok := false
       done;
       !ok
     in
     let result = f valid in
-    unlock_from 0 t_null;
+    F.unlock preds.(0);
+    unlock_from 1 preds.(0);
     result
 
-  let prune_with t bundle ts =
-    B.prune bundle (Rq_registry.min_active_cached t.registry ~default:ts)
+  let prune_with t entry ts =
+    B.prune_from entry (Rq_registry.min_active_cached t.registry ~default:ts)
+
+  (* Push a pending entry for [target] onto [n]'s level-0 bundle; the
+     caller holds [n]'s lock and labels the entry. *)
+  let prepare n target =
+    let was = n.b0 in
+    let entry = B.successor was target in
+    F.install n 2 ~was entry;
+    entry
 
   let rec insert t key =
     assert (key > Dstruct.Ordered_set.min_key && key <= Dstruct.Ordered_set.max_key);
@@ -167,7 +178,7 @@ module Core (T : Hwts.Timestamp.S) = struct
     let lfound = find t key preds succs in
     if lfound <> -1 then begin
       let found = succs.(lfound) in
-      if not (Atomic.get found.marked) then begin
+      if not found.marked then begin
         await_linked found;
         false
       end
@@ -179,20 +190,23 @@ module Core (T : Hwts.Timestamp.S) = struct
             if not valid then `Retry
             else begin
               let node =
-                make_node key top t.head (B.make_pending (Some succs.(0)))
+                {
+                  key;
+                  next = Array.sub succs 0 (top + 1);
+                  b0 = B.pending succs.(0);
+                  lock = false;
+                  marked = false;
+                  fully_linked = false;
+                }
               in
-              for level = 0 to top do
-                Atomic.set node.next.(level) succs.(level)
-              done;
-              let link = preds.(0).b0 in
-              B.prepare link (Some node);
+              let link = prepare preds.(0) node in
               (* the timestamp must exist before the node becomes raw-
                  visible: a clock read that happens after any traversal
                  can observe the insert then yields ts >= this label, so
                  point ops and snapshots agree on the order *)
               let ts = T.advance () in
               for level = 0 to top do
-                Atomic.set preds.(level).next.(level) node
+                F.link_slot preds.(level).next level ~was:succs.(level) node
               done;
               B.label link ts;
               B.label node.b0 ts;
@@ -200,16 +214,14 @@ module Core (T : Hwts.Timestamp.S) = struct
               (* fault injection: labeled and linked, not yet fully
                  linked — point ops must wait, not answer "absent" *)
               Sync.Pause.point ();
-              Atomic.set node.fully_linked true;
+              F.set node 5;
               `Added
             end)
       in
       match outcome with `Added -> true | `Retry -> insert t key
 
   let ok_to_delete node lfound =
-    Atomic.get node.fully_linked
-    && node.top_level = lfound
-    && not (Atomic.get node.marked)
+    node.fully_linked && top_level node = lfound && not node.marked
 
   let delete t key =
     let { preds; succs; _ } = get_scratch t in
@@ -220,8 +232,7 @@ module Core (T : Hwts.Timestamp.S) = struct
         | Some _ -> victim
         | None ->
           let lfound =
-            if lfound <> -1 && not (Atomic.get succs.(lfound).fully_linked)
-            then begin
+            if lfound <> -1 && not succs.(lfound).fully_linked then begin
               await_linked succs.(lfound);
               find t key preds succs
             end
@@ -229,9 +240,9 @@ module Core (T : Hwts.Timestamp.S) = struct
           in
           if lfound <> -1 && ok_to_delete succs.(lfound) lfound then begin
             let v = succs.(lfound) in
-            Sync.Spinlock.lock v.lock;
-            if Atomic.get v.marked then begin
-              Sync.Spinlock.unlock v.lock;
+            F.lock v;
+            if v.marked then begin
+              F.unlock v;
               None
             end
             else
@@ -245,28 +256,27 @@ module Core (T : Hwts.Timestamp.S) = struct
       match victim with
       | None -> false
       | Some v ->
+        let top = top_level v in
         let outcome =
-          with_locked_preds preds succs v.top_level ~validate_succ:false
+          with_locked_preds preds succs top ~validate_succ:false
             (fun valid ->
               if not valid then `Retry
               else begin
                 let still = ref true in
-                for level = 0 to v.top_level do
-                  if Atomic.get preds.(level).next.(level) != v then
-                    still := false
+                for level = 0 to top do
+                  if preds.(level).next.(level) != v then still := false
                 done;
                 if not !still then `Retry
                 else begin
-                  let link = preds.(0).b0 in
-                  B.prepare link (Some (Atomic.get v.next.(0)));
+                  let link = prepare preds.(0) v.next.(0) in
                   (* timestamp first, then mark: a contains that observes
                      the deletion can only do so after the label exists,
                      so no snapshot taken later can predate the delete *)
                   let ts = T.advance () in
-                  Atomic.set v.marked true;
-                  for level = v.top_level downto 0 do
-                    Atomic.set preds.(level).next.(level)
-                      (Atomic.get v.next.(level))
+                  F.set v 4;
+                  for level = top downto 0 do
+                    F.link_slot preds.(level).next level ~was:v
+                      v.next.(level)
                   done;
                   B.label link ts;
                   prune_with t link ts;
@@ -276,33 +286,34 @@ module Core (T : Hwts.Timestamp.S) = struct
         in
         (match outcome with
         | `Done ->
-          Sync.Spinlock.unlock v.lock;
+          F.unlock v;
           true
         | `Retry -> attempt (Some v))
     in
     attempt None
 
-  (* Range query: locate a predecessor of [lo] through the raw levels, fall
-     back to the head if that node postdates the snapshot, then walk the
-     level-0 bundles at the snapshot time. *)
+  (* A raw-found predecessor of [key], or the head if that node postdates
+     the snapshot at [ts]. *)
+  let start_at t sc key ts =
+    ignore (find t key sc.preds sc.succs);
+    let pred = sc.preds.(0) in
+    if B.exists_at pred.b0 ts then pred else t.head
+
+  (* Range query: locate a predecessor of [lo] through the raw levels,
+     then walk the level-0 bundles at the snapshot time.  The walk stops
+     at the tail, whose key is above every [hi] it compares with. *)
   let collect_ts t ts ~lo ~hi =
     let sc = get_scratch t in
-    ignore (find t lo sc.preds sc.succs);
-    let start =
-      match B.read_at_opt sc.preds.(0).b0 ts with
-      | Some _ -> sc.preds.(0)
-      | None -> t.head (* the predecessor did not exist at [ts] *)
-    in
+    let start = start_at t sc lo ts in
+    let hi = Int.min hi Dstruct.Ordered_set.max_key in
     let buf = sc.buf in
     Sync.Scratch.Int_buffer.clear buf;
     let rec walk n =
-      match B.read_at n.b0 ts with
-      | None -> ()
-      | Some m ->
-        if m.key <= hi then begin
-          if m.key >= lo then Sync.Scratch.Int_buffer.push buf m.key;
-          walk m
-        end
+      let m = B.value_at n.b0 ts in
+      if m.key <= hi then begin
+        if m.key >= lo then Sync.Scratch.Int_buffer.push buf m.key;
+        walk m
+      end
     in
     Hwts_trace.Span.enter Hwts_trace.Traverse;
     walk start;
@@ -326,17 +337,10 @@ module Core (T : Hwts.Timestamp.S) = struct
      — membership at [ts] is appearing on the bundled chain at [ts]. *)
   let lookup_at t sn key =
     let ts = snap_label sn in
-    let sc = get_scratch t in
-    ignore (find t key sc.preds sc.succs);
-    let start =
-      match B.read_at_opt sc.preds.(0).b0 ts with
-      | Some _ -> sc.preds.(0)
-      | None -> t.head
-    in
+    let start = start_at t (get_scratch t) key ts in
     let rec walk n =
-      match B.read_at n.b0 ts with
-      | None -> false
-      | Some m -> if m.key > key then false else m.key = key || walk m
+      let m = B.value_at n.b0 ts in
+      if m.key > key then false else m.key = key || walk m
     in
     Hwts_trace.Span.enter Hwts_trace.Traverse;
     let r = walk start in
@@ -350,12 +354,12 @@ module Core (T : Hwts.Timestamp.S) = struct
         let acc =
           if
             n.key > Dstruct.Ordered_set.min_key
-            && (not (Atomic.get n.marked))
-            && Atomic.get n.fully_linked
+            && (not n.marked)
+            && n.fully_linked
           then n.key :: acc
           else acc
         in
-        walk acc (Atomic.get n.next.(0))
+        walk acc n.next.(0)
     in
     walk [] t.head
 

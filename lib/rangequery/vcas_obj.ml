@@ -1,29 +1,6 @@
 module Make (T : Hwts.Timestamp.S) = struct
-  (* The label lives in the version itself, as its first field, so a
-     traversal step touches the head and the version and nothing else.
-     [ts] is never read or written as a record field after allocation:
-     only through [label] and [cas_label] below.  [older] is a plain
-     field; a version whose [older] is itself ends the chain, so no
-     option and no [Atomic.t] sits between two links. *)
-  type 'a version = {
-    mutable ts : int; (* 0 = not yet labeled *)
-    v : 'a;
-    mutable older : 'a version;
-  }
-
+  type 'a version = 'a Chain.version
   type 'a t = 'a version Atomic.t
-
-  (* Typed atomic access to a version's label.  [%atomic_load] and
-     [%atomic_cas] are the primitives behind [Atomic.get] and
-     [Atomic.compare_and_set]; they act on field 0 of the block they are
-     given, and an [Atomic.t] is nothing but a one-field mutable block.
-     Applied to a version they therefore read and CAS [ts] with the same
-     ordering guarantees as an [int Atomic.t].  The field holds an
-     immediate, so the CAS's write barrier records nothing, and typing
-     the externals at ['a version -> int] keeps them off every other
-     field and every other type. *)
-  external label : 'a version -> int = "%atomic_load"
-  external cas_label : 'a version -> int -> int -> bool = "%atomic_cas"
 
   (* Shared across all instantiations: the registry get-or-creates by name,
      and the counters shard per domain internally. *)
@@ -38,26 +15,21 @@ module Make (T : Hwts.Timestamp.S) = struct
      (including the installer labeling its own write); [help_wins] counts
      the CASes that actually assigned the label. *)
   let init_ts version =
-    if label version = 0 then begin
+    if Chain.label version = 0 then begin
       if Hwts_obs.Config.enabled () then
         Hwts_obs.Counter.incr help_attempts;
       let now = T.read () in
-      if cas_label version 0 now then
+      if Chain.cas_label version 0 now then
         if Hwts_obs.Config.enabled () then Hwts_obs.Counter.incr help_wins
     end
 
   (* ---- heads: the newest version of a chain, kept wherever the caller
      likes (a cell below, or a mutable field of the caller's node) ---- *)
 
-  let first v =
-    let rec version = { ts = 0; v; older = version } in
-    init_ts version;
-    version
-
   (* The expected head is already labeled (readers label the heads they
      return), so a successor installed after it can only get an equal or
      later label. *)
-  let successor expected v = { ts = 0; v; older = expected }
+  let successor = Chain.successor
 
   let publish version =
     (* fault injection: version installed but unlabeled — readers must
@@ -69,8 +41,10 @@ module Make (T : Hwts.Timestamp.S) = struct
     init_ts version;
     version
 
-  let value version = version.v
-  let timestamp = label
+  let first v = labeled (Chain.first 0 v)
+
+  let value = Chain.value
+  let timestamp = Chain.label
 
   (* The chain walks are module-level recursions with explicit arguments:
      a [let rec] nested inside the reading function would allocate a
@@ -78,39 +52,20 @@ module Make (T : Hwts.Timestamp.S) = struct
      range query.  Returns the newest version labeled <= [ts], or the
      chain's oldest version when none qualifies (every version it meets is
      labeled by the [init_ts] call, so the caller can re-check the label). *)
-  let found version hops =
-    if Hwts_obs.Config.enabled () then Hwts_obs.Counter.add read_hops hops;
-    version
-
-  let rec version_at version ts hops =
+  let rec version_at (version : _ version) ts hops =
     init_ts version;
-    if label version <= ts then found version hops
-    else
-      let older = version.older in
-      if older == version then found version hops
-      else version_at older ts (hops + 1)
+    if Chain.label version <= ts || version.older == version then begin
+      if Hwts_obs.Config.enabled () then Hwts_obs.Counter.add read_hops hops;
+      version
+    end
+    else version_at version.older ts (hops + 1)
 
   let value_at head ts = (version_at head ts 0).v
 
-  (* keep the newest version labeled <= min_ts; sever everything older.
-     Pending (ts = 0) versions are newer than any labeled one, so keep
-     walking. *)
-  let rec prune_from version min_ts =
-    let ts = label version in
-    let older = version.older in
-    if older == version then ()
-    else if ts <> 0 && ts <= min_ts then begin
-      if Hwts_obs.Config.enabled () then Hwts_obs.Counter.incr prunes;
-      version.older <- version
-    end
-    else prune_from older min_ts
+  let prune_from version min_ts =
+    if Chain.prune_from version min_ts then Hwts_obs.Counter.incr prunes
 
-  let chain_of head =
-    let rec count acc version =
-      let older = version.older in
-      if older == version then acc else count (acc + 1) older
-    in
-    count 1 head
+  let chain_of = Chain.chain_of
 
   (* ---- cells: a head in its own [Atomic.t] ---- *)
 

@@ -187,9 +187,9 @@ let vcas_prune () =
 
 (* ---------- self-loop chain ends ---------- *)
 
-(* One chain behind either API.  [write v] installs a version holding [v]
-   and returns its label; [prune floor] cuts below [floor]; [chain ()]
-   counts retained versions; [read_at ts] reads at a label. *)
+(* One chain behind any of three APIs.  [write v] installs a version
+   holding [v] and returns its label; [prune floor] cuts below [floor];
+   [chain ()] counts retained versions; [read_at ts] reads at a label. *)
 type chain = {
   write : int -> int;
   prune : int -> unit;
@@ -197,36 +197,61 @@ type chain = {
   read_at : int -> int;
 }
 
-let cell_chain () =
-  let o = V.make 0 in
-  {
-    write = (fun v -> V.timestamp (V.write_with o v));
-    prune = V.prune o;
-    chain = (fun () -> V.chain_length o);
-    read_at = V.read_at o;
-  }
-
-(* The head kept in a caller's field, as the BST keeps its edges. *)
+(* A head kept in a caller's field, as the structures keep their edges
+   and bundles. *)
 type 'a holder = { mutable head : 'a }
 
-let head_chain () =
-  let h = { head = V.first 0 } in
-  {
-    write =
-      (fun v ->
-        let c = V.successor h.head v in
-        h.head <- c;
-        V.publish c;
-        V.timestamp c);
-    prune = (fun floor -> V.prune_from h.head floor);
-    chain = (fun () -> V.chain_of h.head);
-    read_at = (fun ts -> V.value_at h.head ts);
-  }
+module Chains (T : Hwts.Timestamp.S) = struct
+  module V = Rangequery.Vcas_obj.Make (T)
+  module B = Rangequery.Bundle.Make (T)
+
+  let cell () =
+    let o = V.make 0 in
+    {
+      write = (fun v -> V.timestamp (V.write_with o v));
+      prune = V.prune o;
+      chain = (fun () -> V.chain_length o);
+      read_at = V.read_at o;
+    }
+
+  let head () =
+    let h = { head = V.first 0 } in
+    {
+      write =
+        (fun v ->
+          let c = V.successor h.head v in
+          h.head <- c;
+          V.publish c;
+          V.timestamp c);
+      prune = (fun floor -> V.prune_from h.head floor);
+      chain = (fun () -> V.chain_of h.head);
+      read_at = (fun ts -> V.value_at h.head ts);
+    }
+
+  (* A bundle: the writer installs a pending entry, then labels it with
+     an advance, as Bundling's updates do. *)
+  let bundle () =
+    let h = { head = B.first 0 } in
+    {
+      write =
+        (fun v ->
+          let e = B.successor h.head v in
+          h.head <- e;
+          let ts = T.advance () in
+          B.label e ts;
+          ts);
+      prune = (fun floor -> B.prune_from h.head floor);
+      chain = (fun () -> B.chain_of h.head);
+      read_at = (fun ts -> B.value_at h.head ts);
+    }
+end
+
+module CM = Chains (M)
 
 (* A snapshot held at label 150 across N overwrites pins the first
    version; releasing it and making one more labeled write, pruned at its
    own label, cuts the chain back to that write alone. *)
-let vcas_self_loop_chain make () =
+let self_loop_chain make () =
   reset ();
   M.set 100;
   let c = make () in
@@ -249,28 +274,16 @@ let vcas_self_loop_chain make () =
    their labels.  Every read must return a write labeled at or before
    the reader's label: a prune that cut the chain under a reader would
    leave it at a newer version.  The labels are recorded by the writer
-   and checked after both domains finish. *)
+   and checked after both domains finish; the first version (value 0)
+   predates every snapshot, so a read of it is never newer. *)
 module RL = Hwts.Timestamp.Logical ()
-module VR = Rangequery.Vcas_obj.Make (RL)
+module CR = Chains (RL)
 
-let vcas_read_at_races_prune ~in_field () =
+let read_at_races_prune make () =
   let registry = Rangequery.Rq_registry.create () in
   let max_writes = 200_000 and snapshots = 1_000 in
   let labels = Array.make (max_writes + 1) 0 in
-  let cell = VR.make 0 and h = { head = VR.first 0 } in
-  labels.(0) <- VR.timestamp (if in_field then h.head else VR.head cell);
-  let install v =
-    if in_field then begin
-      let c = VR.successor h.head v in
-      h.head <- c;
-      VR.publish c;
-      c
-    end
-    else VR.write_with cell v
-  in
-  let read_at ts =
-    if in_field then VR.value_at h.head ts else VR.read_at cell ts
-  in
+  let c = make () in
   let started = Atomic.make 0 and reader_done = Atomic.make false in
   let writer_done = Atomic.make false in
   let reads =
@@ -282,10 +295,9 @@ let vcas_read_at_races_prune ~in_field () =
         if me = 0 then begin
           let i = ref 1 in
           while !i <= max_writes && not (Atomic.get reader_done) do
-            let c = install !i in
-            let label = VR.timestamp c in
+            let label = c.write !i in
             labels.(!i) <- label;
-            VR.prune_from c
+            c.prune
               (Rangequery.Rq_registry.min_active_cached registry
                  ~default:label);
             if !i mod 7 = 0 then ignore (RL.advance ());
@@ -311,7 +323,7 @@ let vcas_read_at_races_prune ~in_field () =
               for _ = 1 to 64 do
                 Domain.cpu_relax ()
               done;
-              let v = read_at l in
+              let v = c.read_at l in
               if v > 0 then moved := true;
               seen := (l, v) :: !seen
             done;
@@ -322,7 +334,9 @@ let vcas_read_at_races_prune ~in_field () =
         end)
   in
   let reads = List.concat reads in
-  let newer = List.length (List.filter (fun (l, v) -> labels.(v) > l) reads) in
+  let newer =
+    List.length (List.filter (fun (l, v) -> v > 0 && labels.(v) > l) reads)
+  in
   let moved = List.exists (fun (_, v) -> v > 0) reads in
   Alcotest.(check bool) "reads saw the writer's versions" true moved;
   Alcotest.(check int)
@@ -457,11 +471,13 @@ let snapshot_stable_under_concurrency () =
    made while it is held come from another domain. *)
 let on_worker f = ignore (Util.spawn_workers 1 (fun _ -> f ()))
 
-(* The vCAS BST and the three Citrus trees store fresh nodes (or fresh
-   versions) into fields of their nodes through a C stub.  Once the tree
-   is promoted to the major heap, each such store puts a minor-heap
-   pointer into a major-heap block; without the runtime's write barrier
-   the next minor collection would leave that edge dangling.  Every
+(* The vCAS BST, the three Citrus trees and the skip and lazy bundle
+   lists store fresh nodes (or fresh versions and bundle entries) into
+   fields of their nodes, and skiplist-bundle into slots of its towers,
+   through a C stub.  Once the structure is promoted to the major heap,
+   each such store puts a minor-heap pointer into a major-heap block;
+   without the runtime's write barrier the next minor collection would
+   leave that edge dangling.  Every
    round of writes below is followed by a collection, then by reads of
    the current tree, of a snapshot taken before any of the writes, and
    of single keys at that snapshot.  The ascending base makes every
@@ -504,7 +520,13 @@ let field_cas_cases =
             (field_cas_survives_gc name ts))
         [ (`Logical, "logical"); (`Hardware_strict, "rdtscp-strict") ])
     [
-      "bst-vcas"; "bst-vcas-kv"; "citrus-ebrrq"; "citrus-bundle"; "citrus-vcas";
+      "bst-vcas";
+      "bst-vcas-kv";
+      "citrus-ebrrq";
+      "citrus-bundle";
+      "citrus-vcas";
+      "skiplist-bundle";
+      "lazylist-bundle";
     ]
 
 (* A citrus-ebrrq two-children delete unlinks its victim for good (a
@@ -562,72 +584,81 @@ let citrus_limbo_keeps_relocated () =
 
 (* ---------- bundles ---------- *)
 
+(* Install a pending entry for [v] as the holder's head, as a structure
+   does under its node lock. *)
+let push h v =
+  let e = B.successor h.head v in
+  h.head <- e;
+  e
+
 let bundle_basics () =
   reset ();
   M.set 100;
-  let b = B.make "root" in
-  Alcotest.(check string) "read" "root" (B.read b);
-  B.prepare b "v1";
-  Alcotest.(check string) "pending head visible to raw read" "v1" (B.read b);
-  B.label b 150;
-  Alcotest.(check string) "at 150" "v1" (B.read_at b 150);
-  Alcotest.(check string) "at 149" "root" (B.read_at b 149);
-  Alcotest.(check int) "chain" 2 (B.length b)
+  let h = { head = B.first "root" } in
+  Alcotest.(check string) "read" "root" (B.value h.head);
+  let e = push h "v1" in
+  Alcotest.(check string) "pending head visible to raw read" "v1"
+    (B.value h.head);
+  B.label e 150;
+  Alcotest.(check string) "at 150" "v1" (B.value_at h.head 150);
+  Alcotest.(check string) "at 149" "root" (B.value_at h.head 149);
+  Alcotest.(check int) "chain" 2 (B.chain_of h.head)
 
-let bundle_read_at_opt () =
+let bundle_exists_at () =
   reset ();
   M.set 100;
-  let b = B.make_pending "born" in
-  B.label b 200;
-  Alcotest.(check (option string)) "before birth" None (B.read_at_opt b 150);
-  Alcotest.(check (option string)) "after birth" (Some "born")
-    (B.read_at_opt b 200);
-  (* read_at falls back to the creation value *)
-  Alcotest.(check string) "fallback" "born" (B.read_at b 150)
+  let h = { head = B.pending "born" } in
+  B.label h.head 200;
+  Alcotest.(check bool) "before birth" false (B.exists_at h.head 150);
+  Alcotest.(check bool) "after birth" true (B.exists_at h.head 200);
+  Alcotest.(check string) "at birth" "born" (B.value_at h.head 200);
+  (* value_at falls back to the creation value *)
+  Alcotest.(check string) "fallback" "born" (B.value_at h.head 150);
+  (* a link rewritten since [ts] still existed at [ts] *)
+  B.label (push h "moved") 300;
+  Alcotest.(check bool) "rewritten after ts" true (B.exists_at h.head 250);
+  Alcotest.(check bool) "still not before birth" false
+    (B.exists_at h.head 150)
 
 let bundle_pending_spin_resolves () =
   reset ();
   M.set 100;
-  let b = B.make 0 in
-  B.prepare b 1;
+  let h = { head = B.first 0 } in
+  let e = push h 1 in
   let reader =
     Domain.spawn (fun () ->
-        Sync.Slot.with_slot (fun _ -> B.read_at b 500))
+        Sync.Slot.with_slot (fun _ -> B.value_at h.head 500))
   in
   Unix.sleepf 0.02;
-  B.label b 400;
+  B.label e 400;
   Alcotest.(check int) "reader unblocked with labeled entry" 1
     (Domain.join reader)
 
 let bundle_prune () =
   reset ();
   M.set 10;
-  let b = B.make 0 in
-  List.iter
-    (fun (v, ts) ->
-      B.prepare b v;
-      B.label b ts)
+  let h = { head = B.first 0 } in
+  List.iter (fun (v, ts) -> B.label (push h v) ts)
     [ (1, 100); (2, 200); (3, 300) ];
-  Alcotest.(check int) "4 entries" 4 (B.length b);
+  Alcotest.(check int) "4 entries" 4 (B.chain_of h.head);
   (* an active snapshot at 250 needs entry(200); everything older can go *)
-  B.prune b 250;
-  Alcotest.(check int) "pruned to 2" 2 (B.length b);
-  Alcotest.(check int) "snapshot at 250 intact" 2 (B.read_at b 250);
-  Alcotest.(check int) "newest intact" 3 (B.read_at b 1000)
+  B.prune_from h.head 250;
+  Alcotest.(check int) "pruned to 2" 2 (B.chain_of h.head);
+  Alcotest.(check int) "snapshot at 250 intact" 2 (B.value_at h.head 250);
+  Alcotest.(check int) "newest intact" 3 (B.value_at h.head 1000)
 
 let bundle_multi_label_atomicity () =
   reset ();
   M.set 10;
   (* one update labels two bundles with one timestamp: a snapshot sees both
      or neither *)
-  let b1 = B.make "a0" and b2 = B.make "b0" in
-  B.prepare b1 "a1";
-  B.prepare b2 "b1";
-  B.label b1 500;
-  B.label b2 500;
+  let h1 = { head = B.first "a0" } and h2 = { head = B.first "b0" } in
+  let e1 = push h1 "a1" and e2 = push h2 "b1" in
+  B.label e1 500;
+  B.label e2 500;
   List.iter
     (fun ts ->
-      let x = B.read_at b1 ts and y = B.read_at b2 ts in
+      let x = B.value_at h1.head ts and y = B.value_at h2.head ts in
       Alcotest.(check bool)
         (Printf.sprintf "consistent at %d" ts)
         true
@@ -908,11 +939,11 @@ let layout_cases =
       15.,
       fun () -> words_per_key Kv.create (fun t k -> Kv.add t k k) );
     ("citrus-vcas", 18., fun () -> words_per_key Cv.create Cv.insert);
-    ("citrus-bundle", 28., fun () -> words_per_key Cb.create Cb.insert);
+    ("citrus-bundle", 16., fun () -> words_per_key Cb.create Cb.insert);
     ("citrus-ebrrq", 9., fun () -> words_per_key Ce.create Ce.insert);
     ("skiplist-vcas", 26., fun () -> words_per_key Sv.create Sv.insert);
-    ("skiplist-bundle", 33., fun () -> words_per_key Sb.create Sb.insert);
-    ("lazylist-bundle", 22., fun () -> words_per_key Lb.create Lb.insert);
+    ("skiplist-bundle", 14.5, fun () -> words_per_key Sb.create Sb.insert);
+    ("lazylist-bundle", 10., fun () -> words_per_key Lb.create Lb.insert);
     ( "bst-ebrrq-lockfree",
       33.,
       fun () -> words_per_key Bl.create Bl.insert );
@@ -933,13 +964,13 @@ let () =
             vcas_helpers_agree_on_pending_label;
           Alcotest.test_case "prune" `Quick vcas_prune;
           Alcotest.test_case "self-loop chain (cell)" `Quick
-            (vcas_self_loop_chain cell_chain);
+            (self_loop_chain CM.cell);
           Alcotest.test_case "self-loop chain (head in field)" `Quick
-            (vcas_self_loop_chain head_chain);
+            (self_loop_chain CM.head);
           Alcotest.test_case "read_at races prune (cell)" `Quick
-            (vcas_read_at_races_prune ~in_field:false);
+            (read_at_races_prune CR.cell);
           Alcotest.test_case "read_at races prune (head in field)" `Quick
-            (vcas_read_at_races_prune ~in_field:true);
+            (read_at_races_prune CR.head);
           Alcotest.test_case "chains bounded" `Quick vcas_chains_stay_bounded;
           Alcotest.test_case "chains bounded by staleness" `Quick
             vcas_chains_bounded_by_staleness;
@@ -953,12 +984,16 @@ let () =
       ( "bundle",
         [
           Alcotest.test_case "basics" `Quick bundle_basics;
-          Alcotest.test_case "read_at_opt" `Quick bundle_read_at_opt;
+          Alcotest.test_case "exists_at" `Quick bundle_exists_at;
           Alcotest.test_case "pending spin resolves" `Quick
             bundle_pending_spin_resolves;
           Alcotest.test_case "prune" `Quick bundle_prune;
           Alcotest.test_case "multi-label atomicity" `Quick
             bundle_multi_label_atomicity;
+          Alcotest.test_case "self-loop chain" `Quick
+            (self_loop_chain CM.bundle);
+          Alcotest.test_case "read_at races prune" `Quick
+            (read_at_races_prune CR.bundle);
         ] );
       ( "registry",
         [

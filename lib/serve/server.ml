@@ -1,6 +1,7 @@
 let m_conns = Hwts_obs.Registry.counter "serve.connections"
 let m_requests = Hwts_obs.Registry.counter "serve.requests"
 let m_malformed = Hwts_obs.Registry.counter "serve.malformed"
+let m_oversized = Hwts_obs.Registry.counter "serve.oversized"
 
 (* A pipelined connection: the reader decodes frames and routes them,
    pushing one pending cell per request onto [out]; shard workers fill
@@ -29,13 +30,15 @@ type t = {
   mutable stopped : bool;
 }
 
-let write_all fd buf =
-  let b = Buffer.to_bytes buf in
-  let n = Bytes.length b in
-  let off = ref 0 in
-  while !off < n do
-    off := !off + Unix.write fd b !off (n - !off)
-  done
+let locked conn f =
+  Mutex.lock conn.m;
+  f ();
+  Mutex.unlock conn.m
+
+let wake conn f =
+  locked conn (fun () ->
+      f ();
+      Condition.broadcast conn.c)
 
 let reader_loop t conn =
   let buf = Bytes.create 65536 in
@@ -54,34 +57,33 @@ let reader_loop t conn =
           | Some req ->
             Hwts_obs.Counter.incr m_requests;
             let cell = ref None in
-            Mutex.lock conn.m;
-            Queue.push cell conn.out;
-            Mutex.unlock conn.m;
+            locked conn (fun () -> Queue.push cell conn.out);
             Shards.submit t.shards req (fun r ->
-                Mutex.lock conn.m;
-                cell := Some r;
-                Condition.broadcast conn.c;
-                Mutex.unlock conn.m)
+                wake conn (fun () -> cell := Some r))
         done
       with Wire.Malformed msg ->
         (* answer the offense in-order, then stop reading: the writer
            flushes everything (including the error) before closing *)
         Hwts_obs.Counter.incr m_malformed;
-        let cell = ref (Some (Wire.Err msg)) in
-        Mutex.lock conn.m;
-        Queue.push cell conn.out;
-        Mutex.unlock conn.m;
+        locked conn (fun () -> Queue.push (ref (Some (Wire.Err msg))) conn.out);
         running := false
     end
   done;
-  Mutex.lock conn.m;
-  conn.eof <- true;
-  Condition.broadcast conn.c;
-  Mutex.unlock conn.m
+  wake conn (fun () -> conn.eof <- true)
+
+(* The answer's frame, at its exact size.  An answer too large for one
+   frame is sized before anything is allocated, and answered with [Err]. *)
+let frame_of r =
+  let n = Wire.response_size r in
+  if n <= Wire.max_payload then Wire.response_frame r
+  else begin
+    Hwts_obs.Counter.incr m_oversized;
+    Wire.response_frame
+      (Wire.Err (Printf.sprintf "answer of %d bytes exceeds max_payload" n))
+  end
 
 let writer_loop conn =
-  let out = Buffer.create 4096 in
-  let running = ref true in
+  let running = ref true and gone = ref false in
   while !running do
     Mutex.lock conn.m;
     (* wait until the FIFO head is fulfilled (order is the contract) or
@@ -89,32 +91,26 @@ let writer_loop conn =
     let rec await () =
       match Queue.peek_opt conn.out with
       | Some { contents = Some _ } -> `Write
-      | Some { contents = None } ->
+      | None when conn.eof -> `Done
+      | _ ->
         Condition.wait conn.c conn.m;
         await ()
-      | None ->
-        if conn.eof then `Done
-        else begin
-          Condition.wait conn.c conn.m;
-          await ()
-        end
     in
     match await () with
     | `Done ->
       Mutex.unlock conn.m;
       running := false
     | `Write ->
-      let r =
-        match !(Queue.pop conn.out) with Some r -> r | None -> assert false
-      in
+      let r = Option.get !(Queue.pop conn.out) in
       Mutex.unlock conn.m;
-      Buffer.clear out;
-      Wire.encode_response out r;
-      (try write_all conn.fd out
-       with _ ->
-         (* client went away: keep draining cells so shard completions
-            have somewhere to land, but write nothing further *)
-         ())
+      (* [Unix.write] returns once the whole frame is out.  Once the
+         client has gone away, keep draining cells so shard completions
+         have somewhere to land, but build and write nothing. *)
+      if not !gone then begin
+        let b = frame_of r in
+        try ignore (Unix.write conn.fd b 0 (Bytes.length b))
+        with Unix.Unix_error _ -> gone := true
+      end
   done;
   (try Unix.close conn.fd with _ -> ())
 
@@ -148,6 +144,9 @@ let accept_loop t =
   done
 
 let start ?(host = "127.0.0.1") ~port shards =
+  (* a client that resets mid-answer must cost its own connection an
+     EPIPE, not the process a SIGPIPE *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt fd Unix.SO_REUSEADDR true;
   let addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in

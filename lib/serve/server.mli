@@ -7,6 +7,12 @@
     deep pipeline pile many range queries into one shard drain, the
     precondition for snapshot coalescing to pay off.
 
+    The writer encodes each answer once, into one frame of exactly its
+    wire size, and writes that frame as it is; no output buffer outlives
+    the answer it carried.  An answer whose payload would exceed
+    {!Wire.max_payload} is answered, in its place in the order, with an
+    [Err] saying so, and the connection keeps serving.
+
     {!stop} is the graceful path wired to SIGINT in [hwts-serve]: stop
     accepting, shut down the read side of every connection, let writers
     flush every in-flight response, join connection threads, then drain
@@ -17,7 +23,12 @@ type t
 val start : ?host:string -> port:int -> Shards.t -> t
 (** Bind and listen ([host] defaults to ["127.0.0.1"]; [port] 0 picks a
     free port), then serve in background threads.  The [Shards.t] is
-    owned by the server from here on: {!stop} stops it. *)
+    owned by the server from here on: {!stop} stops it.
+
+    Sets [Sys.sigpipe] to ignore, for the whole process: a client that
+    resets its connection mid-answer makes that connection's write fail
+    with [EPIPE] (the writer then discards the rest of its answers)
+    instead of killing the process. *)
 
 val port : t -> int
 (** The bound port (useful with [port:0]). *)

@@ -214,54 +214,71 @@ let class_hist = function
 
 let rejected = Wire.Err "server stopping"
 
+(* Enqueue parts [0, n) of one request, [part i part_done] being the
+   shard and task of part [i].  [finish ok] runs exactly once: when the
+   last part has called [part_done], and a part a stopping shard refused
+   counts in with every part after it, which is never enqueued.  [ok] is
+   false if any part was refused, so no request is answered from only
+   some of its parts. *)
+let fan_out t n ~part finish =
+  let remaining = Atomic.make n and ok = Atomic.make true in
+  let count_in m =
+    if Atomic.fetch_and_add remaining (-m) = m then finish (Atomic.get ok)
+  in
+  let part_done () = count_in 1 in
+  let rec go i =
+    if i < n then begin
+      (* fault injection: some parts enqueued, the rest not yet *)
+      if i > 0 then Sync.Pause.point ();
+      let s, task = part i part_done in
+      if enqueue t s task then go (i + 1)
+      else begin
+        Atomic.set ok false;
+        count_in (n - i)
+      end
+    end
+  in
+  go 0
+
+(* The parts' keys in part order, in one array of exactly their total
+   length. *)
+let merge parts =
+  let total = Array.fold_left (fun n p -> n + List.length p) 0 parts in
+  let keys = Array.make total 0 in
+  let i = ref 0 in
+  Array.iter
+    (List.iter (fun key ->
+         keys.(!i) <- key;
+         incr i))
+    parts;
+  keys
+
 (* Fan a clamped [lo, hi] out to its owning shards; completion fires on
-   the last part, with the maximal part label and the parts concatenated
-   in shard order (shards partition the key space ascending, and each
-   part is sorted, so the concatenation is the sorted union). *)
+   the last part, with the maximal part label and the parts merged in
+   shard order (shards partition the key space ascending, and each part
+   is sorted, so that is the sorted union). *)
 let submit_range t lo hi k =
   let lo = max lo 1 and hi = min hi t.key_space in
   if lo > hi then k (Wire.Keys (t.now (), [||]))
   else begin
-    let s0 = shard_of_key t lo and s1 = shard_of_key t hi in
-    if s0 = s1 then begin
-      let fin label keys = k (Wire.Keys (label, Array.of_list keys)) in
-      if not (enqueue t s0 (Sub (lo, hi, fin))) then k rejected
-    end
-    else begin
-      let n = s1 - s0 + 1 in
-      let parts = Array.make n [] in
-      let labels = Array.make n 0 in
-      let remaining = Atomic.make n in
-      let finish_one idx label keys =
-        parts.(idx) <- keys;
-        labels.(idx) <- label;
-        if Atomic.fetch_and_add remaining (-1) = 1 then begin
-          let label = Array.fold_left max min_int labels in
-          let keys =
-            Array.of_list (List.concat (Array.to_list parts))
-          in
-          k (Wire.Keys (label, keys))
-        end
-      in
-      let aborted = ref false in
-      for s = s0 to s1 do
-        if not !aborted then begin
-          let slo = max lo ((s * t.span) + 1) in
-          let shi = min hi ((s + 1) * t.span) in
-          if not (enqueue t s (Sub (slo, shi, finish_one (s - s0)))) then begin
-            (* account for every shard not submitted, then fail the
-               whole range exactly once through the normal completion *)
-            aborted := true;
-            let missing = s1 - s + 1 in
-            if Atomic.fetch_and_add remaining (-missing) = missing then
-              k rejected
-            else () (* in-flight parts complete the count; response is
-                       a partial Keys — acceptable only because stop
-                       happens after connections are drained *)
-          end
-        end
-      done
-    end
+    let s0 = shard_of_key t lo in
+    let n = shard_of_key t hi - s0 + 1 in
+    let parts = Array.make n [] and labels = Array.make n min_int in
+    fan_out t n
+      ~part:(fun i part_done ->
+        let s = s0 + i in
+        ( s,
+          Sub
+            ( max lo ((s * t.span) + 1),
+              min hi ((s + 1) * t.span),
+              fun label keys ->
+                parts.(i) <- keys;
+                labels.(i) <- label;
+                part_done () ) ))
+      (fun ok ->
+        if ok then
+          k (Wire.Keys (Array.fold_left max min_int labels, merge parts))
+        else k rejected)
   end
 
 (* Fan a MultiGet out to the shards owning its in-range keys; out-of-range
@@ -279,40 +296,33 @@ let submit_multiget t keys k =
       (fun i key ->
         if key >= 1 && key <= t.key_space then begin
           let s = shard_of_key t key in
-          per_shard.(s) <- (i, key) :: per_shard.(s)
+          per_shard.(s) <- i :: per_shard.(s)
         end)
       keys;
+    (* (shard, key positions in ascending order), for shards with keys *)
     let groups =
-      List.filter
-        (fun (_, idxs) -> idxs <> [])
-        (List.mapi
-           (fun s idxs -> (s, List.rev idxs))
-           (Array.to_list per_shard))
+      Array.to_seq per_shard
+      |> Seq.mapi (fun s idxs -> (s, Array.of_list (List.rev idxs)))
+      |> Seq.filter (fun (_, idxs) -> idxs <> [||])
+      |> Array.of_seq
     in
-    let ng = List.length groups in
+    let ng = Array.length groups in
     if ng = 0 then k (Wire.Bools (t.now (), bools))
     else begin
-      let labels = Array.make ng 0 in
-      let remaining = Atomic.make ng in
-      let finish_one g idxs label bs =
-        labels.(g) <- label;
-        List.iteri (fun j (i, _) -> bools.(i) <- bs.(j)) idxs;
-        if Atomic.fetch_and_add remaining (-1) = 1 then
-          k (Wire.Bools (Array.fold_left max min_int labels, bools))
-      in
-      let aborted = ref false in
-      List.iteri
-        (fun g (s, idxs) ->
-          if not !aborted then begin
-            let ks = Array.of_list (List.map snd idxs) in
-            if not (enqueue t s (MGet (ks, finish_one g idxs))) then begin
-              aborted := true;
-              let missing = ng - g in
-              if Atomic.fetch_and_add remaining (-missing) = missing then
-                k rejected
-            end
-          end)
-        groups
+      let labels = Array.make ng min_int in
+      fan_out t ng
+        ~part:(fun g part_done ->
+          let s, idxs = groups.(g) in
+          ( s,
+            MGet
+              ( Array.map (fun i -> keys.(i)) idxs,
+                fun label bs ->
+                  labels.(g) <- label;
+                  Array.iteri (fun j i -> bools.(i) <- bs.(j)) idxs;
+                  part_done () ) ))
+        (fun ok ->
+          if ok then k (Wire.Bools (Array.fold_left max min_int labels, bools))
+          else k rejected)
     end
   end
 

@@ -53,8 +53,10 @@ val submit : t -> Wire.request -> (Wire.response -> unit) -> unit
 (** Route a request.  The completion runs on a worker domain (or inline
     for [Ping], out-of-range keys and empty batches) exactly once.
     Cross-shard ranges fan out to every owning shard and complete when
-    the last part does, with the maximal part label.  After {!stop},
-    completes with [Err]. *)
+    the last part does, with the maximal part label, their keys merged
+    into one array of exactly the answer's length.  After {!stop},
+    completes with [Err]; so does a request split across shards when a
+    stopping shard refuses any part of it, never a partial answer. *)
 
 val exec : t -> Wire.request -> Wire.response
 (** Blocking {!submit}, for tests and simple clients. *)

@@ -42,90 +42,102 @@ let op_keyss = 0x89
 
 (* --- encoding ------------------------------------------------------- *)
 
-let put_u32 b v =
-  Buffer.add_char b (Char.chr ((v lsr 24) land 0xff));
-  Buffer.add_char b (Char.chr ((v lsr 16) land 0xff));
-  Buffer.add_char b (Char.chr ((v lsr 8) land 0xff));
-  Buffer.add_char b (Char.chr (v land 0xff))
+(* One size pass, then one write pass into a [Bytes.t] of exactly the
+   frame's length: no growing buffer, no second copy. *)
 
-let put_i64 b v = Buffer.add_int64_be b (Int64.of_int v)
-
-let rec put_request_body b ~nested = function
-  | Get k ->
-    Buffer.add_char b (Char.chr op_get);
-    put_i64 b k
-  | Insert k ->
-    Buffer.add_char b (Char.chr op_insert);
-    put_i64 b k
-  | Delete k ->
-    Buffer.add_char b (Char.chr op_delete);
-    put_i64 b k
-  | Range (lo, hi) ->
-    Buffer.add_char b (Char.chr op_range);
-    put_i64 b lo;
-    put_i64 b hi
+let rec request_size ~nested = function
+  | Get _ | Insert _ | Delete _ -> 9
+  | Range _ -> 17
   | Batch reqs ->
     if nested then invalid_arg "Wire.encode_request: nested batch";
-    Buffer.add_char b (Char.chr op_batch);
-    put_u32 b (Array.length reqs);
-    Array.iter (put_request_body b ~nested:true) reqs
-  | Ping -> Buffer.add_char b (Char.chr op_ping)
-  | MultiGet keys ->
-    Buffer.add_char b (Char.chr op_multiget);
-    put_u32 b (Array.length keys);
-    Array.iter (put_i64 b) keys
-  | MultiRange ranges ->
-    Buffer.add_char b (Char.chr op_multirange);
-    put_u32 b (Array.length ranges);
-    Array.iter
-      (fun (lo, hi) ->
-        put_i64 b lo;
-        put_i64 b hi)
-      ranges
+    Array.fold_left (fun n r -> n + request_size ~nested:true r) 5 reqs
+  | Ping -> 1
+  | MultiGet keys -> 5 + (8 * Array.length keys)
+  | MultiRange ranges -> 5 + (16 * Array.length ranges)
 
-let rec put_response_body b ~nested = function
-  | Bool v ->
-    Buffer.add_char b (Char.chr op_bool);
-    Buffer.add_char b (if v then '\001' else '\000')
-  | Keys (label, keys) ->
-    Buffer.add_char b (Char.chr op_keys);
-    put_i64 b label;
-    put_u32 b (Array.length keys);
-    Array.iter (put_i64 b) keys
+let rec response_size ~nested = function
+  | Bool _ -> 2
+  | Keys (_, keys) -> 13 + (8 * Array.length keys)
   | Rbatch rs ->
     if nested then invalid_arg "Wire.encode_response: nested batch";
-    Buffer.add_char b (Char.chr op_rbatch);
-    put_u32 b (Array.length rs);
-    Array.iter (put_response_body b ~nested:true) rs
-  | Pong -> Buffer.add_char b (Char.chr op_pong)
+    Array.fold_left (fun n r -> n + response_size ~nested:true r) 5 rs
+  | Pong -> 1
+  | Err msg -> 5 + String.length msg
+  | Bools (_, bs) -> 13 + Array.length bs
+  | Keyss (_, kss) ->
+    Array.fold_left (fun n ks -> n + 4 + (8 * Array.length ks)) 13 kss
+
+let request_size = request_size ~nested:false
+let response_size = response_size ~nested:false
+
+(* Each writer puts one value at [pos] and returns the position after it.
+   Counts fit in 32 bits: the size pass capped the frame at max_payload. *)
+let set_u8 b pos v =
+  Bytes.set b pos (Char.unsafe_chr v);
+  pos + 1
+
+let set_u32 b pos v =
+  Bytes.set_int32_be b pos (Int32.of_int v);
+  pos + 4
+
+let set_i64 b pos v =
+  Bytes.set_int64_be b pos (Int64.of_int v);
+  pos + 8
+
+let set_bool b pos v = set_u8 b pos (if v then 1 else 0)
+
+let set_ints b pos keys =
+  let pos = set_u32 b pos (Array.length keys) in
+  Array.iteri (fun i k -> ignore (set_i64 b (pos + (8 * i)) k)) keys;
+  pos + (8 * Array.length keys)
+
+let rec write_request b pos = function
+  | Get k -> set_i64 b (set_u8 b pos op_get) k
+  | Insert k -> set_i64 b (set_u8 b pos op_insert) k
+  | Delete k -> set_i64 b (set_u8 b pos op_delete) k
+  | Range (lo, hi) -> set_i64 b (set_i64 b (set_u8 b pos op_range) lo) hi
+  | Batch reqs ->
+    let pos = set_u32 b (set_u8 b pos op_batch) (Array.length reqs) in
+    Array.fold_left (write_request b) pos reqs
+  | Ping -> set_u8 b pos op_ping
+  | MultiGet keys -> set_ints b (set_u8 b pos op_multiget) keys
+  | MultiRange ranges ->
+    let pos = set_u32 b (set_u8 b pos op_multirange) (Array.length ranges) in
+    Array.fold_left
+      (fun pos (lo, hi) -> set_i64 b (set_i64 b pos lo) hi)
+      pos ranges
+
+let rec write_response b pos = function
+  | Bool v -> set_bool b (set_u8 b pos op_bool) v
+  | Keys (label, keys) ->
+    set_ints b (set_i64 b (set_u8 b pos op_keys) label) keys
+  | Rbatch rs ->
+    let pos = set_u32 b (set_u8 b pos op_rbatch) (Array.length rs) in
+    Array.fold_left (write_response b) pos rs
+  | Pong -> set_u8 b pos op_pong
   | Err msg ->
-    Buffer.add_char b (Char.chr op_err);
-    Buffer.add_string b msg
+    let pos = set_u32 b (set_u8 b pos op_err) (String.length msg) in
+    Bytes.blit_string msg 0 b pos (String.length msg);
+    pos + String.length msg
   | Bools (label, bs) ->
-    Buffer.add_char b (Char.chr op_bools);
-    put_i64 b label;
-    put_u32 b (Array.length bs);
-    Array.iter (fun v -> Buffer.add_char b (if v then '\001' else '\000')) bs
+    let pos = set_i64 b (set_u8 b pos op_bools) label in
+    Array.fold_left (set_bool b) (set_u32 b pos (Array.length bs)) bs
   | Keyss (label, kss) ->
-    Buffer.add_char b (Char.chr op_keyss);
-    put_i64 b label;
-    put_u32 b (Array.length kss);
-    Array.iter
-      (fun ks ->
-        put_u32 b (Array.length ks);
-        Array.iter (put_i64 b) ks)
-      kss
+    let pos = set_i64 b (set_u8 b pos op_keyss) label in
+    Array.fold_left (set_ints b) (set_u32 b pos (Array.length kss)) kss
 
-let frame encode b v =
-  let body = Buffer.create 32 in
-  encode body ~nested:false v;
-  let n = Buffer.length body in
+let frame size write v =
+  let n = size v in
   if n > max_payload then invalid_arg "Wire: frame exceeds max_payload";
-  put_u32 b n;
-  Buffer.add_buffer b body
+  let b = Bytes.create (4 + n) in
+  let stop = write b (set_u32 b 0 n) v in
+  assert (stop = 4 + n);
+  b
 
-let encode_request b r = frame put_request_body b r
-let encode_response b r = frame put_response_body b r
+let request_frame = frame request_size write_request
+let response_frame = frame response_size write_response
+let encode_request buf r = Buffer.add_bytes buf (request_frame r)
+let encode_response buf r = Buffer.add_bytes buf (response_frame r)
 
 (* --- incremental decoder -------------------------------------------- *)
 
@@ -236,9 +248,10 @@ let rec read_response c ~nested =
     Rbatch (Array.init n (fun _ -> read_response c ~nested:true))
   | op when op = op_pong -> Pong
   | op when op = op_err ->
-    let n = c.stop - c.pos in
+    let n = get_u32 c "err length" in
+    need c n "err message";
     let msg = Bytes.sub_string c.bytes c.pos n in
-    c.pos <- c.stop;
+    c.pos <- c.pos + n;
     Err msg
   | op when op = op_bools ->
     let label = get_i64 c "bools label" in

@@ -6,6 +6,8 @@
     4-byte big-endian.  A [Batch] carries a count and the concatenated
     payloads of its sub-requests — batches do not nest, and the response
     to a batch is an [Rbatch] of the sub-responses in submission order.
+    Every payload is self-delimiting, so any member of an [Rbatch] may be
+    an [Err] (whose message carries a 4-byte length).
 
     The codec is strict: a length prefix of zero or above {!max_payload},
     an unknown opcode, a truncated payload, trailing bytes after a
@@ -44,9 +46,23 @@ val max_payload : int
 
 exception Malformed of string
 
+val request_size : request -> int
+(** The payload size of [request]'s frame, in bytes: the frame is the
+    4-byte length prefix and this many bytes.  Plain arithmetic over
+    array lengths; raises [Invalid_argument] on a nested batch. *)
+
+val response_size : response -> int
+
+val request_frame : request -> Bytes.t
+(** One framed request in a fresh buffer of exactly
+    [4 + request_size request] bytes, written in place by one pass.
+    Raises [Invalid_argument] on a nested batch or a payload above
+    {!max_payload}, before allocating. *)
+
+val response_frame : response -> Bytes.t
+
 val encode_request : Buffer.t -> request -> unit
-(** Append one framed request.  Raises [Invalid_argument] on a nested
-    batch or an oversized frame. *)
+(** Append {!request_frame}'s bytes. *)
 
 val encode_response : Buffer.t -> response -> unit
 

@@ -26,6 +26,8 @@ let connect port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with _ -> ());
+  (* a lost answer fails the test instead of hanging it *)
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.;
   fd
 
 let write_all fd b =
@@ -282,6 +284,11 @@ let error_frames () =
       (match recv_exn cl with
       | Wire.Pong -> ()
       | _ -> Alcotest.fail "expected Pong");
+      (* an Err ahead of other members of a batch answer *)
+      send cl.fd (Wire.Batch [| Wire.Insert 0; Wire.Ping |]);
+      (match recv_exn cl with
+      | Wire.Rbatch [| Wire.Err _; Wire.Pong |] -> ()
+      | _ -> Alcotest.fail "expected Rbatch [| Err; Pong |]");
       Unix.close cl.fd)
 
 let malformed_frame_closes () =
@@ -297,6 +304,169 @@ let malformed_frame_closes () =
       | _ -> Alcotest.fail "expected Err for malformed frame");
       Alcotest.(check bool) "connection closed" true (recv cl = None);
       Unix.close cl.fd)
+
+(* ---------- answers too large for a frame, clients that reset ---------- *)
+
+let prefill cl n =
+  send cl.fd (Wire.Batch (Array.init n (fun i -> Wire.Insert (i + 1))));
+  match recv_exn cl with
+  | Wire.Rbatch rs ->
+    Alcotest.(check int) "prefill answered" n (Array.length rs)
+  | _ -> Alcotest.fail "prefill: expected Rbatch"
+
+(* 101 full ranges over 21,000 keys need ~17 MB, above max_payload: the
+   answer is an Err in its place, and the connection keeps serving *)
+let oversized_answer () =
+  let key_space = 21_000 in
+  with_server ~provider:`Logical ~coalesce:true ~shards:2 ~key_space
+    (fun port ->
+      let cl = client port in
+      prefill cl key_space;
+      send cl.fd (Wire.MultiRange (Array.make 101 (1, key_space)));
+      send cl.fd Wire.Ping;
+      send cl.fd (Wire.Range (1, 3));
+      (match recv_exn cl with
+      | Wire.Err _ -> ()
+      | _ -> Alcotest.fail "oversized answer: expected Err");
+      (match recv_exn cl with
+      | Wire.Pong -> ()
+      | _ -> Alcotest.fail "expected Pong after the oversized answer");
+      expect_keys "range after the oversized answer" [| 1; 2; 3 |]
+        (recv_exn cl);
+      Unix.close cl.fd)
+
+(* a client resets (SO_LINGER 0) while large answers are still being
+   written: only its connection fails, never the process (SIGPIPE) *)
+let client_reset_mid_answer () =
+  let key_space = 50_000 in
+  with_server ~provider:`Logical ~coalesce:true ~shards:2 ~key_space
+    (fun port ->
+      let cl = client port in
+      prefill cl key_space;
+      for _ = 1 to 20 do
+        send cl.fd (Wire.Range (1, key_space))
+      done;
+      (* the first answer has started to arrive: the writer is mid-answer
+         with ~8 MB still to go *)
+      ignore (Unix.read cl.fd cl.rbuf 0 (Bytes.length cl.rbuf));
+      Unix.setsockopt_optint cl.fd Unix.SO_LINGER (Some 0);
+      Unix.close cl.fd;
+      let cl = client port in
+      send cl.fd Wire.Ping;
+      (match recv_exn cl with
+      | Wire.Pong -> ()
+      | _ -> Alcotest.fail "expected Pong on a new connection");
+      Unix.close cl.fd)
+
+(* ---------- cross-shard answers ---------- *)
+
+let with_router ~key_space f =
+  let router =
+    Serve.Shards.create ~structure:"bst-vcas" ~provider:`Logical ~shards:2
+      ~key_space ~coalesce:true ()
+  in
+  Fun.protect ~finally:(fun () -> Serve.Shards.stop router) (fun () -> f router)
+
+(* Holds the worker of the shard owning [key] inside a Get's completion
+   until the returned release is called. *)
+let hold_shard router key =
+  let held = Atomic.make false and release = Atomic.make false in
+  Serve.Shards.submit router (Wire.Get key) (fun _ ->
+      Atomic.set held true;
+      while not (Atomic.get release) do
+        Unix.sleepf 0.001
+      done);
+  while not (Atomic.get held) do
+    Unix.sleepf 0.001
+  done;
+  fun () -> Atomic.set release true
+
+let await what cond =
+  let deadline = Unix.gettimeofday () +. 10. in
+  while not (cond ()) do
+    if Unix.gettimeofday () > deadline then Alcotest.failf "timed out: %s" what;
+    Unix.sleepf 0.001
+  done
+
+(* Two shards of [1, 50] and [51, 100].  The answer is the sorted union
+   of the parts, in one array, under the larger part label: part 0 is
+   held back until shard 1 has answered a later snapshot, so its label
+   is the larger one, and it completes last. *)
+let cross_shard_range () =
+  with_router ~key_space:100 (fun router ->
+      let exec = Serve.Shards.exec router in
+      List.iter (fun k -> ignore (exec (Wire.Insert k))) [ 10; 20; 60; 70 ];
+      List.iter
+        (fun (what, lo, hi, want) ->
+          expect_keys what want (exec (Wire.Range (lo, hi))))
+        [
+          ("both parts", 5, 80, [| 10; 20; 60; 70 |]);
+          ("part 0 empty", 30, 65, [| 60 |]);
+          ("part 1 empty", 15, 55, [| 20 |]);
+          ("clamped at both ends", -5, 1000, [| 10; 20; 60; 70 |]);
+        ];
+      let release = hold_shard router 1 in
+      Fun.protect ~finally:release @@ fun () ->
+      let answer = Atomic.make None in
+      Serve.Shards.submit router (Wire.Range (5, 80)) (fun r ->
+          Atomic.set answer (Some r));
+      (* FIFO: shard 1 answers this after part 1, under a later label *)
+      let later =
+        match exec (Wire.Range (51, 100)) with
+        | Wire.Keys (label, _) -> label
+        | _ -> Alcotest.fail "expected Keys"
+      in
+      release ();
+      await "the held range" (fun () -> Atomic.get answer <> None);
+      match Atomic.get answer with
+      | Some (Wire.Keys (label, keys)) ->
+        Alcotest.(check (array int)) "union" [| 10; 20; 60; 70 |] keys;
+        Alcotest.(check bool)
+          (Printf.sprintf "label %d is the held part's, above %d" label later)
+          true (label > later && label <= Serve.Shards.now router)
+      | _ -> Alcotest.fail "expected Keys")
+
+(* A request split across shards whose second part a stopping shard
+   refuses completes with Err, not with the first part's answer.  The
+   submitter parks between the two enqueues (the fan-out's pause point);
+   shard 0 is held so its part completes after the refusal. *)
+let refused_part_fails_request req () =
+  with_router ~key_space:100 (fun router ->
+      List.iter
+        (fun k -> ignore (Serve.Shards.exec router (Wire.Insert k)))
+        [ 10; 60 ];
+      let release = hold_shard router 1 in
+      (* a failed step must not leave the point armed or the shard held *)
+      Fun.protect ~finally:(fun () ->
+          Sync.Pause.disable ();
+          Sync.Pause.unpark ();
+          release ())
+      @@ fun () ->
+      let answer = Atomic.make None in
+      Sync.Pause.park_at 1;
+      let submitter =
+        Domain.spawn (fun () ->
+            Serve.Shards.submit router req (fun r ->
+                Atomic.set answer (Some r)))
+      in
+      await "the submitter to park" Sync.Pause.parked;
+      let stopper = Domain.spawn (fun () -> Serve.Shards.stop router) in
+      (* shard 1 refuses work once the stop has reached it *)
+      let refused = Atomic.make false in
+      await "shard 1 to refuse" (fun () ->
+          Serve.Shards.submit router (Wire.Get 60) (function
+            | Wire.Err _ -> Atomic.set refused true
+            | _ -> ());
+          Atomic.get refused);
+      Sync.Pause.unpark ();
+      Domain.join submitter;
+      release ();
+      Domain.join stopper;
+      match Atomic.get answer with
+      | Some (Wire.Err msg) ->
+        Alcotest.(check string) "error" "server stopping" msg
+      | Some _ -> Alcotest.fail "a partial answer was reported as success"
+      | None -> Alcotest.fail "no answer")
 
 (* ---------- stop drains in-flight work ---------- *)
 
@@ -430,8 +600,21 @@ let () =
           Alcotest.test_case "malformed closes after Err" `Quick
             malformed_frame_closes;
         ] );
+      ( "cross-shard",
+        [
+          Alcotest.test_case "range: sorted union, maximal label" `Quick
+            cross_shard_range;
+          Alcotest.test_case "range: refused part fails the request" `Quick
+            (refused_part_fails_request (Wire.Range (1, 100)));
+          Alcotest.test_case "multiget: refused part fails the request" `Quick
+            (refused_part_fails_request (Wire.MultiGet [| 10; 60 |]));
+        ] );
       ( "lifecycle",
         [
+          Alcotest.test_case "oversized answer: Err, then keep serving" `Quick
+            oversized_answer;
+          Alcotest.test_case "client reset mid-answer" `Quick
+            client_reset_mid_answer;
           Alcotest.test_case "stop drains in-flight" `Quick stop_drains_inflight;
           Alcotest.test_case "SIGINT: drain, flush, exit 0" `Quick
             subprocess_sigint;

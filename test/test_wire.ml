@@ -202,6 +202,97 @@ let response_round_trip () =
       Alcotest.check response "round trip" r (decode_one_resp (encode_resp r)))
     cases
 
+(* ---------- exact-size frames ---------- *)
+
+(* Every constructor, empty arrays and an empty Err included: the frame
+   is exactly the length prefix plus the size pass's count, the prefix
+   says so, the Buffer wrapper emits the same bytes, and it decodes
+   back to the value. *)
+let prefix b = Int32.to_int (Bytes.get_int32_be b 0)
+
+let frames_are_exact_size () =
+  List.iter
+    (fun r ->
+      let f = Wire.request_frame r in
+      let what = Format.asprintf "%a" pp_request r in
+      Alcotest.(check int) (what ^ ": length") (4 + Wire.request_size r)
+        (Bytes.length f);
+      Alcotest.(check int) (what ^ ": prefix") (Wire.request_size r) (prefix f);
+      Alcotest.(check bytes) (what ^ ": Buffer wrapper") f (encode_req r);
+      Alcotest.check request what r (decode_one_req f))
+    [
+      Wire.Get 7;
+      Wire.Insert (-1);
+      Wire.Delete max_int;
+      Wire.Range (min_int, 3);
+      Wire.Ping;
+      Wire.Batch [||];
+      Wire.Batch
+        [|
+          Wire.Get 1;
+          Wire.Range (2, 3);
+          Wire.Ping;
+          Wire.MultiGet [||];
+          Wire.MultiRange [| (4, 5) |];
+        |];
+      Wire.MultiGet [||];
+      Wire.MultiGet [| 1; 2; 3 |];
+      Wire.MultiRange [||];
+      Wire.MultiRange [| (1, 2); (3, 4) |];
+    ];
+  List.iter
+    (fun r ->
+      let f = Wire.response_frame r in
+      let what = Format.asprintf "%a" pp_response r in
+      Alcotest.(check int) (what ^ ": length") (4 + Wire.response_size r)
+        (Bytes.length f);
+      Alcotest.(check int)
+        (what ^ ": prefix") (Wire.response_size r) (prefix f);
+      Alcotest.(check bytes) (what ^ ": Buffer wrapper") f (encode_resp r);
+      Alcotest.check response what r (decode_one_resp f))
+    [
+      Wire.Bool false;
+      Wire.Keys (3, [||]);
+      Wire.Keys (-8, [| 1; max_int |]);
+      Wire.Pong;
+      Wire.Err "";
+      Wire.Err "stopping";
+      Wire.Bools (1, [||]);
+      Wire.Bools (2, [| true; false; true |]);
+      Wire.Keyss (4, [||]);
+      Wire.Keyss (5, [| [||]; [| 6 |]; [||] |]);
+      Wire.Rbatch [||];
+      Wire.Rbatch
+        [|
+          Wire.Bool true;
+          Wire.Keys (9, [| 4; 5 |]);
+          Wire.Keys (9, [||]);
+          Wire.Pong;
+          Wire.Err "";
+          Wire.Bools (3, [| false |]);
+          Wire.Keyss (4, [| [| 5 |]; [||] |]);
+        |];
+    ]
+
+let large_keys_round_trip () =
+  let keys = Array.init 262_144 (fun i -> (i * 7) - 1000) in
+  let r = Wire.Keys (123_456, keys) in
+  let f = Wire.response_frame r in
+  Alcotest.(check int) "length" (4 + 13 + (8 * 262_144)) (Bytes.length f);
+  Alcotest.check response "round trip" r (decode_one_resp f)
+
+let max_payload_boundary () =
+  (* an Err's body is its opcode, its message's length and the message *)
+  let at_max = Wire.Err (String.make (Wire.max_payload - 5) 'x') in
+  let f = Wire.response_frame at_max in
+  Alcotest.(check int) "a max_payload body encodes" (4 + Wire.max_payload)
+    (Bytes.length f);
+  Alcotest.check response "and decodes" at_max (decode_one_resp f);
+  let over = Wire.Err (String.make (Wire.max_payload - 4) 'x') in
+  match Wire.response_frame over with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "encoder accepted a body one byte over max_payload"
+
 (* ---------- pipelining / incremental feed ---------- *)
 
 let pipelined_chunked_feed () =
@@ -313,6 +404,11 @@ let rejects_truncated_body () =
       let d = Wire.decoder () in
       feed_all d (raw_frame ("\x88" ^ i64_be 1 ^ "\x00\x00\x00\x04\x01"));
       Wire.next_response d);
+  (* err whose message length exceeds the remaining payload *)
+  check_malformed "err length exceeds payload" (fun () ->
+      let d = Wire.decoder () in
+      feed_all d (raw_frame "\x87\x00\x00\x00\x05ab");
+      Wire.next_response d);
   (* keyss whose outer count exceeds the remaining payload *)
   check_malformed "keyss count exceeds payload" (fun () ->
       let d = Wire.decoder () in
@@ -388,6 +484,12 @@ let () =
         [
           Alcotest.test_case "requests" `Quick request_round_trip;
           Alcotest.test_case "responses" `Quick response_round_trip;
+        ] );
+      ( "exact-size",
+        [
+          Alcotest.test_case "frame is 4 + size" `Quick frames_are_exact_size;
+          Alcotest.test_case "262144-key Keys" `Quick large_keys_round_trip;
+          Alcotest.test_case "max_payload boundary" `Quick max_payload_boundary;
         ] );
       ( "incremental",
         [

@@ -1,6 +1,5 @@
 (* A node's lock, flags, child links and bundle heads as plain mutable
-   fields of the node block, instead of an [Atomic.t] or a
-   [Sync.Spinlock.t] box each.
+   fields of the node block, instead of an [Atomic.t] box each.
 
    Every write to such a field goes through [hwts_cas_field]
    (field_cas_stubs.c), the runtime's CAS on a named field.  It is

@@ -2,8 +2,8 @@
    harness (lib/check).
 
    A pause point is a place where a concurrency bug would hide: between
-   the two halves of a seqlock write, between announcing a range query
-   and stamping it, between installing a vCAS version and labeling it.
+   announcing a range query and stamping it, between installing a vCAS
+   version or a bundle entry and labeling it.
    Sprinkling [point ()] there lets a seeded scheduler stretch exactly
    those windows — a delay can only slow an execution down, never create
    a behaviour the hardware could not produce, so injection is always

@@ -2,7 +2,7 @@
     harness.
 
     Synchronization primitives and range-query protocols call {!point}
-    inside their race windows (between the halves of a seqlock write,
+    inside their race windows (inside a shared-mode rwlock section,
     between a registry announcement and its stamp, …).  Normally every
     such call is a single predictable-branch atomic load.  When enabled —
     [HWTS_CHECK_FAULTS=n] in the environment, or {!enable} from the

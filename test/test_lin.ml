@@ -64,20 +64,38 @@ let check_structure name ~insert ~delete ~contains ~make () =
         name round (List.length history)
   done
 
-let plain_cases =
-  let mk (module S : Dstruct.Ordered_set.S) =
-    Alcotest.test_case (S.name ^ " elemental linearizability") `Slow
-      (check_structure S.name ~make:S.create
-         ~insert:(fun t k -> S.insert t k)
-         ~delete:(fun t k -> S.delete t k)
-         ~contains:(fun t k -> S.contains t k))
+(* Each base algorithm, checked through every structure that ships it,
+   under every reclamation backend where that structure has a choice (the
+   per-provider cases below use the default backend only).  Each op ends
+   with [offline], so no worker domain exits inside a grace period. *)
+let algorithm_cases =
+  let open Workload.Targets in
+  let check_on name =
+    List.iter
+      (fun reclaim ->
+        let inst = instance ~reclaim name `Logical in
+        let module S = (val inst.structure) in
+        let settled op t k =
+          let r = op t k in
+          S.offline t;
+          r
+        in
+        check_structure
+          (S.name ^ "/" ^ inst.reclaim)
+          ~make:S.create ~insert:(settled S.insert) ~delete:(settled S.delete)
+          ~contains:(settled S.contains) ())
+      (if reclaim_sensitive name then all_reclaims else [ `Ebr ])
+  in
+  let mk algorithm structures =
+    Alcotest.test_case (algorithm ^ " elemental linearizability") `Slow
+      (fun () -> List.iter check_on structures)
   in
   [
-    mk (module Dstruct.Lazy_list);
-    mk (module Dstruct.Bst_lockfree);
-    mk (module Dstruct.Citrus);
-    mk (module Dstruct.Skiplist_lazy);
-    mk (module Dstruct.Skiplist_lockfree);
+    mk "lazy-list" [ "lazylist-bundle" ];
+    mk "nm-bst" [ "bst-vcas"; "bst-vcas-kv" ];
+    mk "citrus" [ "citrus-vcas"; "citrus-bundle"; "citrus-ebrrq" ];
+    mk "lazy-skiplist" [ "skiplist-bundle" ];
+    mk "lockfree-skiplist" [ "skiplist-vcas" ];
   ]
 
 let rq_cases =
@@ -109,5 +127,5 @@ let () =
           Alcotest.test_case "initial state" `Quick checker_respects_initial_state;
           Alcotest.test_case "reordering window" `Quick checker_reordering_window;
         ] );
-      ("histories", plain_cases @ rq_cases);
+      ("histories", algorithm_cases @ rq_cases);
     ]

@@ -1,4 +1,5 @@
-(* Tests for the synchronization substrate: locks, seqlock, RDCSS, slots. *)
+(* Tests for the synchronization substrate: backoff, slots, the
+   reader-writer lock, RDCSS. *)
 
 (* ---------- backoff / padding ---------- *)
 
@@ -99,28 +100,6 @@ let counter_under_lock ~lock ~unlock () =
          done));
   Alcotest.(check int) "no lost updates" (4 * per_domain) !counter
 
-let spinlock_mutex () =
-  let l = Sync.Spinlock.make () in
-  counter_under_lock
-    ~lock:(fun () -> Sync.Spinlock.lock l)
-    ~unlock:(fun () -> Sync.Spinlock.unlock l)
-    ()
-
-let spinlock_trylock () =
-  let l = Sync.Spinlock.make () in
-  Alcotest.(check bool) "free" true (Sync.Spinlock.try_lock l);
-  Alcotest.(check bool) "held" false (Sync.Spinlock.try_lock l);
-  Sync.Spinlock.unlock l;
-  Alcotest.(check bool) "free again" true (Sync.Spinlock.try_lock l);
-  Sync.Spinlock.unlock l
-
-let ticket_mutex () =
-  let l = Sync.Ticket_lock.make () in
-  counter_under_lock
-    ~lock:(fun () -> Sync.Ticket_lock.lock l)
-    ~unlock:(fun () -> Sync.Ticket_lock.unlock l)
-    ()
-
 let rwlock_mutex () =
   let l = Sync.Rwlock.make () in
   counter_under_lock
@@ -166,27 +145,6 @@ let rwlock_writer_not_starved () =
          end));
   Alcotest.(check bool) "writer acquired under reader churn" true
     (Atomic.get acquired)
-
-(* ---------- seqlock ---------- *)
-
-let seqlock_no_torn_reads () =
-  let sl = Sync.Seqlock.make () in
-  let a = ref 0 and b = ref 0 in
-  ignore
-    (Util.spawn_workers 4 (fun me ->
-         if me = 0 then
-           for i = 1 to 10_000 do
-             Sync.Seqlock.write sl (fun () ->
-                 a := i;
-                 b := 2 * i)
-           done
-         else
-           for _ = 1 to 10_000 do
-             let x, y = Sync.Seqlock.read sl (fun () -> (!a, !b)) in
-             if y <> 2 * x then Alcotest.failf "torn read: %d %d" x y
-           done));
-  Alcotest.(check bool) "sequence even at rest" true
-    (Sync.Seqlock.sequence sl land 1 = 0)
 
 (* ---------- RDCSS ---------- *)
 
@@ -304,15 +262,11 @@ let () =
         ] );
       ( "locks",
         [
-          Alcotest.test_case "spinlock mutual exclusion" `Slow spinlock_mutex;
-          Alcotest.test_case "spinlock trylock" `Quick spinlock_trylock;
-          Alcotest.test_case "ticket mutual exclusion" `Slow ticket_mutex;
           Alcotest.test_case "rwlock write mutual exclusion" `Slow rwlock_mutex;
           Alcotest.test_case "rwlock readers vs writer" `Slow
             rwlock_readers_and_writers;
           Alcotest.test_case "rwlock writer preference" `Slow
             rwlock_writer_not_starved;
-          Alcotest.test_case "seqlock no torn reads" `Slow seqlock_no_torn_reads;
         ] );
       ( "rdcss",
         [

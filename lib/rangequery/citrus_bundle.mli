@@ -14,8 +14,4 @@
     [wait_until_quiescent]) the relocation delete relies on. *)
 module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) : sig
   include Dstruct.Ordered_set.RQ
-
-  val active_rqs : t -> int
-  val bundle_stats : t -> int * int
-  (** (links sampled, total retained entries) down the leftmost spine. *)
 end

@@ -105,7 +105,7 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
      unmarked and empty yet off [key]'s current search path (the final
      [succ_prev.left := succ_right] restores the observed [Nil]); an
      attach there would be shadowed and the key lost.  See the matching
-     comment in citrus_bundle.ml for the full argument. *)
+     comment in citrus_core.ml for the full argument. *)
   let confirm t prev d key =
     let p', d', n = find t.root key in
     n == Nil && p' == prev && d' = d

@@ -1,8 +1,9 @@
 (** vCAS port of the Citrus tree (the other Figure-3 system).
 
-    Child pointers become {!Vcas_obj} versioned objects; the lock-based
-    update path writes through them, and range queries advance the
-    timestamp (the vCAS protocol) and traverse at that snapshot.  The
+    Each child link keeps a {!Vcas_obj} version chain beside the raw
+    link; the lock-based update path writes both, unlocked finds follow
+    the labeled heads (helping), and range queries advance the timestamp
+    (the vCAS protocol) and traverse at that snapshot.  The
     successor-relocation delete issues two versioned writes, so a snapshot
     between them can see the relocated key twice — results are therefore
     de-duplicated, matching the original artifact's behaviour.

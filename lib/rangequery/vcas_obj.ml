@@ -86,27 +86,6 @@ module Make (T : Hwts.Timestamp.S) = struct
 
   let cas t expected v = cas_with t expected v <> None
 
-  let write_with t v =
-    match cas_with t (head t) v with
-    | Some version -> version
-    | None ->
-      (* Contended: back off between retries so the winning writer's line
-         is not hammered.  The backoff state is allocated only on this
-         slow path.  The whole burst is one [Cas_retry] span whose end
-         event carries the retry count. *)
-      Hwts_trace.Span.enter Hwts_trace.Cas_retry;
-      let backoff = Sync.Backoff.make ~min_spins:4 ~max_spins:1024 () in
-      let rec retry n =
-        Sync.Backoff.once backoff;
-        match cas_with t (head t) v with
-        | Some version ->
-          Hwts_trace.Span.exit_n Hwts_trace.Cas_retry n;
-          version
-        | None -> retry (n + 1)
-      in
-      retry 1
-
-  let write t v = ignore (write_with t v)
   let read_at t ts = value_at (Atomic.get t) ts
   let prune t min_ts = prune_from (Atomic.get t) min_ts
   let chain_length t = chain_of (Atomic.get t)

@@ -15,7 +15,7 @@
 
 module Make (T : Hwts.Timestamp.S) : sig
   type 'a t
-  type 'a version
+  type 'a version = 'a Chain.version
 
   (** {2 Heads}
 
@@ -78,13 +78,6 @@ module Make (T : Hwts.Timestamp.S) : sig
   (** Like {!cas} but returns the installed, labeled version on success —
       callers that need the linearization timestamp of their own write
       (e.g. to record a node's link time) read it with {!timestamp}. *)
-
-  val write : 'a t -> 'a -> unit
-  (** Unconditional versioned write (retrying [cas]); for call sites that
-      already hold the structure's locks, e.g. the Citrus port. *)
-
-  val write_with : 'a t -> 'a -> 'a version
-  (** {!write} returning the installed, labeled version. *)
 
   val read_at : 'a t -> int -> 'a
   (** Value at snapshot time [ts]: the newest version labeled [<= ts], or

@@ -268,6 +268,8 @@ let torture_cases =
       ("citrus-bundle", `Logical);
       ("citrus-bundle", `Hardware_strict);
       ("citrus-bundle", `Tl2);
+      ("citrus-vcas", `Logical);
+      ("citrus-vcas", `Hardware_strict);
       ("citrus-ebrrq", `Logical);
       ("citrus-ebrrq", `Hardware_strict);
       ("bst-ebrrq-lockfree", `Logical);

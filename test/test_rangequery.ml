@@ -340,6 +340,51 @@ let skiplist_bundle_waits_for_labeled_insert () =
   Alcotest.(check bool) "insert" true inserted;
   Alcotest.(check (list int)) "final" [ 10; 30 ] (S.to_list t)
 
+(* ---------- citrus-vcas: unlocked reads of a pending head ----------
+
+   An insert installs its edge's pending head, writes the raw link, then
+   labels the head.  The inserter is parked right after the head is
+   installed.  From another domain, [contains] then [range_query], then
+   the same two in the reverse order: a key one of them sees, no later
+   one may miss.  A find that followed raw links would miss the key
+   after a snapshot had helped label it and seen it. *)
+let citrus_vcas_reads_agree_on_pending_insert () =
+  let module LV = Hwts.Timestamp.Logical () in
+  let module S = Rangequery.Citrus_vcas.Make (Ebr_b) (LV) in
+  let t = S.create () in
+  List.iter (fun k -> ignore (S.insert t k)) [ 10; 30 ];
+  let spawn f = Domain.spawn (fun () -> Sync.Slot.with_slot (fun _ -> f ())) in
+  (* the insert's first point follows the install of its pending head *)
+  Sync.Pause.park_at 1;
+  let inserter = spawn (fun () -> S.insert t 20) in
+  while not (Sync.Pause.parked ()) do
+    Domain.cpu_relax ()
+  done;
+  let reads =
+    Domain.join
+      (spawn (fun () ->
+           let contains () = S.contains t 20 in
+           let ranged () = List.mem 20 (S.range_query t ~lo:0 ~hi:100) in
+           let c1 = contains () in
+           let r1 = ranged () in
+           let r2 = ranged () in
+           let c2 = contains () in
+           [ c1; r1; r2; c2 ]))
+  in
+  Sync.Pause.unpark ();
+  let inserted = Domain.join inserter in
+  let rec monotone = function
+    | true :: false :: _ -> false
+    | _ :: rest -> monotone rest
+    | [] -> true
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "no read misses a key an earlier one saw (%s)"
+       (String.concat " " (List.map string_of_bool reads)))
+    true (monotone reads);
+  Alcotest.(check bool) "insert" true inserted;
+  Alcotest.(check (list int)) "final" [ 10; 20; 30 ] (S.to_list t)
+
 let () =
   Alcotest.run "rangequery"
     [
@@ -355,5 +400,7 @@ let () =
         [
           Alcotest.test_case "skiplist-bundle point ops wait for an insert"
             `Quick skiplist_bundle_waits_for_labeled_insert;
+          Alcotest.test_case "citrus-vcas reads agree on a pending insert"
+            `Quick citrus_vcas_reads_agree_on_pending_insert;
         ] );
     ]

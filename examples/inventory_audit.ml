@@ -40,7 +40,7 @@ let () =
   for round = 1 to 5 do
     let counts =
       List.init aisles (fun a ->
-          List.length
+          Array.length
             (Warehouse.range_query t ~lo:(a * aisle_size)
                ~hi:(((a + 1) * aisle_size) - 1)))
     in

@@ -38,7 +38,8 @@ let () =
   Frozen.set 200;
   Printf.printf "snapshot at a later time sees both: [%s]\n"
     (String.concat "; "
-       (List.map string_of_int (TiedSet.range_query t ~lo:0 ~hi:10)));
+       (List.map string_of_int
+          (Array.to_list (TiedSet.range_query t ~lo:0 ~hi:10))));
 
   (* The strict wrapper (Jiffy's approach) forbids ties at the price of a
      shared word. *)
@@ -65,4 +66,5 @@ let () =
   Printf.printf
     "\nlock-free EBR-RQ runs with the logical clock only: rq=[%s]\n"
     (String.concat "; "
-       (List.map string_of_int (LockFree.range_query lf ~lo:0 ~hi:10)))
+       (List.map string_of_int
+          (Array.to_list (LockFree.range_query lf ~lo:0 ~hi:10))))

@@ -25,9 +25,10 @@ let () =
   (* A linearizable range query: a consistent snapshot of [1, 70] *)
   let snap = Set.range_query t ~lo:1 ~hi:70 in
   Printf.printf "range [1,70]  = [%s]\n"
-    (String.concat "; " (List.map string_of_int snap));
+    (String.concat "; " (Array.to_list (Array.map string_of_int snap)));
   Printf.printf "range [90,99] = [%s]\n"
-    (String.concat "; " (List.map string_of_int (Set.range_query t ~lo:90 ~hi:99)));
+    (String.concat "; "
+       (Array.to_list (Array.map string_of_int (Set.range_query t ~lo:90 ~hi:99))));
 
   (* Concurrent use: domains share the structure freely *)
   let writers =
@@ -40,4 +41,4 @@ let () =
   in
   List.iter Domain.join writers;
   Printf.printf "\nafter 2 concurrent writers: |[100,299]| = %d\n"
-    (List.length (Set.range_query t ~lo:100 ~hi:299))
+    (Array.length (Set.range_query t ~lo:100 ~hi:299))

@@ -49,7 +49,10 @@ let () =
     (* each snapshot is taken independently, so only per-snapshot
        well-formedness is guaranteed; both must be sorted, duplicate-free
        and within bounds *)
-    let sorted l = List.sort_uniq compare l = l in
+    let sorted a =
+      let l = Array.to_list a in
+      List.sort_uniq compare l = l
+    in
     if sorted live && sorted twins then incr clean
   done;
   (* one more audit per snapshot with a single range covering both halves:
@@ -57,7 +60,9 @@ let () =
   let paired = ref 0 and total = ref 0 in
   for _ = 1 to audits do
     let snap = Store.range_query t ~lo:1 ~hi:(twin accounts) in
-    let live, twins = List.partition (fun k -> k <= accounts) snap in
+    let live, twins =
+      List.partition (fun k -> k <= accounts) (Array.to_list snap)
+    in
     incr total;
     (* a twin may be transiently out while its account is being flipped by
        an in-flight writer (4 separate ops); but the snapshot may never

@@ -11,7 +11,7 @@ module Ledger = Rangequery.Bst_vcas.Make (Hwts.Timestamp.Hardware)
 
 let show label keys =
   Printf.printf "%-22s [%s]\n" label
-    (String.concat "; " (List.map string_of_int keys))
+    (String.concat "; " (Array.to_list (Array.map string_of_int keys)))
 
 let () =
   let t = Ledger.create () in

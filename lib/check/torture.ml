@@ -123,7 +123,7 @@ let run_round cfg ~round_seed =
           let hi = lo + Dstruct.Prng.below rng cfg.key_space in
           Recorder.run recorder ~dom:me (Lin_check.Range (lo, hi)) (fun () ->
               let ts, keys = S.range_query_labeled t ~lo ~hi in
-              (Lin_check.Keys keys, Some ts))
+              (Lin_check.Keys (Array.to_list keys), Some ts))
         | 8 ->
           (* 2-4 membership probes against ONE snapshot handle; every
              constituent must answer from the cut named by the one label *)
@@ -149,7 +149,7 @@ let run_round cfg ~round_seed =
                   let kss =
                     Hwts_snapshot.multi_range snap (Array.of_list rgs)
                   in
-                  ( Lin_check.Keyss (Array.to_list kss),
+                  ( Lin_check.Keyss (Array.to_list (Array.map Array.to_list kss)),
                     Some (Hwts_snapshot.label snap) ))));
       (* Op boundary = quiescence point: the densest announcement cadence
          a QSBR user can run, so grace races get maximal exercise. *)

@@ -61,9 +61,10 @@ module type SNAPSHOT = sig
   (** Membership of one key in the snapshot's cut — the abstract set at
       {!snap_label} — with no label acquisition. *)
 
-  val collect_at : t -> snap -> lo:int -> hi:int -> int list
-  (** Sorted keys of [lo, hi] in the snapshot's cut; no label
-      acquisition. *)
+  val collect_at : t -> snap -> lo:int -> hi:int -> int array
+  (** Keys of [lo, hi] in the snapshot's cut, strictly ascending, in a
+      fresh array of exactly their number (never a per-domain scratch
+      block); no label acquisition. *)
 
   val quiesce : t -> unit
   (** Announce a reclamation quiescence point: the calling domain holds
@@ -80,10 +81,11 @@ end
 module type RQ = sig
   include SNAPSHOT
 
-  val range_query : t -> lo:int -> hi:int -> int list
-  (** Linearizable snapshot of the keys in [lo, hi], sorted ascending. *)
+  val range_query : t -> lo:int -> hi:int -> int array
+  (** Linearizable snapshot of the keys in [lo, hi], strictly ascending,
+      as {!collect_at} returns them. *)
 
-  val range_query_labeled : t -> lo:int -> hi:int -> int * int list
+  val range_query_labeled : t -> lo:int -> hi:int -> int * int array
   (** [range_query] plus the label of the snapshot it read. *)
 end
 

@@ -285,7 +285,7 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : LOGICAL) = struct
     walk (Internal t.s);
     Hwts_trace.Span.exit Hwts_trace.Traverse;
     Reclaim.fold_limbo t.ebr ~init:() ~f:(fun () l -> visit l);
-    Sync.Scratch.Int_buffer.to_sorted_list buf
+    Sync.Scratch.Int_buffer.to_sorted_array buf
 
   (* Snapshot handle: a non-scoped op section pins the limbo lists for
      the handle's lifetime, and the label is one [T.snapshot] advance.

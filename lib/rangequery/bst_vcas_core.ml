@@ -234,8 +234,8 @@ module Make (T : Hwts.Timestamp.S) = struct
 
   (* Range reads walk [lo, hi] in order at label [ts]: keys go into the
      per-domain buffer (left subtree first, so it ends up ascending and
-     becomes the result list once); bindings are consed right subtree
-     first, for the same order. *)
+     is copied once into the exact-size result array); bindings are
+     consed right subtree first, for the same order. *)
   let buf_scratch : Sync.Scratch.Int_buffer.t Sync.Scratch.t =
     Sync.Scratch.make (fun () -> Sync.Scratch.Int_buffer.create ())
 
@@ -256,7 +256,7 @@ module Make (T : Hwts.Timestamp.S) = struct
     Hwts_trace.Span.enter Hwts_trace.Traverse;
     keys_into buf ts lo hi t.root;
     Hwts_trace.Span.exit Hwts_trace.Traverse;
-    Sync.Scratch.Int_buffer.to_list buf
+    Sync.Scratch.Int_buffer.to_array buf
 
   let rec bindings_onto acc ts lo hi node =
     match node with
@@ -291,9 +291,9 @@ module Make (T : Hwts.Timestamp.S) = struct
   let find_at t s key = binding key (leaf_at key (snap_label s) t.root)
   let keys_at t s ~lo ~hi = keys t (snap_label s) ~lo ~hi
   let bindings_at t s ~lo ~hi = bindings t (snap_label s) ~lo ~hi
-  let to_list t = keys t now ~lo:min_int ~hi:max_int
+  let to_list t = Array.to_list (keys t now ~lo:min_int ~hi:max_int)
   let to_alist t = bindings t now ~lo:min_int ~hi:max_int
-  let size t = List.length (to_list t)
+  let size t = Array.length (keys t now ~lo:min_int ~hi:max_int)
 
   let version_chain_stats t =
     let rec spine edges versions node =

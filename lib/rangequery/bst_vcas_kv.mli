@@ -61,7 +61,7 @@ module Make (T : Hwts.Timestamp.S) : sig
   val collect_at : 'v t -> snap -> lo:int -> hi:int -> (int * 'v) list
   (** The bindings of [lo, hi] in the snapshot's cut, ascending. *)
 
-  val keys_at : 'v t -> snap -> lo:int -> hi:int -> int list
+  val keys_at : 'v t -> snap -> lo:int -> hi:int -> int array
   (** The keys of [collect_at], without building the pairs. *)
 
   val range_query : 'v t -> lo:int -> hi:int -> (int * 'v) list

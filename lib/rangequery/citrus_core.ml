@@ -329,8 +329,8 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (L : LABELING) = struct
   (* Range read at a snapshot label.  In-order traversal fills the
      per-domain buffer ascending.  Under vCAS the relocation is two
      versioned writes, so a snapshot between them meets the relocated key
-     twice; [to_sorted_list] drops the duplicate, and costs one pass over
-     an ascending buffer. *)
+     twice; [to_sorted_array] drops the duplicate, and costs nothing over
+     [to_array] on an ascending buffer. *)
   let collect_at t s ~lo ~hi =
     let ts = snap_label s in
     let buf = Sync.Scratch.get buf_scratch in
@@ -346,7 +346,7 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (L : LABELING) = struct
     Hwts_trace.Span.enter Hwts_trace.Traverse;
     walk (L.value_at (head t.root R) ts);
     Hwts_trace.Span.exit Hwts_trace.Traverse;
-    Sync.Scratch.Int_buffer.to_sorted_list buf
+    Sync.Scratch.Int_buffer.to_sorted_array buf
 
   (* Point read at the held label: directed descent through the
      versioned links at [ts]. *)

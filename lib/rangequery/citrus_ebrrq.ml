@@ -269,7 +269,7 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
     (* Recently deleted nodes may already be unlinked: recover them
        from the limbo lists, as EBR-RQ does. *)
     Reclaim.fold_limbo t.ebr ~init:() ~f:(fun () n -> visit n);
-    Sync.Scratch.Int_buffer.to_sorted_list buf
+    Sync.Scratch.Int_buffer.to_sorted_array buf
 
   (* Snapshot handle: a non-scoped op section pins the limbo lists for
      the handle's whole lifetime (the EBR-RQ form of history retention),

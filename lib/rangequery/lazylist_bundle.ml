@@ -199,7 +199,7 @@ module Core (T : Hwts.Timestamp.S) = struct
     Hwts_trace.Span.enter Hwts_trace.Traverse;
     walk start;
     Hwts_trace.Span.exit Hwts_trace.Traverse;
-    Sync.Scratch.Int_buffer.to_list buf
+    Sync.Scratch.Int_buffer.to_array buf
 
   (* Snapshot handle: the announce-slot guard keeps bundle pruning below
      the captured label for the handle's lifetime.  Bundles never advance

@@ -318,7 +318,7 @@ module Core (T : Hwts.Timestamp.S) = struct
     Hwts_trace.Span.enter Hwts_trace.Traverse;
     walk start;
     Hwts_trace.Span.exit Hwts_trace.Traverse;
-    Sync.Scratch.Int_buffer.to_list buf
+    Sync.Scratch.Int_buffer.to_array buf
 
   (* Snapshot handle: announce-slot guard + plain [T.read] label, as in
      the other bundle structures. *)

@@ -311,7 +311,7 @@ module Core (T : Hwts.Timestamp.S) = struct
     Hwts_trace.Span.enter Hwts_trace.Traverse;
     walk start;
     Hwts_trace.Span.exit Hwts_trace.Traverse;
-    Sync.Scratch.Int_buffer.to_list buf
+    Sync.Scratch.Int_buffer.to_array buf
 
   (* Snapshot handle: the announce-slot guard pins version chains for the
      handle's lifetime; the RQ is the advancing operation (vCAS), and

@@ -72,8 +72,9 @@ let trim t slot ~bound =
 
 let fold t ~init ~f =
   let acc = ref init in
+  let visit e = acc := f !acc e.node in
   for slot = 0 to Sync.Slot.max_slots - 1 do
-    List.iter (fun e -> acc := f !acc e.node) (Atomic.get t.lists.(slot))
+    List.iter visit (Atomic.get t.lists.(slot))
   done;
   !acc
 

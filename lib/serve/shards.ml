@@ -18,7 +18,7 @@ let h_multirange = Hwts_obs.Registry.histogram "serve.latency.multirange"
 
 type task =
   | Point of [ `Get | `Insert | `Delete ] * int * (Wire.response -> unit)
-  | Sub of int * int * (int -> int list -> unit)
+  | Sub of int * int * (int -> int array -> unit)
       (* one shard-local subrange; completion gets (label, keys) *)
   | MGet of int array * (int -> bool array -> unit)
       (* shard-local slice of a MultiGet; completion gets (label, bools),
@@ -94,7 +94,7 @@ let process (type a) (module S : Dstruct.Ordered_set.RQ with type t = a)
           mgets;
         Array.iter
           (fun (lo, hi, k) ->
-            k label (Hwts_snapshot.range snap ~lo ~hi))
+            k label (Hwts_snapshot.keys snap ~lo ~hi))
           subs)
   end
   else begin
@@ -240,18 +240,11 @@ let fan_out t n ~part finish =
   in
   go 0
 
-(* The parts' keys in part order, in one array of exactly their total
-   length. *)
+(* The parts' keys in part order.  Each part is already an exact-size
+   array, so a one-part answer is that array and only a cross-shard one
+   is copied, once. *)
 let merge parts =
-  let total = Array.fold_left (fun n p -> n + List.length p) 0 parts in
-  let keys = Array.make total 0 in
-  let i = ref 0 in
-  Array.iter
-    (List.iter (fun key ->
-         keys.(!i) <- key;
-         incr i))
-    parts;
-  keys
+  if Array.length parts = 1 then parts.(0) else Array.concat (Array.to_list parts)
 
 (* Fan a clamped [lo, hi] out to its owning shards; completion fires on
    the last part, with the maximal part label and the parts merged in
@@ -263,7 +256,7 @@ let submit_range t lo hi k =
   else begin
     let s0 = shard_of_key t lo in
     let n = shard_of_key t hi - s0 + 1 in
-    let parts = Array.make n [] and labels = Array.make n min_int in
+    let parts = Array.make n [||] and labels = Array.make n min_int in
     fan_out t n
       ~part:(fun i part_done ->
         let s = s0 + i in

@@ -82,11 +82,13 @@ let multi_get (Snap s as h) keys =
   let (module S) = s.ops in
   Array.map (fun k -> S.lookup_at s.st s.sn k) keys
 
-let range (Snap s as h) ~lo ~hi =
-  check_open h "range";
+let keys (Snap s as h) ~lo ~hi =
+  check_open h "keys";
   record h ~aux:aux_range 1;
   let (module S) = s.ops in
   S.collect_at s.st s.sn ~lo ~hi
+
+let range h ~lo ~hi = Array.to_list (keys h ~lo ~hi)
 
 let multi_range (Snap s as h) ranges =
   check_open h "multi_range";
@@ -94,23 +96,35 @@ let multi_range (Snap s as h) ranges =
   let (module S) = s.ops in
   Array.map (fun (lo, hi) -> S.collect_at s.st s.sn ~lo ~hi) ranges
 
-(* Each per-range result is sorted ascending, so the cross-range union
-   is a k-way merge; ranges are few, so pairwise merging is fine. *)
+(* Each per-range result is strictly ascending, so the cross-range union
+   is a k-way merge; ranges are few, so pairwise merging is fine.  The
+   merge writes into a block of the worst-case size and cuts it to the
+   union's. *)
 let merge_dedup xs ys =
-  let rec go xs ys acc =
-    match (xs, ys) with
-    | [], rest | rest, [] -> List.rev_append acc rest
-    | x :: xs', y :: ys' ->
-      if x < y then go xs' ys (x :: acc)
-      else if y < x then go xs ys' (y :: acc)
-      else go xs' ys' (x :: acc)
+  let nx = Array.length xs and ny = Array.length ys in
+  let r = Array.make (nx + ny) 0 in
+  let rec go i j n =
+    if i = nx then begin
+      Array.blit ys j r n (ny - j);
+      n + ny - j
+    end
+    else if j = ny then begin
+      Array.blit xs i r n (nx - i);
+      n + nx - i
+    end
+    else
+      let x = xs.(i) and y = ys.(j) in
+      r.(n) <- min x y;
+      go (if x <= y then i + 1 else i) (if y <= x then j + 1 else j) (n + 1)
   in
-  go xs ys []
+  let n = go 0 0 0 in
+  if n = nx + ny then r else Array.sub r 0 n
 
 let multi_range_union h ranges =
-  Array.fold_left merge_dedup [] (multi_range h ranges)
+  Array.fold_left merge_dedup [||] (multi_range h ranges)
 
-let count h ~lo ~hi = List.length (range h ~lo ~hi)
+let count h ~lo ~hi = Array.length (keys h ~lo ~hi)
 
 let kth h ~lo ~hi k =
-  if k < 0 then None else List.nth_opt (range h ~lo ~hi) k
+  let ks = keys h ~lo ~hi in
+  if k >= 0 && k < Array.length ks then Some ks.(k) else None

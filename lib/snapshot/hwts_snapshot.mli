@@ -54,13 +54,17 @@ val get : t -> int -> bool
 val multi_get : t -> int array -> bool array
 (** [multi_get s keys] — membership per key, positionally. *)
 
+val keys : t -> lo:int -> hi:int -> int array
+(** Keys of [lo, hi] in the cut, strictly ascending, in a fresh array of
+    exactly their number: the structure's [collect_at] result as is. *)
+
 val range : t -> lo:int -> hi:int -> int list
-(** Sorted keys of [lo, hi] in the cut. *)
+(** {!keys} as a list. *)
 
-val multi_range : t -> (int * int) array -> int list array
-(** Per-range sorted results, positionally, all from the one cut. *)
+val multi_range : t -> (int * int) array -> int array array
+(** Per-range {!keys} results, positionally, all from the one cut. *)
 
-val multi_range_union : t -> (int * int) array -> int list
+val multi_range_union : t -> (int * int) array -> int array
 (** The deduplicated sorted union across all ranges — overlapping
     ranges contribute each key once. *)
 

@@ -20,37 +20,85 @@ let make create = { create; key = Domain.DLS.new_key create }
 let get t = if Atomic.get state then Domain.DLS.get t.key else t.create ()
 
 module Int_buffer = struct
-  (* [ascending]: every push so far was above the one before it. *)
+  (* Segment [i] holds [first lsl i] slots, so segment boundaries fall
+     at 64, 192, 448, ...: growth allocates the next segment and copies
+     nothing, and a [clear] keeps every segment for the next fill.
+     [cur] is [segs.(seg)], the segment being filled; [last] the latest
+     push; [ascending]: every push so far was above the one before it. *)
+  let first = 64
+
   type t = {
-    mutable data : int array;
+    mutable segs : int array array;
+    mutable seg : int;
+    mutable cur : int array;
+    mutable pos : int;
     mutable len : int;
+    mutable last : int;
     mutable ascending : bool;
   }
 
-  let create ?(capacity = 64) () =
-    { data = Array.make (max 1 capacity) 0; len = 0; ascending = true }
+  let create () =
+    let s0 = Array.make first 0 in
+    {
+      segs = [| s0 |];
+      seg = 0;
+      cur = s0;
+      pos = 0;
+      len = 0;
+      last = 0;
+      ascending = true;
+    }
 
   let clear b =
+    b.seg <- 0;
+    b.cur <- b.segs.(0);
+    b.pos <- 0;
     b.len <- 0;
     b.ascending <- true
 
   let length b = b.len
 
+  let next_segment b =
+    let i = b.seg + 1 in
+    if i = Array.length b.segs then
+      b.segs <- Array.append b.segs [| Array.make (first lsl i) 0 |];
+    b.seg <- i;
+    b.cur <- b.segs.(i);
+    b.pos <- 0
+
   let push b x =
-    if b.len > 0 && x <= b.data.(b.len - 1) then b.ascending <- false;
-    if b.len = Array.length b.data then begin
-      let bigger = Array.make (2 * Array.length b.data) 0 in
-      Array.blit b.data 0 bigger 0 b.len;
-      b.data <- bigger
-    end;
-    b.data.(b.len) <- x;
-    b.len <- b.len + 1
+    if b.len > 0 && x <= b.last then b.ascending <- false;
+    if b.pos = Array.length b.cur then next_segment b;
+    b.cur.(b.pos) <- x;
+    b.pos <- b.pos + 1;
+    b.len <- b.len + 1;
+    b.last <- x
 
-  let to_list b =
-    let rec take acc i = if i < 0 then acc else take (b.data.(i) :: acc) (i - 1) in
-    take [] (b.len - 1)
+  let to_array b =
+    let r = Array.make b.len 0 in
+    let off = ref 0 in
+    for i = 0 to b.seg do
+      let n = if i = b.seg then b.pos else first lsl i in
+      Array.blit b.segs.(i) 0 r !off n;
+      off := !off + n
+    done;
+    r
 
-  let to_sorted_list b =
-    let l = to_list b in
-    if b.ascending then l else List.sort_uniq Int.compare l
+  (* Sort in place, then squeeze out duplicates; only a buffer that
+     held one needs a second, exact-size block. *)
+  let to_sorted_array b =
+    let r = to_array b in
+    if b.ascending then r
+    else begin
+      Array.sort Int.compare r;
+      let n = ref 0 in
+      Array.iter
+        (fun x ->
+          if !n = 0 || x <> r.(!n - 1) then begin
+            r.(!n) <- x;
+            incr n
+          end)
+        r;
+      if !n = Array.length r then r else Array.sub r 0 !n
+    end
 end

@@ -25,21 +25,26 @@ val enabled : unit -> bool
 val set_enabled : bool -> unit
 
 (** Growable int buffer for range-query collection: filled during the
-    traversal, snapshotted into the result list once at the end.
-    [to_list] preserves push order. *)
+    traversal, then copied once into an exact-size result array.  It is
+    a list of segments whose sizes double (64, 128, 256, ...), so growth
+    allocates a segment and copies nothing, and {!clear} keeps the
+    segments for the next fill. *)
 module Int_buffer : sig
   type t
 
-  val create : ?capacity:int -> unit -> t
+  val create : unit -> t
   val clear : t -> unit
   val length : t -> int
   val push : t -> int -> unit
 
-  val to_list : t -> int list
-  (** Elements in push order; allocates only the result list. *)
+  val to_array : t -> int array
+  (** Elements in push order, in a fresh array of exactly {!length}
+      slots that shares no storage with the buffer; allocates nothing
+      else. *)
 
-  val to_sorted_list : t -> int list
-  (** Elements ascending, without duplicates.  When every push since
-      {!clear} was above the one before it, this is {!to_list}; otherwise
-      the list is sorted and de-duplicated. *)
+  val to_sorted_array : t -> int array
+  (** Elements ascending, without duplicates, in a fresh exact-size
+      array.  When every push since {!clear} was above the one before
+      it, this is {!to_array}; otherwise the copy is sorted and
+      de-duplicated in place, and cut to size if a duplicate went. *)
 end

@@ -21,39 +21,121 @@ let with_refresh_period period f =
 
 (* ---------- Int_buffer ---------- *)
 
+(* Words allocated by [f ()], minor and major, counting a promoted block
+   once; the two [Gc.counters] results add a constant. *)
+let allocated_words f =
+  let mi0, pr0, ma0 = Gc.counters () in
+  let r = f () in
+  let mi1, pr1, ma1 = Gc.counters () in
+  (r, int_of_float (mi1 -. mi0 +. (ma1 -. ma0) -. (pr1 -. pr0)))
+
+let fill b keys =
+  Int_buffer.clear b;
+  Array.iter (Int_buffer.push b) keys
+
+(* Segments hold 64, 128, 256, ... slots, so 64 and 192 are the first
+   two boundaries. *)
 let int_buffer_basics () =
-  let b = Int_buffer.create ~capacity:2 () in
-  Alcotest.(check (list int)) "empty" [] (Int_buffer.to_list b);
-  for i = 1 to 100 do
-    Int_buffer.push b i
-  done;
-  Alcotest.(check int) "length" 100 (Int_buffer.length b);
-  Alcotest.(check (list int))
-    "push order preserved across growth"
-    (List.init 100 (fun i -> i + 1))
-    (Int_buffer.to_list b);
+  let b = Int_buffer.create () in
+  List.iter
+    (fun n ->
+      let keys = Array.init n (fun i -> (3 * i) + 1) in
+      fill b keys;
+      Alcotest.(check int) (Printf.sprintf "length %d" n) n (Int_buffer.length b);
+      Alcotest.(check (array int))
+        (Printf.sprintf "push order kept at %d" n)
+        keys (Int_buffer.to_array b))
+    [ 0; 63; 64; 65; 192; 193; 10_000; 1 ];
   Int_buffer.clear b;
   Alcotest.(check int) "cleared" 0 (Int_buffer.length b);
-  Alcotest.(check (list int)) "cleared list" [] (Int_buffer.to_list b);
+  Alcotest.(check (array int)) "cleared array" [||] (Int_buffer.to_array b);
   Int_buffer.push b 7;
-  Alcotest.(check (list int)) "reusable after clear" [ 7 ] (Int_buffer.to_list b)
+  Alcotest.(check (array int)) "reusable after clear" [| 7 |]
+    (Int_buffer.to_array b)
 
-(* [to_sorted_list] returns ascending, duplicate-free keys whatever the
+(* [to_sorted_array] returns ascending, duplicate-free keys whatever the
    push order; a clear forgets an earlier out-of-order push. *)
 let int_buffer_sorted () =
-  let b = Int_buffer.create ~capacity:2 () in
-  let fill keys =
-    Int_buffer.clear b;
-    List.iter (Int_buffer.push b) keys;
-    Int_buffer.to_sorted_list b
+  let b = Int_buffer.create () in
+  let sorted keys =
+    fill b (Array.of_list keys);
+    Int_buffer.to_sorted_array b
   in
-  Alcotest.(check (list int)) "empty" [] (fill []);
-  Alcotest.(check (list int)) "ascending" [ 1; 2; 5; 9 ] (fill [ 1; 2; 5; 9 ]);
-  Alcotest.(check (list int)) "unordered" [ 1; 2; 5; 9 ] (fill [ 5; 1; 9; 2 ]);
-  Alcotest.(check (list int))
-    "duplicates" [ 1; 3; 4 ] (fill [ 1; 3; 3; 4; 1 ]);
-  Alcotest.(check (list int)) "adjacent duplicate" [ 2 ] (fill [ 2; 2 ]);
-  Alcotest.(check (list int)) "after an unordered fill" [ 4; 6 ] (fill [ 4; 6 ])
+  Alcotest.(check (array int)) "empty" [||] (sorted []);
+  Alcotest.(check (array int)) "ascending" [| 1; 2; 5; 9 |] (sorted [ 1; 2; 5; 9 ]);
+  Alcotest.(check (array int)) "unordered" [| 1; 2; 5; 9 |] (sorted [ 5; 1; 9; 2 ]);
+  Alcotest.(check (array int))
+    "duplicates" [| 1; 3; 4 |] (sorted [ 1; 3; 3; 4; 1 ]);
+  Alcotest.(check (array int)) "adjacent duplicate" [| 2 |] (sorted [ 2; 2 ]);
+  Alcotest.(check (array int)) "after an unordered fill" [| 4; 6 |] (sorted [ 4; 6 ]);
+  (* slot 63 ends the first segment, slot 64 starts the second *)
+  let straddling = List.init 64 Fun.id @ [ 63 ] @ List.init 100 (fun i -> 64 + i) in
+  Alcotest.(check (array int))
+    "a pair straddling a segment boundary" (Array.init 164 Fun.id)
+    (sorted straddling);
+  let descending = List.init 500 (fun i -> 1_000 - (2 * i)) in
+  Alcotest.(check (array int))
+    "descending, each key twice, across four segments"
+    (Array.of_list (List.rev descending))
+    (sorted (descending @ descending))
+
+(* Growth allocates a segment once; a clear keeps every segment, so a
+   refill of the same length allocates nothing. *)
+let int_buffer_reuses_segments () =
+  let b = Int_buffer.create () in
+  let keys = Array.init 10_000 Fun.id in
+  fill b keys;
+  let (), words = allocated_words (fun () -> fill b keys) in
+  Alcotest.(check bool)
+    (Printf.sprintf "refill of 10,000 allocated %d words" words)
+    true (words <= 32);
+  Alcotest.(check (array int)) "refill contents" keys (Int_buffer.to_array b)
+
+(* A result is the caller's: writing into one leaves the buffer and every
+   other result as they were. *)
+let int_buffer_results_are_fresh () =
+  let b = Int_buffer.create () in
+  List.iter
+    (fun n ->
+      let keys = Array.init n (fun i -> i + 1) in
+      fill b keys;
+      let r1 = Int_buffer.to_array b in
+      let r2 = Int_buffer.to_sorted_array b in
+      Alcotest.(check bool) "two results, two blocks" false (r1 == r2);
+      Array.fill r1 0 n (-1);
+      Alcotest.(check (array int)) "second result intact" keys r2;
+      Array.fill r2 0 n (-2);
+      Alcotest.(check (array int)) "buffer intact" keys (Int_buffer.to_array b);
+      Int_buffer.push b (n + 1);
+      Alcotest.(check (array int)) "an earlier result does not grow"
+        (Array.make n (-2)) r2)
+    [ 1; 64; 65; 10_000 ]
+
+(* ---------- range answers allocate only themselves ---------- *)
+
+(* After a warm-up read has grown this domain's buffer, a [collect_at] of
+   [n] keys allocates its [n]-slot answer, its header and a few words of
+   closures; a list cell or a growth copy would cost [n] more.  bst-vcas
+   takes the ascending path, citrus-ebrrq the sorted one. *)
+let collect_allocates_only_its_answer name () =
+  with_scratch true @@ fun () ->
+  let (module S) =
+    (Workload.Targets.instance name `Logical).Workload.Targets.structure
+  in
+  let t = S.create () in
+  let n = 5_000 in
+  let keys = Array.init n (fun i -> i + 1) in
+  Util.shuffle (Util.rng 0xA110C) keys;
+  Array.iter (fun k -> ignore (S.insert t k)) keys;
+  let s = S.snapshot t in
+  ignore (S.collect_at t s ~lo:1 ~hi:n);
+  let answer, words = allocated_words (fun () -> S.collect_at t s ~lo:1 ~hi:n) in
+  S.snap_release t s;
+  Alcotest.(check int) "answer length" n (Array.length answer);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d keys cost %d words" n words)
+    true
+    (words <= n + 64)
 
 (* ---------- determinism: scratch reuse must be invisible ---------- *)
 
@@ -70,7 +152,7 @@ let scripted_run (module S : Dstruct.Ordered_set.RQ) =
     match Dstruct.Prng.below rng 10 with
     | 0 | 1 | 2 -> emit [ (if S.insert t k then 1 else 0) ]
     | 3 | 4 -> emit [ (if S.delete t k then 1 else 0) ]
-    | 5 -> emit (S.range_query t ~lo:k ~hi:(k + 63))
+    | 5 -> emit (Array.to_list (S.range_query t ~lo:k ~hi:(k + 63)))
     | _ -> emit [ (if S.contains t k then 1 else 0) ]
   done;
   emit (S.to_list t);
@@ -215,7 +297,7 @@ module Counting_core = struct
   let snap_label s = s
   let snap_release t _ = t.released <- t.released + 1
   let lookup_at _ _ _ = false
-  let collect_at _ _ ~lo ~hi = if lo > hi then raise Stdlib.Exit else [ lo; hi ]
+  let collect_at _ _ ~lo ~hi = if lo > hi then raise Stdlib.Exit else [| lo; hi |]
   let quiesce _ = ()
   let offline _ = ()
 end
@@ -229,7 +311,7 @@ let derived_range_releases_once () =
    with Stdlib.Exit -> ());
   Alcotest.(check (pair int int)) "raise: one acquire, one release" (1, 1)
     (t.acquired, t.released);
-  Alcotest.(check (pair int (list int))) "label and keys of the read" (42, [ 1; 2 ])
+  Alcotest.(check (pair int (array int))) "label and keys of the read" (42, [| 1; 2 |])
     (D.range_query_labeled t ~lo:1 ~hi:2);
   Alcotest.(check (pair int int)) "success: one acquire, one release" (2, 2)
     (t.acquired, t.released)
@@ -240,9 +322,19 @@ let () =
       ( "int-buffer",
         [
           Alcotest.test_case "push/grow/clear/order" `Quick int_buffer_basics;
-          Alcotest.test_case "to_sorted_list" `Quick int_buffer_sorted;
-        ]
-      );
+          Alcotest.test_case "to_sorted_array" `Quick int_buffer_sorted;
+          Alcotest.test_case "clear keeps the segments" `Quick
+            int_buffer_reuses_segments;
+          Alcotest.test_case "results share no storage" `Quick
+            int_buffer_results_are_fresh;
+        ] );
+      ( "range-alloc",
+        [
+          Alcotest.test_case "bst-vcas collect_at" `Quick
+            (collect_allocates_only_its_answer "bst-vcas");
+          Alcotest.test_case "citrus-ebrrq collect_at" `Quick
+            (collect_allocates_only_its_answer "citrus-ebrrq");
+        ] );
       ( "determinism",
         [
           Alcotest.test_case "skiplist-vcas scratch on/off" `Quick

@@ -39,7 +39,7 @@ let provider_drives_structures () =
   for k = 1 to 50 do
     ignore (S.insert t k)
   done;
-  Alcotest.(check int) "rq size" 50 (List.length (S.range_query t ~lo:1 ~hi:50))
+  Alcotest.(check int) "rq size" 50 (Array.length (S.range_query t ~lo:1 ~hi:50))
 
 let () =
   Alcotest.run "ordo"

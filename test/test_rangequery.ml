@@ -64,15 +64,15 @@ let impls : (module RQSET) list =
 let sequential_rq (module S : RQSET) () =
   let t = S.create () in
   List.iter (fun k -> ignore (S.insert t k)) [ 10; 20; 30; 40; 50 ];
-  Alcotest.(check (list int)) "inner" [ 20; 30; 40 ] (S.range_query t ~lo:20 ~hi:40);
-  Alcotest.(check (list int)) "inclusive lo/hi" [ 10; 20; 30; 40; 50 ]
+  Alcotest.(check (array int)) "inner" [| 20; 30; 40 |] (S.range_query t ~lo:20 ~hi:40);
+  Alcotest.(check (array int)) "inclusive lo/hi" [| 10; 20; 30; 40; 50 |]
     (S.range_query t ~lo:10 ~hi:50);
-  Alcotest.(check (list int)) "empty below" [] (S.range_query t ~lo:1 ~hi:9);
-  Alcotest.(check (list int)) "empty above" [] (S.range_query t ~lo:51 ~hi:99);
-  Alcotest.(check (list int)) "point hit" [ 30 ] (S.range_query t ~lo:30 ~hi:30);
-  Alcotest.(check (list int)) "point miss" [] (S.range_query t ~lo:31 ~hi:31);
+  Alcotest.(check (array int)) "empty below" [||] (S.range_query t ~lo:1 ~hi:9);
+  Alcotest.(check (array int)) "empty above" [||] (S.range_query t ~lo:51 ~hi:99);
+  Alcotest.(check (array int)) "point hit" [| 30 |] (S.range_query t ~lo:30 ~hi:30);
+  Alcotest.(check (array int)) "point miss" [||] (S.range_query t ~lo:31 ~hi:31);
   ignore (S.delete t 30);
-  Alcotest.(check (list int)) "after delete" [ 20; 40 ] (S.range_query t ~lo:20 ~hi:40)
+  Alcotest.(check (array int)) "after delete" [| 20; 40 |] (S.range_query t ~lo:20 ~hi:40)
 
 let quiescent_matches_contents (module S : RQSET) =
   let gen =
@@ -91,7 +91,7 @@ let quiescent_matches_contents (module S : RQSET) =
         ops;
       let lo = lo0 and hi = lo0 + width in
       let expected = List.filter (fun k -> k >= lo && k <= hi) (S.to_list t) in
-      S.range_query t ~lo ~hi = expected)
+      Array.to_list (S.range_query t ~lo ~hi) = expected)
 
 (* ---------- concurrent snapshot consistency ---------- *)
 
@@ -125,7 +125,7 @@ let prefix_consistency (module S : RQSET) () =
         else begin
           let count = ref 0 in
           while not (Atomic.get stop) do
-            let snapshot = S.range_query t ~lo:1 ~hi:(3 * n) in
+            let snapshot = Array.to_list (S.range_query t ~lo:1 ~hi:(3 * n)) in
             incr count;
             if not (is_prefix_of seq snapshot) then
               Atomic.set bad (Some snapshot)
@@ -139,7 +139,8 @@ let prefix_consistency (module S : RQSET) () =
       (List.length snapshot)
   | None -> ());
   Alcotest.(check bool) "reader ran" true (List.nth results 1 >= 0);
-  Alcotest.(check (list int)) "final" (List.sort compare seq)
+  Alcotest.(check (array int)) "final"
+    (Array.of_list (List.sort compare seq))
     (S.range_query t ~lo:1 ~hi:(3 * n))
 
 let is_suffix_of seq snapshot =
@@ -171,7 +172,7 @@ let suffix_consistency (module S : RQSET) () =
          end
          else
            while not (Atomic.get stop) do
-             let snapshot = S.range_query t ~lo:1 ~hi:(3 * n) in
+             let snapshot = Array.to_list (S.range_query t ~lo:1 ~hi:(3 * n)) in
              if not (is_suffix_of seq snapshot) then
                Atomic.set bad (Some snapshot)
            done));
@@ -180,7 +181,7 @@ let suffix_consistency (module S : RQSET) () =
     Alcotest.failf "%s: snapshot is not a deletion suffix (%d keys)" S.name
       (List.length snapshot)
   | None -> ());
-  Alcotest.(check (list int)) "emptied" [] (S.range_query t ~lo:1 ~hi:(3 * n))
+  Alcotest.(check (array int)) "emptied" [||] (S.range_query t ~lo:1 ~hi:(3 * n))
 
 (* Static backdrop keys must appear in *every* snapshot while filler keys
    toggle around them — this hammers the Citrus successor relocation and
@@ -208,7 +209,7 @@ let static_backdrop (module S : RQSET) () =
          end
          else
            while not (Atomic.get stop) do
-             let snapshot = S.range_query t ~lo:1 ~hi:1000 in
+             let snapshot = Array.to_list (S.range_query t ~lo:1 ~hi:1000) in
              let sorted = List.sort_uniq compare snapshot in
              if sorted <> snapshot then
                Atomic.set bad (Some ("unsorted/dup", snapshot));
@@ -235,7 +236,7 @@ let forced_ties_sequential () =
     let t = S.create () in
     List.iter (fun k -> ignore (S.insert t k)) [ 5; 1; 9; 3; 7 ];
     ignore (S.delete t 3);
-    Alcotest.(check (list int)) (S.name ^ " under 100% ties") [ 1; 5; 7; 9 ]
+    Alcotest.(check (array int)) (S.name ^ " under 100% ties") [| 1; 5; 7; 9 |]
       (S.range_query t ~lo:0 ~hi:100);
     Alcotest.(check bool) (S.name ^ " contains") true (S.contains t 9);
     incr checks
@@ -277,7 +278,7 @@ let forced_ties_concurrent_smoke () =
                or duplicated, §III-A's tie failure — so only its bounds
                are asserted. *)
             let snap = S.range_query t ~lo:k ~hi:(k + 20) in
-            if List.exists (fun x -> x < k || x > k + 20) snap then incr strays
+            if Array.exists (fun x -> x < k || x > k + 20) snap then incr strays
         done;
         !strays)
   in
@@ -364,7 +365,7 @@ let citrus_vcas_reads_agree_on_pending_insert () =
     Domain.join
       (spawn (fun () ->
            let contains () = S.contains t 20 in
-           let ranged () = List.mem 20 (S.range_query t ~lo:0 ~hi:100) in
+           let ranged () = Array.mem 20 (S.range_query t ~lo:0 ~hi:100) in
            let c1 = contains () in
            let r1 = ranged () in
            let r2 = ranged () in

@@ -402,9 +402,9 @@ let snapshot_time_travel () =
   ignore (BH.delete t 2);
   ignore (BH.delete t 4);
   ignore (BH.insert t 9);
-  Alcotest.(check (list int)) "present" [ 1; 3; 5; 9 ]
+  Alcotest.(check (array int)) "present" [| 1; 3; 5; 9 |]
     (BH.range_query t ~lo:1 ~hi:10);
-  Alcotest.(check (list int)) "past" [ 1; 2; 3; 4; 5 ]
+  Alcotest.(check (array int)) "past" [| 1; 2; 3; 4; 5 |]
     (BH.collect_at t past ~lo:1 ~hi:10);
   Alcotest.(check bool) "lookup_at deleted key" true (BH.lookup_at t past 2);
   Alcotest.(check bool) "lookup_at future key" false (BH.lookup_at t past 9);
@@ -422,9 +422,9 @@ let snapshot_survives_pruning_churn () =
     ignore (BH.insert t 42)
   done;
   ignore (BH.delete t 42);
-  Alcotest.(check (list int)) "pinned state intact" [ 42 ]
+  Alcotest.(check (array int)) "pinned state intact" [| 42 |]
     (BH.collect_at t past ~lo:0 ~hi:100);
-  Alcotest.(check (list int)) "current state" [] (BH.range_query t ~lo:0 ~hi:100);
+  Alcotest.(check (array int)) "current state" [||] (BH.range_query t ~lo:0 ~hi:100);
   BH.snap_release t past;
   (* after release, churn shrinks history again *)
   for _ = 1 to 200 do
@@ -505,8 +505,8 @@ let field_cas_survives_gc name ts () =
     if r mod 2 = 0 then Gc.minor () else Gc.full_major ();
     Alcotest.(check (list int))
       "current tree" (IS.elements !model) (S.to_list t);
-    Alcotest.(check (list int))
-      "snapshot before the writes" base
+    Alcotest.(check (array int))
+      "snapshot before the writes" (Array.of_list base)
       (S.collect_at t past ~lo:0 ~hi:1_024);
     Alcotest.(check bool) "deleted key at the snapshot" true
       (S.lookup_at t past (4 * r));
@@ -571,8 +571,8 @@ let citrus_limbo_keeps_relocated () =
     (Ce.to_list t);
   on_worker (fun () -> churn 4_096);
   Alcotest.(check bool) "found at the snapshot" true (Ce.lookup_at t past 50);
-  Alcotest.(check (list int))
-    "range at the snapshot" [ 30; 50; 60; 65; 70; 80 ]
+  Alcotest.(check (array int))
+    "range at the snapshot" [| 30; 50; 60; 65; 70; 80 |]
     (Ce.collect_at t past ~lo:0 ~hi:100);
   Alcotest.(check int) "no poisoned node covered" hits (poison ());
   Ce.snap_release t past;
@@ -807,11 +807,11 @@ let snapshot_pinned_across_nested_rqs_and_pruning () =
     ignore (S.range_query t ~lo:1 ~hi:8)
   done;
   Domain.join churn;
-  Alcotest.(check (list int))
+  Alcotest.(check (array int))
     "cut unchanged under nested RQs and pruning churn" before
     (S.collect_at t s ~lo:1 ~hi:64);
   Alcotest.(check bool) "point reads agree with the cut" true
-    (List.for_all (fun k -> S.lookup_at t s k) before);
+    (Array.for_all (fun k -> S.lookup_at t s k) before);
   S.snap_release t s;
   S.snap_release t s (* idempotent *)
 
@@ -957,6 +957,183 @@ let layout_cases =
   |> List.map (fun (name, bound, words) ->
          Alcotest.test_case name `Quick (layout_bound name bound words))
 
+(* ---------- range answers: exact-size ascending arrays ---------- *)
+
+let strictly_ascending a =
+  let ok = ref true in
+  for i = 1 to Array.length a - 1 do
+    if a.(i - 1) >= a.(i) then ok := false
+  done;
+  !ok
+
+(* [got] is strictly ascending and holds exactly [want]'s keys. *)
+let check_answer what want got =
+  Alcotest.(check bool) (what ^ ": strictly ascending") true
+    (strictly_ascending got);
+  Alcotest.(check (array int)) what want got
+
+let collect_span = 12_000
+
+let seq_range oracle ~lo ~hi =
+  Array.of_list (Dstruct.Seq_set.range_query oracle ~lo ~hi)
+
+(* Over 5,000 keys a range answer spans eight buffer segments.  First
+   quiescent reads, then, under EBR, a snapshot held across another
+   domain's deletes and inserts: the EBR-RQ trees then find the deleted
+   keys in limbo, out of key order, and the versioned structures read
+   older versions. *)
+let large_collect (inst : Workload.Targets.instance) () =
+  let (module S) = inst.structure in
+  let t = S.create () and oracle = Dstruct.Seq_set.create () in
+  let rng = Util.rng 0xC011EC7 in
+  for i = 1 to 10_000 do
+    let k = 1 + Dstruct.Prng.below rng collect_span in
+    if i mod 8 = 0 then ignore (S.delete t k && Dstruct.Seq_set.delete oracle k)
+    else ignore (S.insert t k && Dstruct.Seq_set.insert oracle k)
+  done;
+  let live = Dstruct.Seq_set.size oracle in
+  Alcotest.(check bool) (Printf.sprintf "%d live keys" live) true (live >= 5_000);
+  let s = S.snapshot t in
+  List.iter
+    (fun (what, lo, hi) ->
+      check_answer what (seq_range oracle ~lo ~hi) (S.collect_at t s ~lo ~hi))
+    [
+      ("whole range", 1, collect_span);
+      ("inner range", 2_000, 9_999);
+      ("range past the keys", collect_span + 1, collect_span + 100);
+    ];
+  S.snap_release t s;
+  S.offline t;
+  if inst.reclaim = "ebr" then begin
+    let before = seq_range oracle ~lo:1 ~hi:collect_span in
+    let s = S.snapshot t in
+    on_worker (fun () ->
+        Array.iteri (fun i k -> if i mod 3 = 0 then ignore (S.delete t k)) before;
+        for k = 1 to collect_span do
+          if k mod 5 = 0 && not (Dstruct.Seq_set.contains oracle k) then
+            ignore (S.insert t k)
+        done;
+        S.offline t);
+    check_answer "whole range under a held snapshot" before
+      (S.collect_at t s ~lo:1 ~hi:collect_span);
+    S.snap_release t s
+  end
+
+let large_collect_cases =
+  List.concat_map
+    (fun (name, make) ->
+      List.concat_map
+        (fun ts ->
+          if not (Workload.Targets.supports name ts) then []
+          else
+            List.map
+              (fun reclaim ->
+                let inst = make reclaim ts in
+                Alcotest.test_case
+                  (Printf.sprintf "%s/%s/%s" name inst.Workload.Targets.provider
+                     inst.reclaim)
+                  `Quick (large_collect inst))
+              (if Workload.Targets.reclaim_sensitive name then
+                 Workload.Targets.all_reclaims
+               else [ `Ebr ]))
+        [ `Logical; `Hardware ])
+    Workload.Targets.all_instances
+
+(* A citrus-vcas two-children delete relocates the successor with two
+   versioned writes: the replacement takes the victim's place, then the
+   successor's old link is cut.  The deleter is parked at each pause
+   point in turn until it stops between the two, where the raw tree
+   holds the successor twice.  A snapshot taken there that already sees
+   the replacement meets the successor's key twice in its walk; the
+   answer must still hold it once. *)
+let citrus_vcas_relocation_duplicate () =
+  let module LC = Hwts.Timestamp.Logical () in
+  let module S = Rangequery.Citrus_vcas.Make (Hwts_reclaim.Ebr_backend) (LC) in
+  (* 70 is the successor's parent, so the delete of 50 relocates 60;
+     6,000 more keys put the answer across several buffer segments *)
+  let bulk = Array.init 6_000 (fun i -> 100 + i) in
+  let with_50 = Array.append [| 30; 50; 60; 65; 70; 80 |] bulk
+  and without_50 = Array.append [| 30; 60; 65; 70; 80 |] bulk in
+  Util.shuffle (Util.rng 0x5EC0) bulk;
+  let build () =
+    let t = S.create () in
+    List.iter (fun k -> ignore (S.insert t k)) [ 50; 30; 70; 60; 80; 65 ];
+    Array.iter (fun k -> ignore (S.insert t k)) bulk;
+    t
+  in
+  let reached = ref false and point = ref 1 and more = ref true in
+  while (not !reached) && !more do
+    let t = build () in
+    let finished = Atomic.make false in
+    Sync.Pause.park_at !point;
+    let deleter =
+      Domain.spawn (fun () ->
+          Sync.Slot.with_slot (fun _ ->
+              let r = S.delete t 50 in
+              Atomic.set finished true;
+              r))
+    in
+    while not (Sync.Pause.parked () || Atomic.get finished) do
+      Domain.cpu_relax ()
+    done;
+    if Sync.Pause.parked () then begin
+      let sixties = List.filter (( = ) 60) (S.to_list t) in
+      if List.length sixties = 2 then begin
+        let s = S.snapshot t in
+        let got = S.collect_at t s ~lo:1 ~hi:10_000 in
+        S.snap_release t s;
+        if got = without_50 then reached := true
+        else check_answer "snapshot before the relocation" with_50 got
+      end;
+      Sync.Pause.unpark ()
+    end
+    else begin
+      (* the delete passed fewer points than [point]: disarm the park *)
+      Sync.Pause.disable ();
+      more := false
+    end;
+    Alcotest.(check bool) "delete" true (Domain.join deleter);
+    incr point
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "a snapshot met the relocated key twice (points 1-%d)"
+       (!point - 1))
+    true !reached
+
+(* The EBR-RQ trees' limbo path at scale: a snapshot taken before 2,000
+   deletes finds those keys only in limbo, and merges them with the
+   tree's keys into one ascending answer. *)
+let ebrrq_limbo_at_scale (type a)
+    (module S : Dstruct.Ordered_set.RQ with type t = a) (limbo_size : a -> int)
+    () =
+  let t = S.create () in
+  let keys = Array.init 6_000 (fun i -> 1 + (2 * i)) in
+  let order = Array.copy keys in
+  Util.shuffle (Util.rng 0x11B0) order;
+  Array.iter (fun k -> ignore (S.insert t k)) order;
+  let s = S.snapshot t in
+  on_worker (fun () ->
+      Array.iteri (fun i k -> if i < 2_000 then ignore (S.delete t k)) order);
+  let in_limbo = limbo_size t in
+  check_answer "answer at the snapshot" keys (S.collect_at t s ~lo:0 ~hi:20_000);
+  S.snap_release t s;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d nodes in limbo during the read" in_limbo)
+    true (in_limbo > 0)
+
+let collect_path_cases =
+  let module Ebr = Hwts_reclaim.Ebr_backend in
+  let module Ce = Rangequery.Citrus_ebrrq.Make (Ebr) (LL) in
+  let module Bl = Rangequery.Bst_ebrrq_lockfree.Make (Ebr) (LL) in
+  [
+    Alcotest.test_case "citrus-vcas relocation duplicate" `Quick
+      citrus_vcas_relocation_duplicate;
+    Alcotest.test_case "citrus-ebrrq limbo" `Quick
+      (ebrrq_limbo_at_scale (module Ce) Ce.limbo_size);
+    Alcotest.test_case "bst-ebrrq-lockfree limbo" `Quick
+      (ebrrq_limbo_at_scale (module Bl) Bl.limbo_size);
+  ]
+
 let () =
   Alcotest.run "rq-units"
     [
@@ -1022,4 +1199,6 @@ let () =
       ( "observability",
         [ Alcotest.test_case "obs is inert" `Quick obs_inert ] );
       ("layout", layout_cases);
+      ("large collect", large_collect_cases);
+      ("collect paths", collect_path_cases);
     ]

@@ -426,6 +426,27 @@ let cross_shard_range () =
           true (label > later && label <= Serve.Shards.now router)
       | _ -> Alcotest.fail "expected Keys")
 
+(* Answers longer than one collection-buffer segment (64 keys): a
+   cross-shard range whose parts hold 500 keys each, and ranges inside
+   one shard, with and without a shared snapshot. *)
+let long_range_answers ~coalesce () =
+  let router =
+    Serve.Shards.create ~structure:"bst-vcas" ~provider:`Logical ~shards:2
+      ~key_space:1_000 ~coalesce ()
+  in
+  Fun.protect ~finally:(fun () -> Serve.Shards.stop router) @@ fun () ->
+  let exec = Serve.Shards.exec router in
+  ignore (exec (Wire.Batch (Array.init 1_000 (fun i -> Wire.Insert (i + 1)))));
+  let span lo hi = Array.init (hi - lo + 1) (fun i -> lo + i) in
+  List.iter
+    (fun (what, lo, hi) -> expect_keys what (span lo hi) (exec (Wire.Range (lo, hi))))
+    [
+      ("cross-shard, 500 keys a part", 1, 1_000);
+      ("cross-shard, 436 + 64 keys", 65, 564);
+      ("one shard", 101, 400);
+      ("one shard, second half", 501, 1_000);
+    ]
+
 (* A request split across shards whose second part a stopping shard
    refuses completes with Err, not with the first part's answer.  The
    submitter parks between the two enqueues (the fan-out's pause point);
@@ -604,6 +625,10 @@ let () =
         [
           Alcotest.test_case "range: sorted union, maximal label" `Quick
             cross_shard_range;
+          Alcotest.test_case "range: long answers, shared snapshot" `Quick
+            (long_range_answers ~coalesce:true);
+          Alcotest.test_case "range: long answers, one snapshot a part" `Quick
+            (long_range_answers ~coalesce:false);
           Alcotest.test_case "range: refused part fails the request" `Quick
             (refused_part_fails_request (Wire.Range (1, 100)));
           Alcotest.test_case "multiget: refused part fails the request" `Quick

@@ -259,7 +259,7 @@ let targets_all_work () =
           Alcotest.(check bool) (name ^ " insert") true (S.insert t 5);
           Alcotest.(check bool) (name ^ " contains") true (S.contains t 5);
           ignore (S.insert t 7);
-          Alcotest.(check (list int)) (name ^ " rq") [ 5; 7 ]
+          Alcotest.(check (array int)) (name ^ " rq") [| 5; 7 |]
             (S.range_query t ~lo:1 ~hi:10);
           Alcotest.(check bool) (name ^ " delete") true (S.delete t 5))
         (List.filter
@@ -269,7 +269,7 @@ let targets_all_work () =
   let (module LF : Dstruct.Ordered_set.RQ) = Workload.Targets.bst_ebrrq_lockfree () in
   let t = LF.create () in
   ignore (LF.insert t 9);
-  Alcotest.(check (list int)) "lock-free ebr-rq rq" [ 9 ] (LF.range_query t ~lo:1 ~hi:10)
+  Alcotest.(check (array int)) "lock-free ebr-rq rq" [| 9 |] (LF.range_query t ~lo:1 ~hi:10)
 
 let provider_registry () =
   let open Workload.Targets in

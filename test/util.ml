@@ -10,6 +10,15 @@ let spawn_workers n body =
 (* A deterministic PRNG per test. *)
 let rng seed = Dstruct.Prng.make ~seed
 
+(* [a] permuted in place by [rng] (Fisher-Yates). *)
+let shuffle rng a =
+  for i = Array.length a - 1 downto 1 do
+    let j = Dstruct.Prng.below rng (i + 1) in
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
+  done
+
 let qcheck ?(count = 300) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 

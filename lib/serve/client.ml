@@ -119,7 +119,12 @@ let drive cfg conn_id =
       (r, op_count r)
     else
       let n = min cfg.batch cfg.ops in
-      let reqs = Array.init n (fun _ -> next_op ()) in
+      (* seeded with the immediate [Ping]: [Array.init]'s young seed
+         would force a minor collection above 256 requests *)
+      let reqs = Array.make n Wire.Ping in
+      for i = 0 to n - 1 do
+        reqs.(i) <- next_op ()
+      done;
       (Wire.Batch reqs, Array.fold_left (fun a r -> a + op_count r) 0 reqs)
   in
   let dec = Wire.decoder () in

@@ -16,8 +16,40 @@ let h_ping = Hwts_obs.Registry.histogram "serve.latency.ping"
 let h_multiget = Hwts_obs.Registry.histogram "serve.latency.multiget"
 let h_multirange = Hwts_obs.Registry.histogram "serve.latency.multirange"
 
+(* The runtime's own counters, so a run's --metrics-out shows how many
+   stop-the-world collections it paid for. *)
+let () =
+  let gc name f =
+    Hwts_obs.Registry.gauge name (fun () ->
+        float_of_int (f (Gc.quick_stat ())))
+  in
+  gc "gc.minor_collections" (fun s -> s.Gc.minor_collections);
+  gc "gc.major_collections" (fun s -> s.Gc.major_collections);
+  gc "gc.heap_words" (fun s -> s.Gc.heap_words)
+
+(* Minor heap of each shard worker domain, in words (the runtime's
+   default is 256k).  A worker's nursery pages count in the server's
+   resident set, and each minor collection stops every domain: a larger
+   nursery prefills faster and holds more memory.  Of 32k/64k/128k/256k
+   on the served benchmark, 64k kept server_rss_mb below the default's
+   on every workload at close to 128k's prefill time (EXPERIMENTS.md).
+   [Gc.set] on one domain does not reach domains spawned after it, so
+   each worker sets its own. *)
+let shard_minor_heap_words = 65_536
+
 type task =
-  | Point of [ `Get | `Insert | `Delete ] * int * (Wire.response -> unit)
+  | Point of Wire.request * (Wire.response -> unit)
+      (* one Get, Insert or Delete *)
+  | Points of {
+      reqs : Wire.request array;
+      at : int array;
+      answers : Wire.response array;
+      t0 : int;
+      k : unit -> unit;
+    }
+      (* a batch's point ops on this shard: [reqs.(i)] for each [i] in
+         [at], in that order, each answer written to [answers.(i)]; [t0]
+         is when the batch was routed *)
   | Sub of int * int * (int -> int array -> unit)
       (* one shard-local subrange; completion gets (label, keys) *)
   | MGet of int array * (int -> bool array -> unit)
@@ -44,76 +76,95 @@ type t = {
   domains : unit Domain.t array;
 }
 
+let class_hist = function
+  | Wire.Get _ -> h_get
+  | Wire.Insert _ -> h_insert
+  | Wire.Delete _ -> h_delete
+  | Wire.Range _ -> h_range
+  | Wire.Batch _ -> h_batch
+  | Wire.Ping -> h_ping
+  | Wire.MultiGet _ -> h_multiget
+  | Wire.MultiRange _ -> h_multirange
+
+(* A point answer is one of two constants: answering allocates nothing. *)
+let answer b = if b then Wire.Bool true else Wire.Bool false
+
 (* Drain-everything batcher: run the drained tasks' point ops in arrival
-   order (per-shard FIFO is part of the service contract), gather the
-   drained subranges and multiget slices, and execute them under ONE
-   snapshot acquisition when coalescing is on — the serving-layer form
-   of the paper's many-ranges-per-timestamp kernel, generalized from
-   ranges-only to every read-class task in the drain via a
-   {!Hwts_snapshot.t} handle.  With coalescing off each task acquires
-   for itself, which is the A arm of the experiment. *)
+   order (per-shard FIFO is part of the service contract), then run the
+   drained subranges and multiget slices under ONE snapshot acquisition
+   when coalescing is on — the serving-layer form of the paper's
+   many-ranges-per-timestamp kernel, generalized from ranges-only to
+   every read-class task in the drain via a {!Hwts_snapshot.t} handle.
+   With coalescing off each task acquires for itself, which is the A arm
+   of the experiment.  The read-class tasks are visited in the drained
+   queue itself, so no array or list of them is built. *)
 let process (type a) (module S : Dstruct.Ordered_set.RQ with type t = a)
     (st : a) ~coalesce (batch : task Queue.t) =
-  let subs = ref [] and mgets = ref [] in
+  let apply = function
+    | Wire.Get key -> S.contains st key
+    | Wire.Insert key -> S.insert st key
+    | Wire.Delete key -> S.delete st key
+    | _ -> invalid_arg "Shards: not a point op"
+  in
+  let n = ref 0 and mgets = ref 0 in
   Queue.iter
-    (fun task ->
-      match task with
-      | Point (kind, key, k) ->
+    (function
+      | Point (req, k) ->
         Hwts_obs.Counter.incr m_point_ops;
-        let r =
-          match kind with
-          | `Get -> S.contains st key
-          | `Insert -> S.insert st key
-          | `Delete -> S.delete st key
-        in
-        k (Wire.Bool r)
-      | Sub (lo, hi, k) -> subs := (lo, hi, k) :: !subs
-      | MGet (keys, k) ->
+        k (answer (apply req))
+      | Points { reqs; at; answers; t0; k } ->
+        Hwts_obs.Counter.add m_point_ops (Array.length at);
+        Array.iter
+          (fun i ->
+            let req = reqs.(i) in
+            answers.(i) <- answer (apply req);
+            Hwts_obs.Histogram.record (class_hist req)
+              (Tsc.monotonic_ns () - t0))
+          at;
+        k ()
+      | Sub _ -> incr n
+      | MGet (keys, _) ->
         Hwts_obs.Counter.incr m_mget_frames;
         Hwts_obs.Counter.add m_mget_ops (Array.length keys);
-        mgets := (keys, k) :: !mgets)
+        incr mgets)
     batch;
-  Queue.clear batch;
-  let subs = Array.of_list (List.rev !subs) in
-  let mgets = Array.of_list (List.rev !mgets) in
-  let n = Array.length subs in
+  let n = !n in
   if n > 0 then begin
     Hwts_obs.Counter.add m_rq_ops n;
     Hwts_obs.Histogram.record m_rq_batch n
   end;
-  if n = 0 && Array.length mgets = 0 then ()
-  else if coalesce then begin
-    Hwts_obs.Counter.incr m_snapshots;
-    Hwts_snapshot.with_snapshot
-      (module S)
-      st
-      (fun snap ->
-        let label = Hwts_snapshot.label snap in
-        Array.iter
-          (fun (keys, k) -> k label (Hwts_snapshot.multi_get snap keys))
-          mgets;
-        Array.iter
-          (fun (lo, hi, k) ->
-            k label (Hwts_snapshot.keys snap ~lo ~hi))
-          subs)
-  end
-  else begin
-    Array.iter
-      (fun (keys, k) ->
-        Hwts_obs.Counter.incr m_snapshots;
-        Hwts_snapshot.with_snapshot
-          (module S)
-          st
-          (fun snap ->
-            k (Hwts_snapshot.label snap) (Hwts_snapshot.multi_get snap keys)))
-      mgets;
-    Array.iter
-      (fun (lo, hi, k) ->
-        Hwts_obs.Counter.incr m_snapshots;
-        let label, keys = S.range_query_labeled st ~lo ~hi in
-        k label keys)
-      subs
-  end
+  if n > 0 || !mgets > 0 then begin
+    (* multiget slices first, then subranges, each in arrival order *)
+    let each_read ~mget ~sub =
+      Queue.iter (function MGet (keys, k) -> mget keys k | _ -> ()) batch;
+      Queue.iter (function Sub (lo, hi, k) -> sub lo hi k | _ -> ()) batch
+    in
+    if coalesce then begin
+      Hwts_obs.Counter.incr m_snapshots;
+      Hwts_snapshot.with_snapshot
+        (module S)
+        st
+        (fun snap ->
+          let label = Hwts_snapshot.label snap in
+          each_read
+            ~mget:(fun keys k -> k label (Hwts_snapshot.multi_get snap keys))
+            ~sub:(fun lo hi k -> k label (Hwts_snapshot.keys snap ~lo ~hi)))
+    end
+    else
+      each_read
+        ~mget:(fun keys k ->
+          Hwts_obs.Counter.incr m_snapshots;
+          Hwts_snapshot.with_snapshot
+            (module S)
+            st
+            (fun snap ->
+              k (Hwts_snapshot.label snap) (Hwts_snapshot.multi_get snap keys)))
+        ~sub:(fun lo hi k ->
+          Hwts_obs.Counter.incr m_snapshots;
+          let label, keys = S.range_query_labeled st ~lo ~hi in
+          k label keys)
+  end;
+  Queue.clear batch
 
 let worker (type a) (module S : Dstruct.Ordered_set.RQ with type t = a)
     (st : a) ~coalesce sh =
@@ -162,6 +213,8 @@ let create ?(reclaim = `Ebr) ~structure ~provider ~shards ~key_space ~coalesce
       (fun sh ->
         let st = S.create () in
         Domain.spawn (fun () ->
+            Gc.set
+              { (Gc.get ()) with minor_heap_size = shard_minor_heap_words };
             Sync.Slot.with_slot (fun _ -> worker (module S) st ~coalesce sh)))
       shard_arr
   in
@@ -201,16 +254,6 @@ let enqueue t i task =
   end
 
 let shard_of_key t key = (key - 1) / t.span
-
-let class_hist = function
-  | Wire.Get _ -> h_get
-  | Wire.Insert _ -> h_insert
-  | Wire.Delete _ -> h_delete
-  | Wire.Range _ -> h_range
-  | Wire.Batch _ -> h_batch
-  | Wire.Ping -> h_ping
-  | Wire.MultiGet _ -> h_multiget
-  | Wire.MultiRange _ -> h_multirange
 
 let rejected = Wire.Err "server stopping"
 
@@ -343,6 +386,51 @@ let submit_multirange t submit_one ranges k =
       ranges
   end
 
+let in_range t key = key >= 1 && key <= t.key_space
+
+(* The shard an in-range Get/Insert/Delete goes to; -1 for anything
+   else. *)
+let point_shard t = function
+  | (Wire.Get key | Wire.Insert key | Wire.Delete key) when in_range t key ->
+    shard_of_key t key
+  | _ -> -1
+
+(* A batch's in-range point ops go to each owning shard as ONE [Points]
+   task, through [fan_out]: if a stopping shard refuses a part, every
+   one of these positions answers [Err], never a [Bool] from only some
+   parts.  [answered m] counts [m] positions in. *)
+let submit_points t reqs answers ~t0 answered =
+  let nsh = Array.length t.shards in
+  let counts = Array.make nsh 0 in
+  Array.iter
+    (fun req ->
+      let s = point_shard t req in
+      if s >= 0 then counts.(s) <- counts.(s) + 1)
+    reqs;
+  (* each shard's positions, in batch order *)
+  let at = Array.map (fun c -> Array.make c 0) counts in
+  let filled = Array.make nsh 0 in
+  Array.iteri
+    (fun i req ->
+      let s = point_shard t req in
+      if s >= 0 then begin
+        at.(s).(filled.(s)) <- i;
+        filled.(s) <- filled.(s) + 1
+      end)
+    reqs;
+  let owners =
+    Array.of_list (List.filter (fun s -> counts.(s) > 0) (List.init nsh Fun.id))
+  in
+  if owners <> [||] then
+    fan_out t (Array.length owners)
+      ~part:(fun g part_done ->
+        let s = owners.(g) in
+        (s, Points { reqs; at = at.(s); answers; t0; k = part_done }))
+      (fun ok ->
+        if not ok then
+          Array.iter (Array.iter (fun i -> answers.(i) <- rejected)) at;
+        answered (Array.fold_left ( + ) 0 counts))
+
 let rec route t req k =
   let h = class_hist req in
   let t0 = Tsc.monotonic_ns () in
@@ -352,21 +440,14 @@ let rec route t req k =
   in
   match req with
   | Wire.Ping -> k Wire.Pong
-  | Wire.Get key | Wire.Insert key | Wire.Delete key
-    when key < 1 || key > t.key_space -> (
+  | Wire.Get key | Wire.Insert key | Wire.Delete key when not (in_range t key)
+    -> (
     match req with
     | Wire.Get _ -> k (Wire.Bool false)
     | _ -> k (Wire.Err (Printf.sprintf "key %d out of [1, %d]" key t.key_space))
     )
-  | Wire.Get key ->
-    if not (enqueue t (shard_of_key t key) (Point (`Get, key, k))) then
-      k rejected
-  | Wire.Insert key ->
-    if not (enqueue t (shard_of_key t key) (Point (`Insert, key, k))) then
-      k rejected
-  | Wire.Delete key ->
-    if not (enqueue t (shard_of_key t key) (Point (`Delete, key, k))) then
-      k rejected
+  | Wire.Get key | Wire.Insert key | Wire.Delete key ->
+    if not (enqueue t (shard_of_key t key) (Point (req, k))) then k rejected
   | Wire.Range (lo, hi) -> submit_range t lo hi k
   | Wire.MultiGet keys -> submit_multiget t keys k
   | Wire.MultiRange ranges -> submit_multirange t submit_range ranges k
@@ -374,14 +455,21 @@ let rec route t req k =
     let n = Array.length reqs in
     if n = 0 then k (Wire.Rbatch [||])
     else begin
-      let responses = Array.make n Wire.Pong in
+      let answers = Array.make n Wire.Pong in
       let remaining = Atomic.make n in
+      let answered m =
+        if Atomic.fetch_and_add remaining (-m) = m then k (Wire.Rbatch answers)
+      in
+      submit_points t reqs answers ~t0 answered;
+      (* The rest one at a time, after the point tasks: per-shard FIFO,
+         and a drain running its point ops before its reads, make every
+         read of the batch see every point op of the batch. *)
       Array.iteri
-        (fun i sub ->
-          route t sub (fun r ->
-              responses.(i) <- r;
-              if Atomic.fetch_and_add remaining (-1) = 1 then
-                k (Wire.Rbatch responses)))
+        (fun i req ->
+          if point_shard t req < 0 then
+            route t req (fun r ->
+                answers.(i) <- r;
+                answered 1))
         reqs
     end
 

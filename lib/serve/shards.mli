@@ -56,7 +56,13 @@ val submit : t -> Wire.request -> (Wire.response -> unit) -> unit
     the last part does, with the maximal part label, their keys merged
     into one array of exactly the answer's length.  After {!stop},
     completes with [Err]; so does a request split across shards when a
-    stopping shard refuses any part of it, never a partial answer. *)
+    stopping shard refuses any part of it, never a partial answer.
+
+    A [Batch]'s in-range Get/Insert/Delete ops reach each owning shard
+    as one task, run in batch order; if a stopping shard refuses one,
+    every point position answers [Err].  Its other sub-requests are
+    routed one at a time after those tasks, so each read in a batch sees
+    every point op of the batch. *)
 
 val exec : t -> Wire.request -> Wire.response
 (** Blocking {!submit}, for tests and simple clients. *)

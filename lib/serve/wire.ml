@@ -197,6 +197,18 @@ let get_i64 c what =
   c.pos <- c.pos + 8;
   v
 
+(* [Array.init] seeds its array with the first element.  Above 256 words
+   the runtime moves a young seed to the major heap with a forced minor
+   collection, which under OCaml 5 stops every domain.  Decoded arrays of
+   boxed values are instead seeded with a value that is not young (an
+   immediate or a static constant) and filled in order. *)
+let fill n seed read =
+  let a = Array.make n seed in
+  for i = 0 to n - 1 do
+    Array.unsafe_set a i (read ())
+  done;
+  a
+
 let rec read_request c ~nested =
   match get_u8 c "opcode" with
   | op when op = op_get -> Get (get_i64 c "get key")
@@ -211,7 +223,7 @@ let rec read_request c ~nested =
     let n = get_u32 c "batch count" in
     (* each sub-request is at least one opcode byte *)
     if n > c.stop - c.pos then malformed "batch count %d exceeds payload" n;
-    Batch (Array.init n (fun _ -> read_request c ~nested:true))
+    Batch (fill n Ping (fun () -> read_request c ~nested:true))
   | op when op = op_ping -> Ping
   | op when op = op_multiget ->
     let n = get_u32 c "multiget count" in
@@ -223,7 +235,7 @@ let rec read_request c ~nested =
     if n * 16 > c.stop - c.pos then
       malformed "multirange count %d exceeds payload" n;
     MultiRange
-      (Array.init n (fun _ ->
+      (fill n (0, 0) (fun () ->
            let lo = get_i64 c "multirange lo" in
            let hi = get_i64 c "multirange hi" in
            (lo, hi)))
@@ -245,7 +257,7 @@ let rec read_response c ~nested =
     if nested then malformed "nested batch response";
     let n = get_u32 c "rbatch count" in
     if n > c.stop - c.pos then malformed "rbatch count %d exceeds payload" n;
-    Rbatch (Array.init n (fun _ -> read_response c ~nested:true))
+    Rbatch (fill n Pong (fun () -> read_response c ~nested:true))
   | op when op = op_pong -> Pong
   | op when op = op_err ->
     let n = get_u32 c "err length" in
@@ -271,7 +283,7 @@ let rec read_response c ~nested =
     if n * 4 > c.stop - c.pos then malformed "keyss count %d exceeds payload" n;
     Keyss
       ( label,
-        Array.init n (fun _ ->
+        fill n [||] (fun () ->
             let m = get_u32 c "keyss range count" in
             if m * 8 > c.stop - c.pos then
               malformed "keyss range count %d exceeds payload" m;

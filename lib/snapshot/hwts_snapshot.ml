@@ -94,7 +94,11 @@ let multi_range (Snap s as h) ranges =
   check_open h "multi_range";
   record h ~aux:aux_range (Array.length ranges);
   let (module S) = s.ops in
-  Array.map (fun (lo, hi) -> S.collect_at s.st s.sn ~lo ~hi) ranges
+  (* seeded with the static [||], not with a young first answer: above
+     256 ranges [Array.map]'s seed would force a minor collection *)
+  let r = Array.make (Array.length ranges) [||] in
+  Array.iteri (fun i (lo, hi) -> r.(i) <- S.collect_at s.st s.sn ~lo ~hi) ranges;
+  r
 
 (* Each per-range result is strictly ascending, so the cross-range union
    is a k-way merge; ranges are few, so pairwise merging is fine.  The

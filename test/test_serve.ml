@@ -451,7 +451,11 @@ let long_range_answers ~coalesce () =
    refuses completes with Err, not with the first part's answer.  The
    submitter parks between the two enqueues (the fan-out's pause point);
    shard 0 is held so its part completes after the refusal. *)
-let refused_part_fails_request req () =
+let stopping what = function
+  | Wire.Err msg -> Alcotest.(check string) what "server stopping" msg
+  | _ -> Alcotest.failf "%s: a partial answer was reported as success" what
+
+let refused_part_fails_request ?(expect = stopping "error") req () =
   with_router ~key_space:100 (fun router ->
       List.iter
         (fun k -> ignore (Serve.Shards.exec router (Wire.Insert k)))
@@ -484,10 +488,141 @@ let refused_part_fails_request req () =
       release ();
       Domain.join stopper;
       match Atomic.get answer with
-      | Some (Wire.Err msg) ->
-        Alcotest.(check string) "error" "server stopping" msg
-      | Some _ -> Alcotest.fail "a partial answer was reported as success"
+      | Some r -> expect r
       | None -> Alcotest.fail "no answer")
+
+(* every position of a batch's answer is refused *)
+let all_stopping = function
+  | Wire.Rbatch rs ->
+    Array.iteri (fun i r -> stopping (Printf.sprintf "position %d" i) r) rs
+  | _ -> Alcotest.fail "expected Rbatch"
+
+(* ---------- batches: point ops as one task per shard ---------- *)
+
+let rec show = function
+  | Wire.Bool b -> Printf.sprintf "Bool %b" b
+  | Wire.Keys (_, ks) ->
+    "Keys " ^ String.concat "," (Array.to_list (Array.map string_of_int ks))
+  | Wire.Bools (_, bs) ->
+    "Bools " ^ String.concat "," (Array.to_list (Array.map string_of_bool bs))
+  | Wire.Keyss (_, kss) -> "Keyss " ^ string_of_int (Array.length kss)
+  | Wire.Rbatch rs -> "Rbatch " ^ String.concat ";" (Array.to_list (Array.map show rs))
+  | Wire.Pong -> "Pong"
+  | Wire.Err m -> "Err " ^ m
+
+let hist_count name = Hwts_obs.Histogram.count (Hwts_obs.Registry.histogram name)
+
+(* A batch mixing in-range ops on both shards of [1, 50] and [51, 100],
+   out-of-range ops, a Ping and cross-shard reads answers, position by
+   position, what its sub-requests get sent one at a time to a twin
+   router (labels aside).  The reads in the middle cover keys no op of
+   the batch writes; the ones at the end see every write.  Each in-range
+   sub-op is one [serve.point.ops], and every point sub-op one sample of
+   its class's latency histogram. *)
+let batch_matches_one_at_a_time () =
+  let open Wire in
+  let reqs =
+    [|
+      Insert 10; Insert 60; Get 10; Get 61; Insert 0; Get 101; Range (25, 58);
+      Delete 10; Insert 61; Ping; Get 60; MultiGet [| 30; 55; 57; 200 |];
+      Delete 0; Insert 10; Insert 10; Delete 99; Get 61; Delete 60; Get 60;
+      Insert 20; Get 30; Range (1, 100); MultiGet [| 10; 20; 60; 61 |];
+      MultiRange [| (1, 50); (55, 70) |];
+    |]
+  in
+  let count f = Array.fold_left (fun n r -> if f r then n + 1 else n) 0 reqs in
+  let in_range = function
+    | Get k | Insert k | Delete k -> k >= 1 && k <= 100
+    | _ -> false
+  in
+  let classes =
+    [
+      ("serve.latency.get", function Get _ -> true | _ -> false);
+      ("serve.latency.insert", function Insert _ -> true | _ -> false);
+      ("serve.latency.delete", function Delete _ -> true | _ -> false);
+    ]
+  in
+  with_router ~key_space:100 @@ fun batched ->
+  with_router ~key_space:100 @@ fun twin ->
+  List.iter
+    (fun router ->
+      ignore (Serve.Shards.exec router (Batch [| Insert 30; Insert 55 |])))
+    [ batched; twin ];
+  let ops0 = Option.get (Hwts_obs.Registry.counter_value "serve.point.ops") in
+  let samples0 = List.map (fun (h, _) -> hist_count h) classes in
+  let got = Serve.Shards.exec batched (Batch reqs) in
+  let ops1 = Option.get (Hwts_obs.Registry.counter_value "serve.point.ops") in
+  let samples1 = List.map (fun (h, _) -> hist_count h) classes in
+  let want = Array.map (Serve.Shards.exec twin) reqs in
+  (match got with
+  | Rbatch rs ->
+    Alcotest.(check (array string))
+      "answers" (Array.map show want) (Array.map show rs)
+  | r -> Alcotest.failf "expected Rbatch, got %s" (show r));
+  Alcotest.(check int) "serve.point.ops" (count in_range) (ops1 - ops0);
+  List.iteri
+    (fun i (h, f) ->
+      Alcotest.(check int) h (count f) (List.nth samples1 i - List.nth samples0 i))
+    classes
+
+let rejected = Wire.Err "server stopping"
+
+(* After [stop], every shard refuses: each in-range point position of a
+   batch, and its reads, answer Err; a Ping still answers Pong. *)
+let batch_after_stop () =
+  let router =
+    Serve.Shards.create ~structure:"bst-vcas" ~provider:`Logical ~shards:2
+      ~key_space:100 ~coalesce:true ()
+  in
+  Serve.Shards.stop router;
+  let open Wire in
+  match
+    Serve.Shards.exec router
+      (Batch [| Insert 10; Get 60; Ping; Delete 70; Range (1, 100); Insert 20 |])
+  with
+  | Rbatch rs ->
+    Alcotest.(check (array string))
+      "answers"
+      (Array.map show
+         [| rejected; rejected; Pong; rejected; rejected; rejected |])
+      (Array.map show rs)
+  | r -> Alcotest.failf "expected Rbatch, got %s" (show r)
+
+(* ---------- decoding large frames forces no collection ---------- *)
+
+(* Arrays over 256 words seeded with a young block ([Array.init]'s way)
+   cost a forced minor collection, which under OCaml 5 stops every
+   domain.  The decoder's arrays of boxed values must not. *)
+let decode_forces_no_collection () =
+  let open Wire in
+  let reqs =
+    [
+      Batch (Array.init 512 (fun i -> Insert (i + 1)));
+      MultiRange (Array.init 300 (fun i -> (i, i + 10)));
+    ]
+  and resps =
+    [
+      Rbatch (Array.init 300 (fun i -> Keys (i, [| i; i + 1 |])));
+      Keyss (7, Array.init 300 (fun i -> [| i; i + 1 |]));
+    ]
+  in
+  let fed frames =
+    let d = decoder () in
+    List.iter (fun b -> feed d b 0 (Bytes.length b)) frames;
+    d
+  in
+  let qd = fed (List.map request_frame reqs)
+  and rd = fed (List.map response_frame resps) in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  let got_reqs = List.map (fun _ -> next_request qd) reqs in
+  let got_resps = List.map (fun _ -> next_response rd) resps in
+  let after = (Gc.quick_stat ()).Gc.minor_collections in
+  Alcotest.(check int) "minor collections while decoding" before after;
+  Alcotest.(check bool) "requests round-trip" true
+    (got_reqs = List.map Option.some reqs);
+  Alcotest.(check bool) "responses round-trip" true
+    (got_resps = List.map Option.some resps)
 
 (* ---------- stop drains in-flight work ---------- *)
 
@@ -597,9 +732,13 @@ let subprocess_sigint () =
     in
     close_in banner_ic;
     Sys.remove metrics;
-    Alcotest.(check bool)
-      "metrics mention serve.requests" true
-      (contains ~needle:"serve.requests" contents)
+    List.iter
+      (fun name ->
+        Alcotest.(check bool)
+          ("metrics mention " ^ name) true
+          (contains ~needle:name contents))
+      [ "serve.requests"; "gc.minor_collections"; "gc.major_collections";
+        "gc.heap_words" ]
 
 let () =
   Alcotest.run "serve"
@@ -617,6 +756,8 @@ let () =
         ] );
       ( "protocol",
         [
+          Alcotest.test_case "decoding forces no collection" `Quick
+            decode_forces_no_collection;
           Alcotest.test_case "error frames" `Quick error_frames;
           Alcotest.test_case "malformed closes after Err" `Quick
             malformed_frame_closes;
@@ -633,6 +774,13 @@ let () =
             (refused_part_fails_request (Wire.Range (1, 100)));
           Alcotest.test_case "multiget: refused part fails the request" `Quick
             (refused_part_fails_request (Wire.MultiGet [| 10; 60 |]));
+          Alcotest.test_case "batch: refused part fails every point" `Quick
+            (refused_part_fails_request ~expect:all_stopping
+               (Wire.Batch [| Wire.Insert 10; Wire.Get 60 |]));
+          Alcotest.test_case "batch: answers match one at a time" `Quick
+            batch_matches_one_at_a_time;
+          Alcotest.test_case "batch: after stop, Err at every point" `Quick
+            batch_after_stop;
         ] );
       ( "lifecycle",
         [

@@ -1,57 +1,6 @@
-(* Figure 1: throughput of timestamp acquisition, logical fetch-and-add vs
-   the TSC readers, with and without their fences — on the timing model's
-   192-hyperthread machine, plus a real-hardware spot check. *)
-
-let modes =
-  [
-    ("Logical TS", `Faa);
-    ("RDTSC", `Tsc Model.Costs.Rdtsc_cpuid);
-    ("RDTSCP", `Tsc Model.Costs.Rdtscp_lfence);
-    ("RDTSC (no fence)", `Tsc Model.Costs.Rdtsc);
-    ("RDTSCP (no fence)", `Tsc Model.Costs.Rdtscp);
-  ]
-
-let series ~duration builder =
-  List.map
-    (fun (label, mode) ->
-      Model.Sweep.run_series ~duration ~label (fun env -> builder env ~mode))
-    modes
-
-let run ~duration () =
-  print_endline "## fig1 (top): timestamp acquisition throughput [model, Mops/s]";
-  let top = series ~duration Model.Kernels.ts_acquire in
-  Format.printf "%a@." Model.Sweep.pp_series_table top;
-  (match top with
-  | logical :: _ ->
-    let rdtscp = List.nth top 2 in
-    Printf.printf
-      "  RDTSCP vs Logical TS: max speedup %.0fx (paper reports ~95x)\n\n"
-      (Model.Sweep.max_speedup rdtscp ~baseline:logical)
-  | [] -> ());
-  print_endline
-    "## fig1 (bottom): acquisition mixed with private work [model, Mops/s]";
-  let bottom = series ~duration Model.Kernels.ts_mixed_work in
-  Format.printf "%a@." Model.Sweep.pp_series_table bottom;
-  (match bottom with
-  | logical :: _ ->
-    let rdtscp = List.nth bottom 2 in
-    Printf.printf
-      "  RDTSCP vs Logical TS: max speedup %.1fx (paper reports ~2.6x)\n"
-      (Model.Sweep.max_speedup rdtscp ~baseline:logical);
-    (* single-thread inversion: the logical counter wins in cache *)
-    (match
-       ( Model.Sweep.speedup_at rdtscp ~baseline:logical 1,
-         Model.Sweep.speedup_at rdtscp ~baseline:logical 192 )
-     with
-    | Some s1, Some s192 ->
-      Printf.printf
-        "  single-thread RDTSCP/Logical = %.2f (expected < 1), at 192 = %.2f\n\n"
-        s1 s192
-    | _ -> print_newline ())
-  | [] -> ())
-
-(* Real-hardware spot check: tight loops on this machine's actual TSC and
-   an actual contended atomic, however many cores we have. *)
+(* Figure 1's real-hardware spot check (the model sweeps are
+   [Model.Figures]): tight loops on this machine's actual TSC and an
+   actual contended atomic, however many cores we have. *)
 let real_acquire_loop ~seconds advance =
   let stop = Atomic.make false in
   let counter_domain =

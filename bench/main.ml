@@ -29,15 +29,12 @@ let () =
     (Tsc.num_cpus ()) (Tsc.has_invariant_tsc ());
   let run name f = if List.mem name wanted then f () in
   run "micro" (fun () -> Micro.run ());
-  run "fig1" (fun () ->
-      Fig1.run ~duration ();
-      Fig1.run_real ());
-  run "fig2" (fun () -> Figures.fig2 ~duration ());
-  run "fig3" (fun () -> Figures.fig3 ~duration ());
-  run "fig4" (fun () -> Figures.fig4 ~duration ());
-  run "fig5" (fun () -> Figures.fig5 ~duration ());
+  let figure id = run id (fun () -> Model.Figures.run ~duration id) in
+  figure "fig1";
+  run "fig1" Fig1.run_real;
+  List.iter figure [ "fig2"; "fig3"; "fig4"; "fig5" ];
   run "ties" (fun () -> Ties_bench.run ());
-  run "labeling" (fun () -> Figures.labeling ~duration ());
-  run "lazylist" (fun () -> Figures.lazylist ~duration ());
+  figure "labeling";
+  figure "lazylist";
   run "ablate" (fun () -> Ablate.run ~duration ());
   run "real" (fun () -> Real_hw.run ~seconds ~trials ())

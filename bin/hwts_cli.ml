@@ -43,88 +43,26 @@ let calibrate () =
   0
 
 let figure id full csv =
-  let duration = if full then 2_000_000. else 400_000. in
-  let emit series =
-    Format.printf "%a@." Model.Sweep.pp_series_table series;
-    match csv with
-    | None -> ()
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (Model.Sweep.to_csv series);
-      close_out oc;
-      Printf.printf "(wrote %s)\n" path
-  in
-  let known = [ "fig1"; "fig2"; "fig3"; "fig4"; "fig5"; "labeling"; "lazylist" ] in
-  if not (List.mem id known) then begin
+  if not (List.mem id Model.Figures.ids) then begin
     Printf.eprintf "unknown figure %S (expected one of: %s)\n" id
-      (String.concat ", " known);
+      (String.concat ", " Model.Figures.ids);
     1
   end
   else begin
-    (* The bench executable holds the figure drivers; keep one source of
-       truth by reusing the same sweep primitives here for a single id. *)
-    let mix = Workload.Mix.of_label in
-    let table label builder m =
-      let series =
-        [
-          Model.Sweep.run_series ~duration ~label (fun env ->
-              builder env ~mode:Model.Kernels.Logical ~mix:(mix m));
-          Model.Sweep.run_series ~duration ~label:(label ^ "-RDTSCP")
-            (fun env ->
-              builder env ~mode:Model.Kernels.Hardware ~mix:(mix m));
-        ]
-      in
-      Printf.printf "workload %s:\n" m;
-      emit series
-    in
-    (match id with
-    | "fig1" ->
-      let series =
-        List.map
-          (fun (label, mode) ->
-            Model.Sweep.run_series ~duration ~label (fun env ->
-                Model.Kernels.ts_acquire env ~mode))
-          [
-            ("Logical TS", `Faa);
-            ("RDTSCP", `Tsc Model.Costs.Rdtscp_lfence);
-            ("RDTSC", `Tsc Model.Costs.Rdtsc_cpuid);
-          ]
-      in
-      emit series
-    | "fig2" -> table "vCAS" Model.Kernels.vcas_bst "10-10-80"
-    | "fig3" ->
-      table "vCAS" Model.Kernels.citrus_vcas "10-10-80";
-      table "Bundle" Model.Kernels.citrus_bundle "10-10-80"
-    | "fig4" -> table "EBR-RQ" Model.Kernels.citrus_ebrrq "10-10-80"
-    | "fig5" -> table "Bundle" Model.Kernels.skiplist_bundle "20-10-70"
-    | "labeling" ->
+    let duration = if full then 2_000_000. else 400_000. in
+    let tables = ref [] in
+    Model.Figures.run ~duration id ~on_table:(fun title series ->
+        tables := (title, series) :: !tables);
+    (match csv with
+    | None -> ()
+    | Some path ->
+      let oc = open_out path in
       List.iter
-        (fun (name, g) ->
-          let run mode label =
-            Model.Sweep.run_series ~duration ~label (fun env ->
-                Model.Kernels.labeling_sweep env ~mode ~granularity:g
-                  ~mix:(mix "50-10-40"))
-          in
-          let base = run Model.Kernels.Logical name in
-          let hw = run Model.Kernels.Hardware (name ^ "-RDTSCP") in
-          Printf.printf "%-18s max RDTSCP speedup %.2fx\n" name
-            (Model.Sweep.max_speedup hw ~baseline:base))
-        [
-          ("global-lock", `Global_lock);
-          ("structural-lock", `Structural_lock);
-          ("helped", `Helped);
-        ]
-    | "lazylist" ->
-      let series =
-        List.map
-          (fun (label, mode) ->
-            Model.Sweep.run_series ~duration ~label (fun env ->
-                Model.Kernels.lazylist_bundle env ~mode ~mix:(mix "10-10-80")
-                  ~size:1000))
-          [ ("Bundle", Model.Kernels.Logical); ("Bundle-RDTSCP", Model.Kernels.Hardware) ]
-      in
-      emit series
-    | _ -> ());
+        (fun (title, series) ->
+          Printf.fprintf oc "# %s\n%s\n" title (Model.Sweep.to_csv series))
+        (List.rev !tables);
+      close_out oc;
+      Printf.printf "(wrote %s)\n" path);
     0
   end
 
@@ -534,7 +472,7 @@ let figure_cmd =
   let full = Arg.(value & flag & info [ "full" ] ~doc:"Longer simulations") in
   let csv =
     Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE"
-           ~doc:"Also write the series as CSV")
+           ~doc:"Also write every table as CSV, each after a # title line")
   in
   Cmd.v
     (Cmd.info "figure" ~doc:"Regenerate one paper figure on the timing model")

@@ -303,40 +303,3 @@ let check ?(initial = []) ?(order = Hwts.Labeling.raw_order) events =
   &&
   if decomposable events then check_per_key ~initial ~order events
   else check_dfs ~initial ~order events
-
-let spawn_workers n body =
-  let domains =
-    List.init n (fun i ->
-        Domain.spawn (fun () -> Sync.Slot.with_slot (fun _ -> body i)))
-  in
-  List.map Domain.join domains
-
-(* Record a multi-domain history against a structure with elemental ops. *)
-let record_history ~domains ~ops_per_domain ~key_space ~seed ~insert ~delete
-    ~contains =
-  assert (domains * ops_per_domain <= max_events);
-  assert (key_space <= max_events);
-  let histories =
-    spawn_workers domains (fun me ->
-        let rng = Dstruct.Prng.make ~seed:(seed + (me * 101)) in
-        List.init ops_per_domain (fun _ ->
-            let k = Dstruct.Prng.below rng key_space in
-            let op =
-              match Dstruct.Prng.below rng 3 with
-              | 0 -> Insert k
-              | 1 -> Delete k
-              | _ -> Contains k
-            in
-            let start_t = Tsc.rdtscp_lfence () in
-            let result =
-              match op with
-              | Insert k -> insert k
-              | Delete k -> delete k
-              | Contains k -> contains k
-              | Range _ | Multi_get _ | Multi_range _ ->
-                assert false (* not generated here *)
-            in
-            let end_t = Tsc.rdtscp_lfence () in
-            { start_t; end_t; op; result = Bool result; label = None }))
-  in
-  List.concat histories

@@ -57,17 +57,3 @@ val check :
     validity and precedence between timestamped events, so histories
     stamped by a TL2-style clock pass
     [~order:(Hwts.Labeling.order_of_provider "tl2")]. *)
-
-val record_history :
-  domains:int ->
-  ops_per_domain:int ->
-  key_space:int ->
-  seed:int ->
-  insert:(int -> bool) ->
-  delete:(int -> bool) ->
-  contains:(int -> bool) ->
-  event list
-(** Run a seeded elemental-op workload on [domains] spawned domains and
-    return the merged history, intervals stamped with the fenced TSC.
-    For range-query histories stamped with the structure's own clock,
-    use {!Recorder} instead. *)

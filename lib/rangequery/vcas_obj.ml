@@ -1,6 +1,5 @@
 module Make (T : Hwts.Timestamp.S) = struct
   type 'a version = 'a Chain.version
-  type 'a t = 'a version Atomic.t
 
   (* Shared across all instantiations: the registry get-or-creates by name,
      and the counters shard per domain internally. *)
@@ -23,8 +22,8 @@ module Make (T : Hwts.Timestamp.S) = struct
         if Hwts_obs.Config.enabled () then Hwts_obs.Counter.incr help_wins
     end
 
-  (* ---- heads: the newest version of a chain, kept wherever the caller
-     likes (a cell below, or a mutable field of the caller's node) ---- *)
+  (* A chain is named by its head, the newest version, which the caller
+     keeps in a mutable field of its own node and CASes itself. *)
 
   (* The expected head is already labeled (readers label the heads they
      return), so a successor installed after it can only get an equal or
@@ -48,7 +47,7 @@ module Make (T : Hwts.Timestamp.S) = struct
 
   (* The chain walks are module-level recursions with explicit arguments:
      a [let rec] nested inside the reading function would allocate a
-     closure on every call, and [read_at] runs once per node visited by a
+     closure on every call, and [value_at] runs once per node visited by a
      range query.  Returns the newest version labeled <= [ts], or the
      chain's oldest version when none qualifies (every version it meets is
      labeled by the [init_ts] call, so the caller can re-check the label). *)
@@ -66,27 +65,4 @@ module Make (T : Hwts.Timestamp.S) = struct
     if Chain.prune_from version min_ts then Hwts_obs.Counter.incr prunes
 
   let chain_of = Chain.chain_of
-
-  (* ---- cells: a head in its own [Atomic.t] ---- *)
-
-  let make v = Atomic.make (first v)
-  let head t = labeled (Atomic.get t)
-  let read t = (head t).v
-
-  let cas_with t expected v =
-    if Atomic.get t == expected then begin
-      let candidate = successor expected v in
-      if Atomic.compare_and_set t expected candidate then begin
-        publish candidate;
-        Some candidate
-      end
-      else None
-    end
-    else None
-
-  let cas t expected v = cas_with t expected v <> None
-
-  let read_at t ts = value_at (Atomic.get t) ts
-  let prune t min_ts = prune_from (Atomic.get t) min_ts
-  let chain_length t = chain_of (Atomic.get t)
 end

@@ -3,6 +3,18 @@ let m_requests = Hwts_obs.Registry.counter "serve.requests"
 let m_malformed = Hwts_obs.Registry.counter "serve.malformed"
 let m_oversized = Hwts_obs.Registry.counter "serve.oversized"
 
+(* Once {!stop} has shut the read sides, a writer that has been blocked
+   in one write this long, with no byte taken by its client, is writing
+   to a client that stopped reading: stop shuts that connection down. *)
+let stop_grace = 2.0
+
+(* How often stop checks the writers' progress. *)
+let stop_tick = 0.05
+
+(* After [EMFILE]/[ENFILE] the connection stays queued in the backlog;
+   accept retries after this pause instead of spinning. *)
+let accept_backoff = 0.005
+
 (* A pipelined connection: the reader decodes frames and routes them,
    pushing one pending cell per request onto [out]; shard workers fill
    the cells; the writer flushes fulfilled cells strictly in FIFO order.
@@ -14,8 +26,11 @@ type conn = {
   c : Condition.t;
   out : Wire.response option ref Queue.t;
   mutable eof : bool; (* reader finished (EOF, error or malformed) *)
+  mutable closed : bool; (* the writer closed [fd]; set under [m] *)
   mutable reader : Thread.t option;
   mutable writer : Thread.t option;
+  sent : int Atomic.t; (* bytes written; grows while the client reads *)
+  writing : bool Atomic.t; (* the writer is inside a frame's write *)
 }
 
 type t = {
@@ -82,6 +97,20 @@ let frame_of r =
       (Wire.Err (Printf.sprintf "answer of %d bytes exceeds max_payload" n))
   end
 
+(* Write all of [b], counting each chunk the kernel takes into [sent]. *)
+let rec write_from conn b off =
+  if off < Bytes.length b then begin
+    let n = Unix.single_write conn.fd b off (Bytes.length b - off) in
+    Atomic.set conn.sent (Atomic.get conn.sent + n);
+    write_from conn b (off + n)
+  end
+
+(* [Unix.shutdown] of a connection whose writer has not closed its fd
+   yet: once closed, the descriptor number may name another file. *)
+let shutdown_conn conn how =
+  locked conn (fun () ->
+      if not conn.closed then try Unix.shutdown conn.fd how with _ -> ())
+
 let writer_loop conn =
   let running = ref true and gone = ref false in
   while !running do
@@ -103,22 +132,29 @@ let writer_loop conn =
     | `Write ->
       let r = Option.get !(Queue.pop conn.out) in
       Mutex.unlock conn.m;
-      (* [Unix.write] returns once the whole frame is out.  Once the
+      (* The write returns once the whole frame is out.  Once the
          client has gone away, keep draining cells so shard completions
          have somewhere to land, but build and write nothing. *)
       if not !gone then begin
         let b = frame_of r in
-        try ignore (Unix.write conn.fd b 0 (Bytes.length b))
-        with Unix.Unix_error _ -> gone := true
+        Atomic.set conn.writing true;
+        (try write_from conn b 0 with Unix.Unix_error _ -> gone := true);
+        Atomic.set conn.writing false
       end
   done;
-  (try Unix.close conn.fd with _ -> ())
+  locked conn (fun () ->
+      conn.closed <- true;
+      try Unix.close conn.fd with _ -> ())
 
+(* Only {!stop} ends accepting.  Any other failure leaves the listener
+   open: an aborted handshake or a signal is retried at once; out of
+   descriptors, the connection waits in the backlog until some close. *)
 let accept_loop t =
-  let running = ref true in
-  while !running do
+  while not (Atomic.get t.stopping) do
     match Unix.accept t.listen_fd with
-    | exception _ -> running := false (* listener closed by stop *)
+    | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) -> ()
+    | exception _ ->
+      if not (Atomic.get t.stopping) then Thread.delay accept_backoff
     | fd, _ ->
       if Atomic.get t.stopping then (try Unix.close fd with _ -> ())
       else begin
@@ -131,8 +167,11 @@ let accept_loop t =
             c = Condition.create ();
             out = Queue.create ();
             eof = false;
+            closed = false;
             reader = None;
             writer = None;
+            sent = Atomic.make 0;
+            writing = Atomic.make false;
           }
         in
         conn.reader <- Some (Thread.create (fun () -> reader_loop t conn) ());
@@ -179,6 +218,32 @@ let start ?(host = "127.0.0.1") ~port shards =
 let port t = t.port
 let router t = t.shards
 
+(* Watch the writers until every one has closed its connection (a stale
+   read of [closed] costs one more tick).  A writer's clock restarts
+   whenever its client takes bytes or it is not inside a write (it waits
+   for shard answers, not for the client). *)
+let cut_stalled conns =
+  let rec watch live =
+    let live = List.filter (fun (conn, _, _) -> not conn.closed) live in
+    if live <> [] then begin
+      Thread.delay stop_tick;
+      let now = Unix.gettimeofday () in
+      watch
+        (List.map
+           (fun ((conn, sent, since) as w) ->
+             let s = Atomic.get conn.sent in
+             if s <> sent || not (Atomic.get conn.writing) then (conn, s, now)
+             else begin
+               if now -. since >= stop_grace then
+                 shutdown_conn conn Unix.SHUTDOWN_ALL;
+               w
+             end)
+           live)
+    end
+  in
+  let now = Unix.gettimeofday () in
+  watch (List.map (fun conn -> (conn, Atomic.get conn.sent, now)) conns)
+
 let stop t =
   Mutex.lock t.stop_m;
   let first = not t.stopped in
@@ -198,10 +263,11 @@ let stop t =
     Mutex.lock t.conns_m;
     let conns = !(t.conns) in
     Mutex.unlock t.conns_m;
-    List.iter
-      (fun conn ->
-        try Unix.shutdown conn.fd Unix.SHUTDOWN_RECEIVE with _ -> ())
-      conns;
+    List.iter (fun conn -> shutdown_conn conn Unix.SHUTDOWN_RECEIVE) conns;
+    (* 2b. a writer stuck behind a client that stopped reading would hold
+       the join below forever: shut its connection down after
+       [stop_grace] without progress, so its write fails and it drains *)
+    cut_stalled conns;
     List.iter
       (fun conn ->
         (match conn.reader with Some th -> Thread.join th | None -> ());

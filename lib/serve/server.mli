@@ -16,7 +16,17 @@
     {!stop} is the graceful path wired to SIGINT in [hwts-serve]: stop
     accepting, shut down the read side of every connection, let writers
     flush every in-flight response, join connection threads, then drain
-    and join the shard workers.  No accepted request is dropped. *)
+    and join the shard workers.  No accepted request is dropped for a
+    client that keeps reading.  A client that has stopped reading would
+    block its writer forever, so once stop has begun, a connection whose
+    writer has been inside one write for a fixed grace (2 s) with no
+    byte taken by its client is shut down; its remaining answers are
+    discarded.
+
+    Only {!stop} ends accepting.  A failed [accept] is retried: at once
+    after [EINTR] or [ECONNABORTED], after a few milliseconds otherwise
+    (out of descriptors, the connection waits in the listen backlog
+    until some close). *)
 
 type t
 
@@ -37,4 +47,5 @@ val router : t -> Shards.t
 
 val stop : t -> unit
 (** Graceful shutdown as described above.  Blocks until every connection
-    is flushed and every worker domain joined.  Idempotent. *)
+    is flushed (or, for a client that stopped reading, shut down after
+    the grace) and every worker domain joined.  Idempotent. *)

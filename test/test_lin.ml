@@ -50,14 +50,39 @@ let checker_reordering_window () =
 (* ---------- recorded histories ---------- *)
 
 let history_rounds = 15
+let domains = 3
+let ops_per_domain = 15
+let key_space = 10
+
+(* A seeded elemental-op workload on [domains] domains, recorded with
+   intervals stamped by the fenced TSC. *)
+let record_history ~seed ~insert ~delete ~contains =
+  let recorder =
+    Hwts_check.Recorder.create ~now:Tsc.rdtscp_lfence ~domains
+  in
+  ignore
+    (Util.spawn_workers domains (fun me ->
+         let rng = Dstruct.Prng.make ~seed:(seed + (me * 101)) in
+         for _ = 1 to ops_per_domain do
+           let k = Dstruct.Prng.below rng key_space in
+           let op, run =
+             match Dstruct.Prng.below rng 3 with
+             | 0 -> (Insert k, insert)
+             | 1 -> (Delete k, delete)
+             | _ -> (Contains k, contains)
+           in
+           ignore
+             (Hwts_check.Recorder.run recorder ~dom:me op (fun () ->
+                  (Bool (run k), None)))
+         done));
+  Hwts_check.Recorder.events recorder
 
 let check_structure name ~insert ~delete ~contains ~make () =
   for round = 1 to history_rounds do
     let t = make () in
     let history =
-      record_history ~domains:3 ~ops_per_domain:15 ~key_space:10
-        ~seed:(round * 1733)
-        ~insert:(insert t) ~delete:(delete t) ~contains:(contains t)
+      record_history ~seed:(round * 1733) ~insert:(insert t)
+        ~delete:(delete t) ~contains:(contains t)
     in
     if not (check history) then
       Alcotest.failf "%s: non-linearizable history in round %d (%d events)"

@@ -145,6 +145,24 @@ let figure_speedup builder ~mix_label =
   let hw = run Model.Kernels.Hardware "h" in
   Model.Sweep.max_speedup hw ~baseline
 
+(* One module prints every figure for both the bench and the CLI: each
+   sweeps all of its paper mixes, one table per sub-figure. *)
+let figure_tables () =
+  List.iter
+    (fun (id, tables) ->
+      let n = ref 0 in
+      Model.Figures.run ~duration:20_000. id ~on_table:(fun _ series ->
+          if series = [] then Alcotest.failf "%s: an empty table" id;
+          incr n);
+      Alcotest.(check int) (id ^ " tables") tables !n)
+    [
+      ("fig1", 2); ("fig2", 10); ("fig3", 6); ("fig4", 4); ("fig5", 5);
+      ("labeling", 0); ("lazylist", 1);
+    ];
+  Alcotest.check_raises "unknown id"
+    (Invalid_argument "Figures.run: unknown figure fig9") (fun () ->
+      Model.Figures.run ~duration:20_000. "fig9")
+
 let fig2_properties () =
   let rq10 = figure_speedup Model.Kernels.vcas_bst ~mix_label:"0-10-90" in
   let rq20 = figure_speedup Model.Kernels.vcas_bst ~mix_label:"0-20-80" in
@@ -228,6 +246,7 @@ let () =
         ] );
       ( "figures",
         [
+          Alcotest.test_case "shared sweeps, every mix" `Quick figure_tables;
           Alcotest.test_case "fig2 properties" `Slow fig2_properties;
           Alcotest.test_case "fig3 properties" `Slow fig3_properties;
           Alcotest.test_case "fig4 properties" `Slow fig4_properties;

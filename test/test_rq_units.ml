@@ -2,7 +2,6 @@
    bundles, and the active-RQ registry — including qcheck properties. *)
 
 module M = Hwts.Timestamp.Mock ()
-module V = Rangequery.Vcas_obj.Make (M)
 module B = Rangequery.Bundle.Make (M)
 
 (* fresh mock state per test *)
@@ -12,69 +11,97 @@ let reset () =
 
 (* ---------- vCAS objects ---------- *)
 
-(* A versioned write on a cell that only the calling domain writes: one
+(* A vCAS link as a structure keeps one: the head version in a field its
+   owner CASes (an [Atomic.t] here), driven through the head API. *)
+module Link (T : Hwts.Timestamp.S) = struct
+  module V = Rangequery.Vcas_obj.Make (T)
+
+  let make v = Atomic.make (V.first v)
+  let head o = V.labeled (Atomic.get o)
+  let read o = V.value (head o)
+
+  (* Install a successor of [expected]; the installed, labeled version on
+     success, [None] if the head moved. *)
+  let cas_with o expected v =
+    let candidate = V.successor expected v in
+    if Atomic.compare_and_set o expected candidate then begin
+      V.publish candidate;
+      Some candidate
+    end
+    else None
+
+  let cas o expected v = cas_with o expected v <> None
+  let read_at o ts = V.value_at (Atomic.get o) ts
+  let prune o floor = V.prune_from (Atomic.get o) floor
+  let chain_length o = V.chain_of (Atomic.get o)
+end
+
+module L = Link (M)
+module V = L.V
+
+(* A versioned write on a link that only the calling domain writes: one
    CAS from the current head, which cannot fail. *)
-let write o v = ignore (Option.get (V.cas_with o (V.head o) v))
+let write o v = ignore (Option.get (L.cas_with o (L.head o) v))
 
 let vcas_basics () =
   reset ();
-  let o = V.make "a" in
-  Alcotest.(check string) "read" "a" (V.read o);
-  let h = V.head o in
+  let o = L.make "a" in
+  Alcotest.(check string) "read" "a" (L.read o);
+  let h = L.head o in
   Alcotest.(check bool) "labeled" true (V.timestamp h > 0);
-  Alcotest.(check bool) "cas ok" true (V.cas o h "b");
-  Alcotest.(check string) "new value" "b" (V.read o);
-  Alcotest.(check bool) "stale witness rejected" false (V.cas o h "c");
-  Alcotest.(check string) "value intact" "b" (V.read o);
-  Alcotest.(check int) "two versions retained" 2 (V.chain_length o)
+  Alcotest.(check bool) "cas ok" true (L.cas o h "b");
+  Alcotest.(check string) "new value" "b" (L.read o);
+  Alcotest.(check bool) "stale witness rejected" false (L.cas o h "c");
+  Alcotest.(check string) "value intact" "b" (L.read o);
+  Alcotest.(check int) "two versions retained" 2 (L.chain_length o)
 
 let vcas_read_at () =
   reset ();
   M.set 100;
-  let o = V.make 0 in
+  let o = L.make 0 in
   (* version 0 labeled at 100 *)
   M.set 200;
   write o 1 (* labeled at 200 *);
   M.set 300;
   write o 2 (* labeled at 300 *);
-  Alcotest.(check int) "at 250" 1 (V.read_at o 250);
-  Alcotest.(check int) "at 200" 1 (V.read_at o 200);
-  Alcotest.(check int) "at 199" 0 (V.read_at o 199);
-  Alcotest.(check int) "at 1000" 2 (V.read_at o 1000);
+  Alcotest.(check int) "at 250" 1 (L.read_at o 250);
+  Alcotest.(check int) "at 200" 1 (L.read_at o 200);
+  Alcotest.(check int) "at 199" 0 (L.read_at o 199);
+  Alcotest.(check int) "at 1000" 2 (L.read_at o 1000);
   (* older than creation: falls back to the creation value *)
-  Alcotest.(check int) "before creation" 0 (V.read_at o 50)
+  Alcotest.(check int) "before creation" 0 (L.read_at o 50)
 
 let vcas_helping_labels_pending () =
   reset ();
   M.set 500;
-  let o = V.make "x" in
+  let o = L.make "x" in
   (* install a version while frozen so its label is 500, then advance the
      clock; a later read_at must still see it at 500, proving the label was
      fixed when first needed, not when read *)
   write o "y";
   M.set 900;
-  Alcotest.(check string) "labeled at write time" "y" (V.read_at o 501);
-  Alcotest.(check string) "old value before" "x" (V.read_at o 499)
+  Alcotest.(check string) "labeled at write time" "y" (L.read_at o 501);
+  Alcotest.(check string) "old value before" "x" (L.read_at o 499)
 
 let vcas_concurrent_single_winner () =
   reset ();
-  let o = V.make 0 in
+  let o = L.make 0 in
   let rounds = 2_000 in
   let wins =
     Util.spawn_workers 4 (fun _ ->
         let mine = ref 0 in
         for round = 1 to rounds do
           let rec attempt () =
-            let h = V.head o in
+            let h = L.head o in
             if V.value h >= round then ()
-            else if V.cas o h round then incr mine
+            else if L.cas o h round then incr mine
             else attempt ()
           in
           attempt ()
         done;
         !mine)
   in
-  Alcotest.(check int) "final value" rounds (V.read o);
+  Alcotest.(check int) "final value" rounds (L.read o);
   Alcotest.(check int) "one winner per round" rounds (List.fold_left ( + ) 0 wins)
 
 (* A clock whose next [read] can be armed to park the reading domain, so
@@ -101,17 +128,18 @@ module Gate = struct
   let snapshot = advance
 end
 
-module VG = Rangequery.Vcas_obj.Make (Gate)
+module LG = Link (Gate)
+module VG = LG.V
 
 let vcas_helpers_agree_on_pending_label () =
   let prev = Hwts_obs.Config.enabled () in
   Hwts_obs.Config.set_enabled true;
   Fun.protect ~finally:(fun () -> Hwts_obs.Config.set_enabled prev)
   @@ fun () ->
-  let o = VG.make "old" in
+  let o = LG.make "old" in
   Atomic.set Gate.gate 1;
   let installer =
-    Domain.spawn (fun () -> Option.get (VG.cas_with o (VG.head o) "new"))
+    Domain.spawn (fun () -> Option.get (LG.cas_with o (LG.head o) "new"))
   in
   (* parked inside its own labeling read: "new" is the published head and
      its label is still 0 *)
@@ -129,7 +157,7 @@ let vcas_helpers_agree_on_pending_label () =
         while Atomic.get ready < 8 do
           Domain.cpu_relax ()
         done;
-        let h = VG.head o in
+        let h = LG.head o in
         (VG.value h, VG.timestamp h))
   in
   let helped = wins () - wins_before in
@@ -154,7 +182,7 @@ let vcas_qcheck_read_at =
     (fun writes ->
       M.thaw ();
       M.set 10;
-      let o = V.make (-1) in
+      let o = L.make (-1) in
       let labeled =
         List.mapi
           (fun i v ->
@@ -171,29 +199,29 @@ let vcas_qcheck_read_at =
               (fun acc (ts, v) -> if ts <= probe then v else acc)
               (-1) labeled
           in
-          V.read_at o probe = expected)
+          L.read_at o probe = expected)
         [ 50; 150; 250; 550; 1_000_000 ])
 
 let vcas_prune () =
   reset ();
   M.set 10;
-  let o = V.make 0 in
+  let o = L.make 0 in
   M.set 100;
   write o 1;
   M.set 200;
   write o 2;
   M.set 300;
   write o 3;
-  Alcotest.(check int) "4 versions" 4 (V.chain_length o);
+  Alcotest.(check int) "4 versions" 4 (L.chain_length o);
   (* a snapshot at 250 needs the version labeled 200 *)
-  V.prune o 250;
-  Alcotest.(check int) "pruned to 2" 2 (V.chain_length o);
-  Alcotest.(check int) "snapshot at 250 intact" 2 (V.read_at o 250);
-  Alcotest.(check int) "newest intact" 3 (V.read_at o 1000)
+  L.prune o 250;
+  Alcotest.(check int) "pruned to 2" 2 (L.chain_length o);
+  Alcotest.(check int) "snapshot at 250 intact" 2 (L.read_at o 250);
+  Alcotest.(check int) "newest intact" 3 (L.read_at o 1000)
 
 (* ---------- self-loop chain ends ---------- *)
 
-(* One chain behind any of three APIs.  [write v] installs a version
+(* One chain behind either of two APIs.  [write v] installs a version
    holding [v] and returns its label; [prune floor] cuts below [floor];
    [chain ()] counts retained versions; [read_at ts] reads at a label. *)
 type chain = {
@@ -210,15 +238,6 @@ type 'a holder = { mutable head : 'a }
 module Chains (T : Hwts.Timestamp.S) = struct
   module V = Rangequery.Vcas_obj.Make (T)
   module B = Rangequery.Bundle.Make (T)
-
-  let cell () =
-    let o = V.make 0 in
-    {
-      write = (fun v -> V.timestamp (Option.get (V.cas_with o (V.head o) v)));
-      prune = V.prune o;
-      chain = (fun () -> V.chain_length o);
-      read_at = V.read_at o;
-    }
 
   let head () =
     let h = { head = V.first 0 } in
@@ -903,7 +922,10 @@ let sentinels_absent () =
 (* Heap words each key adds to a structure, over seeded inserts from
    1024 to 8192 keys under the logical clock.  One more heap block per node shows up here
    as whole words per key, without timing anything.  The bounds are the
-   measured values, so a block added back to any node fails this. *)
+   measured values, so a block added back to any node fails this; a skip
+   list's tower size follows its domain's level draws, so its bound sits
+   a fraction of a word above the measured value (10.49-10.50 for
+   skiplist-vcas, by test order). *)
 let words_per_key create insert =
   let warm = 1024 and keys = 8192 in
   let t = create () in
@@ -947,7 +969,7 @@ let layout_cases =
     ("citrus-vcas", 16., fun () -> words_per_key Cv.create Cv.insert);
     ("citrus-bundle", 16., fun () -> words_per_key Cb.create Cb.insert);
     ("citrus-ebrrq", 9., fun () -> words_per_key Ce.create Ce.insert);
-    ("skiplist-vcas", 26., fun () -> words_per_key Sv.create Sv.insert);
+    ("skiplist-vcas", 10.6, fun () -> words_per_key Sv.create Sv.insert);
     ("skiplist-bundle", 14.5, fun () -> words_per_key Sb.create Sb.insert);
     ("lazylist-bundle", 10., fun () -> words_per_key Lb.create Lb.insert);
     ( "bst-ebrrq-lockfree",
@@ -1146,12 +1168,8 @@ let () =
           Alcotest.test_case "helpers agree on a pending label" `Quick
             vcas_helpers_agree_on_pending_label;
           Alcotest.test_case "prune" `Quick vcas_prune;
-          Alcotest.test_case "self-loop chain (cell)" `Quick
-            (self_loop_chain CM.cell);
           Alcotest.test_case "self-loop chain (head in field)" `Quick
             (self_loop_chain CM.head);
-          Alcotest.test_case "read_at races prune (cell)" `Quick
-            (read_at_races_prune CR.cell);
           Alcotest.test_case "read_at races prune (head in field)" `Quick
             (read_at_races_prune CR.head);
           Alcotest.test_case "chains bounded" `Quick vcas_chains_stay_bounded;

@@ -9,8 +9,8 @@
    The headline mechanism is per-shard range-query coalescing: each
    worker drains its queue and executes every queued range under a
    single snapshot acquisition (Wire batch frames and deep pipelines
-   both feed it).  HWTS_SERVE_COALESCE=0 (or --no-coalesce) switches the
-   batcher to one-acquisition-per-range for A/B comparison; the acquire
+   both feed it).  --no-coalesce switches the batcher to
+   one-acquisition-per-range for A/B comparison; the acquire
    amortization shows up in serve.rq.snapshots vs serve.rq.ops in
    --metrics-out.
 
@@ -22,14 +22,9 @@ open Cmdliner
 
 let stop_requested = Atomic.make false
 
-let coalesce_default () =
-  match Sys.getenv_opt "HWTS_SERVE_COALESCE" with
-  | Some ("0" | "false" | "no" | "off") -> false
-  | _ -> true
-
 let serve host port structure provider reclaim shards key_space no_coalesce
     max_seconds metrics_out =
-  let coalesce = (not no_coalesce) && coalesce_default () in
+  let coalesce = not no_coalesce in
   match
     Serve.Shards.create ~reclaim ~structure ~provider ~shards ~key_space
       ~coalesce ()
@@ -161,7 +156,7 @@ let () =
       & info [ "no-coalesce" ]
           ~doc:
             "One snapshot acquisition per range instead of per drained \
-             batch (also HWTS_SERVE_COALESCE=0)")
+             batch")
   in
   let max_seconds =
     Arg.(

@@ -438,7 +438,7 @@ let hotpath =
   }
 
 let trace_phases =
-  [ "acquire"; "traverse"; "cas_retry"; "ebr"; "reclaim"; "wait"; "snapshot"; "other" ]
+  [ "acquire"; "traverse"; "ebr"; "reclaim"; "wait"; "snapshot"; "other" ]
 
 let tailattr =
   let band = ty "tailattr" in

@@ -3,190 +3,231 @@ let m_requests = Hwts_obs.Registry.counter "serve.requests"
 let m_malformed = Hwts_obs.Registry.counter "serve.malformed"
 let m_oversized = Hwts_obs.Registry.counter "serve.oversized"
 
-(* Once {!stop} has shut the read sides, a writer that has been blocked
-   in one write this long, with no byte taken by its client, is writing
-   to a client that stopped reading: stop shuts that connection down. *)
+(* Once {!stop} has begun, a connection with a pending write that its
+   client has taken no byte of for this long has stopped reading: the
+   loop closes it and discards its remaining answers. *)
 let stop_grace = 2.0
 
-(* How often stop checks the writers' progress. *)
-let stop_tick = 0.05
-
 (* After [EMFILE]/[ENFILE] the connection stays queued in the backlog;
-   accept retries after this pause instead of spinning. *)
+   the listener is left unwatched this long instead of spinning. *)
 let accept_backoff = 0.005
 
-(* A pipelined connection: the reader decodes frames and routes them,
-   pushing one pending cell per request onto [out]; shard workers fill
-   the cells; the writer flushes fulfilled cells strictly in FIFO order.
-   One mutex/condition pair covers both the queue and cell fulfillment —
-   contention is per-connection, not global. *)
+(* One write carries as many fulfilled head answers as fit in this many
+   bytes, and always at least one.  Small enough that a buffer of small
+   answers stays on the minor heap: [n] bytes take [n / 8 + 1] words, and
+   a block above 256 words is allocated on the major heap. *)
+let write_budget = 2040
+
+(* A pipelined connection: one cell per decoded request, in request
+   order, filled by the shard worker that answers it with the answer and
+   its payload size, computed once; [out] is the write in progress, [off]
+   bytes of it out. *)
 type conn = {
   fd : Unix.file_descr;
-  m : Mutex.t;
-  c : Condition.t;
-  out : Wire.response option ref Queue.t;
-  mutable eof : bool; (* reader finished (EOF, error or malformed) *)
-  mutable closed : bool; (* the writer closed [fd]; set under [m] *)
-  mutable reader : Thread.t option;
-  mutable writer : Thread.t option;
-  sent : int Atomic.t; (* bytes written; grows while the client reads *)
-  writing : bool Atomic.t; (* the writer is inside a frame's write *)
+  dec : Wire.decoder;
+  cells : (int * Wire.response) option Atomic.t Queue.t;
+  mutable reading : bool; (* false after EOF, error, malformed or stop *)
+  mutable out : Bytes.t;
+  mutable off : int;
+  mutable since : float; (* last progress of the write in progress *)
 }
 
 type t = {
   listen_fd : Unix.file_descr;
   port : int;
   shards : Shards.t;
-  conns : conn list ref;
-  conns_m : Mutex.t;
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
+  woken : bool Atomic.t; (* a wake byte is in the pipe, or on its way *)
   stopping : bool Atomic.t;
-  mutable accept_thread : Thread.t option;
-  stop_m : Mutex.t;
-  mutable stopped : bool;
+  mutable loop : Thread.t option;
 }
 
-let locked conn f =
-  Mutex.lock conn.m;
-  f ();
-  Mutex.unlock conn.m
+(* Called by shard workers after filling a cell.  The loop clears
+   [woken] before it scans the cells, so a fill it misses sends a byte. *)
+let wake t =
+  if not (Atomic.exchange t.woken true) then
+    try ignore (Unix.single_write_substring t.wake_w "!" 0 1)
+    with Unix.Unix_error _ -> ()
 
-let wake conn f =
-  locked conn (fun () ->
-      f ();
-      Condition.broadcast conn.c)
-
-let reader_loop t conn =
-  let buf = Bytes.create 65536 in
-  let dec = Wire.decoder () in
-  let running = ref true in
-  while !running do
-    let n = try Unix.read conn.fd buf 0 (Bytes.length buf) with _ -> 0 in
-    if n = 0 then running := false
-    else begin
-      Wire.feed dec buf 0 n;
-      try
-        let more = ref true in
-        while !more do
-          match Wire.next_request dec with
-          | None -> more := false
-          | Some req ->
-            Hwts_obs.Counter.incr m_requests;
-            let cell = ref None in
-            locked conn (fun () -> Queue.push cell conn.out);
-            Shards.submit t.shards req (fun r ->
-                wake conn (fun () -> cell := Some r))
-        done
-      with Wire.Malformed msg ->
-        (* answer the offense in-order, then stop reading: the writer
-           flushes everything (including the error) before closing *)
-        Hwts_obs.Counter.incr m_malformed;
-        locked conn (fun () -> Queue.push (ref (Some (Wire.Err msg))) conn.out);
-        running := false
-    end
-  done;
-  wake conn (fun () -> conn.eof <- true)
-
-(* The answer's frame, at its exact size.  An answer too large for one
-   frame is sized before anything is allocated, and answered with [Err]. *)
-let frame_of r =
+(* The answer at its exact size.  An answer too large for one frame is
+   sized before anything is allocated, and answered with [Err]. *)
+let sized r =
   let n = Wire.response_size r in
-  if n <= Wire.max_payload then Wire.response_frame r
+  if n <= Wire.max_payload then (n, r)
   else begin
     Hwts_obs.Counter.incr m_oversized;
-    Wire.response_frame
-      (Wire.Err (Printf.sprintf "answer of %d bytes exceeds max_payload" n))
+    let e = Wire.Err (Printf.sprintf "answer of %d bytes exceeds max_payload" n) in
+    (Wire.response_size e, e)
   end
 
-(* Write all of [b], counting each chunk the kernel takes into [sent]. *)
-let rec write_from conn b off =
-  if off < Bytes.length b then begin
-    let n = Unix.single_write conn.fd b off (Bytes.length b - off) in
-    Atomic.set conn.sent (Atomic.get conn.sent + n);
-    write_from conn b (off + n)
-  end
+(* Decode and route every complete request in one read's bytes. *)
+let read_requests t buf conn =
+  match Unix.read conn.fd buf 0 (Bytes.length buf) with
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+  | exception Unix.Unix_error _ -> conn.reading <- false
+  | 0 -> conn.reading <- false
+  | n -> (
+    Wire.feed conn.dec buf 0 n;
+    try
+      let rec route () =
+        match Wire.next_request conn.dec with
+        | None -> ()
+        | Some req ->
+          Hwts_obs.Counter.incr m_requests;
+          let cell = Atomic.make None in
+          Queue.push cell conn.cells;
+          Shards.submit t.shards req (fun r ->
+              Atomic.set cell (Some (sized r));
+              wake t);
+          route ()
+      in
+      route ()
+    with Wire.Malformed msg ->
+      (* answer the offense in order, then stop reading: the connection
+         closes once everything before it and the error are out *)
+      Hwts_obs.Counter.incr m_malformed;
+      Queue.push (Atomic.make (Some (sized (Wire.Err msg)))) conn.cells;
+      conn.reading <- false)
 
-(* [Unix.shutdown] of a connection whose writer has not closed its fd
-   yet: once closed, the descriptor number may name another file. *)
-let shutdown_conn conn how =
-  locked conn (fun () ->
-      if not conn.closed then try Unix.shutdown conn.fd how with _ -> ())
+(* Pop the fulfilled head answers that fit in [budget] bytes, and the
+   first one whatever its size. *)
+let rec ready ~first conn budget =
+  if Queue.is_empty conn.cells then []
+  else
+    match Atomic.get (Queue.peek conn.cells) with
+    | Some ((n, _) as a) when first || 4 + n <= budget ->
+      ignore (Queue.pop conn.cells);
+      a :: ready ~first:false conn (budget - 4 - n)
+    | _ -> []
 
-let writer_loop conn =
-  let running = ref true and gone = ref false in
-  while !running do
-    Mutex.lock conn.m;
-    (* wait until the FIFO head is fulfilled (order is the contract) or
-       the stream is over *)
-    let rec await () =
-      match Queue.peek_opt conn.out with
-      | Some { contents = Some _ } -> `Write
-      | None when conn.eof -> `Done
-      | _ ->
-        Condition.wait conn.c conn.m;
-        await ()
+let writing conn = conn.off < Bytes.length conn.out
+
+(* Write what the client takes without blocking, refilling [out] from
+   the fulfilled head answers.  [false] once the client has gone. *)
+let rec flush conn now =
+  if writing conn then
+    match Unix.single_write conn.fd conn.out conn.off (Bytes.length conn.out - conn.off) with
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> true
+    | exception Unix.Unix_error _ -> false
+    | n ->
+      conn.off <- conn.off + n;
+      conn.since <- now;
+      (* drop a written buffer at once: held until the next write, it
+         would be promoted by any minor collection in between *)
+      if not (writing conn) then begin
+        conn.out <- Bytes.empty;
+        conn.off <- 0
+      end;
+      flush conn now
+  else
+    match ready ~first:true conn write_budget with
+    | [] -> true
+    | answers ->
+      conn.out <- Wire.response_frames answers;
+      conn.since <- now;
+      flush conn now
+
+(* Accept every queued connection; the result is when to watch the
+   listener again.  Only {!stop} ends accepting: an aborted handshake or
+   a signal is retried at once; out of descriptors, the listener is left
+   unwatched for [accept_backoff].  [select] fails with [EINVAL] on a
+   descriptor at or above FD_SETSIZE, so such a connection is closed. *)
+let rec accept_all t conns now =
+  match Unix.accept ~cloexec:true t.listen_fd with
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> 0.
+  | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
+    accept_all t conns now
+  | exception Unix.Unix_error _ -> now +. accept_backoff
+  | fd, _ ->
+    (match Unix.select [ fd ] [] [] 0. with
+    | exception Unix.Unix_error (Unix.EINVAL, _, _) -> Unix.close fd
+    | _ ->
+      Unix.set_nonblock fd;
+      (try Unix.setsockopt fd Unix.TCP_NODELAY true with _ -> ());
+      Hwts_obs.Counter.incr m_conns;
+      Hashtbl.replace conns fd
+        {
+          fd;
+          dec = Wire.decoder ();
+          cells = Queue.create ();
+          reading = true;
+          out = Bytes.empty;
+          off = 0;
+          since = now;
+        });
+    accept_all t conns now
+
+(* The loop: owns the listener and every connection until {!stop} has
+   begun and the last connection has closed.  Its state and the closures
+   over it are made once, not per turn: what the loop allocates per turn
+   widens the part of the domain's minor heap it touches. *)
+let run t =
+  let buf = Bytes.create 65536 and conns = Hashtbl.create 16 in
+  let listening = ref true and paused_until = ref 0. and now = ref 0. in
+  let rd = ref [] and wr = ref [] and next = ref infinity in
+  let watch _ c =
+    if c.reading then rd := c.fd :: !rd;
+    if writing c then begin
+      wr := c.fd :: !wr;
+      if not !listening then next := Float.min !next (c.since +. stop_grace)
+    end
+  in
+  let serve fd =
+    if fd = t.wake_r then begin
+      (try ignore (Unix.read t.wake_r buf 0 64) with Unix.Unix_error _ -> ());
+      Atomic.set t.woken false
+    end
+    else if fd = t.listen_fd && !listening then
+      paused_until := accept_all t conns !now
+    else
+      match Hashtbl.find_opt conns fd with
+      | Some c when c.reading -> read_requests t buf c
+      | _ -> ()
+  in
+  let stop_reading _ c =
+    c.reading <- false;
+    c.since <- !now
+  in
+  let keep _ c =
+    if
+      flush c !now
+      && (c.reading || writing c || not (Queue.is_empty c.cells))
+      && (!listening || (not (writing c)) || !now -. c.since < stop_grace)
+    then Some c
+    else begin
+      (try Unix.close c.fd with _ -> ());
+      None
+    end
+  in
+  while !listening || Hashtbl.length conns > 0 do
+    rd := [ t.wake_r ];
+    wr := [];
+    next := infinity;
+    if !listening then
+      if !now >= !paused_until then rd := t.listen_fd :: !rd
+      else next := !paused_until;
+    Hashtbl.iter watch conns;
+    let timeout = if !next = infinity then -1. else Float.max 0. (!next -. !now) in
+    let readable, _, _ =
+      try Unix.select !rd !wr [] timeout
+      with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
     in
-    match await () with
-    | `Done ->
-      Mutex.unlock conn.m;
-      running := false
-    | `Write ->
-      let r = Option.get !(Queue.pop conn.out) in
-      Mutex.unlock conn.m;
-      (* The write returns once the whole frame is out.  Once the
-         client has gone away, keep draining cells so shard completions
-         have somewhere to land, but build and write nothing. *)
-      if not !gone then begin
-        let b = frame_of r in
-        Atomic.set conn.writing true;
-        (try write_from conn b 0 with Unix.Unix_error _ -> gone := true);
-        Atomic.set conn.writing false
-      end
-  done;
-  locked conn (fun () ->
-      conn.closed <- true;
-      try Unix.close conn.fd with _ -> ())
-
-(* Only {!stop} ends accepting.  Any other failure leaves the listener
-   open: an aborted handshake or a signal is retried at once; out of
-   descriptors, the connection waits in the backlog until some close. *)
-let accept_loop t =
-  while not (Atomic.get t.stopping) do
-    match Unix.accept t.listen_fd with
-    | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) -> ()
-    | exception _ ->
-      if not (Atomic.get t.stopping) then Thread.delay accept_backoff
-    | fd, _ ->
-      if Atomic.get t.stopping then (try Unix.close fd with _ -> ())
-      else begin
-        (try Unix.setsockopt fd Unix.TCP_NODELAY true with _ -> ());
-        Hwts_obs.Counter.incr m_conns;
-        let conn =
-          {
-            fd;
-            m = Mutex.create ();
-            c = Condition.create ();
-            out = Queue.create ();
-            eof = false;
-            closed = false;
-            reader = None;
-            writer = None;
-            sent = Atomic.make 0;
-            writing = Atomic.make false;
-          }
-        in
-        conn.reader <- Some (Thread.create (fun () -> reader_loop t conn) ());
-        conn.writer <- Some (Thread.create (fun () -> writer_loop conn) ());
-        Mutex.lock t.conns_m;
-        t.conns := conn :: !(t.conns);
-        Mutex.unlock t.conns_m
-      end
+    now := Unix.gettimeofday ();
+    List.iter serve readable;
+    if !listening && Atomic.get t.stopping then begin
+      listening := false;
+      (try Unix.close t.listen_fd with _ -> ());
+      Hashtbl.iter stop_reading conns
+    end;
+    Hashtbl.filter_map_inplace keep conns
   done
 
 let start ?(host = "127.0.0.1") ~port shards =
   (* a client that resets mid-answer must cost its own connection an
      EPIPE, not the process a SIGPIPE *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt fd Unix.SO_REUSEADDR true;
   let addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in
   (try Unix.bind fd addr
@@ -194,86 +235,40 @@ let start ?(host = "127.0.0.1") ~port shards =
      (try Unix.close fd with _ -> ());
      raise e);
   Unix.listen fd 128;
+  Unix.set_nonblock fd;
   let port =
     match Unix.getsockname fd with
     | Unix.ADDR_INET (_, p) -> p
     | _ -> port
   in
+  (* at most one byte is ever in the pipe, so neither end blocks *)
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   let t =
     {
       listen_fd = fd;
       port;
       shards;
-      conns = ref [];
-      conns_m = Mutex.create ();
+      wake_r;
+      wake_w;
+      woken = Atomic.make false;
       stopping = Atomic.make false;
-      accept_thread = None;
-      stop_m = Mutex.create ();
-      stopped = false;
+      loop = None;
     }
   in
-  t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
+  t.loop <- Some (Thread.create run t);
   t
 
 let port t = t.port
 let router t = t.shards
 
-(* Watch the writers until every one has closed its connection (a stale
-   read of [closed] costs one more tick).  A writer's clock restarts
-   whenever its client takes bytes or it is not inside a write (it waits
-   for shard answers, not for the client). *)
-let cut_stalled conns =
-  let rec watch live =
-    let live = List.filter (fun (conn, _, _) -> not conn.closed) live in
-    if live <> [] then begin
-      Thread.delay stop_tick;
-      let now = Unix.gettimeofday () in
-      watch
-        (List.map
-           (fun ((conn, sent, since) as w) ->
-             let s = Atomic.get conn.sent in
-             if s <> sent || not (Atomic.get conn.writing) then (conn, s, now)
-             else begin
-               if now -. since >= stop_grace then
-                 shutdown_conn conn Unix.SHUTDOWN_ALL;
-               w
-             end)
-           live)
-    end
-  in
-  let now = Unix.gettimeofday () in
-  watch (List.map (fun conn -> (conn, Atomic.get conn.sent, now)) conns)
-
 let stop t =
-  Mutex.lock t.stop_m;
-  let first = not t.stopped in
-  t.stopped <- true;
-  Mutex.unlock t.stop_m;
-  if first then begin
-    Atomic.set t.stopping true;
-    (* 1. no new connections: shutdown wakes a thread parked in
-       [accept] (closing the fd alone does not, on Linux); close only
-       after the accept thread is gone *)
-    (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL with _ -> ());
-    (match t.accept_thread with Some th -> Thread.join th | None -> ());
-    (try Unix.close t.listen_fd with _ -> ());
-    (* 2. unblock every reader: shutdown (not close) reliably wakes a
-       thread parked in [read]; writers then flush all in-flight
-       responses and close the fds themselves *)
-    Mutex.lock t.conns_m;
-    let conns = !(t.conns) in
-    Mutex.unlock t.conns_m;
-    List.iter (fun conn -> shutdown_conn conn Unix.SHUTDOWN_RECEIVE) conns;
-    (* 2b. a writer stuck behind a client that stopped reading would hold
-       the join below forever: shut its connection down after
-       [stop_grace] without progress, so its write fails and it drains *)
-    cut_stalled conns;
-    List.iter
-      (fun conn ->
-        (match conn.reader with Some th -> Thread.join th | None -> ());
-        match conn.writer with Some th -> Thread.join th | None -> ())
-      conns;
-    (* 3. all responses are out, so the shard queues are empty: drain
-       formally and join the worker domains *)
-    Shards.stop t.shards
+  if not (Atomic.exchange t.stopping true) then begin
+    wake t;
+    Option.iter Thread.join t.loop;
+    (* every answer is out or its connection closed: drain the shard
+       queues and join the workers, whose completions may still wake the
+       loop, so the pipe closes last *)
+    Shards.stop t.shards;
+    Unix.close t.wake_r;
+    Unix.close t.wake_w
   end

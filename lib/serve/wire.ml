@@ -136,6 +136,22 @@ let frame size write v =
 
 let request_frame = frame request_size write_request
 let response_frame = frame response_size write_response
+
+let response_frames answers =
+  let total =
+    List.fold_left
+      (fun total (n, _) ->
+        if n > max_payload then invalid_arg "Wire: frame exceeds max_payload";
+        total + 4 + n)
+      0 answers
+  in
+  let b = Bytes.create total in
+  let stop =
+    List.fold_left (fun pos (n, r) -> write_response b (set_u32 b pos n) r) 0 answers
+  in
+  assert (stop = total);
+  b
+
 let encode_request buf r = Buffer.add_bytes buf (request_frame r)
 let encode_response buf r = Buffer.add_bytes buf (response_frame r)
 

@@ -61,6 +61,13 @@ val request_frame : request -> Bytes.t
 
 val response_frame : response -> Bytes.t
 
+val response_frames : (int * response) list -> Bytes.t
+(** The frames of several responses back to back, in list order, in one
+    buffer of exactly their total length, written in place by one pass.
+    Each pair is a response with its {!response_size}, computed once by
+    the caller; raises [Invalid_argument] on a size above
+    {!max_payload}, before allocating. *)
+
 val encode_request : Buffer.t -> request -> unit
 (** Append {!request_frame}'s bytes. *)
 

@@ -45,13 +45,12 @@ module Config = struct
   let set_stall_budget n = Atomic.set stall (max 1 n)
 end
 
-(* The four phases the paper's analysis turns on, plus the op bracket
+(* The three phases the paper's analysis turns on, plus the op bracket
    itself, bundle label waits, and adaptive mode switches. *)
 type phase =
   | Op  (** the whole operation, bracketed by the harness *)
   | Acquire  (** timestamp/label acquisition: advance/snapshot, registry *)
   | Traverse  (** structure traversal: seek/find/search and RQ collection *)
-  | Cas_retry  (** a CAS retry burst; the end event carries the count *)
   | Ebr  (** EBR enter/exit bookkeeping (epoch gate) *)
   | Reclaim  (** limbo-list trimming *)
   | Wait  (** spinning on an unlabeled bundle entry *)
@@ -60,21 +59,19 @@ type phase =
       (** a snapshot handle's lifetime (span), and each constituent
           multi-point read against it (instant) *)
 
-let phase_count = 9
+let phase_count = 8
 
 let phase_index = function
   | Op -> 0
   | Acquire -> 1
   | Traverse -> 2
-  | Cas_retry -> 3
-  | Ebr -> 4
-  | Reclaim -> 5
-  | Wait -> 6
-  | Switch -> 7
-  | Snapshot -> 8
+  | Ebr -> 3
+  | Reclaim -> 4
+  | Wait -> 5
+  | Switch -> 6
+  | Snapshot -> 7
 
-let phases =
-  [| Op; Acquire; Traverse; Cas_retry; Ebr; Reclaim; Wait; Switch; Snapshot |]
+let phases = [| Op; Acquire; Traverse; Ebr; Reclaim; Wait; Switch; Snapshot |]
 
 let phase_of_index i =
   let i = i land 15 in
@@ -84,7 +81,6 @@ let phase_name = function
   | Op -> "op"
   | Acquire -> "acquire"
   | Traverse -> "traverse"
-  | Cas_retry -> "cas_retry"
   | Ebr -> "ebr"
   | Reclaim -> "reclaim"
   | Wait -> "wait"
@@ -103,7 +99,7 @@ let class_count = Array.length class_names
      bits 0-1  kind (0 = begin, 1 = end, 2 = instant)
      bits 2-5  phase index
      bits 6-8  op class
-     bits 9+   aux payload (retry count, switch direction, ...) *)
+     bits 9+   aux payload (switch direction, snapshot read count) *)
 
 let kind_begin = 0
 let kind_end = 1
@@ -290,7 +286,6 @@ type op_record = {
   op_start : int;
   op_total : int;  (** cycles, op begin to op end *)
   op_phases : int array;  (** cycles attributed per phase index *)
-  op_retries : int;  (** summed Cas_retry burst counts *)
 }
 
 (* Pair begin/end events within one slot's stream.  The open-span stack
@@ -300,7 +295,6 @@ let slot_op_records slot =
   let records = ref [] in
   let open_op = ref None in
   let phases = Array.make phase_count 0 in
-  let retries = ref 0 in
   let stack = ref [] in
   let flush_op e start =
     records :=
@@ -309,7 +303,6 @@ let slot_op_records slot =
         op_start = start;
         op_total = e.stamp - start;
         op_phases = Array.copy phases;
-        op_retries = !retries;
       }
       :: !records
   in
@@ -320,7 +313,6 @@ let slot_op_records slot =
         if pi = 0 then begin
           open_op := Some e.stamp;
           Array.fill phases 0 phase_count 0;
-          retries := 0;
           stack := []
         end
         else stack := (pi, e.stamp) :: !stack
@@ -329,14 +321,12 @@ let slot_op_records slot =
           (match !open_op with Some start -> flush_op e start | None -> ());
           open_op := None
         end
-        else begin
-          (match List.assoc_opt pi !stack with
+        else
+          match List.assoc_opt pi !stack with
           | Some b ->
             phases.(pi) <- phases.(pi) + (e.stamp - b);
             stack := List.remove_assoc pi !stack
-          | None -> ());
-          if pi = phase_index Cas_retry then retries := !retries + e.aux
-        end)
+          | None -> ())
     (slot_events slot);
   List.rev !records
 

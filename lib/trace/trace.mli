@@ -40,7 +40,6 @@ type phase =
   | Op
   | Acquire
   | Traverse
-  | Cas_retry
   | Ebr
   | Reclaim
   | Wait
@@ -110,7 +109,6 @@ type op_record = {
   op_start : int;
   op_total : int;
   op_phases : int array;  (** cycles per {!phase_index} *)
-  op_retries : int;
 }
 
 val op_records : unit -> op_record list

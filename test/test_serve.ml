@@ -702,6 +702,59 @@ let stop_cuts_client_not_reading () =
   Alcotest.(check int) "the reading client got every answer" n !full;
   Alcotest.(check bool) "stop returned within 10 s" true returned
 
+(* One Ping on a fresh connection: its answer, or [None] if the
+   connection fails or nothing arrives within [timeout] seconds. *)
+let ping ~timeout port =
+  try
+    let cl = client port in
+    Fun.protect ~finally:(fun () -> Unix.close cl.fd) @@ fun () ->
+    Unix.setsockopt_float cl.fd Unix.SO_RCVTIMEO timeout;
+    send cl.fd Wire.Ping;
+    recv cl
+  with Unix.Unix_error _ -> None
+
+(* A client that pipelines large ranges and never reads fills its
+   socket buffers; meanwhile another client must still be answered. *)
+let stalled_reader_blocks_no_one () =
+  let key_space = 50_000 in
+  with_server ~provider:`Logical ~coalesce:true ~shards:2 ~key_space
+    (fun port ->
+      let stalled = client port in
+      Fun.protect ~finally:(fun () -> Unix.close stalled.fd) @@ fun () ->
+      prefill stalled key_space;
+      for _ = 1 to 40 do
+        send stalled.fd (Wire.Range (1, key_space))
+      done;
+      Unix.sleepf 0.3;
+      match ping ~timeout:2. port with
+      | Some Wire.Pong -> ()
+      | _ -> Alcotest.fail "no Pong within 2 s beside a stalled reader")
+
+(* [select] cannot watch a descriptor at or above FD_SETSIZE (1024).
+   With 1030 more descriptors held in this process, the server's next
+   accepted connection lands above that: it may be answered or closed,
+   and once the descriptors are released a new connection must be
+   answered. *)
+let high_descriptor () =
+  with_server ~provider:`Logical ~coalesce:true (fun port ->
+      let held = ref [] in
+      (match
+         Fun.protect ~finally:(fun () -> List.iter Unix.close !held)
+         @@ fun () ->
+         match
+           for _ = 1 to 1030 do
+             held := Unix.dup Unix.stdin :: !held
+           done
+         with
+         | () -> ping ~timeout:5. port
+         | exception Unix.Unix_error (Unix.EMFILE, _, _) -> Alcotest.skip ()
+       with
+      | Some Wire.Pong | None -> ()
+      | Some r -> Alcotest.failf "high descriptor: got %s" (show r));
+      match ping ~timeout:5. port with
+      | Some Wire.Pong -> ()
+      | _ -> Alcotest.fail "no Pong on a new connection after a high descriptor")
+
 (* ---------- the deployed binary: SIGINT drains, flushes, exits 0 ----- *)
 
 (* under `dune runtest` the cwd is _build/default/test; under
@@ -728,13 +781,10 @@ let subprocess_sigint () =
     let metrics = Filename.temp_file "hwts_serve_metrics" ".json" in
     let out_r, out_w = Unix.pipe () in
     let dev_null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
-    (* the env knob is the A arm switch: run the binary with coalescing
-       forced off and require it to honor it *)
-    let env =
-      Array.append (Unix.environment ()) [| "HWTS_SERVE_COALESCE=0" |]
-    in
+    (* --no-coalesce is the A arm switch: run the binary with coalescing
+       off and require it to honor it *)
     let pid =
-      Unix.create_process_env serve_exe
+      Unix.create_process serve_exe
         [|
           serve_exe;
           "--port";
@@ -747,8 +797,9 @@ let subprocess_sigint () =
           "30";
           "--metrics-out";
           metrics;
+          "--no-coalesce";
         |]
-        env dev_null out_w Unix.stderr
+        dev_null out_w Unix.stderr
     in
     Unix.close out_w;
     Unix.close dev_null;
@@ -890,5 +941,9 @@ let () =
             `Quick accept_survives_fd_exhaustion;
           Alcotest.test_case "SIGINT: drain, flush, exit 0" `Quick
             subprocess_sigint;
+          Alcotest.test_case "a stalled reader blocks no one" `Quick
+            stalled_reader_blocks_no_one;
+          Alcotest.test_case "a descriptor above FD_SETSIZE" `Quick
+            high_descriptor;
         ] );
     ]

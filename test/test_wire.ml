@@ -200,7 +200,19 @@ let response_round_trip () =
   List.iter
     (fun r ->
       Alcotest.check response "round trip" r (decode_one_resp (encode_resp r)))
-    cases
+    cases;
+  (* every case's frame back to back in one buffer decodes to the cases,
+     in order *)
+  let d = Wire.decoder () in
+  feed_all d
+    (Wire.response_frames (List.map (fun r -> (Wire.response_size r, r)) cases));
+  List.iter
+    (fun r ->
+      match Wire.next_response d with
+      | Some got -> Alcotest.check response "response_frames, in order" r got
+      | None -> Alcotest.fail "response_frames: a frame is missing")
+    cases;
+  Alcotest.(check int) "response_frames: no leftover bytes" 0 (Wire.buffered d)
 
 (* ---------- exact-size frames ---------- *)
 

@@ -42,6 +42,14 @@ check-smoke: build
 check-torture: build
 	dune exec bin/hwts_cli.exe -- check --rounds 24 --seed 0xC0FFEE
 	dune exec bin/hwts_cli.exe -- check --rounds 24 --seed 0xBADF00D
+	# The rounds above run under EBR.  The three Citrus trees share one
+	# relocation whose grace wait, and citrus-ebrrq's limbo recovery, go
+	# through the reclamation backend, so they also run under the
+	# TSC-ordered QSBR backend.
+	for s in citrus-vcas citrus-bundle citrus-ebrrq; do \
+	  dune exec bin/hwts_cli.exe -- check --structure $$s \
+	    --reclaim qsbr-tsc --rounds 24 --seed 0xC0FFEE || exit 1; \
+	done
 	$(MAKE) bench-hotpath-guard
 
 # Re-measure the optimized leg with fault injection disabled (the

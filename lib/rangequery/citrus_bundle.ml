@@ -1,8 +1,8 @@
 module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
   module B = Bundle.Make (T)
 
-  module C =
-    Citrus_core.Make
+  module Labels =
+    Citrus_core.Heads
       (R)
       (struct
         module T = T
@@ -16,6 +16,8 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
         let snap_label = T.read
         let prune_from = B.prune_from
       end)
+
+  module C = Citrus_core.Make (Labels)
 
   include C
   include Dstruct.Ordered_set.Ranges (C)

@@ -1,65 +1,114 @@
-(* The Citrus tree with a version chain per edge, shared by the two
-   labeling disciplines Fig. 3 compares: vCAS (readers help label a
-   pending version) and Bundling (the update labels, readers wait).  The
-   tree, its locks and its relocation are the same for both; a
-   {!LABELING} module supplies what differs.  Citrus_vcas and
-   Citrus_bundle are thin instances. *)
+(* The Citrus tree, shared by the three labeling granularities Section IV
+   compares.  vCAS (readers help label a pending version) and Bundling
+   (the update labels, readers wait) label every edge through a version
+   chain (Fig. 3); EBR-RQ labels every node with its insertion and
+   deletion times, under one global readers-writer lock (Fig. 4).  The
+   tree, its locks, its relocation and its grace wait are the same for
+   all three; a {!LABELING} module supplies what differs.  Citrus_vcas
+   and Citrus_bundle label through {!Heads}, Citrus_ebrrq brings its own
+   labeling. *)
+
+type dir = L | R
+
+(* A [Node]'s inline record is its block, and an absent child is [Nil],
+   which is no block at all.  [left] (field 1), [right] (2) and [lock]
+   (3) are written only through {!Field_lock}, and so are [w0] (5) and
+   [w1] (6) where they hold version heads, so the field order matters.
+   The two label words belong to the labeling: the heads of the left and
+   right versioned links under vCAS and Bundling, the insertion and
+   deletion times under EBR-RQ. *)
+type 'w node =
+  | Nil
+  | Node of {
+      key : int;
+      mutable left : 'w node; (* raw links *)
+      mutable right : 'w node;
+      mutable lock : bool;
+      mutable marked : bool;
+      mutable w0 : 'w;
+      mutable w1 : 'w;
+    }
+
+let key_of = function Node n -> n.key | Nil -> max_int
+let marked = function Node n -> n.marked | Nil -> false
+let mark = function Node n -> n.marked <- true | Nil -> ()
+
+let child n d =
+  match n with
+  | Node n -> ( match d with L -> n.left | R -> n.right)
+  | Nil -> Nil
 
 module type LABELING = sig
-  module T : Hwts.Timestamp.S
+  type w
+
+  module Reclaim : Hwts_reclaim.Intf.S with type node = w node
+  (** Read sections around unlocked traversals and the relocation's
+      grace wait, for every labeling; EBR-RQ also retires into it. *)
+
+  type t (* per tree *)
+
+  type link (* a prepared link: its pending version (vCAS, Bundling) *)
+
+  type snap
 
   val name : string
 
   val reads_heads : bool
   (** Whether an unlocked step of [find] follows the edge's labeled head
-      (vCAS, helping) instead of its raw link (Bundling).  A vCAS find on
-      raw links fails either way round: a snapshot can help label a
-      pending head and finish before the raw link is written, so a later
+      (vCAS, helping) instead of its raw link (Bundling, EBR-RQ).  A vCAS
+      find on raw links fails either way round: a snapshot can help label
+      a pending head and finish before the raw link is written, so a later
       [contains] misses the key; with the raw link first, a helper labels
       after the snapshot's label, so the snapshot misses a key an earlier
       [contains] saw.  The flag also decides when the relocation's final
-      unlink reaches its head (see [delete_two_children]). *)
+      unlink is labeled (see [delete_two_children]). *)
 
-  val fresh : 'a -> 'a Chain.version
-  (** The head of a new node's edge.  vCAS: labeled now.  Bundling:
-      pending, labeled by the update that links the node. *)
+  val on_free : (w node -> unit) option
+  (** Run by the reclaimer as it frees a node. *)
 
-  val stamp : unit -> int
-  (** Taken once per update before its raw links change.  Bundling
-      advances the clock and labels every version the update installs
-      with it; vCAS takes none (0) and labels each version by helping. *)
+  val create : w node -> Reclaim.t -> t
+  (** Labels the root's words before any snapshot reads them. *)
 
-  val label : 'a Chain.version -> int -> unit
-  (** Label a just-installed version of the update with its stamp (vCAS:
-      publish it, helping if needed). *)
+  val fresh : w node -> w
+  (** The label word of a new node's side whose child is given. *)
 
-  val value_at : 'a Chain.version -> int -> 'a
-  (** The value at a snapshot label (vCAS helps, Bundling waits). *)
+  (** {1 One labeled write}
 
-  val snap_label : unit -> int
-  (** vCAS: the snapshot advances the clock.  Bundling: a plain read. *)
+      [prepare n d target] every link from [n] toward [d] the write
+      changes (holding [n]'s lock), [enter] the labeled section (which
+      takes its stamp), label the node it links ([born]) and the nodes it
+      unlinks ([dies]), write the raw links, [label] each prepared link
+      and [leave]. *)
 
-  val prune_from : 'a Chain.version -> int -> unit
+  val prepare : w node -> dir -> w node -> link
+  val enter : t -> int
+  val born : w node -> int -> unit
+  val dies : t -> w node -> int -> unit
+  val label : link -> int -> unit
+  val leave : t -> link -> unit
+
+  (** {1 Snapshot reads} *)
+
+  val snapshot : t -> snap
+  val snap_label : snap -> int
+  val snap_release : t -> snap -> unit
+
+  val snap_child : w node -> dir -> int -> w node
+  (** The child toward [d] at a snapshot label; at [max_int], the newest. *)
+
+  val visible : int -> w node -> bool
+  (** Whether a node a snapshot walk reaches holds its key at the label. *)
+
+  val reading : t -> ('a -> 'b) -> 'a -> 'b
+  (** [reading t f x] runs a snapshot's walk of the tree, [f x]. *)
+
+  val collect_limbo :
+    t -> int -> lo:int -> hi:int -> Sync.Scratch.Int_buffer.t -> unit
+  (** Push the keys in [lo..hi] of unlinked nodes visible at the label. *)
 end
 
-module Make (R : Hwts_reclaim.Intf.BACKEND) (L : LABELING) = struct
-  (* A [Node]'s inline record is its block, and an absent child is [Nil],
-     as in citrus_ebrrq.ml.  [left] (field 1), [right] (2), [lock] (3)
-     and the heads [hleft] (5) and [hright] (6) are written only through
-     {!Field_lock}, so the field order matters.  Under a node's lock a
-     raw link and its head's value agree; locked validation reads the
-     raw links, snapshots the heads. *)
-  type node =
-    | Nil
-    | Node of {
-        key : int;
-        mutable left : node; (* raw links *)
-        mutable right : node;
-        mutable lock : bool;
-        mutable marked : bool;
-        mutable hleft : node Chain.version; (* versioned links *)
-        mutable hright : node Chain.version;
-      }
+module Make (L : LABELING) = struct
+  type nonrec node = L.w node
 
   module F = Field_lock.Make (struct
     type t = node
@@ -68,15 +117,9 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (L : LABELING) = struct
     let locked = function Node n -> n.lock | Nil -> false
   end)
 
-  (* The backend is used purely as a grace mechanism here: read sections
-     around unlocked traversals, [wait_until_quiescent] before the
-     relocation delete's final unlink.  Nothing is retired — these
-     variants never recover nodes from limbo. *)
-  module Grace = R.Make (struct
-    type t = node
-  end)
+  module Reclaim = L.Reclaim
 
-  type t = { root : node; grace : Grace.t; registry : Rq_registry.t }
+  type t = { root : node; grace : Reclaim.t; labels : L.t }
 
   let name = L.name
 
@@ -88,62 +131,22 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (L : LABELING) = struct
         right = r;
         lock = false;
         marked = false;
-        hleft = L.fresh l;
-        hright = L.fresh r;
+        w0 = L.fresh l;
+        w1 = L.fresh r;
       }
 
-  (* Label a fresh node's heads with the update's stamp, before the node
-     is reachable, so no neighbour can prepare on a pending head. *)
-  let seal node ts =
-    match node with
-    | Node n ->
-      L.label n.hleft ts;
-      L.label n.hright ts
-    | Nil -> ()
-
-  (* The root's heads are labeled at creation: a creation label only
-     needs to predate the first snapshot that reads it. *)
   let create () =
     let root = make_node Dstruct.Ordered_set.min_key Nil Nil in
-    seal root (L.T.read_floor ());
-    { root; grace = Grace.create (); registry = Rq_registry.create () }
-
-  type dir = L | R
-
-  let key_of = function Node n -> n.key | Nil -> max_int
-  let marked = function Node n -> n.marked | Nil -> false
-  let mark = function Node n -> n.marked <- true | Nil -> ()
-
-  let child n d =
-    match n with
-    | Node n -> ( match d with L -> n.left | R -> n.right)
-    | Nil -> Nil
+    let grace = Reclaim.create ?on_free:L.on_free () in
+    { root; grace; labels = L.create root grace }
 
   let set_child n d ~was v = F.link n (match d with L -> 1 | R -> 2) ~was v
 
-  (* the head of the versioned link from [n] toward [d]; [n] is never
-     [Nil] *)
-  let head n d =
-    match n with
-    | Node n -> ( match d with L -> n.hleft | R -> n.hright)
-    | Nil -> invalid_arg "Citrus_core.head: Nil"
+  (* One unlocked step of [find] from [n] toward [d]. *)
+  let step n d = if L.reads_heads then L.snap_child n d max_int else child n d
 
-  (* One unlocked step of [find] from [n] toward [d]; at label [max_int]
-     every version qualifies, so a head is read at its newest. *)
-  let step n d =
-    if L.reads_heads then L.value_at (head n d) max_int else child n d
-
-  (* Push a pending version for [target] onto the link from [n] toward
-     [d]; the caller holds [n]'s lock and labels the version. *)
-  let prepare n d target =
-    let was = head n d in
-    assert (Chain.label was <> 0);
-    let version = Chain.successor was target in
-    F.install n (match d with L -> 5 | R -> 6) ~was version;
-    version
-
-  let dir_of n key = if key < key_of n then L else R
-
+  (* [(prev, d, n)]: [n] is [prev]'s [d] child and holds [key], or is
+     [Nil] where [key] would be attached. *)
   let find root key =
     let rec walk prev d n =
       match n with
@@ -157,28 +160,27 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (L : LABELING) = struct
     Hwts_trace.Span.exit Hwts_trace.Traverse;
     r
 
-  let traverse t key = Grace.with_read t.grace (fun () -> find t.root key)
+  let traverse t key = Reclaim.with_read t.grace (fun () -> find t.root key)
 
   let contains t key =
     let _, _, found = traverse t key in
     found != Nil
 
-  (* History pruning under the announce-then-read rule; the floor comes
-     from the lazily refreshed registry cache. *)
-  let prune t version =
-    L.prune_from version
-      (Rq_registry.min_active_cached t.registry ~default:(Chain.label version))
-
   (* One labeled write by the holder of [n]'s lock of the link toward [d],
-     which it read as [was]: the stamp is taken before the raw link (the
-     commit point unlocked traversals observe), so once a traversal can
-     see the change, every later snapshot label covers it. *)
-  let write t n d ~was v =
-    let version = prepare n d v in
-    let ts = L.stamp () in
+     which it read as [was], linking the fresh [born] or unlinking [dies]
+     ([Nil] for none): the stamp is taken before the raw link (the commit
+     point unlocked traversals observe), so once a traversal can see the
+     change, every later snapshot label covers it.  [born] is labeled
+     before it is reachable, so no neighbour can prepare on a pending
+     head. *)
+  let write t n d ~was v ~born ~dies =
+    let link = L.prepare n d v in
+    let ts = L.enter t.labels in
+    L.born born ts;
+    L.dies t.labels dies ts;
     set_child n d ~was v;
-    L.label version ts;
-    prune t version
+    L.label link ts;
+    L.leave t.labels link
 
   (* Re-walk from the root under [prev.lock] and require the walk to end
      at the same empty slot.  "Unmarked and still Nil" is not enough for
@@ -207,14 +209,8 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (L : LABELING) = struct
         (not (marked prev)) && child prev d == Nil && confirm t prev d key
       in
       if valid then begin
-        (* [write], with the fresh node sealed before it is reachable *)
         let node = make_node key Nil Nil in
-        let link = prepare prev d node in
-        let ts = L.stamp () in
-        seal node ts;
-        set_child prev d ~was:Nil node;
-        L.label link ts;
-        prune t link;
+        write t prev d ~was:Nil node ~born:node ~dies:Nil;
         F.unlock prev;
         true
       end
@@ -224,11 +220,8 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (L : LABELING) = struct
       end
     end
 
-  let leftmost parent0 start =
-    let rec walk sprev s =
-      match child s L with Nil -> (sprev, s) | nl -> walk s nl
-    in
-    walk parent0 start
+  let rec leftmost sprev s =
+    match child s L with Nil -> (sprev, s) | nl -> leftmost s nl
 
   let rec delete t key =
     let prev, d, curr = traverse t key in
@@ -252,7 +245,7 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (L : LABELING) = struct
     end
 
   and splice_out t prev d curr repl =
-    write t prev d ~was:curr repl;
+    write t prev d ~was:curr repl ~born:Nil ~dies:curr;
     mark curr;
     F.unlock curr;
     F.unlock prev;
@@ -281,28 +274,32 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (L : LABELING) = struct
       let replacement =
         make_node (key_of succ) l (if direct then succ_right else r)
       in
-      (* Where finds follow raw links, the final unlink's head joins the
-         relocation's one stamp, so the whole relocation is a single
-         atomic step for snapshots.  Where finds follow heads, the head
-         is a find's path too, and moves after the grace wait below as a
-         write of its own. *)
+      (* One section labels the delete of [curr], the relocation of
+         [succ] and the birth of its replacement with one stamp.  Where
+         finds follow raw links, the final unlink's label joins that
+         stamp too, so the whole relocation is a single atomic step for
+         snapshots, and the unlink itself is a raw link only.  Where finds
+         follow heads, the head is a find's path too, and moves after the
+         grace wait below as a write of its own. *)
       let early = (not direct) && not L.reads_heads in
-      let link = prepare prev d replacement in
-      if early then ignore (prepare succ_prev L succ_right);
-      let ts = L.stamp () in
-      seal replacement ts;
+      let link = L.prepare prev d replacement in
+      let cut = if early then L.prepare succ_prev L succ_right else link in
+      let ts = L.enter t.labels in
+      L.born replacement ts;
+      L.dies t.labels curr ts;
+      L.dies t.labels succ ts;
       set_child prev d ~was:curr replacement;
+      L.label link ts;
+      if early then L.label cut ts;
+      L.leave t.labels link;
       mark curr;
       mark succ;
-      L.label link ts;
-      if early then L.label (head succ_prev L) ts;
-      prune t link;
       if not direct then begin
         (* Unlocked traversals may still be en route to the original
            successor through the old links: drain them before unlinking. *)
-        Grace.wait_until_quiescent t.grace;
+        Reclaim.wait_until_quiescent t.grace;
         if early then set_child succ_prev L ~was:succ succ_right
-        else write t succ_prev L ~was:succ succ_right
+        else write t succ_prev L ~was:succ succ_right ~born:Nil ~dies:Nil
       end;
       F.unlock succ;
       if succ_prev != curr then F.unlock succ_prev;
@@ -311,56 +308,42 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (L : LABELING) = struct
       true
     end
 
-  (* Snapshot handle: the announce-slot guard keeps pruning below the
-     captured label for the handle's lifetime.  Reads at the held label
-     need no grace section: these trees never retire nodes (GC keeps
-     spliced subtrees alive). *)
-  type snap = Rq_registry.snap
+  type snap = L.snap
 
-  let snapshot t =
-    Rq_registry.snapshot t.registry ~floor:L.T.read_floor ~label:L.snap_label
-
-  let snap_label = Rq_registry.snap_label
-  let snap_release t s = Rq_registry.snap_release t.registry s
+  let snapshot t = L.snapshot t.labels
+  let snap_label = L.snap_label
+  let snap_release t s = L.snap_release t.labels s
 
   let buf_scratch : Sync.Scratch.Int_buffer.t Sync.Scratch.t =
     Sync.Scratch.make (fun () -> Sync.Scratch.Int_buffer.create ())
 
   (* Range read at a snapshot label.  In-order traversal fills the
-     per-domain buffer ascending.  Under vCAS the relocation is two
-     versioned writes, so a snapshot between them meets the relocated key
-     twice; [to_sorted_array] drops the duplicate, and costs nothing over
-     [to_array] on an ascending buffer. *)
+     per-domain buffer ascending; limbo keys land after it, out of order.
+     Under vCAS the relocation is two versioned writes, so a snapshot
+     between them meets the relocated key twice; [to_sorted_array] sorts
+     and drops the duplicate, and costs nothing over [to_array] on an
+     ascending buffer. *)
   let collect_at t s ~lo ~hi =
     let ts = snap_label s in
     let buf = Sync.Scratch.get buf_scratch in
     Sync.Scratch.Int_buffer.clear buf;
     let rec walk = function
       | Nil -> ()
-      | Node n ->
-        if lo < n.key then walk (L.value_at n.hleft ts);
-        if n.key >= lo && n.key <= hi then
-          Sync.Scratch.Int_buffer.push buf n.key;
-        if hi > n.key then walk (L.value_at n.hright ts)
+      | Node m as n ->
+        if lo < m.key then walk (L.snap_child n L ts);
+        if m.key >= lo && m.key <= hi && L.visible ts n then
+          Sync.Scratch.Int_buffer.push buf m.key;
+        if hi > m.key then walk (L.snap_child n R ts)
     in
     Hwts_trace.Span.enter Hwts_trace.Traverse;
-    walk (L.value_at (head t.root R) ts);
+    L.reading t.labels walk (L.snap_child t.root R ts);
     Hwts_trace.Span.exit Hwts_trace.Traverse;
+    L.collect_limbo t.labels ts ~lo ~hi buf;
     Sync.Scratch.Int_buffer.to_sorted_array buf
 
-  (* Point read at the held label: directed descent through the
-     versioned links at [ts]. *)
-  let lookup_at t s key =
-    let ts = snap_label s in
-    let rec walk = function
-      | Nil -> false
-      | Node m as n ->
-        m.key = key || walk (L.value_at (head n (dir_of n key)) ts)
-    in
-    Hwts_trace.Span.enter Hwts_trace.Traverse;
-    let r = walk (L.value_at (head t.root R) ts) in
-    Hwts_trace.Span.exit Hwts_trace.Traverse;
-    r
+  (* Point read at the held label: a range read of [key] alone, which
+     descends toward it as a directed search would. *)
+  let lookup_at t s key = Array.length (collect_at t s ~lo:key ~hi:key) > 0
 
   let to_list t =
     let rec walk acc = function
@@ -372,6 +355,124 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (L : LABELING) = struct
     walk [] (child t.root R)
 
   let size t = List.length (to_list t)
-  let quiesce t = Grace.quiesce t.grace
-  let offline t = Grace.offline t.grace
+  let quiesce t = Reclaim.quiesce t.grace
+  let offline t = Reclaim.offline t.grace
+end
+
+(* What vCAS and Bundling differ in; {!Heads} builds the rest of their
+   labeling from it. *)
+module type VERSIONS = sig
+  module T : Hwts.Timestamp.S
+
+  val name : string
+
+  val reads_heads : bool
+  (** As {!LABELING.reads_heads}. *)
+
+  val fresh : 'a -> 'a Chain.version
+  (** The head of a new node's edge.  vCAS: labeled now.  Bundling:
+      pending, labeled by the update that links the node. *)
+
+  val stamp : unit -> int
+  (** Taken once per update before its raw links change.  Bundling
+      advances the clock and labels every version the update installs
+      with it; vCAS takes none (0) and labels each version by helping. *)
+
+  val label : 'a Chain.version -> int -> unit
+  (** Label a just-installed version of the update with its stamp (vCAS:
+      publish it, helping if needed). *)
+
+  val value_at : 'a Chain.version -> int -> 'a
+  (** The value at a snapshot label (vCAS helps, Bundling waits). *)
+
+  val snap_label : unit -> int
+  (** vCAS: the snapshot advances the clock.  Bundling: a plain read. *)
+
+  val prune_from : 'a Chain.version -> int -> unit
+end
+
+(* Labels on the edges: each of a node's words is the head of the version
+   chain of its link on that side.  Under a node's lock a raw link and
+   its head's value agree; locked validation reads the raw links,
+   snapshots the heads. *)
+module Heads (R : Hwts_reclaim.Intf.BACKEND) (V : VERSIONS) = struct
+  (* The constructor is unboxed: a word is the head version itself, and
+     [H] only ties the recursion between a node and its versions. *)
+  type w = H of w node Chain.version [@@unboxed]
+
+  (* The backend is used purely as a grace mechanism here.  Nothing is
+     retired: GC keeps a spliced subtree alive for the snapshots that can
+     still reach it through older versions. *)
+  module Reclaim = R.Make (struct
+    type t = w node
+  end)
+
+  module F = Field_lock.Make (struct
+    type t = w node
+
+    let lock_field = 3
+    let locked = function Node n -> n.lock | Nil -> false
+  end)
+
+  type t = Rq_registry.t
+  type link = w node Chain.version
+  type snap = Rq_registry.snap
+
+  let name = V.name
+  let reads_heads = V.reads_heads
+  let on_free = None
+  let fresh target = H (V.fresh target)
+
+  (* the head of the versioned link from [n] toward [d]; [n] is never
+     [Nil] *)
+  let head n d =
+    match (n, d) with
+    | Node { w0 = H h; _ }, L | Node { w1 = H h; _ }, R -> h
+    | Nil, _ -> invalid_arg "Citrus_core.head: Nil"
+
+  (* Push a pending version for [target] onto the link; [label] labels
+     it. *)
+  let prepare n d target =
+    let was = head n d in
+    assert (Chain.label was <> 0);
+    let version = Chain.successor was target in
+    F.install n (match d with L -> 5 | R -> 6) ~was version;
+    version
+
+  let enter _ = V.stamp ()
+
+  let born node ts =
+    match node with
+    | Node { w0 = H l; w1 = H r; _ } ->
+      V.label l ts;
+      V.label r ts
+    | Nil -> ()
+
+  (* The root is labeled at creation: a creation label only needs to
+     predate the first snapshot that reads it. *)
+  let create root _ =
+    born root (V.T.read_floor ());
+    Rq_registry.create ()
+
+  let dies _ _ _ = ()
+  let label = V.label
+
+  (* History pruning under the announce-then-read rule; the floor comes
+     from the lazily refreshed registry cache. *)
+  let leave registry version =
+    V.prune_from version
+      (Rq_registry.min_active_cached registry ~default:(Chain.label version))
+
+  (* The announce-slot guard keeps pruning below the captured label for
+     the handle's lifetime.  Reads at the held label need no read section
+     and no limbo: nothing is retired. *)
+  let snapshot registry =
+    Rq_registry.snapshot registry ~floor:V.T.read_floor ~label:V.snap_label
+
+  let snap_label = Rq_registry.snap_label
+  let snap_release = Rq_registry.snap_release
+  let snap_child n d ts = V.value_at (head n d) ts
+  let visible _ _ = true
+  let reading _ f x = f x
+  let collect_limbo _ _ ~lo:_ ~hi:_ _ = ()
 end

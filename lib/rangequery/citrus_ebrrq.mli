@@ -1,13 +1,15 @@
 (** Lock-based EBR-RQ port of the Citrus tree (the Figure-4 system).
 
-    Nodes carry insertion and deletion timestamps; deleted nodes are
-    retired into {!Ebr} limbo lists.  A range query advances the timestamp
-    while holding a global readers-writer lock in exclusive mode, then
-    scans the structure {e and} the limbo lists, keeping keys whose
-    [itime <= ts < dtime] window covers its snapshot.  Updates label nodes
-    while holding the same lock in shared mode, which makes "read the
-    timestamp" and "write it into the node" atomic with respect to range
-    queries — the coarse-grained timestamp labeling of Section IV.
+    The tree is the one citrus-vcas and citrus-bundle run; only the
+    labels differ.  Nodes carry insertion and deletion timestamps;
+    deleted nodes are retired into the reclamation backend's limbo lists.
+    A range query advances the timestamp while holding a global
+    readers-writer lock in exclusive mode, then scans the structure {e and}
+    the limbo lists, keeping keys whose [itime <= ts < dtime] window covers
+    its snapshot.  Updates label nodes while holding the same lock in
+    shared mode, which makes "read the timestamp" and "write it into the
+    node" atomic with respect to range queries — the coarse-grained
+    timestamp labeling of Section IV.
 
     That rwlock is the point of this port: even with hardware timestamps,
     every operation still hits one contended word, so TSC brings little

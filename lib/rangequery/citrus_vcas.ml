@@ -1,8 +1,8 @@
 module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
   module V = Vcas_obj.Make (T)
 
-  module C =
-    Citrus_core.Make
+  module Labels =
+    Citrus_core.Heads
       (R)
       (struct
         module T = T
@@ -16,6 +16,8 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
         let snap_label = T.snapshot
         let prune_from = V.prune_from
       end)
+
+  module C = Citrus_core.Make (Labels)
 
   include C
   include Dstruct.Ordered_set.Ranges (C)

@@ -210,10 +210,11 @@ let pause_injects_when_enabled () =
 
 (* ---------- recorded histories under fault injection ---------- *)
 
-let torture ?(multi = false) structure provider () =
+let torture ?(multi = false) ?reclaim structure provider () =
   let cfg =
     {
-      (Torture.default_config ~multi ~structure ~provider ~seed:0xC0FFEE ())
+      (Torture.default_config ?reclaim ~multi ~structure ~provider
+         ~seed:0xC0FFEE ())
       with
       rounds = 4;
     }
@@ -222,16 +223,18 @@ let torture ?(multi = false) structure provider () =
   (match o.Torture.failure with
   | None -> ()
   | Some f ->
-    (* leave the full history behind as a replayable fixture; the
-       multi-point case shares structure, provider and seed with the
-       single-point one, so its file is tagged like the checked-in
-       multi fixture *)
+    (* leave the full history behind as a replayable fixture, tagged with
+       the backend off the default and with the multi-point mode (like
+       the checked-in multi fixture), since those cases share structure,
+       provider and seed with the plain one *)
     let file =
-      if multi then
-        Printf.sprintf "check-%s-%s-multi-seed%d.trace" structure
-          (Workload.Targets.ts_name provider)
-          cfg.Torture.seed
-      else Torture.trace_path cfg
+      Printf.sprintf "check-%s-%s%s%s-seed%d.trace" structure
+        (Workload.Targets.ts_name provider)
+        (match reclaim with
+        | Some r -> "-" ^ Workload.Targets.reclaim_name r
+        | None -> "")
+        (if multi then "-multi" else "")
+        cfg.Torture.seed
     in
     let path = Filename.concat (Sys.getcwd ()) file in
     Torture.write_trace ~path cfg f;
@@ -274,6 +277,20 @@ let torture_cases =
       ("citrus-ebrrq", `Hardware_strict);
       ("bst-ebrrq-lockfree", `Logical);
     ]
+  (* The Citrus relocation's grace wait and citrus-ebrrq's limbo recovery
+     go through the reclamation backend, so the three Citrus trees also
+     run under both QSBR backends. *)
+  @ List.concat_map
+      (fun reclaim ->
+        List.map
+          (fun structure ->
+            Alcotest.test_case
+              (Printf.sprintf "%s/logical/%s recorded history" structure
+                 (Workload.Targets.reclaim_name reclaim))
+              `Slow
+              (torture ~reclaim structure `Logical))
+          [ "citrus-vcas"; "citrus-bundle"; "citrus-ebrrq" ])
+      [ `Qsbr; `Qsbr_tsc ]
 
 (* Multi-point rounds: every structure in the zoo, under three providers
    (the lock-free EBR-RQ is logical-only), so the one-cut-per-handle

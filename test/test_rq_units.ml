@@ -968,7 +968,7 @@ let layout_cases =
       fun () -> words_per_key Kv.create (fun t k -> Kv.add t k k) );
     ("citrus-vcas", 16., fun () -> words_per_key Cv.create Cv.insert);
     ("citrus-bundle", 16., fun () -> words_per_key Cb.create Cb.insert);
-    ("citrus-ebrrq", 9., fun () -> words_per_key Ce.create Ce.insert);
+    ("citrus-ebrrq", 8., fun () -> words_per_key Ce.create Ce.insert);
     ("skiplist-vcas", 10.6, fun () -> words_per_key Sv.create Sv.insert);
     ("skiplist-bundle", 14.5, fun () -> words_per_key Sb.create Sb.insert);
     ("lazylist-bundle", 10., fun () -> words_per_key Lb.create Lb.insert);

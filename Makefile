@@ -263,7 +263,8 @@ bench-adaptive-smoke: build
 # working tree, each side built from source in a temporary checkout:
 #   make e2e-pairs BASE=<rev> WORKLOAD=<name|all> [PAIRS=10]
 # Prints medians, quartiles and pairs won for setup_s and server_rss_mb,
-# then for the ungated req_per_s and p50_us, per workload (`all`: every
+# then for the ungated req_per_s, p50_us and minor_gcs (the server's
+# gc.minor_collections per repetition), per workload (`all`: every
 # workload in BENCHMARK.json, in turn).
 PAIRS ?= 10
 e2e-pairs:

@@ -150,9 +150,19 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : LOGICAL) = struct
     && Atomic.compare_and_set anc_cell anc_edge
          { target = promoted.target; flagged = promoted.flagged; tagged = false }
 
-  let rec insert t key = Reclaim.with_op t.ebr (fun () -> insert_loop t key)
+  (* [op t f key]: [f t key] in an op section opened with a bare
+     [enter]/[exit], closed on a raise too; no closure is allocated. *)
+  let op t f key =
+    Reclaim.enter t.ebr;
+    match f t key with
+    | v ->
+      Reclaim.exit t.ebr;
+      v
+    | exception e ->
+      Reclaim.exit t.ebr;
+      raise e
 
-  and insert_loop t key =
+  let rec insert_loop t key =
     assert (key < inf0);
     let r = seek t key in
     if r.leaf_key = key then begin
@@ -193,9 +203,9 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : LOGICAL) = struct
       end
     end
 
-  let rec delete t key = Reclaim.with_op t.ebr (fun () -> delete_loop t key)
+  let insert t key = op t insert_loop key
 
-  and delete_loop t key =
+  let rec delete_loop t key =
     let r = seek t key in
     if r.leaf_key <> key then false
     else if r.par_edge.flagged || r.par_edge.tagged then begin
@@ -236,6 +246,8 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : LOGICAL) = struct
     if r.leaf != leaf then true
     else if cleanup r then true
     else finish t key leaf
+
+  let delete t key = op t delete_loop key
 
   let contains t key =
     let rec down node =

@@ -145,26 +145,56 @@ module Make (L : LABELING) = struct
   (* One unlocked step of [find] from [n] toward [d]. *)
   let step n d = if L.reads_heads then L.snap_child n d max_int else child n d
 
-  (* [(prev, d, n)]: [n] is [prev]'s [d] child and holds [key], or is
-     [Nil] where [key] would be attached. *)
+  (* No walk below allocates but [delete]'s: each is a function of its
+     own, not a closure over [key], and [traverse] opens its read section
+     with bare [read_lock]/[read_unlock].
+
+     [seek key n] from [n] (the root): the node that holds [key], or the
+     node whose empty child toward [key] is where [key] would be
+     attached.  The root is never compared against [key], so the two
+     answers differ in their key (see [holds]), and the direction to the
+     empty slot follows from it. *)
+  let rec seek key n =
+    match step n (if key < key_of n then L else R) with
+    | Node m as c when m.key <> key -> seek key c
+    | Node _ as c -> c
+    | Nil -> n
+
   let find root key =
-    let rec walk prev d n =
-      match n with
-      | Node m when m.key <> key ->
-        let d' = if key < m.key then L else R in
-        walk n d' (step n d')
-      | Node _ | Nil -> (prev, d, n)
-    in
     Hwts_trace.Span.enter Hwts_trace.Traverse;
-    let r = walk root R (step root R) in
+    let n = seek key root in
+    Hwts_trace.Span.exit Hwts_trace.Traverse;
+    n
+
+  (* [(prev, d, n)]: [n] is [prev]'s [d] child and holds [key], or is
+     [Nil] where [key] would be attached.  Only [delete] needs [prev]. *)
+  let rec walk key prev d n =
+    match n with
+    | Node m when m.key <> key ->
+      let d' = if key < m.key then L else R in
+      walk key n d' (step n d')
+    | Node _ | Nil -> (prev, d, n)
+
+  let find_edge root key =
+    Hwts_trace.Span.enter Hwts_trace.Traverse;
+    let r = walk key root R (step root R) in
     Hwts_trace.Span.exit Hwts_trace.Traverse;
     r
 
-  let traverse t key = Reclaim.with_read t.grace (fun () -> find t.root key)
+  (* [f t.root key] in a read section, closed on a raise too. *)
+  let traverse t f key =
+    Reclaim.read_lock t.grace;
+    match f t.root key with
+    | r ->
+      Reclaim.read_unlock t.grace;
+      r
+    | exception e ->
+      Reclaim.read_unlock t.grace;
+      raise e
 
-  let contains t key =
-    let _, _, found = traverse t key in
-    found != Nil
+  (* Whether [find]'s answer [n] holds [key]; the root holds no key. *)
+  let holds t n key = n != t.root && key_of n = key
+  let contains t key = holds t (traverse t find key) key
 
   (* One labeled write by the holder of [n]'s lock of the link toward [d],
      which it read as [was], linking the fresh [born] or unlinking [dies]
@@ -194,19 +224,19 @@ module Make (L : LABELING) = struct
      walk sees the current routing, and any re-keying that lands between
      this check and the raw link must lock one of the nodes the
      relocation already holds — which includes every attach point it
-     moves. *)
-  let confirm t prev d key =
-    let p', d', n = find t.root key in
-    n == Nil && p' == prev && d' = d
+     moves.  [prev] holds another key, so a walk that ends at it ends at
+     its empty slot toward [key]. *)
+  let confirm t prev key = find t.root key == prev
 
   let rec insert t key =
     assert (key > Dstruct.Ordered_set.min_key && key <= Dstruct.Ordered_set.max_key);
-    let prev, d, found = traverse t key in
-    if found != Nil then false
+    let prev = traverse t find key in
+    if holds t prev key then false
     else begin
+      let d = if key < key_of prev then L else R in
       F.lock prev;
       let valid =
-        (not (marked prev)) && child prev d == Nil && confirm t prev d key
+        (not (marked prev)) && child prev d == Nil && confirm t prev key
       in
       if valid then begin
         let node = make_node key Nil Nil in
@@ -224,7 +254,7 @@ module Make (L : LABELING) = struct
     match child s L with Nil -> (sprev, s) | nl -> leftmost s nl
 
   let rec delete t key =
-    let prev, d, curr = traverse t key in
+    let prev, d, curr = traverse t find_edge key in
     if curr == Nil then false
     else begin
       F.lock prev;

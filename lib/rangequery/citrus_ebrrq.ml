@@ -102,7 +102,15 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
        them from the limbo lists, as EBR-RQ does. *)
     let snap_child n d _ = child n d
     let visible = covers
-    let reading t f x = Reclaim.with_read t.ebr (fun () -> f x)
+    let reading t f x =
+      Reclaim.read_lock t.ebr;
+      match f x with
+      | v ->
+        Reclaim.read_unlock t.ebr;
+        v
+      | exception e ->
+        Reclaim.read_unlock t.ebr;
+        raise e
 
     let collect_limbo t ts ~lo ~hi buf =
       Reclaim.fold_limbo t.ebr ~init:() ~f:(fun () n ->
@@ -115,10 +123,22 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
     include Citrus_core.Make (Labels)
 
     (* Every operation runs in an op section, which pins limbo for the
-       range queries that recover from it. *)
-    let contains t key = Reclaim.with_op t.grace (fun () -> contains t key)
-    let insert t key = Reclaim.with_op t.grace (fun () -> insert t key)
-    let delete t key = Reclaim.with_op t.grace (fun () -> delete t key)
+       range queries that recover from it.  [op t f key] opens it with a
+       bare [enter]/[exit], closed on a raise too, and allocates no
+       closure. *)
+    let op t f key =
+      Reclaim.enter t.grace;
+      match f t key with
+      | v ->
+        Reclaim.exit t.grace;
+        v
+      | exception e ->
+        Reclaim.exit t.grace;
+        raise e
+
+    let contains t key = op t contains key
+    let insert t key = op t insert key
+    let delete t key = op t delete key
   end
 
   include C

@@ -69,9 +69,17 @@ module Reads = struct
       end
     end
 
+  (* No [Fun.protect]: its closures would be the section's only
+     allocation.  The [match] still closes the section on a raise. *)
   let with_read t f =
     read_lock t;
-    Fun.protect ~finally:(fun () -> read_unlock t) f
+    match f () with
+    | v ->
+      read_unlock t;
+      v
+    | exception e ->
+      read_unlock t;
+      raise e
 
   (* The caller's own slot is skipped: called from inside a read section
      (a protocol violation) it would otherwise wait for itself forever. *)
@@ -82,19 +90,21 @@ module Reads = struct
     let me = Sync.Slot.my_slot () in
     let epoch = Atomic.fetch_and_add t.global 1 + 1 in
     let backoff = Sync.Backoff.make () in
+    (* A loop, not a closure per slot: a citrus relocation waits here, and
+       256 closures would be most of what its delete allocates. *)
     for slot = 0 to Sync.Slot.max_slots - 1 do
       let cell = t.announce.(slot) in
-      let rec wait () =
+      (* A reader blocks the grace period only if it entered before the
+         epoch bump and is still inside its section. *)
+      while
+        slot <> me
+        &&
         let a = Atomic.get cell in
-        (* A reader blocks the grace period only if it entered before the
-           epoch bump and is still inside its section. *)
-        if a <> 0 && a < epoch then begin
-          Hwts_obs.Counter.incr sync_wait_spins;
-          Sync.Backoff.once backoff;
-          wait ()
-        end
-      in
-      if slot <> me then wait ()
+        a <> 0 && a < epoch
+      do
+        Hwts_obs.Counter.incr sync_wait_spins;
+        Sync.Backoff.once backoff
+      done
     done
 end
 
@@ -178,7 +188,13 @@ struct
 
   let with_op t f =
     enter t;
-    Fun.protect ~finally:(fun () -> exit t) f
+    match f () with
+    | v ->
+      exit t;
+      v
+    | exception e ->
+      exit t;
+      raise e
 
   let read_lock t = Reads.read_lock t.rcu
   let read_unlock t = Reads.read_unlock t.rcu

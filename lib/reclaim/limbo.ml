@@ -41,34 +41,36 @@ let push t slot node ~stamp =
   Atomic.set cell ({ node; stamp } :: Atomic.get cell)
 
 (* Free every entry of [slot] with [bound - stamp > 0] (signed, so
-   stamps may wrap) and return how many were dropped.  One traversal
-   computes the histogram length, the surviving entries and the dropped
-   count together. *)
+   stamps may wrap) and return how many were dropped.  Counting the due
+   entries allocates nothing; the list is rebuilt without them only when
+   there are some. *)
+let rec count_due bound due = function
+  | [] -> due
+  | e :: rest ->
+    count_due bound (if bound - e.stamp > 0 then due + 1 else due) rest
+
 let trim t slot ~bound =
   let cell = t.lists.(slot) in
-  let total = ref 0 and dropped = ref 0 in
-  let keep =
-    List.filter
-      (fun e ->
-        incr total;
-        let live = bound - e.stamp <= 0 in
-        if not live then begin
-          incr dropped;
-          match t.on_free with None -> () | Some f -> f e.node
-        end;
-        live)
-      (Atomic.get cell)
-  in
+  let entries = Atomic.get cell in
   if Hwts_obs.Config.enabled () then begin
-    Hwts_obs.Histogram.record t.limbo_len !total;
-    Hwts_obs.Watermark.observe limbo_hwm !total
+    let total = List.length entries in
+    Hwts_obs.Histogram.record t.limbo_len total;
+    Hwts_obs.Watermark.observe limbo_hwm total
   end;
-  if !dropped > 0 then begin
-    Atomic.set cell keep;
-    ignore (Atomic.fetch_and_add t.reclaimed !dropped);
-    Hwts_obs.Counter.add reclaimed_total !dropped
+  let dropped = count_due bound 0 entries in
+  if dropped > 0 then begin
+    let live e =
+      bound - e.stamp <= 0
+      || begin
+           (match t.on_free with None -> () | Some f -> f e.node);
+           false
+         end
+    in
+    Atomic.set cell (List.filter live entries);
+    ignore (Atomic.fetch_and_add t.reclaimed dropped);
+    Hwts_obs.Counter.add reclaimed_total dropped
   end;
-  !dropped
+  dropped
 
 let fold t ~init ~f =
   let acc = ref init in

@@ -137,9 +137,13 @@ struct
 
   let with_op t f =
     enter t;
-    let r = f () in
-    exit t;
-    r
+    match f () with
+    | v ->
+      exit t;
+      v
+    | exception e ->
+      exit t;
+      raise e
 
   let read_lock t =
     let d = Domain.DLS.get t.dls in
@@ -154,7 +158,13 @@ struct
 
   let with_read t f =
     read_lock t;
-    Fun.protect ~finally:(fun () -> read_unlock t) f
+    match f () with
+    | v ->
+      read_unlock t;
+      v
+    | exception e ->
+      read_unlock t;
+      raise e
 
   let retire t node =
     let d = Domain.DLS.get t.dls in
@@ -200,17 +210,9 @@ struct
       trim t slot
     end
 
-  let wait_until_quiescent t =
-    let d = Domain.DLS.get t.dls in
-    Debug.check (d.nesting = 0)
-      "Qsbr.wait_until_quiescent inside a read section";
-    let me = Sync.Slot.my_slot () in
-    Hwts_obs.Counter.incr grace_waits;
-    Hwts_trace.Span.enter Hwts_trace.Wait;
-    ignore (Atomic.fetch_and_add t.waiters 1);
-    Fun.protect
-      ~finally:(fun () -> ignore (Atomic.fetch_and_add t.waiters (-1)))
-    @@ fun () ->
+  (* Loops, not a closure per slot and a [Fun.protect]: a citrus
+     relocation waits here on its delete path. *)
+  let wait_for_peers t me =
     let backoff = Sync.Backoff.make () in
     for slot = 0 to Sync.Slot.max_slots - 1 do
       if slot <> me && Atomic.get t.announce.(slot) <> offline_stamp then begin
@@ -220,22 +222,33 @@ struct
            this call, which is exactly what the caller needs.  A domain
            coming online later started after this call; it is skipped. *)
         let c0 = Atomic.get t.safe.(slot) in
-        let rec wait () =
-          if
-            Atomic.get t.safe.(slot) = c0
-            && Atomic.get t.announce.(slot) <> offline_stamp
-          then begin
-            Hwts_obs.Counter.incr grace_wait_spins;
-            (* our own Quiesce hook publishes our safe points from in
-               here, so two concurrent waiters release each other *)
-            Sync.Backoff.once backoff;
-            wait ()
-          end
-        in
-        wait ()
+        while
+          Atomic.get t.safe.(slot) = c0
+          && Atomic.get t.announce.(slot) <> offline_stamp
+        do
+          Hwts_obs.Counter.incr grace_wait_spins;
+          (* our own Quiesce hook publishes our safe points from in
+             here, so two concurrent waiters release each other *)
+          Sync.Backoff.once backoff
+        done
       end
-    done;
-    Hwts_trace.Span.exit Hwts_trace.Wait
+    done
+
+  let wait_until_quiescent t =
+    let d = Domain.DLS.get t.dls in
+    Debug.check (d.nesting = 0)
+      "Qsbr.wait_until_quiescent inside a read section";
+    let me = Sync.Slot.my_slot () in
+    Hwts_obs.Counter.incr grace_waits;
+    Hwts_trace.Span.enter Hwts_trace.Wait;
+    ignore (Atomic.fetch_and_add t.waiters 1);
+    match wait_for_peers t me with
+    | () ->
+      ignore (Atomic.fetch_and_add t.waiters (-1));
+      Hwts_trace.Span.exit Hwts_trace.Wait
+    | exception e ->
+      ignore (Atomic.fetch_and_add t.waiters (-1));
+      raise e
 
   let fold_limbo t ~init ~f = Limbo.fold t.limbo ~init ~f
   let limbo_size t = Limbo.size t.limbo

@@ -11,15 +11,15 @@ let try_read_lock t =
   let s = Atomic.get t.state in
   s >= 0 && Atomic.compare_and_set t.state s (s + 1)
 
+(* The backoff state is allocated only when the first attempt fails, so
+   an uncontended acquire allocates nothing. *)
 let read_lock t =
-  let backoff = Backoff.make () in
-  let rec loop () =
-    if not (try_read_lock t) then begin
-      Backoff.once backoff;
-      loop ()
-    end
-  in
-  loop ();
+  if not (try_read_lock t) then begin
+    let backoff = Backoff.make () in
+    while not (try_read_lock t) do
+      Backoff.once backoff
+    done
+  end;
   (* fault injection: stretch the shared-mode section (EBR-RQ labels
      updates inside it) *)
   Pause.point ()
@@ -33,14 +33,12 @@ let try_write_lock t =
 
 let write_lock t =
   ignore (Atomic.fetch_and_add t.waiting_writers 1);
-  let backoff = Backoff.make () in
-  let rec loop () =
-    if not (try_write_lock t) then begin
-      Backoff.once backoff;
-      loop ()
-    end
-  in
-  loop ();
+  if not (try_write_lock t) then begin
+    let backoff = Backoff.make () in
+    while not (try_write_lock t) do
+      Backoff.once backoff
+    done
+  end;
   ignore (Atomic.fetch_and_add t.waiting_writers (-1));
   (* fault injection: stretch the exclusive section (an RQ's snapshot
      point lives inside it) *)
@@ -50,13 +48,26 @@ let write_unlock t =
   let swapped = Atomic.compare_and_set t.state (-1) 0 in
   assert swapped
 
+(* No [Fun.protect] closures; the [match] still releases on a raise. *)
 let with_read t f =
   read_lock t;
-  Fun.protect ~finally:(fun () -> read_unlock t) f
+  match f () with
+  | v ->
+    read_unlock t;
+    v
+  | exception e ->
+    read_unlock t;
+    raise e
 
 let with_write t f =
   write_lock t;
-  Fun.protect ~finally:(fun () -> write_unlock t) f
+  match f () with
+  | v ->
+    write_unlock t;
+    v
+  | exception e ->
+    write_unlock t;
+    raise e
 
 let readers t = max 0 (Atomic.get t.state)
 let write_held t = Atomic.get t.state = -1

@@ -145,13 +145,23 @@ let collect_allocates_only_its_answer name () =
 
 (* ---------- point and update operations allocate no more ---------- *)
 
-(* Words per [contains], per [insert]+[delete] pair and per 100-key
-   [collect_at] on a prefilled tree under EBR and the logical clock, one
-   domain.  Allocation on one domain is deterministic, so each bound is
-   the value measured when the three Citrus trees were last changed: a
-   node field, a closure or a boxed label added on any of these paths
-   fails here without timing anything. *)
-let op_words name ~contains ~pair ~collect () =
+(* Words per [contains], per [insert]+[delete] pair of an absent key,
+   per 100-key [collect_at] and per [delete]+[insert] pair of a present
+   key on a prefilled tree under EBR and the logical clock, one domain.
+   The last deletes inner nodes too, so on the Citrus trees it counts
+   the relocation and its grace wait.  Allocation on one domain is
+   deterministic, so each bound is the value measured when the
+   structure's op paths were last changed: a node field, a closure or a
+   boxed label added on any of these paths fails here without timing
+   anything. *)
+type op_words = {
+  contains : float;
+  pair : float;
+  collect : float;
+  moved : float;
+}
+
+let measure_op_words name =
   with_scratch true @@ fun () ->
   let (module S) =
     (Workload.Targets.instance name `Logical).Workload.Targets.structure
@@ -167,39 +177,71 @@ let op_words name ~contains ~pair ~collect () =
     let (), words = allocated_words f in
     float_of_int words /. float_of_int ops
   in
+  (* a warm-up round grows per-domain scratch and settles the clocks *)
+  for i = 1 to ops do
+    ignore (S.contains t (probe i))
+  done;
+  let contains =
+    per_op (fun () ->
+        for i = 1 to ops do
+          ignore (S.contains t (probe i))
+        done)
+  in
+  let absent i = (2 * (1 + ((i * 7919) mod n))) + 1 in
+  for i = 1 to ops do
+    ignore (S.insert t (absent i) && S.delete t (absent i))
+  done;
+  let pair =
+    per_op (fun () ->
+        for i = 1 to ops do
+          ignore (S.insert t (absent i) && S.delete t (absent i))
+        done)
+  in
+  let s = S.snapshot t in
+  let lo i = 2 * (1 + ((i * 7919) mod (n - 100))) in
+  ignore (S.collect_at t s ~lo:(lo 0) ~hi:(lo 0 + 199));
+  let collect =
+    per_op (fun () ->
+        for i = 1 to ops do
+          ignore (S.collect_at t s ~lo:(lo i) ~hi:(lo i + 199))
+        done)
+  in
+  S.snap_release t s;
+  let present i = 2 * (1 + ((i * 7919) mod n)) in
+  let moved =
+    per_op (fun () ->
+        for i = 1 to ops do
+          ignore (S.delete t (present i) && S.insert t (present i))
+        done)
+  in
+  S.offline t;
+  { contains; pair; collect; moved }
+
+let op_words name ~contains ~pair ~collect ~moved () =
+  let w = measure_op_words name in
   let check what bound w =
     Alcotest.(check bool)
       (Printf.sprintf "%s: %s %.2f words/op <= %.2f" name what w bound)
       true (w <= bound)
   in
-  (* a warm-up round grows per-domain scratch and settles the clocks *)
-  for i = 1 to ops do
-    ignore (S.contains t (probe i))
-  done;
-  check "contains" contains
-    (per_op (fun () ->
-         for i = 1 to ops do
-           ignore (S.contains t (probe i))
-         done));
-  let absent i = (2 * (1 + ((i * 7919) mod n))) + 1 in
-  for i = 1 to ops do
-    ignore (S.insert t (absent i) && S.delete t (absent i))
-  done;
-  check "insert+delete" pair
-    (per_op (fun () ->
-         for i = 1 to ops do
-           ignore (S.insert t (absent i) && S.delete t (absent i))
-         done));
-  let s = S.snapshot t in
-  let lo i = 2 * (1 + ((i * 7919) mod (n - 100))) in
-  ignore (S.collect_at t s ~lo:(lo 0) ~hi:(lo 0 + 199));
-  check "collect_at" collect
-    (per_op (fun () ->
-         for i = 1 to ops do
-           ignore (S.collect_at t s ~lo:(lo i) ~hi:(lo i + 199))
-         done));
-  S.snap_release t s;
-  S.offline t
+  check "contains" contains w.contains;
+  check "insert+delete" pair w.pair;
+  check "collect_at" collect w.collect;
+  check "present delete+insert" moved w.moved
+
+(* A Citrus [contains] allocates at most twice what a bst-vcas one
+   does, and at most one word when that is nothing. *)
+let citrus_contains_like_bst () =
+  let bst = (measure_op_words "bst-vcas").contains in
+  let bound = Float.max 1. (2. *. bst) in
+  List.iter
+    (fun name ->
+      let w = (measure_op_words name).contains in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s contains %.2f words <= %.2f (bst-vcas %.2f)" name w
+           bound bst)
+        true (w <= bound))
+    [ "citrus-vcas"; "citrus-bundle"; "citrus-ebrrq" ]
 
 (* ---------- determinism: scratch reuse must be invisible ---------- *)
 
@@ -401,13 +443,19 @@ let () =
         ] );
       ( "op-alloc",
         List.map
-          (fun (name, contains, pair, collect) ->
+          (fun (name, contains, pair, collect, moved) ->
             Alcotest.test_case name `Quick
-              (op_words name ~contains ~pair ~collect))
+              (op_words name ~contains ~pair ~collect ~moved))
           [
-            ("citrus-vcas", 24., 90., 109.);
-            ("citrus-bundle", 24., 90., 109.);
-            ("citrus-ebrrq", 39.25, 126.45, 138.);
+            ("citrus-vcas", 0., 36., 109., 69.02);
+            ("citrus-bundle", 0., 36., 109., 69.02);
+            ("citrus-ebrrq", 0., 24.11, 125., 49.82);
+            ("bst-vcas", 0., 64., 101., 64.);
+            ("bst-ebrrq-lockfree", 8., 139.21, 130., 139.11);
+          ]
+        @ [
+            Alcotest.test_case "citrus contains <= 2x bst-vcas" `Quick
+              citrus_contains_like_bst;
           ] );
       ( "determinism",
         [

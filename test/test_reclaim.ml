@@ -493,6 +493,85 @@ let violations_degrade (module B : Reclaim.Intf.BACKEND) () =
     (violations ());
   R.offline r
 
+(* ---------- sections close when the body raises ---------- *)
+
+exception Body
+
+let raises f = match f () with () -> false | exception Body -> true
+
+(* A [with_op] and a [with_read] whose bodies raise leave both sections
+   closed: the next [enter] (EBR checks its announce slot) and a grace
+   wait here (every backend checks the read nesting) count no violation,
+   and a grace wait from another domain returns while this one keeps
+   passing op exits.  Should it hang on a section left open, closing
+   that section by hand after two seconds lets it return, so a failure
+   cannot hang the suite. *)
+let closed_on_raise (module B : Reclaim.Intf.BACKEND) () =
+  debug_off ();
+  let module R = B.Make (Cell) in
+  let r = R.create () in
+  let violations () = counter "reclaim.invariant_violations" in
+  Sync.Slot.with_slot (fun _ ->
+      let before = violations () in
+      Alcotest.(check bool) "with_op re-raises" true
+        (raises (fun () -> R.with_op r (fun () -> raise Body)));
+      Alcotest.(check bool) "with_read re-raises" true
+        (raises (fun () -> R.with_read r (fun () -> raise Body)));
+      R.enter r;
+      R.exit r;
+      R.wait_until_quiescent r;
+      Alcotest.(check int) "no violation after the raises" before
+        (violations ());
+      let waited = Atomic.make false in
+      let waiter =
+        Domain.spawn (fun () ->
+            Sync.Slot.with_slot (fun _ ->
+                R.wait_until_quiescent r;
+                Atomic.set waited true))
+      in
+      let deadline = Unix.gettimeofday () +. 2.0 in
+      while (not (Atomic.get waited)) && Unix.gettimeofday () < deadline do
+        R.enter r;
+        R.exit r;
+        Domain.cpu_relax ()
+      done;
+      let returned = Atomic.get waited in
+      if not returned then begin
+        R.read_unlock r;
+        R.offline r
+      end;
+      Domain.join waiter;
+      R.offline r;
+      Alcotest.(check bool) "a peer's grace wait returned" true returned)
+
+(* citrus-ebrrq's insert asserts its key range inside the op section;
+   the failed assert must close it, so a snapshot (which opens an op
+   section of its own) and a range read after it count no violation. *)
+let citrus_assert_closes reclaim () =
+  debug_off ();
+  let inst = Workload.Targets.instance ~reclaim "citrus-ebrrq" `Logical in
+  let (module S : Dstruct.Ordered_set.RQ) = inst.Workload.Targets.structure in
+  let t = S.create () in
+  let violations () = counter "reclaim.invariant_violations" in
+  Sync.Slot.with_slot (fun _ ->
+      for k = 1 to 8 do
+        ignore (S.insert t k)
+      done;
+      let before = violations () in
+      let asserted =
+        match S.insert t Dstruct.Ordered_set.min_key with
+        | _ -> false
+        | exception Assert_failure _ -> true
+      in
+      Alcotest.(check bool) "min_key insert fails its assert" true asserted;
+      let s = S.snapshot t in
+      let keys = S.collect_at t s ~lo:1 ~hi:8 in
+      S.snap_release t s;
+      S.offline t;
+      Alcotest.(check (array int)) "collect_at completes"
+        [| 1; 2; 3; 4; 5; 6; 7; 8 |] keys;
+      Alcotest.(check int) "no violation" before (violations ()))
+
 (* Backend-level poison torture: worker domains race to unlink cells
    from a small shared array (retiring what they unlink) while readers
    dereference through op sections.  A protected reference observing
@@ -633,6 +712,15 @@ let () =
         @ List.map
             (fun (n, f) -> tc ("violations degrade " ^ n) `Quick f)
             (backend_cases violations_degrade) );
+      ( "raise",
+        List.map
+          (fun (n, b) -> tc ("sections closed " ^ n) `Quick (closed_on_raise b))
+          backends
+        @ List.map
+            (fun (n, reclaim) ->
+              tc ("citrus-ebrrq assert " ^ n) `Quick
+                (citrus_assert_closes reclaim))
+            [ ("ebr", `Ebr); ("qsbr", `Qsbr); ("qsbr-tsc", `Qsbr_tsc) ] );
       ( "poison",
         List.map
           (fun (n, b) -> tc ("500 seeded rounds " ^ n) `Slow (poison_rounds b))

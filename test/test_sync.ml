@@ -146,6 +146,28 @@ let rwlock_writer_not_starved () =
   Alcotest.(check bool) "writer acquired under reader churn" true
     (Atomic.get acquired)
 
+(* A section whose body raises is released on the way out: a reader
+   left counted, or the write bit left set, would block every later
+   writer. *)
+exception Body
+
+let rwlock_released_on_raise () =
+  let l = Sync.Rwlock.make () in
+  let raises with_lock =
+    match with_lock l (fun () -> raise Body) with
+    | () -> false
+    | exception Body -> true
+  in
+  Alcotest.(check bool) "with_read re-raises" true
+    (raises Sync.Rwlock.with_read);
+  Alcotest.(check int) "no reader left" 0 (Sync.Rwlock.readers l);
+  Alcotest.(check bool) "with_write re-raises" true
+    (raises Sync.Rwlock.with_write);
+  Alcotest.(check bool) "write bit cleared" false (Sync.Rwlock.write_held l);
+  Alcotest.(check int) "still no reader" 0 (Sync.Rwlock.readers l);
+  Alcotest.(check bool) "free for a writer" true (Sync.Rwlock.try_write_lock l);
+  Sync.Rwlock.write_unlock l
+
 (* ---------- RDCSS ---------- *)
 
 let rdcss_success () =
@@ -267,6 +289,8 @@ let () =
             rwlock_readers_and_writers;
           Alcotest.test_case "rwlock writer preference" `Slow
             rwlock_writer_not_starved;
+          Alcotest.test_case "rwlock released on raise" `Quick
+            rwlock_released_on_raise;
         ] );
       ( "rdcss",
         [

@@ -50,6 +50,14 @@ check-torture: build
 	  dune exec bin/hwts_cli.exe -- check --structure $$s \
 	    --reclaim qsbr-tsc --rounds 24 --seed 0xC0FFEE || exit 1; \
 	done
+	# bst-vcas under rdtscp-strict is the served scan-large pairing.  Its
+	# edges go bare whenever no snapshot needs their history, so an edge
+	# can come back to a node it held and a CAS that expects that node
+	# succeeds again; multi-range rounds hold snapshots across such writes.
+	for seed in 0xC0FFEE 0xBADF00D; do \
+	  dune exec bin/hwts_cli.exe -- check --structure bst-vcas \
+	    --provider rdtscp-strict --multi --rounds 24 --seed $$seed || exit 1; \
+	done
 	$(MAKE) bench-hotpath-guard
 
 # Re-measure the optimized leg with fault injection disabled (the
@@ -263,9 +271,10 @@ bench-adaptive-smoke: build
 # working tree, each side built from source in a temporary checkout:
 #   make e2e-pairs BASE=<rev> WORKLOAD=<name|all> [PAIRS=10]
 # Prints medians, quartiles and pairs won for setup_s and server_rss_mb,
-# then for the ungated req_per_s, p50_us and minor_gcs (the server's
-# gc.minor_collections per repetition), per workload (`all`: every
-# workload in BENCHMARK.json, in turn).
+# then for the ungated req_per_s, p50_us, minor_gcs and heap_words (the
+# server's gc.minor_collections and gc.heap_words, each averaged over a
+# run's repetitions), per workload (`all`: every workload in
+# BENCHMARK.json, in turn).
 PAIRS ?= 10
 e2e-pairs:
 	@test -n "$(BASE)" && test -n "$(WORKLOAD)" || \

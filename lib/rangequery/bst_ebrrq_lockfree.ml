@@ -249,14 +249,17 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : LOGICAL) = struct
 
   let delete t key = op t delete_loop key
 
+  (* The leaf [key] routes to from internal node [n]: a module-level
+     recursion, not a closure over [key], so a point read allocates
+     nothing. *)
+  let rec leaf_below key n =
+    match (Atomic.get (child n (dir_of n key))).target with
+    | Leaf l -> l
+    | Internal m -> leaf_below key m
+
   let contains t key =
-    let rec down node =
-      match node with
-      | Leaf l -> l
-      | Internal n -> down (Atomic.get (child n (dir_of n key))).target
-    in
     Hwts_trace.Span.enter Hwts_trace.Traverse;
-    let l = down (Internal t.s) in
+    let l = leaf_below key t.s in
     Hwts_trace.Span.exit Hwts_trace.Traverse;
     if l.lkey = key then begin
       (* Same helping rule as insert's already-present path: label the
@@ -274,29 +277,37 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : LOGICAL) = struct
   let buf_scratch : Sync.Scratch.Int_buffer.t Sync.Scratch.t =
     Sync.Scratch.make (fun () -> Sync.Scratch.Int_buffer.create ())
 
+  let visit buf ts lo hi l =
+    if l.lkey >= lo && l.lkey <= hi && l.lkey < inf0 && covers ts l then begin
+      (* A freed leaf still covered by a live snapshot is the
+         observable shape of a reclamation use-after-free. *)
+      if l.poisoned then
+        Hwts_reclaim.Debug.poison_hit "bst-ebrrq leaf covered after free";
+      Sync.Scratch.Int_buffer.push buf l.lkey
+    end
+
+  let rec collect_into buf ts lo hi = function
+    | Leaf l -> visit buf ts lo hi l
+    | Internal n ->
+      if lo < n.ikey then collect_into buf ts lo hi (Atomic.get n.left).target;
+      if hi >= n.ikey then collect_into buf ts lo hi (Atomic.get n.right).target
+
+  let rec collect_cells buf ts lo hi = function
+    | Hwts_reclaim.Limbo.Nil -> ()
+    | Hwts_reclaim.Limbo.Cons c ->
+      visit buf ts lo hi c.node;
+      collect_cells buf ts lo hi c.next
+
   let collect_ts t ts ~lo ~hi =
     let buf = Sync.Scratch.get buf_scratch in
     Sync.Scratch.Int_buffer.clear buf;
-    let visit l =
-      if l.lkey >= lo && l.lkey <= hi && l.lkey < inf0 && covers ts l then begin
-        (* A freed leaf still covered by a live snapshot is the
-           observable shape of a reclamation use-after-free. *)
-        if l.poisoned then
-          Hwts_reclaim.Debug.poison_hit "bst-ebrrq leaf covered after free";
-        Sync.Scratch.Int_buffer.push buf l.lkey
-      end
-    in
-    let rec walk node =
-      match node with
-      | Leaf l -> visit l
-      | Internal n ->
-        if lo < n.ikey then walk (Atomic.get n.left).target;
-        if hi >= n.ikey then walk (Atomic.get n.right).target
-    in
     Hwts_trace.Span.enter Hwts_trace.Traverse;
-    walk (Internal t.s);
+    (* [r]'s left edge always holds [s] *)
+    collect_into buf ts lo hi (Atomic.get t.r.left).target;
     Hwts_trace.Span.exit Hwts_trace.Traverse;
-    Reclaim.fold_limbo t.ebr ~init:() ~f:(fun () l -> visit l);
+    for slot = 0 to Sync.Slot.max_slots - 1 do
+      collect_cells buf ts lo hi (Reclaim.limbo_cells t.ebr slot)
+    done;
     Sync.Scratch.Int_buffer.to_sorted_array buf
 
   (* Snapshot handle: a non-scoped op section pins the limbo lists for
@@ -327,24 +338,28 @@ module Core (R : Hwts_reclaim.Intf.BACKEND) (T : LOGICAL) = struct
   (* Point read at the held label: directed descent to the external leaf
      for [key] (keys never relocate in this tree), then the limbo lists
      for a just-unlinked leaf still covered at [ts]. *)
+  let hit key ts l =
+    l.lkey = key && covers ts l
+    &&
+    (if l.poisoned then
+       Hwts_reclaim.Debug.poison_hit "bst-ebrrq leaf covered after free";
+     true)
+
+  let rec hit_in_cells key ts = function
+    | Hwts_reclaim.Limbo.Nil -> false
+    | Hwts_reclaim.Limbo.Cons c -> hit key ts c.node || hit_in_cells key ts c.next
+
+  let rec hit_in_limbo t key ts slot =
+    slot < Sync.Slot.max_slots
+    && (hit_in_cells key ts (Reclaim.limbo_cells t.ebr slot)
+       || hit_in_limbo t key ts (slot + 1))
+
   let lookup_at t sn key =
     let ts = snap_label sn in
-    let hit l =
-      l.lkey = key && covers ts l
-      &&
-      (if l.poisoned then
-         Hwts_reclaim.Debug.poison_hit "bst-ebrrq leaf covered after free";
-       true)
-    in
-    let rec down node =
-      match node with
-      | Leaf l -> hit l
-      | Internal n -> down (Atomic.get (child n (dir_of n key))).target
-    in
     Hwts_trace.Span.enter Hwts_trace.Traverse;
-    let in_tree = down (Internal t.s) in
+    let l = leaf_below key t.s in
     Hwts_trace.Span.exit Hwts_trace.Traverse;
-    in_tree || Reclaim.fold_limbo t.ebr ~init:false ~f:(fun acc l -> acc || hit l)
+    hit key ts l || hit_in_limbo t key ts 0
 
   let to_list t =
     let rec walk acc node =

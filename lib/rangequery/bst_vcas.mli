@@ -2,8 +2,10 @@
 
     The Natarajan–Mittal tree ([Bst_vcas_core], shared with
     {!Bst_vcas_kv}) with every child edge replaced by a {!Vcas_obj}
-    version chain whose head is a mutable field of the parent node.
-    Every update linearizes at exactly one versioned CAS, so a snapshot
+    object in a mutable field of the parent node: the edge's node itself
+    once no open snapshot needs the edge's history, else the head of its
+    version chain.  Every update linearizes at exactly one versioned CAS
+    (a flag or tag changes nothing a reader sees), so a snapshot
     that fixes a time [ts] (advancing the timestamp, per vCAS's protocol)
     and traverses the tree at [ts] sees a consistent cut without locks.
 
@@ -22,5 +24,6 @@ module Make (T : Hwts.Timestamp.S) : sig
 
   val version_chain_stats : t -> int * int
   (** (number of edges sampled, total retained versions) along the leftmost
-      spine — a cheap memory-pressure probe for tests. *)
+      spine — a cheap memory-pressure probe for tests.  A bare edge
+      counts as one version. *)
 end

@@ -1,33 +1,29 @@
 module Make (T : Hwts.Timestamp.S) = struct
   module V = Vcas_obj.Make (T)
 
-  (* Natarajan–Mittal external BST whose child edges are vCAS chains.  A
+  (* Natarajan–Mittal external BST whose child edges are vCAS objects.  A
      set keeps its keys in [Leaf]s; a map keeps each binding in an
      [Entry] and uses [Leaf] only for the sentinels.  An [Internal] holds
-     the head version of each child edge in a mutable field, so an edge
-     is one pointer.  A clean edge's version holds its target node
-     itself; only a flagged (leaf being deleted) or tagged (parent being
-     spliced out) edge allocates a [Mark] around its target, and a
-     [Mark]'s target is never itself a [Mark].  A tree level is therefore
-     two heap blocks: version and node.  CAS compares versions, which are
-     fresh per write, so reinstalling a node that was linked before
-     cannot be mistaken for an unchanged edge. *)
+     each child edge in a mutable field, so an edge is one pointer, and
+     that pointer is the edge's value itself whenever no open snapshot
+     can need the edge's history: a tree level is then one heap block.
+     Only an edge written while a snapshot may still read its older
+     values holds a [Versioned] head, whose chain keeps that history.
+     Only a flagged (leaf being deleted) or tagged (parent being spliced
+     out) edge allocates a [Mark] around its target, and a [Mark]'s
+     target is never itself a [Mark]; no value is ever [Versioned]. *)
   type 'v node =
     | Leaf of int
     | Entry of { key : int; value : 'v }
-    | Internal of {
-        ikey : int;
-        mutable left : 'v node V.version;
-        mutable right : 'v node V.version;
-      }
+    | Internal of { ikey : int; mutable left : 'v node; mutable right : 'v node }
     | Mark of { target : 'v node; flagged : bool; tagged : bool }
+    | Versioned of 'v node V.version
 
-  (* Edge heads are read as plain fields and CASed in place.  [Internal]'s
+  (* Edges are read as plain fields and CASed in place.  [Internal]'s
      inline record is its block: [ikey] is field 0, [left] field 1,
      [right] field 2.  Only [cas_edge] below calls the stub, and only on
      an [Internal]. *)
-  external cas_field :
-    'v node -> int -> 'v node V.version -> 'v node V.version -> bool
+  external cas_field : 'v node -> int -> 'v node -> 'v node -> bool
     = "hwts_cas_field"
   [@@noalloc]
 
@@ -53,49 +49,75 @@ module Make (T : Hwts.Timestamp.S) = struct
   let head node left =
     match node with
     | Internal n -> if left then n.left else n.right
-    | Leaf _ | Entry _ | Mark _ -> invalid_arg "Bst_vcas.head: not internal"
+    | Leaf _ | Entry _ | Mark _ | Versioned _ ->
+      invalid_arg "Bst_vcas.head: not internal"
 
-  let edge_value node left = V.value (V.labeled (head node left))
+  (* The current value of an edge as read from its field.  A versioned
+     head is labeled on the way (readers label the heads they return), so
+     a write that installs a successor after it gets an equal or later
+     label. *)
+  let current = function
+    | Versioned head -> V.value (V.labeled head)
+    | node -> node
 
-  (* Install [node] on [parent]'s [left] edge iff its head is still
-     [expected], and label it.  An update's linearizing write ([~prune])
-     then cuts history that no open snapshot can need (announce-then-read
-     makes this safe); the registry floor is the cached one: refreshed
-     lazily, guaranteed never to lead the true minimum. *)
-  let cas_edge t ~prune parent left expected node =
-    head parent left == expected
-    &&
-    let candidate = V.successor expected node in
-    cas_field parent (if left then 1 else 2) expected candidate
+  let edge_value node left = current (head node left)
+
+  (* Install [node] on [parent]'s [left] edge iff the field still holds
+     [expected] (as read through [current]).  Readers follow a [Mark] to
+     its target, so a write that only flags or tags a bare edge changes
+     nothing any reader sees, at any label: it goes in bare.  Any other
+     write goes in as a fresh version whose older link is the edge's
+     history ([V.since_always] for a bare edge), so a snapshot labeled
+     before the write still reads the old value, and is then labeled.
+     The labeled write cuts history that no open snapshot can need
+     (announce-then-read makes this safe; the registry floor is the cached
+     one: refreshed lazily, guaranteed never to lead the true minimum).
+     When no snapshot can need anything older than the write itself — its
+     label is at or below the floor; with no snapshot open the floor is
+     that label — a second CAS replaces the version with its value, and
+     the edge is one pointer to its node again. *)
+  let cas_versioned t parent field expected older node =
+    let candidate = V.successor older node in
+    let versioned = Versioned candidate in
+    cas_field parent field expected versioned
     && begin
          V.publish candidate;
-         if prune then
-           V.prune_from candidate
-             (Rq_registry.min_active_cached t.registry
-                ~default:(V.timestamp candidate));
+         let label = V.timestamp candidate in
+         let floor = Rq_registry.min_active_cached t.registry ~default:label in
+         if not (label <= floor && cas_field parent field versioned node) then
+           V.prune_from candidate floor;
          true
        end
 
+  let cas_edge t parent left expected node =
+    head parent left == expected
+    &&
+    let field = if left then 1 else 2 in
+    (* fault injection: the edge may move on between the read of
+       [expected] and the CAS, and a bare edge may come back to the very
+       node it held *)
+    Sync.Pause.point ();
+    match expected with
+    | Versioned head -> cas_versioned t parent field expected head node
+    | bare when target node == target bare -> cas_field parent field bare node
+    | bare -> cas_versioned t parent field bare (V.since_always bare) node
+
   let create () =
-    let s =
-      Internal
-        { ikey = inf1; left = V.first (Leaf inf0); right = V.first (Leaf inf1) }
-    in
-    let r =
-      Internal { ikey = max_int; left = V.first s; right = V.first (Leaf max_int) }
-    in
+    let s = Internal { ikey = inf1; left = Leaf inf0; right = Leaf inf1 } in
+    let r = Internal { ikey = max_int; left = s; right = Leaf max_int } in
     { root = r; registry = Rq_registry.create () }
 
   (* The seek record names each edge by its node and side: [parent]'s
      [par_left] edge holds the leaf (its other edge the sibling), and
-     [anc]'s [anc_left] edge holds [successor]. *)
+     [anc]'s [anc_left] edge holds [successor].  [par_edge] is that edge's
+     field as the seek read it: what a CAS on it expects. *)
   type 'v seek_record = {
     anc : 'v node;
     anc_left : bool;
     successor : 'v node;
     parent : 'v node;
     par_left : bool;
-    par_ver : 'v node V.version;
+    par_edge : 'v node;
     leaf_key : int;
     leaf : 'v node;
   }
@@ -103,41 +125,42 @@ module Make (T : Hwts.Timestamp.S) = struct
   let key_of = function
     | Leaf k -> k
     | Entry e -> e.key
-    | Internal _ | Mark _ -> invalid_arg "Bst_vcas.key_of: not a leaf"
+    | Internal _ | Mark _ | Versioned _ ->
+      invalid_arg "Bst_vcas.key_of: not a leaf"
 
-  let rec descend key anc anc_left successor parent par_left par_ver node =
-    match node with
-    | Mark m ->
-      descend key anc anc_left successor parent par_left par_ver m.target
-    | Leaf _ | Entry _ ->
-      let leaf_key = key_of node in
-      { anc; anc_left; successor; parent; par_left; par_ver; leaf_key; leaf = node }
-    | Internal n ->
+  (* [value] is the current value of [par_edge]. *)
+  let rec descend key anc anc_left successor parent par_left par_edge value =
+    match target value with
+    | (Leaf _ | Entry _) as leaf ->
+      let leaf_key = key_of leaf in
+      { anc; anc_left; successor; parent; par_left; par_edge; leaf_key; leaf }
+    | Internal n as node ->
       let left = key < n.ikey in
-      let ver = V.labeled (if left then n.left else n.right) in
-      if tagged (V.value par_ver) then
-        descend key anc anc_left successor node left ver (V.value ver)
-      else descend key parent par_left node node left ver (V.value ver)
+      let edge = if left then n.left else n.right in
+      if tagged value then
+        descend key anc anc_left successor node left edge (current edge)
+      else descend key parent par_left node node left edge (current edge)
+    | Mark _ | Versioned _ -> invalid_arg "Bst_vcas.descend: not a value"
 
   (* Entering [s] through [r]'s clean left edge makes [r] the ancestor
      and [s] the successor, the seek's usual start. *)
   let seek t key =
     Hwts_trace.Span.enter Hwts_trace.Traverse;
-    let ver = V.labeled (head t.root true) in
-    let s = V.value ver in
-    let r = descend key t.root true s t.root true ver s in
+    let edge = head t.root true in
+    let s = current edge in
+    let r = descend key t.root true s t.root true edge s in
     Hwts_trace.Span.exit Hwts_trace.Traverse;
     r
 
   let rec tag t parent left =
-    let ver = V.labeled (head parent left) in
-    let e = V.value ver in
+    let edge = head parent left in
+    let e = current edge in
     if tagged e then e
     else
       let tagged_e =
         Mark { target = target e; flagged = flagged e; tagged = true }
       in
-      if cas_edge t ~prune:false parent left ver tagged_e then tagged_e
+      if cas_edge t parent left edge tagged_e then tagged_e
       else tag t parent left
 
   let cleanup t r =
@@ -146,11 +169,11 @@ module Make (T : Hwts.Timestamp.S) = struct
       else r.par_left
     in
     let promoted = tag t r.parent promote_left in
-    let anc_ver = V.labeled (head r.anc r.anc_left) in
-    let anc_edge = V.value anc_ver in
-    target anc_edge == r.successor
-    && (not (tagged anc_edge))
-    && cas_edge t ~prune:false r.anc r.anc_left anc_ver
+    let anc_edge = head r.anc r.anc_left in
+    let anc_value = current anc_edge in
+    target anc_value == r.successor
+    && (not (tagged anc_value))
+    && cas_edge t r.anc r.anc_left anc_edge
          (edge (target promoted) ~flagged:(flagged promoted) ~tagged:false)
 
   (* After a lost CAS on the leaf's edge: help a delete that marked it. *)
@@ -164,23 +187,22 @@ module Make (T : Hwts.Timestamp.S) = struct
   let rec add t key value ~leaf ~overwrite =
     assert (key < inf0);
     let r = seek t key in
-    let par_marked = marked (V.value r.par_ver) in
+    let par_marked = marked (current r.par_edge) in
     if r.leaf_key = key && not overwrite then false
     else if par_marked then begin
       ignore (cleanup t r);
       add t key value ~leaf ~overwrite
     end
     else if r.leaf_key = key then
-      cas_edge t ~prune:true r.parent r.par_left r.par_ver (leaf key value)
+      cas_edge t r.parent r.par_left r.par_edge (leaf key value)
       || add t key value ~leaf ~overwrite
     else begin
       let fresh = leaf key value and ikey = max key r.leaf_key in
       let internal =
-        if key < r.leaf_key then
-          Internal { ikey; left = V.first fresh; right = V.first r.leaf }
-        else Internal { ikey; left = V.first r.leaf; right = V.first fresh }
+        if key < r.leaf_key then Internal { ikey; left = fresh; right = r.leaf }
+        else Internal { ikey; left = r.leaf; right = fresh }
       in
-      cas_edge t ~prune:true r.parent r.par_left r.par_ver internal
+      cas_edge t r.parent r.par_left r.par_edge internal
       || begin
            help_lost t r;
            add t key value ~leaf ~overwrite
@@ -190,13 +212,13 @@ module Make (T : Hwts.Timestamp.S) = struct
   let rec remove t key =
     let r = seek t key in
     if r.leaf_key <> key then false
-    else if marked (V.value r.par_ver) then begin
+    else if marked (current r.par_edge) then begin
       ignore (cleanup t r);
       remove t key
     end
     else
       let flag = Mark { target = r.leaf; flagged = true; tagged = false } in
-      if cas_edge t ~prune:true r.parent r.par_left r.par_ver flag then
+      if cas_edge t r.parent r.par_left r.par_edge flag then
         cleanup t r || finish t key r.leaf
       else begin
         help_lost t r;
@@ -208,11 +230,12 @@ module Make (T : Hwts.Timestamp.S) = struct
     r.leaf != leaf || cleanup t r || finish t key leaf
 
   (* Point reads descend to the leaf [key] routes to at label [ts]
-     ([now] for the current tree). *)
+     ([now] for the current tree).  A bare edge is its value at every
+     label; only a versioned one costs a chain walk. *)
   let rec leaf_at key ts node =
     match node with
-    | Internal n ->
-      leaf_at key ts (V.value_at (if key < n.ikey then n.left else n.right) ts)
+    | Internal n -> leaf_at key ts (if key < n.ikey then n.left else n.right)
+    | Versioned head -> leaf_at key ts (V.value_at head ts)
     | Mark m -> leaf_at key ts m.target
     | Leaf _ | Entry _ -> node
 
@@ -227,7 +250,7 @@ module Make (T : Hwts.Timestamp.S) = struct
 
   let binding key = function
     | Entry e when e.key = key -> Some e.value
-    | Leaf _ | Entry _ | Internal _ | Mark _ -> None
+    | Leaf _ | Entry _ | Internal _ | Mark _ | Versioned _ -> None
 
   let mem t key = holds key (leaf_now t key)
   let find t key = binding key (leaf_now t key)
@@ -246,8 +269,9 @@ module Make (T : Hwts.Timestamp.S) = struct
     | Entry e ->
       if e.key >= lo && e.key <= hi then Sync.Scratch.Int_buffer.push buf e.key
     | Internal n ->
-      if lo < n.ikey then keys_into buf ts lo hi (V.value_at n.left ts);
-      if hi >= n.ikey then keys_into buf ts lo hi (V.value_at n.right ts)
+      if lo < n.ikey then keys_into buf ts lo hi n.left;
+      if hi >= n.ikey then keys_into buf ts lo hi n.right
+    | Versioned head -> keys_into buf ts lo hi (V.value_at head ts)
     | Mark m -> keys_into buf ts lo hi m.target
 
   let keys t ts ~lo ~hi =
@@ -264,11 +288,10 @@ module Make (T : Hwts.Timestamp.S) = struct
     | Leaf _ -> acc
     | Internal n ->
       let acc =
-        if hi >= n.ikey then bindings_onto acc ts lo hi (V.value_at n.right ts)
-        else acc
+        if hi >= n.ikey then bindings_onto acc ts lo hi n.right else acc
       in
-      if lo < n.ikey then bindings_onto acc ts lo hi (V.value_at n.left ts)
-      else acc
+      if lo < n.ikey then bindings_onto acc ts lo hi n.left else acc
+    | Versioned head -> bindings_onto acc ts lo hi (V.value_at head ts)
     | Mark m -> bindings_onto acc ts lo hi m.target
 
   let bindings t ts ~lo ~hi =
@@ -295,13 +318,15 @@ module Make (T : Hwts.Timestamp.S) = struct
   let to_alist t = bindings t now ~lo:min_int ~hi:max_int
   let size t = Array.length (keys t now ~lo:min_int ~hi:max_int)
 
+  (* Edges and versions along the left spine; a bare edge is one
+     version, the one a pruned chain would keep. *)
   let version_chain_stats t =
     let rec spine edges versions node =
       match node with
       | Internal n ->
-        spine (edges + 1) (versions + V.chain_of n.left)
-          (target (V.value (V.labeled n.left)))
-      | Leaf _ | Entry _ | Mark _ -> (edges, versions)
+        let held = match n.left with Versioned head -> V.chain_of head | _ -> 1 in
+        spine (edges + 1) (versions + held) (target (current n.left))
+      | Leaf _ | Entry _ | Mark _ | Versioned _ -> (edges, versions)
     in
     spine 0 0 t.root
 end

@@ -99,8 +99,9 @@ module type LABELING = sig
   val visible : int -> w node -> bool
   (** Whether a node a snapshot walk reaches holds its key at the label. *)
 
-  val reading : t -> ('a -> 'b) -> 'a -> 'b
-  (** [reading t f x] runs a snapshot's walk of the tree, [f x]. *)
+  val read_enter : t -> unit
+  val read_exit : t -> unit
+  (** Bracket a snapshot's walk of the tree. *)
 
   val collect_limbo :
     t -> int -> lo:int -> hi:int -> Sync.Scratch.Int_buffer.t -> unit
@@ -353,20 +354,25 @@ module Make (L : LABELING) = struct
      between them meets the relocated key twice; [to_sorted_array] sorts
      and drops the duplicate, and costs nothing over [to_array] on an
      ascending buffer. *)
+  let rec collect_into buf ts lo hi = function
+    | Nil -> ()
+    | Node m as n ->
+      if lo < m.key then collect_into buf ts lo hi (L.snap_child n L ts);
+      if m.key >= lo && m.key <= hi && L.visible ts n then
+        Sync.Scratch.Int_buffer.push buf m.key;
+      if hi > m.key then collect_into buf ts lo hi (L.snap_child n R ts)
+
   let collect_at t s ~lo ~hi =
     let ts = snap_label s in
     let buf = Sync.Scratch.get buf_scratch in
     Sync.Scratch.Int_buffer.clear buf;
-    let rec walk = function
-      | Nil -> ()
-      | Node m as n ->
-        if lo < m.key then walk (L.snap_child n L ts);
-        if m.key >= lo && m.key <= hi && L.visible ts n then
-          Sync.Scratch.Int_buffer.push buf m.key;
-        if hi > m.key then walk (L.snap_child n R ts)
-    in
     Hwts_trace.Span.enter Hwts_trace.Traverse;
-    L.reading t.labels walk (L.snap_child t.root R ts);
+    L.read_enter t.labels;
+    (match collect_into buf ts lo hi (L.snap_child t.root R ts) with
+     | () -> L.read_exit t.labels
+     | exception e ->
+       L.read_exit t.labels;
+       raise e);
     Hwts_trace.Span.exit Hwts_trace.Traverse;
     L.collect_limbo t.labels ts ~lo ~hi buf;
     Sync.Scratch.Int_buffer.to_sorted_array buf
@@ -503,6 +509,7 @@ module Heads (R : Hwts_reclaim.Intf.BACKEND) (V : VERSIONS) = struct
   let snap_release = Rq_registry.snap_release
   let snap_child n d ts = V.value_at (head n d) ts
   let visible _ _ = true
-  let reading _ f x = f x
+  let read_enter _ = ()
+  let read_exit _ = ()
   let collect_limbo _ _ ~lo:_ ~hi:_ _ = ()
 end

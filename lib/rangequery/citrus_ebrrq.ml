@@ -102,21 +102,21 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
        them from the limbo lists, as EBR-RQ does. *)
     let snap_child n d _ = child n d
     let visible = covers
-    let reading t f x =
-      Reclaim.read_lock t.ebr;
-      match f x with
-      | v ->
-        Reclaim.read_unlock t.ebr;
-        v
-      | exception e ->
-        Reclaim.read_unlock t.ebr;
-        raise e
+    let read_enter t = Reclaim.read_lock t.ebr
+    let read_exit t = Reclaim.read_unlock t.ebr
+
+    let rec collect_cells buf ts lo hi = function
+      | Hwts_reclaim.Limbo.Nil -> ()
+      | Hwts_reclaim.Limbo.Cons c ->
+        let k = key_of c.node in
+        if k >= lo && k <= hi && covers ts c.node then
+          Sync.Scratch.Int_buffer.push buf k;
+        collect_cells buf ts lo hi c.next
 
     let collect_limbo t ts ~lo ~hi buf =
-      Reclaim.fold_limbo t.ebr ~init:() ~f:(fun () n ->
-          let k = key_of n in
-          if k >= lo && k <= hi && covers ts n then
-            Sync.Scratch.Int_buffer.push buf k)
+      for slot = 0 to Sync.Slot.max_slots - 1 do
+        collect_cells buf ts lo hi (Reclaim.limbo_cells t.ebr slot)
+      done
   end
 
   module C = struct

@@ -42,6 +42,9 @@ module Make (T : Hwts.Timestamp.S) = struct
 
   let first v = labeled (Chain.first 0 v)
 
+  (* Labeled 1: below any label a clock returns (0 means unlabeled). *)
+  let since_always v = Chain.first 1 v
+
   let value = Chain.value
   let timestamp = Chain.label
 

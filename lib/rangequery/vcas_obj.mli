@@ -23,6 +23,13 @@ module Make (T : Hwts.Timestamp.S) : sig
   val first : 'a -> 'a version
   (** A one-version chain holding the value, labeled now. *)
 
+  val since_always : 'a -> 'a version
+  (** A one-version chain holding a value that holds at every label,
+      labeled below any snapshot so no reader helps.  An owner that keeps
+      a link's value bare once no snapshot can need its history (the vCAS
+      BST) takes the value back into a chain with it when it next writes
+      the link. *)
+
   val successor : 'a version -> 'a -> 'a version
   (** [successor expected v]: an unlabeled version holding [v] whose
       older link is [expected].  Install it with a CAS from [expected]

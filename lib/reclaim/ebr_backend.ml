@@ -7,7 +7,7 @@
    EBR-RQ's key insight is that EBR already retains deleted nodes in
    limbo until no active op can reach them, so a range query can
    linearize in the past and recover just-deleted nodes by scanning
-   those lists ([fold_limbo]).  Under OCaml's GC, "reclaiming" a node
+   those lists ([limbo_cells]).  Under OCaml's GC, "reclaiming" a node
    means dropping its last limbo reference; what a range query can still
    see, and for how long, is preserved faithfully. *)
 
@@ -212,7 +212,7 @@ struct
   let quiesce _ = ()
   let offline _ = ()
   let wait_until_quiescent t = Reads.wait_until_quiescent t.rcu
-  let fold_limbo t ~init ~f = Limbo.fold t.limbo ~init ~f
+  let limbo_cells t slot = Limbo.cells t.limbo slot
   let limbo_size t = Limbo.size t.limbo
   let reclaimed t = Limbo.reclaimed t.limbo
 end

@@ -6,7 +6,7 @@
       operation.  They pin the limbo lists — a node retired by anyone
       while this domain is inside an op section is not freed until the
       protocol says the domain can no longer need it — so range queries
-      may recover just-unlinked nodes from limbo ([fold_limbo], the
+      may recover just-unlinked nodes from limbo ([limbo_cells], the
       EBR-RQ technique).  Op sections may take locks.
     - {e read sections} ([read_lock]/[read_unlock]/[with_read]) bracket
       lock-free traversals only (never lock acquisition: a domain
@@ -84,9 +84,11 @@ module type S = sig
 
   (** {1 Limbo access and stats} *)
 
-  val fold_limbo : t -> init:'a -> f:('a -> node -> 'a) -> 'a
-  (** Fold over every limbo entry of every domain (for RQ recovery of
-      just-deleted nodes).  Call inside an op section. *)
+  val limbo_cells : t -> int -> node Limbo.cell
+  (** Slot [i]'s limbo entries, newest first, for [i] below
+      [Sync.Slot.max_slots] (for RQ recovery of just-deleted nodes: a
+      read path walks them in a recursion of its own and so allocates no
+      closure).  Call inside an op section. *)
 
   val limbo_size : t -> int
   val reclaimed : t -> int

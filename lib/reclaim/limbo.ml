@@ -6,14 +6,19 @@
    lag one epoch behind op announcements); the TSC variant: [rdtscp],
    freeing below the oldest online quiescence stamp less the skew.
 
-   Only a slot's owner rewrites its list, so a plain get/set pair cannot
-   lose concurrent entries; any domain may fold over a snapshot of all
-   lists (the EBR-RQ recovery of just-deleted nodes). *)
+   Only a slot's owner rewrites its list (it pushes at the head and cuts
+   freed entries off the tail), so a plain get/set pair cannot lose
+   concurrent entries; any domain may walk all lists (the EBR-RQ
+   recovery of just-deleted nodes). *)
 
-type 'a entry = { node : 'a; stamp : int }
+(* A slot's list, newest entry first.  Only the owner writes [next],
+   and only to cut a freed tail off; a reader on another domain that
+   races the cut sees the cell's old tail or [Nil], both fine since the
+   cut entries are past their grace period. *)
+type 'a cell = Nil | Cons of { node : 'a; stamp : int; mutable next : 'a cell }
 
 type 'a t = {
-  lists : 'a entry list Atomic.t array; (* owner-mutated, anyone-read *)
+  lists : 'a cell Atomic.t array; (* owner-mutated, anyone-read *)
   reclaimed : int Atomic.t;
   on_free : ('a -> unit) option;
       (* runs on the trimming domain as an entry is dropped; the
@@ -29,7 +34,7 @@ let limbo_hwm = Hwts_obs.Registry.watermark "reclaim.limbo_hwm"
 
 let create ?on_free ~limbo_len () =
   {
-    lists = Sync.Padding.atomic_array Sync.Slot.max_slots [];
+    lists = Sync.Padding.atomic_array Sync.Slot.max_slots Nil;
     reclaimed = Atomic.make 0;
     on_free;
     limbo_len;
@@ -38,49 +43,62 @@ let create ?on_free ~limbo_len () =
 let push t slot node ~stamp =
   Hwts_obs.Counter.incr retired_total;
   let cell = t.lists.(slot) in
-  Atomic.set cell ({ node; stamp } :: Atomic.get cell)
+  Atomic.set cell (Cons { node; stamp; next = Atomic.get cell })
 
-(* Free every entry of [slot] with [bound - stamp > 0] (signed, so
-   stamps may wrap) and return how many were dropped.  Counting the due
-   entries allocates nothing; the list is rebuilt without them only when
-   there are some. *)
-let rec count_due bound due = function
-  | [] -> due
-  | e :: rest ->
-    count_due bound (if bound - e.stamp > 0 then due + 1 else due) rest
+let cells t slot = Atomic.get t.lists.(slot)
 
+let rec length n = function Nil -> n | Cons c -> length (n + 1) c.next
+
+(* The last entry of [cells] that is not due under [bound] ([bound -
+   stamp > 0], signed, so stamps may wrap), or [last] when none is. *)
+let rec last_live bound last = function
+  | Nil -> last
+  | Cons c as cell ->
+    last_live bound (if bound - c.stamp > 0 then last else cell) c.next
+
+let rec free on_free dropped = function
+  | Nil -> dropped
+  | Cons c ->
+    (match on_free with None -> () | Some f -> f c.node);
+    free on_free (dropped + 1) c.next
+
+(* Free every entry of [slot] that is due under [bound] and return how
+   many were dropped.  A slot's stamps are pushed in nondecreasing order,
+   so its due entries are the tail behind the last live one: cutting
+   that tail off frees them all without copying a cell.  (Were the order
+   ever broken, an entry due before a live one would only wait for a
+   later trim; no live entry is freed.) *)
 let trim t slot ~bound =
   let cell = t.lists.(slot) in
   let entries = Atomic.get cell in
   if Hwts_obs.Config.enabled () then begin
-    let total = List.length entries in
+    let total = length 0 entries in
     Hwts_obs.Histogram.record t.limbo_len total;
     Hwts_obs.Watermark.observe limbo_hwm total
   end;
-  let dropped = count_due bound 0 entries in
+  let tail =
+    match last_live bound Nil entries with
+    | Nil ->
+      Atomic.set cell Nil;
+      entries
+    | Cons c ->
+      let tail = c.next in
+      c.next <- Nil;
+      tail
+  in
+  let dropped = free t.on_free 0 tail in
   if dropped > 0 then begin
-    let live e =
-      bound - e.stamp <= 0
-      || begin
-           (match t.on_free with None -> () | Some f -> f e.node);
-           false
-         end
-    in
-    Atomic.set cell (List.filter live entries);
     ignore (Atomic.fetch_and_add t.reclaimed dropped);
     Hwts_obs.Counter.add reclaimed_total dropped
   end;
   dropped
 
-let fold t ~init ~f =
-  let acc = ref init in
-  let visit e = acc := f !acc e.node in
+let size t =
+  let n = ref 0 in
   for slot = 0 to Sync.Slot.max_slots - 1 do
-    List.iter visit (Atomic.get t.lists.(slot))
+    n := length !n (cells t slot)
   done;
-  !acc
-
-let size t = fold t ~init:0 ~f:(fun n _ -> n + 1)
+  !n
 let reclaimed t = Atomic.get t.reclaimed
 
 (* The epoch-advance test of both epoch-stamped schemes: every slot is

@@ -250,7 +250,7 @@ struct
       ignore (Atomic.fetch_and_add t.waiters (-1));
       raise e
 
-  let fold_limbo t ~init ~f = Limbo.fold t.limbo ~init ~f
+  let limbo_cells t slot = Limbo.cells t.limbo slot
   let limbo_size t = Limbo.size t.limbo
   let reclaimed t = Limbo.reclaimed t.limbo
 end

@@ -120,8 +120,8 @@ let int_buffer_results_are_fresh () =
 (* ---------- range answers allocate only themselves ---------- *)
 
 (* After a warm-up read has grown this domain's buffer, a [collect_at] of
-   [n] keys allocates its [n]-slot answer, its header and a few words of
-   closures; a list cell or a growth copy would cost [n] more.  bst-vcas
+   [n] keys allocates its [n]-slot answer and its header; a list cell or
+   a growth copy would cost [n] more.  bst-vcas
    takes the ascending path, citrus-ebrrq the sorted one. *)
 let collect_allocates_only_its_answer name () =
   with_scratch true @@ fun () ->
@@ -447,11 +447,11 @@ let () =
             Alcotest.test_case name `Quick
               (op_words name ~contains ~pair ~collect ~moved))
           [
-            ("citrus-vcas", 0., 36., 109., 69.02);
-            ("citrus-bundle", 0., 36., 109., 69.02);
-            ("citrus-ebrrq", 0., 24.11, 125., 49.82);
-            ("bst-vcas", 0., 64., 101., 64.);
-            ("bst-ebrrq-lockfree", 8., 139.21, 130., 139.11);
+            ("citrus-vcas", 0., 36., 101., 69.02);
+            ("citrus-bundle", 0., 36., 101., 69.02);
+            ("citrus-ebrrq", 0., 16., 101., 33.96);
+            ("bst-vcas", 0., 60., 101., 60.);
+            ("bst-ebrrq-lockfree", 0., 131., 101., 131.);
           ]
         @ [
             Alcotest.test_case "citrus contains <= 2x bst-vcas" `Quick

@@ -194,14 +194,24 @@ let near_wrap () =
 
 (* ---------- protocol basics, every backend ---------- *)
 
-(* [fold_limbo] sees what was retired. *)
+(* Every node in limbo, slot by slot, as [limbo_cells] lists them. *)
+let limbo_nodes limbo_cells =
+  let rec nodes acc = function
+    | Reclaim.Limbo.Nil -> acc
+    | Reclaim.Limbo.Cons c -> nodes (c.node :: acc) c.next
+  in
+  List.concat_map
+    (fun slot -> nodes [] (limbo_cells slot))
+    (List.init Sync.Slot.max_slots Fun.id)
+
+(* [limbo_cells] shows what was retired. *)
 let retire_visible (module B : Reclaim.Intf.BACKEND) () =
   let module R = B.Make (Cell) in
   let r = R.create () in
   R.with_op r (fun () ->
       R.retire r (cell 11);
       R.retire r (cell 22));
-  let seen = R.fold_limbo r ~init:[] ~f:(fun acc c -> c.Cell.v :: acc) in
+  let seen = List.map (fun c -> c.Cell.v) (limbo_nodes (R.limbo_cells r)) in
   Alcotest.(check (list int)) "limbo contents" [ 11; 22 ]
     (List.sort compare seen);
   Alcotest.(check int) "size" 2 (R.limbo_size r);
@@ -269,7 +279,7 @@ let stale_thread_blocks (module B : Reclaim.Intf.BACKEND) () =
   Alcotest.(check int) "freed after it left" 1 (R.reclaimed r)
 
 (* An op section open on another domain keeps a node retired under it
-   in limbo, visible to that domain's [fold_limbo], however much the
+   in limbo, visible to that domain's [limbo_cells], however much the
    retiring domain churns. *)
 let active_op_protects (module B : Reclaim.Intf.BACKEND) () =
   let module R = B.Make (Cell) in
@@ -285,7 +295,7 @@ let active_op_protects (module B : Reclaim.Intf.BACKEND) () =
             while not (Atomic.get retired) do
               Domain.cpu_relax ()
             done;
-            let seen = R.fold_limbo r ~init:0 ~f:(fun n _ -> n + 1) in
+            let seen = List.length (limbo_nodes (R.limbo_cells r)) in
             while not (Atomic.get release) do
               Domain.cpu_relax ()
             done;

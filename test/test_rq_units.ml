@@ -456,6 +456,77 @@ let snapshot_survives_pruning_churn () =
     true
     (versions <= (edges * 3) + 8)
 
+(* A bst-vcas edge holds its node bare once no snapshot can need its
+   history.  While a snapshot is held, every write of one edge (the
+   insert and the splice of key 5 below leaf 10) keeps the edge
+   versioned, and the snapshot still reads the state it was taken at;
+   after the release, the next write leaves every edge on the left spine
+   bare again (one version per edge). *)
+let held_snapshot_keeps_history () =
+  let module L = Hwts.Timestamp.Logical () in
+  let module S = Rangequery.Bst_vcas.Make (L) in
+  let t = S.create () in
+  ignore (S.insert t 10);
+  let bare () =
+    let edges, versions = S.version_chain_stats t in
+    versions = edges
+  in
+  Alcotest.(check bool) "built with no snapshot: bare" true (bare ());
+  let past = S.snapshot t in
+  for _ = 1 to 25 do
+    ignore (S.insert t 5);
+    ignore (S.delete t 5)
+  done;
+  ignore (S.insert t 5);
+  Alcotest.(check (array int)) "snapshot reads its state" [| 10 |]
+    (S.collect_at t past ~lo:0 ~hi:100);
+  Alcotest.(check bool) "snapshot misses the later key" false
+    (S.lookup_at t past 5);
+  Alcotest.(check (array int)) "current state" [| 5; 10 |]
+    (S.range_query t ~lo:0 ~hi:100);
+  let edges, versions = S.version_chain_stats t in
+  Alcotest.(check bool)
+    (Printf.sprintf "held: versioned (%d versions over %d edges)" versions
+       edges)
+    true (versions > edges);
+  S.snap_release t past;
+  ignore (S.delete t 5);
+  Alcotest.(check bool) "released: the next write leaves it bare" true
+    (bare ());
+  Alcotest.(check (array int)) "after release" [| 10 |]
+    (S.range_query t ~lo:0 ~hi:100)
+
+(* A bare edge can come back to the node it held: an insert parked
+   between its seek and its CAS on leaf 10's edge sees that edge go from
+   leaf 10 to an internal node (insert 5) and back to leaf 10 (delete
+   5).  Its CAS then succeeds, as Natarajan–Mittal's pointer CAS would,
+   and the set must be exact; a snapshot taken while it was parked must
+   not see its key. *)
+let bare_edge_round_trip (module P : Hwts.Timestamp.S) () =
+  let module S = Rangequery.Bst_vcas.Make (P) in
+  let t = S.create () in
+  ignore (S.insert t 10);
+  Sync.Pause.park_at 1;
+  let inserter =
+    Domain.spawn (fun () -> Sync.Slot.with_slot (fun _ -> S.insert t 20))
+  in
+  while not (Sync.Pause.parked ()) do
+    Domain.cpu_relax ()
+  done;
+  Alcotest.(check bool) "insert 5" true (S.insert t 5);
+  Alcotest.(check bool) "delete 5" true (S.delete t 5);
+  let edges, versions = S.version_chain_stats t in
+  Alcotest.(check int) "the edge is bare again" edges versions;
+  let s = S.snapshot t in
+  Sync.Pause.unpark ();
+  Alcotest.(check bool) "parked insert" true (Domain.join inserter);
+  Alcotest.(check (array int)) "snapshot taken while parked" [| 10 |]
+    (S.collect_at t s ~lo:0 ~hi:100);
+  S.snap_release t s;
+  Alcotest.(check (list int)) "final set" [ 10; 20 ] (S.to_list t);
+  Alcotest.(check bool) "contains 20" true (S.contains t 20);
+  Alcotest.(check bool) "contains 5" false (S.contains t 5)
+
 let snapshot_stable_under_concurrency () =
   let t = BH.create () in
   for k = 1 to 64 do
@@ -962,9 +1033,9 @@ let layout_cases =
   let module Lb = Rangequery.Lazylist_bundle.Make (LL) in
   let module Bl = Rangequery.Bst_ebrrq_lockfree.Make (Ebr) (LL) in
   [
-    ("bst-vcas", 14., fun () -> words_per_key Bst.create Bst.insert);
+    ("bst-vcas", 6., fun () -> words_per_key Bst.create Bst.insert);
     ( "bst-vcas-kv",
-      15.,
+      7.,
       fun () -> words_per_key Kv.create (fun t k -> Kv.add t k k) );
     ("citrus-vcas", 16., fun () -> words_per_key Cv.create Cv.insert);
     ("citrus-bundle", 16., fun () -> words_per_key Cb.create Cb.insert);
@@ -1178,6 +1249,15 @@ let () =
           Alcotest.test_case "snapshot time travel" `Quick snapshot_time_travel;
           Alcotest.test_case "snapshot vs pruning" `Quick
             snapshot_survives_pruning_churn;
+          Alcotest.test_case "held snapshot keeps history" `Quick
+            held_snapshot_keeps_history;
+          Alcotest.test_case "plain-edge round trip (logical)" `Quick
+            (bare_edge_round_trip (module Hwts.Timestamp.Logical ()));
+          Alcotest.test_case "plain-edge round trip (rdtscp-strict)" `Quick
+            (bare_edge_round_trip
+               (module Hwts.Timestamp.Strict_sharded
+                         (Hwts.Timestamp.Hardware)
+                         ()));
           Alcotest.test_case "snapshot stable under churn" `Slow
             snapshot_stable_under_concurrency;
           vcas_qcheck_read_at;

@@ -26,7 +26,10 @@ check: build fmt-check test check-smoke e2e-smoke
 
 # Every served workload at 2,000 requests, each answer checked and the
 # metric names and units matched against BENCHMARK.json (~5 s): a change
-# that breaks the served path fails here, not only in a pairs run.
+# that breaks the served path fails here, not only in a pairs run.  The
+# bench pins itself to one CPU and the server inherits the mask, so this
+# serves through the inline executor (0 worker domains); test_serve
+# covers the worker-domain executor.
 e2e-smoke: build
 	dune build @bench/e2e/smoke
 
@@ -271,10 +274,11 @@ bench-adaptive-smoke: build
 # working tree, each side built from source in a temporary checkout:
 #   make e2e-pairs BASE=<rev> WORKLOAD=<name|all> [PAIRS=10]
 # Prints medians, quartiles and pairs won for setup_s and server_rss_mb,
-# then for the ungated req_per_s, p50_us, minor_gcs and heap_words (the
-# server's gc.minor_collections and gc.heap_words, each averaged over a
-# run's repetitions), per workload (`all`: every workload in
-# BENCHMARK.json, in turn).
+# then for the ungated req_per_s, p50_us, p99_us, minor_gcs and
+# heap_words (the server's gc.minor_collections and gc.heap_words, each
+# averaged over a run's repetitions), and the number of runs per side
+# that reported valid=false (an open-loop generator that fell behind),
+# per workload (`all`: every workload in BENCHMARK.json, in turn).
 PAIRS ?= 10
 e2e-pairs:
 	@test -n "$(BASE)" && test -n "$(WORKLOAD)" || \

@@ -1,22 +1,24 @@
 (* hwts-serve: sharded range-query server.
 
-   Shards one of the range-query structures across worker domains — all
-   shards labeling against ONE timestamp provider, so cross-shard
-   snapshot labels stay comparable — and serves the length-prefixed
-   binary protocol in lib/serve/wire.ml over TCP.  Connections may
-   pipeline arbitrarily deep; responses come back in request order.
+   Shards one of the range-query structures — all shards labeling
+   against ONE timestamp provider, so cross-shard snapshot labels stay
+   comparable — and serves the length-prefixed binary protocol in
+   lib/serve/wire.ml over TCP.  Connections may pipeline arbitrarily
+   deep; responses come back in request order.  Each shard has a worker
+   domain, unless the process may use only one CPU (its affinity mask):
+   then the server loop runs the shards' tasks itself, and the
+   "listening on" line reports 0 worker domains.
 
    The headline mechanism is per-shard range-query coalescing: each
-   worker drains its queue and executes every queued range under a
-   single snapshot acquisition (Wire batch frames and deep pipelines
-   both feed it).  --no-coalesce switches the batcher to
-   one-acquisition-per-range for A/B comparison; the acquire
-   amortization shows up in serve.rq.snapshots vs serve.rq.ops in
-   --metrics-out.
+   drain executes every queued range under a single snapshot
+   acquisition (Wire batch frames and deep pipelines both feed it).
+   --no-coalesce switches the batcher to one-acquisition-per-range for
+   A/B comparison; the acquire amortization shows up in
+   serve.rq.snapshots vs serve.rq.ops in --metrics-out.
 
    SIGINT/SIGTERM drain gracefully: stop accepting, flush every
-   in-flight response, join the shard domains, write --metrics-out, exit
-   0. *)
+   in-flight response, drain the shards and join their domains, write
+   --metrics-out, exit 0. *)
 
 open Cmdliner
 
@@ -39,20 +41,24 @@ let serve host port structure provider reclaim shards key_space no_coalesce
         Printf.eprintf "hwts-serve: bind failed: %s\n" (Unix.error_message e);
         exit 1
     in
+    (* before the banner: a harness may signal as soon as it reads it *)
+    let handle = Sys.Signal_handle (fun _ -> Atomic.set stop_requested true) in
+    Sys.set_signal Sys.sigint handle;
+    Sys.set_signal Sys.sigterm handle;
+    Hwts_obs.Registry.gauge "serve.worker_domains" (fun () ->
+        float_of_int (Serve.Shards.worker_domains router));
     Printf.printf
-      "hwts-serve: listening on %s:%d (%s over %s, reclaim %s, %d shards, \
-       key space %d, coalesce=%b)\n\
+      "hwts-serve: listening on %s:%d (%s over %s, reclaim %s, %d shards \
+       on %d worker domains, key space %d, coalesce=%b)\n\
        %!"
       host (Serve.Server.port server)
       (Serve.Shards.structure_name router)
       (Serve.Shards.provider router)
       (Serve.Shards.reclaim router)
       (Serve.Shards.shard_count router)
+      (Serve.Shards.worker_domains router)
       (Serve.Shards.key_space router)
       coalesce;
-    let handle = Sys.Signal_handle (fun _ -> Atomic.set stop_requested true) in
-    Sys.set_signal Sys.sigint handle;
-    Sys.set_signal Sys.sigterm handle;
     let deadline =
       match max_seconds with
       | Some s -> Unix.gettimeofday () +. s
@@ -142,7 +148,10 @@ let () =
   let shards =
     Arg.(
       value & opt int 4
-      & info [ "shards" ] ~docv:"N" ~doc:"Worker domains / key partitions")
+      & info [ "shards" ] ~docv:"N"
+          ~doc:
+            "Key partitions, each with a worker domain when the process \
+             may use more than one CPU")
   in
   let key_space =
     Arg.(

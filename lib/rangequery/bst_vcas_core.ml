@@ -110,17 +110,42 @@ module Make (T : Hwts.Timestamp.S) = struct
   (* The seek record names each edge by its node and side: [parent]'s
      [par_left] edge holds the leaf (its other edge the sibling), and
      [anc]'s [anc_left] edge holds [successor].  [par_edge] is that edge's
-     field as the seek read it: what a CAS on it expects. *)
+     field as the seek read it: what a CAS on it expects.  A seek writes
+     its domain's one record instead of allocating one: only the update
+     that called it reads the record, and only until its next seek. *)
   type 'v seek_record = {
-    anc : 'v node;
-    anc_left : bool;
-    successor : 'v node;
-    parent : 'v node;
-    par_left : bool;
-    par_edge : 'v node;
-    leaf_key : int;
-    leaf : 'v node;
+    mutable anc : 'v node;
+    mutable anc_left : bool;
+    mutable successor : 'v node;
+    mutable parent : 'v node;
+    mutable par_left : bool;
+    mutable par_edge : 'v node;
+    mutable leaf_key : int;
+    mutable leaf : 'v node;
   }
+
+  (* One record per domain, shared by every tree of this module whatever
+     its value type: ['v] types only an [Entry]'s value, which no seek
+     reads, and every ['v node] has the same representation, so the
+     record is stored at [unit] and read back at the caller's ['v].  A
+     node it still holds after an update stays reachable until the
+     domain's next seek. *)
+  let seek_scratch : unit seek_record Sync.Scratch.t =
+    Sync.Scratch.make (fun () ->
+        let n = Leaf 0 in
+        {
+          anc = n;
+          anc_left = true;
+          successor = n;
+          parent = n;
+          par_left = true;
+          par_edge = n;
+          leaf_key = 0;
+          leaf = n;
+        })
+
+  let seek_record () : 'v seek_record =
+    Obj.magic (Sync.Scratch.get seek_scratch)
 
   let key_of = function
     | Leaf k -> k
@@ -129,17 +154,24 @@ module Make (T : Hwts.Timestamp.S) = struct
       invalid_arg "Bst_vcas.key_of: not a leaf"
 
   (* [value] is the current value of [par_edge]. *)
-  let rec descend key anc anc_left successor parent par_left par_edge value =
+  let rec descend r key anc anc_left successor parent par_left par_edge value =
     match target value with
     | (Leaf _ | Entry _) as leaf ->
-      let leaf_key = key_of leaf in
-      { anc; anc_left; successor; parent; par_left; par_edge; leaf_key; leaf }
+      r.anc <- anc;
+      r.anc_left <- anc_left;
+      r.successor <- successor;
+      r.parent <- parent;
+      r.par_left <- par_left;
+      r.par_edge <- par_edge;
+      r.leaf_key <- key_of leaf;
+      r.leaf <- leaf;
+      r
     | Internal n as node ->
       let left = key < n.ikey in
       let edge = if left then n.left else n.right in
       if tagged value then
-        descend key anc anc_left successor node left edge (current edge)
-      else descend key parent par_left node node left edge (current edge)
+        descend r key anc anc_left successor node left edge (current edge)
+      else descend r key parent par_left node node left edge (current edge)
     | Mark _ | Versioned _ -> invalid_arg "Bst_vcas.descend: not a value"
 
   (* Entering [s] through [r]'s clean left edge makes [r] the ancestor
@@ -148,7 +180,7 @@ module Make (T : Hwts.Timestamp.S) = struct
     Hwts_trace.Span.enter Hwts_trace.Traverse;
     let edge = head t.root true in
     let s = current edge in
-    let r = descend key t.root true s t.root true edge s in
+    let r = descend (seek_record ()) key t.root true s t.root true edge s in
     Hwts_trace.Span.exit Hwts_trace.Traverse;
     r
 

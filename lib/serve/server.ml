@@ -19,7 +19,7 @@ let accept_backoff = 0.005
 let write_budget = 2040
 
 (* A pipelined connection: one cell per decoded request, in request
-   order, filled by the shard worker that answers it with the answer and
+   order, filled by the shard drain that answers it with the answer and
    its payload size, computed once; [out] is the write in progress, [off]
    bytes of it out. *)
 type conn = {
@@ -39,12 +39,16 @@ type t = {
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
   woken : bool Atomic.t; (* a wake byte is in the pipe, or on its way *)
+  workers : bool;
+      (* completions come from worker domains; inline, the loop's own
+         round runs them, and nothing needs waking *)
   stopping : bool Atomic.t;
   mutable loop : Thread.t option;
 }
 
-(* Called by shard workers after filling a cell.  The loop clears
-   [woken] before it scans the cells, so a fill it misses sends a byte. *)
+(* Called by shard workers after filling a cell, and by {!stop}.  The
+   loop clears [woken] before it scans the cells, so a fill it misses
+   sends a byte. *)
 let wake t =
   if not (Atomic.exchange t.woken true) then
     try ignore (Unix.single_write_substring t.wake_w "!" 0 1)
@@ -79,7 +83,7 @@ let read_requests t buf conn =
           Queue.push cell conn.cells;
           Shards.submit t.shards req (fun r ->
               Atomic.set cell (Some (sized r));
-              wake t);
+              if t.workers then wake t);
           route ()
       in
       route ()
@@ -166,6 +170,7 @@ let run t =
   let buf = Bytes.create 65536 and conns = Hashtbl.create 16 in
   let listening = ref true and paused_until = ref 0. and now = ref 0. in
   let rd = ref [] and wr = ref [] and next = ref infinity in
+  let readable = ref [] in
   let watch _ c =
     if c.reading then rd := c.fd :: !rd;
     if writing c then begin
@@ -185,6 +190,8 @@ let run t =
       | Some c when c.reading -> read_requests t buf c
       | _ -> ()
   in
+  (* one drain unit: what every readable connection sent this turn *)
+  let serve_readable () = List.iter serve !readable in
   let stop_reading _ c =
     c.reading <- false;
     c.since <- !now
@@ -209,12 +216,13 @@ let run t =
       else next := !paused_until;
     Hashtbl.iter watch conns;
     let timeout = if !next = infinity then -1. else Float.max 0. (!next -. !now) in
-    let readable, _, _ =
-      try Unix.select !rd !wr [] timeout
-      with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-    in
+    (readable :=
+       try
+         let r, _, _ = Unix.select !rd !wr [] timeout in
+         r
+       with Unix.Unix_error (Unix.EINTR, _, _) -> []);
     now := Unix.gettimeofday ();
-    List.iter serve readable;
+    Shards.round t.shards serve_readable;
     if !listening && Atomic.get t.stopping then begin
       listening := false;
       (try Unix.close t.listen_fd with _ -> ());
@@ -251,6 +259,7 @@ let start ?(host = "127.0.0.1") ~port shards =
       wake_r;
       wake_w;
       woken = Atomic.make false;
+      workers = Shards.worker_domains shards > 0;
       stopping = Atomic.make false;
       loop = None;
     }
@@ -266,8 +275,8 @@ let stop t =
     wake t;
     Option.iter Thread.join t.loop;
     (* every answer is out or its connection closed: drain the shard
-       queues and join the workers, whose completions may still wake the
-       loop, so the pipe closes last *)
+       queues and join the workers (if any), whose completions may still
+       wake the loop, so the pipe closes last *)
     Shards.stop t.shards;
     Unix.close t.wake_r;
     Unix.close t.wake_w

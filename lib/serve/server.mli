@@ -3,12 +3,15 @@
     One loop thread owns the listener and every connection: a
     [Unix.select] loop over non-blocking sockets that decodes and routes
     requests, and writes answers in request order, so clients may
-    pipeline arbitrarily deep.  All request execution happens on the
-    shard worker domains — the loop only moves bytes — which is what
-    lets a deep pipeline pile many range queries into one shard drain,
-    the precondition for snapshot coalescing to pay off.  A shard
-    completion fills its request's cell and wakes the loop through a
-    pipe.
+    pipeline arbitrarily deep.  The loop routes every request it read in
+    one [select] round as one {!Shards.round}.  With worker domains, all
+    request execution happens on them — the loop only moves bytes — and
+    a shard completion fills its request's cell and wakes the loop
+    through a pipe.  Under the inline executor (one CPU) the loop drains
+    each shard once at the end of the round and fills the cells itself,
+    with no wake.  Either way a deep pipeline piles many range queries
+    into one shard drain, the precondition for snapshot coalescing to
+    pay off.
 
     Each answer is sized once, when its shard completes it.  One write
     carries as many of a connection's fulfilled head answers as fit in a
@@ -21,11 +24,12 @@
 
     {!stop} is the graceful path wired to SIGINT in [hwts-serve]: stop
     accepting and reading, flush every in-flight response, then drain
-    and join the shard workers.  No accepted request is dropped for a
-    client that keeps reading.  A client that has stopped reading would
-    hold its answers forever, so once stop has begun, a connection whose
-    client has taken no byte of a pending write for a fixed grace (2 s)
-    is closed; its remaining answers are discarded.
+    the shards and join their worker domains, if any.  No accepted
+    request is dropped for a client that keeps reading.  A client that
+    has stopped reading would hold its answers forever, so once stop has
+    begun, a connection whose client has taken no byte of a pending
+    write for a fixed grace (2 s) is closed; its remaining answers are
+    discarded.
 
     Only {!stop} ends accepting.  A failed [accept] is retried: at once
     after [EINTR] or [ECONNABORTED], after a few milliseconds otherwise
@@ -53,4 +57,5 @@ val router : t -> Shards.t
 val stop : t -> unit
 (** Graceful shutdown as described above.  Blocks until every connection
     is flushed (or, for a client that stopped reading, closed after the
-    grace) and every worker domain joined.  Idempotent. *)
+    grace) and the shards drained, their worker domains (if any)
+    joined.  Idempotent. *)

@@ -34,7 +34,8 @@ let () =
    on the served benchmark, 64k kept server_rss_mb below the default's
    on every workload at close to 128k's prefill time (EXPERIMENTS.md).
    [Gc.set] on one domain does not reach domains spawned after it, so
-   each worker sets its own. *)
+   each worker sets its own.  The inline executor spawns no worker, so
+   it leaves the routing domain's nursery as it is. *)
 let shard_minor_heap_words = 65_536
 
 type task =
@@ -56,11 +57,19 @@ type task =
       (* shard-local slice of a MultiGet; completion gets (label, bools),
          positionally matching the keys *)
 
+(* A shard's tasks run in drains: its drainer takes every queued task
+   at once and runs them through [run] ([process], then a quiescence
+   point).  The drainer is the shard's worker domain, or, under the
+   inline executor, whichever thread holds the executor lock. *)
 type shard = {
   m : Mutex.t;
   c : Condition.t;
   q : task Queue.t;
   mutable stop : bool;
+  batch : task Queue.t; (* the drain in progress; the drainer's alone *)
+  run : task Queue.t -> unit;
+  offline : unit -> unit;
+  mutable pending : bool; (* inline: in [Inline.pending] *)
 }
 
 type t = {
@@ -73,7 +82,7 @@ type t = {
   reclaim_name : string;
   now : unit -> int;
   stopped : Mutex.t * bool ref;
-  domains : unit Domain.t array;
+  workers : unit Domain.t array; (* empty under the inline executor *)
 }
 
 let class_hist = function
@@ -166,31 +175,95 @@ let process (type a) (module S : Dstruct.Ordered_set.RQ with type t = a)
   end;
   Queue.clear batch
 
-let worker (type a) (module S : Dstruct.Ordered_set.RQ with type t = a)
-    (st : a) ~coalesce sh =
-  let batch = Queue.create () in
+(* One drain of [sh], whichever executor runs it; the caller holds
+   [sh.m], which this releases.  Takes every queued task, runs them, then
+   announces a quiescence point: between drains the drainer holds no
+   reference into the structure (for QSBR, the only announcement it pays
+   for).  [true] once the shard has stopped and nothing is left, checked
+   under the lock so that every task enqueued before the stop flag is
+   drained first. *)
+let drain_locked sh =
+  let finished = sh.stop && Queue.is_empty sh.q in
+  Queue.transfer sh.q sh.batch;
+  Mutex.unlock sh.m;
+  (* fault injection: a drain parks here holding its tasks *)
+  Sync.Pause.point ();
+  sh.run sh.batch;
+  finished
+
+(* The worker executor: one domain per shard waits for tasks and drains. *)
+let worker sh =
   let rec loop () =
     Mutex.lock sh.m;
     while Queue.is_empty sh.q && not sh.stop do
       Condition.wait sh.c sh.m
     done;
-    (* exit only once a lock-held check sees stop AND an empty queue, so
-       every task enqueued before the stop flag is drained first *)
-    let finished = sh.stop && Queue.is_empty sh.q in
-    Queue.transfer sh.q batch;
-    Mutex.unlock sh.m;
-    process (module S) st ~coalesce batch;
-    (* Batch boundary: the shard worker holds no reference into its
-       structure between batches — a quiescence point for QSBR
-       reclamation (and the only announcement it ever pays for). *)
-    S.quiesce st;
-    if not finished then loop ()
+    if not (drain_locked sh) then loop ()
   in
   loop ();
-  S.offline st
+  sh.offline ()
 
-let create ?(reclaim = `Ebr) ~structure ~provider ~shards ~key_space ~coalesce
-    () =
+(* The inline executor: tasks run on the thread that routes them, under
+   one lock for every inline fleet in the process.  Structure operations
+   keep per-domain state that assumes one thread per domain (the
+   [Sync.Scratch] buffers, the domain's [Sync.Slot], rdtscp-strict's
+   high-water stamp), so two systhreads of one domain must not
+   interleave them: a second thread waits for the lock.  The holder's
+   [exclusive] section routes, enqueueing only; its end drains every
+   shard with queued tasks until none has any, taking each offline after
+   its drain, since the next drain may run on another domain and a grace
+   wait there must not wait on this one.  A submit made inside the
+   section (a completion's, or a [Server] round's) only enqueues: the
+   section's own drain picks it up. *)
+module Inline = struct
+  let lock = Mutex.create ()
+  let owner = Atomic.make (-1) (* [Thread.id] of the holder *)
+
+  (* the holder's: shards with queued tasks *)
+  let pending : shard Queue.t = Queue.create ()
+
+  let enqueued sh =
+    if not sh.pending then begin
+      sh.pending <- true;
+      Queue.push sh pending
+    end
+
+  let rec drain_pending () =
+    match Queue.take_opt pending with
+    | None -> ()
+    | Some sh ->
+      sh.pending <- false;
+      Mutex.lock sh.m;
+      ignore (drain_locked sh);
+      sh.offline ();
+      drain_pending ()
+
+  let release () =
+    Atomic.set owner (-1);
+    Mutex.unlock lock
+
+  let exclusive f =
+    let me = Thread.id (Thread.self ()) in
+    if Atomic.get owner = me then f ()
+    else begin
+      Mutex.lock lock;
+      Atomic.set owner me;
+      match
+        let v = f () in
+        drain_pending ();
+        v
+      with
+      | v ->
+        release ();
+        v
+      | exception e ->
+        release ();
+        raise e
+    end
+end
+
+let create ?(reclaim = `Ebr) ?executor ~structure ~provider ~shards ~key_space
+    ~coalesce () =
   if shards <= 0 then invalid_arg "Shards.create: shards must be positive";
   if key_space <= 0 then
     invalid_arg "Shards.create: key_space must be positive";
@@ -200,23 +273,38 @@ let create ?(reclaim = `Ebr) ~structure ~provider ~shards ~key_space ~coalesce
   let (module S) = inst.Workload.Targets.structure in
   let span = (key_space + shards - 1) / shards in
   let mk_shard () =
+    let st = S.create () in
     {
       m = Mutex.create ();
       c = Condition.create ();
       q = Queue.create ();
       stop = false;
+      batch = Queue.create ();
+      run =
+        (fun batch ->
+          process (module S) st ~coalesce batch;
+          S.quiesce st);
+      offline = (fun () -> S.offline st);
+      pending = false;
     }
   in
   let shard_arr = Array.init shards (fun _ -> mk_shard ()) in
-  let domains =
-    Array.map
-      (fun sh ->
-        let st = S.create () in
-        Domain.spawn (fun () ->
-            Gc.set
-              { (Gc.get ()) with minor_heap_size = shard_minor_heap_words };
-            Sync.Slot.with_slot (fun _ -> worker (module S) st ~coalesce sh)))
-      shard_arr
+  let inline =
+    match executor with
+    | Some `Inline -> true
+    | Some `Domains -> false
+    | None -> Domain.recommended_domain_count () = 1
+  in
+  let workers =
+    if inline then [||]
+    else
+      Array.map
+        (fun sh ->
+          Domain.spawn (fun () ->
+              Gc.set
+                { (Gc.get ()) with minor_heap_size = shard_minor_heap_words };
+              Sync.Slot.with_slot (fun _ -> worker sh)))
+        shard_arr
   in
   {
     shards = shard_arr;
@@ -228,7 +316,7 @@ let create ?(reclaim = `Ebr) ~structure ~provider ~shards ~key_space ~coalesce
     reclaim_name = inst.Workload.Targets.reclaim;
     now = inst.Workload.Targets.now;
     stopped = (Mutex.create (), ref false);
-    domains;
+    workers;
   }
 
 let structure_name t = t.structure_name
@@ -237,6 +325,8 @@ let reclaim t = t.reclaim_name
 let shard_count t = Array.length t.shards
 let key_space t = t.key_space
 let coalesce t = t.coalesce
+let worker_domains t = Array.length t.workers
+let inline t = Array.length t.workers = 0
 let now t = t.now ()
 
 let enqueue t i task =
@@ -248,7 +338,7 @@ let enqueue t i task =
   end
   else begin
     Queue.push task sh.q;
-    Condition.signal sh.c;
+    if inline t then Inline.enqueued sh else Condition.signal sh.c;
     Mutex.unlock sh.m;
     true
   end
@@ -473,7 +563,10 @@ let rec route t req k =
         reqs
     end
 
-let submit = route
+let submit t req k =
+  if inline t then Inline.exclusive (fun () -> route t req k) else route t req k
+
+let round t f = if inline t then Inline.exclusive f else f ()
 
 let exec t req =
   let m = Mutex.create () and c = Condition.create () in
@@ -505,5 +598,8 @@ let stop t =
         Condition.broadcast sh.c;
         Mutex.unlock sh.m)
       t.shards;
-    Array.iter Domain.join t.domains
+    (* inline: wait out a drain in progress (each drain ends offline);
+       what it leaves queued (a completion's submit) drains here *)
+    if inline t then Inline.exclusive ignore
+    else Array.iter Domain.join t.workers
   end

@@ -10,19 +10,31 @@
     range response can report one (maximal) label its parts agree under.
 
     Keys live in [1, key_space], partitioned contiguously: shard [i] owns
-    [[i*span + 1, (i+1)*span]].  Each shard runs one worker domain that
-    drains its queue in arrival order; point operations keep per-shard
-    FIFO semantics, and all range sub-queries and MultiGets drained
-    together execute — when coalescing is on — under a single
-    {!Hwts_snapshot.t} acquisition.  That is the paper's amortization kernel at
-    service scale: the batcher pays one timestamp advance (and, for the
-    lock-based techniques, one snapshot critical section) for every range
-    in the drain. *)
+    [[i*span + 1, (i+1)*span]].  Each shard drains its queue in arrival
+    order; point operations keep per-shard FIFO semantics, and all range
+    sub-queries and MultiGets drained together execute — when coalescing
+    is on — under a single {!Hwts_snapshot.t} acquisition.  That is the
+    paper's amortization kernel at service scale: the batcher pays one
+    timestamp advance (and, for the lock-based techniques, one snapshot
+    critical section) for every range in the drain.
+
+    Who drains is the executor.  With more than one CPU to run on, each
+    shard has a worker domain.  When the process may use only one CPU
+    ([Domain.recommended_domain_count () = 1], which OCaml reads from
+    the affinity mask), no worker is spawned: a shard's tasks run on the
+    thread that routes them, and the process keeps one domain, so no
+    minor collection stops a second one and no task is handed between
+    threads.  Both executors share the queue, the drain and its
+    quiescence point; only who drains differs.  Inline drains run under
+    one process-wide lock, since structure operations keep per-domain
+    state that assumes one thread per domain: a second systhread that
+    submits while a drain runs waits for it. *)
 
 type t
 
 val create :
   ?reclaim:Workload.Targets.reclaim ->
+  ?executor:[ `Inline | `Domains ] ->
   structure:string ->
   provider:Workload.Targets.ts ->
   shards:int ->
@@ -31,11 +43,15 @@ val create :
   unit ->
   t
 (** Builds [shards] instances of the named structure over one shared
-    provider and the given reclamation backend (default [`Ebr]), and
-    spawns one worker domain per shard.  Shard workers announce a
-    quiescence point after each drained batch and go offline on stop.
-    Raises [Invalid_argument] on an unknown structure, an unsupported
-    structure/provider combination, or non-positive [shards]/[key_space]. *)
+    provider and the given reclamation backend (default [`Ebr]).  The
+    executor defaults to [`Inline] when
+    [Domain.recommended_domain_count () = 1] and to [`Domains] (one
+    worker domain per shard) otherwise; tests pass it to force either.
+    A drainer announces a quiescence point after each drain; a worker
+    goes offline on stop, an inline drainer after each drain.  Raises
+    [Invalid_argument] on an unknown structure, an unsupported
+    structure/provider combination, or non-positive
+    [shards]/[key_space]. *)
 
 val structure_name : t -> string
 val provider : t -> string
@@ -46,17 +62,25 @@ val shard_count : t -> int
 val key_space : t -> int
 val coalesce : t -> bool
 
+val worker_domains : t -> int
+(** Worker domains spawned: the shard count, or 0 under the inline
+    executor. *)
+
 val now : t -> int
 (** A read of the fleet's shared clock (labels are comparable with it). *)
 
 val submit : t -> Wire.request -> (Wire.response -> unit) -> unit
-(** Route a request.  The completion runs on a worker domain (or inline
-    for [Ping], out-of-range keys and empty batches) exactly once.
-    Cross-shard ranges fan out to every owning shard and complete when
-    the last part does, with the maximal part label, their keys merged
-    into one array of exactly the answer's length.  After {!stop},
-    completes with [Err]; so does a request split across shards when a
-    stopping shard refuses any part of it, never a partial answer.
+(** Route a request.  The completion runs exactly once: on a worker
+    domain, or under the inline executor on the submitting thread before
+    [submit] returns (at the end of the {!round} when called inside
+    one); and inline for [Ping], out-of-range keys and empty batches.
+    A submit made from inside a completion enqueues, and the drain in
+    progress runs it.  Cross-shard ranges fan out to every owning shard
+    and complete when the last part does, with the maximal part label,
+    their keys merged into one array of exactly the answer's length.
+    After {!stop}, completes with [Err]; so does a request split across
+    shards when a stopping shard refuses any part of it, never a partial
+    answer.
 
     A [Batch]'s in-range Get/Insert/Delete ops reach each owning shard
     as one task, run in batch order; if a stopping shard refuses one,
@@ -64,9 +88,18 @@ val submit : t -> Wire.request -> (Wire.response -> unit) -> unit
     routed one at a time after those tasks, so each read in a batch sees
     every point op of the batch. *)
 
+val round : t -> (unit -> 'a) -> 'a
+(** [round t f] runs [f], whose submits form one drain unit: under the
+    inline executor they only enqueue, and each shard with tasks drains
+    once as [f] returns, so the reads of the round share one snapshot
+    per shard.  [f] runs holding the executor lock, so it must not block
+    on a completion (no {!exec}).  With worker domains it is [f ()]. *)
+
 val exec : t -> Wire.request -> Wire.response
-(** Blocking {!submit}, for tests and simple clients. *)
+(** Blocking {!submit}, for tests and simple clients.  Not from inside a
+    completion or a {!round}. *)
 
 val stop : t -> unit
-(** Drain: workers finish every queued task, then exit; joins all worker
-    domains.  Idempotent. *)
+(** Drain, then refuse: every task queued before the stop runs, and
+    later submits complete with [Err "server stopping"].  Joins the
+    worker domains; inline, waits for a drain in progress.  Idempotent. *)

@@ -450,7 +450,7 @@ let () =
             ("citrus-vcas", 0., 36., 101., 69.02);
             ("citrus-bundle", 0., 36., 101., 69.02);
             ("citrus-ebrrq", 0., 16., 101., 33.96);
-            ("bst-vcas", 0., 60., 101., 60.);
+            ("bst-vcas", 0., 42., 101., 42.);
             ("bst-ebrrq-lockfree", 0., 131., 101., 131.);
           ]
         @ [

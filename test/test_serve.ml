@@ -9,9 +9,16 @@
    over two providers (logical and adaptive), per the serving
    experiment's A/B switch.
 
+   The server-level cases run under both executors: worker domains, and
+   (named "inline: ...") the shards' tasks run by the server loop
+   itself, as on a one-CPU box.  Cases that hold a shard inside a
+   completion force worker domains: a held inline completion holds the
+   router too.
+
    A subprocess test exercises the deployed binary: parse the listening
    port, drive mixed ops, SIGINT, and require exit 0 with the metrics
-   registry flushed to --metrics-out. *)
+   registry flushed to --metrics-out.  Two more start it with and
+   without an affinity of one CPU and read which executor it chose. *)
 
 module Wire = Serve.Wire
 module ISet = Set.Make (Int)
@@ -66,10 +73,11 @@ let recv_exn cl =
   | Some r -> r
   | None -> Alcotest.fail "unexpected EOF from server"
 
-let with_server ~provider ~coalesce ?(structure = "bst-vcas") ?(shards = 3)
-    ?(key_space = 512) f =
+let with_server ~provider ~coalesce ?(executor = `Domains)
+    ?(structure = "bst-vcas") ?(shards = 3) ?(key_space = 512) f =
   let router =
-    Serve.Shards.create ~structure ~provider ~shards ~key_space ~coalesce ()
+    Serve.Shards.create ~executor ~structure ~provider ~shards ~key_space
+      ~coalesce ()
   in
   let server = Serve.Server.start ~port:0 router in
   Fun.protect
@@ -114,9 +122,9 @@ let model_range model ~key_space lo hi =
   |> List.filter (fun k -> k >= lo && k <= hi)
   |> Array.of_list
 
-let oracle_run ~provider ~coalesce () =
+let oracle_run ~executor ~provider ~coalesce () =
   let key_space = 512 in
-  with_server ~provider ~coalesce ~shards:3 ~key_space (fun port ->
+  with_server ~executor ~provider ~coalesce ~shards:3 ~key_space (fun port ->
       let cl = client port in
       let rng = Dstruct.Prng.make ~seed:42 in
       let model = ref ISet.empty in
@@ -245,11 +253,11 @@ let oracle_run ~provider ~coalesce () =
 (* the acquisition-accounting invariant: per-RQ mode acquires exactly
    once per subrange and once per multiget slice; coalesced mode never
    more, usually fewer *)
-let oracle ~provider ~coalesce () =
+let oracle ~executor ~provider ~coalesce () =
   Hwts_obs.Counter.reset c_snapshots;
   Hwts_obs.Counter.reset c_rq_ops;
   Hwts_obs.Counter.reset c_mget_frames;
-  oracle_run ~provider ~coalesce ();
+  oracle_run ~executor ~provider ~coalesce ();
   let snapshots = Hwts_obs.Counter.sum c_snapshots in
   let rq_ops = Hwts_obs.Counter.sum c_rq_ops in
   let mget_frames = Hwts_obs.Counter.sum c_mget_frames in
@@ -267,8 +275,9 @@ let oracle ~provider ~coalesce () =
 
 (* ---------- protocol errors over the socket ---------- *)
 
-let error_frames () =
-  with_server ~provider:`Logical ~coalesce:true ~key_space:128 (fun port ->
+let error_frames ~executor () =
+  with_server ~executor ~provider:`Logical ~coalesce:true ~key_space:128
+    (fun port ->
       let cl = client port in
       send cl.fd (Wire.Get 129);
       expect_bool "get out of range is absent" false (recv_exn cl);
@@ -291,8 +300,9 @@ let error_frames () =
       | _ -> Alcotest.fail "expected Rbatch [| Err; Pong |]");
       Unix.close cl.fd)
 
-let malformed_frame_closes () =
-  with_server ~provider:`Logical ~coalesce:true ~key_space:128 (fun port ->
+let malformed_frame_closes ~executor () =
+  with_server ~executor ~provider:`Logical ~coalesce:true ~key_space:128
+    (fun port ->
       let cl = client port in
       (* a healthy request, then garbage: the server must answer both in
          order — the second with Err — then close *)
@@ -316,9 +326,9 @@ let prefill cl n =
 
 (* 101 full ranges over 21,000 keys need ~17 MB, above max_payload: the
    answer is an Err in its place, and the connection keeps serving *)
-let oversized_answer () =
+let oversized_answer ~executor () =
   let key_space = 21_000 in
-  with_server ~provider:`Logical ~coalesce:true ~shards:2 ~key_space
+  with_server ~executor ~provider:`Logical ~coalesce:true ~shards:2 ~key_space
     (fun port ->
       let cl = client port in
       prefill cl key_space;
@@ -360,15 +370,16 @@ let client_reset_mid_answer () =
 
 (* ---------- cross-shard answers ---------- *)
 
-let with_router ~key_space f =
+let with_router ?(executor = `Domains) ~key_space f =
   let router =
-    Serve.Shards.create ~structure:"bst-vcas" ~provider:`Logical ~shards:2
-      ~key_space ~coalesce:true ()
+    Serve.Shards.create ~executor ~structure:"bst-vcas" ~provider:`Logical
+      ~shards:2 ~key_space ~coalesce:true ()
   in
   Fun.protect ~finally:(fun () -> Serve.Shards.stop router) (fun () -> f router)
 
 (* Holds the worker of the shard owning [key] inside a Get's completion
-   until the returned release is called. *)
+   until the returned release is called.  Worker domains only: an inline
+   completion runs on the submitting thread, so it would never return. *)
 let hold_shard router key =
   let held = Atomic.make false and release = Atomic.make false in
   Serve.Shards.submit router (Wire.Get key) (fun _ ->
@@ -429,10 +440,10 @@ let cross_shard_range () =
 (* Answers longer than one collection-buffer segment (64 keys): a
    cross-shard range whose parts hold 500 keys each, and ranges inside
    one shard, with and without a shared snapshot. *)
-let long_range_answers ~coalesce () =
+let long_range_answers ~executor ~coalesce () =
   let router =
-    Serve.Shards.create ~structure:"bst-vcas" ~provider:`Logical ~shards:2
-      ~key_space:1_000 ~coalesce ()
+    Serve.Shards.create ~executor ~structure:"bst-vcas" ~provider:`Logical
+      ~shards:2 ~key_space:1_000 ~coalesce ()
   in
   Fun.protect ~finally:(fun () -> Serve.Shards.stop router) @@ fun () ->
   let exec = Serve.Shards.exec router in
@@ -519,7 +530,7 @@ let hist_count name = Hwts_obs.Histogram.count (Hwts_obs.Registry.histogram name
    the batch writes; the ones at the end see every write.  Each in-range
    sub-op is one [serve.point.ops], and every point sub-op one sample of
    its class's latency histogram. *)
-let batch_matches_one_at_a_time () =
+let batch_matches_one_at_a_time ~executor () =
   let open Wire in
   let reqs =
     [|
@@ -542,8 +553,8 @@ let batch_matches_one_at_a_time () =
       ("serve.latency.delete", function Delete _ -> true | _ -> false);
     ]
   in
-  with_router ~key_space:100 @@ fun batched ->
-  with_router ~key_space:100 @@ fun twin ->
+  with_router ~executor ~key_space:100 @@ fun batched ->
+  with_router ~executor ~key_space:100 @@ fun twin ->
   List.iter
     (fun router ->
       ignore (Serve.Shards.exec router (Batch [| Insert 30; Insert 55 |])))
@@ -569,10 +580,10 @@ let rejected = Wire.Err "server stopping"
 
 (* After [stop], every shard refuses: each in-range point position of a
    batch, and its reads, answer Err; a Ping still answers Pong. *)
-let batch_after_stop () =
+let batch_after_stop ~executor () =
   let router =
-    Serve.Shards.create ~structure:"bst-vcas" ~provider:`Logical ~shards:2
-      ~key_space:100 ~coalesce:true ()
+    Serve.Shards.create ~executor ~structure:"bst-vcas" ~provider:`Logical
+      ~shards:2 ~key_space:100 ~coalesce:true ()
   in
   Serve.Shards.stop router;
   let open Wire in
@@ -626,10 +637,10 @@ let decode_forces_no_collection () =
 
 (* ---------- stop drains in-flight work ---------- *)
 
-let stop_drains_inflight () =
+let stop_drains_inflight ~executor () =
   let router =
-    Serve.Shards.create ~structure:"bst-vcas" ~provider:`Logical ~shards:2
-      ~key_space:256 ~coalesce:true ()
+    Serve.Shards.create ~executor ~structure:"bst-vcas" ~provider:`Logical
+      ~shards:2 ~key_space:256 ~coalesce:true ()
   in
   let server = Serve.Server.start ~port:0 router in
   let cl = client (Serve.Server.port server) in
@@ -653,11 +664,11 @@ let stop_drains_inflight () =
    block.  Once stop has begun, one client starts reading and must get
    every answer; the other never reads, and stop must still return once
    its grace has passed. *)
-let stop_cuts_client_not_reading () =
+let stop_cuts_client_not_reading ~executor () =
   let key_space = 50_000 and n = 40 in
   let router =
-    Serve.Shards.create ~structure:"bst-vcas" ~provider:`Logical ~shards:2
-      ~key_space ~coalesce:true ()
+    Serve.Shards.create ~executor ~structure:"bst-vcas" ~provider:`Logical
+      ~shards:2 ~key_space ~coalesce:true ()
   in
   let server = Serve.Server.start ~port:0 router in
   let port = Serve.Server.port server in
@@ -715,9 +726,9 @@ let ping ~timeout port =
 
 (* A client that pipelines large ranges and never reads fills its
    socket buffers; meanwhile another client must still be answered. *)
-let stalled_reader_blocks_no_one () =
+let stalled_reader_blocks_no_one ~executor () =
   let key_space = 50_000 in
-  with_server ~provider:`Logical ~coalesce:true ~shards:2 ~key_space
+  with_server ~executor ~provider:`Logical ~coalesce:true ~shards:2 ~key_space
     (fun port ->
       let stalled = client port in
       Fun.protect ~finally:(fun () -> Unix.close stalled.fd) @@ fun () ->
@@ -886,64 +897,254 @@ let accept_survives_fd_exhaustion () =
     | Some Wire.Pong -> ()
     | _ -> Alcotest.fail "no Pong on a new connection after EMFILE"
 
+(* ---------- the inline executor ---------- *)
+
+let inline_router ~key_space =
+  Serve.Shards.create ~executor:`Inline ~structure:"bst-vcas"
+    ~provider:`Logical ~shards:2 ~key_space ~coalesce:true ()
+
+(* Every submit of a round only enqueues; the round's end drains each
+   shard once, so its 20 cross-shard ranges take one snapshot per
+   shard.  Over the socket, 16 ranges sent in one write reach the loop
+   in one read, and so in one round: fewer snapshots than ranges,
+   where a drain per submit would take one per part. *)
+let round_shares_snapshots () =
+  let router = inline_router ~key_space:100 in
+  Fun.protect ~finally:(fun () -> Serve.Shards.stop router) (fun () ->
+      ignore
+        (Serve.Shards.exec router
+           (Wire.Batch (Array.init 100 (fun i -> Wire.Insert (i + 1)))));
+      Hwts_obs.Counter.reset c_snapshots;
+      Hwts_obs.Counter.reset c_rq_ops;
+      let answers = Array.make 20 None in
+      Serve.Shards.round router (fun () ->
+          Array.iteri
+            (fun i _ ->
+              Serve.Shards.submit router
+                (Wire.Range (i + 1, i + 60))
+                (fun r -> answers.(i) <- Some r))
+            answers;
+          Alcotest.(check bool)
+            "nothing answered inside the round" true
+            (Array.for_all Option.is_none answers));
+      Array.iteri
+        (fun i r ->
+          match r with
+          | Some r ->
+            expect_keys "range" (Array.init 60 (fun j -> i + 1 + j)) r
+          | None -> Alcotest.fail "a range of the round was not answered")
+        answers;
+      Alcotest.(check int) "range parts" 40 (Hwts_obs.Counter.sum c_rq_ops);
+      Alcotest.(check int) "one snapshot per shard" 2
+        (Hwts_obs.Counter.sum c_snapshots));
+  let key_space = 100 and n = 16 in
+  with_server ~executor:`Inline ~provider:`Logical ~coalesce:true ~shards:2
+    ~key_space (fun port ->
+      let cl = client port in
+      prefill cl key_space;
+      Hwts_obs.Counter.reset c_snapshots;
+      let b = Buffer.create 256 in
+      for _ = 1 to n do
+        Wire.encode_request b (Wire.Range (1, key_space))
+      done;
+      write_all cl.fd (Buffer.to_bytes b);
+      for _ = 1 to n do
+        expect_keys "served range" (Array.init key_space succ) (recv_exn cl)
+      done;
+      Unix.close cl.fd;
+      let snapshots = Hwts_obs.Counter.sum c_snapshots in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d snapshots for %d ranges" snapshots n)
+        true (snapshots < n))
+
+(* A completion's submit only enqueues, and the drain in progress runs
+   it: both answers are in by the time the outer submit returns. *)
+let completion_submits () =
+  let router = inline_router ~key_space:100 in
+  Fun.protect ~finally:(fun () -> Serve.Shards.stop router) @@ fun () ->
+  let inner = ref None in
+  Serve.Shards.submit router (Wire.Insert 70) (fun _ ->
+      Serve.Shards.submit router (Wire.Get 70) (fun r -> inner := Some r));
+  match !inner with
+  | Some r -> expect_bool "the completion's get" true r
+  | None -> Alcotest.fail "the completion's submit was not drained"
+
+(* The loop's drain parks at its pause point, holding the executor; an
+   [exec] from a second systhread must wait for it, not run its own
+   drain beside it on the same domain. *)
+let exec_waits_for_the_loop () =
+  let router = inline_router ~key_space:100 in
+  let server = Serve.Server.start ~port:0 router in
+  Fun.protect ~finally:(fun () ->
+      Sync.Pause.disable ();
+      Sync.Pause.unpark ();
+      Serve.Server.stop server)
+  @@ fun () ->
+  let cl = client (Serve.Server.port server) in
+  Sync.Pause.park_at 1;
+  send cl.fd (Wire.Insert 5);
+  await "the loop's drain to park" Sync.Pause.parked;
+  let answer = Atomic.make None in
+  let second =
+    Thread.create
+      (fun () ->
+        Atomic.set answer (Some (Serve.Shards.exec router (Wire.Insert 60))))
+      ()
+  in
+  Unix.sleepf 0.2;
+  let early = Atomic.get answer in
+  Sync.Pause.unpark ();
+  Thread.join second;
+  Alcotest.(check bool) "the second thread waited" true (early = None);
+  (match Atomic.get answer with
+  | Some r -> expect_bool "the second thread's insert" true r
+  | None -> Alcotest.fail "no answer for the second thread");
+  expect_bool "the client's insert" true (recv_exn cl);
+  Unix.close cl.fd
+
+(* The binary picks its executor from its affinity mask: started on one
+   CPU it reports 0 worker domains, in
+   its banner and in --metrics-out, and serves; unpinned on a machine
+   with more CPUs, one per shard. *)
+let executor_reported ~pinned () =
+  match serve_exe with
+  | None -> Alcotest.skip ()
+  | Some serve_exe ->
+    if (not pinned) && Domain.recommended_domain_count () = 1 then
+      Alcotest.skip ();
+    let shards = 2 in
+    let want = if pinned then 0 else shards in
+    let metrics = Filename.temp_file "hwts_serve_metrics" ".json" in
+    let out_r, out_w = Unix.pipe () in
+    let argv =
+      [|
+        serve_exe; "--port"; "0"; "--shards"; string_of_int shards;
+        "--key-space"; "256"; "--max-seconds"; "30"; "--metrics-out"; metrics;
+      |]
+    in
+    (* a child inherits the affinity of the thread that spawns it: pin
+       a throwaway systhread, not the test's own, to any CPU its mask
+       allows *)
+    let rec pin cpu = cpu >= 0 && (Tsc.pin_to_cpu cpu || pin (cpu - 1)) in
+    let pid = ref 0 and pin_failed = ref false in
+    Thread.join
+      (Thread.create
+         (fun () ->
+           if pinned && not (pin (Tsc.num_cpus () - 1)) then
+             pin_failed := true
+           else
+             pid :=
+               Unix.create_process serve_exe argv Unix.stdin out_w Unix.stderr)
+         ());
+    if !pin_failed then Alcotest.fail "could not pin to one CPU";
+    let pid = !pid in
+    Unix.close out_w;
+    let ic = Unix.in_channel_of_descr out_r in
+    let banner = input_line ic in
+    let port =
+      Scanf.sscanf banner "hwts-serve: listening on %[^:]:%d" (fun _ p -> p)
+    in
+    let cl = client port in
+    send cl.fd (Wire.Insert 7);
+    expect_bool "insert" true (recv_exn cl);
+    send cl.fd (Wire.Range (1, 256));
+    expect_keys "range" [| 7 |] (recv_exn cl);
+    Unix.close cl.fd;
+    Unix.kill pid Sys.sigint;
+    await_exit pid;
+    close_in ic;
+    let contents = In_channel.with_open_bin metrics In_channel.input_all in
+    Sys.remove metrics;
+    let on = Printf.sprintf "%d shards on %d worker domains" shards want in
+    Alcotest.(check bool) (Printf.sprintf "banner says %S" on) true
+      (contains ~needle:on banner);
+    let gauge =
+      Printf.sprintf
+        "\"name\":\"serve.worker_domains\",\"type\":\"gauge\",\"value\":%d.0" want
+    in
+    Alcotest.(check bool) ("metrics carry " ^ gauge) true
+      (contains ~needle:gauge contents)
+
+(* Each server-level case once with worker domains, under its own name,
+   and once inline, as "inline: <name>". *)
+let both name f =
+  [
+    Alcotest.test_case name `Quick (f ~executor:`Domains);
+    Alcotest.test_case ("inline: " ^ name) `Quick (f ~executor:`Inline);
+  ]
+
 let () =
   Alcotest.run "serve"
     [
       ( "oracle",
-        [
-          Alcotest.test_case "logical, coalesced" `Quick
-            (oracle ~provider:`Logical ~coalesce:true);
-          Alcotest.test_case "logical, per-RQ" `Quick
-            (oracle ~provider:`Logical ~coalesce:false);
-          Alcotest.test_case "adaptive, coalesced" `Quick
-            (oracle ~provider:`Adaptive ~coalesce:true);
-          Alcotest.test_case "adaptive, per-RQ" `Quick
-            (oracle ~provider:`Adaptive ~coalesce:false);
-        ] );
+        List.concat_map
+          (fun (name, provider, coalesce) ->
+            both name (fun ~executor -> oracle ~executor ~provider ~coalesce))
+          [
+            ("logical, coalesced", `Logical, true);
+            ("logical, per-RQ", `Logical, false);
+            ("adaptive, coalesced", `Adaptive, true);
+            ("adaptive, per-RQ", `Adaptive, false);
+          ] );
       ( "protocol",
-        [
-          Alcotest.test_case "decoding forces no collection" `Quick
-            decode_forces_no_collection;
-          Alcotest.test_case "error frames" `Quick error_frames;
-          Alcotest.test_case "malformed closes after Err" `Quick
-            malformed_frame_closes;
-        ] );
+        Alcotest.test_case "decoding forces no collection" `Quick
+          decode_forces_no_collection
+        :: both "error frames" error_frames
+        @ both "malformed closes after Err" malformed_frame_closes );
       ( "cross-shard",
         [
           Alcotest.test_case "range: sorted union, maximal label" `Quick
             cross_shard_range;
-          Alcotest.test_case "range: long answers, shared snapshot" `Quick
-            (long_range_answers ~coalesce:true);
-          Alcotest.test_case "range: long answers, one snapshot a part" `Quick
-            (long_range_answers ~coalesce:false);
-          Alcotest.test_case "range: refused part fails the request" `Quick
-            (refused_part_fails_request (Wire.Range (1, 100)));
-          Alcotest.test_case "multiget: refused part fails the request" `Quick
-            (refused_part_fails_request (Wire.MultiGet [| 10; 60 |]));
-          Alcotest.test_case "batch: refused part fails every point" `Quick
-            (refused_part_fails_request ~expect:all_stopping
-               (Wire.Batch [| Wire.Insert 10; Wire.Get 60 |]));
-          Alcotest.test_case "batch: answers match one at a time" `Quick
-            batch_matches_one_at_a_time;
-          Alcotest.test_case "batch: after stop, Err at every point" `Quick
-            batch_after_stop;
+        ]
+        @ both "range: long answers, shared snapshot" (fun ~executor ->
+              long_range_answers ~executor ~coalesce:true)
+        @ both "range: long answers, one snapshot a part" (fun ~executor ->
+              long_range_answers ~executor ~coalesce:false)
+        @ [
+            Alcotest.test_case "range: refused part fails the request" `Quick
+              (refused_part_fails_request (Wire.Range (1, 100)));
+            Alcotest.test_case "multiget: refused part fails the request" `Quick
+              (refused_part_fails_request (Wire.MultiGet [| 10; 60 |]));
+            Alcotest.test_case "batch: refused part fails every point" `Quick
+              (refused_part_fails_request ~expect:all_stopping
+                 (Wire.Batch [| Wire.Insert 10; Wire.Get 60 |]));
+          ]
+        @ both "batch: answers match one at a time" batch_matches_one_at_a_time
+        @ both "batch: after stop, Err at every point" batch_after_stop );
+      ( "inline",
+        [
+          Alcotest.test_case
+            "inline: a round's ranges share one snapshot per shard" `Quick
+            round_shares_snapshots;
+          Alcotest.test_case "inline: a completion's submit joins the drain"
+            `Quick completion_submits;
+          Alcotest.test_case
+            "inline: exec from a second systhread while the loop serves" `Quick
+            exec_waits_for_the_loop;
+          Alcotest.test_case "executor: one CPU, 0 worker domains" `Quick
+            (executor_reported ~pinned:true);
+          Alcotest.test_case "executor: unpinned, a worker domain per shard"
+            `Quick
+            (executor_reported ~pinned:false);
         ] );
       ( "lifecycle",
-        [
-          Alcotest.test_case "oversized answer: Err, then keep serving" `Quick
-            oversized_answer;
-          Alcotest.test_case "client reset mid-answer" `Quick
-            client_reset_mid_answer;
-          Alcotest.test_case "stop drains in-flight" `Quick stop_drains_inflight;
-          Alcotest.test_case "stop cuts a client that stopped reading" `Quick
-            stop_cuts_client_not_reading;
-          Alcotest.test_case "accept survives running out of descriptors"
-            `Quick accept_survives_fd_exhaustion;
-          Alcotest.test_case "SIGINT: drain, flush, exit 0" `Quick
-            subprocess_sigint;
-          Alcotest.test_case "a stalled reader blocks no one" `Quick
-            stalled_reader_blocks_no_one;
-          Alcotest.test_case "a descriptor above FD_SETSIZE" `Quick
-            high_descriptor;
-        ] );
+        both "oversized answer: Err, then keep serving" oversized_answer
+        @ [
+            Alcotest.test_case "client reset mid-answer" `Quick
+              client_reset_mid_answer;
+          ]
+        @ both "stop drains in-flight" stop_drains_inflight
+        @ both "stop cuts a client that stopped reading"
+            stop_cuts_client_not_reading
+        @ [
+            Alcotest.test_case "accept survives running out of descriptors"
+              `Quick accept_survives_fd_exhaustion;
+            Alcotest.test_case "SIGINT: drain, flush, exit 0" `Quick
+              subprocess_sigint;
+          ]
+        @ both "a stalled reader blocks no one" stalled_reader_blocks_no_one
+        @ [
+            Alcotest.test_case "a descriptor above FD_SETSIZE" `Quick
+              high_descriptor;
+          ] );
     ]

@@ -61,6 +61,16 @@ check-torture: build
 	  dune exec bin/hwts_cli.exe -- check --structure bst-vcas \
 	    --provider rdtscp-strict --multi --rounds 24 --seed $$seed || exit 1; \
 	done
+	# The Bundling lists share that link: skiplist-bundle under
+	# rdtscp-strict is the served mixed-open pairing, lazylist-bundle runs
+	# under the logical clock.  A link flattens only once labeled at or
+	# below the floor, and a new node's own link starts pending.
+	for seed in 0xC0FFEE 0xBADF00D; do \
+	  dune exec bin/hwts_cli.exe -- check --structure skiplist-bundle \
+	    --provider rdtscp-strict --multi --rounds 24 --seed $$seed || exit 1; \
+	  dune exec bin/hwts_cli.exe -- check --structure lazylist-bundle \
+	    --provider logical --multi --rounds 24 --seed $$seed || exit 1; \
+	done
 	$(MAKE) bench-hotpath-guard
 
 # Re-measure the optimized leg with fault injection disabled (the

@@ -1,6 +1,4 @@
 module Make (T : Hwts.Timestamp.S) = struct
-  module V = Vcas_obj.Make (T)
-
   (* Natarajan–Mittal external BST whose child edges are vCAS objects.  A
      set keeps its keys in [Leaf]s; a map keeps each binding in an
      [Entry] and uses [Leaf] only for the sentinels.  An [Internal] holds
@@ -8,24 +6,41 @@ module Make (T : Hwts.Timestamp.S) = struct
      that pointer is the edge's value itself whenever no open snapshot
      can need the edge's history: a tree level is then one heap block.
      Only an edge written while a snapshot may still read its older
-     values holds a [Versioned] head, whose chain keeps that history.
-     Only a flagged (leaf being deleted) or tagged (parent being spliced
-     out) edge allocates a [Mark] around its target, and a [Mark]'s
-     target is never itself a [Mark]; no value is ever [Versioned]. *)
+     values holds a [Version], the head of a {!Link} chain that keeps
+     that history.  Only a flagged (leaf being deleted) or tagged (parent
+     being spliced out) edge allocates a [Mark] around its target, and a
+     [Mark]'s target is never itself a [Mark]; no version's value is a
+     [Version]. *)
   type 'v node =
     | Leaf of int
     | Entry of { key : int; value : 'v }
     | Internal of { ikey : int; mutable left : 'v node; mutable right : 'v node }
     | Mark of { target : 'v node; flagged : bool; tagged : bool }
-    | Versioned of 'v node V.version
+    | Version of { mutable ts : int; v : 'v node; mutable older : 'v node }
 
-  (* Edges are read as plain fields and CASed in place.  [Internal]'s
-     inline record is its block: [ikey] is field 0, [left] field 1,
-     [right] field 2.  Only [cas_edge] below calls the stub, and only on
-     an [Internal]. *)
-  external cas_field : 'v node -> int -> 'v node -> 'v node -> bool
-    = "hwts_cas_field"
-  [@@noalloc]
+  module Node = struct
+    type 'v t = 'v node
+
+    let version ts v older = Version { ts; v; older }
+    let is_version = function Version _ -> true | _ -> false
+
+    let value = function
+      | Version x -> x.v
+      | _ -> invalid_arg "Bst_vcas.value: not a version"
+
+    let older = function
+      | Version x -> x.older
+      | _ -> invalid_arg "Bst_vcas.older: not a version"
+
+    let set_older n older =
+      match n with
+      | Version x -> x.older <- older
+      | _ -> invalid_arg "Bst_vcas.set_older: not a version"
+  end
+
+  (* Labeling by helping, on the link every edge is. *)
+  module H = Vcas_obj.Helping (T) (Link.Cell (Node))
+  module L = Link.Make (Node) (H)
 
   let inf0 = max_int - 2
   let inf1 = max_int - 1
@@ -36,7 +51,7 @@ module Make (T : Hwts.Timestamp.S) = struct
   type 'v t = { root : 'v node; registry : Rq_registry.t }
 
   (* The label a current read resolves at: every version qualifies, so
-     [V.value_at head now] is the labeled head's value. *)
+     [L.value_at head now] is the labeled head's value. *)
   let now = max_int
   let target = function Mark m -> m.target | node -> node
   let flagged = function Mark m -> m.flagged | _ -> false
@@ -46,46 +61,33 @@ module Make (T : Hwts.Timestamp.S) = struct
   let edge target ~flagged ~tagged =
     if flagged || tagged then Mark { target; flagged; tagged } else target
 
+  (* [Internal]'s inline record is its block: [ikey] is field 0, [left]
+     field 1, [right] field 2. *)
   let head node left =
     match node with
     | Internal n -> if left then n.left else n.right
-    | Leaf _ | Entry _ | Mark _ | Versioned _ ->
+    | Leaf _ | Entry _ | Mark _ | Version _ ->
       invalid_arg "Bst_vcas.head: not internal"
 
-  (* The current value of an edge as read from its field.  A versioned
-     head is labeled on the way (readers label the heads they return), so
-     a write that installs a successor after it gets an equal or later
-     label. *)
-  let current = function
-    | Versioned head -> V.value (V.labeled head)
-    | node -> node
-
+  (* The current value of an edge as read from its field. *)
+  let current = function Version _ as head -> L.current head | node -> node
   let edge_value node left = current (head node left)
 
   (* Install [node] on [parent]'s [left] edge iff the field still holds
      [expected] (as read through [current]).  Readers follow a [Mark] to
      its target, so a write that only flags or tags a bare edge changes
      nothing any reader sees, at any label: it goes in bare.  Any other
-     write goes in as a fresh version whose older link is the edge's
-     history ([V.since_always] for a bare edge), so a snapshot labeled
-     before the write still reads the old value, and is then labeled.
-     The labeled write cuts history that no open snapshot can need
-     (announce-then-read makes this safe; the registry floor is the cached
-     one: refreshed lazily, guaranteed never to lead the true minimum).
-     When no snapshot can need anything older than the write itself — its
-     label is at or below the floor; with no snapshot open the floor is
-     that label — a second CAS replaces the version with its value, and
-     the edge is one pointer to its node again. *)
-  let cas_versioned t parent field expected older node =
-    let candidate = V.successor older node in
-    let versioned = Versioned candidate in
-    cas_field parent field expected versioned
+     write is {!Link}'s: a fresh version whose older link is [expected]
+     (the edge's chain, or its bare value), so a snapshot labeled before
+     the write still reads the old value; it is published (labeled by
+     helping), then settled: put back bare at or below the floor, pruned
+     otherwise. *)
+  let cas_versioned t parent field expected node =
+    let version = L.successor expected node in
+    L.cas parent field expected version
     && begin
-         V.publish candidate;
-         let label = V.timestamp candidate in
-         let floor = Rq_registry.min_active_cached t.registry ~default:label in
-         if not (label <= floor && cas_field parent field versioned node) then
-           V.prune_from candidate floor;
+         H.publish version;
+         L.settle t.registry parent field version;
          true
        end
 
@@ -98,9 +100,9 @@ module Make (T : Hwts.Timestamp.S) = struct
        node it held *)
     Sync.Pause.point ();
     match expected with
-    | Versioned head -> cas_versioned t parent field expected head node
-    | bare when target node == target bare -> cas_field parent field bare node
-    | bare -> cas_versioned t parent field bare (V.since_always bare) node
+    | Version _ -> cas_versioned t parent field expected node
+    | bare when target node == target bare -> L.cas parent field bare node
+    | bare -> cas_versioned t parent field bare node
 
   let create () =
     let s = Internal { ikey = inf1; left = Leaf inf0; right = Leaf inf1 } in
@@ -150,7 +152,7 @@ module Make (T : Hwts.Timestamp.S) = struct
   let key_of = function
     | Leaf k -> k
     | Entry e -> e.key
-    | Internal _ | Mark _ | Versioned _ ->
+    | Internal _ | Mark _ | Version _ ->
       invalid_arg "Bst_vcas.key_of: not a leaf"
 
   (* [value] is the current value of [par_edge]. *)
@@ -172,7 +174,7 @@ module Make (T : Hwts.Timestamp.S) = struct
       if tagged value then
         descend r key anc anc_left successor node left edge (current edge)
       else descend r key parent par_left node node left edge (current edge)
-    | Mark _ | Versioned _ -> invalid_arg "Bst_vcas.descend: not a value"
+    | Mark _ | Version _ -> invalid_arg "Bst_vcas.descend: not a value"
 
   (* Entering [s] through [r]'s clean left edge makes [r] the ancestor
      and [s] the successor, the seek's usual start. *)
@@ -267,7 +269,7 @@ module Make (T : Hwts.Timestamp.S) = struct
   let rec leaf_at key ts node =
     match node with
     | Internal n -> leaf_at key ts (if key < n.ikey then n.left else n.right)
-    | Versioned head -> leaf_at key ts (V.value_at head ts)
+    | Version _ -> leaf_at key ts (L.value_at node ts)
     | Mark m -> leaf_at key ts m.target
     | Leaf _ | Entry _ -> node
 
@@ -282,7 +284,7 @@ module Make (T : Hwts.Timestamp.S) = struct
 
   let binding key = function
     | Entry e when e.key = key -> Some e.value
-    | Leaf _ | Entry _ | Internal _ | Mark _ | Versioned _ -> None
+    | Leaf _ | Entry _ | Internal _ | Mark _ | Version _ -> None
 
   let mem t key = holds key (leaf_now t key)
   let find t key = binding key (leaf_now t key)
@@ -303,7 +305,7 @@ module Make (T : Hwts.Timestamp.S) = struct
     | Internal n ->
       if lo < n.ikey then keys_into buf ts lo hi n.left;
       if hi >= n.ikey then keys_into buf ts lo hi n.right
-    | Versioned head -> keys_into buf ts lo hi (V.value_at head ts)
+    | Version _ -> keys_into buf ts lo hi (L.value_at node ts)
     | Mark m -> keys_into buf ts lo hi m.target
 
   let keys t ts ~lo ~hi =
@@ -323,7 +325,7 @@ module Make (T : Hwts.Timestamp.S) = struct
         if hi >= n.ikey then bindings_onto acc ts lo hi n.right else acc
       in
       if lo < n.ikey then bindings_onto acc ts lo hi n.left else acc
-    | Versioned head -> bindings_onto acc ts lo hi (V.value_at head ts)
+    | Version _ -> bindings_onto acc ts lo hi (L.value_at node ts)
     | Mark m -> bindings_onto acc ts lo hi m.target
 
   let bindings t ts ~lo ~hi =
@@ -356,9 +358,8 @@ module Make (T : Hwts.Timestamp.S) = struct
     let rec spine edges versions node =
       match node with
       | Internal n ->
-        let held = match n.left with Versioned head -> V.chain_of head | _ -> 1 in
-        spine (edges + 1) (versions + held) (target (current n.left))
-      | Leaf _ | Entry _ | Mark _ | Versioned _ -> (edges, versions)
+        spine (edges + 1) (versions + L.chain_of n.left) (target (current n.left))
+      | Leaf _ | Entry _ | Mark _ | Version _ -> (edges, versions)
     in
     spine 0 0 t.root
 end

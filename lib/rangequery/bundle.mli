@@ -18,6 +18,18 @@
     must already be serialized by the owning structure's node lock;
     readers are lock-free. *)
 
+module Waiting (C : Chain.CELL) : sig
+  (** Bundling's labeling on any version whose label word [C] reaches:
+      {!Make}'s own entries, or the versions a link keeps among its
+      owner's nodes (the Bundling lists' links). *)
+
+  include Chain.LABELING with type 'a t = 'a C.t
+  (** [resolve] waits for a pending entry's update to label it. *)
+
+  val label : 'a C.t -> int -> unit
+  (** Label a pending entry; see {!Make.label}. *)
+end
+
 module Make (T : Hwts.Timestamp.S) : sig
   type 'a entry = 'a Chain.version
   (** The {!Vcas_obj} version record: one block per entry, whose chain

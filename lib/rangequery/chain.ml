@@ -30,6 +30,40 @@ type 'a version = {
 external label : 'a version -> int = "%atomic_load"
 external cas_label : 'a version -> int -> int -> bool = "%atomic_cas"
 
+(* The label word of a version, wherever the version lives: a record of
+   this module, or a constructor of an owner's own link type ({!Link}).
+   Either way the label is field 0 of the version's block. *)
+module type CELL = sig
+  type 'a t
+
+  val label : 'a t -> int
+  val cas_label : 'a t -> int -> int -> bool
+end
+
+module Cell = struct
+  type 'a t = 'a version
+
+  let label = label
+  let cas_label = cas_label
+end
+
+(* What a labeling discipline tells a chain walk: how a reader gets the
+   label of a version that has none yet (vCAS: it helps label it now;
+   Bundling: it waits for the update that installed it), and what to
+   count.  {!Vcas_obj.Helping} and {!Bundle.Waiting} are the two. *)
+module type LABELING = sig
+  type 'a t
+
+  val resolve : 'a t -> int
+  (** The label of a version met unlabeled (0), once it has one. *)
+
+  val walked : int -> unit
+  (** A snapshot read walked this many versions of one chain. *)
+
+  val pruned : unit -> unit
+  (** A prune cut a chain. *)
+end
+
 (* A one-version chain holding [v] with label [ts] (0: not yet labeled). *)
 let first ts v =
   let rec version = { ts; v; older = version } in

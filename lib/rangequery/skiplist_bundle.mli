@@ -10,5 +10,9 @@
 module Make (T : Hwts.Timestamp.S) : sig
   include Dstruct.Ordered_set.RQ
 
+  val version_chain_stats : t -> int * int
+  (** (bundled links, retained values) over the head and every linked
+      node: a probe for tests.  A bare link counts as one value. *)
+
   val active_rqs : t -> int
 end

@@ -17,18 +17,27 @@
     the write that published it.  A version whose older link is itself
     ends the chain. *)
 
+module Helping (T : Hwts.Timestamp.S) (C : Chain.CELL) : sig
+  (** Labeling by helping, on any version whose label word [C] reaches:
+      {!Make}'s own chain records, or the versions a link keeps among its
+      owner's nodes (the vCAS BST's edges). *)
+
+  include Chain.LABELING with type 'a t = 'a C.t
+  (** [resolve] labels a version met unlabeled with the current clock
+      (the first helper's CAS wins, later ones agree) and returns its
+      label. *)
+
+  val publish : 'a C.t -> unit
+  (** Label a just-installed version (helping: a reader may have labeled
+      it first).  After it returns, its label is the write's
+      linearization label. *)
+end
+
 module Make (T : Hwts.Timestamp.S) : sig
   type 'a version = 'a Chain.version
 
   val first : 'a -> 'a version
   (** A one-version chain holding the value, labeled now. *)
-
-  val since_always : 'a -> 'a version
-  (** A one-version chain holding a value that holds at every label,
-      labeled below any snapshot so no reader helps.  An owner that keeps
-      a link's value bare once no snapshot can need its history (the vCAS
-      BST) takes the value back into a chain with it when it next writes
-      the link. *)
 
   val successor : 'a version -> 'a -> 'a version
   (** [successor expected v]: an unlabeled version holding [v] whose

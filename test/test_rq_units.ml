@@ -527,6 +527,172 @@ let bare_edge_round_trip (module P : Hwts.Timestamp.S) () =
   Alcotest.(check bool) "contains 20" true (S.contains t 20);
   Alcotest.(check bool) "contains 5" false (S.contains t 5)
 
+(* ---------- Bundling lists: links bare once no snapshot needs them ---------- *)
+
+module type BUNDLED_LIST = sig
+  include Dstruct.Ordered_set.RQ
+
+  val version_chain_stats : t -> int * int
+end
+
+let bundled_lists =
+  [
+    ( "skiplist-bundle",
+      fun (module P : Hwts.Timestamp.S) ->
+        (module Rangequery.Skiplist_bundle.Make (P) : BUNDLED_LIST) );
+    ( "lazylist-bundle",
+      fun (module P : Hwts.Timestamp.S) ->
+        (module Rangequery.Lazylist_bundle.Make (P) : BUNDLED_LIST) );
+  ]
+
+let bundle_providers () =
+  [
+    ("logical", (module Hwts.Timestamp.Logical () : Hwts.Timestamp.S));
+    ( "rdtscp-strict",
+      (module Hwts.Timestamp.Strict_sharded (Hwts.Timestamp.Hardware) ()
+      : Hwts.Timestamp.S) );
+  ]
+
+let all_bare (type a) (module S : BUNDLED_LIST with type t = a) (t : a) =
+  let links, values = S.version_chain_stats t in
+  links = values
+
+(* Runs [insert] on a fresh domain parked at its [n]th pause point and
+   calls [f] while it is parked; returns what [f] returned and the
+   insert's result. *)
+let while_parked n insert f =
+  Sync.Pause.park_at n;
+  let inserter =
+    Domain.spawn (fun () -> Sync.Slot.with_slot (fun _ -> insert ()))
+  in
+  while not (Sync.Pause.parked ()) do
+    Domain.cpu_relax ()
+  done;
+  let r = f () in
+  Sync.Pause.unpark ();
+  (r, Domain.join inserter)
+
+(* A list built with no snapshot open holds every link bare.  While a
+   snapshot is held, every write of one link (the head's, by the inserts
+   and deletes of key 5) keeps a version, and the snapshot still reads
+   the state it was taken at; after the release the next write puts the
+   link back bare. *)
+let list_held_snapshot_keeps_history make () =
+  let (module S : BUNDLED_LIST) = make () in
+  let t = S.create () in
+  ignore (S.insert t 10);
+  Alcotest.(check bool) "built with no snapshot: bare" true
+    (all_bare (module S) t);
+  let past = S.snapshot t in
+  for _ = 1 to 25 do
+    ignore (S.insert t 5);
+    ignore (S.delete t 5)
+  done;
+  ignore (S.insert t 5);
+  Alcotest.(check (array int)) "snapshot reads its state" [| 10 |]
+    (S.collect_at t past ~lo:0 ~hi:100);
+  Alcotest.(check bool) "snapshot misses the later key" false
+    (S.lookup_at t past 5);
+  Alcotest.(check (array int)) "current state" [| 5; 10 |]
+    (S.range_query t ~lo:0 ~hi:100);
+  Alcotest.(check bool) "held: versioned" false (all_bare (module S) t);
+  S.snap_release t past;
+  ignore (S.delete t 5);
+  Alcotest.(check bool) "released: the next write leaves it bare" true
+    (all_bare (module S) t);
+  Alcotest.(check (array int)) "after release" [| 10 |]
+    (S.range_query t ~lo:0 ~hi:100)
+
+(* A pending version (label 0) is never put back bare: readers wait on
+   it.  The insert of 20 parks right after its pending version is
+   installed on 10's link, before it takes its stamp, so a snapshot taken
+   then is labeled before the insert.  While parked, the link holds a
+   version; once the insert is done, that snapshot still misses 20,
+   because the version, labeled after the snapshot, stays in place. *)
+let list_pending_never_flattened make () =
+  let (module S : BUNDLED_LIST) = make () in
+  let t = S.create () in
+  List.iter (fun k -> ignore (S.insert t k)) [ 10; 30 ];
+  let (snap, held), inserted =
+    while_parked 1
+      (fun () -> S.insert t 20)
+      (fun () -> (S.snapshot t, not (all_bare (module S) t)))
+  in
+  Alcotest.(check bool) "parked: the link holds a pending version" true held;
+  Alcotest.(check bool) "insert" true inserted;
+  Alcotest.(check bool) "snapshot misses the insert" false
+    (S.lookup_at t snap 20);
+  Alcotest.(check (array int)) "snapshot reads its state" [| 10; 30 |]
+    (S.collect_at t snap ~lo:0 ~hi:100);
+  Alcotest.(check bool) "held: versioned" false (all_bare (module S) t);
+  S.snap_release t snap;
+  Alcotest.(check (array int)) "current state" [| 10; 20; 30 |]
+    (S.range_query t ~lo:0 ~hi:100)
+
+(* A snapshot labeled before an insert never starts its walk at the new
+   node.  [before] holds 10, 20, 30; 20 is then deleted and 15 inserted
+   between 10 and 30, so 15 is the raw predecessor of 16.  Starting at
+   15 would skip 20, which [before] must still see.  A second snapshot
+   is taken while the insert is parked before its stamp (born after it
+   too), a third while it is parked after its stamp and before its first
+   label (labeled at or after the insert: it sees 15). *)
+let list_born_after_snapshot make () =
+  let (module S : BUNDLED_LIST) = make () in
+  let t = S.create () in
+  List.iter (fun k -> ignore (S.insert t k)) [ 10; 20; 30 ];
+  let before = S.snapshot t in
+  ignore (S.delete t 20);
+  let parked, inserted =
+    while_parked 1 (fun () -> S.insert t 15) (fun () -> S.snapshot t)
+  in
+  Alcotest.(check bool) "insert 15" true inserted;
+  Alcotest.(check (array int)) "before: from 16" [| 20; 30 |]
+    (S.collect_at t before ~lo:16 ~hi:100);
+  Alcotest.(check bool) "before: 20" true (S.lookup_at t before 20);
+  Alcotest.(check bool) "before: no 15" false (S.lookup_at t before 15);
+  Alcotest.(check (array int)) "before: all" [| 10; 20; 30 |]
+    (S.collect_at t before ~lo:0 ~hi:100);
+  Alcotest.(check (array int)) "parked before the stamp: all" [| 10; 30 |]
+    (S.collect_at t parked ~lo:0 ~hi:100);
+  Alcotest.(check bool) "parked before the stamp: no 15" false
+    (S.lookup_at t parked 15);
+  Alcotest.(check bool) "held: the new link keeps its label" false
+    (all_bare (module S) t);
+  S.snap_release t before;
+  S.snap_release t parked;
+  ignore (S.delete t 15);
+  let after_stamp, inserted =
+    while_parked 2 (fun () -> S.insert t 15) (fun () -> S.snapshot t)
+  in
+  Alcotest.(check bool) "insert 15 again" true inserted;
+  Alcotest.(check bool) "parked after the stamp: 15" true
+    (S.lookup_at t after_stamp 15);
+  Alcotest.(check (array int)) "parked after the stamp: from 11"
+    [| 15; 30 |]
+    (S.collect_at t after_stamp ~lo:11 ~hi:100);
+  S.snap_release t after_stamp;
+  Alcotest.(check (array int)) "current state" [| 10; 15; 30 |]
+    (S.range_query t ~lo:0 ~hi:100)
+
+let bundled_list_cases =
+  List.concat_map
+    (fun (name, make) ->
+      List.concat_map
+        (fun (provider, ts) ->
+          let make () = make ts in
+          let case what f =
+            Alcotest.test_case
+              (Printf.sprintf "%s %s (%s)" name what provider)
+              `Quick (f make)
+          in
+          [
+            case "held snapshot keeps history" list_held_snapshot_keeps_history;
+            case "pending is never flattened" list_pending_never_flattened;
+            case "born after the snapshot" list_born_after_snapshot;
+          ])
+        (bundle_providers ()))
+    bundled_lists
+
 let snapshot_stable_under_concurrency () =
   let t = BH.create () in
   for k = 1 to 64 do
@@ -996,7 +1162,7 @@ let sentinels_absent () =
    measured values, so a block added back to any node fails this; a skip
    list's tower size follows its domain's level draws, so its bound sits
    a fraction of a word above the measured value (10.49-10.50 for
-   skiplist-vcas, by test order). *)
+   skiplist-vcas and 9.99-10.00 for skiplist-bundle, by test order). *)
 let words_per_key create insert =
   let warm = 1024 and keys = 8192 in
   let t = create () in
@@ -1041,8 +1207,8 @@ let layout_cases =
     ("citrus-bundle", 16., fun () -> words_per_key Cb.create Cb.insert);
     ("citrus-ebrrq", 8., fun () -> words_per_key Ce.create Ce.insert);
     ("skiplist-vcas", 10.6, fun () -> words_per_key Sv.create Sv.insert);
-    ("skiplist-bundle", 14.5, fun () -> words_per_key Sb.create Sb.insert);
-    ("lazylist-bundle", 10., fun () -> words_per_key Lb.create Lb.insert);
+    ("skiplist-bundle", 10.1, fun () -> words_per_key Sb.create Sb.insert);
+    ("lazylist-bundle", 6., fun () -> words_per_key Lb.create Lb.insert);
     ( "bst-ebrrq-lockfree",
       33.,
       fun () -> words_per_key Bl.create Bl.insert );
@@ -1286,6 +1452,7 @@ let () =
           Alcotest.test_case "snapshot pinned across nested RQs + pruning"
             `Slow snapshot_pinned_across_nested_rqs_and_pruning;
         ] );
+      ("bundled links", bundled_list_cases);
       ("field-cas", field_cas_cases);
       ( "limbo",
         [

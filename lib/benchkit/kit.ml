@@ -71,6 +71,9 @@ let git_rev () =
     | _ -> "unknown")
 
 let with_artifact ~path ~family meta body =
+  (* The revision is read before the output is opened: rewriting a
+     checked-in artifact in place would make the tree dirty. *)
+  let rev = git_rev () in
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
   let emit ty fields =
@@ -82,6 +85,6 @@ let with_artifact ~path ~family meta body =
     (meta
     @ [
         ("cores", J.Int (Domain.recommended_domain_count ()));
-        ("git_rev", J.Str (git_rev ()));
+        ("git_rev", J.Str rev);
       ]);
   body emit

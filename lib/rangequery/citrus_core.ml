@@ -1,22 +1,24 @@
 (* The Citrus tree, shared by the three labeling granularities Section IV
    compares.  vCAS (readers help label a pending version) and Bundling
-   (the update labels, readers wait) label every edge through a version
-   chain (Fig. 3); EBR-RQ labels every node with its insertion and
-   deletion times, under one global readers-writer lock (Fig. 4).  The
-   tree, its locks, its relocation and its grace wait are the same for
-   all three; a {!LABELING} module supplies what differs.  Citrus_vcas
-   and Citrus_bundle label through {!Heads}, Citrus_ebrrq brings its own
-   labeling. *)
+   (the update labels, readers wait) label every edge through a
+   versioned link (Fig. 3); EBR-RQ labels every node with its insertion
+   and deletion times, under one global readers-writer lock (Fig. 4).
+   The tree, its locks, its relocation and its grace wait are the same
+   for all three; a {!LABELING} module supplies what differs.
+   Citrus_vcas and Citrus_bundle label through {!Heads}, Citrus_ebrrq
+   brings its own labeling. *)
 
 type dir = L | R
 
 (* A [Node]'s inline record is its block, and an absent child is [Nil],
    which is no block at all.  [left] (field 1), [right] (2) and [lock]
-   (3) are written only through {!Field_lock}, and so are [w0] (5) and
-   [w1] (6) where they hold version heads, so the field order matters.
-   The two label words belong to the labeling: the heads of the left and
-   right versioned links under vCAS and Bundling, the insertion and
-   deletion times under EBR-RQ. *)
+   (3) are written only through {!Field_lock}, and [w0] (5) and [w1] (6)
+   through {!Link} where they are links, so the field order matters.
+   The two label words belong to the labeling: the left and right
+   labeled links under vCAS and Bundling, the insertion and deletion
+   times under EBR-RQ.  A [Version] is a labeled link's version
+   ({!Link}): it is only ever held by a label word, never by [left] or
+   [right], and no version's value is a [Version]. *)
 type 'w node =
   | Nil
   | Node of {
@@ -28,15 +30,16 @@ type 'w node =
       mutable w0 : 'w;
       mutable w1 : 'w;
     }
+  | Version of { mutable ts : int; v : 'w node; mutable older : 'w node }
 
-let key_of = function Node n -> n.key | Nil -> max_int
-let marked = function Node n -> n.marked | Nil -> false
-let mark = function Node n -> n.marked <- true | Nil -> ()
+let key_of = function Node n -> n.key | Nil | Version _ -> max_int
+let marked = function Node n -> n.marked | Nil | Version _ -> false
+let mark = function Node n -> n.marked <- true | Nil | Version _ -> ()
 
 let child n d =
   match n with
   | Node n -> ( match d with L -> n.left | R -> n.right)
-  | Nil -> Nil
+  | Nil | Version _ -> Nil
 
 module type LABELING = sig
   type w
@@ -77,15 +80,21 @@ module type LABELING = sig
       [prepare n d target] every link from [n] toward [d] the write
       changes (holding [n]'s lock), [enter] the labeled section (which
       takes its stamp), label the node it links ([born]) and the nodes it
-      unlinks ([dies]), write the raw links, [label] each prepared link
-      and [leave]. *)
+      unlinks ([dies]), write the raw links, [label] each prepared link,
+      [settle] all but one, and [leave] the section with that one. *)
 
   val prepare : w node -> dir -> w node -> link
   val enter : t -> int
   val born : w node -> int -> unit
   val dies : t -> w node -> int -> unit
   val label : link -> int -> unit
-  val leave : t -> link -> unit
+
+  val settle : t -> w node -> dir -> link -> unit
+  (** Settle a labeled link ({!Link.settle}): bare again at or below the
+      floor, else pruned. *)
+
+  val leave : t -> w node -> dir -> link -> unit
+  (** [settle] the link and leave the section. *)
 
   (** {1 Snapshot reads} *)
 
@@ -115,7 +124,7 @@ module Make (L : LABELING) = struct
     type t = node
 
     let lock_field = 3
-    let locked = function Node n -> n.lock | Nil -> false
+    let locked = function Node n -> n.lock | Nil | Version _ -> false
   end)
 
   module Reclaim = L.Reclaim
@@ -159,7 +168,7 @@ module Make (L : LABELING) = struct
     match step n (if key < key_of n then L else R) with
     | Node m as c when m.key <> key -> seek key c
     | Node _ as c -> c
-    | Nil -> n
+    | Nil | Version _ -> n
 
   let find root key =
     Hwts_trace.Span.enter Hwts_trace.Traverse;
@@ -174,7 +183,7 @@ module Make (L : LABELING) = struct
     | Node m when m.key <> key ->
       let d' = if key < m.key then L else R in
       walk key n d' (step n d')
-    | Node _ | Nil -> (prev, d, n)
+    | Node _ | Nil | Version _ -> (prev, d, n)
 
   let find_edge root key =
     Hwts_trace.Span.enter Hwts_trace.Traverse;
@@ -202,8 +211,7 @@ module Make (L : LABELING) = struct
      ([Nil] for none): the stamp is taken before the raw link (the commit
      point unlocked traversals observe), so once a traversal can see the
      change, every later snapshot label covers it.  [born] is labeled
-     before it is reachable, so no neighbour can prepare on a pending
-     head. *)
+     before it is reachable. *)
   let write t n d ~was v ~born ~dies =
     let link = L.prepare n d v in
     let ts = L.enter t.labels in
@@ -211,7 +219,7 @@ module Make (L : LABELING) = struct
     L.dies t.labels dies ts;
     set_child n d ~was v;
     L.label link ts;
-    L.leave t.labels link
+    L.leave t.labels n d link
 
   (* Re-walk from the root under [prev.lock] and require the walk to end
      at the same empty slot.  "Unmarked and still Nil" is not enough for
@@ -321,8 +329,14 @@ module Make (L : LABELING) = struct
       L.dies t.labels succ ts;
       set_child prev d ~was:curr replacement;
       L.label link ts;
-      if early then L.label cut ts;
-      L.leave t.labels link;
+      if early then begin
+        L.label cut ts;
+        (* the cut's link is final now, though its raw link moves only
+           after the grace wait: settling it here keeps no version of
+           [succ] once no snapshot needs it *)
+        L.settle t.labels succ_prev L cut
+      end;
+      L.leave t.labels prev d link;
       mark curr;
       mark succ;
       if not direct then begin
@@ -355,7 +369,7 @@ module Make (L : LABELING) = struct
      and drops the duplicate, and costs nothing over [to_array] on an
      ascending buffer. *)
   let rec collect_into buf ts lo hi = function
-    | Nil -> ()
+    | Nil | Version _ -> ()
     | Node m as n ->
       if lo < m.key then collect_into buf ts lo hi (L.snap_child n L ts);
       if m.key >= lo && m.key <= hi && L.visible ts n then
@@ -383,7 +397,7 @@ module Make (L : LABELING) = struct
 
   let to_list t =
     let rec walk acc = function
-      | Nil -> acc
+      | Nil | Version _ -> acc
       | Node n ->
         let acc = walk acc n.right in
         walk (n.key :: acc) n.left
@@ -395,46 +409,68 @@ module Make (L : LABELING) = struct
   let offline t = Reclaim.offline t.grace
 end
 
+(* Labels on the edges: each of a node's words is its link on that side
+   ({!Link}), the child itself while no snapshot can need the link's
+   history, else a [Version].  The constructor is unboxed: a word is the
+   node or version itself, and [W] only ties the recursion. *)
+type w = W of w node [@@unboxed]
+
+module Versions = struct
+  type _ t = w node
+
+  let version ts v older = Version { ts; v; older }
+  let is_version = function Version _ -> true | Nil | Node _ -> false
+
+  let value = function
+    | Version x -> x.v
+    | Nil | Node _ -> invalid_arg "Citrus_core.value: not a version"
+
+  let older = function
+    | Version x -> x.older
+    | Nil | Node _ -> invalid_arg "Citrus_core.older: not a version"
+
+  let set_older n older =
+    match n with
+    | Version x -> x.older <- older
+    | Nil | Node _ -> invalid_arg "Citrus_core.set_older: not a version"
+end
+
+module Cell = Link.Cell (Versions)
+
 (* What vCAS and Bundling differ in; {!Heads} builds the rest of their
    labeling from it. *)
 module type VERSIONS = sig
   module T : Hwts.Timestamp.S
+
+  module D : Link.LABELING with type 'a t = 'a Versions.t
+  (** Who labels a version: {!Vcas_obj.Helping} or {!Bundle.Waiting}
+      over {!Cell}. *)
 
   val name : string
 
   val reads_heads : bool
   (** As {!LABELING.reads_heads}. *)
 
-  val fresh : 'a -> 'a Chain.version
-  (** The head of a new node's edge.  vCAS: labeled now.  Bundling:
-      pending, labeled by the update that links the node. *)
-
   val stamp : unit -> int
   (** Taken once per update before its raw links change.  Bundling
       advances the clock and labels every version the update installs
       with it; vCAS takes none (0) and labels each version by helping. *)
 
-  val label : 'a Chain.version -> int -> unit
+  val label : w node -> int -> unit
   (** Label a just-installed version of the update with its stamp (vCAS:
       publish it, helping if needed). *)
 
-  val value_at : 'a Chain.version -> int -> 'a
-  (** The value at a snapshot label (vCAS helps, Bundling waits). *)
-
   val snap_label : unit -> int
   (** vCAS: the snapshot advances the clock.  Bundling: a plain read. *)
-
-  val prune_from : 'a Chain.version -> int -> unit
 end
 
-(* Labels on the edges: each of a node's words is the head of the version
-   chain of its link on that side.  Under a node's lock a raw link and
-   its head's value agree; locked validation reads the raw links,
-   snapshots the heads. *)
+(* Under a node's lock a raw link and its labeled link's value agree;
+   locked validation reads the raw links, snapshots the labeled ones.  A
+   new node's labeled links start bare: a snapshot reaches the node only
+   through the write that links it, at a label at or after it, and every
+   snapshot walk starts at the root. *)
 module Heads (R : Hwts_reclaim.Intf.BACKEND) (V : VERSIONS) = struct
-  (* The constructor is unboxed: a word is the head version itself, and
-     [H] only ties the recursion between a node and its versions. *)
-  type w = H of w node Chain.version [@@unboxed]
+  type nonrec w = w
 
   (* The backend is used purely as a grace mechanism here.  Nothing is
      retired: GC keeps a spliced subtree alive for the snapshots that can
@@ -443,61 +479,39 @@ module Heads (R : Hwts_reclaim.Intf.BACKEND) (V : VERSIONS) = struct
     type t = w node
   end)
 
-  module F = Field_lock.Make (struct
-    type t = w node
-
-    let lock_field = 3
-    let locked = function Node n -> n.lock | Nil -> false
-  end)
+  module Links = Link.Make (Versions) (V.D)
 
   type t = Rq_registry.t
-  type link = w node Chain.version
+  type link = w node
   type snap = Rq_registry.snap
 
   let name = V.name
   let reads_heads = V.reads_heads
   let on_free = None
-  let fresh target = H (V.fresh target)
+  let fresh child = W child
+  let field = function L -> 5 | R -> 6
 
-  (* the head of the versioned link from [n] toward [d]; [n] is never
-     [Nil] *)
-  let head n d =
+  (* the labeled link from [n] toward [d]; [n] is a node *)
+  let link n d =
     match (n, d) with
-    | Node { w0 = H h; _ }, L | Node { w1 = H h; _ }, R -> h
-    | Nil, _ -> invalid_arg "Citrus_core.head: Nil"
+    | Node { w0 = W l; _ }, L | Node { w1 = W l; _ }, R -> l
+    | (Nil | Version _), _ -> invalid_arg "Citrus_core.link: not a node"
 
-  (* Push a pending version for [target] onto the link; [label] labels
-     it. *)
+  (* Install a pending version of [target] on the link; [label] labels
+     it, [leave] settles it. *)
   let prepare n d target =
-    let was = head n d in
-    assert (Chain.label was <> 0);
-    let version = Chain.successor was target in
-    F.install n (match d with L -> 5 | R -> 6) ~was version;
+    let was = link n d in
+    let version = Links.successor was target in
+    Links.install n (field d) ~was version;
     version
 
   let enter _ = V.stamp ()
-
-  let born node ts =
-    match node with
-    | Node { w0 = H l; w1 = H r; _ } ->
-      V.label l ts;
-      V.label r ts
-    | Nil -> ()
-
-  (* The root is labeled at creation: a creation label only needs to
-     predate the first snapshot that reads it. *)
-  let create root _ =
-    born root (V.T.read_floor ());
-    Rq_registry.create ()
-
+  let born _ _ = ()
+  let create _ _ = Rq_registry.create ()
   let dies _ _ _ = ()
   let label = V.label
-
-  (* History pruning under the announce-then-read rule; the floor comes
-     from the lazily refreshed registry cache. *)
-  let leave registry version =
-    V.prune_from version
-      (Rq_registry.min_active_cached registry ~default:(Chain.label version))
+  let settle registry n d version = Links.settle registry n (field d) version
+  let leave = settle
 
   (* The announce-slot guard keeps pruning below the captured label for
      the handle's lifetime.  Reads at the held label need no read section
@@ -507,9 +521,22 @@ module Heads (R : Hwts_reclaim.Intf.BACKEND) (V : VERSIONS) = struct
 
   let snap_label = Rq_registry.snap_label
   let snap_release = Rq_registry.snap_release
-  let snap_child n d ts = V.value_at (head n d) ts
+  let snap_child n d ts = Links.value_at (link n d) ts
   let visible _ _ = true
   let read_enter _ = ()
   let read_exit _ = ()
   let collect_limbo _ _ ~lo:_ ~hi:_ _ = ()
+
+  (* Labeled links and the values they retain, over every node the raw
+     links reach from [root]. *)
+  let rec stats links values = function
+    | Nil | Version _ -> (links, values)
+    | Node n as node ->
+      let values =
+        values + Links.chain_of (link node L) + Links.chain_of (link node R)
+      in
+      let links, values = stats (links + 2) values n.left in
+      stats links values n.right
+
+  let version_chain_stats root = stats 0 0 root
 end

@@ -25,7 +25,8 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
 
     let name = "ebrrq-citrus(" ^ T.name ^ ")"
     let reads_heads = false
-    let on_free = Some (function Node n -> n.w1 <- -n.w1 | Nil -> ())
+    let on_free =
+      Some (function Node n -> n.w1 <- -n.w1 | Nil | Version _ -> ())
     let create _ ebr = { ts_lock = Sync.Rwlock.make (); ebr }
     let fresh _ = 0
     let prepare _ _ _ = ()
@@ -35,7 +36,8 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
       Sync.Rwlock.read_lock t.ts_lock;
       T.read ()
 
-    let born node ts = match node with Node n -> n.w0 <- ts | Nil -> ()
+    let born node ts =
+      match node with Node n -> n.w0 <- ts | Nil | Version _ -> ()
 
     (* Retire before unlinking, inside the labeled section.  A scan that
        walks the tree after the unlink folds limbo after it too, so it
@@ -52,10 +54,11 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
       | Node n ->
         n.w1 <- ts;
         Reclaim.retire t.ebr node
-      | Nil -> ()
+      | Nil | Version _ -> ()
 
     let label () _ = ()
-    let leave t () = Sync.Rwlock.read_unlock t.ts_lock
+    let settle _ _ _ () = ()
+    let leave t _ _ () = Sync.Rwlock.read_unlock t.ts_lock
 
     (* A key is in the snapshot iff some node holding it was inserted at
        or before [ts] and not deleted at or before [ts].  [dtime] is read
@@ -71,7 +74,7 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
         if covered && w1 < 0 then
           Hwts_reclaim.Debug.poison_hit "citrus node covered after free";
         covered
-      | Nil -> false
+      | Nil | Version _ -> false
 
     (* Snapshot handle: a non-scoped op section pins the limbo lists for
        the handle's whole lifetime (the EBR-RQ form of history retention),

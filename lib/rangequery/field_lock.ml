@@ -1,5 +1,5 @@
-(* A node's lock, flags, child links and bundle heads as plain mutable
-   fields of the node block, instead of an [Atomic.t] box each.
+(* A node's lock, flags and raw child links as plain mutable fields of
+   the node block, instead of an [Atomic.t] box each.
 
    Every write to such a field goes through [hwts_cas_field]
    (field_cas_stubs.c), the runtime's CAS on a named field.  It is
@@ -10,9 +10,9 @@
    [Atomic.get].
 
    The externals are typed at [N.t], so they reach no other type, and
-   only at a bool (the lock or a flag), an [N.t] (a link) or an [N.t]
-   bundle entry (a bundle head), so a field can only be given a value of
-   its own type.  The caller names each field by its index in the node
+   only at a bool (the lock or a flag) or an [N.t] (a link), so a field
+   can only be given a value of its own type; a versioned link is
+   written through {!Link}.  The caller names each field by its index in the node
    record.  A skip list tower is a plain [N.t array]; an array is a
    block too, so the same stub writes its slots. *)
 
@@ -31,11 +31,6 @@ module Make (N : NODE) = struct
   [@@noalloc]
 
   external cas_link : N.t -> int -> N.t -> N.t -> bool = "hwts_cas_field"
-  [@@noalloc]
-
-  external cas_head :
-    N.t -> int -> N.t Chain.version -> N.t Chain.version -> bool
-    = "hwts_cas_field"
   [@@noalloc]
 
   external cas_slot : N.t array -> int -> N.t -> N.t -> bool
@@ -74,13 +69,4 @@ module Make (N : NODE) = struct
   let link_slot tower level ~was v =
     let unchanged = cas_slot tower level was v in
     assert unchanged
-
-  (* [install n field ~was e]: the holder of [n]'s lock makes the pending
-     bundle entry [e] (whose older link is [was]) the head at [field]. *)
-  let install n field ~was e =
-    let unchanged = cas_head n field was e in
-    assert unchanged;
-    (* fault injection: pending entry published, label not yet assigned —
-       snapshot readers must wait, not guess *)
-    Sync.Pause.point ()
 end

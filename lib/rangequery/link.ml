@@ -1,7 +1,9 @@
 (* A link that holds its value bare once no snapshot can need its
    history, and a chain of versions while one may: Wei et al.'s
-   "avoiding indirection" (Constant-Time Snapshots), on the vCAS BST's
-   edges and the Bundling lists' level-0 links.
+   "avoiding indirection" (Constant-Time Snapshots).  It is the one
+   version representation of the library: the vCAS BST's edges, the
+   Citrus trees' labeled links, both skip lists' level-0 links and the
+   lazy list's bundled link.
 
    The owner's link value type has the version as one of its own
    constructors, an inline record whose first field is the label:
@@ -25,7 +27,7 @@
    below the cached registry floor, no open or future snapshot can need
    anything the version hides, so a second CAS puts the value back bare;
    otherwise the chain is pruned below the floor.  Readers get a label
-   through the discipline too ({!Chain.LABELING}: helping or waiting). *)
+   through the discipline too ({!LABELING}: helping or waiting). *)
 
 module type NODE = sig
   type 'a t
@@ -44,9 +46,34 @@ module type NODE = sig
   val set_older : 'a t -> 'a t -> unit
 end
 
-(* The label word of the owner's versions.  [%atomic_load] and
-   [%atomic_cas] act on field 0 of the block they are given, as for a
-   {!Chain.version}; they are only ever applied to a version. *)
+(* The label word of a version: field 0 of its block. *)
+module type CELL = sig
+  type 'a t
+
+  val label : 'a t -> int
+  val cas_label : 'a t -> int -> int -> bool
+end
+
+(* What a labeling discipline tells a chain walk: how a reader gets the
+   label of a version that has none yet (vCAS: it helps label it now;
+   Bundling: it waits for the update that installed it), and what to
+   count.  {!Vcas_obj.Helping} and {!Bundle.Waiting} are the two. *)
+module type LABELING = sig
+  type 'a t
+
+  val resolve : 'a t -> int
+  val walked : int -> unit
+  val pruned : unit -> unit
+end
+
+(* Typed atomic access to a version's label.  [%atomic_load] and
+   [%atomic_cas] are the primitives behind [Atomic.get] and
+   [Atomic.compare_and_set]; they act on field 0 of the block they are
+   given, and an [Atomic.t] is nothing but a one-field mutable block.
+   Applied to a version they therefore read and CAS [ts] with the same
+   ordering guarantees as an [int Atomic.t].  The field holds an
+   immediate, so the CAS's write barrier records nothing.  They are only
+   ever applied to a version. *)
 module Cell (N : NODE) = struct
   type 'a t = 'a N.t
 
@@ -54,7 +81,7 @@ module Cell (N : NODE) = struct
   external cas_label : 'a N.t -> int -> int -> bool = "%atomic_cas"
 end
 
-module Make (N : NODE) (D : Chain.LABELING with type 'a t = 'a N.t) = struct
+module Make (N : NODE) (D : LABELING with type 'a t = 'a N.t) = struct
   module C = Cell (N)
 
   (* The owner's fields are written through the runtime's CAS on a named

@@ -1,35 +1,50 @@
 let max_level = Dstruct.Skip_level.max_level
 
 module Core (T : Hwts.Timestamp.S) = struct
-  module V = Vcas_obj.Make (T)
-
   (* Fraser's lock-free skip list with a vCAS level 0.  A [Node] is one
-     block: its level-0 link is the head version of a vCAS chain, kept in
-     the mutable field [next]; [tower] holds its raw links at levels
-     1..top (index l-1), [[||]] for a node of level 0; [linked_at] is the
-     label of the level-0 write that linked it (0 until the inserter
-     records it).  A clean link is the successor node itself.  A marked
-     link (its owner is being deleted) is a [Mark] around the successor,
-     allocated only by a delete, and a [Mark]'s successor is never itself
-     a [Mark].  Level-0 CASes compare versions, which are fresh per write;
-     tower CASes compare links, and a clean link equal to the one a
-     thread read is the same state, so a reappearing successor is
-     harmless, as with Harris-style marked pointers. *)
+     block: its level-0 link is the mutable field [next], a {!Link}
+     labeled by helping; [tower] holds its raw links at levels 1..top
+     (index l-1), [[||]] for a node of level 0.  A clean link is the
+     successor node itself.  A marked link (its owner is being deleted)
+     is a [Mark] around the successor, allocated only by a delete, and a
+     [Mark]'s successor is never itself a [Mark].  [next] holds that link
+     bare once no snapshot can need its history, else a [Version] whose
+     value is a node or a [Mark]; no tower slot and no version's value is
+     a [Version].  CASes on either compare what the field holds, so a
+     link can come back to the node it held, and the CAS then succeeds:
+     a clean link equal to the one a thread read is the same state, as
+     with Harris-style marked pointers. *)
   type node =
-    | Node of {
-        key : int;
-        mutable next : node V.version;
-        tower : node array;
-        mutable linked_at : int;
-      }
+    | Node of { key : int; mutable next : node; tower : node array }
     | Mark of node
+    | Version of { mutable ts : int; v : node; mutable older : node }
 
-  (* [next] is field 1 of [Node]'s block; a tower is a block too.  Only
-     [install] and [cas_slot]'s callers use these, and only on a [Node]. *)
-  external cas_field : node -> int -> node V.version -> node V.version -> bool
-    = "hwts_cas_field"
-  [@@noalloc]
+  module Versions = struct
+    type _ t = node
 
+    let version ts v older = Version { ts; v; older }
+    let is_version = function Version _ -> true | Node _ | Mark _ -> false
+
+    let value = function
+      | Version x -> x.v
+      | Node _ | Mark _ -> invalid_arg "Skiplist_vcas.value: not a version"
+
+    let older = function
+      | Version x -> x.older
+      | Node _ | Mark _ -> invalid_arg "Skiplist_vcas.older: not a version"
+
+    let set_older n older =
+      match n with
+      | Version x -> x.older <- older
+      | Node _ | Mark _ -> invalid_arg "Skiplist_vcas.set_older: not a version"
+  end
+
+  (* Labeling by helping, on the level-0 link. *)
+  module H = Vcas_obj.Helping (T) (Link.Cell (Versions))
+  module L = Link.Make (Versions) (H)
+
+  (* A tower is a block; [cas_slot] writes its slots through the same
+     stub as [L.cas] writes [next] (field 1 of [Node]'s block). *)
   external cas_slot : node array -> int -> node -> node -> bool
     = "hwts_cas_field"
   [@@noalloc]
@@ -37,45 +52,38 @@ module Core (T : Hwts.Timestamp.S) = struct
   type t = { head : node; tail : node; registry : Rq_registry.t }
 
   let name = "vcas-skiplist(" ^ T.name ^ ")"
+  let not_a_node what = invalid_arg ("Skiplist_vcas." ^ what ^ ": not a node")
 
   let key = function
     | Node n -> n.key
-    | Mark _ -> invalid_arg "Skiplist_vcas.key: a link"
+    | Mark _ | Version _ -> not_a_node "key"
 
   let next0 = function
     | Node n -> n.next
-    | Mark _ -> invalid_arg "Skiplist_vcas.next0: a link"
+    | Mark _ | Version _ -> not_a_node "next0"
 
   let tower = function
     | Node n -> n.tower
-    | Mark _ -> invalid_arg "Skiplist_vcas.tower: a link"
-
-  let linked_at = function Node n -> n.linked_at | Mark _ -> 0
-
-  let set_linked_at n ts =
-    match n with Node n -> n.linked_at <- ts | Mark _ -> ()
+    | Mark _ | Version _ -> not_a_node "tower"
 
   let target = function Mark succ -> succ | link -> link
-  let marked = function Mark _ -> true | Node _ -> false
+  let marked = function Mark _ -> true | Node _ | Version _ -> false
 
   (* The current level-0 link of [n] and the link at tower level [level]. *)
-  let link0 n = V.value (V.labeled (next0 n))
+  let link0 n = L.current (next0 n)
   let slot n level = (tower n).(level - 1)
 
-  (* The tail ends every level.  Its level-0 chain is never read (every
-     walk stops at the tail), so it is one self-loop version pointing
-     back at the tail, tied to it with [let rec]. *)
+  (* The tail ends every level; its link is never read (every walk stops
+     at the tail), so it holds the tail itself.  The head's link is bare
+     from the start: the head holds at every label. *)
   let create () =
-    let rec tail =
-      Node { key = max_int; next = end_; tower = [||]; linked_at = 1 }
-    and end_ = { Chain.ts = 1; v = tail; older = end_ } in
+    let rec tail = Node { key = max_int; next = tail; tower = [||] } in
     let head =
       Node
         {
           key = Dstruct.Ordered_set.min_key;
-          next = V.first tail;
+          next = tail;
           tower = Array.make max_level tail;
-          linked_at = 1;
         }
     in
     { head; tail; registry = Rq_registry.create () }
@@ -85,7 +93,7 @@ module Core (T : Hwts.Timestamp.S) = struct
   type scratch = {
     preds : node array;
     succs : node array;
-    mutable wit0 : node V.version; (* level-0 CAS witness: preds.(0)'s head *)
+    mutable wit0 : node; (* level-0 CAS witness: preds.(0)'s [next] *)
     buf : Sync.Scratch.Int_buffer.t;
   }
   (* Per-domain traversal workspace: [find] overwrites every entry it
@@ -112,12 +120,20 @@ module Core (T : Hwts.Timestamp.S) = struct
       cell := Some s;
       s
 
-  (* Make [candidate], a successor of [expected], [pred]'s level-0 head,
-     and label it. *)
-  let install pred expected candidate =
-    cas_field pred 1 expected candidate
+  (* Make [v] [pred]'s level-0 link iff its [next] still holds
+     [expected] (as read), as {!Link}'s write: a fresh version whose
+     older link is [expected], published (labeled by helping), then
+     settled: put back bare at or below the floor, pruned otherwise. *)
+  let write t pred expected v =
+    let version = L.successor expected v in
+    (* fault injection: the link may move on between the read of
+       [expected] and the CAS, and a bare link may come back to the very
+       node it held *)
+    Sync.Pause.point ();
+    L.cas pred 1 expected version
     && begin
-         V.publish candidate;
+         H.publish version;
+         L.settle t.registry pred 1 version;
          true
        end
 
@@ -142,7 +158,7 @@ module Core (T : Hwts.Timestamp.S) = struct
         if cas_slot (tower pred) (level - 1) curr succ then
           find_upper t k preds succs pred level
         else raise_notrace Retry
-      | Node _ ->
+      | Node _ | Version _ ->
         if key curr < k then find_upper t k preds succs curr level
         else begin
           record preds succs level pred curr;
@@ -150,24 +166,24 @@ module Core (T : Hwts.Timestamp.S) = struct
         end
 
   let rec find_bottom t k sc pred =
-    let pver = V.labeled (next0 pred) in
-    let curr = V.value pver in
+    let plink = next0 pred in
+    let curr = L.current plink in
     if marked curr then raise_notrace Retry;
     if curr == t.tail then begin
       record sc.preds sc.succs 0 pred curr;
-      sc.wit0 <- pver
+      sc.wit0 <- plink
     end
     else
       match link0 curr with
       | Mark succ ->
-        if next0 pred == pver && install pred pver (V.successor pver succ) then
+        if next0 pred == plink && write t pred plink succ then
           find_bottom t k sc pred
         else raise_notrace Retry
-      | Node _ ->
+      | Node _ | Version _ ->
         if key curr < k then find_bottom t k sc curr
         else begin
           record sc.preds sc.succs 0 pred curr;
-          sc.wit0 <- pver
+          sc.wit0 <- plink
         end
 
   let rec descend t k sc pred level =
@@ -191,13 +207,12 @@ module Core (T : Hwts.Timestamp.S) = struct
     Hwts_trace.Span.exit Hwts_trace.Traverse;
     r
 
-  (* An update's linearizing write cuts history that no open snapshot can
-     need (announce-then-read makes this safe); the registry floor is the
-     cached one, which never leads the true minimum. *)
-  let prune_with t version =
-    V.prune_from version
-      (Rq_registry.min_active_cached t.registry ~default:(V.timestamp version))
-
+  (* A new node's own link starts pending ({!Link.pending}): a snapshot
+     labeled before the write that links the node finds no value in it,
+     so [start_at] never starts there.  Once that write is published,
+     the inserter labels the own link by helping, which can only give it
+     a label at or above the write's, and settles it; whoever reaches the
+     node first may have helped label it already. *)
   let rec insert t k =
     assert (k > Dstruct.Ordered_set.min_key && k <= Dstruct.Ordered_set.max_key);
     let sc = get_scratch t in
@@ -205,20 +220,12 @@ module Core (T : Hwts.Timestamp.S) = struct
     else begin
       let succs = sc.succs in
       let top = Dstruct.Skip_level.random () in
-      let node =
-        Node
-          {
-            key = k;
-            next = V.first succs.(0);
-            tower = Array.sub succs 1 top;
-            linked_at = 0;
-          }
-      in
-      let link = V.successor sc.wit0 node in
-      if not (install sc.preds.(0) sc.wit0 link) then insert t k
+      let own = L.pending succs.(0) in
+      let node = Node { key = k; next = own; tower = Array.sub succs 1 top } in
+      if not (write t sc.preds.(0) sc.wit0 node) then insert t k
       else begin
-        set_linked_at node (V.timestamp link);
-        prune_with t link;
+        H.publish own;
+        L.settle t.registry node 1 own;
         link_upper t k node sc 1;
         true
       end
@@ -251,13 +258,11 @@ module Core (T : Hwts.Timestamp.S) = struct
     if (not (marked s)) && not (cas_slot tw i s (Mark s)) then mark_slot tw i
 
   let rec mark0 t k sc victim =
-    let ver = V.labeled (next0 victim) in
-    match V.value ver with
+    let link = next0 victim in
+    match L.current link with
     | Mark _ -> false
     | succ ->
-      let m = V.successor ver (Mark succ) in
-      if install victim ver m then begin
-        prune_with t m;
+      if write t victim link (Mark succ) then begin
         ignore (find t k sc);
         true
       end
@@ -316,13 +321,12 @@ module Core (T : Hwts.Timestamp.S) = struct
     !found
 
   (* A snapshot read walks level 0 at its label [ts] from a raw-found
-     predecessor of [k], which must have been linked by [ts]; otherwise
-     from the head. *)
+     predecessor of [k], which must have been linked by [ts]: its own link
+     holds a value at [ts] only then.  Otherwise from the head. *)
   let start_at t sc k ts =
     ignore (find t k sc);
     let pred = sc.preds.(0) in
-    let linked = linked_at pred in
-    if linked > 0 && linked <= ts then pred else t.head
+    if L.exists_at (next0 pred) ts then pred else t.head
 
   let collect_ts t ts ~lo ~hi =
     let sc = get_scratch t in
@@ -332,7 +336,7 @@ module Core (T : Hwts.Timestamp.S) = struct
     let rec walk node =
       if node == t.tail || key node > hi then ()
       else
-        match V.value_at (next0 node) ts with
+        match L.value_at (next0 node) ts with
         | Mark succ -> walk succ
         | succ ->
           if key node >= lo && key node > Dstruct.Ordered_set.min_key then
@@ -366,7 +370,7 @@ module Core (T : Hwts.Timestamp.S) = struct
     let rec walk node =
       if node == t.tail || key node > k then false
       else
-        let link = V.value_at (next0 node) ts in
+        let link = L.value_at (next0 node) ts in
         if key node = k then not (marked link) else walk (target link)
     in
     Hwts_trace.Span.enter Hwts_trace.Traverse;
@@ -389,8 +393,21 @@ module Core (T : Hwts.Timestamp.S) = struct
     walk [] t.head
 
   let size t = List.length (to_list t)
-  (* Versioned links / bundles retain old values under GC; there is no
-     reclamation grace protocol to participate in. *)
+
+  (* Level-0 links and the values they retain, over the head and every
+     node linked at level 0.  A version is read without labeling it. *)
+  let version_chain_stats t =
+    let rec walk links values n =
+      if n == t.tail then (links, values)
+      else
+        let link = next0 n in
+        let succ = if Versions.is_version link then Versions.value link else link in
+        walk (links + 1) (values + L.chain_of link) (target succ)
+    in
+    walk 0 0 t.head
+
+  (* Versioned links retain old values under GC; there is no reclamation
+     grace protocol to participate in. *)
   let quiesce _ = ()
   let offline _ = ()
 end

@@ -1,8 +1,9 @@
 (** vCAS port of the lock-free skip list.
 
     Level-0 next pointers (which carry both the list order and the deletion
-    marks) become {!Vcas_obj} versioned objects; upper index levels stay
-    raw.  Every membership-changing step — the bottom-level link of an
+    marks) become {!Link}s labeled by helping ({!Vcas_obj.Helping}): the
+    successor itself once no snapshot can need its history, else a
+    version chain.  Upper index levels stay raw.  Every membership-changing step — the bottom-level link of an
     insert and the bottom-level mark of a delete — is a single versioned
     CAS, so range queries advance the timestamp and walk level 0 at their
     snapshot.
@@ -15,4 +16,8 @@
 
 module Make (T : Hwts.Timestamp.S) : sig
   include Dstruct.Ordered_set.RQ
+
+  val version_chain_stats : t -> int * int
+  (** Level-0 links and the values they retain, over the head and every
+      linked node (a bare link retains one). *)
 end

@@ -1,65 +1,137 @@
-(* Unit tests for the range-query building blocks: versioned CAS objects,
-   bundles, and the active-RQ registry — including qcheck properties. *)
+(* Unit tests for the range-query building blocks: the bare-or-versioned
+   link under both labelings (vCAS helping, Bundling waiting), and the
+   active-RQ registry — including qcheck properties. *)
 
 module M = Hwts.Timestamp.Mock ()
-module B = Rangequery.Bundle.Make (M)
+module Registry = Rangequery.Rq_registry
 
 (* fresh mock state per test *)
 let reset () =
   M.thaw ();
   M.set 10
 
-(* ---------- vCAS objects ---------- *)
+(* Run [f] with the cached-floor staleness knob pinned to [period]. *)
+let with_refresh_period period f =
+  let prev = Registry.refresh_period () in
+  Registry.set_refresh_period period;
+  Fun.protect ~finally:(fun () -> Registry.set_refresh_period prev) f
 
-(* A vCAS link as a structure keeps one: the head version in a field its
-   owner CASes (an [Atomic.t] here), driven through the head API. *)
-module Link (T : Hwts.Timestamp.S) = struct
-  module V = Rangequery.Vcas_obj.Make (T)
+(* ---------- links ---------- *)
 
-  let make v = Atomic.make (V.first v)
-  let head o = V.labeled (Atomic.get o)
-  let read o = V.value (head o)
+(* A test-only owner of one link, as the structures' nodes own theirs:
+   field 0 of [Holder]'s block is the link, which holds a [Value] bare or
+   a [Version] of one. *)
+type 'a owned =
+  | Holder of { mutable link : 'a owned }
+  | Value of 'a
+  | Version of { mutable ts : int; v : 'a owned; mutable older : 'a owned }
+
+module Owned = struct
+  type 'a t = 'a owned
+
+  let version ts v older = Version { ts; v; older }
+  let is_version = function Version _ -> true | Holder _ | Value _ -> false
+
+  let value = function
+    | Version x -> x.v
+    | Holder _ | Value _ -> invalid_arg "Owned.value"
+
+  let older = function
+    | Version x -> x.older
+    | Holder _ | Value _ -> invalid_arg "Owned.older"
+
+  let set_older n older =
+    match n with
+    | Version x -> x.older <- older
+    | Holder _ | Value _ -> invalid_arg "Owned.set_older"
+end
+
+module Cell = Rangequery.Link.Cell (Owned)
+
+let payload = function
+  | Value v -> v
+  | Holder _ | Version _ -> invalid_arg "payload"
+
+(* One link and the registry its writes settle against: a pin in the
+   registry stands for a snapshot held at that label. *)
+type 'a obj = { owner : 'a owned; registry : Registry.t }
+
+let obj ?(registry = Registry.create ()) link =
+  { owner = Holder { link }; registry }
+
+(* What the link's field holds: the witness a CAS on it expects. *)
+let head o =
+  match o.owner with
+  | Holder h -> h.link
+  | Value _ | Version _ -> invalid_arg "head"
+
+let pin o label = Registry.announce o.registry ~read:(fun () -> label)
+let unpin o stamp = Registry.release o.registry stamp
+
+(* ---------- vCAS links ---------- *)
+
+(* A vCAS link as the lock-free structures keep theirs: written with a
+   CAS from the field's value as read, labeled by helping, then
+   settled. *)
+module Vlink (T : Hwts.Timestamp.S) = struct
+  module H = Rangequery.Vcas_obj.Helping (T) (Cell)
+  module K = Rangequery.Link.Make (Owned) (H)
+
+  let make ?registry v = obj ?registry (Value v)
+
+  (* the current value of a link as read (labels a version on the way) *)
+  let value link = payload (K.current link)
+  let read o = value (head o)
 
   (* Install a successor of [expected]; the installed, labeled version on
-     success, [None] if the head moved. *)
+     success, [None] if the field moved. *)
   let cas_with o expected v =
-    let candidate = V.successor expected v in
-    if Atomic.compare_and_set o expected candidate then begin
-      V.publish candidate;
-      Some candidate
+    let version = K.successor expected (Value v) in
+    if K.cas o.owner 0 expected version then begin
+      H.publish version;
+      K.settle o.registry o.owner 0 version;
+      Some version
     end
     else None
 
   let cas o expected v = cas_with o expected v <> None
-  let read_at o ts = V.value_at (Atomic.get o) ts
-  let prune o floor = V.prune_from (Atomic.get o) floor
-  let chain_length o = V.chain_of (Atomic.get o)
+  let read_at o ts = payload (K.value_at (head o) ts)
+
+  (* Settle the head again: its chain is cut below the registry floor. *)
+  let prune o = K.settle o.registry o.owner 0 (head o)
+  let chain_length o = K.chain_of (head o)
 end
 
-module L = Link (M)
-module V = L.V
+module L = Vlink (M)
 
 (* A versioned write on a link that only the calling domain writes: one
-   CAS from the current head, which cannot fail. *)
-let write o v = ignore (Option.get (L.cas_with o (L.head o) v))
+   CAS from the current field, which cannot fail. *)
+let write o v = ignore (Option.get (L.cas_with o (head o) v))
 
 let vcas_basics () =
   reset ();
   let o = L.make "a" in
   Alcotest.(check string) "read" "a" (L.read o);
-  let h = L.head o in
-  Alcotest.(check bool) "labeled" true (V.timestamp h > 0);
+  Alcotest.(check int) "a new link is bare" 1 (L.chain_length o);
+  (* a snapshot held below every label keeps the history *)
+  let held = pin o 5 in
+  let h = head o in
   Alcotest.(check bool) "cas ok" true (L.cas o h "b");
+  Alcotest.(check bool) "labeled" true (Cell.label (head o) > 0);
   Alcotest.(check string) "new value" "b" (L.read o);
   Alcotest.(check bool) "stale witness rejected" false (L.cas o h "c");
   Alcotest.(check string) "value intact" "b" (L.read o);
-  Alcotest.(check int) "two versions retained" 2 (L.chain_length o)
+  Alcotest.(check int) "two values retained" 2 (L.chain_length o);
+  unpin o held;
+  write o "d";
+  Alcotest.(check int) "no snapshot: bare again" 1 (L.chain_length o);
+  Alcotest.(check string) "bare value" "d" (L.read o)
 
 let vcas_read_at () =
   reset ();
   M.set 100;
   let o = L.make 0 in
-  (* version 0 labeled at 100 *)
+  let held = pin o 1 in
   M.set 200;
   write o 1 (* labeled at 200 *);
   M.set 300;
@@ -68,20 +140,23 @@ let vcas_read_at () =
   Alcotest.(check int) "at 200" 1 (L.read_at o 200);
   Alcotest.(check int) "at 199" 0 (L.read_at o 199);
   Alcotest.(check int) "at 1000" 2 (L.read_at o 1000);
-  (* older than creation: falls back to the creation value *)
-  Alcotest.(check int) "before creation" 0 (L.read_at o 50)
+  (* the bare end holds at every label *)
+  Alcotest.(check int) "before creation" 0 (L.read_at o 50);
+  unpin o held
 
 let vcas_helping_labels_pending () =
   reset ();
   M.set 500;
   let o = L.make "x" in
+  let held = pin o 1 in
   (* install a version while frozen so its label is 500, then advance the
      clock; a later read_at must still see it at 500, proving the label was
      fixed when first needed, not when read *)
   write o "y";
   M.set 900;
   Alcotest.(check string) "labeled at write time" "y" (L.read_at o 501);
-  Alcotest.(check string) "old value before" "x" (L.read_at o 499)
+  Alcotest.(check string) "old value before" "x" (L.read_at o 499);
+  unpin o held
 
 let vcas_concurrent_single_winner () =
   reset ();
@@ -92,8 +167,8 @@ let vcas_concurrent_single_winner () =
         let mine = ref 0 in
         for round = 1 to rounds do
           let rec attempt () =
-            let h = L.head o in
-            if V.value h >= round then ()
+            let h = head o in
+            if L.value h >= round then ()
             else if L.cas o h round then incr mine
             else attempt ()
           in
@@ -128,8 +203,7 @@ module Gate = struct
   let snapshot = advance
 end
 
-module LG = Link (Gate)
-module VG = LG.V
+module LG = Vlink (Gate)
 
 let vcas_helpers_agree_on_pending_label () =
   let prev = Hwts_obs.Config.enabled () in
@@ -139,10 +213,10 @@ let vcas_helpers_agree_on_pending_label () =
   let o = LG.make "old" in
   Atomic.set Gate.gate 1;
   let installer =
-    Domain.spawn (fun () -> Option.get (LG.cas_with o (LG.head o) "new"))
+    Domain.spawn (fun () -> Option.get (LG.cas_with o (head o) "new"))
   in
-  (* parked inside its own labeling read: "new" is the published head and
-     its label is still 0 *)
+  (* parked inside its own labeling read: "new" is the published version
+     and its label is still 0 *)
   while Atomic.get Gate.gate <> 2 do
     Domain.cpu_relax ()
   done;
@@ -157,8 +231,9 @@ let vcas_helpers_agree_on_pending_label () =
         while Atomic.get ready < 8 do
           Domain.cpu_relax ()
         done;
-        let h = LG.head o in
-        (VG.value h, VG.timestamp h))
+        let h = head o in
+        let v = LG.value h in
+        (v, Cell.label h))
   in
   let helped = wins () - wins_before in
   Atomic.set Gate.gate 0;
@@ -171,7 +246,7 @@ let vcas_helpers_agree_on_pending_label () =
       Alcotest.(check int) "helpers agree on one label" label ts)
     seen;
   Alcotest.(check int) "installer keeps the helped label" label
-    (VG.timestamp installed);
+    (Cell.label installed);
   Alcotest.(check int) "exactly one helper labeled it" 1 helped;
   Alcotest.(check int) "installer's late CAS won nothing" 1
     (wins () - wins_before)
@@ -183,6 +258,7 @@ let vcas_qcheck_read_at =
       M.thaw ();
       M.set 10;
       let o = L.make (-1) in
+      let held = pin o 1 in
       let labeled =
         List.mapi
           (fun i v ->
@@ -192,123 +268,137 @@ let vcas_qcheck_read_at =
           writes
       in
       (* at any probe time, read_at = last write with label <= probe *)
-      List.for_all
-        (fun probe ->
-          let expected =
-            List.fold_left
-              (fun acc (ts, v) -> if ts <= probe then v else acc)
-              (-1) labeled
-          in
-          L.read_at o probe = expected)
-        [ 50; 150; 250; 550; 1_000_000 ])
+      let ok =
+        List.for_all
+          (fun probe ->
+            let expected =
+              List.fold_left
+                (fun acc (ts, v) -> if ts <= probe then v else acc)
+                (-1) labeled
+            in
+            L.read_at o probe = expected)
+          [ 50; 150; 250; 550; 1_000_000 ]
+      in
+      unpin o held;
+      ok)
 
+(* With history kept below 250 by a held snapshot, settling the newest
+   version at a floor of 250 keeps the version labeled 200 and cuts the
+   rest. *)
 let vcas_prune () =
+  with_refresh_period 1 @@ fun () ->
   reset ();
   M.set 10;
   let o = L.make 0 in
+  let held = pin o 5 in
   M.set 100;
   write o 1;
   M.set 200;
   write o 2;
   M.set 300;
   write o 3;
-  Alcotest.(check int) "4 versions" 4 (L.chain_length o);
+  Alcotest.(check int) "4 values" 4 (L.chain_length o);
   (* a snapshot at 250 needs the version labeled 200 *)
-  L.prune o 250;
+  let at_250 = pin o 250 in
+  unpin o held;
+  L.prune o;
   Alcotest.(check int) "pruned to 2" 2 (L.chain_length o);
   Alcotest.(check int) "snapshot at 250 intact" 2 (L.read_at o 250);
-  Alcotest.(check int) "newest intact" 3 (L.read_at o 1000)
+  Alcotest.(check int) "newest intact" 3 (L.read_at o 1000);
+  unpin o at_250
 
 (* ---------- self-loop chain ends ---------- *)
 
-(* One chain behind either of two APIs.  [write v] installs a version
-   holding [v] and returns its label; [prune floor] cuts below [floor];
-   [chain ()] counts retained versions; [read_at ts] reads at a label. *)
+(* One link behind either labeling, created as a new node's own link is:
+   pending, then labeled, so its chain ends in a version whose older link
+   is itself.  [write v] installs, labels and settles a version holding
+   [v] against [registry] and returns its label; [chain ()] counts the
+   values retained; [read_at ts] reads at a label. *)
 type chain = {
   write : int -> int;
-  prune : int -> unit;
   chain : unit -> int;
   read_at : int -> int;
+  registry : Registry.t;
 }
 
-(* A head kept in a caller's field, as the structures keep their edges
-   and bundles. *)
-type 'a holder = { mutable head : 'a }
-
 module Chains (T : Hwts.Timestamp.S) = struct
-  module V = Rangequery.Vcas_obj.Make (T)
-  module B = Rangequery.Bundle.Make (T)
+  module V = Vlink (T)
+  module W = Rangequery.Bundle.Waiting (Cell)
+  module B = Rangequery.Link.Make (Owned) (W)
 
-  let head () =
-    let h = { head = V.first 0 } in
+  let vcas registry =
+    let own = V.K.pending (Value 0) in
+    let o = obj ~registry own in
+    V.H.publish own;
     {
       write =
-        (fun v ->
-          let c = V.successor h.head v in
-          h.head <- c;
-          V.publish c;
-          V.timestamp c);
-      prune = (fun floor -> V.prune_from h.head floor);
-      chain = (fun () -> V.chain_of h.head);
-      read_at = (fun ts -> V.value_at h.head ts);
+        (fun v -> Cell.label (Option.get (V.cas_with o (head o) v)));
+      chain = (fun () -> V.chain_length o);
+      read_at = (fun ts -> V.read_at o ts);
+      registry;
     }
 
   (* A bundle: the writer installs a pending entry, then labels it with
      an advance, as Bundling's updates do. *)
-  let bundle () =
-    let h = { head = B.first 0 } in
+  let bundle registry =
+    let own = B.pending (Value 0) in
+    let o = obj ~registry own in
+    W.label own (T.advance ());
     {
       write =
         (fun v ->
-          let e = B.successor h.head v in
-          h.head <- e;
+          let was = head o in
+          let e = B.successor was (Value v) in
+          B.install o.owner 0 ~was e;
           let ts = T.advance () in
-          B.label e ts;
+          W.label e ts;
+          B.settle registry o.owner 0 e;
           ts);
-      prune = (fun floor -> B.prune_from h.head floor);
-      chain = (fun () -> B.chain_of h.head);
-      read_at = (fun ts -> B.value_at h.head ts);
+      chain = (fun () -> B.chain_of (head o));
+      read_at = (fun ts -> payload (B.value_at (head o) ts));
+      registry;
     }
 end
 
 module CM = Chains (M)
 
 (* A snapshot held at label 150 across N overwrites pins the first
-   version; releasing it and making one more labeled write, pruned at its
-   own label, cuts the chain back to that write alone. *)
+   version; releasing it and making one more labeled write, settled at
+   its own label, puts the link back bare. *)
 let self_loop_chain make () =
   reset ();
   M.set 100;
-  let c = make () in
+  let c = make (Registry.create ()) in
   let held = 150 and n = 20 in
+  let stamp = Registry.announce c.registry ~read:(fun () -> held) in
   for i = 1 to n do
     M.set (200 + i);
-    c.prune (min held (c.write i))
+    ignore (c.write i)
   done;
   Alcotest.(check int) "held snapshot reads its value" 0 (c.read_at held);
   Alcotest.(check int) "N+1 versions while held" (n + 1) (c.chain ());
   Alcotest.(check int) "newest" n (c.read_at max_int);
+  Registry.release c.registry stamp;
   M.set 1_000;
   let label = c.write (n + 1) in
-  c.prune label;
-  Alcotest.(check int) "one version after release" 1 (c.chain ());
+  Alcotest.(check int) "one value after release" 1 (c.chain ());
   Alcotest.(check int) "value after release" (n + 1) (c.read_at label)
 
-(* A writer prunes every write at the registry floor, as the structures
+(* A writer settles every write at the registry floor, as the structures
    do, while a reader on another domain holds snapshots and reads at
    their labels.  Every read must return a write labeled at or before
-   the reader's label: a prune that cut the chain under a reader would
-   leave it at a newer version.  The labels are recorded by the writer
-   and checked after both domains finish; the first version (value 0)
+   the reader's label: a prune or a flatten under a reader would leave
+   it at a newer version.  The labels are recorded by the writer and
+   checked after both domains finish; the first version (value 0)
    predates every snapshot, so a read of it is never newer. *)
 module RL = Hwts.Timestamp.Logical ()
 module CR = Chains (RL)
 
 let read_at_races_prune make () =
-  let registry = Rangequery.Rq_registry.create () in
+  let registry = Registry.create () in
   let max_writes = 200_000 and snapshots = 1_000 in
   let labels = Array.make (max_writes + 1) 0 in
-  let c = make () in
+  let c = make registry in
   let started = Atomic.make 0 and reader_done = Atomic.make false in
   let writer_done = Atomic.make false in
   let reads =
@@ -320,11 +410,7 @@ let read_at_races_prune make () =
         if me = 0 then begin
           let i = ref 1 in
           while !i <= max_writes && not (Atomic.get reader_done) do
-            let label = c.write !i in
-            labels.(!i) <- label;
-            c.prune
-              (Rangequery.Rq_registry.min_active_cached registry
-                 ~default:label);
+            labels.(!i) <- c.write !i;
             if !i mod 7 = 0 then ignore (RL.advance ());
             incr i
           done;
@@ -339,10 +425,10 @@ let read_at_races_prune make () =
           do
             incr taken;
             let s =
-              Rangequery.Rq_registry.snapshot registry ~floor:RL.read_floor
+              Registry.snapshot registry ~floor:RL.read_floor
                 ~label:RL.snapshot
             in
-            let l = Rangequery.Rq_registry.snap_label s in
+            let l = Registry.snap_label s in
             (* hold the snapshot long enough for writes to land in it *)
             for _ = 1 to 8 do
               for _ = 1 to 64 do
@@ -352,7 +438,7 @@ let read_at_races_prune make () =
               if v > 0 then moved := true;
               seen := (l, v) :: !seen
             done;
-            Rangequery.Rq_registry.snap_release registry s
+            Registry.snap_release registry s
           done;
           Atomic.set reader_done true;
           !seen
@@ -367,14 +453,6 @@ let read_at_races_prune make () =
   Alcotest.(check int)
     (Printf.sprintf "reads newer than their label (of %d)" (List.length reads))
     0 newer
-
-(* Run [f] with the cached-floor staleness knob pinned to [period]. *)
-let with_refresh_period period f =
-  let prev = Rangequery.Rq_registry.refresh_period () in
-  Rangequery.Rq_registry.set_refresh_period period;
-  Fun.protect
-    ~finally:(fun () -> Rangequery.Rq_registry.set_refresh_period prev)
-    f
 
 let vcas_chains_stay_bounded () =
   (* hammering one key with no active RQs must not grow version chains;
@@ -527,22 +605,45 @@ let bare_edge_round_trip (module P : Hwts.Timestamp.S) () =
   Alcotest.(check bool) "contains 20" true (S.contains t 20);
   Alcotest.(check bool) "contains 5" false (S.contains t 5)
 
-(* ---------- Bundling lists: links bare once no snapshot needs them ---------- *)
+(* ---------- links bare once no snapshot needs them ---------- *)
 
-module type BUNDLED_LIST = sig
+module type VERSIONED = sig
   include Dstruct.Ordered_set.RQ
 
   val version_chain_stats : t -> int * int
 end
 
-let bundled_lists =
+module Ebr = Hwts_reclaim.Ebr_backend
+
+(* Each structure with the pause point at which its insert has installed
+   its version and not yet labeled it. *)
+let bundled =
   [
     ( "skiplist-bundle",
-      fun (module P : Hwts.Timestamp.S) ->
-        (module Rangequery.Skiplist_bundle.Make (P) : BUNDLED_LIST) );
+      (fun (module P : Hwts.Timestamp.S) ->
+        (module Rangequery.Skiplist_bundle.Make (P) : VERSIONED)),
+      1 );
     ( "lazylist-bundle",
-      fun (module P : Hwts.Timestamp.S) ->
-        (module Rangequery.Lazylist_bundle.Make (P) : BUNDLED_LIST) );
+      (fun (module P : Hwts.Timestamp.S) ->
+        (module Rangequery.Lazylist_bundle.Make (P) : VERSIONED)),
+      1 );
+    ( "citrus-bundle",
+      (fun (module P : Hwts.Timestamp.S) ->
+        (module Rangequery.Citrus_bundle.Make (Ebr) (P) : VERSIONED)),
+      1 );
+  ]
+
+(* The insert of skiplist-vcas passes a pause point before its CAS. *)
+let helped =
+  [
+    ( "citrus-vcas",
+      (fun (module P : Hwts.Timestamp.S) ->
+        (module Rangequery.Citrus_vcas.Make (Ebr) (P) : VERSIONED)),
+      1 );
+    ( "skiplist-vcas",
+      (fun (module P : Hwts.Timestamp.S) ->
+        (module Rangequery.Skiplist_vcas.Make (P) : VERSIONED)),
+      2 );
   ]
 
 let bundle_providers () =
@@ -553,9 +654,12 @@ let bundle_providers () =
       : Hwts.Timestamp.S) );
   ]
 
-let all_bare (type a) (module S : BUNDLED_LIST with type t = a) (t : a) =
+(* Values retained beyond one per link: 0 when every link is bare. *)
+let versions (type a) (module S : VERSIONED with type t = a) (t : a) =
   let links, values = S.version_chain_stats t in
-  links = values
+  values - links
+
+let all_bare m t = versions m t = 0
 
 (* Runs [insert] on a fresh domain parked at its [n]th pause point and
    calls [f] while it is parked; returns what [f] returned and the
@@ -572,13 +676,13 @@ let while_parked n insert f =
   Sync.Pause.unpark ();
   (r, Domain.join inserter)
 
-(* A list built with no snapshot open holds every link bare.  While a
-   snapshot is held, every write of one link (the head's, by the inserts
-   and deletes of key 5) keeps a version, and the snapshot still reads
-   the state it was taken at; after the release the next write puts the
-   link back bare. *)
-let list_held_snapshot_keeps_history make () =
-  let (module S : BUNDLED_LIST) = make () in
+(* A structure built with no snapshot open holds every link bare.  While
+   a snapshot is held, every write of one link (the one key 5 hangs
+   from, by the inserts and deletes of key 5) keeps a version, and the
+   snapshot still reads the state it was taken at; after the release the
+   next write puts the link back bare. *)
+let links_held_snapshot_keeps_history make _ () =
+  let (module S : VERSIONED) = make () in
   let t = S.create () in
   ignore (S.insert t 10);
   Alcotest.(check bool) "built with no snapshot: bare" true
@@ -604,17 +708,18 @@ let list_held_snapshot_keeps_history make () =
     (S.range_query t ~lo:0 ~hi:100)
 
 (* A pending version (label 0) is never put back bare: readers wait on
-   it.  The insert of 20 parks right after its pending version is
-   installed on 10's link, before it takes its stamp, so a snapshot taken
+   it (Bundling) or help label it (vCAS).  The insert of 20 parks right
+   after its pending version is installed on the link 20 hangs from,
+   before the insert takes its stamp or labels it, so a snapshot taken
    then is labeled before the insert.  While parked, the link holds a
    version; once the insert is done, that snapshot still misses 20,
    because the version, labeled after the snapshot, stays in place. *)
-let list_pending_never_flattened make () =
-  let (module S : BUNDLED_LIST) = make () in
+let links_pending_never_flattened make point () =
+  let (module S : VERSIONED) = make () in
   let t = S.create () in
   List.iter (fun k -> ignore (S.insert t k)) [ 10; 30 ];
   let (snap, held), inserted =
-    while_parked 1
+    while_parked point
       (fun () -> S.insert t 20)
       (fun () -> (S.snapshot t, not (all_bare (module S) t)))
   in
@@ -636,8 +741,8 @@ let list_pending_never_flattened make () =
    is taken while the insert is parked before its stamp (born after it
    too), a third while it is parked after its stamp and before its first
    label (labeled at or after the insert: it sees 15). *)
-let list_born_after_snapshot make () =
-  let (module S : BUNDLED_LIST) = make () in
+let links_born_after_snapshot make _ () =
+  let (module S : VERSIONED) = make () in
   let t = S.create () in
   List.iter (fun k -> ignore (S.insert t k)) [ 10; 20; 30 ];
   let before = S.snapshot t in
@@ -674,24 +779,111 @@ let list_born_after_snapshot make () =
   Alcotest.(check (array int)) "current state" [| 10; 15; 30 |]
     (S.range_query t ~lo:0 ~hi:100)
 
-let bundled_list_cases =
+(* A link can come back to the node it held while an insert is parked
+   mid-write.  [round] is a key whose insert and delete write a link from
+   that node's neighbourhood and back: on skiplist-vcas the very link the
+   parked insert read, 10's, whose CAS then succeeds as a Harris-style
+   pointer CAS would; on citrus-vcas, whose parked insert holds 30's
+   lock, 10's left link.  The round trip leaves no version behind, the
+   set is exact, and a snapshot taken while the insert was parked misses
+   its key.  The insert parks at its first pause point: before its CAS
+   on skiplist-vcas, after installing its version on citrus-vcas. *)
+let links_round_trip round make _ () =
+  let (module S : VERSIONED) = make () in
+  let t = S.create () in
+  List.iter (fun k -> ignore (S.insert t k)) [ 10; 30 ];
+  let (kept, s), inserted =
+    while_parked 1
+      (fun () -> S.insert t 20)
+      (fun () ->
+        let before = versions (module S) t in
+        Alcotest.(check bool) "insert the round-trip key" true (S.insert t round);
+        Alcotest.(check bool) "delete it" true (S.delete t round);
+        (versions (module S) t - before, S.snapshot t))
+  in
+  Alcotest.(check int) "the round trip leaves no version" 0 kept;
+  Alcotest.(check bool) "parked insert" true inserted;
+  Alcotest.(check (array int)) "snapshot taken while parked" [| 10; 30 |]
+    (S.collect_at t s ~lo:0 ~hi:100);
+  S.snap_release t s;
+  Alcotest.(check (list int)) "final set" [ 10; 20; 30 ] (S.to_list t);
+  Alcotest.(check bool) "contains 20" true (S.contains t 20);
+  Alcotest.(check bool) "contains the round-trip key" false
+    (S.contains t round)
+
+let link_cases structures cases =
   List.concat_map
-    (fun (name, make) ->
+    (fun (name, make, point) ->
       List.concat_map
         (fun (provider, ts) ->
           let make () = make ts in
-          let case what f =
-            Alcotest.test_case
-              (Printf.sprintf "%s %s (%s)" name what provider)
-              `Quick (f make)
-          in
-          [
-            case "held snapshot keeps history" list_held_snapshot_keeps_history;
-            case "pending is never flattened" list_pending_never_flattened;
-            case "born after the snapshot" list_born_after_snapshot;
-          ])
+          List.map
+            (fun (what, f) ->
+              Alcotest.test_case
+                (Printf.sprintf "%s %s (%s)" name what provider)
+                `Quick (f make point))
+            (cases name))
         (bundle_providers ()))
-    bundled_lists
+    structures
+
+let bundled_link_cases =
+  link_cases bundled (fun _ ->
+      [
+        ("held snapshot keeps history", links_held_snapshot_keeps_history);
+        ("pending is never flattened", links_pending_never_flattened);
+        ("born after the snapshot", links_born_after_snapshot);
+      ])
+
+let helped_link_cases =
+  link_cases helped (fun name ->
+      [
+        ("held snapshot keeps history", links_held_snapshot_keeps_history);
+        ("pending is never flattened", links_pending_never_flattened);
+        ( "plain-edge round trip",
+          links_round_trip (if name = "citrus-vcas" then 5 else 15) );
+      ])
+
+(* A two-children delete whose successor is not the victim's child
+   relocates it: the replacement takes the victim's place, and the
+   successor's parent's left link is cut to the successor's right child.
+   70 is the successor's parent, so the delete of 50 relocates 60.  With
+   no snapshot open, both labeled links settle bare, the cut's too.
+   Under a held snapshot the next such delete (of 60, relocating 65)
+   keeps them versioned, and the snapshot still reads its state. *)
+let citrus_relocation_settles make () =
+  let (module S : VERSIONED) = make () in
+  let t = S.create () in
+  List.iter (fun k -> ignore (S.insert t k)) [ 50; 30; 70; 60; 80; 65 ];
+  Alcotest.(check bool) "delete 50" true (S.delete t 50);
+  Alcotest.(check int) "no snapshot: every link bare" 0 (versions (module S) t);
+  Alcotest.(check (list int)) "after the delete" [ 30; 60; 65; 70; 80 ]
+    (S.to_list t);
+  let past = S.snapshot t in
+  Alcotest.(check bool) "delete 60" true (S.delete t 60);
+  Alcotest.(check bool) "held: versioned" true (versions (module S) t > 0);
+  Alcotest.(check (array int)) "snapshot reads its state" [| 30; 60; 65; 70; 80 |]
+    (S.collect_at t past ~lo:0 ~hi:100);
+  S.snap_release t past;
+  Alcotest.(check (list int)) "current state" [ 30; 65; 70; 80 ] (S.to_list t)
+
+let relocation_cases =
+  List.concat_map
+    (fun (name, make) ->
+      List.map
+        (fun (provider, ts) ->
+          Alcotest.test_case
+            (Printf.sprintf "%s two-children delete settles (%s)" name provider)
+            `Quick
+            (citrus_relocation_settles (fun () -> make ts)))
+        (bundle_providers ()))
+    [
+      ( "citrus-bundle",
+        fun (module P : Hwts.Timestamp.S) ->
+          (module Rangequery.Citrus_bundle.Make (Ebr) (P) : VERSIONED) );
+      ( "citrus-vcas",
+        fun (module P : Hwts.Timestamp.S) ->
+          (module Rangequery.Citrus_vcas.Make (Ebr) (P) : VERSIONED) );
+    ]
 
 let snapshot_stable_under_concurrency () =
   let t = BH.create () in
@@ -733,10 +925,10 @@ let snapshot_stable_under_concurrency () =
    made while it is held come from another domain. *)
 let on_worker f = ignore (Util.spawn_workers 1 (fun _ -> f ()))
 
-(* The vCAS BST, the three Citrus trees and the skip and lazy bundle
-   lists store fresh nodes (or fresh versions and bundle entries) into
-   fields of their nodes, and skiplist-bundle into slots of its towers,
-   through a C stub.  Once the structure is promoted to the major heap,
+(* The vCAS BST, the three Citrus trees, both skip lists and the lazy
+   list store fresh nodes (or fresh versions) into fields of their
+   nodes, and the skip lists into slots of their towers, through a C
+   stub.  Once the structure is promoted to the major heap,
    each such store puts a minor-heap pointer into a major-heap block;
    without the runtime's write barrier the next minor collection would
    leave that edge dangling.  Every
@@ -788,6 +980,7 @@ let field_cas_cases =
       "citrus-bundle";
       "citrus-vcas";
       "skiplist-bundle";
+      "skiplist-vcas";
       "lazylist-bundle";
     ]
 
@@ -846,81 +1039,95 @@ let citrus_limbo_keeps_relocated () =
 
 (* ---------- bundles ---------- *)
 
-(* Install a pending entry for [v] as the holder's head, as a structure
-   does under its node lock. *)
-let push h v =
-  let e = B.successor h.head v in
-  h.head <- e;
+module BW = Rangequery.Bundle.Waiting (Cell)
+module BK = Rangequery.Link.Make (Owned) (BW)
+
+(* Install a pending entry for [v] as the link, as a structure does under
+   its node lock. *)
+let push o v =
+  let was = head o in
+  let e = BK.successor was (Value v) in
+  BK.install o.owner 0 ~was e;
   e
+
+let bundle_value_at o ts = payload (BK.value_at (head o) ts)
 
 let bundle_basics () =
   reset ();
   M.set 100;
-  let h = { head = B.first "root" } in
-  Alcotest.(check string) "read" "root" (B.value h.head);
-  let e = push h "v1" in
+  let o = obj (Value "root") in
+  Alcotest.(check string) "read" "root" (payload (head o));
+  let e = push o "v1" in
   Alcotest.(check string) "pending head visible to raw read" "v1"
-    (B.value h.head);
-  B.label e 150;
-  Alcotest.(check string) "at 150" "v1" (B.value_at h.head 150);
-  Alcotest.(check string) "at 149" "root" (B.value_at h.head 149);
-  Alcotest.(check int) "chain" 2 (B.chain_of h.head)
+    (payload (Owned.value (head o)));
+  BW.label e 150;
+  Alcotest.(check string) "at 150" "v1" (bundle_value_at o 150);
+  Alcotest.(check string) "at 149" "root" (bundle_value_at o 149);
+  Alcotest.(check int) "chain" 2 (BK.chain_of (head o))
 
 let bundle_exists_at () =
   reset ();
   M.set 100;
-  let h = { head = B.pending "born" } in
-  B.label h.head 200;
-  Alcotest.(check bool) "before birth" false (B.exists_at h.head 150);
-  Alcotest.(check bool) "after birth" true (B.exists_at h.head 200);
-  Alcotest.(check string) "at birth" "born" (B.value_at h.head 200);
+  let own = BK.pending (Value "born") in
+  let o = obj own in
+  BW.label own 200;
+  Alcotest.(check bool) "before birth" false (BK.exists_at (head o) 150);
+  Alcotest.(check bool) "after birth" true (BK.exists_at (head o) 200);
+  Alcotest.(check string) "at birth" "born" (bundle_value_at o 200);
   (* value_at falls back to the creation value *)
-  Alcotest.(check string) "fallback" "born" (B.value_at h.head 150);
+  Alcotest.(check string) "fallback" "born" (bundle_value_at o 150);
   (* a link rewritten since [ts] still existed at [ts] *)
-  B.label (push h "moved") 300;
-  Alcotest.(check bool) "rewritten after ts" true (B.exists_at h.head 250);
+  BW.label (push o "moved") 300;
+  Alcotest.(check bool) "rewritten after ts" true (BK.exists_at (head o) 250);
   Alcotest.(check bool) "still not before birth" false
-    (B.exists_at h.head 150)
+    (BK.exists_at (head o) 150);
+  Alcotest.(check bool) "a bare link exists at every label" true
+    (BK.exists_at (Value "bare") 1)
 
 let bundle_pending_spin_resolves () =
   reset ();
   M.set 100;
-  let h = { head = B.first 0 } in
-  let e = push h 1 in
+  let o = obj (Value 0) in
+  let e = push o 1 in
   let reader =
     Domain.spawn (fun () ->
-        Sync.Slot.with_slot (fun _ -> B.value_at h.head 500))
+        Sync.Slot.with_slot (fun _ -> bundle_value_at o 500))
   in
   Unix.sleepf 0.02;
-  B.label e 400;
+  BW.label e 400;
   Alcotest.(check int) "reader unblocked with labeled entry" 1
     (Domain.join reader)
 
+(* Settling the newest entry at a floor of 250 keeps the entry labeled
+   200 and cuts the rest. *)
 let bundle_prune () =
+  with_refresh_period 1 @@ fun () ->
   reset ();
   M.set 10;
-  let h = { head = B.first 0 } in
-  List.iter (fun (v, ts) -> B.label (push h v) ts)
+  let o = obj (Value 0) in
+  List.iter (fun (v, ts) -> BW.label (push o v) ts)
     [ (1, 100); (2, 200); (3, 300) ];
-  Alcotest.(check int) "4 entries" 4 (B.chain_of h.head);
+  Alcotest.(check int) "4 entries" 4 (BK.chain_of (head o));
   (* an active snapshot at 250 needs entry(200); everything older can go *)
-  B.prune_from h.head 250;
-  Alcotest.(check int) "pruned to 2" 2 (B.chain_of h.head);
-  Alcotest.(check int) "snapshot at 250 intact" 2 (B.value_at h.head 250);
-  Alcotest.(check int) "newest intact" 3 (B.value_at h.head 1000)
+  let at_250 = pin o 250 in
+  BK.settle o.registry o.owner 0 (head o);
+  Alcotest.(check int) "pruned to 2" 2 (BK.chain_of (head o));
+  Alcotest.(check int) "snapshot at 250 intact" 2 (bundle_value_at o 250);
+  Alcotest.(check int) "newest intact" 3 (bundle_value_at o 1000);
+  unpin o at_250
 
 let bundle_multi_label_atomicity () =
   reset ();
   M.set 10;
   (* one update labels two bundles with one timestamp: a snapshot sees both
      or neither *)
-  let h1 = { head = B.first "a0" } and h2 = { head = B.first "b0" } in
-  let e1 = push h1 "a1" and e2 = push h2 "b1" in
-  B.label e1 500;
-  B.label e2 500;
+  let o1 = obj (Value "a0") and o2 = obj (Value "b0") in
+  let e1 = push o1 "a1" and e2 = push o2 "b1" in
+  BW.label e1 500;
+  BW.label e2 500;
   List.iter
     (fun ts ->
-      let x = B.value_at h1.head ts and y = B.value_at h2.head ts in
+      let x = bundle_value_at o1 ts and y = bundle_value_at o2 ts in
       Alcotest.(check bool)
         (Printf.sprintf "consistent at %d" ts)
         true
@@ -1161,7 +1368,7 @@ let sentinels_absent () =
    as whole words per key, without timing anything.  The bounds are the
    measured values, so a block added back to any node fails this; a skip
    list's tower size follows its domain's level draws, so its bound sits
-   a fraction of a word above the measured value (10.49-10.50 for
+   a fraction of a word above the measured value (5.49-5.50 for
    skiplist-vcas and 9.99-10.00 for skiplist-bundle, by test order). *)
 let words_per_key create insert =
   let warm = 1024 and keys = 8192 in
@@ -1203,10 +1410,10 @@ let layout_cases =
     ( "bst-vcas-kv",
       7.,
       fun () -> words_per_key Kv.create (fun t k -> Kv.add t k k) );
-    ("citrus-vcas", 16., fun () -> words_per_key Cv.create Cv.insert);
-    ("citrus-bundle", 16., fun () -> words_per_key Cb.create Cb.insert);
+    ("citrus-vcas", 8., fun () -> words_per_key Cv.create Cv.insert);
+    ("citrus-bundle", 8., fun () -> words_per_key Cb.create Cb.insert);
     ("citrus-ebrrq", 8., fun () -> words_per_key Ce.create Ce.insert);
-    ("skiplist-vcas", 10.6, fun () -> words_per_key Sv.create Sv.insert);
+    ("skiplist-vcas", 5.6, fun () -> words_per_key Sv.create Sv.insert);
     ("skiplist-bundle", 10.1, fun () -> words_per_key Sb.create Sb.insert);
     ("lazylist-bundle", 6., fun () -> words_per_key Lb.create Lb.insert);
     ( "bst-ebrrq-lockfree",
@@ -1406,9 +1613,9 @@ let () =
             vcas_helpers_agree_on_pending_label;
           Alcotest.test_case "prune" `Quick vcas_prune;
           Alcotest.test_case "self-loop chain (head in field)" `Quick
-            (self_loop_chain CM.head);
+            (self_loop_chain CM.vcas);
           Alcotest.test_case "read_at races prune (head in field)" `Quick
-            (read_at_races_prune CR.head);
+            (read_at_races_prune CR.vcas);
           Alcotest.test_case "chains bounded" `Quick vcas_chains_stay_bounded;
           Alcotest.test_case "chains bounded by staleness" `Quick
             vcas_chains_bounded_by_staleness;
@@ -1452,7 +1659,9 @@ let () =
           Alcotest.test_case "snapshot pinned across nested RQs + pruning"
             `Slow snapshot_pinned_across_nested_rqs_and_pruning;
         ] );
-      ("bundled links", bundled_list_cases);
+      ("bundled links", bundled_link_cases);
+      ("vcas links", helped_link_cases);
+      ("relocation", relocation_cases);
       ("field-cas", field_cas_cases);
       ( "limbo",
         [

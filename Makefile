@@ -57,9 +57,13 @@ check-torture: build
 	# edges go bare whenever no snapshot needs their history, so an edge
 	# can come back to a node it held and a CAS that expects that node
 	# succeeds again; multi-range rounds hold snapshots across such writes.
+	# citrus-vcas and skiplist-vcas keep their links the same way; the
+	# skip list's are lock-free too.
 	for seed in 0xC0FFEE 0xBADF00D; do \
-	  dune exec bin/hwts_cli.exe -- check --structure bst-vcas \
-	    --provider rdtscp-strict --multi --rounds 24 --seed $$seed || exit 1; \
+	  for s in bst-vcas citrus-vcas skiplist-vcas; do \
+	    dune exec bin/hwts_cli.exe -- check --structure $$s \
+	      --provider rdtscp-strict --multi --rounds 24 --seed $$seed || exit 1; \
+	  done; \
 	done
 	# The Bundling lists share that link: skiplist-bundle under
 	# rdtscp-strict is the served mixed-open pairing, lazylist-bundle runs

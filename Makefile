@@ -58,9 +58,12 @@ check-torture: build
 	# can come back to a node it held and a CAS that expects that node
 	# succeeds again; multi-range rounds hold snapshots across such writes.
 	# citrus-vcas and skiplist-vcas keep their links the same way; the
-	# skip list's are lock-free too.
+	# skip list's are lock-free too.  bst-ebrrq-lockfree is the same tree
+	# with its leaves labeled by helping: any update may splice a flagged
+	# leaf out before its deleter retires it, and held snapshots must
+	# still find it through the deleters' announcements.
 	for seed in 0xC0FFEE 0xBADF00D; do \
-	  for s in bst-vcas citrus-vcas skiplist-vcas; do \
+	  for s in bst-vcas citrus-vcas skiplist-vcas bst-ebrrq-lockfree; do \
 	    dune exec bin/hwts_cli.exe -- check --structure $$s \
 	      --provider rdtscp-strict --multi --rounds 24 --seed $$seed || exit 1; \
 	  done; \
@@ -200,8 +203,10 @@ bench-reclaim-smoke: build
 	  -mops-floor 0.5 -out /tmp/reclaim_smoke.json
 	dune exec test/validate_metrics.exe -- /tmp/reclaim_smoke.json
 	dune exec test/validate_metrics.exe -- BENCH_reclaim.json
-	dune exec bin/hwts_cli.exe -- check --structure bst-ebrrq-lockfree \
-	  --provider logical --reclaim qsbr --rounds 2
+	for p in logical rdtscp-strict; do \
+	  dune exec bin/hwts_cli.exe -- check --structure bst-ebrrq-lockfree \
+	    --provider $$p --reclaim qsbr --rounds 2 || exit 1; \
+	done
 	dune exec bin/hwts_cli.exe -- check --structure citrus-ebrrq \
 	  --provider logical --reclaim qsbr-tsc --rounds 2
 

@@ -167,8 +167,6 @@ let () =
   List.iter
     (fun (name, make) ->
       if !only <> "" && name <> !only then ()
-      else if not (Workload.Targets.supports name ts) then
-        Printf.printf "%-16s (skipped: logical-clock-only structure)\n%!" name
       else begin
         (* arm 0 = baseline, arm 1 = optimized *)
         let legs =

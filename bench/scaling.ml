@@ -169,106 +169,96 @@ let () =
   let crossover_structures = ref [] in
   List.iter
     (fun (name, make) ->
-      if not (Workload.Targets.supports name `Hardware_strict) then
-        (* Logical-only structure: one series, no crossover to look for. *)
-        List.iter
+      let series =
+        List.map
           (fun d ->
-            let p = run_leg (make `Logical) (config d) ~warmup:!warmup in
-            print_point name "logical" d p;
-            point ~structure:name ~provider:"logical" ~domains:d p)
+            let points, (switches, switch_points), bests =
+              run_zoo name make (config d) ~warmup:!warmup ~trials:!trials
+            in
+            List.iter2
+              (fun provider p ->
+                print_point name provider d p;
+                let extra =
+                  if provider <> "adaptive" then []
+                  else
+                    [
+                      ("switches", J.Int switches);
+                      ( "switch_points",
+                        J.List
+                          (List.map
+                             (fun (dir, label) ->
+                               J.Obj [ ("dir", J.Str dir); ("at", J.Int label) ])
+                             switch_points) );
+                    ]
+                in
+                point ~structure:name ~provider ~domains:d ~extra p)
+              zoo_names points;
+            (d, List.combine zoo_names points, bests))
           domain_counts
-      else begin
-        let series =
-          List.map
-            (fun d ->
-              let points, (switches, switch_points), bests =
-                run_zoo name make (config d) ~warmup:!warmup ~trials:!trials
-              in
-              List.iter2
-                (fun provider p ->
-                  print_point name provider d p;
-                  let extra =
-                    if provider <> "adaptive" then []
-                    else
-                      [
-                        ("switches", J.Int switches);
-                        ( "switch_points",
-                          J.List
-                            (List.map
-                               (fun (dir, label) ->
-                                 J.Obj [ ("dir", J.Str dir); ("at", J.Int label) ])
-                               switch_points) );
-                      ]
-                  in
-                  point ~structure:name ~provider ~domains:d ~extra p)
-                zoo_names points;
-              (d, List.combine zoo_names points, bests))
-            domain_counts
-        in
-        (* The acceptance gauge: at every point the adaptive series should
-           be within tolerance of whichever fixed provider won there.
-           Ratios come from each leg's best trial; the adaptive provider is
-           the last zoo entry. *)
-        let worst_ratio =
-          List.fold_left
-            (fun acc (_, _, bests) ->
-              match List.rev bests with
-              | ba :: fixed_rev ->
-                let best = List.fold_left Float.max 0. fixed_rev in
-                if best <= 0. then acc else Float.min acc (ba /. best)
-              | [] -> acc)
-            infinity series
-        in
-        let margin_ok = worst_ratio >= 0.9 in
-        Printf.printf
-          "%-18s adaptive margin: worst adaptive/best-of ratio %.3f (%s)\n%!"
-          name worst_ratio
-          (if margin_ok then "ok" else "BELOW 0.9");
-        emit "adaptive_margin"
-          [
-            ("structure", J.Str name);
-            ("worst_ratio", J.Float worst_ratio);
-            ("ok", J.Bool margin_ok);
-          ];
-        (* The Fig. 1/2 shape: logical ahead at the smallest count, strict
-           ahead at some larger one.  Alongside, the single-threaded-gap
-           gauge of the zoo: which fixed provider wins at the smallest
-           domain count, and whether any zoo scheme matches the logical
-           baseline there (the gap the flock optimizations exist to
-           close). *)
-        let mops points provider = Kit.num (List.assoc provider points) "mops" in
-        let d0, points0, _ = List.hd series in
-        let log0 = mops points0 "logical" in
-        let logical_wins_at_min = log0 >= mops points0 "rdtscp-strict" in
-        let crossover =
-          List.find_map
-            (fun (d, points, _) ->
-              if d > d0 && mops points "rdtscp-strict" > mops points "logical"
-              then Some d
-              else None)
-            series
-        in
-        let zoo_best_at_min, zoo_best_name =
-          List.fold_left
-            (fun (bm, bn) (pname, p) ->
-              let m = Kit.num p "mops" in
-              if pname <> "adaptive" && m > bm then (m, pname) else (bm, bn))
-            (0., "") points0
-        in
-        let shape_found = logical_wins_at_min && crossover <> None in
-        if shape_found then crossover_structures := name :: !crossover_structures;
-        emit "shape"
-          [
-            ("structure", J.Str name);
-            ("min_domains", J.Int d0);
-            ("logical_wins_at_min", J.Bool logical_wins_at_min);
-            ( "crossover_domains",
-              match crossover with Some d -> J.Int d | None -> J.Null );
-            ("shape_found", J.Bool shape_found);
-            ("zoo_best_at_min", J.Str zoo_best_name);
-            ("zoo_closes_gap_at_min", J.Bool (zoo_best_at_min >= log0));
-          ]
-      end)
+      in
+      (* The acceptance gauge: at every point the adaptive series should
+         be within tolerance of whichever fixed provider won there.
+         Ratios come from each leg's best trial; the adaptive provider is
+         the last zoo entry. *)
+      let worst_ratio =
+        List.fold_left
+          (fun acc (_, _, bests) ->
+            match List.rev bests with
+            | ba :: fixed_rev ->
+              let best = List.fold_left Float.max 0. fixed_rev in
+              if best <= 0. then acc else Float.min acc (ba /. best)
+            | [] -> acc)
+          infinity series
+      in
+      let margin_ok = worst_ratio >= 0.9 in
+      Printf.printf
+        "%-18s adaptive margin: worst adaptive/best-of ratio %.3f (%s)\n%!"
+        name worst_ratio
+        (if margin_ok then "ok" else "BELOW 0.9");
+      emit "adaptive_margin"
+        [
+          ("structure", J.Str name);
+          ("worst_ratio", J.Float worst_ratio);
+          ("ok", J.Bool margin_ok);
+        ];
+      (* The Fig. 1/2 shape: logical ahead at the smallest count, strict
+         ahead at some larger one.  Alongside, the single-threaded-gap
+         gauge of the zoo: which fixed provider wins at the smallest
+         domain count, and whether any zoo scheme matches the logical
+         baseline there (the gap the flock optimizations exist to
+         close). *)
+      let mops points provider = Kit.num (List.assoc provider points) "mops" in
+      let d0, points0, _ = List.hd series in
+      let log0 = mops points0 "logical" in
+      let logical_wins_at_min = log0 >= mops points0 "rdtscp-strict" in
+      let crossover =
+        List.find_map
+          (fun (d, points, _) ->
+            if d > d0 && mops points "rdtscp-strict" > mops points "logical"
+            then Some d
+            else None)
+          series
+      in
+      let zoo_best_at_min, zoo_best_name =
+        List.fold_left
+          (fun (bm, bn) (pname, p) ->
+            let m = Kit.num p "mops" in
+            if pname <> "adaptive" && m > bm then (m, pname) else (bm, bn))
+          (0., "") points0
+      in
+      let shape_found = logical_wins_at_min && crossover <> None in
+      if shape_found then crossover_structures := name :: !crossover_structures;
+      emit "shape"
+        [
+          ("structure", J.Str name);
+          ("min_domains", J.Int d0);
+          ("logical_wins_at_min", J.Bool logical_wins_at_min);
+          ( "crossover_domains",
+            match crossover with Some d -> J.Int d | None -> J.Null );
+          ("shape_found", J.Bool shape_found);
+          ("zoo_best_at_min", J.Str zoo_best_name);
+          ("zoo_closes_gap_at_min", J.Bool (zoo_best_at_min >= log0));
+        ])
     structures;
   let crossovers = List.rev !crossover_structures in
   emit "summary"

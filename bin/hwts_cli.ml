@@ -128,22 +128,10 @@ let ts_of_flags ~provider ~hardware ~strict : Workload.Targets.ts =
     else if hardware then `Hardware
     else `Logical
 
-let check_supported name ts =
-  if Workload.Targets.supports name ts then true
-  else begin
-    Printf.eprintf "%s cannot run over %s: the DCSS labeling needs the \
-                    timestamp's address (use a logical clock)\n"
-      name
-      (Workload.Targets.ts_name ts);
-    false
-  end
-
 let run_real (name, _) provider reclaim hardware strict threads seconds
     mix_label key_range zipf ops seed multiget multirange metrics_out
     trace_out =
   let ts = ts_of_flags ~provider ~hardware ~strict in
-  if not (check_supported name ts) then 1
-  else begin
   let config =
     {
       Workload.Harness.default with
@@ -182,13 +170,10 @@ let run_real (name, _) provider reclaim hardware strict threads seconds
                      ui.perfetto.dev)\n"
         path);
     0
-  end
 
 let stats (name, _) provider reclaim hardware strict threads seconds
     mix_label key_range format out =
   let ts = ts_of_flags ~provider ~hardware ~strict in
-  if not (check_supported name ts) then 1
-  else begin
   let config =
     {
       Workload.Harness.default with
@@ -221,7 +206,6 @@ let stats (name, _) provider reclaim hardware strict threads seconds
       close_out oc;
       Printf.printf "(wrote %s)\n" path);
     0
-  end
 
 let stress provider reclaim seed metrics_out =
   (* Backoff jitter draws from the seeded stream, so the whole smoke run
@@ -267,7 +251,7 @@ let stress provider reclaim seed metrics_out =
           Printf.printf "  %-18s %-13s %-8s ok (size now %d)\n%!" name
             (Workload.Targets.ts_name ts)
             inst.Workload.Targets.reclaim (S.size t))
-        (List.filter (Workload.Targets.supports name) wanted))
+        wanted)
     Workload.Targets.all_instances;
   Printf.printf "stress: %d combinations passed\n" !ok;
   (match metrics_out with
@@ -337,7 +321,7 @@ let check structure provider reclaim seed rounds no_faults multi fixture_out =
     (fun name ->
       List.iter
         (fun ts ->
-          if (not !failed) && Workload.Targets.supports name ts then begin
+          if not !failed then begin
             let cfg =
               {
                 (Hwts_check.Torture.default_config ~reclaim ~multi
@@ -418,36 +402,34 @@ let trace_report structures providers threads ops key_range out =
       (fun (sname, make) ->
         List.iter
           (fun ts ->
-            if Workload.Targets.supports sname ts then begin
-              Hwts_trace.reset ();
-              let config =
-                {
-                  Workload.Harness.default with
-                  threads;
-                  fixed_ops = Some ops;
-                  key_range =
-                    Workload.Targets.preferred_key_range sname
-                      ~default:key_range;
-                }
-              in
-              let result = Workload.Harness.run (make ts) config in
-              let pname = Workload.Targets.ts_name ts in
-              Printf.printf "%-16s %-14s %8.3f Mops/s" sname pname
-                result.Workload.Harness.mops;
-              List.iter
-                (fun a ->
-                  List.iter
-                    (fun b ->
-                      if b.Hwts_trace.band_label = "p99" then
-                        Printf.printf "  p99(%s)=%s %.0f%%"
-                          a.Hwts_trace.attr_class b.Hwts_trace.band_dominant
-                          (100. *. b.Hwts_trace.band_dominant_share))
-                    a.Hwts_trace.attr_bands)
-                (Hwts_trace.tail_attribution ());
-              print_newline ();
-              Buffer.add_string buf
-                (Hwts_trace.to_json_lines ~structure:sname ~provider:pname ())
-            end)
+            Hwts_trace.reset ();
+            let config =
+              {
+                Workload.Harness.default with
+                threads;
+                fixed_ops = Some ops;
+                key_range =
+                  Workload.Targets.preferred_key_range sname
+                    ~default:key_range;
+              }
+            in
+            let result = Workload.Harness.run (make ts) config in
+            let pname = Workload.Targets.ts_name ts in
+            Printf.printf "%-16s %-14s %8.3f Mops/s" sname pname
+              result.Workload.Harness.mops;
+            List.iter
+              (fun a ->
+                List.iter
+                  (fun b ->
+                    if b.Hwts_trace.band_label = "p99" then
+                      Printf.printf "  p99(%s)=%s %.0f%%"
+                        a.Hwts_trace.attr_class b.Hwts_trace.band_dominant
+                        (100. *. b.Hwts_trace.band_dominant_share))
+                  a.Hwts_trace.attr_bands)
+              (Hwts_trace.tail_attribution ());
+            print_newline ();
+            Buffer.add_string buf
+              (Hwts_trace.to_json_lines ~structure:sname ~provider:pname ()))
           providers)
       structures;
     let oc = open_out out in

@@ -48,23 +48,21 @@ let () =
   let a = Strict.advance () and b = Strict.advance () and c = Strict.advance () in
   Printf.printf "strict wrapper over the same frozen clock: %d < %d < %d\n" a b c;
 
-  (* The lock-free EBR-RQ port *requires* the timestamp's address:
-     [Rangequery.Bst_ebrrq_lockfree.Make] takes a LOGICAL signature with
-     [val raw : int Atomic.t].  [Hwts.Timestamp.Hardware] has no such
-     field, so the TSC port is a *type error*, not a slowdown — try it:
-
-       module Broken =
-         Rangequery.Bst_ebrrq_lockfree.Make (Hwts_reclaim.Ebr_backend)
-           (Hwts.Timestamp.Hardware)
-  *)
-  let module L = Hwts.Timestamp.Logical () in
+  (* The profiles above describe the paper's schemes: its lock-free
+     EBR-RQ labels by DCSS on the timestamp's address, which no TSC
+     provider has.  This library's lock-free EBR-RQ labels its leaves by
+     helping instead, as vCAS labels a version, so it runs over the TSC
+     too. *)
   let module LockFree =
-    Rangequery.Bst_ebrrq_lockfree.Make (Hwts_reclaim.Ebr_backend) (L)
+    Rangequery.Bst_ebrrq_lockfree.Make (Hwts_reclaim.Ebr_backend)
+      (Hwts.Timestamp.Hardware)
   in
   let lf = LockFree.create () in
   ignore (LockFree.insert lf 7);
+  ignore (LockFree.insert lf 9);
+  ignore (LockFree.delete lf 9);
   Printf.printf
-    "\nlock-free EBR-RQ runs with the logical clock only: rq=[%s]\n"
+    "\nlock-free EBR-RQ, labeled by helping, over rdtscp: rq=[%s]\n"
     (String.concat "; "
        (List.map string_of_int
           (Array.to_list (LockFree.range_query lf ~lo:0 ~hi:10))))

@@ -73,12 +73,7 @@ let validate cfg =
   if cfg.key_space < 1 || 2 * cfg.key_space > Lin_check.max_key then
     invalid_arg
       (Printf.sprintf "check: key_space must be in [1, %d]"
-         (Lin_check.max_key / 2));
-  if not (Workload.Targets.supports cfg.structure cfg.provider) then
-    invalid_arg
-      (Printf.sprintf "check: %s does not support the %s provider"
-         cfg.structure
-         (Workload.Targets.ts_name cfg.provider))
+         (Lin_check.max_key / 2))
 
 let run_round cfg ~round_seed =
   let inst =

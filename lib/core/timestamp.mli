@@ -51,14 +51,7 @@ module type S = sig
       the traversal, which tears snapshots. *)
 end
 
-module Logical () : sig
-  include S
-
-  val raw : int Atomic.t
-  (** The timestamp word itself.  Exposed because the lock-free EBR-RQ
-      labeling scheme needs the *address* of the timestamp for its DCSS —
-      the very dependence that rules hardware timestamps out. *)
-end
+module Logical () : S
 (** A fresh logical (software) timestamp: one shared atomic counter,
     [advance] = fetch-and-add, starting at 1 (0 is reserved by consumers
     as an "unlabeled" sentinel). *)

@@ -1,12 +1,12 @@
 module Make (T : Hwts.Timestamp.S) = struct
-  module K = Bst_vcas_core.Make (T)
+  module K = Bst_core.Make (Bst_core.Edges (T))
 
   module C = struct
     type t = unit K.t
 
     let name = "vcas-bst(" ^ T.name ^ ")"
     let create = K.create
-    let set_leaf key () = K.Leaf key
+    let set_leaf key () = Bst_core.Leaf key
     let insert t key = K.add t key () ~leaf:set_leaf ~overwrite:false
     let delete = K.remove
     let contains = K.mem

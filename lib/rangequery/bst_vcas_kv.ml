@@ -1,11 +1,11 @@
 module Make (T : Hwts.Timestamp.S) = struct
-  module K = Bst_vcas_core.Make (T)
+  module K = Bst_core.Make (Bst_core.Edges (T))
 
   type 'v t = 'v K.t
 
   let name = "vcas-bst-kv(" ^ T.name ^ ")"
   let create = K.create
-  let entry key value = K.Entry { key; value }
+  let entry key value = Bst_core.Entry { key; value }
   let set t key value = ignore (K.add t key value ~leaf:entry ~overwrite:true)
   let add t key value = K.add t key value ~leaf:entry ~overwrite:false
   let remove = K.remove

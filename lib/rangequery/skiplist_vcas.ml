@@ -232,23 +232,21 @@ module Core (T : Hwts.Timestamp.S) = struct
     end
 
   and link_upper t k node sc level =
-    if level <= Array.length (tower node) then begin
-      let rec link () =
-        let cur = slot node level in
-        if marked cur then ()
-        else if
-          cur != sc.succs.(level)
-          && not (cas_slot (tower node) (level - 1) cur sc.succs.(level))
-        then link ()
-        else if
-          cas_slot (tower sc.preds.(level)) (level - 1) sc.succs.(level) node
-        then link_upper t k node sc (level + 1)
-        else begin
-          ignore (find t k sc);
-          if sc.succs.(0) == node then link ()
-        end
-      in
-      link ()
+    if level <= Array.length (tower node) then link_level t k node sc level
+
+  (* A module-level recursion, not a closure per level. *)
+  and link_level t k node sc level =
+    let cur = slot node level in
+    if marked cur then ()
+    else if
+      cur != sc.succs.(level)
+      && not (cas_slot (tower node) (level - 1) cur sc.succs.(level))
+    then link_level t k node sc level
+    else if cas_slot (tower sc.preds.(level)) (level - 1) sc.succs.(level) node
+    then link_upper t k node sc (level + 1)
+    else begin
+      ignore (find t k sc);
+      if sc.succs.(0) == node then link_level t k node sc level
     end
 
   (* A delete marks its victim's tower top down, then level 0: the

@@ -8,16 +8,14 @@ type ts =
   | `Hardware_strict_cas
   | `Adaptive ]
 
-(* The one provider registry.  Names, aliases, CLI help text, structure
-   compatibility ([addressable]) and tie semantics all derive from this
-   table — the drift-prone per-subcommand string matches are gone. *)
+(* The one provider registry.  Names, aliases, CLI help text and tie
+   semantics all derive from this table — the drift-prone
+   per-subcommand string matches are gone. *)
 type info = {
   key : ts;
   name : string;  (* canonical, as artifacts/series spell it *)
   aliases : string list;
   doc : string;  (* one line for --provider help *)
-  addressable : bool;
-      (* exposes a stable timestamp-word address (DCSS labeling) *)
   ties : bool;  (* concurrent labels may compare equal/tied in rank *)
 }
 
@@ -28,7 +26,6 @@ let registry : info list =
       name = "logical";
       aliases = [];
       doc = "shared fetch-and-add counter (the paper's software baseline)";
-      addressable = true;
       ties = false;
     };
     {
@@ -38,7 +35,6 @@ let registry : info list =
       doc =
         "delayed-increment counter (flock): racers of one tuned spin \
          window share a label";
-      addressable = false;
       ties = true;
     };
     {
@@ -48,7 +44,6 @@ let registry : info list =
       doc =
         "summed multi-slot counter (flock): each domain FAAs its own \
          padded slot, stamp = sum";
-      addressable = false;
       ties = true;
     };
     {
@@ -58,7 +53,6 @@ let registry : info list =
       doc =
         "TL2-style epoch stamp (verlib): slot id in the low bits, epochs \
          reused without shared writes";
-      addressable = false;
       ties = true;
     };
     {
@@ -66,7 +60,6 @@ let registry : info list =
       name = "rdtscp";
       aliases = [ "hardware" ];
       doc = "raw RDTSCP;LFENCE stamps (ties possible, Section III-A)";
-      addressable = false;
       ties = true;
     };
     {
@@ -74,7 +67,6 @@ let registry : info list =
       name = "rdtscp-strict";
       aliases = [ "sharded" ];
       doc = "strict sharded TSC: slot id in the low bits, no common-path CAS";
-      addressable = false;
       ties = false;
     };
     {
@@ -82,7 +74,6 @@ let registry : info list =
       name = "rdtscp-strict-cas";
       aliases = [ "strict" ];
       doc = "strict TSC via shared-word tie-bump CAS (the Jiffy scheme)";
-      addressable = false;
       ties = false;
     };
     {
@@ -92,7 +83,6 @@ let registry : info list =
       doc =
         "contention-laddered zoo: logical -> delayed -> multislot -> tl2 \
          -> strict TSC, self-selecting";
-      addressable = false;
       ties = true;
     };
   ]
@@ -345,39 +335,17 @@ let bst_vcas_kv_m (module T : Hwts.Timestamp.S) :
     (module Dstruct.Ordered_set.RQ) =
   (module Kv_as_set (T))
 
-(* The lock-free EBR-RQ labels via DCSS against the timestamp word's
-   address, so it is unwritable over an address-free provider (Section
-   IV); requesting a hardware series for it is a caller bug. *)
-let bst_ebrrq_lockfree_instance ?(reclaim = `Ebr) (ts : ts) : instance =
-  match ts with
-  | `Logical ->
-    let module L = Hwts.Timestamp.Logical () in
-    (* The Traced wrapper hides [raw], which the DCSS labeling needs, so
-       re-export it alongside the traced operations. *)
-    let module LT = struct
-      include Hwts.Timestamp.Traced (L)
-
-      let raw = L.raw
-    end in
-    let module R = (val backend_of reclaim) in
-    {
-      structure =
-        (module Rangequery.Bst_ebrrq_lockfree.Make (R) (LT) : Dstruct
-                                                              .Ordered_set
-                                                              .RQ);
-      now = L.read;
-      provider = ts_name `Logical;
-      reclaim = reclaim_name reclaim;
-      adaptive = None;
-    }
-  | _ -> invalid_arg "bst-ebrrq-lockfree requires a logical (addressable) clock"
+let bst_ebrrq_lockfree_m (module R : Hwts_reclaim.Intf.BACKEND)
+    (module T : Hwts.Timestamp.S) : (module Dstruct.Ordered_set.RQ) =
+  (module Rangequery.Bst_ebrrq_lockfree.Make (R) (T))
 
 let all_instances : (string * (reclaim -> ts -> instance)) list =
   [
     ("bst-vcas", fun r ts -> instance_of ~reclaim:r bst_vcas_m ts);
     ("bst-vcas-kv", fun r ts -> instance_of ~reclaim:r bst_vcas_kv_m ts);
     ( "bst-ebrrq-lockfree",
-      fun r ts -> bst_ebrrq_lockfree_instance ~reclaim:r ts );
+      fun r ts ->
+        instance_of ~reclaim:r (bst_ebrrq_lockfree_m (backend_of r)) ts );
     ( "citrus-vcas",
       fun r ts ->
         instance_of ~reclaim:r (citrus_vcas_m (backend_of r)) ts );
@@ -405,19 +373,12 @@ let skiplist_bundle ts = (instance "skiplist-bundle" ts).structure
 let skiplist_vcas ts = (instance "skiplist-vcas" ts).structure
 let lazylist_bundle ts = (instance "lazylist-bundle" ts).structure
 let bst_vcas_kv ts = (instance "bst-vcas-kv" ts).structure
-let bst_ebrrq_lockfree () = (instance "bst-ebrrq-lockfree" `Logical).structure
+let bst_ebrrq_lockfree ts = (instance "bst-ebrrq-lockfree" ts).structure
 
 let all =
   List.map
     (fun (name, f) -> (name, fun ts -> (f `Ebr ts).structure))
     all_instances
-
-(* The DCSS labeling needs the timestamp word's *address*; only
-   registry entries marked [addressable] expose one (the adaptive
-   provider has no stable word once migrated onto the TSC, the zoo
-   schemes hide theirs behind sums/epochs). *)
-let supports name (ts : ts) =
-  name <> "bst-ebrrq-lockfree" || (info_of ts).addressable
 
 (* Linked-list throughput is O(n) in the key range where the trees and
    skiplists are O(log n); sweeping every structure over one shared range

@@ -22,15 +22,13 @@ type info = {
   name : string;  (** canonical name, as artifacts/series spell it *)
   aliases : string list;  (** accepted by {!ts_of_name} *)
   doc : string;  (** one line for [--provider] help *)
-  addressable : bool;
-      (** exposes a stable timestamp-word address (DCSS labeling) *)
   ties : bool;
       (** concurrent labels may compare equal/tied in rank (hardware
           same-cycle stamps, delayed/multislot window-sharers, TL2
           same-epoch labels) *)
 }
 (** One registry row.  Every name-keyed surface — {!ts_name},
-    {!ts_of_name}, {!provider_help}, {!supports} — derives from
+    {!ts_of_name}, {!provider_help} — derives from
     {!registry}, so adding a provider is one table entry. *)
 
 val registry : info list
@@ -90,8 +88,8 @@ type instance = {
 val instance : ?reclaim:reclaim -> string -> ts -> instance
 (** [instance name ts] builds the named structure over the given provider
     and reclamation backend (default [`Ebr], the historical protocol).
-    Raises [Invalid_argument] on an unknown name or a combination
-    {!supports} rejects. *)
+    Raises [Invalid_argument] on an unknown name; every structure runs
+    over every provider and backend. *)
 
 val all_instances : (string * (reclaim -> ts -> instance)) list
 
@@ -106,16 +104,10 @@ val lazylist_bundle : ts -> (module Dstruct.Ordered_set.RQ)
 val bst_vcas_kv : ts -> (module Dstruct.Ordered_set.RQ)
 (** The key-value BST run as a set of unit bindings. *)
 
-val bst_ebrrq_lockfree : unit -> (module Dstruct.Ordered_set.RQ)
-(** Logical only: the DCSS labeling needs the timestamp's address. *)
+val bst_ebrrq_lockfree : ts -> (module Dstruct.Ordered_set.RQ)
 
 val all : (string * (ts -> (module Dstruct.Ordered_set.RQ))) list
-(** Every benchmarkable structure.  Constructors raise [Invalid_argument]
-    on combinations {!supports} rejects, so sweep drivers must filter. *)
-
-val supports : string -> ts -> bool
-(** Whether the named structure can be built over the given provider
-    (bst-ebrrq-lockfree exists only over an addressable logical clock). *)
+(** Every benchmarkable structure, over every provider. *)
 
 val preferred_key_range : string -> default:int -> int
 (** Key range for cross-structure sweeps: the default, except capped for

@@ -250,7 +250,8 @@ let torture ?(multi = false) ?reclaim structure provider () =
 
 let torture_cases =
   (* one structure per technique family, under both the logical and the
-     strict-hardware provider (the lock-free EBR-RQ is logical-only) *)
+     strict-hardware provider; the two labelings of the Natarajan–Mittal
+     tree under the flock/verlib clocks too *)
   let mk (structure, provider) =
     Alcotest.test_case
       (Printf.sprintf "%s/%s recorded history"
@@ -276,6 +277,10 @@ let torture_cases =
       ("citrus-ebrrq", `Logical);
       ("citrus-ebrrq", `Hardware_strict);
       ("bst-ebrrq-lockfree", `Logical);
+      ("bst-ebrrq-lockfree", `Hardware_strict);
+      ("bst-ebrrq-lockfree", `Delayed);
+      ("bst-ebrrq-lockfree", `Multislot);
+      ("bst-ebrrq-lockfree", `Tl2);
     ]
   (* The Citrus relocation's grace wait and citrus-ebrrq's limbo recovery
      go through the reclamation backend, so the three Citrus trees also
@@ -292,9 +297,9 @@ let torture_cases =
           [ "citrus-vcas"; "citrus-bundle"; "citrus-ebrrq" ])
       [ `Qsbr; `Qsbr_tsc ]
 
-(* Multi-point rounds: every structure in the zoo, under three providers
-   (the lock-free EBR-RQ is logical-only), so the one-cut-per-handle
-   claim of Hwts_snapshot is oracle-verified against each snap recipe. *)
+(* Multi-point rounds: every structure in the zoo, under three providers,
+   so the one-cut-per-handle claim of Hwts_snapshot is oracle-verified
+   against each snap recipe. *)
 let torture_multi_cases =
   let mk (structure, provider) =
     Alcotest.test_case
@@ -305,15 +310,15 @@ let torture_multi_cases =
   in
   let structures =
     [
-      "bst-vcas"; "bst-vcas-kv"; "citrus-vcas"; "citrus-bundle";
-      "citrus-ebrrq"; "skiplist-bundle"; "skiplist-vcas"; "lazylist-bundle";
+      "bst-vcas"; "bst-vcas-kv"; "bst-ebrrq-lockfree"; "citrus-vcas";
+      "citrus-bundle"; "citrus-ebrrq"; "skiplist-bundle"; "skiplist-vcas";
+      "lazylist-bundle";
     ]
   in
   List.map mk
-    (("bst-ebrrq-lockfree", `Logical)
-    :: List.concat_map
-         (fun s -> [ (s, `Logical); (s, `Hardware_strict); (s, `Tl2) ])
-         structures)
+    (List.concat_map
+       (fun s -> [ (s, `Logical); (s, `Hardware_strict); (s, `Tl2) ])
+       structures)
 
 (* ---------- checked-in fixtures ----------
 
@@ -363,16 +368,6 @@ let config_rejects_oversize () =
     (Invalid_argument "check: domains*ops_per_domain must be <= 62")
     (fun () ->
       ignore (Torture.run { cfg with domains = 8; ops_per_domain = 8 }))
-
-let config_rejects_unsupported () =
-  let cfg =
-    Torture.default_config ~structure:"bst-ebrrq-lockfree"
-      ~provider:`Hardware_strict ~seed:1 ()
-  in
-  (try
-     ignore (Torture.run cfg);
-     Alcotest.fail "unsupported provider accepted"
-   with Invalid_argument _ -> ())
 
 let trace_artifact () =
   let cfg = Torture.default_config ~structure:"bst-vcas" ~provider:`Logical ~seed:7 () in
@@ -441,8 +436,6 @@ let () =
         [
           Alcotest.test_case "oversize config rejected" `Quick
             config_rejects_oversize;
-          Alcotest.test_case "unsupported provider rejected" `Quick
-            config_rejects_unsupported;
           Alcotest.test_case "trace artifact" `Quick trace_artifact;
         ] );
     ]

@@ -14,15 +14,13 @@ let sets : (string * (module SET)) list =
       let sensitive = reclaim_sensitive name in
       List.concat_map
         (fun ts ->
-          if not (supports name ts) then []
-          else
-            List.map
-              (fun reclaim ->
-                let inst = make reclaim ts in
-                let module S = (val inst.structure) in
-                ( (if sensitive then S.name ^ "/" ^ inst.reclaim else S.name),
-                  inst.structure ))
-              (if sensitive then all_reclaims else [ `Ebr ]))
+          List.map
+            (fun reclaim ->
+              let inst = make reclaim ts in
+              let module S = (val inst.structure) in
+              ( (if sensitive then S.name ^ "/" ^ inst.reclaim else S.name),
+                inst.structure ))
+            (if sensitive then all_reclaims else [ `Ebr ]))
         [ `Logical; `Hardware ])
     all_instances
 

@@ -440,6 +440,8 @@ let () =
             (collect_allocates_only_its_answer "bst-vcas");
           Alcotest.test_case "citrus-ebrrq collect_at" `Quick
             (collect_allocates_only_its_answer "citrus-ebrrq");
+          Alcotest.test_case "bst-ebrrq-lockfree collect_at" `Quick
+            (collect_allocates_only_its_answer "bst-ebrrq-lockfree");
         ] );
       ( "op-alloc",
         List.map
@@ -451,10 +453,10 @@ let () =
             ("citrus-bundle", 0., 20., 101., 37.61);
             ("citrus-ebrrq", 0., 16., 101., 33.96);
             ("bst-vcas", 0., 22., 101., 22.);
-            ("bst-ebrrq-lockfree", 0., 131., 101., 131.);
+            ("bst-ebrrq-lockfree", 0., 20., 101., 20.);
             ("skiplist-bundle", 0., 21.98, 101., 22.01);
             ("lazylist-bundle", 0., 24., 101., 24.);
-            ("skiplist-vcas", 0., 39.28, 112., 37.52);
+            ("skiplist-vcas", 0., 25.65, 112., 25.43);
           ]
         @ [
             Alcotest.test_case "citrus contains <= 2x bst-vcas" `Quick

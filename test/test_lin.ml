@@ -132,12 +132,7 @@ let rq_cases =
          ~contains:(fun t k -> S.contains t k))
   in
   List.concat_map
-    (fun (name, make) ->
-      List.filter_map
-        (fun ts ->
-          if Workload.Targets.supports name ts then Some (mk (make ts))
-          else None)
-        Workload.Targets.all_ts)
+    (fun (_, make) -> List.map (fun ts -> mk (make ts)) Workload.Targets.all_ts)
     Workload.Targets.all
 
 let () =

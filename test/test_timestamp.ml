@@ -6,8 +6,7 @@ let logical_basics () =
   Alcotest.(check int) "first advance" 2 (L.advance ());
   Alcotest.(check int) "second advance" 3 (L.advance ());
   Alcotest.(check int) "read after" 3 (L.read ());
-  Alcotest.(check bool) "not hardware" false L.is_hardware;
-  Alcotest.(check int) "raw exposed" 3 (Atomic.get L.raw)
+  Alcotest.(check bool) "not hardware" false L.is_hardware
 
 let logical_instances_independent () =
   let module A = Hwts.Timestamp.Logical () in

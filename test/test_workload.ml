@@ -262,11 +262,11 @@ let targets_all_work () =
           Alcotest.(check (array int)) (name ^ " rq") [| 5; 7 |]
             (S.range_query t ~lo:1 ~hi:10);
           Alcotest.(check bool) (name ^ " delete") true (S.delete t 5))
-        (List.filter
-           (Workload.Targets.supports name)
-           Workload.Targets.all_ts))
+        Workload.Targets.all_ts)
     Workload.Targets.all;
-  let (module LF : Dstruct.Ordered_set.RQ) = Workload.Targets.bst_ebrrq_lockfree () in
+  let (module LF : Dstruct.Ordered_set.RQ) =
+    Workload.Targets.bst_ebrrq_lockfree `Hardware_strict
+  in
   let t = LF.create () in
   ignore (LF.insert t 9);
   Alcotest.(check (array int)) "lock-free ebr-rq rq" [| 9 |] (LF.range_query t ~lo:1 ~hi:10)
@@ -302,16 +302,6 @@ let provider_registry () =
     registry;
   Alcotest.(check (option reject)) "unknown name rejected" None
     (ts_of_name "nope");
-  (* only the addressable logical clock can label the DCSS structure *)
-  List.iter
-    (fun i ->
-      Alcotest.(check bool)
-        ("bst-ebrrq-lockfree over " ^ i.name)
-        i.addressable
-        (supports "bst-ebrrq-lockfree" i.key);
-      Alcotest.(check bool) ("bst-vcas over " ^ i.name) true
-        (supports "bst-vcas" i.key))
-    registry;
   (* instance wires the reader to the same clock the structure labels
      with, for every provider in the zoo *)
   List.iter

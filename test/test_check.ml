@@ -188,6 +188,30 @@ let minimizer_shrinks () =
     (* the noise ops are irrelevant: the core violation is 2 events *)
     Alcotest.(check int) "minimal size" 2 (List.length minimized)
 
+let minimizer_keeps_pending_ops () =
+  (* range(7,13) -> {} completes while delete(7) is still pending, and
+     that delete explains it; the genuine violation comes later.  A
+     prefix cut in completion order alone would drop the delete and
+     blame the range. *)
+  let initial = [ 2; 7 ] in
+  let blameless = ev 20 30 (Range (7, 13)) (Keys []) in
+  let bad = ev 200 210 (Range (1, 5)) (Keys [ 4 ]) in
+  let history = [ ev 10 100 (Delete 7) (Bool true); blameless; bad ] in
+  match Oracle.verify ~initial history with
+  | Oracle.Pass -> Alcotest.fail "range(1,5) -> {4} accepted"
+  | Oracle.Violation { minimized; _ } ->
+    let explain = Oracle.explain ~initial minimized in
+    Alcotest.(check bool) ("keeps range(1,5):\n" ^ explain) true
+      (List.memq bad minimized);
+    Alcotest.(check bool) ("drops range(7,13):\n" ^ explain) false
+      (List.memq blameless minimized);
+    let culprit =
+      List.fold_left
+        (fun c e -> if e.Lin_check.end_t > c.Lin_check.end_t then e else c)
+        (List.hd minimized) minimized
+    in
+    Alcotest.(check bool) "range(1,5) is the culprit" true (culprit == bad)
+
 (* ---------- the Pause engine ---------- *)
 
 let pause_inert_by_default () =
@@ -422,6 +446,8 @@ let () =
           Alcotest.test_case "multi: out-of-window keys" `Quick
             multi_out_of_window_keys;
           Alcotest.test_case "minimizer shrinks" `Quick minimizer_shrinks;
+          Alcotest.test_case "minimizer keeps pending ops" `Quick
+            minimizer_keeps_pending_ops;
         ] );
       ( "pause",
         [

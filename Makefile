@@ -4,8 +4,8 @@ SMOKE_METRICS := /tmp/obs.json
 
 .PHONY: all build test fmt-check check check-smoke check-torture \
   bench-smoke bench-obs bench-hotpath bench-hotpath-guard \
-  bench-scaling bench-scaling-smoke bench-adaptive bench-adaptive-smoke \
-  bench-provider-zoo trace-smoke trend-guard bench-tailattr \
+  bench-scaling bench-scaling-smoke bench-provider-zoo \
+  trace-smoke trend-guard bench-tailattr \
   bench-serve bench-serve-smoke bench-reclaim bench-reclaim-smoke \
   bench-snapshot bench-snapshot-smoke e2e-smoke e2e-pairs clean
 
@@ -33,10 +33,10 @@ check: build fmt-check test check-smoke e2e-smoke
 e2e-smoke: build
 	dune build @bench/e2e/smoke
 
-# Seeded fault-injection torture of every structure under the logical,
-# rdtscp-strict and adaptive providers (the adaptive rounds force-migrate
-# the clock mid-round), each recorded history verified by the snapshot
-# oracle (~30s).  A violation leaves a replayable check-*.trace artifact.
+# Seeded fault-injection torture of every structure under the provider
+# zoo (logical, delayed, multislot, tl2 and rdtscp-strict), each recorded
+# history verified by the snapshot oracle (~2 s on 2 vCPUs).  A
+# violation leaves a replayable check-*.trace artifact.
 check-smoke: build
 	dune exec bin/hwts_cli.exe -- check --rounds 4 --seed 0xC0FFEE
 
@@ -96,9 +96,8 @@ bench-hotpath-guard: build
 
 # End-to-end smoke of the metrics pipeline: a short instrumented run must
 # produce a JSON-lines file containing the canonical metric set.
-bench-smoke: build bench-scaling-smoke bench-adaptive-smoke \
-  bench-provider-zoo trace-smoke trend-guard bench-serve-smoke \
-  bench-reclaim-smoke bench-snapshot-smoke
+bench-smoke: build bench-scaling-smoke bench-provider-zoo trace-smoke \
+  trend-guard bench-serve-smoke bench-reclaim-smoke bench-snapshot-smoke
 	dune exec bin/hwts_cli.exe -- run bst-vcas --rdtscp --seconds 0.2 \
 	  --metrics-out $(SMOKE_METRICS)
 	dune exec test/validate_metrics.exe -- $(SMOKE_METRICS)
@@ -108,7 +107,7 @@ bench-smoke: build bench-scaling-smoke bench-adaptive-smoke \
 # Catches a provider that labels correctly in unit tests but wedges or
 # starves under the real multi-domain workload.
 bench-provider-zoo: build
-	for p in logical delayed multislot tl2 rdtscp-strict adaptive; do \
+	for p in logical delayed multislot tl2 rdtscp-strict; do \
 	  dune exec bin/hwts_cli.exe -- run bst-vcas --provider $$p \
 	    --threads 2 --seconds 0.1 --metrics-out /tmp/zoo_$$p.json \
 	    || exit 1; \
@@ -213,7 +212,7 @@ bench-reclaim-smoke: build
 # Refresh the checked-in snapshot-amortization artifact: the paired
 # reads-per-snapshot sweep (one Snapshot.t handle covering k reads vs k
 # independent single-read acquisitions) over 3 structures x logical /
-# adaptive / rdtscp-strict.  The summary line gates the headline: at
+# rdtscp-strict.  The summary line gates the headline: at
 # k in {4,16,64} the snapshot arm must acquire <= (1+eps)/k labels per
 # read at >= 95% of the independent arm's throughput; the crossover
 # lines record the strict-TSC/logical ratio drifting toward 1 as k
@@ -250,14 +249,11 @@ bench-hotpath: build
 	dune exec test/validate_metrics.exe -- BENCH_hotpath.json
 
 # Refresh the checked-in domain-scaling artifact: every structure under
-# the logical, rdtscp-strict and adaptive providers across
-# $(HWTS_DOMAINS) (default 1,2,4,8) worker domains.  The adaptive series
-# carries a per-structure adaptive_margin verdict (worst ratio vs the
-# better fixed provider at each point).
+# the provider zoo (logical, delayed, multislot, tl2, rdtscp-strict)
+# across $(HWTS_DOMAINS) (default 1,2,4,8) worker domains.
 # 100k-op legs and 5 trials: a 20k-op leg lasts ~40ms — a handful of
 # scheduler quanta on a single-vCPU box, so one preemption swings a leg
-# by 25%+ and median-of-3 cannot reject it; the adaptive_margin verdict
-# needs legs long enough to average over the quanta.
+# by 25%+ and median-of-3 cannot reject it.
 bench-scaling: build
 	dune exec bench/scaling.exe -- -ops 100000 -warmup 10000 -trials 5 \
 	  -out BENCH_scaling.json
@@ -270,24 +266,6 @@ bench-scaling-smoke: build
 	  -trials 1 -out /tmp/scaling_smoke.json
 	dune exec test/validate_metrics.exe -- /tmp/scaling_smoke.json
 	dune exec test/validate_metrics.exe -- BENCH_scaling.json
-
-# The adaptive provider exercised end to end: an update-heavy scaling
-# sweep (contention is what makes it migrate) with the sweep's margin
-# verdicts, then the torture oracle over every structure with forced
-# mid-round migrations.
-bench-adaptive: build
-	dune exec bench/scaling.exe -- -mix 50-10-40 -ops 100000 \
-	  -warmup 10000 -trials 5 -out /tmp/adaptive_scaling.json
-	dune exec test/validate_metrics.exe -- /tmp/adaptive_scaling.json
-	dune exec bin/hwts_cli.exe -- check --provider adaptive --rounds 8
-
-# CI-shaped fast pass over the same paths.
-bench-adaptive-smoke: build
-	dune exec bin/hwts_cli.exe -- check --provider adaptive --rounds 2 \
-	  --seed 0xADA97
-	dune exec bin/hwts_cli.exe -- run bst-vcas --provider adaptive \
-	  --seconds 0.2 --threads 4 --metrics-out /tmp/adaptive_obs.json
-	dune exec test/validate_metrics.exe -- /tmp/adaptive_obs.json
 
 # Alternating pairs of the served-request benchmark, BASE against the
 # working tree, each side built from source in a temporary checkout:

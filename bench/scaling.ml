@@ -1,8 +1,8 @@
 (* Domain-scaling sweep: every range-query structure under the full
    provider zoo — logical (fetch-and-add), the flock/verlib logical-clock
-   optimizations (delayed-increment, multislot sum, TL2 epochs), the
-   sharded strict TSC ("rdtscp-strict") and the adaptive provider — at
-   1/2/4/8 worker domains (HWTS_DOMAINS / -domains to override).
+   optimizations (delayed-increment, multislot sum, TL2 epochs) and the
+   sharded strict TSC ("rdtscp-strict") — at 1/2/4/8 worker domains
+   (HWTS_DOMAINS / -domains to override).
 
    This is the Figure 1/2 experiment of the paper run as a regression
    artifact: the logical clock's single shared word is the point of
@@ -19,13 +19,6 @@
    instead of contending, so the shape is reported per structure — found
    or not — rather than asserted; the checked-in artifact states what
    this machine produced.
-
-   The adaptive series is the PR's acceptance gauge: it should track the
-   winner of the other two at every point (within the tolerance the
-   "adaptive_margin" record states), because it *is* one of the other two
-   at any instant, plus sensing overhead and switch cost.  Each adaptive
-   point also records how often the provider migrated and at which labels
-   (chronological switch points from the final trial).
 
    Pairing discipline (Benchkit.Kit): each trial runs all providers back
    to back at the same domain count, rotating which goes first, and
@@ -48,43 +41,17 @@ let run_leg make config ~warmup : Kit.row =
     ("elapsed", J.Float r.elapsed);
   ]
 
-(* The swept provider zoo: the paper's two poles (logical FAA, sharded
-   strict TSC), the three flock/verlib logical-clock optimizations, and
-   the adaptive provider that self-selects among all of them. *)
-let zoo : Workload.Targets.ts list =
-  [ `Logical; `Delayed; `Multislot; `Tl2; `Hardware_strict; `Adaptive ]
-
-let zoo_names = List.map Workload.Targets.ts_name zoo
+let zoo_names = List.map Workload.Targets.ts_name Workload.Targets.zoo
 
 (* Paired trials at one (structure, domain count): all zoo providers run
    back to back, the starting provider rotating by trial so no series
-   systematically inherits a warm cache or a stolen quantum.  Each
-   adaptive leg gets a *fresh* instance (its sensing state and switch log
-   are per-instance); the leg's migration count and, for the final leg,
-   the chronological switch points (direction, label at the fold) are
-   kept alongside.  Scheduler preemption on a shared box only ever
-   *slows* a leg, so the adaptive-margin gauge compares each provider's
-   best trial; reported points keep medians. *)
-let run_zoo name make config ~warmup ~trials =
-  let switch_counts = ref [] and last_switch_points = ref [] in
-  let providers = Array.of_list zoo in
-  let legs =
-    Kit.paired ~arms:(Array.length providers) ~trials (fun ~trial:_ i ->
-        match providers.(i) with
-        | `Adaptive ->
-          let inst = Workload.Targets.instance name `Adaptive in
-          let leg = run_leg inst.Workload.Targets.structure config ~warmup in
-          Option.iter
-            (fun ctl ->
-              switch_counts := ctl.Hwts.Timestamp.switch_count () :: !switch_counts;
-              last_switch_points := ctl.Hwts.Timestamp.switch_points ())
-            inst.Workload.Targets.adaptive;
-          leg
-        | ts -> run_leg (make ts) config ~warmup)
-  in
-  ( Array.to_list (Array.map Kit.summarize legs),
-    (Benchkit.Family.median !switch_counts, !last_switch_points),
-    Array.to_list (Array.map (fun l -> Kit.best l "mops") legs) )
+   systematically inherits a warm cache or a stolen quantum; reported
+   points keep medians. *)
+let run_zoo make config ~warmup ~trials =
+  let providers = Array.of_list Workload.Targets.zoo in
+  Kit.paired ~arms:(Array.length providers) ~trials (fun ~trial:_ i ->
+      run_leg (make providers.(i)) config ~warmup)
+  |> Array.map Kit.summarize |> Array.to_list
 
 let print_point name provider d p =
   Printf.printf "%-18s %-14s %8d %10.3f %10.1f %8.3f %8.2f\n%!" name provider d
@@ -155,14 +122,14 @@ let () =
     ]
   in
   Kit.with_artifact ~path:!out ~family:"bench.scaling" meta @@ fun emit ->
-  let point ~structure ~provider ~domains ?(extra = []) p =
+  let point ~structure ~provider ~domains p =
     emit "point"
       ([
          ("structure", J.Str structure);
          ("provider", J.Str provider);
          ("domains", J.Int domains);
        ]
-      @ p @ extra)
+      @ p)
   in
   Printf.printf "%-18s %-14s %8s %10s %10s %8s %8s\n" "structure" "provider"
     "domains" "mops" "w/op" "cv" "imbal";
@@ -172,55 +139,17 @@ let () =
       let series =
         List.map
           (fun d ->
-            let points, (switches, switch_points), bests =
-              run_zoo name make (config d) ~warmup:!warmup ~trials:!trials
+            let points =
+              run_zoo make (config d) ~warmup:!warmup ~trials:!trials
             in
             List.iter2
               (fun provider p ->
                 print_point name provider d p;
-                let extra =
-                  if provider <> "adaptive" then []
-                  else
-                    [
-                      ("switches", J.Int switches);
-                      ( "switch_points",
-                        J.List
-                          (List.map
-                             (fun (dir, label) ->
-                               J.Obj [ ("dir", J.Str dir); ("at", J.Int label) ])
-                             switch_points) );
-                    ]
-                in
-                point ~structure:name ~provider ~domains:d ~extra p)
+                point ~structure:name ~provider ~domains:d p)
               zoo_names points;
-            (d, List.combine zoo_names points, bests))
+            (d, List.combine zoo_names points))
           domain_counts
       in
-      (* The acceptance gauge: at every point the adaptive series should
-         be within tolerance of whichever fixed provider won there.
-         Ratios come from each leg's best trial; the adaptive provider is
-         the last zoo entry. *)
-      let worst_ratio =
-        List.fold_left
-          (fun acc (_, _, bests) ->
-            match List.rev bests with
-            | ba :: fixed_rev ->
-              let best = List.fold_left Float.max 0. fixed_rev in
-              if best <= 0. then acc else Float.min acc (ba /. best)
-            | [] -> acc)
-          infinity series
-      in
-      let margin_ok = worst_ratio >= 0.9 in
-      Printf.printf
-        "%-18s adaptive margin: worst adaptive/best-of ratio %.3f (%s)\n%!"
-        name worst_ratio
-        (if margin_ok then "ok" else "BELOW 0.9");
-      emit "adaptive_margin"
-        [
-          ("structure", J.Str name);
-          ("worst_ratio", J.Float worst_ratio);
-          ("ok", J.Bool margin_ok);
-        ];
       (* The Fig. 1/2 shape: logical ahead at the smallest count, strict
          ahead at some larger one.  Alongside, the single-threaded-gap
          gauge of the zoo: which fixed provider wins at the smallest
@@ -228,12 +157,12 @@ let () =
          baseline there (the gap the flock optimizations exist to
          close). *)
       let mops points provider = Kit.num (List.assoc provider points) "mops" in
-      let d0, points0, _ = List.hd series in
+      let d0, points0 = List.hd series in
       let log0 = mops points0 "logical" in
       let logical_wins_at_min = log0 >= mops points0 "rdtscp-strict" in
       let crossover =
         List.find_map
-          (fun (d, points, _) ->
+          (fun (d, points) ->
             if d > d0 && mops points "rdtscp-strict" > mops points "logical"
             then Some d
             else None)
@@ -243,7 +172,7 @@ let () =
         List.fold_left
           (fun (bm, bn) (pname, p) ->
             let m = Kit.num p "mops" in
-            if pname <> "adaptive" && m > bm then (m, pname) else (bm, bn))
+            if m > bm then (m, pname) else (bm, bn))
           (0., "") points0
       in
       let shape_found = logical_wins_at_min && crossover <> None in

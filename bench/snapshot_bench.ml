@@ -32,8 +32,7 @@ let default_out = "BENCH_snapshot.json"
 
 let structures = [ "skiplist-bundle"; "bst-vcas"; "citrus-ebrrq" ]
 
-let providers : Workload.Targets.ts list =
-  [ `Logical; `Adaptive; `Hardware_strict ]
+let providers : Workload.Targets.ts list = [ `Logical; `Hardware_strict ]
 
 let gate_ks = [ 4; 16; 64 ]
 

@@ -92,6 +92,10 @@ let provider_conv : Workload.Targets.ts Arg.conv =
     ( parse,
       fun ppf ts -> Format.pp_print_string ppf (Workload.Targets.ts_name ts) )
 
+(* The default provider sweep, as a comma-separated [--providers] list. *)
+let zoo_names =
+  String.concat "," (List.map Workload.Targets.ts_name Workload.Targets.zoo)
+
 let reclaim_conv : Workload.Targets.reclaim Arg.conv =
   let parse s =
     match Workload.Targets.reclaim_of_name s with
@@ -264,21 +268,18 @@ let stress provider reclaim seed metrics_out =
 
 (* Torture driver: seeded randomized multi-domain rounds under fault
    injection, every recorded history checked by the snapshot oracle.  With
-   no --structure/--provider it sweeps every structure under the logical,
-   zoo (delayed/multislot/tl2), rdtscp-strict and adaptive providers; the
-   first violation stops the sweep, prints the minimized counterexample,
-   and leaves a replayable trace artifact. *)
+   no --structure/--provider it sweeps every structure under the
+   [Workload.Targets.zoo] providers; the first violation stops the sweep,
+   prints the minimized counterexample, and leaves a replayable trace
+   artifact. *)
 let check structure provider reclaim seed rounds no_faults multi fixture_out =
   let structures =
     match structure with
     | Some (name, _) -> [ name ]
     | None -> List.map fst Workload.Targets.all
   in
-  let providers : Workload.Targets.ts list =
-    match provider with
-    | Some p -> [ p ]
-    | None ->
-      [ `Logical; `Delayed; `Multislot; `Tl2; `Hardware_strict; `Adaptive ]
+  let providers =
+    match provider with Some p -> [ p ] | None -> Workload.Targets.zoo
   in
   match (fixture_out, structures, providers) with
   | Some path, [ name ], [ ts ] -> (
@@ -607,8 +608,8 @@ let check_cmd =
       & opt (some provider_conv) None
       & info [ "provider" ] ~docv:"PROVIDER"
           ~doc:
-            "Torture only $(docv) (any registry provider; default: the \
-             zoo — logical, delayed, multislot, tl2, sharded and adaptive)")
+            ("Torture only $(docv) (any registry provider; default: the zoo \
+              — " ^ zoo_names ^ ")"))
   in
   let rounds =
     Arg.(
@@ -796,7 +797,7 @@ let trace_report_cmd =
        provider's acquire cost lands *)
     Arg.(
       value
-      & opt string "logical,delayed,multislot,tl2,rdtscp-strict,adaptive"
+      & opt string zoo_names
       & info [ "providers" ] ~docv:"LIST" ~doc:"Comma-separated providers")
   in
   let threads = Arg.(value & opt int 2 & info [ "t"; "threads" ]) in

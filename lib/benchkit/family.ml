@@ -16,7 +16,6 @@ type rule =
   | Holds of sel * string list
   | Covers of sel * string * string list
   | Distinct of sel * string * int
-  | Matched of sel * string * sel
   | Pairs of {
       a : sel;
       b : sel;
@@ -149,13 +148,6 @@ let check lines rule =
     let found = List.length (distinct f (select sel lines)) in
     if found < n then
       err "%s lines must cover >= %d distinct %s (found %d)" (describe sel) n f found
-  | Matched (a, f, b) ->
-    let targets = distinct f (select b lines) in
-    List.iter
-      (fun v ->
-        if not (List.mem v targets) then
-          err "%s line with %s=%s has no %s line" (describe a) f v (describe b))
-      (distinct f (select a lines))
   | Pairs { a; b; on; from = axis, bound; preds } ->
     let bs = select b lines in
     let pairs =
@@ -226,7 +218,7 @@ let validate t lines =
 
 let ty name = [ ("type", J.Str name) ]
 let meta = ty "meta" and summary = ty "summary" and point = ty "point" and gate = ty "gate"
-let zoo = [ "logical"; "delayed"; "multislot"; "tl2"; "rdtscp-strict"; "adaptive" ]
+let zoo = List.map Workload.Targets.ts_name Workload.Targets.zoo
 
 (* A sweep artifact's meta row states the machine it ran on. *)
 let sweep_meta = [ Some_lines meta; Fields (meta, [ ("cores", Int) ]) ]
@@ -235,7 +227,6 @@ let sweep_meta = [ Some_lines meta; Fields (meta, [ ("cores", Int) ]) ]
 let self_gated = [ One_line summary; Holds (summary, [ "ok" ]) ]
 
 let scaling =
-  let adaptive = point @ [ ("provider", J.Str "adaptive") ] in
   {
     name = "bench.scaling";
     rules =
@@ -256,8 +247,6 @@ let scaling =
           Covers (point, "provider", zoo);
           Distinct (point, "domains", 2);
           Distinct (point, "structure", 4);
-          Fields (adaptive, [ ("switches", Int) ]);
-          Matched (adaptive, "structure", ty "adaptive_margin");
         ];
     trend =
       Some

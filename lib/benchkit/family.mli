@@ -23,7 +23,7 @@ type kind =
 
 type sel = (string * J.t) list
 (** Lines whose fields equal these values, e.g.
-    [[ ("type", Str "point"); ("provider", Str "adaptive") ]]. *)
+    [[ ("type", Str "point"); ("provider", Str "logical") ]]. *)
 
 type pred =
   | Lower of string  (** arm a's field strictly below arm b's *)
@@ -39,9 +39,6 @@ type rule =
   | Covers of sel * string * string list
       (** the field takes each listed value on some line *)
   | Distinct of sel * string * int  (** the field takes >= n values *)
-  | Matched of sel * string * sel
-      (** every value the field takes on the first selection also
-          appears on the second *)
   | Pairs of {
       a : sel;
       b : sel;

@@ -12,11 +12,15 @@ type verdict =
 
 let by_start e1 e2 = compare e1.Lin_check.start_t e2.Lin_check.start_t
 
-(* Shrink in two steps.  First find the minimal failing *prefix* in
-   completion order: its last event is the first observation inconsistent
-   with everything that completed before — the honest culprit.  Then
-   greedily drop any other single event whose removal keeps the prefix
-   failing, but never the culprit: unpinned delta-debugging can discard a
+(* Shrink in two steps.  First find the first failing cut in completion
+   order: the cut at an event [r] holds every event completed by [r]'s
+   response.  If that fails, it is retried together with every event
+   still pending at the response (invoked no later than it), since a
+   concurrent update that completes later may be what explains [r]; [r]
+   is the culprit only if the cut still fails with them — the first
+   observation inconsistent with everything before and around it.  Then
+   greedily drop any other single event whose removal keeps the cut
+   failing with the same culprit: unpinned delta-debugging can discard a
    supporting update and manufacture a smaller failure with a different
    cause, which reads as a misdiagnosis.  Quadratic in history size,
    bounded by [Lin_check.max_events]. *)
@@ -25,27 +29,32 @@ let minimize ?initial ?order events =
   if not (fails events) then events
   else
     let by_end e1 e2 = compare e1.Lin_check.end_t e2.Lin_check.end_t in
-    let failing_prefix evs =
+    (* [Some (culprit, cut)] for the first culprit in completion order *)
+    let failing_cut evs =
       let rec grow acc = function
-        | [] -> List.rev acc
-        | e :: rest ->
-          let acc = e :: acc in
-          if fails (List.rev acc) then List.rev acc else grow acc rest
+        | [] -> None
+        | r :: rest ->
+          let acc = r :: acc in
+          let pending =
+            List.filter
+              (fun e -> e.Lin_check.start_t <= r.Lin_check.end_t)
+              rest
+          in
+          let cut = List.rev_append acc pending in
+          if fails (List.rev acc) && fails cut then Some (r, cut)
+          else grow acc rest
       in
       grow [] (List.stable_sort by_end evs)
     in
-    let prefix = failing_prefix events in
-    match List.rev prefix with
-    | [] -> []
-    | culprit :: _ ->
+    match failing_cut events with
+    | None -> events
+    | Some (culprit, cut) ->
       (* Only accept a removal that keeps the *same* event as the first
          inconsistent observation: dropping e.g. a supporting insert
          manufactures a fresh failure with an earlier culprit, which the
-         prefix recomputation detects and rejects. *)
+         cut recomputation detects and rejects. *)
       let still_culprit cand =
-        match List.rev (failing_prefix cand) with
-        | c :: _ -> c == culprit
-        | [] -> false
+        match failing_cut cand with Some (c, _) -> c == culprit | None -> false
       in
       let rec shrink evs =
         let n = List.length evs in
@@ -60,7 +69,7 @@ let minimize ?initial ?order events =
         in
         try_drop 0
       in
-      shrink prefix
+      shrink cut
 
 let verify ?initial ?order events =
   let events = List.sort by_start events in

@@ -10,8 +10,9 @@ type verdict =
   | Violation of {
       events : Lin_check.event list;  (** the full failing history *)
       minimized : Lin_check.event list;
-          (** small failing sub-history whose last-completing event is
-              the first observation inconsistent with the rest *)
+          (** small failing sub-history around its culprit: the first
+              event, in completion order, inconsistent with every event
+              completed or still pending at its response *)
     }
 
 val verify :
@@ -27,9 +28,11 @@ val minimize :
   ?order:Hwts.Labeling.label_order ->
   Lin_check.event list ->
   Lin_check.event list
-(** Minimal failing prefix (in completion order), then greedy
-    single-event shrinking with the prefix's final event pinned — the
-    first inconsistent observation always survives into the core.
+(** First failing cut in completion order — the events completed by
+    the culprit's response, plus those still pending at it, so a
+    concurrent update that completes later can still explain an earlier
+    answer — then greedy single-event shrinking with the culprit pinned:
+    the first inconsistent observation always survives into the core.
     Returns the input unchanged if it already passes. *)
 
 val explain : ?initial:int list -> Lin_check.event list -> string

@@ -164,27 +164,6 @@ let run_round cfg ~round_seed =
         List.init cfg.domains (fun i ->
             Domain.spawn (fun () -> Sync.Slot.with_slot (fun _ -> worker i)))
       in
-      (match inst.Workload.Targets.adaptive with
-      | None -> ()
-      | Some ctl ->
-        (* A few dozen ops per domain never trips the contention sensor on
-           its own, so for the adaptive provider the coordinator force-
-           migrates the clock around the whole zoo while the workers run:
-           the recorded histories then span live folds across every mode
-           pair the ladder can produce (each rung to the next, plus the
-           full-drop tsc->logical seam), which is exactly where a
-           label-monotonicity bug would surface as an oracle violation. *)
-        let tour =
-          [| `Logical; `Delayed; `Multislot; `Tl2; `Tsc; `Logical; `Tsc;
-             `Delayed; `Tl2; `Multislot |]
-        in
-        for i = 0 to 23 do
-          ignore (ctl.Hwts.Timestamp.force tour.(i mod Array.length tour));
-          let until = Tsc.rdtscp () + 20_000 in
-          while Tsc.rdtscp () < until do
-            Tsc.cpu_relax ()
-          done
-        done);
       List.iter Domain.join workers);
   (initial, Recorder.events recorder)
 

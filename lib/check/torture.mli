@@ -64,8 +64,7 @@ val run : ?log:(string -> unit) -> config -> outcome
 
 val run_round : config -> round_seed:int -> int list * Lin_check.event list
 (** One seeded round: build the structure, prefill, run the recorded
-    workload (with the adaptive provider's forced zoo tour when the
-    provider is adaptive), return the initial state and merged history.
+    workload, return the initial state and merged history.
     Exposed so fixtures can be generated and replayed round-by-round. *)
 
 val order_of : config -> Hwts.Labeling.label_order

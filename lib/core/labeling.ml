@@ -68,16 +68,11 @@ let epoch_order ~bits =
   }
 
 let order_of_provider name =
-  let prefixed p =
-    String.length name >= String.length p && String.sub name 0 (String.length p) = p
-  in
   (* TL2-style stamps carry the issuing domain's slot id in the low 8
      bits purely for uniqueness: two labels from the same epoch are a
-     tie, not an order.  Every other provider's labels (including the
-     adaptive zoo's, which elides TL2 ids exactly so its mixed space
-     stays raw-comparable) order by plain integer comparison, with ties
-     expressed as equality. *)
-  if name = "tl2" || prefixed "tl2-" then epoch_order ~bits:8 else raw_order
+     tie, not an order.  Every other provider's labels order by plain
+     integer comparison, with ties expressed as equality. *)
+  if name = "tl2" then epoch_order ~bits:8 else raw_order
 
 let pp_granularity ppf = function
   | Coarse_global_lock -> Format.pp_print_string ppf "coarse(global-lock)"

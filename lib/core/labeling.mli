@@ -54,9 +54,8 @@ type label_order = {
     bits that carry identity, not order. *)
 
 val raw_order : label_order
-(** Plain integer comparison: logical, delayed, multislot, hardware, the
-    sharded-strict wrappers, and the adaptive zoo (whose label space is
-    engineered to stay raw-comparable across mode switches). *)
+(** Plain integer comparison: logical, delayed, multislot, hardware and
+    the sharded-strict wrappers. *)
 
 val epoch_order : bits:int -> label_order
 (** Compare [x asr bits]: values sharing the high bits tie.  With
@@ -65,8 +64,8 @@ val epoch_order : bits:int -> label_order
 
 val order_of_provider : string -> label_order
 (** The comparator for a provider name as registered in
-    [Workload.Targets] (["tl2"] and [tl2-]-prefixed names get
-    {!epoch_order}; everything else {!raw_order}). *)
+    [Workload.Targets] (["tl2"] gets {!epoch_order}; everything else
+    {!raw_order}). *)
 
 val pp_profile : Format.formatter -> profile -> unit
 val pp_granularity : Format.formatter -> granularity -> unit

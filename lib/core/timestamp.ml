@@ -168,7 +168,7 @@ module Strict_sharded (T : S) () = struct
 end
 
 (* Knobs shared by the logical-clock zoo below; environment-initialized
-   like [Adaptive_config] so benches sweep them without recompiling
+   so benches sweep them without recompiling
    (EXPERIMENTS.md reproduces the flock delay-tuning curve by sweeping
    HWTS_DELAY). *)
 module Zoo_config = struct
@@ -444,553 +444,6 @@ module Tl2 () = struct
     if Atomic.compare_and_set stamp ts (((e + 1) lsl bits) lor id) then
       Hwts_obs.Counter.incr bumps;
     (e lsl bits) lor mask
-end
-
-type adaptive_mode = [ `Logical | `Delayed | `Multislot | `Tl2 | `Tsc ]
-
-type adaptive_ctl = {
-  mode : unit -> adaptive_mode;
-  force : adaptive_mode -> bool;
-  switch_count : unit -> int;
-  switch_points : unit -> (string * int) list;
-  acquire_cost : unit -> (string * int) list;
-}
-
-(* Knobs shared by every [Adaptive] instance; environment-initialized so
-   benches can be steered without recompiling, settable so tests and the
-   torture driver can provoke switches deterministically. *)
-module Adaptive_config = struct
-  let getenv_int name d =
-    match Option.bind (Sys.getenv_opt name) int_of_string_opt with
-    | Some n when n >= 1 -> n
-    | Some _ | None -> d
-
-  let getenv_float name d =
-    match Option.bind (Sys.getenv_opt name) float_of_string_opt with
-    | Some f when f >= 0. -> f
-    | Some _ | None -> d
-
-  let epoch_word = Atomic.make (getenv_int "HWTS_ADAPT_EPOCH" 512)
-  let up_word = Atomic.make (getenv_float "HWTS_ADAPT_UP" 1.5)
-  let down_word = Atomic.make (getenv_float "HWTS_ADAPT_DOWN" 0.5)
-  let hyst_word = Atomic.make (getenv_int "HWTS_ADAPT_HYST" 2)
-  let ms_up_word = Atomic.make (getenv_float "HWTS_ADAPT_MS_UP" 3.0)
-  let tsc_up_word = Atomic.make (getenv_float "HWTS_ADAPT_TSC_UP" 6.0)
-  let epoch_ops () = Atomic.get epoch_word
-
-  let set_epoch_ops n =
-    if n < 1 then invalid_arg "Adaptive_config.set_epoch_ops: must be >= 1";
-    Atomic.set epoch_word n
-
-  let up_rate () = Atomic.get up_word
-  let set_up_rate r = Atomic.set up_word r
-  let down_rate () = Atomic.get down_word
-  let set_down_rate r = Atomic.set down_word r
-  let hysteresis () = Atomic.get hyst_word
-
-  let set_hysteresis n =
-    if n < 1 then invalid_arg "Adaptive_config.set_hysteresis: must be >= 1";
-    Atomic.set hyst_word n
-
-  let ms_up_rate () = Atomic.get ms_up_word
-  let set_ms_up_rate r = Atomic.set ms_up_word r
-  let tsc_up_rate () = Atomic.get tsc_up_word
-  let set_tsc_up_rate r = Atomic.set tsc_up_word r
-end
-
-(* The self-selecting provider, widened from the two-way Fig. 1
-   crossover to the full logical-clock zoo: start on the plain logical
-   fetch-and-add, sense per epoch how many *other* domains are advancing
-   (and what labels cost), and climb — delayed increment, multi-slot
-   sum, TL2 epochs, finally the [Strict_sharded] TSC scheme — as
-   contention rises, stepping back down with hysteresis on quiesce.
-
-   Label space.  All five modes issue labels from one totally ordered
-   space.  Logical and delayed labels are raw [counter] values;
-   multislot labels are [ms_base + sum-of-slots]; TL2 labels are
-   [tl2_stamp] epoch values (in units of [1 lsl 8], ids elided so the
-   space stays raw-comparable; same-epoch racers tie); TSC labels are
-   [(tsc + base) lsl 8 lor slot] published into [last_pub].  Mode
-   changes are epoch-numbered ([state], monotone) and gated ([ready]
-   trails [state] until the switch winner has *folded* the space: the
-   incoming mode's value word is lifted past [gmax], the max over every
-   mode's word, so its first label clears every label already issued).
-   Every advance re-checks [state] after producing a label, discarding
-   and retrying if a switch intervened; and every label-issuing path
-   guards against the *other* modes' words per label, so residue from a
-   discarded straggler (which still bumped its own mode's word) can
-   never order a fresh label below an observation already handed out.
-   [read] is [gmax] itself: it moves only on label issuance and bounds
-   every label — exactly the bracketing the snapshot oracle checks.
-
-   Sensing.  As before, a domain publishes its advance count into its
-   own padded cell once per [Adaptive_config.epoch_ops] own advances and
-   sums the others'; the foreign-advance rate (~0 alone, ~(k-1) with k
-   active domains) picks the mode from a banded ladder — up immediately,
-   down only after [Adaptive_config.hysteresis] consecutive lower-band
-   epochs, so mid-run switches are rare and deliberate.  The same sample
-   reads the TSC once per epoch to price the epoch's advances (cycles
-   per advance, EWMA per mode, exposed via [ctl.acquire_cost]); a mode
-   whose measured cost blew past double the current one's is vetoed as
-   an escalation target — regret memory, so a box where some scheme
-   happens to be slow does not ping-pong onto it. *)
-module Adaptive (T : S) () = struct
-  let shard_bits = 8 (* Sync.Slot.max_slots = 256 *)
-  let () = assert (1 lsl shard_bits >= Sync.Slot.max_slots)
-  let name = T.name ^ "-adaptive"
-  let is_hardware = false
-  let advances = Hwts_obs.Registry.counter "timestamp.adaptive.advances"
-  let switches = Hwts_obs.Registry.counter "timestamp.adaptive.switches"
-  let discards = Hwts_obs.Registry.counter "timestamp.adaptive.discards"
-  let senses = Hwts_obs.Registry.counter "timestamp.adaptive.senses"
-  let lifts = Hwts_obs.Registry.counter "timestamp.adaptive.lifts"
-  let mode_names = [| "logical"; "delayed"; "multislot"; "tl2"; "tsc" |]
-
-  let mode_idx : adaptive_mode -> int = function
-    | `Logical -> 0
-    | `Delayed -> 1
-    | `Multislot -> 2
-    | `Tl2 -> 3
-    | `Tsc -> 4
-
-  let mode_of_idx : adaptive_mode array =
-    [| `Logical; `Delayed; `Multislot; `Tl2; `Tsc |]
-
-  (* Mode-change epoch; only ever incremented, one winner per step. *)
-  let state = Sync.Padding.atomic 0
-
-  (* Trails [state] until the switcher has folded the label space; an
-     advance that sees [ready < state] spins before operating. *)
-  let ready = Sync.Padding.atomic 0
-
-  (* Mode index of the current epoch; written by the switch winner
-     between the [state] CAS and the [ready] release.  A reader that
-     pairs a stale epoch with a newer mode (or vice versa) produces a
-     label that the final [state] re-check discards, and mid-fold labels
-     are safe anyway: every path's per-label floor guard covers the
-     outgoing mode's word. *)
-  let mode_word = Sync.Padding.atomic 0
-  let counter = Sync.Padding.atomic 1 (* logical/delayed; 0 = sentinel *)
-  let base = Sync.Padding.atomic 0 (* per-up-switch TSC offset *)
-  let last_pub = Sync.Padding.atomic 0 (* published TSC-label max *)
-  let last_mine : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
-
-  (* Multislot mode: padded slots plus a fold offset, so the summed
-     space can be lifted wholesale at a switch. *)
-  let ms_n = 4
-  let ms_slots = Sync.Padding.atomic_array ms_n 0
-  let ms_base = Sync.Padding.atomic 0
-
-  (* TL2 mode: epoch stamp in units of [1 lsl shard_bits] (no id bits,
-     unlike the standalone [Tl2]: labels here are the stamp value itself,
-     so same-epoch racers tie and the whole zoo stays raw-int comparable
-     against the counter/TSC spaces); 0 = never entered. *)
-  let tl2_stamp = Sync.Padding.atomic 0
-  let tl2_last : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
-
-  let delay_dls : int ref Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> ref (Zoo_config.delay_init ()))
-
-  (* Sensing: per-slot published advance totals (deltas accumulate, so a
-     reused slot keeps its history monotone) + domain-local sample state. *)
-  let cells = Sync.Padding.atomic_array Sync.Slot.max_slots 0
-
-  type sense = {
-    mutable ops : int;
-    mutable foreign : int;
-    mutable quiet : int;
-    mutable last_cycles : int;
-  }
-
-  let sense_dls : sense Domain.DLS.key =
-    Domain.DLS.new_key (fun () ->
-        { ops = 0; foreign = 0; quiet = 0; last_cycles = 0 })
-
-  (* Cycles per advance, EWMA per mode (shared, last sampler wins: a
-     policy hint and telemetry, not a correctness word). *)
-  let cost_ewma = Sync.Padding.atomic_array 5 0
-
-  (* [force] pins the mode for tests/torture: sensing stops steering. *)
-  let autopilot = Atomic.make true
-  let switch_log : (string * int) list Atomic.t = Atomic.make []
-
-  let rec atomic_max a v =
-    let cur = Atomic.get a in
-    if v > cur && not (Atomic.compare_and_set a cur v) then atomic_max a v
-
-  let ms_raw () =
-    let t = ref 0 in
-    for i = 0 to ms_n - 1 do
-      t := !t + Atomic.get ms_slots.(i)
-    done;
-    !t
-
-  let ms_value () = Atomic.get ms_base + ms_raw ()
-
-  let tl2_top () = Atomic.get tl2_stamp
-
-  let gmax () =
-    max
-      (max (Atomic.get counter) (Atomic.get last_pub))
-      (max (ms_value ()) (tl2_top ()))
-
-  let read = gmax
-  let read_floor = gmax
-
-  let log_switch ~target dir at =
-    Hwts_obs.Counter.incr switches;
-    (* Mark the migration in the phase trace too: an adaptive decision
-       is exactly the kind of event a Perfetto capture should pin to a
-       timeline.  The aux word carries the chosen provider:
-       1 + [mode_idx] (1 = logical, 2 = delayed, 3 = multislot, 4 = tl2,
-       5 = tsc), which the Chrome exporter renders as "switch:tl2" etc. *)
-    Hwts_trace.instant ~aux:(target + 1) Hwts_trace.Switch;
-    let rec push () =
-      let old = Atomic.get switch_log in
-      if not (Atomic.compare_and_set switch_log old ((dir, at) :: old)) then
-        push ()
-    in
-    push ()
-
-  (* Switches are serialized by the [ready = e] precheck (an epoch still
-     folding cannot be switched again) and the single-winner CAS. *)
-  let switch_to (m : adaptive_mode) =
-    let e = Atomic.get state in
-    if Atomic.get ready <> e then false
-    else
-      let cur = Atomic.get mode_word in
-      let tgt = mode_idx m in
-      if cur = tgt then false (* already there *)
-      else if not (Atomic.compare_and_set state e (e + 1)) then false
-      else begin
-        (* Fold: lift the incoming mode's value word past everything any
-           mode has issued.  [gmax] is read *after* the state CAS, so a
-           straggler that landed before this read is covered; one that
-           lands after will discard, and the per-label floor guards wall
-           off its residue. *)
-        let g = gmax () in
-        (match m with
-        | `Logical | `Delayed -> atomic_max counter g
-        | `Multislot -> atomic_max ms_base (g - ms_raw ())
-        | `Tl2 ->
-          atomic_max tl2_stamp (((g asr shard_bits) + 1) lsl shard_bits)
-        | `Tsc ->
-          atomic_max last_pub g;
-          Atomic.set base (max 0 ((g asr shard_bits) + 1 - T.read ())));
-        Atomic.set mode_word tgt;
-        log_switch ~target:tgt (mode_names.(cur) ^ "->" ^ mode_names.(tgt)) g;
-        Atomic.set ready (e + 1);
-        true
-      end
-
-  (* Contention band of the ladder; thresholds from [Adaptive_config]. *)
-  let band rate =
-    if rate <= Adaptive_config.down_rate () then 0
-    else if rate < Adaptive_config.up_rate () then 1
-    else if rate < Adaptive_config.ms_up_rate () then 2
-    else if rate < Adaptive_config.tsc_up_rate () then 3
-    else 4
-
-  let sense_tick () =
-    let s = Domain.DLS.get sense_dls in
-    s.ops <- s.ops + 1;
-    let period = Adaptive_config.epoch_ops () in
-    if s.ops mod period = 0 then begin
-      Hwts_obs.Counter.incr senses;
-      let slot = Sync.Slot.my_slot () in
-      ignore (Atomic.fetch_and_add cells.(slot) period);
-      let total = ref 0 in
-      for i = 0 to Sync.Slot.max_slots - 1 do
-        total := !total + Atomic.get cells.(i)
-      done;
-      let foreign = !total - s.ops in
-      let delta = foreign - s.foreign in
-      s.foreign <- foreign;
-      let cur = Atomic.get mode_word in
-      (* Price the epoch: cycles per own advance since the last sample
-         (op-inclusive, so it is a relative signal between modes), folded
-         into the sampled mode's EWMA as 3/4 old + 1/4 new. *)
-      let now_c = Tsc.rdtscp () in
-      if s.last_cycles > 0 && now_c > s.last_cycles then begin
-        let per_op = (now_c - s.last_cycles) / period in
-        if per_op > 0 then begin
-          let old = Atomic.get cost_ewma.(cur) in
-          let next = if old = 0 then per_op else ((3 * old) + per_op) / 4 in
-          Atomic.set cost_ewma.(cur) next
-        end
-      end;
-      s.last_cycles <- now_c;
-      if Atomic.get autopilot then begin
-        let rate = float_of_int delta /. float_of_int period in
-        let target = band rate in
-        if target > cur then begin
-          s.quiet <- 0;
-          (* regret veto: never escalate onto a mode already measured at
-             more than double the current mode's per-advance cost *)
-          let cc = Atomic.get cost_ewma.(cur) in
-          let tc = Atomic.get cost_ewma.(target) in
-          if cc = 0 || tc = 0 || tc <= 2 * cc then
-            ignore (switch_to mode_of_idx.(target))
-        end
-        else if target < cur then begin
-          s.quiet <- s.quiet + 1;
-          if s.quiet >= Adaptive_config.hysteresis () then begin
-            s.quiet <- 0;
-            ignore (switch_to mode_of_idx.(target))
-          end
-        end
-        else s.quiet <- 0
-      end
-    end
-
-  (* Per-label floor guards.  Each path must clear the *other* modes'
-     value words (straggler residue can bump them after a fold); each
-     retry lifts this mode's word to the offending floor, which only
-     bounded stragglers can move again, so the loops converge. *)
-  let floor_for_counter () =
-    max (Atomic.get last_pub) (max (ms_value ()) (tl2_top ()))
-
-  let rec logical_label () =
-    let l = Atomic.fetch_and_add counter 1 + 1 in
-    if l > floor_for_counter () then l
-    else begin
-      Hwts_obs.Counter.incr lifts;
-      atomic_max counter (floor_for_counter ());
-      logical_label ()
-    end
-
-  (* Delayed-increment on the same [counter] word (same label space as
-     logical mode, so logical<->delayed switches need no fold at all):
-     observe, wait the tuned per-domain delay, increment only if nobody
-     else did.  The label is the post-increment value, shared by every
-     racer of one increment — ties across domains, strict per domain. *)
-  let rec delayed_label () =
-    let d = Domain.DLS.get delay_dls in
-    let ts = Atomic.get counter in
-    Sync.Backoff.spin !d;
-    (if Atomic.get counter = ts then begin
-       if Atomic.compare_and_set counter ts (ts + 1) then d := max 1 (!d / 2)
-       else d := min (Zoo_config.delay_max ()) (2 * !d)
-     end
-     else d := min (Zoo_config.delay_max ()) (2 * !d));
-    let l = ts + 1 in
-    if l > floor_for_counter () then l
-    else begin
-      Hwts_obs.Counter.incr lifts;
-      atomic_max counter (floor_for_counter ());
-      delayed_label ()
-    end
-
-  let ms_floor () =
-    max (max (Atomic.get counter) (Atomic.get last_pub)) (tl2_top ())
-
-  let ms_slot_idx () = Sync.Slot.my_slot () mod ms_n
-
-  (* Multislot label: sum of padded slots (plus the fold offset), each
-     domain incrementing only its own slot, with the delayed-increment
-     discipline on top.  A floor violation is repaired by lifting the own
-     slot with one fetch-and-add of the whole deficit. *)
-  let rec ms_label () =
-    let s1 = ms_value () in
-    let fl = ms_floor () in
-    if s1 < fl then begin
-      Hwts_obs.Counter.incr lifts;
-      ignore (Atomic.fetch_and_add ms_slots.(ms_slot_idx ()) (fl - s1));
-      ms_label ()
-    end
-    else begin
-      Sync.Backoff.spin (Zoo_config.ms_delay ());
-      if ms_value () = s1 then
-        ignore (Atomic.fetch_and_add ms_slots.(ms_slot_idx ()) 1);
-      s1 + 1
-    end
-
-  let tl2_floor () =
-    max (max (Atomic.get counter) (Atomic.get last_pub)) (ms_value ())
-
-  (* TL2 label: reuse an epoch somebody else opened with no shared write
-     at all; bump (one CAS) only when our own previous label already used
-     the current epoch.  The label is the stamp value itself — same-epoch
-     racers tie, like delayed-increment window-sharers. *)
-  let rec tl2_label () =
-    let ts = Atomic.get tl2_stamp in
-    let fl = tl2_floor () in
-    if ts <= fl then begin
-      (* residue (or first entry): open an epoch clear of the floor *)
-      Hwts_obs.Counter.incr lifts;
-      atomic_max tl2_stamp (((fl asr shard_bits) + 1) lsl shard_bits);
-      tl2_label ()
-    end
-    else
-      let mine = Domain.DLS.get tl2_last in
-      if ts <> !mine then begin
-        mine := ts;
-        ts
-      end
-      else begin
-        let next = ts + (1 lsl shard_bits) in
-        let installed =
-          if Atomic.compare_and_set tl2_stamp ts next then next
-          else Atomic.get tl2_stamp (* every install bumps: newer *)
-        in
-        mine := installed;
-        installed
-      end
-
-  (* Sharded TSC label with the up-switch base folded in; past the
-     domain-local high water, then past the floor over every other
-     mode's word — the latter defends against discarded stragglers
-     inflating those words above the folded point. *)
-  let tsc_label () =
-    let id = Sync.Slot.my_slot () in
-    let mine = Domain.DLS.get last_mine in
-    let hw = T.advance () + Atomic.get base in
-    let hw = if hw <= !mine then !mine + 1 else hw in
-    let floor =
-      max
-        (max (Atomic.get last_pub) (Atomic.get counter))
-        (max (ms_value ()) (tl2_top ()))
-    in
-    let hw =
-      if (hw lsl shard_bits) lor id <= floor then (floor asr shard_bits) + 1
-      else hw
-    in
-    mine := hw;
-    let label = (hw lsl shard_bits) lor id in
-    let rec publish () =
-      let g = Atomic.get last_pub in
-      if label > g && not (Atomic.compare_and_set last_pub g label) then
-        publish ()
-    in
-    publish ();
-    label
-
-  let rec advance () =
-    let e = Atomic.get state in
-    if Atomic.get ready < e then begin
-      Tsc.cpu_relax ();
-      advance ()
-    end
-    else begin
-      let label =
-        match Atomic.get mode_word with
-        | 0 -> logical_label ()
-        | 1 -> delayed_label ()
-        | 2 -> ms_label ()
-        | 3 -> tl2_label ()
-        | _ -> tsc_label ()
-      in
-      if Atomic.get state = e then begin
-        Hwts_obs.Counter.incr advances;
-        sense_tick ();
-        label
-      end
-      else begin
-        (* A switch intervened: the label may not respect the new space's
-           fold, so discard it (its residue is walled off by the
-           per-label guards) and retry under the new epoch. *)
-        Hwts_obs.Counter.incr discards;
-        advance ()
-      end
-    end
-
-  (* Mode-specific snapshots; each returns an [s] every later label
-     strictly clears, against both its own mode's discipline and the
-     other modes' words. *)
-  let rec logical_snap () =
-    let s = Atomic.fetch_and_add counter 1 in
-    if s < floor_for_counter () then begin
-      atomic_max counter (floor_for_counter ());
-      logical_snap ()
-    end
-    else s
-
-  let rec delayed_snap () =
-    let d = Domain.DLS.get delay_dls in
-    let ts = Atomic.get counter in
-    if ts < floor_for_counter () then begin
-      atomic_max counter (floor_for_counter ());
-      delayed_snap ()
-    end
-    else begin
-      Sync.Backoff.spin !d;
-      (if Atomic.get counter = ts then begin
-         if Atomic.compare_and_set counter ts (ts + 1) then
-           d := max 1 (!d / 2)
-         else d := min (Zoo_config.delay_max ()) (2 * !d)
-       end
-       else d := min (Zoo_config.delay_max ()) (2 * !d));
-      (* pre-increment: the stamp exceeds s by return time either way *)
-      ts
-    end
-
-  let rec ms_snap () =
-    (* double-collect: two equal passes prove an instantaneous sum *)
-    let rec stable prev tries =
-      let v = ms_value () in
-      if v = prev || tries = 0 then v else stable v (tries - 1)
-    in
-    let s1 = stable (ms_value ()) 3 in
-    let fl = ms_floor () in
-    if s1 < fl then begin
-      Hwts_obs.Counter.incr lifts;
-      ignore (Atomic.fetch_and_add ms_slots.(ms_slot_idx ()) (fl - s1));
-      ms_snap ()
-    end
-    else begin
-      Sync.Backoff.spin (Zoo_config.ms_delay ());
-      if ms_value () = s1 then
-        ignore (Atomic.fetch_and_add ms_slots.(ms_slot_idx ()) 1);
-      s1
-    end
-
-  (* Return the global max and close its epoch: every later label, in
-     any mode, must clear a floor that now includes the lifted stamp,
-     which sits strictly above the returned value. *)
-  let tl2_snap () =
-    let g = gmax () in
-    atomic_max tl2_stamp (((g asr shard_bits) + 1) lsl shard_bits);
-    g
-
-  let rec snapshot () =
-    let e = Atomic.get state in
-    if Atomic.get ready < e then begin
-      Tsc.cpu_relax ();
-      snapshot ()
-    end
-    else begin
-      let s =
-        match Atomic.get mode_word with
-        | 0 -> logical_snap ()
-        | 1 -> delayed_snap ()
-        | 2 -> ms_snap ()
-        | 3 -> tl2_snap ()
-        | _ -> tsc_label () (* strictly increasing: advance is safe *)
-      in
-      if Atomic.get state = e then s
-      else begin
-        Hwts_obs.Counter.incr discards;
-        snapshot ()
-      end
-    end
-
-  let ctl =
-    {
-      mode = (fun () -> mode_of_idx.(Atomic.get mode_word));
-      force =
-        (fun m ->
-          Atomic.set autopilot false;
-          switch_to m);
-      switch_count = (fun () -> List.length (Atomic.get switch_log));
-      switch_points = (fun () -> List.rev (Atomic.get switch_log));
-      acquire_cost =
-        (fun () ->
-          List.filter_map
-            (fun i ->
-              let c = Atomic.get cost_ewma.(i) in
-              if c > 0 then Some (mode_names.(i), c) else None)
-            [ 0; 1; 2; 3; 4 ]);
-    }
 end
 
 (* Label-acquisition tracing: every [advance]/[snapshot] — the

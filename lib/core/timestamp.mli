@@ -137,76 +137,6 @@ module Tl2 () : S
     low bits order by slot id — an arbitrary but fixed tie-break
     ({!Labeling.order_of_provider}).  Generative. *)
 
-type adaptive_mode = [ `Logical | `Delayed | `Multislot | `Tl2 | `Tsc ]
-
-type adaptive_ctl = {
-  mode : unit -> adaptive_mode;  (** which rung of the ladder is live *)
-  force : adaptive_mode -> bool;
-      (** pin the mode (disables sensing for this instance); [true] iff a
-          switch happened now *)
-  switch_count : unit -> int;
-  switch_points : unit -> (string * int) list;
-      (** chronological [(direction, fold-label)] pairs, direction
-          ["<from>-><to>"] over mode names
-          logical/delayed/multislot/tl2/tsc (e.g. ["logical->tsc"]); the
-          fold label is the last label value of the epoch being left
-          behind *)
-  acquire_cost : unit -> (string * int) list;
-      (** measured cycles-per-advance EWMA per mode name, for modes that
-          have been sampled; the regret signal the escalation policy
-          consults *)
-}
-(** Introspection and steering handle exposed by every {!Adaptive}
-    instance; benches record switch points, tests and the torture driver
-    force migrations. *)
-
-(** Shared knobs of the adaptive policy, environment-initialized:
-    [HWTS_ADAPT_EPOCH] (own advances per sensing sample, default 512),
-    [HWTS_ADAPT_UP] (foreign-advance rate above which the plain logical
-    counter is abandoned for delayed increment, default 1.5),
-    [HWTS_ADAPT_MS_UP] (rate above which delayed increment gives way to
-    multislot, default 3.0), [HWTS_ADAPT_TSC_UP] (rate above which TL2
-    gives way to the TSC scheme, default 6.0; TL2 occupies the band
-    between), [HWTS_ADAPT_DOWN] (rate at or below which an epoch counts
-    as fully quiet, default 0.5), [HWTS_ADAPT_HYST] (consecutive
-    lower-band samples before de-escalating, default 2). *)
-module Adaptive_config : sig
-  val epoch_ops : unit -> int
-  val set_epoch_ops : int -> unit
-  val up_rate : unit -> float
-  val set_up_rate : float -> unit
-  val ms_up_rate : unit -> float
-  val set_ms_up_rate : float -> unit
-  val tsc_up_rate : unit -> float
-  val set_tsc_up_rate : float -> unit
-  val down_rate : unit -> float
-  val set_down_rate : float -> unit
-  val hysteresis : unit -> int
-  val set_hysteresis : int -> unit
-end
-
-module Adaptive (T : S) () : sig
-  include S
-
-  val ctl : adaptive_ctl
-end
-(** The self-selecting provider, generalized from the paper's Fig. 1
-    crossover to the whole zoo: starts on a logical fetch-and-add
-    counter, senses per-epoch how many other domains are advancing
-    (per-domain padded cells; the sample path writes only domain-local
-    state) plus what advances cost in cycles, and climbs a contention
-    ladder — logical, delayed increment, multislot, TL2, finally the
-    {!Strict_sharded} TSC scheme — escalating when the foreign-advance
-    rate crosses the [Adaptive_config] band thresholds (unless the
-    target's measured acquire cost vetoes it) and de-escalating only
-    after [Adaptive_config.hysteresis] consecutive lower-band epochs.
-    All five modes label one strictly monotone total order: each switch
-    folds the incoming mode's space past the maximum over every mode's
-    word, and every label path guards per-label against the others'
-    residue.  Switch instants carry [1 + mode index] of the chosen
-    provider in the trace aux word.  Generative: one label space per
-    instance. *)
-
 module Traced (T : S) : S
 (** [T] with every [advance]/[snapshot] bracketed in an
     {!Hwts_trace.Acquire} span (one branch each when tracing is off or

@@ -46,7 +46,7 @@ module Config = struct
 end
 
 (* The three phases the paper's analysis turns on, plus the op bracket
-   itself, bundle label waits, and adaptive mode switches. *)
+   itself, bundle label waits, and snapshot handles. *)
 type phase =
   | Op  (** the whole operation, bracketed by the harness *)
   | Acquire  (** timestamp/label acquisition: advance/snapshot, registry *)
@@ -54,12 +54,11 @@ type phase =
   | Ebr  (** EBR enter/exit bookkeeping (epoch gate) *)
   | Reclaim  (** limbo-list trimming *)
   | Wait  (** spinning on an unlabeled bundle entry *)
-  | Switch  (** adaptive provider mode migration (instant) *)
   | Snapshot
       (** a snapshot handle's lifetime (span), and each constituent
           multi-point read against it (instant) *)
 
-let phase_count = 8
+let phase_count = 7
 
 let phase_index = function
   | Op -> 0
@@ -68,10 +67,9 @@ let phase_index = function
   | Ebr -> 3
   | Reclaim -> 4
   | Wait -> 5
-  | Switch -> 6
-  | Snapshot -> 7
+  | Snapshot -> 6
 
-let phases = [| Op; Acquire; Traverse; Ebr; Reclaim; Wait; Switch; Snapshot |]
+let phases = [| Op; Acquire; Traverse; Ebr; Reclaim; Wait; Snapshot |]
 
 let phase_of_index i =
   let i = i land 15 in
@@ -84,7 +82,6 @@ let phase_name = function
   | Ebr -> "ebr"
   | Reclaim -> "reclaim"
   | Wait -> "wait"
-  | Switch -> "switch"
   | Snapshot -> "snapshot"
 
 (* Operation classes, matching Workload.Harness.op_classes + a "none"
@@ -99,7 +96,7 @@ let class_count = Array.length class_names
      bits 0-1  kind (0 = begin, 1 = end, 2 = instant)
      bits 2-5  phase index
      bits 6-8  op class
-     bits 9+   aux payload (switch direction, snapshot read count) *)
+     bits 9+   aux payload (snapshot read count) *)
 
 let kind_begin = 0
 let kind_end = 1
@@ -422,7 +419,7 @@ let attribute_band label ops =
   let named =
     List.filter_map
       (fun ph ->
-        if ph = Op || ph = Switch then None
+        if ph = Op then None
         else Some (phase_name ph, phase_mean (phase_index ph)))
       (Array.to_list phases)
   in
@@ -529,22 +526,15 @@ let to_json_lines ?structure ?provider () =
   String.concat "" (List.map (fun l -> J.to_string l ^ "\n") lines)
 
 (* Chrome trace_event JSON (load in chrome://tracing or Perfetto): one
-   complete "X" event per paired span, "i" instants for mode switches,
+   complete "X" event per paired span, "i" instants for point events,
    a bare "B" for spans still open when the capture ended. *)
 let to_chrome_json () =
   let evs = events () in
   let t0 = List.fold_left (fun acc e -> min acc e.stamp) max_int evs in
   let cyc_per_us = Tsc.cycles_per_ns () *. 1000. in
   let us stamp = float_of_int (stamp - t0) /. cyc_per_us in
-  (* the adaptive provider stamps switch instants with 1 + index of the
-     mode it migrated to, so the export names the chosen provider *)
-  let switch_targets = [| "logical"; "delayed"; "multislot"; "tl2"; "tsc" |] in
   let name e =
-    if e.phase = Op then "op:" ^ class_names.(e.cls)
-    else if
-      e.phase = Switch && e.aux >= 1 && e.aux <= Array.length switch_targets
-    then "switch:" ^ switch_targets.(e.aux - 1)
-    else phase_name e.phase
+    if e.phase = Op then "op:" ^ class_names.(e.cls) else phase_name e.phase
   in
   let out = ref [] in
   for slot = 0 to Sync.Slot.max_slots - 1 do

@@ -43,7 +43,6 @@ type phase =
   | Ebr
   | Reclaim
   | Wait
-  | Switch
   | Snapshot
 
 val phase_count : int
@@ -68,7 +67,7 @@ module Span : sig
 end
 
 val instant : ?aux:int -> phase -> unit
-(** Record a point event (e.g. an adaptive mode switch). *)
+(** Record a point event (e.g. a read against a snapshot handle). *)
 
 module Op : sig
   val begin_ : int -> unit

@@ -5,8 +5,7 @@ type ts =
   | `Tl2
   | `Hardware
   | `Hardware_strict
-  | `Hardware_strict_cas
-  | `Adaptive ]
+  | `Hardware_strict_cas ]
 
 (* The one provider registry.  Names, aliases, CLI help text and tie
    semantics all derive from this table — the drift-prone
@@ -76,20 +75,13 @@ let registry : info list =
       doc = "strict TSC via shared-word tie-bump CAS (the Jiffy scheme)";
       ties = false;
     };
-    {
-      key = `Adaptive;
-      name = "adaptive";
-      aliases = [];
-      doc =
-        "contention-laddered zoo: logical -> delayed -> multislot -> tl2 \
-         -> strict TSC, self-selecting";
-      ties = true;
-    };
   ]
 
 let info_of (ts : ts) = List.find (fun i -> i.key = ts) registry
 let ts_name ts = (info_of ts).name
 let all_ts : ts list = List.map (fun i -> i.key) registry
+
+let zoo : ts list = [ `Logical; `Delayed; `Multislot; `Tl2; `Hardware_strict ]
 
 let ts_of_name n =
   List.find_map
@@ -189,14 +181,13 @@ let reclaim_sensitive = function
    CAS on the common path.  [`Hardware_strict_cas] is the original
    shared-word tie-bump ({!Hwts.Timestamp.Strict}, the Jiffy scheme),
    kept for comparison.  [`Delayed], [`Multislot] and [`Tl2] are the
-   flock/verlib logical-clock optimizations; [`Adaptive] self-selects
-   across the whole zoo per the measured contention.  The plain
+   flock/verlib logical-clock optimizations.  The plain
    [`Hardware] series keeps raw [RDTSCP; LFENCE] stamps for comparison
    with the paper's figures. *)
 
 (* Every provider handed to a structure goes through
    {!Hwts.Timestamp.Traced}, so label acquisition shows up as an
-   [Acquire] phase in traces for all five series (one dead branch per
+   [Acquire] phase in traces for every provider (one dead branch per
    advance when tracing is off). *)
 let provider_of (ts : ts) : (module Hwts.Timestamp.S) =
   match ts with
@@ -227,17 +218,12 @@ let provider_of (ts : ts) : (module Hwts.Timestamp.S) =
     let module S0 = Hwts.Timestamp.Strict (Hwts.Timestamp.Hardware) () in
     let module S = Hwts.Timestamp.Traced (S0) in
     (module S)
-  | `Adaptive ->
-    let module A0 = Hwts.Timestamp.Adaptive (Hwts.Timestamp.Hardware) () in
-    let module A = Hwts.Timestamp.Traced (A0) in
-    (module A)
 
 type instance = {
   structure : (module Dstruct.Ordered_set.RQ);
   now : unit -> int;
   provider : string;
   reclaim : string; (* reclaim_name of the backend axis value *)
-  adaptive : Hwts.Timestamp.adaptive_ctl option;
 }
 
 (* The structure and [now] share one provider module, so timestamps read
@@ -246,30 +232,14 @@ type instance = {
    relies on.  (For a generative logical clock, a second [Logical ()]
    would be a different clock entirely.) *)
 let instance_of ?(reclaim = `Ebr) f (ts : ts) : instance =
-  match ts with
-  | `Adaptive ->
-    (* Built here rather than through [provider_of] so the instance keeps
-       the ctl handle: benches record switch points, torture forces
-       migrations mid-round. *)
-    let module A = Hwts.Timestamp.Adaptive (Hwts.Timestamp.Hardware) () in
-    let module AT = Hwts.Timestamp.Traced (A) in
-    {
-      structure = f (module AT : Hwts.Timestamp.S);
-      now = A.read;
-      provider = ts_name ts;
-      reclaim = reclaim_name reclaim;
-      adaptive = Some A.ctl;
-    }
-  | _ ->
-    let p = provider_of ts in
-    let module T = (val p) in
-    {
-      structure = f p;
-      now = T.read;
-      provider = ts_name ts;
-      reclaim = reclaim_name reclaim;
-      adaptive = None;
-    }
+  let p = provider_of ts in
+  let module T = (val p) in
+  {
+    structure = f p;
+    now = T.read;
+    provider = ts_name ts;
+    reclaim = reclaim_name reclaim;
+  }
 
 let bst_vcas_m (module T : Hwts.Timestamp.S) : (module Dstruct.Ordered_set.RQ) =
   (module Rangequery.Bst_vcas.Make (T))

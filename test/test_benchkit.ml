@@ -104,8 +104,6 @@ let broken_artifacts_rejected () =
   let scaling = read "../BENCH_scaling.json" in
   expect_error "zoo provider missing" "cover provider=tl2" Family.scaling
     (drop (point @ [ ("provider", J.Str "tl2") ]) scaling);
-  expect_error "margin line missing" "has no type=adaptive_margin line" Family.scaling
-    (drop [ ("type", J.Str "adaptive_margin") ] scaling);
   expect_error "one domain count" "distinct domains" Family.scaling
     (drop (point @ [ ("domains", J.Int 2) ]) (drop (point @ [ ("domains", J.Int 4) ]) scaling));
   let serve = read "../BENCH_serve.json" in
@@ -210,13 +208,14 @@ let mk_zoo_point provider subkey mops =
       ("words_per_op", J.Float 10.);
     ]
 
-let zoo_providers =
-  [ "logical"; "delayed"; "multislot"; "tl2"; "rdtscp-strict"; "adaptive" ]
+let zoo_providers = [ "logical"; "delayed"; "multislot"; "tl2"; "rdtscp-strict" ]
 
 let trend_zoo_series_matching () =
   (* Every zoo provider forms its own series: a regression in one
-     provider's points must trip the gate even when the other five hold,
+     provider's points must trip the gate even when the other four hold,
      and the pairing must never cross providers. *)
+  Alcotest.(check (list string)) "the swept zoo" zoo_providers
+    (List.map Workload.Targets.ts_name Workload.Targets.zoo);
   let base =
     List.concat_map
       (fun p -> [ mk_zoo_point p 1 2.0; mk_zoo_point p 2 4.0 ])

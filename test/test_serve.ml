@@ -6,8 +6,8 @@
    responses read before any range/get is sent, so every read observes
    exactly the model set (per-shard FIFO makes the write phase itself
    sequentially exact per key).  The matrix covers both coalesce arms
-   over two providers (logical and adaptive), per the serving
-   experiment's A/B switch.
+   over the two providers the served workloads run (logical and
+   rdtscp-strict), per the serving experiment's A/B switch.
 
    The server-level cases run under both executors: worker domains, and
    (named "inline: ...") the shards' tasks run by the server loop
@@ -1083,8 +1083,8 @@ let () =
           [
             ("logical, coalesced", `Logical, true);
             ("logical, per-RQ", `Logical, false);
-            ("adaptive, coalesced", `Adaptive, true);
-            ("adaptive, per-RQ", `Adaptive, false);
+            ("rdtscp-strict, coalesced", `Hardware_strict, true);
+            ("rdtscp-strict, per-RQ", `Hardware_strict, false);
           ] );
       ( "protocol",
         Alcotest.test_case "decoding forces no collection" `Quick

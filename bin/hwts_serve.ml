@@ -35,6 +35,10 @@ let serve host port structure provider reclaim shards key_space no_coalesce
     Printf.eprintf "hwts-serve: %s\n" msg;
     1
   | router ->
+    (* inline, this domain drains the shards: give it their nursery *)
+    if Serve.Shards.worker_domains router = 0 then
+      Gc.set
+        { (Gc.get ()) with minor_heap_size = Serve.Shards.shard_minor_heap_words };
     let server =
       try Serve.Server.start ~host ~port router
       with Unix.Unix_error (e, _, _) ->

@@ -78,14 +78,6 @@ let op_to_request cfg ~key = function
   | Workload.Mix.Range k ->
     Wire.Range (k, min cfg.key_space (k + cfg.rq_len - 1))
 
-let write_all fd b off len =
-  let off = ref off and remaining = ref len in
-  while !remaining > 0 do
-    let n = Unix.write fd b !off !remaining in
-    off := !off + n;
-    remaining := !remaining - n
-  done
-
 (* One connection's drive loop: send until [pipeline] frames are in
    flight, then block on the socket until at least one response lands.
    [inflight] remembers each frame's class histogram and send time; the
@@ -129,7 +121,6 @@ let drive cfg conn_id =
   in
   let dec = Wire.decoder () in
   let rbuf = Bytes.create 65536 in
-  let wbuf = Buffer.create 4096 in
   let inflight = Queue.create () in
   let ops_sent = ref 0 and responses = ref 0 and errors = ref 0 in
   let rec count_errors = function
@@ -157,11 +148,10 @@ let drive cfg conn_id =
     (* top the window up *)
     while Queue.length inflight < cfg.pipeline && !ops_sent < cfg.ops do
       let req, n = next_request () in
-      Buffer.clear wbuf;
-      Wire.encode_request wbuf req;
+      let b = Wire.request_frame req in
       Queue.push (hist_of req, Tsc.monotonic_ns ()) inflight;
-      let b = Buffer.to_bytes wbuf in
-      write_all fd b 0 (Bytes.length b);
+      (* a blocking [Unix.write] writes every byte *)
+      ignore (Unix.write fd b 0 (Bytes.length b));
       ops_sent := !ops_sent + n
     done;
     recv_one ()

@@ -13,11 +13,12 @@
     into one shard drain, the precondition for snapshot coalescing to
     pay off.
 
-    Each answer is sized once, when its shard completes it.  One write
-    carries as many of a connection's fulfilled head answers as fit in a
-    fixed write budget (2040 bytes), and always at least one, in one buffer
-    of exactly their wire size; no output buffer outlives the answers it
-    carried.  A write the client does not take at once resumes at its
+    Each answer is sized once, when its shard completes it.  Each
+    connection has one 16 KiB write buffer, made at accept: a write
+    carries the fulfilled head answers encoded into it in order, and an
+    answer larger than the buffer is streamed through it from a byte
+    offset ({!Wire.blit_frame}), so no answer is copied into a frame of
+    its own.  A write the client does not take at once resumes at its
     offset when the socket is writable again.  An answer whose payload
     would exceed {!Wire.max_payload} is answered, in its place in the
     order, with an [Err] saying so, and the connection keeps serving.

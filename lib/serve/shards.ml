@@ -34,8 +34,8 @@ let () =
    on the served benchmark, 64k kept server_rss_mb below the default's
    on every workload at close to 128k's prefill time (EXPERIMENTS.md).
    [Gc.set] on one domain does not reach domains spawned after it, so
-   each worker sets its own.  The inline executor spawns no worker, so
-   it leaves the routing domain's nursery as it is. *)
+   each worker sets its own.  Inline, the routing domain drains the
+   shards: [hwts-serve] sets its nursery, so tests keep their own. *)
 let shard_minor_heap_words = 65_536
 
 type task =

@@ -62,6 +62,10 @@ val shard_count : t -> int
 val key_space : t -> int
 val coalesce : t -> bool
 
+val shard_minor_heap_words : int
+(** Minor heap words each worker domain sets at spawn.  Inline, [create]
+    leaves the routing domain's to its caller ([hwts-serve] sets this). *)
+
 val worker_domains : t -> int
 (** Worker domains spawned: the shard count, or 0 under the inline
     executor. *)

@@ -42,9 +42,6 @@ let op_keyss = 0x89
 
 (* --- encoding ------------------------------------------------------- *)
 
-(* One size pass, then one write pass into a [Bytes.t] of exactly the
-   frame's length: no growing buffer, no second copy. *)
-
 let rec request_size ~nested = function
   | Get _ | Insert _ | Delete _ -> 9
   | Range _ -> 17
@@ -70,87 +67,100 @@ let rec response_size ~nested = function
 let request_size = request_size ~nested:false
 let response_size = response_size ~nested:false
 
-(* Each writer puts one value at [pos] and returns the position after it.
-   Counts fit in 32 bits: the size pass capped the frame at max_payload. *)
-let set_u8 b pos v =
-  Bytes.set b pos (Char.unsafe_chr v);
-  pos + 1
+(* One size pass, then one write pass per window of the frame (a whole
+   frame is one window): frame bytes [lo, hi), byte [f] going to
+   [dst.(base + f)].  A writer puts the bytes of its value, starting at
+   [f], that fall in the window, and returns the offset after it.  Key
+   and bool arrays are indexed at the window; any other value outside
+   it costs one step.  Counts fit in 32 bits: frames are capped at max_payload. *)
+type window = { dst : Bytes.t; base : int; lo : int; hi : int }
 
-let set_u32 b pos v =
-  Bytes.set_int32_be b pos (Int32.of_int v);
-  pos + 4
+(* A [width]-byte big-endian field at [f]; a field cut by an edge of the
+   window is written byte by byte. *)
+let put w f width v =
+  let stop = f + width in
+  if f >= w.lo && stop <= w.hi then begin
+    let i = w.base + f in
+    match width with
+    | 1 -> Bytes.set w.dst i (Char.unsafe_chr v)
+    | 4 -> Bytes.set_int32_be w.dst i (Int32.of_int v)
+    | _ -> Bytes.set_int64_be w.dst i (Int64.of_int v)
+  end
+  else
+    for j = max f w.lo to min stop w.hi - 1 do
+      Bytes.set w.dst (w.base + j)
+        (Char.unsafe_chr ((v asr (8 * (stop - 1 - j))) land 0xff))
+    done;
+  stop
 
-let set_i64 b pos v =
-  Bytes.set_int64_be b pos (Int64.of_int v);
-  pos + 8
+let put_count w f op n = put w (put w f 1 op) 4 n
 
-let set_bool b pos v = set_u8 b pos (if v then 1 else 0)
+let put_ints w f keys =
+  let n = Array.length keys in
+  let f = put w f 4 n in
+  for i = max 0 ((w.lo - f) / 8) to min n ((w.hi - f + 7) / 8) - 1 do
+    ignore (put w (f + (8 * i)) 8 (Array.unsafe_get keys i))
+  done;
+  f + (8 * n)
 
-let set_ints b pos keys =
-  let pos = set_u32 b pos (Array.length keys) in
-  Array.iteri (fun i k -> ignore (set_i64 b (pos + (8 * i)) k)) keys;
-  pos + (8 * Array.length keys)
-
-let rec write_request b pos = function
-  | Get k -> set_i64 b (set_u8 b pos op_get) k
-  | Insert k -> set_i64 b (set_u8 b pos op_insert) k
-  | Delete k -> set_i64 b (set_u8 b pos op_delete) k
-  | Range (lo, hi) -> set_i64 b (set_i64 b (set_u8 b pos op_range) lo) hi
+let rec put_request w f = function
+  | Get k -> put w (put w f 1 op_get) 8 k
+  | Insert k -> put w (put w f 1 op_insert) 8 k
+  | Delete k -> put w (put w f 1 op_delete) 8 k
+  | Range (lo, hi) -> put w (put w (put w f 1 op_range) 8 lo) 8 hi
   | Batch reqs ->
-    let pos = set_u32 b (set_u8 b pos op_batch) (Array.length reqs) in
-    Array.fold_left (write_request b) pos reqs
-  | Ping -> set_u8 b pos op_ping
-  | MultiGet keys -> set_ints b (set_u8 b pos op_multiget) keys
+    Array.fold_left (put_request w) (put_count w f op_batch (Array.length reqs)) reqs
+  | Ping -> put w f 1 op_ping
+  | MultiGet keys -> put_ints w (put w f 1 op_multiget) keys
   | MultiRange ranges ->
-    let pos = set_u32 b (set_u8 b pos op_multirange) (Array.length ranges) in
     Array.fold_left
-      (fun pos (lo, hi) -> set_i64 b (set_i64 b pos lo) hi)
-      pos ranges
+      (fun f (lo, hi) -> put w (put w f 8 lo) 8 hi)
+      (put_count w f op_multirange (Array.length ranges))
+      ranges
 
-let rec write_response b pos = function
-  | Bool v -> set_bool b (set_u8 b pos op_bool) v
-  | Keys (label, keys) ->
-    set_ints b (set_i64 b (set_u8 b pos op_keys) label) keys
+let rec put_response w f = function
+  | Bool v -> put w (put w f 1 op_bool) 1 (Bool.to_int v)
+  | Keys (label, keys) -> put_ints w (put w (put w f 1 op_keys) 8 label) keys
   | Rbatch rs ->
-    let pos = set_u32 b (set_u8 b pos op_rbatch) (Array.length rs) in
-    Array.fold_left (write_response b) pos rs
-  | Pong -> set_u8 b pos op_pong
+    Array.fold_left (put_response w) (put_count w f op_rbatch (Array.length rs)) rs
+  | Pong -> put w f 1 op_pong
   | Err msg ->
-    let pos = set_u32 b (set_u8 b pos op_err) (String.length msg) in
-    Bytes.blit_string msg 0 b pos (String.length msg);
-    pos + String.length msg
+    let n = String.length msg in
+    let f = put_count w f op_err n in
+    let a = max f w.lo and b = min (f + n) w.hi in
+    if a < b then Bytes.blit_string msg (a - f) w.dst (w.base + a) (b - a);
+    f + n
   | Bools (label, bs) ->
-    let pos = set_i64 b (set_u8 b pos op_bools) label in
-    Array.fold_left (set_bool b) (set_u32 b pos (Array.length bs)) bs
+    let n = Array.length bs in
+    let f = put w (put w (put w f 1 op_bools) 8 label) 4 n in
+    for i = max 0 (w.lo - f) to min n (w.hi - f) - 1 do
+      ignore (put w (f + i) 1 (Bool.to_int bs.(i)))
+    done;
+    f + n
   | Keyss (label, kss) ->
-    let pos = set_i64 b (set_u8 b pos op_keyss) label in
-    Array.fold_left (set_ints b) (set_u32 b pos (Array.length kss)) kss
+    Array.fold_left (put_ints w)
+      (put w (put w (put w f 1 op_keyss) 8 label) 4 (Array.length kss))
+      kss
+
+let blit write (n, v) ~src dst pos len =
+  if
+    n > max_payload || src < 0 || len < 0 || src + len > 4 + n || pos < 0
+    || pos + len > Bytes.length dst
+  then invalid_arg "Wire.blit_frame";
+  let w = { dst; base = pos - src; lo = src; hi = src + len } in
+  ignore (write w (put w 0 4 n) v)
+
+let blit_frame = blit put_response
 
 let frame size write v =
   let n = size v in
   if n > max_payload then invalid_arg "Wire: frame exceeds max_payload";
   let b = Bytes.create (4 + n) in
-  let stop = write b (set_u32 b 0 n) v in
-  assert (stop = 4 + n);
+  blit write (n, v) ~src:0 b 0 (4 + n);
   b
 
-let request_frame = frame request_size write_request
-let response_frame = frame response_size write_response
-
-let response_frames answers =
-  let total =
-    List.fold_left
-      (fun total (n, _) ->
-        if n > max_payload then invalid_arg "Wire: frame exceeds max_payload";
-        total + 4 + n)
-      0 answers
-  in
-  let b = Bytes.create total in
-  let stop =
-    List.fold_left (fun pos (n, r) -> write_response b (set_u32 b pos n) r) 0 answers
-  in
-  assert (stop = total);
-  b
+let request_frame = frame request_size put_request
+let response_frame = frame response_size put_response
 
 let encode_request buf r = Buffer.add_bytes buf (request_frame r)
 let encode_response buf r = Buffer.add_bytes buf (response_frame r)
@@ -159,27 +169,32 @@ let encode_response buf r = Buffer.add_bytes buf (response_frame r)
 
 type decoder = { mutable buf : Bytes.t; mutable start : int; mutable len : int }
 
-let decoder () = { buf = Bytes.create 4096; start = 0; len = 0 }
+(* The buffer doubles to fit what is fed; one grown past [shrink_above]
+   by a large frame is cut back once what is still buffered fits.  (The
+   served prefill's 4.6 KB frames would churn a lower threshold.) *)
+let initial = 4096
+let shrink_above = 65536
+let decoder () = { buf = Bytes.create initial; start = 0; len = 0 }
 let buffered d = d.len
+
+(* Move what is buffered to the front of a buffer of [cap] bytes: the
+   same one when it has [cap] bytes already. *)
+let resize d cap =
+  let b = if cap = Bytes.length d.buf then d.buf else Bytes.create cap in
+  Bytes.blit d.buf d.start b 0 d.len;
+  d.buf <- b;
+  d.start <- 0
 
 let feed d src off len =
   if off < 0 || len < 0 || off + len > Bytes.length src then
     invalid_arg "Wire.feed";
-  (* compact, then grow if the tail still does not fit *)
+  (* compact, doubling the buffer until the tail fits *)
   if d.start + d.len + len > Bytes.length d.buf then begin
-    if d.start > 0 then begin
-      Bytes.blit d.buf d.start d.buf 0 d.len;
-      d.start <- 0
-    end;
-    if d.len + len > Bytes.length d.buf then begin
-      let cap = ref (Bytes.length d.buf * 2) in
-      while d.len + len > !cap do
-        cap := !cap * 2
-      done;
-      let bigger = Bytes.create !cap in
-      Bytes.blit d.buf 0 bigger 0 d.len;
-      d.buf <- bigger
-    end
+    let cap = ref (Bytes.length d.buf) in
+    while d.len + len > !cap do
+      cap := !cap * 2
+    done;
+    resize d !cap
   end;
   Bytes.blit src off d.buf (d.start + d.len) len;
   d.len <- d.len + len
@@ -196,14 +211,12 @@ let get_u8 c what =
   c.pos <- c.pos + 1;
   v
 
+(* an unsigned 32-bit count *)
+let u32 b pos = Int32.to_int (Bytes.get_int32_be b pos) land 0xFFFF_FFFF
+
 let get_u32 c what =
   need c 4 what;
-  let v =
-    (Char.code (Bytes.get c.bytes c.pos) lsl 24)
-    lor (Char.code (Bytes.get c.bytes (c.pos + 1)) lsl 16)
-    lor (Char.code (Bytes.get c.bytes (c.pos + 2)) lsl 8)
-    lor Char.code (Bytes.get c.bytes (c.pos + 3))
-  in
+  let v = u32 c.bytes c.pos in
   c.pos <- c.pos + 4;
   v
 
@@ -310,12 +323,7 @@ let next_frame d read =
   if d.len < 4 then None
   else begin
     let b = d.buf and s = d.start in
-    let n =
-      (Char.code (Bytes.get b s) lsl 24)
-      lor (Char.code (Bytes.get b (s + 1)) lsl 16)
-      lor (Char.code (Bytes.get b (s + 2)) lsl 8)
-      lor Char.code (Bytes.get b (s + 3))
-    in
+    let n = u32 b s in
     if n = 0 then malformed "zero-length frame";
     if n > max_payload then malformed "frame length %d exceeds max_payload" n;
     if d.len < 4 + n then None
@@ -327,6 +335,8 @@ let next_frame d read =
       d.start <- d.start + 4 + n;
       d.len <- d.len - 4 - n;
       if d.len = 0 then d.start <- 0;
+      if Bytes.length d.buf > shrink_above && d.len <= initial then
+        resize d initial;
       Some v
     end
   end

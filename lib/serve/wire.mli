@@ -61,19 +61,20 @@ val request_frame : request -> Bytes.t
 
 val response_frame : response -> Bytes.t
 
-val response_frames : (int * response) list -> Bytes.t
-(** The frames of several responses back to back, in list order, in one
-    buffer of exactly their total length, written in place by one pass.
-    Each pair is a response with its {!response_size}, computed once by
-    the caller; raises [Invalid_argument] on a size above
-    {!max_payload}, before allocating. *)
+val blit_frame : int * response -> src:int -> Bytes.t -> int -> int -> unit
+(** [blit_frame (n, r) ~src dst pos len] writes bytes [[src, src + len)]
+    of {!response_frame}[ r] into [dst] at [pos], [n] being
+    [response_size r], computed once by the caller, so an answer streams
+    through a fixed buffer with no frame of its own.  Raises
+    [Invalid_argument] on [n] above {!max_payload} or a bad window. *)
 
 val encode_request : Buffer.t -> request -> unit
 (** Append {!request_frame}'s bytes. *)
 
 val encode_response : Buffer.t -> response -> unit
 
-(** Incremental decoder: feed raw bytes, pull complete frames. *)
+(** Incremental decoder: feed raw bytes, pull complete frames.  A buffer
+    grown past 64 KiB returns to 4 KiB once that holds what is left. *)
 
 type decoder
 

@@ -20,12 +20,16 @@ let make create = { create; key = Domain.DLS.new_key create }
 let get t = if Atomic.get state then Domain.DLS.get t.key else t.create ()
 
 module Int_buffer = struct
-  (* Segment [i] holds [first lsl i] slots, so segment boundaries fall
-     at 64, 192, 448, ...: growth allocates the next segment and copies
-     nothing, and a [clear] keeps every segment for the next fill.
-     [cur] is [segs.(seg)], the segment being filled; [last] the latest
-     push; [ascending]: every push so far was above the one before it. *)
+  (* Segment [i] holds [first lsl i] slots up to [cap], and [cap] from
+     segment 7 on, so segment boundaries fall at 64, 192, 448, ...,
+     16320, 24512, ...: growth allocates the next segment and copies
+     nothing, and growing to [n] keys allocates fewer than [n + cap]
+     slots.  A [clear] keeps every segment for the next fill.  [cur] is
+     [segs.(seg)], the segment being filled; [last] the latest push;
+     [ascending]: every push so far was above the one before it. *)
   let first = 64
+  let cap = 8192
+  let size i = if i < 7 then first lsl i else cap (* first lsl 7 = cap *)
 
   type t = {
     mutable segs : int array array;
@@ -61,7 +65,7 @@ module Int_buffer = struct
   let next_segment b =
     let i = b.seg + 1 in
     if i = Array.length b.segs then
-      b.segs <- Array.append b.segs [| Array.make (first lsl i) 0 |];
+      b.segs <- Array.append b.segs [| Array.make (size i) 0 |];
     b.seg <- i;
     b.cur <- b.segs.(i);
     b.pos <- 0
@@ -78,7 +82,7 @@ module Int_buffer = struct
     let r = Array.make b.len 0 in
     let off = ref 0 in
     for i = 0 to b.seg do
-      let n = if i = b.seg then b.pos else first lsl i in
+      let n = if i = b.seg then b.pos else size i in
       Array.blit b.segs.(i) 0 r !off n;
       off := !off + n
     done;

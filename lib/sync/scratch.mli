@@ -26,9 +26,10 @@ val set_enabled : bool -> unit
 
 (** Growable int buffer for range-query collection: filled during the
     traversal, then copied once into an exact-size result array.  It is
-    a list of segments whose sizes double (64, 128, 256, ...), so growth
-    allocates a segment and copies nothing, and {!clear} keeps the
-    segments for the next fill. *)
+    a list of segments whose sizes double from 64 up to 8192 slots and
+    stay at 8192 from then on, so growth allocates a segment and copies
+    nothing, a buffer grown to [n] keys holds fewer than [n + 8192]
+    slots, and {!clear} keeps the segments for the next fill. *)
 module Int_buffer : sig
   type t
 

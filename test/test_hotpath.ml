@@ -21,19 +21,7 @@ let with_refresh_period period f =
 
 (* ---------- Int_buffer ---------- *)
 
-(* Words allocated by [f ()], minor and major, counting a promoted block
-   once.  The minor count comes from [Gc.minor_words], which reads this
-   domain's young pointer: the minor field of [Gc.counters] only moves
-   at a minor collection on OCaml 5, so it can miss or double most of a
-   small delta.  Its major and promoted fields are exact, and their
-   difference is what was allocated directly in the major heap. *)
-let allocated_words f =
-  let _, pr0, ma0 = Gc.counters () in
-  let mi0 = Gc.minor_words () in
-  let r = f () in
-  let mi1 = Gc.minor_words () in
-  let _, pr1, ma1 = Gc.counters () in
-  (r, int_of_float (mi1 -. mi0 +. (ma1 -. ma0) -. (pr1 -. pr0)))
+let allocated_words = Util.allocated_words
 
 let fill b keys =
   Int_buffer.clear b;

@@ -29,8 +29,9 @@ let c_mget_frames = Hwts_obs.Registry.counter "serve.mget.frames"
 
 (* ---------- a tiny blocking client ---------- *)
 
-let connect port =
+let connect ?rcvbuf port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Option.iter (Unix.setsockopt_int fd Unix.SO_RCVBUF) rcvbuf;
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with _ -> ());
   (* a lost answer fails the test instead of hanging it *)
@@ -51,7 +52,8 @@ let send fd req =
 
 type client = { fd : Unix.file_descr; dec : Wire.decoder; rbuf : Bytes.t }
 
-let client port = { fd = connect port; dec = Wire.decoder (); rbuf = Bytes.create 65536 }
+let client ?rcvbuf ?(slice = 65536) port =
+  { fd = connect ?rcvbuf port; dec = Wire.decoder (); rbuf = Bytes.create slice }
 
 (* next response, or None on orderly EOF *)
 let recv cl =
@@ -317,8 +319,15 @@ let malformed_frame_closes ~executor () =
 
 (* ---------- answers too large for a frame, clients that reset ---------- *)
 
+(* Inserts [1, n] in a shuffled order: bst-vcas does not balance, so
+   ascending inserts would build a path of [n] nodes. *)
+let inserts n =
+  let keys = Array.init n (fun i -> i + 1) in
+  Util.shuffle (Util.rng n) keys;
+  Wire.Batch (Array.map (fun k -> Wire.Insert k) keys)
+
 let prefill cl n =
-  send cl.fd (Wire.Batch (Array.init n (fun i -> Wire.Insert (i + 1))));
+  send cl.fd (inserts n);
   match recv_exn cl with
   | Wire.Rbatch rs ->
     Alcotest.(check int) "prefill answered" n (Array.length rs)
@@ -707,11 +716,121 @@ let stop_cuts_client_not_reading ~executor () =
     Unix.sleepf 0.01
   done;
   let returned = Atomic.get stopped in
+  (* what the stalled client was sent before the cut: whole answers,
+     then the part of one that the cut landed in *)
+  let whole = ref 0 and cut_short = ref 0 in
+  if returned then begin
+    let eof = ref false in
+    while not !eof do
+      match recv stalled with
+      | Some (Wire.Keys (_, keys)) when Array.length keys = key_space -> incr whole
+      | Some _ -> Alcotest.fail "the stalled client: expected a full range answer"
+      | None -> eof := true
+      | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> eof := true
+    done;
+    cut_short := Wire.buffered stalled.dec
+  end;
   (* let a stop that hangs finish, so the failure below is reported *)
   Unix.close stalled.fd;
   Thread.join stopper;
   Alcotest.(check int) "the reading client got every answer" n !full;
-  Alcotest.(check bool) "stop returned within 10 s" true returned
+  Alcotest.(check bool) "stop returned within 10 s" true returned;
+  Alcotest.(check bool)
+    (Printf.sprintf "the stalled client got %d whole answers of %d" !whole n)
+    true (!whole < n);
+  Alcotest.(check bool)
+    (Printf.sprintf "the cut landed inside a streamed answer (%d bytes of it)"
+       !cut_short)
+    true (!cut_short > 0)
+
+(* A client with a 4 KiB receive buffer that reads 997 bytes at a time:
+   the 120,000-key cross-shard ranges (960 KB each) pipelined between
+   Pings and Gets go out in many partial writes, streamed through the
+   connection's write buffer, and every answer arrives intact and in
+   order. *)
+let streamed_answers ~executor () =
+  let key_space = 120_000 in
+  with_server ~executor ~provider:`Logical ~coalesce:true ~shards:2 ~key_space
+    (fun port ->
+      let cl = client port in
+      prefill cl key_space;
+      Unix.close cl.fd;
+      let cl = client ~rcvbuf:4096 ~slice:997 port in
+      Fun.protect ~finally:(fun () -> Unix.close cl.fd) @@ fun () ->
+      let span lo hi = Array.init (hi - lo + 1) (fun i -> lo + i) in
+      let pong what = function
+        | Wire.Pong -> ()
+        | r -> Alcotest.failf "%s: expected Pong, got %s" what (show r)
+      in
+      let script =
+        [
+          (Wire.Ping, pong "first ping");
+          (Wire.Get 5, expect_bool "get 5" true);
+          (Wire.Range (1, key_space), expect_keys "first full range" (span 1 key_space));
+          (Wire.Get (key_space + 1), expect_bool "get out of range" false);
+          (Wire.Ping, pong "ping between ranges");
+          (Wire.Range (1, key_space), expect_keys "second full range" (span 1 key_space));
+          (Wire.Range (59_990, 60_010), expect_keys "across the shards" (span 59_990 60_010));
+          (Wire.Get 60_001, expect_bool "get 60,001" true);
+          (Wire.Ping, pong "last ping");
+        ]
+      in
+      List.iter (fun (req, _) -> send cl.fd req) script;
+      List.iter (fun (_, expect) -> expect (recv_exn cl)) script)
+
+(* Serving the same 131,072-key cross-shard range a second time
+   allocates, on the domain that serves it, at most what [Shards.exec]
+   of that range allocates there (inline, the parts and their merge;
+   with worker domains, nearly nothing), plus 16k words for the loop's
+   turns: no frame of the answer's size (131k words) is built.  The
+   client runs on a domain of its own, so its decoding is not counted. *)
+let served_range_allocates_no_frame ~executor () =
+  let key_space = 131_072 in
+  let router =
+    Serve.Shards.create ~executor ~structure:"bst-vcas" ~provider:`Logical
+      ~shards:2 ~key_space ~coalesce:true ()
+  in
+  let server = Serve.Server.start ~port:0 router in
+  Fun.protect ~finally:(fun () -> Serve.Server.stop server) @@ fun () ->
+  let range = Wire.Range (1, key_space) in
+  ignore (Serve.Shards.exec router (inserts key_space));
+  ignore (Serve.Shards.exec router range);
+  let _, exec_words = Util.allocated_words (fun () -> Serve.Shards.exec router range) in
+  let port = Serve.Server.port server in
+  let go = Atomic.make 0 and answered = Atomic.make 0 and intact = Atomic.make 0 in
+  let reader =
+    Domain.spawn (fun () ->
+        let cl = client port in
+        Fun.protect ~finally:(fun () -> Unix.close cl.fd) @@ fun () ->
+        for i = 1 to 2 do
+          while Atomic.get go < i do
+            Unix.sleepf 0.001
+          done;
+          (match
+             send cl.fd range;
+             recv cl
+           with
+          | Some (Wire.Keys (_, keys))
+            when Array.length keys = key_space && keys.(key_space - 1) = key_space ->
+            Atomic.incr intact
+          | _ | (exception Unix.Unix_error _) -> ());
+          Atomic.incr answered
+        done)
+  in
+  let serve_once i =
+    Atomic.set go i;
+    while Atomic.get answered < i do
+      Unix.sleepf 0.001
+    done
+  in
+  serve_once 1;
+  let (), served_words = Util.allocated_words (fun () -> serve_once 2) in
+  Domain.join reader;
+  Alcotest.(check int) "both answers intact" 2 (Atomic.get intact);
+  Alcotest.(check bool)
+    (Printf.sprintf "served in %d words, exec in %d" served_words exec_words)
+    true
+    (served_words <= exec_words + (key_space / 8))
 
 (* One Ping on a fresh connection: its answer, or [None] if the
    connection fails or nothing arrives within [timeout] seconds. *)
@@ -1134,6 +1253,8 @@ let () =
               client_reset_mid_answer;
           ]
         @ both "stop drains in-flight" stop_drains_inflight
+        @ both "answers streamed through partial writes" streamed_answers
+        @ both "a served range allocates no frame" served_range_allocates_no_frame
         @ both "stop cuts a client that stopped reading"
             stop_cuts_client_not_reading
         @ [

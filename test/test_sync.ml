@@ -1,5 +1,5 @@
-(* Tests for the synchronization substrate: backoff, slots and the
-   reader-writer lock. *)
+(* Tests for the synchronization substrate: backoff, slots, the
+   reader-writer lock and the collection buffer. *)
 
 (* ---------- backoff / padding ---------- *)
 
@@ -168,6 +168,52 @@ let rwlock_released_on_raise () =
   Alcotest.(check bool) "free for a writer" true (Sync.Rwlock.try_write_lock l);
   Sync.Rwlock.write_unlock l
 
+(* ---------- Int_buffer ---------- *)
+
+module Int_buffer = Sync.Scratch.Int_buffer
+
+(* Segments double from 64 to 8192 slots, and hold 8192 from 16,320
+   keys on.  Fills on both sides of that change, each in ascending and
+   in scrambled order (duplicates included) and then refilled shorter,
+   give exact results; a buffer grown to 1M keys holds less than one
+   segment more, plus a header and a spine slot per segment. *)
+let int_buffer_fills () =
+  let b = Int_buffer.create () in
+  let fill n f =
+    Int_buffer.clear b;
+    for i = 0 to n - 1 do
+      Int_buffer.push b (f i)
+    done
+  in
+  let check what n f =
+    let want = Array.init n f in
+    Alcotest.(check (array int)) (what ^ ": to_array") want (Int_buffer.to_array b);
+    let sorted = Array.copy want in
+    Array.sort compare sorted;
+    let uniq = List.sort_uniq compare (Array.to_list sorted) in
+    Alcotest.(check (array int))
+      (what ^ ": to_sorted_array") (Array.of_list uniq)
+      (Int_buffer.to_sorted_array b)
+  in
+  let ascending i = (3 * i) + 1 and scrambled i = i * 7919 mod 4099 in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (order, f) ->
+          let what = Printf.sprintf "%d %s" n order in
+          fill n f;
+          check what n f;
+          fill (n / 3) f;
+          check (what ^ ", refilled with a third") (n / 3) f)
+        [ ("ascending", ascending); ("scrambled", scrambled) ])
+    [ 0; 64; 8191; 8192; 8193; 16_319; 16_320; 16_321; 1_000_000 ];
+  fill 1_000_000 Fun.id;
+  let words = Obj.reachable_words (Obj.repr b) in
+  Alcotest.(check bool)
+    (Printf.sprintf "1M keys retain %d words, at most 1M + 8192 + 512" words)
+    true
+    (words <= 1_000_000 + 8192 + 512)
+
 let () =
   Alcotest.run "sync"
     [
@@ -192,4 +238,7 @@ let () =
           Alcotest.test_case "rwlock released on raise" `Quick
             rwlock_released_on_raise;
         ] );
+      ( "int_buffer",
+        [ Alcotest.test_case "fills across the segment sizes" `Quick int_buffer_fills ]
+      );
     ]

@@ -201,18 +201,28 @@ let response_round_trip () =
     (fun r ->
       Alcotest.check response "round trip" r (decode_one_resp (encode_resp r)))
     cases;
-  (* every case's frame back to back in one buffer decodes to the cases,
+  (* every case's frame streamed back to back through one 7-byte buffer,
+     as the server streams a connection's answers, decodes to the cases,
      in order *)
-  let d = Wire.decoder () in
-  feed_all d
-    (Wire.response_frames (List.map (fun r -> (Wire.response_size r, r)) cases));
+  let d = Wire.decoder () and out = Bytes.create 7 in
+  List.iter
+    (fun r ->
+      let n = Wire.response_size r in
+      let sent = ref 0 in
+      while !sent < 4 + n do
+        let k = min 7 (4 + n - !sent) in
+        Wire.blit_frame (n, r) ~src:!sent out 0 k;
+        Wire.feed d out 0 k;
+        sent := !sent + k
+      done)
+    cases;
   List.iter
     (fun r ->
       match Wire.next_response d with
-      | Some got -> Alcotest.check response "response_frames, in order" r got
-      | None -> Alcotest.fail "response_frames: a frame is missing")
+      | Some got -> Alcotest.check response "streamed, in order" r got
+      | None -> Alcotest.fail "streamed: a frame is missing")
     cases;
-  Alcotest.(check int) "response_frames: no leftover bytes" 0 (Wire.buffered d)
+  Alcotest.(check int) "streamed: no leftover bytes" 0 (Wire.buffered d)
 
 (* ---------- exact-size frames ---------- *)
 
@@ -305,6 +315,74 @@ let max_payload_boundary () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "encoder accepted a body one byte over max_payload"
 
+(* ---------- windowed frames ---------- *)
+
+(* Every response shape, each frame written in consecutive windows of
+   random sizes, 1 byte up to a 32 KiB buffer, at random places in that
+   buffer: the windows, concatenated, are the frame byte for byte.
+   Small frames are also written one byte at a time. *)
+let windowed_frames () =
+  let rng = Random.State.make [| 0x5eed |] in
+  let buf_size = 32768 in
+  let dst = Bytes.create buf_size in
+  let windowed r ~max_window =
+    let n = Wire.response_size r in
+    let got = Buffer.create (4 + n) in
+    let sent = ref 0 in
+    while !sent < 4 + n do
+      let k = min (1 + Random.State.int rng max_window) (4 + n - !sent) in
+      let pos = Random.State.int rng (buf_size - k + 1) in
+      Wire.blit_frame (n, r) ~src:!sent dst pos k;
+      Buffer.add_subbytes got dst pos k;
+      sent := !sent + k
+    done;
+    Buffer.to_bytes got
+  in
+  let keys n = Array.init n (fun i -> (i * 7919) - 40_000) in
+  List.iter
+    (fun (what, r) ->
+      let want = Wire.response_frame r in
+      List.iter
+        (fun max_window ->
+          if max_window > 1 || Bytes.length want <= 65536 then
+            Alcotest.(check bytes)
+              (Printf.sprintf "%s, windows of 1..%d bytes" what max_window)
+              want (windowed r ~max_window))
+        [ 1; 13; buf_size ])
+    [
+      ("Keys, 0 keys", Wire.Keys (5, [||]));
+      ("Keys, 1 key", Wire.Keys (-1, [| min_int |]));
+      ("Keys, 262,144 keys", Wire.Keys (max_int, keys 262_144));
+      ( "Rbatch of Keys, Bool and Err",
+        Wire.Rbatch
+          [|
+            Wire.Keys (9, keys 3_000);
+            Wire.Bool true;
+            Wire.Err "a part was refused";
+            Wire.Bool false;
+            Wire.Keys (10, [||]);
+            Wire.Err "";
+          |] );
+      ("Bools", Wire.Bools (42, Array.init 5_000 (fun i -> i mod 3 = 0)));
+      ( "Keyss",
+        Wire.Keyss (17, [| keys 2_000; [||]; [| max_int |]; keys 5_000 |]) );
+      ("Err", Wire.Err (String.init 3_000 (fun i -> Char.chr (i mod 256))));
+      ("Bool", Wire.Bool true);
+      ("Pong", Wire.Pong);
+    ];
+  let r = Wire.Keys (1, [| 1; 2 |]) in
+  let n = Wire.response_size r in
+  List.iter
+    (fun (what, src, pos, len) ->
+      match Wire.blit_frame (n, r) ~src dst pos len with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.failf "blit_frame accepted %s" what)
+    [
+      ("a window past the frame", 1, 0, 4 + n);
+      ("a negative offset", -1, 0, 2);
+      ("a window past the buffer", 0, buf_size - 2, 3);
+    ]
+
 (* ---------- pipelining / incremental feed ---------- *)
 
 let pipelined_chunked_feed () =
@@ -344,6 +422,29 @@ let pipelined_chunked_feed () =
         (List.rev !decoded);
       Alcotest.(check int) "drained" 0 (Wire.buffered d))
     [ 1; 3; 7; 64; Bytes.length bytes ]
+
+(* One 1 MB request grows the decoder's buffer to hold it; once it is
+   decoded, the buffer is back to 4 KiB, and a frame cut across the
+   shrink still decodes.  A frame of 20 KB leaves its buffer as it is. *)
+let decoder_shrinks () =
+  let d = Wire.decoder () in
+  let small = Obj.reachable_words (Obj.repr d) in
+  let big = Wire.MultiGet (Array.init 131_072 Fun.id) in
+  let next = Wire.request_frame (Wire.Range (3, 9)) in
+  feed_all d (Wire.request_frame big);
+  Wire.feed d next 0 5;
+  Alcotest.(check bool) "grown to hold 1 MB" true
+    (Obj.reachable_words (Obj.repr d) > 131_072);
+  Alcotest.check request "the 1 MB request" big (Option.get (Wire.next_request d));
+  Alcotest.(check int) "back to 4 KiB" small (Obj.reachable_words (Obj.repr d));
+  Wire.feed d next 5 (Bytes.length next - 5);
+  Alcotest.check request "the frame cut across the shrink" (Wire.Range (3, 9))
+    (Option.get (Wire.next_request d));
+  let mid = Wire.MultiGet (Array.init 2_500 Fun.id) in
+  feed_all d (Wire.request_frame mid);
+  Alcotest.check request "a 20 KB request" mid (Option.get (Wire.next_request d));
+  Alcotest.(check bool) "a buffer of at most 64 KiB stays" true
+    (Obj.reachable_words (Obj.repr d) > 2_500)
 
 let incomplete_frame_waits () =
   let d = Wire.decoder () in
@@ -503,12 +604,16 @@ let () =
           Alcotest.test_case "262144-key Keys" `Quick large_keys_round_trip;
           Alcotest.test_case "max_payload boundary" `Quick max_payload_boundary;
         ] );
+      ( "windowed",
+        [ Alcotest.test_case "windowed frames" `Quick windowed_frames ] );
       ( "incremental",
         [
           Alcotest.test_case "pipelined chunked feed" `Quick
             pipelined_chunked_feed;
           Alcotest.test_case "incomplete frame waits" `Quick
             incomplete_frame_waits;
+          Alcotest.test_case "decoder shrinks after a large frame" `Quick
+            decoder_shrinks;
         ] );
       ( "rejection",
         [

@@ -68,13 +68,16 @@ check-torture: build
 	      --provider rdtscp-strict --multi --rounds 24 --seed $$seed || exit 1; \
 	  done; \
 	done
-	# The Bundling lists share that link: skiplist-bundle under
-	# rdtscp-strict is the served mixed-open pairing, lazylist-bundle runs
-	# under the logical clock.  A link flattens only once labeled at or
-	# below the floor, and a new node's own link starts pending.
+	# The Bundling lists share that link and one lazy skip list:
+	# skiplist-bundle under rdtscp-strict is the served mixed-open
+	# pairing, and lazylist-bundle, its level-0 instance, runs under that
+	# provider and the logical clock.  A link flattens only once labeled
+	# at or below the floor, and a new node's own link starts pending.
 	for seed in 0xC0FFEE 0xBADF00D; do \
-	  dune exec bin/hwts_cli.exe -- check --structure skiplist-bundle \
-	    --provider rdtscp-strict --multi --rounds 24 --seed $$seed || exit 1; \
+	  for s in skiplist-bundle lazylist-bundle; do \
+	    dune exec bin/hwts_cli.exe -- check --structure $$s \
+	      --provider rdtscp-strict --multi --rounds 24 --seed $$seed || exit 1; \
+	  done; \
 	  dune exec bin/hwts_cli.exe -- check --structure lazylist-bundle \
 	    --provider logical --multi --rounds 24 --seed $$seed || exit 1; \
 	done
@@ -98,7 +101,7 @@ bench-hotpath-guard: build
 # produce a JSON-lines file containing the canonical metric set.
 bench-smoke: build bench-scaling-smoke bench-provider-zoo trace-smoke \
   trend-guard bench-serve-smoke bench-reclaim-smoke bench-snapshot-smoke
-	dune exec bin/hwts_cli.exe -- run bst-vcas --rdtscp --seconds 0.2 \
+	dune exec bin/hwts_cli.exe -- run bst-vcas --provider rdtscp --seconds 0.2 \
 	  --metrics-out $(SMOKE_METRICS)
 	dune exec test/validate_metrics.exe -- $(SMOKE_METRICS)
 
@@ -230,14 +233,14 @@ bench-snapshot-smoke: build
 	  -out /tmp/snapshot_smoke.json
 	dune exec test/validate_metrics.exe -- /tmp/snapshot_smoke.json
 	dune exec test/validate_metrics.exe -- BENCH_snapshot.json
-	dune exec bin/hwts_cli.exe -- run skiplist-bundle --rdtscp \
+	dune exec bin/hwts_cli.exe -- run skiplist-bundle --provider rdtscp \
 	  --seconds 0.2 --multiget 8 --multirange 4 \
 	  --metrics-out /tmp/snapshot_run.json
 	dune exec test/validate_metrics.exe -- /tmp/snapshot_run.json
 
 # Refresh the checked-in observability benchmark artifact.
 bench-obs: build
-	dune exec bin/hwts_cli.exe -- run bst-vcas --rdtscp --seconds 1 \
+	dune exec bin/hwts_cli.exe -- run bst-vcas --provider rdtscp --seconds 1 \
 	  --metrics-out BENCH_obs.json
 	dune exec test/validate_metrics.exe -- BENCH_obs.json
 

@@ -112,30 +112,9 @@ let reclaim_conv : Workload.Targets.reclaim Arg.conv =
       fun ppf r ->
         Format.pp_print_string ppf (Workload.Targets.reclaim_name r) )
 
-(* [--provider] is the one uniform spelling; the older [--rdtscp] and
-   [--strict] flags stay accepted so existing scripts keep working, but
-   [--strict] warns (it now maps to the sharded strict scheme, which is
-   what every bench has used since the multi-domain PR). *)
-let ts_of_flags ~provider ~hardware ~strict : Workload.Targets.ts =
-  match provider with
-  | Some ts ->
-    if hardware || strict then
-      Printf.eprintf "hwts-cli: --provider overrides --rdtscp/--strict\n%!";
-    ts
-  | None ->
-    if strict then begin
-      Printf.eprintf
-        "hwts-cli: warning: --strict is deprecated, use --provider sharded \
-         (or --provider strict for the shared-word CAS scheme)\n%!";
-      `Hardware_strict
-    end
-    else if hardware then `Hardware
-    else `Logical
-
-let run_real (name, _) provider reclaim hardware strict threads seconds
-    mix_label key_range zipf ops seed multiget multirange metrics_out
-    trace_out =
-  let ts = ts_of_flags ~provider ~hardware ~strict in
+let run_real (name, _) provider reclaim threads seconds mix_label key_range
+    zipf ops seed multiget multirange metrics_out trace_out =
+  let ts = Option.value provider ~default:`Logical in
   let config =
     {
       Workload.Harness.default with
@@ -175,9 +154,9 @@ let run_real (name, _) provider reclaim hardware strict threads seconds
         path);
     0
 
-let stats (name, _) provider reclaim hardware strict threads seconds
-    mix_label key_range format out =
-  let ts = ts_of_flags ~provider ~hardware ~strict in
+let stats (name, _) provider reclaim threads seconds mix_label key_range format
+    out =
+  let ts = Option.value provider ~default:`Logical in
   let config =
     {
       Workload.Harness.default with
@@ -479,7 +458,6 @@ let provider_opt =
   let doc =
     "Timestamp provider.  Known providers (aliases in parentheses):\n"
     ^ Workload.Targets.provider_help ()
-    ^ "\nOverrides the legacy $(b,--rdtscp)/$(b,--strict) flags."
   in
   Arg.(
     value
@@ -496,18 +474,6 @@ let reclaim_opt =
     value
     & opt reclaim_conv `Ebr
     & info [ "reclaim" ] ~docv:"BACKEND" ~doc)
-
-let hardware_flag =
-  Arg.(value & flag & info [ "rdtscp"; "hardware" ] ~doc:"Use the TSC provider")
-
-let strict_flag =
-  Arg.(
-    value
-    & flag
-    & info [ "strict" ]
-        ~doc:
-          "Deprecated alias for $(b,--provider sharded); prints a warning \
-           and will be removed")
 
 let threads_opt = Arg.(value & opt int 2 & info [ "t"; "threads" ])
 let seconds_opt = Arg.(value & opt float 1.0 & info [ "d"; "duration"; "seconds" ])
@@ -564,8 +530,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run a real workload on this machine")
     Term.(
       const run_real $ structure_pos () $ provider_opt $ reclaim_opt
-      $ hardware_flag $ strict_flag $ threads_opt $ seconds_opt $ mix_opt
-      $ range_opt $ zipf $ ops $ seed_opt $ multiget $ multirange
+      $ threads_opt $ seconds_opt $ mix_opt $ range_opt $ zipf $ ops $ seed_opt $ multiget $ multirange
       $ metrics_out_opt $ trace_out)
 
 let stats_cmd =
@@ -585,8 +550,8 @@ let stats_cmd =
        ~doc:"Run a short workload and print every registered metric")
     Term.(
       const stats $ structure_pos ~default:true () $ provider_opt
-      $ reclaim_opt $ hardware_flag $ strict_flag $ threads_opt $ seconds
-      $ mix_opt $ range_opt $ format $ out)
+      $ reclaim_opt $ threads_opt $ seconds $ mix_opt $ range_opt $ format
+      $ out)
 
 let stress_cmd =
   Cmd.v

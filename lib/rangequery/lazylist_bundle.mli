@@ -1,4 +1,5 @@
-(** Bundled-references port of the lazy list.
+(** Bundled-references port of the lazy list: {!Skiplist_bundle}'s lazy
+    skip list with every node at level 0, one 6-word block per key.
 
     The paper tested this combination and omitted it from the figures: the
     O(n) traversal dominates, so hardware timestamps bring no speedup.  We
@@ -10,4 +11,6 @@ module Make (T : Hwts.Timestamp.S) : sig
   val version_chain_stats : t -> int * int
   (** (bundled links, retained values) over the head and every linked
       node: a probe for tests.  A bare link counts as one value. *)
+
+  val active_rqs : t -> int
 end

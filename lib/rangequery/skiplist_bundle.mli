@@ -5,7 +5,9 @@
     already hold (fine-grained labeling), so with hardware timestamps the
     atomic-increment bottleneck disappears — but, as Figure 5 shows, the
     benefit surfaces only in update-heavy mixes because read-heavy mixes
-    are bottlenecked by the skip list itself. *)
+    are bottlenecked by the skip list itself.  A node of level 0 carries
+    no tower.  {!Lazylist_bundle} is the same lazy skip list with every
+    node at level 0. *)
 
 module Make (T : Hwts.Timestamp.S) : sig
   include Dstruct.Ordered_set.RQ

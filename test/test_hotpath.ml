@@ -442,8 +442,8 @@ let () =
             ("citrus-ebrrq", 0., 16., 101., 33.96);
             ("bst-vcas", 0., 22., 101., 22.);
             ("bst-ebrrq-lockfree", 0., 20., 101., 20.);
-            ("skiplist-bundle", 0., 21.98, 101., 22.01);
-            ("lazylist-bundle", 0., 24., 101., 24.);
+            ("skiplist-bundle", 0., 20.49, 101., 20.47);
+            ("lazylist-bundle", 0., 18., 101., 18.);
             ("skiplist-vcas", 0., 25.65, 112., 25.43);
           ]
         @ [
@@ -458,6 +458,9 @@ let () =
           Alcotest.test_case "skiplist-bundle scratch on/off" `Quick
             (determinism_under_scratch "skiplist-bundle"
                (module Rangequery.Skiplist_bundle.Make (Hwts.Timestamp.Hardware)));
+          Alcotest.test_case "lazylist-bundle scratch on/off" `Quick
+            (determinism_under_scratch "lazylist-bundle"
+               (module Rangequery.Lazylist_bundle.Make (Hwts.Timestamp.Hardware)));
         ] );
       ( "prune-safety",
         [ Alcotest.test_case "8-domain stress" `Slow prune_safety_stress ] );

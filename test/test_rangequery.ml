@@ -295,51 +295,111 @@ let per_impl (module S : RQSET) =
     t "static backdrop" `Slow (static_backdrop (module S));
   ]
 
-(* ---------- skiplist-bundle: an insert before fully_linked ----------
+(* ---------- the bundled lists: an insert parked after its labels ----------
 
-   An insert labels its bundles, then sets [fully_linked].  The inserter
-   is parked at the pause point between the two: a snapshot taken then
-   holds the key, so [contains] and [delete] must agree with it.  They
-   wait for the inserter instead of answering "absent"; the reader gets
-   200 ms to answer early, which it may only do wrongly. *)
-let skiplist_bundle_waits_for_labeled_insert () =
-  let module LB = Hwts.Timestamp.Logical () in
-  let module S = Rangequery.Skiplist_bundle.Make (LB) in
-  let t = S.create () in
-  List.iter (fun k -> ignore (S.insert t k)) [ 10; 30 ];
-  let spawn f = Domain.spawn (fun () -> Sync.Slot.with_slot (fun _ -> f ())) in
-  (* the insert's points: the link bundle's prepare and label, the new
-     node's bundle label, then the one before [fully_linked] *)
+   An insert takes its stamp, labels the new node's own link, links the
+   node, labels its predecessor's link, then passes its last pause point
+   (the 4th: the predecessor link's install and the two labels come
+   first).  A node of level 0 is fully linked once it is linked; a node
+   of a higher level ([Tall]) sets [fully_linked] after that point. *)
+
+let spawn f = Domain.spawn (fun () -> Sync.Slot.with_slot (fun _ -> f ()))
+
+(* [insert] on a fresh domain, once it is parked at its last pause point. *)
+let parked_insert insert =
   Sync.Pause.park_at 4;
-  let inserter = spawn (fun () -> S.insert t 20) in
+  let inserter = spawn insert in
   while not (Sync.Pause.parked ()) do
     Domain.cpu_relax ()
   done;
-  let snap = S.snapshot t in
-  let seen = S.lookup_at t snap 20 in
-  S.snap_release t snap;
+  inserter
+
+(* [read] on a fresh domain; whether it answered within [wait] seconds,
+   and the domain. *)
+let answered_within wait read =
   let answered = Atomic.make false in
   let reader =
     spawn (fun () ->
-        let found = S.contains t 20 in
-        let deleted = S.delete t 20 in
+        let r = read () in
         Atomic.set answered true;
-        (found, deleted))
+        r)
   in
-  let deadline = Unix.gettimeofday () +. 0.2 in
+  let deadline = Unix.gettimeofday () +. wait in
   while (not (Atomic.get answered)) && Unix.gettimeofday () < deadline do
     Unix.sleepf 0.001
   done;
-  let early = Atomic.get answered in
+  (Atomic.get answered, reader)
+
+(* [t] holds 10 and 30, and [inserter] is parked inserting 20 as a node
+   of level 0: [contains] and a snapshot's [lookup_at] both see 20 while
+   it is parked, with no wait. *)
+let level0_seen_at_once (type a) (module S : RQSET with type t = a) (t : a)
+    inserter =
+  let early, reader =
+    answered_within 5. (fun () ->
+        let found = S.contains t 20 in
+        let snap = S.snapshot t in
+        let seen = S.lookup_at t snap 20 in
+        S.snap_release t snap;
+        (found, seen))
+  in
   Sync.Pause.unpark ();
   let inserted = Domain.join inserter in
-  let found, deleted = Domain.join reader in
-  Alcotest.(check bool) "the snapshot holds the labeled key" true seen;
-  Alcotest.(check bool) "no answer while the insert is parked" false early;
+  let found, seen = Domain.join reader in
+  Alcotest.(check bool) "answered while the insert is parked" true early;
   Alcotest.(check bool) "contains" true found;
-  Alcotest.(check bool) "delete" true deleted;
+  Alcotest.(check bool) "the snapshot holds the linked key" true seen;
   Alcotest.(check bool) "insert" true inserted;
-  Alcotest.(check (list int)) "final" [ 10; 30 ] (S.to_list t)
+  Alcotest.(check (list int)) "final" [ 10; 20; 30 ] (S.to_list t)
+
+let lazylist_bundle_sees_level0_insert () =
+  let module LB = Hwts.Timestamp.Logical () in
+  let module S = Rangequery.Lazylist_bundle.Make (LB) in
+  let t = S.create () in
+  List.iter (fun k -> ignore (S.insert t k)) [ 10; 30 ];
+  level0_seen_at_once (module S) t (parked_insert (fun () -> S.insert t 20))
+
+(* A [Tall] insert parked before [fully_linked]: a snapshot taken then
+   holds the key, so [contains] and [delete] must agree with it.  They
+   wait for the inserter instead of answering "absent"; the reader gets
+   200 ms to answer early, which it may only do wrongly.  Each attempt's
+   inserter is a fresh domain, with its own stream of level draws; an
+   insert that drew level 0 shows in [to_list] while parked, and is
+   checked as one. *)
+let skiplist_bundle_waits_for_tall_insert () =
+  let module LB = Hwts.Timestamp.Logical () in
+  let module S = Rangequery.Skiplist_bundle.Make (LB) in
+  let rec attempt left =
+    let t = S.create () in
+    List.iter (fun k -> ignore (S.insert t k)) [ 10; 30 ];
+    let inserter = parked_insert (fun () -> S.insert t 20) in
+    if List.mem 20 (S.to_list t) then begin
+      level0_seen_at_once (module S) t inserter;
+      if left = 0 then Alcotest.fail "no insert drew a level above 0";
+      attempt (left - 1)
+    end
+    else begin
+      let snap = S.snapshot t in
+      let seen = S.lookup_at t snap 20 in
+      S.snap_release t snap;
+      let early, reader =
+        answered_within 0.2 (fun () ->
+            let found = S.contains t 20 in
+            let deleted = S.delete t 20 in
+            (found, deleted))
+      in
+      Sync.Pause.unpark ();
+      let inserted = Domain.join inserter in
+      let found, deleted = Domain.join reader in
+      Alcotest.(check bool) "the snapshot holds the labeled key" true seen;
+      Alcotest.(check bool) "no answer while the insert is parked" false early;
+      Alcotest.(check bool) "contains" true found;
+      Alcotest.(check bool) "delete" true deleted;
+      Alcotest.(check bool) "insert" true inserted;
+      Alcotest.(check (list int)) "final" [ 10; 30 ] (S.to_list t)
+    end
+  in
+  attempt 40
 
 (* ---------- citrus-vcas: unlocked reads of a pending head ----------
 
@@ -354,7 +414,6 @@ let citrus_vcas_reads_agree_on_pending_insert () =
   let module S = Rangequery.Citrus_vcas.Make (Ebr_b) (LV) in
   let t = S.create () in
   List.iter (fun k -> ignore (S.insert t k)) [ 10; 30 ];
-  let spawn f = Domain.spawn (fun () -> Sync.Slot.with_slot (fun _ -> f ())) in
   (* the insert's first point follows the install of its pending head *)
   Sync.Pause.park_at 1;
   let inserter = spawn (fun () -> S.insert t 20) in
@@ -400,7 +459,9 @@ let () =
       ( "visibility",
         [
           Alcotest.test_case "skiplist-bundle point ops wait for an insert"
-            `Quick skiplist_bundle_waits_for_labeled_insert;
+            `Quick skiplist_bundle_waits_for_tall_insert;
+          Alcotest.test_case "lazylist-bundle sees a level-0 insert at once"
+            `Quick lazylist_bundle_sees_level0_insert;
           Alcotest.test_case "citrus-vcas reads agree on a pending insert"
             `Quick citrus_vcas_reads_agree_on_pending_insert;
         ] );

@@ -1373,7 +1373,7 @@ let sentinels_absent () =
    measured values, so a block added back to any node fails this; a skip
    list's tower size follows its domain's level draws, so its bound sits
    a fraction of a word above the measured value (5.49-5.50 for
-   skiplist-vcas and 9.99-10.00 for skiplist-bundle, by test order). *)
+   skiplist-vcas and 8.49-8.50 for skiplist-bundle, by test order). *)
 let words_per_key create insert =
   let warm = 1024 and keys = 8192 in
   let t = create () in
@@ -1418,7 +1418,7 @@ let layout_cases =
     ("citrus-bundle", 8., fun () -> words_per_key Cb.create Cb.insert);
     ("citrus-ebrrq", 8., fun () -> words_per_key Ce.create Ce.insert);
     ("skiplist-vcas", 5.6, fun () -> words_per_key Sv.create Sv.insert);
-    ("skiplist-bundle", 10.1, fun () -> words_per_key Sb.create Sb.insert);
+    ("skiplist-bundle", 8.6, fun () -> words_per_key Sb.create Sb.insert);
     ("lazylist-bundle", 6., fun () -> words_per_key Lb.create Lb.insert);
     ("bst-ebrrq-lockfree", 8., fun () -> words_per_key Bl.create Bl.insert);
   ]

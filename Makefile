@@ -7,7 +7,7 @@ SMOKE_METRICS := /tmp/obs.json
   bench-scaling bench-scaling-smoke bench-provider-zoo \
   trace-smoke trend-guard bench-tailattr \
   bench-serve bench-serve-smoke bench-reclaim bench-reclaim-smoke \
-  bench-snapshot bench-snapshot-smoke e2e-smoke e2e-pairs clean
+  bench-snapshot bench-snapshot-smoke e2e-smoke e2e-pairs e2e-phases clean
 
 all: build
 
@@ -274,9 +274,9 @@ bench-scaling-smoke: build
 # working tree, each side built from source in a temporary checkout:
 #   make e2e-pairs BASE=<rev> WORKLOAD=<name|all> [PAIRS=10]
 # Prints medians, quartiles and pairs won for setup_s and server_rss_mb,
-# then for the ungated req_per_s, p50_us, p99_us, minor_gcs and
-# heap_words (the server's gc.minor_collections and gc.heap_words, each
-# averaged over a run's repetitions), and the number of runs per side
+# then for the ungated req_per_s, p50_us, p99_us, minor_gcs, heap_words,
+# promoted_words and top_heap_words (the server's gc.* gauges of those
+# names, each averaged over a run's repetitions), and the number of runs per side
 # that reported valid=false (an open-loop generator that fell behind),
 # per workload (`all`: every workload in BENCHMARK.json, in turn).
 PAIRS ?= 10
@@ -284,6 +284,15 @@ e2e-pairs:
 	@test -n "$(BASE)" && test -n "$(WORKLOAD)" || \
 	  { echo "usage: make e2e-pairs BASE=<rev> WORKLOAD=<name|all> [PAIRS=10]" >&2; exit 2; }
 	bash bench/pairs.sh $(BASE) $(WORKLOAD) $(PAIRS)
+
+# The server's VmHWM and VmRSS after start, prefill, warmup, measured
+# and final, per repetition, and their medians:
+#   make e2e-phases WORKLOAD=<name|all>
+e2e-phases:
+	@test -n "$(WORKLOAD)" || \
+	  { echo "usage: make e2e-phases WORKLOAD=<name|all>" >&2; exit 2; }
+	dune build bin/hwts_serve.exe bench/e2e_phases.exe
+	./_build/default/bench/e2e_phases.exe --workload $(WORKLOAD)
 
 clean:
 	dune clean

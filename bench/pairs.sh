@@ -21,9 +21,10 @@
 # [q1–q3] of each side and the number of pairs the working tree won.
 # The same follows for metrics BENCHMARK.json does not gate, labeled
 # "ungated": `req_per_s` (higher is better), `p50_us` and `p99_us`
-# (lower is better), read from each run's --out JSON, and `minor_gcs` and
-# `heap_words` (lower is better for both), the server's
-# `gc.minor_collections` and `gc.heap_words` at shutdown, read from each
+# (lower is better), read from each run's --out JSON, and `minor_gcs`,
+# `heap_words`, `promoted_words` and `top_heap_words` (lower is better
+# for all four), the server's `gc.minor_collections`, `gc.heap_words`,
+# `gc.promoted_words` and `gc.top_heap_words` at shutdown, read from each
 # repetition's `<workload>.rep*.metrics.jsonl` and averaged over the
 # run's repetitions (each on a fresh server).  Last, per workload, how
 # many runs of each side reported `valid=false` (an open-loop run whose
@@ -81,8 +82,9 @@ gauge_mean() {
 }
 
 # run WORKLOAD SIDE PAIR: one benchmark run; appends "workload pair side
-# setup rss failed req_per_s p50_us minor_gcs heap_words p99_us invalid"
-# to $tmp/runs, invalid being 1 when the run reported valid=false.
+# setup rss failed req_per_s p50_us minor_gcs heap_words p99_us invalid
+# promoted_words top_heap_words" to $tmp/runs, invalid being 1 when the
+# run reported valid=false.
 run() {
   local workload=$1 side=$2 pair=$3 out
   rm -f "$tmp/out-$side/$workload".rep*.metrics.jsonl
@@ -90,10 +92,10 @@ run() {
     ./_build/default/bench/e2e/hwts_bench.exe --workload "$workload" \
       --out "$tmp/out-$side" ${extra[@]+"${extra[@]}"}) || {
     echo "pair $pair: $side run exited non-zero" >&2
-    echo "$workload $pair $side nan nan 1 nan nan nan nan nan 1" >>"$tmp/runs"
+    echo "$workload $pair $side nan nan 1 nan nan nan nan nan 1 nan nan" >>"$tmp/runs"
     return
   }
-  local setup rss failed rps p50 p99 invalid gcs heap json=$tmp/out-$side/$workload.json
+  local setup rss failed rps p50 p99 invalid gcs heap promoted top json=$tmp/out-$side/$workload.json
   setup=$(awk -v w="$workload" '$1 == w && $2 == "setup_s" { print $3 }' <<<"$out")
   rss=$(awk -v w="$workload" '$1 == w && $2 == "server_rss_mb" { print $3 }' <<<"$out")
   failed=$(tail -n 1 <<<"$out" | sed -n 's/.*"failed":\([0-9]*\).*/\1/p')
@@ -104,10 +106,12 @@ run() {
   grep -q '"valid":true' "$json" && invalid=0
   gcs=$(gauge_mean "$workload" "$side" gc.minor_collections)
   heap=$(gauge_mean "$workload" "$side" gc.heap_words)
-  echo "$workload $pair $side ${setup:-nan} ${rss:-nan} ${failed:-1} ${rps:-nan} ${p50:-nan} ${gcs:-nan} ${heap:-nan} ${p99:-nan} $invalid" >>"$tmp/runs"
-  printf 'pair %2d %-4s setup_s %-8s server_rss_mb %-8s failed %s  req_per_s %-8.0f p50_us %-8.1f p99_us %-8.1f valid %-5s minor_gcs %-6.1f heap_words %-10.0f (ungated)\n' \
+  promoted=$(gauge_mean "$workload" "$side" gc.promoted_words)
+  top=$(gauge_mean "$workload" "$side" gc.top_heap_words)
+  echo "$workload $pair $side ${setup:-nan} ${rss:-nan} ${failed:-1} ${rps:-nan} ${p50:-nan} ${gcs:-nan} ${heap:-nan} ${p99:-nan} $invalid ${promoted:-nan} ${top:-nan}" >>"$tmp/runs"
+  printf 'pair %2d %-4s setup_s %-8s server_rss_mb %-8s failed %s  req_per_s %-8.0f p50_us %-8.1f p99_us %-8.1f valid %-5s minor_gcs %-6.1f heap_words %-10.0f promoted_words %-10.0f top_heap_words %-10.0f (ungated)\n' \
     "$pair" "$side" "${setup:-nan}" "${rss:-nan}" "${failed:-?}" "${rps:-nan}" "${p50:-nan}" "${p99:-nan}" \
-    "$([ "$invalid" = 0 ] && echo true || echo false)" "${gcs:-nan}" "${heap:-nan}"
+    "$([ "$invalid" = 0 ] && echo true || echo false)" "${gcs:-nan}" "${heap:-nan}" "${promoted:-nan}" "${top:-nan}"
 }
 
 for w in $workloads; do
@@ -140,7 +144,8 @@ for w in $workloads; do
   echo "$w: $pairs pairs, base $(git rev-parse --short "$rev") vs working tree${extra[*]+, args: ${extra[*]}}"
   # name:column:sign[:label], sign -1 where higher is better
   for metric in setup_s:4:1 server_rss_mb:5:1 req_per_s:7:-1:ungated p50_us:8:1:ungated \
-    p99_us:11:1:ungated minor_gcs:9:1:ungated heap_words:10:1:ungated; do
+    p99_us:11:1:ungated minor_gcs:9:1:ungated heap_words:10:1:ungated \
+    promoted_words:13:1:ungated top_heap_words:14:1:ungated; do
     IFS=: read -r name col sign label <<<"$metric"
     read -r bm b1 b3 <<<"$(quartiles "$w" "$col" base)"
     read -r tm t1 t3 <<<"$(quartiles "$w" "$col" tree)"

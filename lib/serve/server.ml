@@ -19,11 +19,13 @@ let out_size = 16384
 (* A pipelined connection: one cell per decoded request, in request
    order, filled by the shard drain that answers it with the answer and
    its payload size, computed once.  [out] bytes [off, len) are still to
-   be written; [sent] bytes of the head answer's frame are in [out]. *)
+   be written; [sent] bytes of the head answer's frame are in [out], and
+   [cursor] is where among its members they end. *)
 type conn = {
   fd : Unix.file_descr;
   dec : Wire.decoder;
-  cells : (int * Wire.response) option Atomic.t Queue.t;
+  cells : (int * Wire.answer) option Atomic.t Queue.t;
+  cursor : Wire.cursor;
   mutable reading : bool; (* false after EOF, error, malformed or stop *)
   out : Bytes.t;
   mutable off : int;
@@ -56,13 +58,13 @@ let wake t =
 
 (* The answer at its exact size.  An answer too large for one frame is
    sized before anything is allocated, and answered with [Err]. *)
-let sized r =
-  let n = Wire.response_size r in
-  if n <= Wire.max_payload then (n, r)
+let sized a =
+  let n = Wire.answer_size a in
+  if n <= Wire.max_payload then (n, a)
   else begin
     Hwts_obs.Counter.incr m_oversized;
     let e = Wire.Err (Printf.sprintf "answer of %d bytes exceeds max_payload" n) in
-    (Wire.response_size e, e)
+    (Wire.response_size e, Wire.Whole e)
   end
 
 (* Decode and route every complete request in one read's bytes. *)
@@ -75,13 +77,13 @@ let read_requests t buf conn =
     Wire.feed conn.dec buf 0 n;
     try
       let rec route () =
-        match Wire.next_request conn.dec with
+        match Wire.next_incoming conn.dec with
         | None -> ()
         | Some req ->
           Hwts_obs.Counter.incr m_requests;
           let cell = Atomic.make None in
           Queue.push cell conn.cells;
-          Shards.submit t.shards req (fun r ->
+          Shards.serve t.shards req (fun r ->
               Atomic.set cell (Some (sized r));
               if t.workers then wake t);
           route ()
@@ -91,7 +93,7 @@ let read_requests t buf conn =
       (* answer the offense in order, then stop reading: the connection
          closes once everything before it and the error are out *)
       Hwts_obs.Counter.incr m_malformed;
-      Queue.push (Atomic.make (Some (sized (Wire.Err msg)))) conn.cells;
+      Queue.push (Atomic.make (Some (sized (Wire.Whole (Wire.Err msg))))) conn.cells;
       conn.reading <- false)
 
 (* Encode the fulfilled head answers into [out] after its [len] bytes,
@@ -101,7 +103,7 @@ let rec fill conn =
     match Atomic.get (Queue.peek conn.cells) with
     | Some ((n, _) as a) when conn.len < Bytes.length conn.out ->
       let k = min (4 + n - conn.sent) (Bytes.length conn.out - conn.len) in
-      Wire.blit_frame a ~src:conn.sent conn.out conn.len k;
+      Wire.blit_answer conn.cursor a ~src:conn.sent conn.out conn.len k;
       conn.len <- conn.len + k;
       conn.sent <- conn.sent + k;
       if conn.sent = 4 + n then begin
@@ -155,6 +157,7 @@ let rec accept_all t conns now =
           fd;
           dec = Wire.decoder ();
           cells = Queue.create ();
+          cursor = Wire.cursor ();
           reading = true;
           out = Bytes.create out_size;
           off = 0;

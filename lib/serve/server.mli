@@ -13,12 +13,15 @@
     into one shard drain, the precondition for snapshot coalescing to
     pay off.
 
-    Each answer is sized once, when its shard completes it.  Each
-    connection has one 16 KiB write buffer, made at accept: a write
-    carries the fulfilled head answers encoded into it in order, and an
-    answer larger than the buffer is streamed through it from a byte
-    offset ({!Wire.blit_frame}), so no answer is copied into a frame of
-    its own.  A write the client does not take at once resumes at its
+    Requests are decoded by {!Wire.next_incoming} and routed by
+    {!Shards.serve}, so answers come as pieces ({!Wire.answer}): a point
+    batch's mark bytes, a cross-shard range's parts.  Each answer is
+    sized once, when its shard completes it.  Each connection has one
+    16 KiB write buffer, made at accept: a write carries the fulfilled
+    head answers encoded into it in order, and an answer larger than the
+    buffer is streamed through it from a byte offset and the
+    connection's cursor ({!Wire.blit_answer}), so no answer is copied
+    into a frame, or merged, on its way out.  A write the client does not take at once resumes at its
     offset when the socket is writable again.  An answer whose payload
     would exceed {!Wire.max_payload} is answered, in its place in the
     order, with an [Err] saying so, and the connection keeps serving.

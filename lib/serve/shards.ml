@@ -25,7 +25,10 @@ let () =
   in
   gc "gc.minor_collections" (fun s -> s.Gc.minor_collections);
   gc "gc.major_collections" (fun s -> s.Gc.major_collections);
-  gc "gc.heap_words" (fun s -> s.Gc.heap_words)
+  gc "gc.heap_words" (fun s -> s.Gc.heap_words);
+  gc "gc.top_heap_words" (fun s -> s.Gc.top_heap_words);
+  gc "gc.major_words" (fun s -> int_of_float s.Gc.major_words);
+  gc "gc.promoted_words" (fun s -> int_of_float s.Gc.promoted_words)
 
 (* Minor heap of each shard worker domain, in words (the runtime's
    default is 256k).  A worker's nursery pages count in the server's
@@ -39,18 +42,12 @@ let () =
 let shard_minor_heap_words = 65_536
 
 type task =
-  | Point of Wire.request * (Wire.response -> unit)
+  | Point of Wire.request * (Wire.answer -> unit)
       (* one Get, Insert or Delete *)
-  | Points of {
-      reqs : Wire.request array;
-      at : int array;
-      answers : Wire.response array;
-      t0 : int;
-      k : unit -> unit;
-    }
-      (* a batch's point ops on this shard: [reqs.(i)] for each [i] in
-         [at], in that order, each answer written to [answers.(i)]; [t0]
-         is when the batch was routed *)
+  | Ops of { ops : Wire.points; lo : int; hi : int; t0 : int; k : unit -> unit }
+      (* a batch's point ops on this shard, those with keys in [lo, hi],
+         run in batch order, each answer marked in [ops]; [t0] is when
+         the batch was routed *)
   | Sub of int * int * (int -> int array -> unit)
       (* one shard-local subrange; completion gets (label, keys) *)
   | MGet of int array * (int -> bool array -> unit)
@@ -96,7 +93,7 @@ let class_hist = function
   | Wire.MultiRange _ -> h_multirange
 
 (* A point answer is one of two constants: answering allocates nothing. *)
-let answer b = if b then Wire.Bool true else Wire.Bool false
+let answer b = if b then Wire.Whole (Wire.Bool true) else Wire.Whole (Wire.Bool false)
 
 (* Drain-everything batcher: run the drained tasks' point ops in arrival
    order (per-shard FIFO is part of the service contract), then run the
@@ -109,27 +106,30 @@ let answer b = if b then Wire.Bool true else Wire.Bool false
    queue itself, so no array or list of them is built. *)
 let process (type a) (module S : Dstruct.Ordered_set.RQ with type t = a)
     (st : a) ~coalesce (batch : task Queue.t) =
-  let apply = function
-    | Wire.Get key -> S.contains st key
-    | Wire.Insert key -> S.insert st key
-    | Wire.Delete key -> S.delete st key
-    | _ -> invalid_arg "Shards: not a point op"
+  let apply op key =
+    Hwts_obs.Counter.incr m_point_ops;
+    if op = Wire.op_get then S.contains st key
+    else if op = Wire.op_insert then S.insert st key
+    else S.delete st key
   in
   let n = ref 0 and mgets = ref 0 in
   Queue.iter
     (function
-      | Point (req, k) ->
-        Hwts_obs.Counter.incr m_point_ops;
-        k (answer (apply req))
-      | Points { reqs; at; answers; t0; k } ->
-        Hwts_obs.Counter.add m_point_ops (Array.length at);
-        Array.iter
-          (fun i ->
-            let req = reqs.(i) in
-            answers.(i) <- answer (apply req);
-            Hwts_obs.Histogram.record (class_hist req)
-              (Tsc.monotonic_ns () - t0))
-          at;
+      | Point (Wire.Get key, k) -> k (answer (apply Wire.op_get key))
+      | Point (Wire.Insert key, k) -> k (answer (apply Wire.op_insert key))
+      | Point (Wire.Delete key, k) -> k (answer (apply Wire.op_delete key))
+      | Point (_, _) -> invalid_arg "Shards: not a point op"
+      | Ops { ops; lo; hi; t0; k } ->
+        for i = 0 to Wire.length ops - 1 do
+          let key = Wire.key ops i in
+          if key >= lo && key <= hi then begin
+            let op = Wire.op ops i in
+            Wire.set_mark ops i (if apply op key then Wire.yes else Wire.no);
+            Hwts_obs.Histogram.record
+              (if op = Wire.op_get then h_get else if op = Wire.op_insert then h_insert else h_delete)
+              (Tsc.monotonic_ns () - t0)
+          end
+        done;
         k ()
       | Sub _ -> incr n
       | MGet (keys, _) ->
@@ -345,7 +345,7 @@ let enqueue t i task =
 
 let shard_of_key t key = (key - 1) / t.span
 
-let rejected = Wire.Err "server stopping"
+let rejected = Wire.stopping
 
 (* Enqueue parts [0, n) of one request, [part i part_done] being the
    shard and task of part [i].  [finish ok] runs exactly once: when the
@@ -373,19 +373,38 @@ let fan_out t n ~part finish =
   in
   go 0
 
-(* The parts' keys in part order.  Each part is already an exact-size
-   array, so a one-part answer is that array and only a cross-shard one
-   is copied, once. *)
+(* The parts' keys in part order, for an in-process caller: the server
+   writes a cross-shard answer from its parts.  Each part is already an
+   exact-size array, so a one-part answer is that array. *)
 let merge parts =
   if Array.length parts = 1 then parts.(0) else Array.concat (Array.to_list parts)
 
+(* The in-process adapter, the only place an answer's pieces are merged
+   or an [Rbatch] is built. *)
+let response_of = function
+  | Wire.Whole r -> r
+  | Wire.Parts (label, parts) -> Wire.Keys (label, merge parts)
+  | Wire.Marks (ops, others) ->
+    let rs = Array.make (Wire.length ops) Wire.Pong and j = ref 0 in
+    for i = 0 to Array.length rs - 1 do
+      let m = Wire.mark ops i in
+      rs.(i) <-
+        (if m = Wire.next then begin
+           incr j;
+           others.(!j - 1)
+         end
+         else if m = Wire.refused then rejected
+         else Wire.Bool (m = Wire.yes))
+    done;
+    Wire.Rbatch rs
+
 (* Fan a clamped [lo, hi] out to its owning shards; completion fires on
-   the last part, with the maximal part label and the parts merged in
-   shard order (shards partition the key space ascending, and each part
-   is sorted, so that is the sorted union). *)
+   the last part, with the maximal part label and the parts in shard
+   order (shards partition the key space ascending, and each part is
+   sorted, so their concatenation is the sorted union). *)
 let submit_range t lo hi k =
   let lo = max lo 1 and hi = min hi t.key_space in
-  if lo > hi then k (Wire.Keys (t.now (), [||]))
+  if lo > hi then k (Wire.Whole (Wire.Keys (t.now (), [||])))
   else begin
     let s0 = shard_of_key t lo in
     let n = shard_of_key t hi - s0 + 1 in
@@ -402,9 +421,8 @@ let submit_range t lo hi k =
                 labels.(i) <- label;
                 part_done () ) ))
       (fun ok ->
-        if ok then
-          k (Wire.Keys (Array.fold_left max min_int labels, merge parts))
-        else k rejected)
+        if ok then k (Wire.Parts (Array.fold_left max min_int labels, parts))
+        else k (Wire.Whole rejected))
   end
 
 (* Fan a MultiGet out to the shards owning its in-range keys; out-of-range
@@ -414,7 +432,7 @@ let submit_range t lo hi k =
    provider. *)
 let submit_multiget t keys k =
   let nk = Array.length keys in
-  if nk = 0 then k (Wire.Bools (t.now (), [||]))
+  if nk = 0 then k (Wire.Whole (Wire.Bools (t.now (), [||])))
   else begin
     let bools = Array.make nk false in
     let per_shard = Array.make (Array.length t.shards) [] in
@@ -433,7 +451,7 @@ let submit_multiget t keys k =
       |> Array.of_seq
     in
     let ng = Array.length groups in
-    if ng = 0 then k (Wire.Bools (t.now (), bools))
+    if ng = 0 then k (Wire.Whole (Wire.Bools (t.now (), bools)))
     else begin
       let labels = Array.make ng min_int in
       fan_out t ng
@@ -447,16 +465,19 @@ let submit_multiget t keys k =
                   Array.iteri (fun j i -> bools.(i) <- bs.(j)) idxs;
                   part_done () ) ))
         (fun ok ->
-          if ok then k (Wire.Bools (Array.fold_left max min_int labels, bools))
-          else k rejected)
+          k
+            (Wire.Whole
+               (if ok then Wire.Bools (Array.fold_left max min_int labels, bools)
+                else rejected)))
     end
   end
 
-(* Each range of a MultiRange reuses the Range fan-out; the frame
-   completes when the last range does, under the maximal label. *)
-let submit_multirange t submit_one ranges k =
+(* Each range of a MultiRange reuses the Range fan-out, its parts
+   merged; the frame completes when the last range does, under the
+   maximal label. *)
+let submit_multirange t ranges k =
   let nr = Array.length ranges in
-  if nr = 0 then k (Wire.Keyss (t.now (), [||]))
+  if nr = 0 then k (Wire.Whole (Wire.Keyss (t.now (), [||])))
   else begin
     let results = Array.make nr [||] in
     let labels = Array.make nr 0 in
@@ -464,109 +485,112 @@ let submit_multirange t submit_one ranges k =
     let failed = Atomic.make false in
     Array.iteri
       (fun i (lo, hi) ->
-        submit_one t lo hi (fun resp ->
-            (match resp with
+        submit_range t lo hi (fun a ->
+            (match response_of a with
             | Wire.Keys (label, keys) ->
               results.(i) <- keys;
               labels.(i) <- label
             | _ -> Atomic.set failed true);
             if Atomic.fetch_and_add remaining (-1) = 1 then
-              if Atomic.get failed then k rejected
-              else k (Wire.Keyss (Array.fold_left max min_int labels, results))))
+              k
+                (Wire.Whole
+                   (if Atomic.get failed then rejected
+                    else Wire.Keyss (Array.fold_left max min_int labels, results)))))
       ranges
   end
 
 let in_range t key = key >= 1 && key <= t.key_space
 
-(* The shard an in-range Get/Insert/Delete goes to; -1 for anything
-   else. *)
-let point_shard t = function
-  | (Wire.Get key | Wire.Insert key | Wire.Delete key) when in_range t key ->
-    shard_of_key t key
-  | _ -> -1
+(* [k], recording the latency since [t0] in [h] first *)
+let timed h t0 k a =
+  Hwts_obs.Histogram.record h (Tsc.monotonic_ns () - t0);
+  k a
 
-(* A batch's in-range point ops go to each owning shard as ONE [Points]
-   task, through [fan_out]: if a stopping shard refuses a part, every
-   one of these positions answers [Err], never a [Bool] from only some
-   parts.  [answered m] counts [m] positions in. *)
-let submit_points t reqs answers ~t0 answered =
-  let nsh = Array.length t.shards in
-  let counts = Array.make nsh 0 in
-  Array.iter
-    (fun req ->
-      let s = point_shard t req in
-      if s >= 0 then counts.(s) <- counts.(s) + 1)
-    reqs;
-  (* each shard's positions, in batch order *)
-  let at = Array.map (fun c -> Array.make c 0) counts in
-  let filled = Array.make nsh 0 in
-  Array.iteri
-    (fun i req ->
-      let s = point_shard t req in
-      if s >= 0 then begin
-        at.(s).(filled.(s)) <- i;
-        filled.(s) <- filled.(s) + 1
-      end)
-    reqs;
+let rec route t req k =
+  let t0 = Tsc.monotonic_ns () in
+  let k = timed (class_hist req) t0 k in
+  match req with
+  | Wire.Ping -> k (Wire.Whole Wire.Pong)
+  | Wire.Get key when not (in_range t key) -> k (Wire.Whole (Wire.Bool false))
+  | Wire.Insert key | Wire.Delete key when not (in_range t key) ->
+    k (Wire.Whole (Wire.Err (Printf.sprintf "key %d out of [1, %d]" key t.key_space)))
+  | Wire.Get key | Wire.Insert key | Wire.Delete key ->
+    if not (enqueue t (shard_of_key t key) (Point (req, k))) then
+      k (Wire.Whole rejected)
+  | Wire.Range (lo, hi) -> submit_range t lo hi k
+  | Wire.MultiGet keys -> submit_multiget t keys k
+  | Wire.MultiRange ranges -> submit_multirange t ranges k
+  | Wire.Batch reqs -> batch t (Wire.pack reqs) reqs ~t0 k
+
+(* A batch, packed ([reqs] its members when it came in-process; from
+   the wire, every member is a point op).  Its in-range point ops go to
+   each owning shard as ONE [Ops] task, through [fan_out]: if a stopping
+   shard refuses a part, every one of these positions answers [Err],
+   never a [Bool] from only some parts.  The other members answer, in
+   order, from [others]: routed one at a time after the point tasks, so
+   (per-shard FIFO, and a drain running its point ops before its reads)
+   every read of the batch sees every point op of the batch. *)
+and batch t ops reqs ~t0 k =
+  let n = Wire.length ops and counts = Array.make (Array.length t.shards) 0 in
+  (* member [i]'s shard if it is an in-range point op (any other member
+     is packed with key 0), else -1 *)
+  let owner i =
+    let key = Wire.key ops i in
+    if in_range t key then shard_of_key t key else -1
+  in
+  for i = 0 to n - 1 do
+    let s = owner i in
+    if s >= 0 then counts.(s) <- counts.(s) + 1
+  done;
+  let points = Array.fold_left ( + ) 0 counts in
+  let others = Array.make (n - points) Wire.Pong and remaining = Atomic.make n in
+  let answered m =
+    if Atomic.fetch_and_add remaining (-m) = m then k (Wire.Marks (ops, others))
+  in
+  if n = 0 then k (Wire.Marks (ops, others));
+  (* the owning shards, ascending; a shard's span is clamped to the key
+     space, so an out-of-range key is in no task's [lo, hi] *)
   let owners =
-    Array.of_list (List.filter (fun s -> counts.(s) > 0) (List.init nsh Fun.id))
+    Array.of_list (List.filter (fun s -> counts.(s) > 0) (List.init (Array.length counts) Fun.id))
   in
   if owners <> [||] then
     fan_out t (Array.length owners)
       ~part:(fun g part_done ->
         let s = owners.(g) in
-        (s, Points { reqs; at = at.(s); answers; t0; k = part_done }))
+        let lo = (s * t.span) + 1 and hi = min ((s + 1) * t.span) t.key_space in
+        (s, Ops { ops; lo; hi; t0; k = part_done }))
       (fun ok ->
         if not ok then
-          Array.iter (Array.iter (fun i -> answers.(i) <- rejected)) at;
-        answered (Array.fold_left ( + ) 0 counts))
-
-let rec route t req k =
-  let h = class_hist req in
-  let t0 = Tsc.monotonic_ns () in
-  let k r =
-    Hwts_obs.Histogram.record h (Tsc.monotonic_ns () - t0);
-    k r
-  in
-  match req with
-  | Wire.Ping -> k Wire.Pong
-  | Wire.Get key | Wire.Insert key | Wire.Delete key when not (in_range t key)
-    -> (
-    match req with
-    | Wire.Get _ -> k (Wire.Bool false)
-    | _ -> k (Wire.Err (Printf.sprintf "key %d out of [1, %d]" key t.key_space))
-    )
-  | Wire.Get key | Wire.Insert key | Wire.Delete key ->
-    if not (enqueue t (shard_of_key t key) (Point (req, k))) then k rejected
-  | Wire.Range (lo, hi) -> submit_range t lo hi k
-  | Wire.MultiGet keys -> submit_multiget t keys k
-  | Wire.MultiRange ranges -> submit_multirange t submit_range ranges k
-  | Wire.Batch reqs ->
-    let n = Array.length reqs in
-    if n = 0 then k (Wire.Rbatch [||])
-    else begin
-      let answers = Array.make n Wire.Pong in
-      let remaining = Atomic.make n in
-      let answered m =
-        if Atomic.fetch_and_add remaining (-m) = m then k (Wire.Rbatch answers)
-      in
-      submit_points t reqs answers ~t0 answered;
-      (* The rest one at a time, after the point tasks: per-shard FIFO,
-         and a drain running its point ops before its reads, make every
-         read of the batch see every point op of the batch. *)
-      Array.iteri
-        (fun i req ->
-          if point_shard t req < 0 then
-            route t req (fun r ->
-                answers.(i) <- r;
-                answered 1))
-        reqs
+          for i = 0 to n - 1 do
+            if owner i >= 0 then Wire.set_mark ops i Wire.refused
+          done;
+        answered points);
+  let j = ref 0 in
+  for i = 0 to n - 1 do
+    if owner i < 0 then begin
+      let j' = !j in
+      incr j;
+      Wire.set_mark ops i Wire.next;
+      route t
+        (if Array.length reqs = 0 then Wire.member ops i else reqs.(i))
+        (fun a ->
+          others.(j') <- response_of a;
+          answered 1)
     end
+  done
 
-let submit t req k =
-  if inline t then Inline.exclusive (fun () -> route t req k) else route t req k
+let exclusive t f = if inline t then Inline.exclusive f else f ()
 
-let round t f = if inline t then Inline.exclusive f else f ()
+let serve t incoming k =
+  exclusive t (fun () ->
+      match incoming with
+      | Wire.Request req -> route t req k
+      | Wire.Points ops ->
+        let t0 = Tsc.monotonic_ns () in
+        batch t ops [||] ~t0 (timed h_batch t0 k))
+
+let submit t req k = serve t (Wire.Request req) (fun a -> k (response_of a))
+let round t f = exclusive t f
 
 let exec t req =
   let m = Mutex.create () and c = Condition.create () in

@@ -73,9 +73,17 @@ val worker_domains : t -> int
 val now : t -> int
 (** A read of the fleet's shared clock (labels are comparable with it). *)
 
+val serve : t -> Wire.incoming -> (Wire.answer -> unit) -> unit
+(** Route a decoded frame, answering it in pieces: a point batch as
+    [Marks] (one answer byte per op), a cross-shard [Range] as [Parts]
+    (its shards' key arrays under the maximal part label), anything else
+    [Whole].  [hwts-serve]'s entry point; otherwise as {!submit}. *)
+
 val submit : t -> Wire.request -> (Wire.response -> unit) -> unit
-(** Route a request.  The completion runs exactly once: on a worker
-    domain, or under the inline executor on the submitting thread before
+(** Route a request: {!serve} through an adapter that merges a range's
+    parts and builds a batch's [Rbatch], so an in-process caller only
+    sees [Wire.response] values.  The completion runs exactly once: on a
+    worker domain, or under the inline executor on the submitting thread before
     [submit] returns (at the end of the {!round} when called inside
     one); and inline for [Ping], out-of-range keys and empty batches.
     A submit made from inside a completion enqueues, and the drain in
@@ -86,11 +94,11 @@ val submit : t -> Wire.request -> (Wire.response -> unit) -> unit
     shards when a stopping shard refuses any part of it, never a partial
     answer.
 
-    A [Batch]'s in-range Get/Insert/Delete ops reach each owning shard
-    as one task, run in batch order; if a stopping shard refuses one,
-    every point position answers [Err].  Its other sub-requests are
-    routed one at a time after those tasks, so each read in a batch sees
-    every point op of the batch. *)
+    A [Batch] is packed ({!Wire.pack}); its in-range Get/Insert/Delete
+    ops reach each owning shard as one task, run in batch order; if a
+    stopping shard refuses one, every point position answers [Err].
+    Its other sub-requests are routed one at a time after those tasks,
+    so each read in a batch sees every point op of the batch. *)
 
 val round : t -> (unit -> 'a) -> 'a
 (** [round t f] runs [f], whose submits form one drain unit: under the

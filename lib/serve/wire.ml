@@ -67,13 +67,60 @@ let rec response_size ~nested = function
 let request_size = request_size ~nested:false
 let response_size = response_size ~nested:false
 
+(* --- packed point batches and answers from pieces ------------------ *)
+
+(* A Batch's members packed as their wire bytes, an opcode and an 8-byte
+   key each (a member that is not a point op is 9 zero bytes), in chunks
+   of [chunk_ops]: 2043 bytes, a 256-word block, the largest the runtime
+   allocates in the minor heap.  [marks] has one answer byte per member. *)
+type points = { n : int; ops : Bytes.t array; marks : Bytes.t }
+type incoming = Request of request | Points of points
+
+type answer =
+  | Whole of response
+  | Parts of int * int array array
+  | Marks of points * response array
+
+let stopping = Err "server stopping"
+let chunk_ops = 227
+let length p = p.n
+let chunk p i = p.ops.(i / chunk_ops)
+let at i = 9 * (i mod chunk_ops)
+let key p i = Int64.to_int (Bytes.get_int64_be (chunk p i) (at i + 1))
+let op p i = Char.code (Bytes.get (chunk p i) (at i))
+
+(* A member's mark: its answer is Bool false, Bool true (the mark is the
+   bool's byte), the next of the others in order, or [stopping]. *)
+let no = 0
+let yes = 1
+let next = 2
+let refused = 3
+let mark p i = Char.code (Bytes.get p.marks i)
+let set_mark p i m = Bytes.set p.marks i (Char.chr m)
+
+let member p i =
+  let k = key p i and op = op p i in
+  if op = op_get then Get k
+  else if op = op_insert then Insert k
+  else if op = op_delete then Delete k
+  else Ping
+
+(* [n] members, chunk [j] made by [chunk j len] ([len] bytes) *)
+let packed n chunk =
+  let ops = Array.make ((n + chunk_ops - 1) / chunk_ops) Bytes.empty in
+  Array.iteri (fun j _ -> ops.(j) <- chunk j (9 * min chunk_ops (n - (j * chunk_ops)))) ops;
+  { n; ops; marks = Bytes.make n (Char.chr no) }
+
 (* One size pass, then one write pass per window of the frame (a whole
    frame is one window): frame bytes [lo, hi), byte [f] going to
    [dst.(base + f)].  A writer puts the bytes of its value, starting at
    [f], that fall in the window, and returns the offset after it.  Key
-   and bool arrays are indexed at the window; any other value outside
-   it costs one step.  Counts fit in 32 bits: frames are capped at max_payload. *)
-type window = { dst : Bytes.t; base : int; lo : int; hi : int }
+   and bool arrays are indexed at the window; the members of parts,
+   marks or a Keyss answer are walked from a cursor, so such a frame
+   written in consecutive windows costs O(bytes + members) in all; any
+   other value outside the window costs one step.  Counts fit in 32
+   bits: frames are capped at max_payload. *)
+type window = { mutable dst : Bytes.t; mutable base : int; mutable lo : int; mutable hi : int }
 
 (* A [width]-byte big-endian field at [f]; a field cut by an edge of the
    window is written byte by byte. *)
@@ -95,13 +142,15 @@ let put w f width v =
 
 let put_count w f op n = put w (put w f 1 op) 4 n
 
-let put_ints w f keys =
+let put_keys w f keys =
   let n = Array.length keys in
-  let f = put w f 4 n in
   for i = max 0 ((w.lo - f) / 8) to min n ((w.hi - f + 7) / 8) - 1 do
     ignore (put w (f + (8 * i)) 8 (Array.unsafe_get keys i))
   done;
   f + (8 * n)
+
+let put_ints w f keys = put_keys w (put w f 4 (Array.length keys)) keys
+let put_keyss w f label kss = put w (put w (put w f 1 op_keyss) 8 label) 4 (Array.length kss)
 
 let rec put_request w f = function
   | Get k -> put w (put w f 1 op_get) 8 k
@@ -117,6 +166,18 @@ let rec put_request w f = function
       (fun f (lo, hi) -> put w (put w f 8 lo) 8 hi)
       (put_count w f op_multirange (Array.length ranges))
       ranges
+
+(* each point op written as on the wire, into its 9 bytes of a chunk *)
+let pack reqs =
+  let p = packed (Array.length reqs) (fun _ len -> Bytes.make len '\000') in
+  Array.iteri
+    (fun i r ->
+      match r with
+      | Get _ | Insert _ | Delete _ ->
+        ignore (put_request { dst = chunk p i; base = at i; lo = 0; hi = 9 } 0 r)
+      | _ -> ())
+    reqs;
+  p
 
 let rec put_response w f = function
   | Bool v -> put w (put w f 1 op_bool) 1 (Bool.to_int v)
@@ -137,30 +198,100 @@ let rec put_response w f = function
       ignore (put w (f + i) 1 (Bool.to_int bs.(i)))
     done;
     f + n
-  | Keyss (label, kss) ->
-    Array.fold_left (put_ints w)
-      (put w (put w (put w f 1 op_keyss) 8 label) 4 (Array.length kss))
-      kss
+  | Keyss (label, kss) -> Array.fold_left (put_ints w) (put_keyss w f label kss) kss
 
-let blit write (n, v) ~src dst pos len =
+(* Where the last window of a frame stopped: the first member not wholly
+   before it, that member's offset and the others taken before it
+   (marks); [w] is the window, reused. *)
+type cursor = { mutable member : int; mutable at : int; mutable other : int; w : window }
+
+let cursor () = { member = 0; at = 0; other = 0; w = { dst = Bytes.empty; base = 0; lo = 0; hi = 0 } }
+
+(* Members [i, n) of [a], member [i] at [f] with [j] others taken before
+   it, stopped at the window's end: past the window, the result is only
+   known to be above [w.hi].  No closure: a window allocates nothing
+   here. *)
+let rec walk w c a n i f j =
+  if i = n then f
+  else if f >= w.hi then w.hi + 1
+  else begin
+    let f' =
+      match a with
+      | Whole (Keyss (_, kss)) -> put_ints w f kss.(i)
+      | Parts (_, parts) -> put_keys w f parts.(i)
+      | Marks (p, others) ->
+        let m = mark p i in
+        if m = next then put_response w f others.(j)
+        else if m = refused then put_response w f stopping
+        else put w (put w f 1 op_bool) 1 m
+      | Whole _ -> invalid_arg "Wire: a response without a cursor walk"
+    in
+    let j = match a with Marks (p, _) when mark p i = next -> j + 1 | _ -> j in
+    if f' <= w.hi then begin
+      c.member <- i + 1;
+      c.at <- f';
+      c.other <- j
+    end;
+    walk w c a n (i + 1) f' j
+  end
+
+(* [a]'s [n] members from offset [f0], resumed at the cursor when it is
+   past [f0] *)
+let members w c a f0 n = if c.at >= f0 then walk w c a n c.member c.at c.other else walk w c a n 0 f0 0
+
+let put_answer w c f = function
+  | Whole (Keyss (label, kss)) as a -> members w c a (put_keyss w f label kss) (Array.length kss)
+  | Whole r -> put_response w f r
+  | Parts (label, parts) as a ->
+    (* the key count, summed only while the header is in the window *)
+    if f + 13 > w.lo then
+      ignore
+        (put w (put w (put w f 1 op_keys) 8 label) 4
+           (Array.fold_left (fun n keys -> n + Array.length keys) 0 parts));
+    members w c a (f + 13) (Array.length parts)
+  | Marks (p, _) as a -> members w c a (put_count w f op_rbatch p.n) p.n
+
+(* A piece answer's payload size: where a write pass over a window past
+   every frame ends. *)
+let answer_size = function
+  | Whole r -> response_size r
+  | a -> put_answer { dst = Bytes.empty; base = 0; lo = max_int; hi = max_int } (cursor ()) 0 a
+
+(* Bytes [src, src + len) of the frame of answer [a], [n] payload
+   bytes, written at [dst.(pos)] through the cursor's window.  A cursor
+   follows one frame's consecutive windows; an earlier window starts it
+   again. *)
+let blit_answer c (n, a) ~src dst pos len =
   if
     n > max_payload || src < 0 || len < 0 || src + len > 4 + n || pos < 0
     || pos + len > Bytes.length dst
   then invalid_arg "Wire.blit_frame";
-  let w = { dst; base = pos - src; lo = src; hi = src + len } in
-  ignore (write w (put w 0 4 n) v)
+  if src = 0 || src < c.at then c.at <- 0;
+  let w = c.w in
+  w.dst <- dst;
+  w.base <- pos - src;
+  w.lo <- src;
+  w.hi <- src + len;
+  ignore (put_answer w c (put w 0 4 n) a);
+  w.dst <- Bytes.empty
 
-let blit_frame = blit put_response
+let blit_frame (n, r) ~src dst pos len = blit_answer (cursor ()) (n, Whole r) ~src dst pos len
 
-let frame size write v =
+let frame size v =
   let n = size v in
   if n > max_payload then invalid_arg "Wire: frame exceeds max_payload";
-  let b = Bytes.create (4 + n) in
-  blit write (n, v) ~src:0 b 0 (4 + n);
+  (Bytes.create (4 + n), n)
+
+let request_frame r =
+  let b, n = frame request_size r in
+  let w = { dst = b; base = 0; lo = 0; hi = 4 + n } in
+  ignore (put_request w (put w 0 4 n) r);
   b
 
-let request_frame = frame request_size put_request
-let response_frame = frame response_size put_response
+let response_frame r =
+  let b, n = frame response_size r in
+  blit_frame (n, r) ~src:0 b 0 (4 + n);
+  b
 
 let encode_request buf r = Buffer.add_bytes buf (request_frame r)
 let encode_response buf r = Buffer.add_bytes buf (response_frame r)
@@ -199,8 +330,8 @@ let feed d src off len =
   Bytes.blit src off d.buf (d.start + d.len) len;
   d.len <- d.len + len
 
-(* cursor over one frame's payload *)
-type cursor = { bytes : Bytes.t; stop : int; mutable pos : int }
+(* a read position in one frame's payload *)
+type reader = { bytes : Bytes.t; stop : int; mutable pos : int }
 
 let need c n what =
   if c.pos + n > c.stop then malformed "truncated %s" what
@@ -341,5 +472,37 @@ let next_frame d read =
     end
   end
 
-let next_request d = next_frame d read_request
+(* A Batch of point ops only (every member 9 bytes, a point opcode at
+   each member's offset) is packed, its chunks copied out of the frame;
+   any other frame is parsed. *)
+let rec points_only b f stop =
+  f = stop
+  ||
+  let op = Char.code (Bytes.get b f) in
+  op >= op_get && op <= op_delete && points_only b (f + 9) stop
+
+let read_incoming c ~nested =
+  let b = c.bytes and p = c.pos in
+  if
+    Char.code (Bytes.get b p) = op_batch
+    && c.stop - p >= 5
+    && c.stop - p = 5 + (9 * u32 b (p + 1))
+    && points_only b (p + 5) c.stop
+  then begin
+    c.pos <- c.stop;
+    Points (packed (u32 b (p + 1)) (fun j len -> Bytes.sub b (p + 5 + (9 * j * chunk_ops)) len))
+  end
+  else Request (read_request c ~nested)
+
+let next_incoming d = next_frame d read_incoming
+
+let next_request d =
+  match next_incoming d with
+  | Some (Points p) ->
+    let a = Array.make p.n Ping in
+    Array.iteri (fun i _ -> a.(i) <- member p i) a;
+    Some (Batch a)
+  | Some (Request r) -> Some r
+  | None -> None
+
 let next_response d = next_frame d read_response

@@ -68,6 +68,69 @@ val blit_frame : int * response -> src:int -> Bytes.t -> int -> int -> unit
     through a fixed buffer with no frame of its own.  Raises
     [Invalid_argument] on [n] above {!max_payload} or a bad window. *)
 
+(** {2 Point batches and answers from pieces}
+
+    [hwts-serve]'s forms, never an in-process caller's: {!next_incoming}
+    packs a [Batch] of point ops, and an {!answer} is one [response]'s
+    frame written from its pieces. *)
+
+type points
+(** A [Batch]'s members packed, 9 bytes each, in chunks of at most 256
+    words (young blocks), with one answer mark each ({!no} at first).
+    {!pack} packs any member that is not a point op as opcode 0, key 0,
+    {!member} [Ping]. *)
+
+val pack : request array -> points
+val length : points -> int
+
+val op : points -> int -> int
+(** Member [i]'s opcode: {!op_get}, {!op_insert}, {!op_delete}, or 0 for
+    a member that is not a point op. *)
+
+val op_get : int
+val op_insert : int
+val op_delete : int
+val key : points -> int -> int
+val member : points -> int -> request
+
+(** Member [i]'s mark says how it answers: {!no} [Bool false], {!yes}
+    [Bool true], {!next} the next of the others in order, {!refused}
+    {!stopping}. *)
+
+val no : int
+val yes : int
+val next : int
+val refused : int
+val mark : points -> int -> int
+val set_mark : points -> int -> int -> unit
+
+val stopping : response
+(** [Err "server stopping"]: a refused request's answer. *)
+
+type answer =
+  | Whole of response
+  | Parts of int * int array array
+      (** [Keys (label, keys)], [keys] the parts' concatenation *)
+  | Marks of points * response array
+      (** [Rbatch], member [i] answered by its {!mark} *)
+
+val answer_size : answer -> int
+
+type cursor
+(** Where the last window of a frame stopped among its members. *)
+
+val cursor : unit -> cursor
+
+val blit_answer :
+  cursor -> int * answer -> src:int -> Bytes.t -> int -> int -> unit
+(** {!blit_frame} for an answer.  A cursor kept across a frame's
+    consecutive windows (one at [src = 0] resets it) starts each at the
+    member of [Parts], [Marks] or a [Whole (Keyss _)] the last one
+    stopped in, so such a frame costs O(bytes + members) in all and a
+    window allocates nothing.  A [Whole (Rbatch _)] (the server answers
+    every batch as [Marks]) and a [Keyss] among a batch's others walk
+    their members from the start in each window they span. *)
+
 val encode_request : Buffer.t -> request -> unit
 (** Append {!request_frame}'s bytes. *)
 
@@ -88,6 +151,14 @@ val buffered : decoder -> int
 
 val next_request : decoder -> request option
 (** The next complete request frame, or [None] if more bytes are needed.
-    Raises {!Malformed} on protocol violations. *)
+    Raises {!Malformed} on protocol violations.  {!next_incoming}
+    unpacked. *)
+
+type incoming = Request of request | Points of points
+
+val next_incoming : decoder -> incoming option
+(** {!next_request}'s one parser: a [Batch] whose members are all
+    Get/Insert/Delete comes as [Points], copied out of the frame with no
+    request per member; any other frame as [Request]. *)
 
 val next_response : decoder -> response option

@@ -379,10 +379,10 @@ let client_reset_mid_answer () =
 
 (* ---------- cross-shard answers ---------- *)
 
-let with_router ?(executor = `Domains) ~key_space f =
+let with_router ?(executor = `Domains) ?(shards = 2) ~key_space f =
   let router =
     Serve.Shards.create ~executor ~structure:"bst-vcas" ~provider:`Logical
-      ~shards:2 ~key_space ~coalesce:true ()
+      ~shards ~key_space ~coalesce:true ()
   in
   Fun.protect ~finally:(fun () -> Serve.Shards.stop router) (fun () -> f router)
 
@@ -538,13 +538,19 @@ let hist_count name = Hwts_obs.Histogram.count (Hwts_obs.Registry.histogram name
    router (labels aside).  The reads in the middle cover keys no op of
    the batch writes; the ones at the end see every write.  Each in-range
    sub-op is one [serve.point.ops], and every point sub-op one sample of
-   its class's latency histogram. *)
-let batch_matches_one_at_a_time ~executor () =
+   its class's latency histogram.  Over [tcp], the batch is sent to a
+   server on the router, then a batch of only its point ops (decoded
+   packed), answered beside the twin's one-at-a-time answers to them.
+   With three [shards] the last shard's span, [69, 102], runs past the
+   key space: Insert 101 and Delete 102 still answer Err, with in-range
+   ops of that shard in the same batch. *)
+let batch_matches_one_at_a_time ~tcp ~shards ~executor () =
   let open Wire in
   let reqs =
     [|
       Insert 10; Insert 60; Get 10; Get 61; Insert 0; Get 101; Range (25, 58);
-      Delete 10; Insert 61; Ping; Get 60; MultiGet [| 30; 55; 57; 200 |];
+      Insert 101; Delete 10; Insert 61; Ping; Get 60; Delete 102; Get 102;
+      MultiGet [| 30; 55; 57; 200 |];
       Delete 0; Insert 10; Insert 10; Delete 99; Get 61; Delete 60; Get 60;
       Insert 20; Get 30; Range (1, 100); MultiGet [| 10; 20; 60; 61 |];
       MultiRange [| (1, 50); (55, 70) |];
@@ -562,27 +568,49 @@ let batch_matches_one_at_a_time ~executor () =
       ("serve.latency.delete", function Delete _ -> true | _ -> false);
     ]
   in
-  with_router ~executor ~key_space:100 @@ fun batched ->
-  with_router ~executor ~key_space:100 @@ fun twin ->
+  with_router ~executor ~shards ~key_space:100 @@ fun batched ->
+  with_router ~executor ~shards ~key_space:100 @@ fun twin ->
   List.iter
     (fun router ->
       ignore (Serve.Shards.exec router (Batch [| Insert 30; Insert 55 |])))
     [ batched; twin ];
+  let points =
+    Array.of_list
+      (List.filter (function Get _ | Insert _ | Delete _ -> true | _ -> false) (Array.to_list reqs))
+  in
+  let batches = if tcp then [ reqs; points ] else [ reqs ] in
   let ops0 = Option.get (Hwts_obs.Registry.counter_value "serve.point.ops") in
   let samples0 = List.map (fun (h, _) -> hist_count h) classes in
-  let got = Serve.Shards.exec batched (Batch reqs) in
+  let got =
+    if not tcp then [ Serve.Shards.exec batched (Batch reqs) ]
+    else begin
+      let server = Serve.Server.start ~port:0 batched in
+      Fun.protect ~finally:(fun () -> Serve.Server.stop server) @@ fun () ->
+      let cl = client (Serve.Server.port server) in
+      Fun.protect ~finally:(fun () -> Unix.close cl.fd) @@ fun () ->
+      List.map
+        (fun b ->
+          send cl.fd (Batch b);
+          recv_exn cl)
+        batches
+    end
+  in
   let ops1 = Option.get (Hwts_obs.Registry.counter_value "serve.point.ops") in
   let samples1 = List.map (fun (h, _) -> hist_count h) classes in
-  let want = Array.map (Serve.Shards.exec twin) reqs in
-  (match got with
-  | Rbatch rs ->
-    Alcotest.(check (array string))
-      "answers" (Array.map show want) (Array.map show rs)
-  | r -> Alcotest.failf "expected Rbatch, got %s" (show r));
-  Alcotest.(check int) "serve.point.ops" (count in_range) (ops1 - ops0);
+  List.iter2
+    (fun b got ->
+      let want = Array.map (Serve.Shards.exec twin) b in
+      match got with
+      | Rbatch rs ->
+        Alcotest.(check (array string))
+          "answers" (Array.map show want) (Array.map show rs)
+      | r -> Alcotest.failf "expected Rbatch, got %s" (show r))
+    batches got;
+  let times = List.length batches in
+  Alcotest.(check int) "serve.point.ops" (times * count in_range) (ops1 - ops0);
   List.iteri
     (fun i (h, f) ->
-      Alcotest.(check int) h (count f) (List.nth samples1 i - List.nth samples0 i))
+      Alcotest.(check int) h (times * count f) (List.nth samples1 i - List.nth samples0 i))
     classes
 
 let rejected = Wire.Err "server stopping"
@@ -612,7 +640,8 @@ let batch_after_stop ~executor () =
 
 (* Arrays over 256 words seeded with a young block ([Array.init]'s way)
    cost a forced minor collection, which under OCaml 5 stops every
-   domain.  The decoder's arrays of boxed values must not. *)
+   domain.  The decoder's arrays of boxed values must not, nor the
+   packed decode of point batches (60,000 ops: 265 chunks). *)
 let decode_forces_no_collection () =
   let open Wire in
   let reqs =
@@ -631,14 +660,29 @@ let decode_forces_no_collection () =
     List.iter (fun b -> feed d b 0 (Bytes.length b)) frames;
     d
   in
+  let points = [ 512; 60_000 ] in
   let qd = fed (List.map request_frame reqs)
-  and rd = fed (List.map response_frame resps) in
+  and rd = fed (List.map response_frame resps)
+  and pd =
+    fed
+      (List.map
+         (fun n -> request_frame (Batch (Array.init n (fun i -> Delete (i + 1)))))
+         points)
+  in
   Gc.minor ();
   let before = (Gc.quick_stat ()).Gc.minor_collections in
   let got_reqs = List.map (fun _ -> next_request qd) reqs in
   let got_resps = List.map (fun _ -> next_response rd) resps in
+  let got_points = List.map (fun _ -> next_incoming pd) points in
   let after = (Gc.quick_stat ()).Gc.minor_collections in
   Alcotest.(check int) "minor collections while decoding" before after;
+  List.iter2
+    (fun n -> function
+      | Some (Points p) ->
+        Alcotest.(check int) "packed ops" n (length p);
+        Alcotest.(check bool) "last op" true (member p (n - 1) = Delete n)
+      | _ -> Alcotest.fail "a point batch was not packed")
+    points got_points;
   Alcotest.(check bool) "requests round-trip" true
     (got_reqs = List.map Option.some reqs);
   Alcotest.(check bool) "responses round-trip" true
@@ -778,12 +822,27 @@ let streamed_answers ~executor () =
       List.iter (fun (req, _) -> send cl.fd req) script;
       List.iter (fun (_, expect) -> expect (recv_exn cl)) script)
 
+(* Words [f ()] allocated on every domain, counting a promoted block
+   once: a minor collection, which empties every domain's minor heap,
+   brings each domain's counters up to date before and after. *)
+let words_everywhere f =
+  let words () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let w0 = words () in
+  let r = f () in
+  (r, int_of_float (words () -. w0))
+
 (* Serving the same 131,072-key cross-shard range a second time
-   allocates, on the domain that serves it, at most what [Shards.exec]
-   of that range allocates there (inline, the parts and their merge;
-   with worker domains, nearly nothing), plus 16k words for the loop's
-   turns: no frame of the answer's size (131k words) is built.  The
-   client runs on a domain of its own, so its decoding is not counted. *)
+   allocates 131,072 words fewer than [Shards.exec] of that range, less
+   2,048 words for the server loop's turns (measured: ~700 more than
+   [exec]'s own overhead): the answer is written from its two parts,
+   with no merged array (131k words) and no frame of its own.  Words
+   are counted on every domain (a shard's completion, and with it
+   [exec]'s merge, runs on a worker domain), less the client's, which
+   it counts on its own domain: its decoding is not the server's. *)
 let served_range_allocates_no_frame ~executor () =
   let key_space = 131_072 in
   let router =
@@ -795,9 +854,10 @@ let served_range_allocates_no_frame ~executor () =
   let range = Wire.Range (1, key_space) in
   ignore (Serve.Shards.exec router (inserts key_space));
   ignore (Serve.Shards.exec router range);
-  let _, exec_words = Util.allocated_words (fun () -> Serve.Shards.exec router range) in
+  let _, exec_words = words_everywhere (fun () -> Serve.Shards.exec router range) in
   let port = Serve.Server.port server in
   let go = Atomic.make 0 and answered = Atomic.make 0 and intact = Atomic.make 0 in
+  let client_words = Atomic.make 0 in
   let reader =
     Domain.spawn (fun () ->
         let cl = client port in
@@ -806,14 +866,19 @@ let served_range_allocates_no_frame ~executor () =
           while Atomic.get go < i do
             Unix.sleepf 0.001
           done;
-          (match
-             send cl.fd range;
-             recv cl
-           with
+          let got, words =
+            Util.allocated_words (fun () ->
+                try
+                  send cl.fd range;
+                  recv cl
+                with Unix.Unix_error _ -> None)
+          in
+          Atomic.set client_words words;
+          (match got with
           | Some (Wire.Keys (_, keys))
             when Array.length keys = key_space && keys.(key_space - 1) = key_space ->
             Atomic.incr intact
-          | _ | (exception Unix.Unix_error _) -> ());
+          | _ -> ());
           Atomic.incr answered
         done)
   in
@@ -824,13 +889,72 @@ let served_range_allocates_no_frame ~executor () =
     done
   in
   serve_once 1;
-  let (), served_words = Util.allocated_words (fun () -> serve_once 2) in
+  let (), words = words_everywhere (fun () -> serve_once 2) in
   Domain.join reader;
+  let served_words = words - Atomic.get client_words in
   Alcotest.(check int) "both answers intact" 2 (Atomic.get intact);
   Alcotest.(check bool)
     (Printf.sprintf "served in %d words, exec in %d" served_words exec_words)
     true
-    (served_words <= exec_words + (key_space / 8))
+    (served_words + key_space <= exec_words + 2_048)
+
+(* Words [f ()] allocated directly in this domain's major heap: what the
+   major heap gained, less what minor collections promoted into it. *)
+let direct_major_words f =
+  let _, pr0, ma0 = Gc.counters () in
+  let r = f () in
+  let _, pr1, ma1 = Gc.counters () in
+  (r, int_of_float (ma1 -. ma0 -. (pr1 -. pr0)))
+
+(* A served 512-op Batch of Inserts makes no block of its own in the
+   major heap of the domain that serves it: its ops are packed in chunks
+   of at most 256 words and its answer is a mark byte per op, all young,
+   so the major heap gains only what minor collections promote.  (A
+   batch decoded as a request array put that array and its [Rbatch]
+   answer there directly: over 1,000 words.)
+   The first batch grows the connection's decoder buffer, so the second
+   is measured; the client runs on a domain of its own. *)
+let served_batch_no_major ~executor () =
+  let key_space = 4_096 in
+  let router =
+    Serve.Shards.create ~executor ~structure:"bst-vcas" ~provider:`Logical
+      ~shards:2 ~key_space ~coalesce:true ()
+  in
+  let server = Serve.Server.start ~port:0 router in
+  Fun.protect ~finally:(fun () -> Serve.Server.stop server) @@ fun () ->
+  let port = Serve.Server.port server in
+  let go = Atomic.make 0 and answered = Atomic.make 0 and intact = Atomic.make 0 in
+  let reader =
+    Domain.spawn (fun () ->
+        let cl = client port in
+        Fun.protect ~finally:(fun () -> Unix.close cl.fd) @@ fun () ->
+        for b = 1 to 2 do
+          while Atomic.get go < b do
+            Unix.sleepf 0.001
+          done;
+          (match
+             send cl.fd (Wire.Batch (Array.init 512 (fun i -> Wire.Insert ((8 * i) + b))));
+             recv cl
+           with
+          | Some (Wire.Rbatch rs) when Array.for_all (fun r -> r = Wire.Bool true) rs ->
+            Atomic.incr intact
+          | _ | (exception Unix.Unix_error _) -> ());
+          Atomic.incr answered
+        done)
+  in
+  let serve_once b =
+    Atomic.set go b;
+    while Atomic.get answered < b do
+      Unix.sleepf 0.001
+    done
+  in
+  serve_once 1;
+  let (), direct = direct_major_words (fun () -> serve_once 2) in
+  Domain.join reader;
+  Alcotest.(check int) "both batches answered true at every op" 2 (Atomic.get intact);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words allocated directly in the major heap" direct)
+    true (direct < 257)
 
 (* One Ping on a fresh connection: its answer, or [None] if the
    connection fails or nothing arrives within [timeout] seconds. *)
@@ -974,7 +1098,7 @@ let subprocess_sigint () =
           ("metrics mention " ^ name) true
           (contains ~needle:name contents))
       [ "serve.requests"; "gc.minor_collections"; "gc.major_collections";
-        "gc.heap_words" ]
+        "gc.heap_words"; "gc.top_heap_words"; "gc.major_words"; "gc.promoted_words" ]
 
 (* A server limited to 64 descriptors runs out of them under 80
    connections and fails [accept] with EMFILE.  Once those connections
@@ -1228,7 +1352,13 @@ let () =
               (refused_part_fails_request ~expect:all_stopping
                  (Wire.Batch [| Wire.Insert 10; Wire.Get 60 |]));
           ]
-        @ both "batch: answers match one at a time" batch_matches_one_at_a_time
+        @ both "batch: answers match one at a time" (batch_matches_one_at_a_time ~tcp:false ~shards:2)
+        @ both "batch over TCP: answers match one at a time"
+            (batch_matches_one_at_a_time ~tcp:true ~shards:2)
+        @ both "batch: a last shard past the key space"
+            (batch_matches_one_at_a_time ~tcp:false ~shards:3)
+        @ both "batch over TCP: a last shard past the key space"
+            (batch_matches_one_at_a_time ~tcp:true ~shards:3)
         @ both "batch: after stop, Err at every point" batch_after_stop );
       ( "inline",
         [
@@ -1255,6 +1385,8 @@ let () =
         @ both "stop drains in-flight" stop_drains_inflight
         @ both "answers streamed through partial writes" streamed_answers
         @ both "a served range allocates no frame" served_range_allocates_no_frame
+        @ both "a served point batch makes no direct major allocation"
+            served_batch_no_major
         @ both "stop cuts a client that stopped reading"
             stop_cuts_client_not_reading
         @ [

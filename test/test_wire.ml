@@ -224,6 +224,48 @@ let response_round_trip () =
     cases;
   Alcotest.(check int) "streamed: no leftover bytes" 0 (Wire.buffered d)
 
+(* ---------- packed point batches ---------- *)
+
+(* A Batch whose members are all Get/Insert/Delete decodes as packed
+   points with the same members, every mark [No]; next_request unpacks
+   it to the same Batch.  Any other frame, a batch of 9-byte-aligned
+   other members included, decodes as a Request. *)
+let packed_decode () =
+  let points = Array.init 500 (fun i -> match i mod 3 with 0 -> Wire.Get (i - 7) | 1 -> Wire.Insert (max_int - i) | _ -> Wire.Delete min_int) in
+  let incoming r =
+    let d = Wire.decoder () in
+    feed_all d (Wire.request_frame r);
+    Option.get (Wire.next_incoming d)
+  in
+  List.iter
+    (fun reqs ->
+      (match incoming (Wire.Batch reqs) with
+      | Wire.Points p ->
+        Alcotest.(check int) "members" (Array.length reqs) (Wire.length p);
+        Array.iteri
+          (fun i r ->
+            Alcotest.check request "member" r (Wire.member p i);
+            Alcotest.(check int) "mark" Wire.no (Wire.mark p i))
+          reqs
+      | Wire.Request _ -> Alcotest.fail "a point batch was not packed");
+      Alcotest.check request "next_request unpacks" (Wire.Batch reqs)
+        (decode_one_req (Wire.request_frame (Wire.Batch reqs))))
+    [ points; [| Wire.Get 1 |]; [||] ];
+  List.iter
+    (fun r ->
+      match incoming r with
+      | Wire.Request got -> Alcotest.check request "parsed" r got
+      | Wire.Points _ -> Alcotest.fail "a batch with other members was packed")
+    [
+      Wire.Batch [| Wire.Range (1, 2); Wire.Ping |];
+      Wire.Batch [| Wire.Get 1; Wire.Ping |];
+      Wire.Get 5;
+      Wire.Ping;
+    ];
+  let p = Wire.pack [| Wire.Insert 4; Wire.Range (1, 2); Wire.Delete (-3) |] in
+  Alcotest.(check (list int)) "packed keys" [ 4; 0; -3 ] (List.init 3 (Wire.key p));
+  Alcotest.(check (list int)) "ops" [ Wire.op_insert; 0; Wire.op_delete ] (List.init 3 (Wire.op p))
+
 (* ---------- exact-size frames ---------- *)
 
 (* Every constructor, empty arrays and an empty Err included: the frame
@@ -382,6 +424,116 @@ let windowed_frames () =
       ("a negative offset", -1, 0, 2);
       ("a window past the buffer", 0, buf_size - 2, 3);
     ]
+
+(* ---------- answers from pieces, through a cursor ---------- *)
+
+(* The response an answer stands for, as the in-process adapter builds
+   it. *)
+let response_of = function
+  | Wire.Whole r -> r
+  | Wire.Parts (label, parts) -> Wire.Keys (label, Array.concat (Array.to_list parts))
+  | Wire.Marks (p, others) ->
+    let j = ref 0 in
+    Wire.Rbatch
+      (Array.init (Wire.length p) (fun i ->
+           match Wire.mark p i with
+           | m when m = Wire.no -> Wire.Bool false
+           | m when m = Wire.yes -> Wire.Bool true
+           | m when m = Wire.refused -> Wire.stopping
+           | _ ->
+             incr j;
+             others.(!j - 1)))
+
+(* [a]'s frame written through consecutive windows of [window] bytes,
+   with [cursor] or, without one, a fresh cursor each window *)
+let windowed ?cursor a ~window =
+  let n = Wire.answer_size a in
+  let got = Bytes.create (4 + n) in
+  let sent = ref 0 in
+  while !sent < 4 + n do
+    let k = min window (4 + n - !sent) in
+    let cursor = match cursor with Some c -> c | None -> Wire.cursor () in
+    Wire.blit_answer cursor (n, a) ~src:!sent got !sent k;
+    sent := !sent + k
+  done;
+  got
+
+(* A batch packed from [reqs]: each point op marked by [point i], each
+   other member answered by the next of [others]. *)
+let marks reqs ~point others =
+  let p = Wire.pack reqs in
+  Array.iteri
+    (fun i r ->
+      Wire.set_mark p i
+        (match r with
+        | Wire.Get _ | Wire.Insert _ | Wire.Delete _ -> point i
+        | _ -> Wire.next))
+    reqs;
+  Wire.Marks (p, others)
+
+(* Every answer form, each piece form beside plain responses with
+   members, gives response_frame's bytes through 7-byte and 16 KiB
+   windows, with one cursor kept across all the frames (each frame's
+   first window resets it) and without one.  The large frames, the
+   forms a cursor walks (marks, parts, a Keyss), take members x windows
+   steps without one, so they only run with one. *)
+let answers_through_a_cursor () =
+  let keys n = Array.init n (fun i -> (i * 7919) - 40_000) in
+  let mixed =
+    [|
+      Wire.Insert 3; Wire.Range (1, 9); Wire.Get 4; Wire.Ping; Wire.Delete 5;
+      Wire.MultiRange [||]; Wire.Get 6; Wire.MultiGet [| 1 |]; Wire.Insert 7;
+    |]
+  in
+  let small =
+    [
+      ("Whole Keys", Wire.Whole (Wire.Keys (3, keys 5_000)));
+      ( "Whole Rbatch with a Keyss",
+        Wire.Whole
+          (Wire.Rbatch
+             [| Wire.Bool true; Wire.Keyss (4, Array.init 40 keys); Wire.Err "e"; Wire.Pong |]) );
+      ("Whole Keyss", Wire.Whole (Wire.Keyss (17, Array.init 50 keys)));
+      ("Whole Bool", Wire.Whole (Wire.Bool false));
+      ("Parts, two", Wire.Parts (9, [| keys 3_000; keys 2_500 |]));
+      ("Parts, empty ones", Wire.Parts (-1, [| [||]; keys 7; [||]; keys 4_000; [||] |]));
+      ("Parts, none", Wire.Parts (0, [||]));
+      ( "Marks of points",
+        marks (Array.init 3_000 (fun i -> Wire.Get i)) ~point:(fun i ->
+            if i mod 3 = 0 then Wire.yes else Wire.no) [||] );
+      ( "Marks of a mixed batch",
+        marks mixed
+          ~point:(fun i -> if i = 4 then Wire.refused else Wire.yes)
+          [|
+            Wire.Keys (2, keys 1_000); Wire.Pong; Wire.Keyss (5, Array.init 60 keys);
+            Wire.Bools (6, [| true |]);
+          |] );
+      ("Marks, none", marks [||] ~point:(fun _ -> Wire.no) [||]);
+    ]
+  and large =
+    [
+      ( "Marks of 100,000 points",
+        marks (Array.init 100_000 (fun i -> Wire.Insert i)) ~point:(fun i ->
+            if i land 1 = 0 then Wire.yes else Wire.refused) [||] );
+      ( "Whole Keyss of 100,000 ranges",
+        Wire.Whole (Wire.Keyss (1, Array.init 100_000 (fun i -> [| i |]))) );
+      ("Parts of 20,000 parts", Wire.Parts (1, Array.init 20_000 (fun i -> [| i |])));
+    ]
+  in
+  let cursor = Wire.cursor () in
+  List.iter
+    (fun window ->
+      List.iter
+        (fun (what, a) ->
+          let want = Wire.response_frame (response_of a) in
+          let check how got =
+            Alcotest.(check bytes)
+              (Printf.sprintf "%s, %d-byte windows, %s" what window how)
+              want got
+          in
+          check "a cursor" (windowed ~cursor a ~window);
+          if not (List.mem_assoc what large) then check "no cursor" (windowed a ~window))
+        (small @ large))
+    [ 7; 16384 ]
 
 (* ---------- pipelining / incremental feed ---------- *)
 
@@ -597,6 +749,7 @@ let () =
         [
           Alcotest.test_case "requests" `Quick request_round_trip;
           Alcotest.test_case "responses" `Quick response_round_trip;
+          Alcotest.test_case "packed point batches" `Quick packed_decode;
         ] );
       ( "exact-size",
         [
@@ -605,7 +758,10 @@ let () =
           Alcotest.test_case "max_payload boundary" `Quick max_payload_boundary;
         ] );
       ( "windowed",
-        [ Alcotest.test_case "windowed frames" `Quick windowed_frames ] );
+        [
+          Alcotest.test_case "windowed frames" `Quick windowed_frames;
+          Alcotest.test_case "answers through a cursor" `Quick answers_through_a_cursor;
+        ] );
       ( "incremental",
         [
           Alcotest.test_case "pipelined chunked feed" `Quick

@@ -5,20 +5,25 @@
    a final Range over the whole key space, every answer checked), pinned
    to one CPU, and prints the server's VmHWM and VmRSS after it starts
    and after each phase.  The gated server_rss_mb is the VmHWM after the
-   final read.
+   final read.  Each repetition's server is stopped with SIGTERM, as
+   hwts_bench stops it, and its --metrics-out gives the collections it
+   ran and the words they promoted.
 
      dune build bin/hwts_serve.exe bench/e2e_phases.exe
      _build/default/bench/e2e_phases.exe --workload scan-large
      make e2e-phases WORKLOAD=all
 
    One line per repetition and phase, then per workload a Markdown table
-   of the medians over the repetitions (VmHWM, then VmRSS, in MB).
+   of the medians over the repetitions (VmHWM, then VmRSS, in MB), and
+   the medians of the server's gc.minor_collections and
+   gc.promoted_words at shutdown.
    Every input comes from seed 1, as in every documented run.  Exits 1
    if an answer was wrong. *)
 
 open E2e
 
 let phases = [ "start"; "prefill"; "warmup"; "measured"; "final" ]
+let gauges = [ "gc.minor_collections"; "gc.promoted_words" ]
 let seed = 1
 
 (* VmHWM and VmRSS of [pid], in MB *)
@@ -33,19 +38,10 @@ let memory pid =
         (Seq.of_dispenser (fun () -> In_channel.input_line ic)));
   (!hwm, !rss)
 
-(* One repetition: (VmHWM, VmRSS) after each of [phases]. *)
-let rep (w : Spec.t) ~exe ~rep ~n ~prefill ~warm ~f =
-  let metrics = Filename.temp_file "e2e_phases" ".jsonl" in
-  let srv = Server_proc.start ~exe ~metrics w in
-  let pid = srv.Server_proc.pid in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.kill pid Sys.sigkill with _ -> ());
-      (try ignore (Unix.waitpid [] pid) with _ -> ());
-      Unix.close srv.Server_proc.out;
-      try Sys.remove metrics with _ -> ())
-  @@ fun () ->
-  let fds = Loadgen.connect ~port:srv.Server_proc.port Spec.connections in
+(* The phases of one repetition against the server [pid] on [port]:
+   (VmHWM, VmRSS) after each of [phases]. *)
+let phases_of (w : Spec.t) ~pid ~port ~rep ~n ~prefill ~warm ~f =
+  let fds = Loadgen.connect ~port Spec.connections in
   Fun.protect ~finally:(fun () -> Loadgen.close fds) @@ fun () ->
   let ledger = Check.ledger ~key_space:w.key_space ~initial:prefill in
   let checked reqs i resp =
@@ -86,6 +82,45 @@ let rep (w : Spec.t) ~exe ~rep ~n ~prefill ~warm ~f =
   in
   [ started; prefilled; warmed; measured; finished ]
 
+(* The value of each of [gauges] in a --metrics-out file (nan if absent). *)
+let gauge_values metrics =
+  let lines =
+    match Hwts_obs.Json.parse_lines (In_channel.with_open_bin metrics In_channel.input_all) with
+    | Ok lines -> lines
+    | Error _ | (exception Sys_error _) -> []
+  in
+  let value name =
+    List.find_map
+      (fun m ->
+        let open Hwts_obs.Json in
+        if Option.bind (member "name" m) to_str = Some name then
+          Option.bind (member "value" m) to_float
+        else None)
+      lines
+  in
+  List.map (fun name -> Option.value (value name) ~default:nan) gauges
+
+(* One repetition: (VmHWM, VmRSS) after each of [phases], and the
+   server's [gauges] at shutdown. *)
+let rep (w : Spec.t) ~exe ~rep ~n ~prefill ~warm ~f =
+  let metrics = Filename.temp_file "e2e_phases" ".jsonl" in
+  let srv = Server_proc.start ~exe ~metrics w in
+  let pid = srv.Server_proc.pid in
+  let stopped = ref false in
+  Fun.protect
+    ~finally:(fun () ->
+      if not !stopped then begin
+        (try Unix.kill pid Sys.sigkill with _ -> ());
+        (try ignore (Unix.waitpid [] pid) with _ -> ());
+        Unix.close srv.Server_proc.out
+      end;
+      try Sys.remove metrics with _ -> ())
+  @@ fun () ->
+  let mem = phases_of w ~pid ~port:srv.Server_proc.port ~rep ~n ~prefill ~warm ~f in
+  stopped := true;
+  Option.iter (Check.fail f) (Server_proc.stop srv);
+  (mem, gauge_values metrics)
+
 let run (w : Spec.t) ~exe ~seconds ~f =
   let reps = w.reps in
   let n = Spec.requests w ~seconds ~reps in
@@ -93,24 +128,35 @@ let run (w : Spec.t) ~exe ~seconds ~f =
   let warm = Spec.requests_of w ~seed Spec.Warmup (min n (Spec.warmup_requests w)) in
   let runs =
     List.init reps (fun r ->
-        let mem = rep w ~exe ~rep:r ~n ~prefill ~warm ~f in
+        let mem, gc = rep w ~exe ~rep:r ~n ~prefill ~warm ~f in
         List.iter2
           (fun name (hwm, rss) ->
             Printf.printf "%s rep %d %-8s VmHWM %6.2f MB  VmRSS %6.2f MB\n%!" w.name r name hwm rss)
           phases mem;
-        mem)
+        List.iter2 (Printf.printf "%s rep %d %s %.0f\n%!" w.name r) gauges gc;
+        (mem, gc))
   in
+  let gcs = List.map snd runs and runs = List.map fst runs in
   let cells f = String.concat "" (List.mapi (fun k name -> Printf.sprintf " %*s |" (String.length name) (f k)) phases) in
+  (* a Markdown header rule, right-aligned, for columns named [names] *)
+  let rule names = String.concat "" (List.map (fun name -> " " ^ String.make (String.length name - 1) '-' ^ ": |") names) in
   let row what pick =
     Printf.printf "| %-10s | %-5s |%s\n" w.name what
       (cells (fun k -> Printf.sprintf "%.2f" (Stats.median (List.map (fun m -> pick (List.nth m k)) runs))))
   in
   Printf.printf "\n%s: medians over %d repetitions, MB\n\n| workload   |       |%s\n|------------|-------|%s\n"
-    w.name reps (cells (List.nth phases))
-    (String.concat "" (List.map (fun name -> " " ^ String.make (String.length name - 1) '-' ^ ": |") phases));
+    w.name reps (cells (List.nth phases)) (rule phases);
   row "VmHWM" fst;
   row "VmRSS" snd;
-  print_newline ()
+  Printf.printf "\n%s: the server's gc gauges at shutdown, medians over %d repetitions\n\n| workload   |%s\n|------------|%s\n| %-10s |%s\n\n"
+    w.name reps
+    (String.concat "" (List.map (Printf.sprintf " %s |") gauges))
+    (rule gauges) w.name
+    (String.concat ""
+       (List.mapi
+          (fun k name ->
+            Printf.sprintf " %*.0f |" (String.length name) (Stats.median (List.map (fun g -> List.nth g k) gcs)))
+          gauges))
 
 let () =
   let workload = ref "" and seconds = ref 10. in

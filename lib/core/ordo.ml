@@ -54,6 +54,12 @@ let measure_uncertainty ?(rounds = 64) () = handshake_rounds rounds
 
 let cache = Atomic.make 0
 
+(* The cached bound as it stands, 0 before any measurement: exporting
+   the registry never runs a handshake. *)
+let () =
+  Hwts_obs.Registry.gauge "ordo.uncertainty_cycles" (fun () ->
+      float_of_int (Atomic.get cache))
+
 let uncertainty () =
   let c = Atomic.get cache in
   if c > 0 then c

@@ -19,7 +19,9 @@ val measure_uncertainty : ?rounds:int -> unit -> int
     maximized over [rounds] (default 64) exchanges.  Spawns a domain. *)
 
 val uncertainty : unit -> int
-(** Cached {!measure_uncertainty} result. *)
+(** Cached {!measure_uncertainty} result.  The registry gauge
+    [ordo.uncertainty_cycles] reads the cached bound only: 0 until the
+    first call measures it. *)
 
 val cmp : int -> int -> [ `Before | `After | `Concurrent ]
 (** Order two raw TSC values under the uncertainty window: [`Concurrent]

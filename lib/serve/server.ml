@@ -4,13 +4,20 @@ let m_malformed = Hwts_obs.Registry.counter "serve.malformed"
 let m_oversized = Hwts_obs.Registry.counter "serve.oversized"
 
 (* Once {!stop} has begun, a connection with a pending write that its
-   client has taken no byte of for this long has stopped reading: the
-   loop closes it and discards its remaining answers. *)
-let stop_grace = 2.0
+   client has taken no byte of for this long (ns) has stopped reading:
+   the loop closes it and discards its remaining answers. *)
+let stop_grace = 2_000_000_000
 
 (* After [EMFILE]/[ENFILE] the connection stays queued in the backlog;
-   the listener is left unwatched this long instead of spinning. *)
-let accept_backoff = 0.005
+   the listener is left unwatched this long (ns) instead of spinning. *)
+let accept_backoff = 5_000_000
+
+(* The loop collects the minor heaps at the end of a turn that leaves no
+   request in flight, once a domain that serves (the loop's, or a shard
+   worker's) has allocated this share of its own since the loop last
+   collected: every request and answer is dead then, so the collection
+   promotes only what would survive anyway. *)
+let idle_fill = 0.5
 
 (* Bytes of each connection's write buffer, made at accept: of 16, 32
    and 64 KiB, 16 kept the served benchmark's resident set lowest. *)
@@ -31,7 +38,7 @@ type conn = {
   mutable off : int;
   mutable len : int;
   mutable sent : int;
-  mutable since : float; (* last progress of the write in progress *)
+  mutable since : int; (* ns of the last progress of the write in progress *)
 }
 
 type t = {
@@ -45,6 +52,9 @@ type t = {
       (* completions come from worker domains; inline, the loop's own
          round runs them, and nothing needs waking *)
   stopping : bool Atomic.t;
+  in_flight : int Atomic.t;
+      (* cells queued on any connection and not yet popped: written or
+         dropped with their connection.  Only the loop writes it. *)
   mutable loop : Thread.t option;
 }
 
@@ -83,6 +93,7 @@ let read_requests t buf conn =
           Hwts_obs.Counter.incr m_requests;
           let cell = Atomic.make None in
           Queue.push cell conn.cells;
+          Atomic.incr t.in_flight;
           Shards.serve t.shards req (fun r ->
               Atomic.set cell (Some (sized r));
               if t.workers then wake t);
@@ -94,11 +105,12 @@ let read_requests t buf conn =
          closes once everything before it and the error are out *)
       Hwts_obs.Counter.incr m_malformed;
       Queue.push (Atomic.make (Some (sized (Wire.Whole (Wire.Err msg))))) conn.cells;
+      Atomic.incr t.in_flight;
       conn.reading <- false)
 
 (* Encode the fulfilled head answers into [out] after its [len] bytes,
    in order, while it has room; pop each once its frame is all in. *)
-let rec fill conn =
+let rec fill t conn =
   if not (Queue.is_empty conn.cells) then
     match Atomic.get (Queue.peek conn.cells) with
     | Some ((n, _) as a) when conn.len < Bytes.length conn.out ->
@@ -108,8 +120,9 @@ let rec fill conn =
       conn.sent <- conn.sent + k;
       if conn.sent = 4 + n then begin
         ignore (Queue.pop conn.cells);
+        Atomic.decr t.in_flight;
         conn.sent <- 0;
-        fill conn
+        fill t conn
       end
     | _ -> ()
 
@@ -117,7 +130,7 @@ let writing conn = conn.off < conn.len
 
 (* Write what the client takes without blocking, refilling [out] once
    it is all out.  [false] once the client has gone. *)
-let rec flush conn now =
+let rec flush t conn now =
   if writing conn then
     match Unix.single_write conn.fd conn.out conn.off (conn.len - conn.off) with
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> true
@@ -125,13 +138,13 @@ let rec flush conn now =
     | n ->
       conn.off <- conn.off + n;
       conn.since <- now;
-      flush conn now
+      flush t conn now
   else begin
     conn.off <- 0;
     conn.len <- 0;
     conn.since <- now;
-    fill conn;
-    (not (writing conn)) || flush conn now
+    fill t conn;
+    (not (writing conn)) || flush t conn now
   end
 
 (* Accept every queued connection; the result is when to watch the
@@ -141,10 +154,10 @@ let rec flush conn now =
    descriptor at or above FD_SETSIZE, so such a connection is closed. *)
 let rec accept_all t conns now =
   match Unix.accept ~cloexec:true t.listen_fd with
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> 0.
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> 0
   | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
     accept_all t conns now
-  | exception Unix.Unix_error _ -> now +. accept_backoff
+  | exception Unix.Unix_error _ -> now + accept_backoff
   | fd, _ ->
     (match Unix.select [ fd ] [] [] 0. with
     | exception Unix.Unix_error (Unix.EINVAL, _, _) -> Unix.close fd
@@ -169,18 +182,38 @@ let rec accept_all t conns now =
 
 (* The loop: owns the listener and every connection until {!stop} has
    begun and the last connection has closed.  Its state and the closures
-   over it are made once, not per turn: what the loop allocates per turn
-   widens the part of the domain's minor heap it touches. *)
+   over it are made once, not per turn, and its clock is an int: what
+   the loop allocates per turn widens the part of the domain's minor
+   heap it touches, and brings its idle collections closer together.
+   The minor heap's size is read once: [hwts-serve] sets it before
+   {!start}. *)
 let run t =
   let buf = Bytes.create 65536 and conns = Hashtbl.create 16 in
-  let listening = ref true and paused_until = ref 0. and now = ref 0. in
-  let rd = ref [] and wr = ref [] and next = ref infinity in
-  let readable = ref [] in
+  let listening = ref true and paused_until = ref 0 in
+  let now = ref (Tsc.monotonic_ns ()) in
+  let rd = ref [] and wr = ref [] and next = ref max_int in
+  let readable = ref [] and closed = ref [] in
+  let share words = int_of_float (idle_fill *. float_of_int words) in
+  let idle_words = share (Gc.get ()).Gc.minor_heap_size in
+  let worker_idle_words = share Shards.shard_minor_heap_words in
+  let workers = Shards.worker_domains t.shards in
+  let collected = ref (int_of_float (Gc.minor_words ())) in
+  let worker_collected = Array.make workers 0 in
+  (* whether a serving domain has filled [idle_fill] of its minor heap
+     since the loop last collected; [words] is the loop domain's count *)
+  let nursery_due words =
+    let due = ref (words - !collected >= idle_words) in
+    for i = 0 to workers - 1 do
+      if Shards.worker_minor_words t.shards i - worker_collected.(i) >= worker_idle_words
+      then due := true
+    done;
+    !due
+  in
   let watch _ c =
     if c.reading then rd := c.fd :: !rd;
     if writing c then begin
       wr := c.fd :: !wr;
-      if not !listening then next := Float.min !next (c.since +. stop_grace)
+      if not !listening then next := Int.min !next (c.since + stop_grace)
     end
   in
   let serve fd =
@@ -191,9 +224,9 @@ let run t =
     else if fd = t.listen_fd && !listening then
       paused_until := accept_all t conns !now
     else
-      match Hashtbl.find_opt conns fd with
-      | Some c when c.reading -> read_requests t buf c
-      | _ -> ()
+      match Hashtbl.find conns fd with
+      | c when c.reading -> read_requests t buf c
+      | _ | (exception Not_found) -> ()
   in
   (* one drain unit: what every readable connection sent this turn *)
   let serve_readable () = List.iter serve !readable in
@@ -201,39 +234,59 @@ let run t =
     c.reading <- false;
     c.since <- !now
   in
-  let keep _ c =
+  (* closes a connection that is done, or whose client has gone or
+     stopped reading past the grace; its unwritten answers are dropped *)
+  let keep fd c =
     if
-      flush c !now
-      && (c.reading || writing c || not (Queue.is_empty c.cells))
-      && (!listening || (not (writing c)) || !now -. c.since < stop_grace)
-    then Some c
-    else begin
+      not
+        (flush t c !now
+        && (c.reading || writing c || not (Queue.is_empty c.cells))
+        && (!listening || (not (writing c)) || !now - c.since < stop_grace))
+    then begin
       (try Unix.close c.fd with _ -> ());
-      None
+      ignore (Atomic.fetch_and_add t.in_flight (-Queue.length c.cells));
+      closed := fd :: !closed
     end
   in
   while !listening || Hashtbl.length conns > 0 do
     rd := [ t.wake_r ];
     wr := [];
-    next := infinity;
+    next := max_int;
     if !listening then
       if !now >= !paused_until then rd := t.listen_fd :: !rd
       else next := !paused_until;
     Hashtbl.iter watch conns;
-    let timeout = if !next = infinity then -1. else Float.max 0. (!next -. !now) in
+    let timeout =
+      if !next = max_int then -1. else float_of_int (Int.max 0 (!next - !now)) *. 1e-9
+    in
     (readable :=
        try
          let r, _, _ = Unix.select !rd !wr [] timeout in
          r
        with Unix.Unix_error (Unix.EINTR, _, _) -> []);
-    now := Unix.gettimeofday ();
+    now := Tsc.monotonic_ns ();
     Shards.round t.shards serve_readable;
     if !listening && Atomic.get t.stopping then begin
       listening := false;
       (try Unix.close t.listen_fd with _ -> ());
       Hashtbl.iter stop_reading conns
     end;
-    Hashtbl.filter_map_inplace keep conns
+    Hashtbl.iter keep conns;
+    (match !closed with
+    | [] -> ()
+    | fds ->
+      List.iter (Hashtbl.remove conns) fds;
+      closed := []);
+    if Atomic.get t.in_flight = 0 then begin
+      let words = int_of_float (Gc.minor_words ()) in
+      if nursery_due words then begin
+        Gc.minor ();
+        collected := words;
+        for i = 0 to workers - 1 do
+          worker_collected.(i) <- Shards.worker_minor_words t.shards i
+        done
+      end
+    end
   done
 
 let start ?(host = "127.0.0.1") ~port shards =
@@ -266,9 +319,13 @@ let start ?(host = "127.0.0.1") ~port shards =
       woken = Atomic.make false;
       workers = Shards.worker_domains shards > 0;
       stopping = Atomic.make false;
+      in_flight = Atomic.make 0;
       loop = None;
     }
   in
+  let in_flight = t.in_flight in
+  Hwts_obs.Registry.gauge "serve.in_flight" (fun () ->
+      float_of_int (Atomic.get in_flight));
   t.loop <- Some (Thread.create run t);
   t
 

@@ -26,6 +26,16 @@
     would exceed {!Wire.max_payload} is answered, in its place in the
     order, with an [Err] saying so, and the connection keeps serving.
 
+    A turn of the loop that leaves no request in flight (every request's
+    cell popped, or dropped with its connection) calls [Gc.minor] once
+    the loop's domain or a shard worker's has allocated half its minor
+    heap since the loop last collected.  Every request and answer is
+    dead then, so the collection promotes only data that survives
+    anyway, instead of the answers in flight that a collection started
+    mid-round would move to the major heap.  The registry gauge
+    [serve.in_flight] reads the count of requests in flight of the
+    server started last.
+
     {!stop} is the graceful path wired to SIGINT in [hwts-serve]: stop
     accepting and reading, flush every in-flight response, then drain
     the shards and join their worker domains, if any.  No accepted

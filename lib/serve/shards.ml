@@ -67,6 +67,9 @@ type shard = {
   run : task Queue.t -> unit;
   offline : unit -> unit;
   mutable pending : bool; (* inline: in [Inline.pending] *)
+  allocated : int Atomic.t;
+      (* [Gc.minor_words] of the shard's worker domain after its last
+         drain; 0 inline *)
 }
 
 type t = {
@@ -198,7 +201,9 @@ let worker sh =
     while Queue.is_empty sh.q && not sh.stop do
       Condition.wait sh.c sh.m
     done;
-    if not (drain_locked sh) then loop ()
+    let finished = drain_locked sh in
+    Atomic.set sh.allocated (int_of_float (Gc.minor_words ()));
+    if not finished then loop ()
   in
   loop ();
   sh.offline ()
@@ -286,6 +291,7 @@ let create ?(reclaim = `Ebr) ?executor ~structure ~provider ~shards ~key_space
           S.quiesce st);
       offline = (fun () -> S.offline st);
       pending = false;
+      allocated = Atomic.make 0;
     }
   in
   let shard_arr = Array.init shards (fun _ -> mk_shard ()) in
@@ -327,6 +333,7 @@ let key_space t = t.key_space
 let coalesce t = t.coalesce
 let worker_domains t = Array.length t.workers
 let inline t = Array.length t.workers = 0
+let worker_minor_words t i = Atomic.get t.shards.(i).allocated
 let now t = t.now ()
 
 let enqueue t i task =

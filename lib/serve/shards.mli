@@ -70,6 +70,11 @@ val worker_domains : t -> int
 (** Worker domains spawned: the shard count, or 0 under the inline
     executor. *)
 
+val worker_minor_words : t -> int -> int
+(** [worker_minor_words t i]: the words shard [i]'s worker domain had
+    allocated in its minor heap ([Gc.minor_words] there) when its last
+    drain ended, for [i] below {!worker_domains}. *)
+
 val now : t -> int
 (** A read of the fleet's shared clock (labels are comparable with it). *)
 

@@ -13,17 +13,20 @@
      _build/default/bench/e2e_phases.exe --workload scan-large
      make e2e-phases WORKLOAD=all
 
-   One line per repetition and phase, then per workload a Markdown table
-   of the medians over the repetitions (VmHWM, then VmRSS, in MB), and
-   the medians of the server's gc.minor_collections and
-   gc.promoted_words at shutdown.
+   One line per repetition and phase, and its final-read rise (VmHWM
+   after the final read less VmHWM after the measured phase: what the
+   one large answer adds to the gated number), then per workload a
+   Markdown table of the medians over the repetitions (VmHWM, then
+   VmRSS, in MB, then the rise), and the medians of the server's
+   gc.minor_collections, gc.promoted_words and gc.major_words at
+   shutdown.
    Every input comes from seed 1, as in every documented run.  Exits 1
    if an answer was wrong. *)
 
 open E2e
 
 let phases = [ "start"; "prefill"; "warmup"; "measured"; "final" ]
-let gauges = [ "gc.minor_collections"; "gc.promoted_words" ]
+let gauges = [ "gc.minor_collections"; "gc.promoted_words"; "gc.major_words" ]
 let seed = 1
 
 (* VmHWM and VmRSS of [pid], in MB *)
@@ -37,6 +40,12 @@ let memory pid =
           read rss "VmRSS: %d kB")
         (Seq.of_dispenser (fun () -> In_channel.input_line ic)));
   (!hwm, !rss)
+
+(* VmHWM after the final read less VmHWM after the measured phase *)
+let final_rise mem =
+  match List.rev mem with
+  | (final, _) :: (measured, _) :: _ -> final -. measured
+  | _ -> nan
 
 (* The phases of one repetition against the server [pid] on [port]:
    (VmHWM, VmRSS) after each of [phases]. *)
@@ -133,6 +142,7 @@ let run (w : Spec.t) ~exe ~seconds ~f =
           (fun name (hwm, rss) ->
             Printf.printf "%s rep %d %-8s VmHWM %6.2f MB  VmRSS %6.2f MB\n%!" w.name r name hwm rss)
           phases mem;
+        Printf.printf "%s rep %d final-read rise %.2f MB\n%!" w.name r (final_rise mem);
         List.iter2 (Printf.printf "%s rep %d %s %.0f\n%!" w.name r) gauges gc;
         (mem, gc))
   in
@@ -148,6 +158,8 @@ let run (w : Spec.t) ~exe ~seconds ~f =
     w.name reps (cells (List.nth phases)) (rule phases);
   row "VmHWM" fst;
   row "VmRSS" snd;
+  Printf.printf "\n%s: final-read rise (final - measured VmHWM), median %.2f MB\n" w.name
+    (Stats.median (List.map final_rise runs));
   Printf.printf "\n%s: the server's gc gauges at shutdown, medians over %d repetitions\n\n| workload   |%s\n|------------|%s\n| %-10s |%s\n\n"
     w.name reps
     (String.concat "" (List.map (Printf.sprintf " %s |") gauges))

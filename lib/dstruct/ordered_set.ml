@@ -31,7 +31,8 @@ end
 (** The snapshot core: the one read primitive each range-query structure
     writes for itself.  A snapshot takes one timestamp label; every read
     against it resolves at that label (Wei et al., constant-time
-    snapshots).  Range queries are derived from it by {!Ranges}. *)
+    snapshots).  [collect_at] and the range queries are derived from it
+    by {!Ranges}. *)
 module type SNAPSHOT = sig
   include S
 
@@ -61,10 +62,13 @@ module type SNAPSHOT = sig
   (** Membership of one key in the snapshot's cut — the abstract set at
       {!snap_label} — with no label acquisition. *)
 
-  val collect_at : t -> snap -> lo:int -> hi:int -> int array
-  (** Keys of [lo, hi] in the snapshot's cut, strictly ascending, in a
-      fresh array of exactly their number (never a per-domain scratch
-      block); no label acquisition. *)
+  val collect_into : t -> snap -> lo:int -> hi:int -> Sync.Key_run.t -> unit
+  (** Push the keys of [lo, hi] in the snapshot's cut into a run made or
+      reset for a span that holds [lo, hi]; no label acquisition.  The
+      pushes ascend, but for keys a read meets twice (a Citrus
+      relocation seen half done) or recovers after its walk (EBR-RQ's
+      announced and limbo nodes): {!Sync.Key_run.sort_unique} gives the
+      answer. *)
 
   val quiesce : t -> unit
   (** Announce a reclamation quiescence point: the calling domain holds
@@ -81,6 +85,11 @@ end
 module type RQ = sig
   include SNAPSHOT
 
+  val collect_at : t -> snap -> lo:int -> hi:int -> int array
+  (** Keys of [lo, hi] in the snapshot's cut, strictly ascending, in a
+      fresh array of exactly their number: {!collect_into} this domain's
+      scratch run, then one copy. *)
+
   val range_query : t -> lo:int -> hi:int -> int array
   (** Linearizable snapshot of the keys in [lo, hi], strictly ascending,
       as {!collect_at} returns them. *)
@@ -88,6 +97,17 @@ module type RQ = sig
   val range_query_labeled : t -> lo:int -> hi:int -> int * int array
   (** [range_query] plus the label of the snapshot it read. *)
 end
+
+(* One collection run per domain, shared by every structure: a read
+   fills it, and the answer is copied out before the next read. *)
+let scratch = Sync.Scratch.make (fun () -> Sync.Key_run.make ~lo:0 ~hi:0)
+
+(** This domain's scratch run, emptied for keys of [lo, hi].  Valid
+    until the domain's next call. *)
+let scratch_run ~lo ~hi =
+  let r = Sync.Scratch.get scratch in
+  Sync.Key_run.reset r ~lo ~hi;
+  r
 
 (** [read_labeled ~snapshot ~snap_label ~snap_release read t ~lo ~hi]
     takes a snapshot, runs [read] against it, releases it on both exits
@@ -106,11 +126,18 @@ let read_labeled ~snapshot ~snap_label ~snap_release read t ~lo ~hi =
     snap_release t s;
     raise e
 
-(** The range entry points every structure derives from its core. *)
+(** The read entry points every structure derives from its core:
+    [collect_at] written once over [collect_into], and the ranges. *)
 module Ranges (C : SNAPSHOT) = struct
+  let collect_at t s ~lo ~hi =
+    let r = scratch_run ~lo ~hi in
+    C.collect_into t s ~lo ~hi r;
+    Sync.Key_run.sort_unique r;
+    Sync.Key_run.to_array r
+
   let range_query_labeled t ~lo ~hi =
     read_labeled ~snapshot:C.snapshot ~snap_label:C.snap_label
-      ~snap_release:C.snap_release C.collect_at t ~lo ~hi
+      ~snap_release:C.snap_release collect_at t ~lo ~hi
 
   let range_query t ~lo ~hi = snd (range_query_labeled t ~lo ~hi)
 end

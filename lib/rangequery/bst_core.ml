@@ -126,8 +126,7 @@ module type LABELING = sig
   val snap_label : snap -> int
   val snap_release : t -> snap -> unit
 
-  val recover :
-    t -> int -> lo:int -> hi:int -> Sync.Scratch.Int_buffer.t -> unit
+  val recover : t -> int -> lo:int -> hi:int -> Sync.Key_run.t -> unit
   (** Push the keys in [lo..hi] of leaves outside the tree that hold
       them at the label. *)
 
@@ -375,40 +374,38 @@ module Make (L : LABELING) = struct
   let find t key = binding now key (leaf_now t key)
 
   (* Range reads walk [lo, hi] in order at label [ts]: keys go into the
-     per-domain buffer (left subtree first, so the tree's keys arrive
-     ascending), then the labeling's recovered keys; the result is one
-     exact-size sorted array.  Bindings are consed right subtree first,
-     for the same order. *)
-  let buf_scratch : Sync.Scratch.Int_buffer.t Sync.Scratch.t =
-    Sync.Scratch.make (fun () -> Sync.Scratch.Int_buffer.create ())
-
-  let timed_into buf ts lo hi leaf key ~flagged =
+     run (left subtree first, so the tree's keys arrive ascending), then
+     the labeling's recovered keys.  Bindings are consed right subtree
+     first, for the same order. *)
+  let timed_into run ts lo hi leaf key ~flagged =
     if key >= lo && key <= hi && L.visible ts leaf ~flagged then
-      Sync.Scratch.Int_buffer.push buf key
+      Sync.Key_run.push run key
 
-  let rec keys_into buf ts lo hi node =
+  let rec keys_into run ts lo hi node =
     match node with
-    | Leaf k ->
-      if k >= lo && k <= hi && k < inf0 then Sync.Scratch.Int_buffer.push buf k
-    | Entry e ->
-      if e.key >= lo && e.key <= hi then Sync.Scratch.Int_buffer.push buf e.key
-    | Timed l -> timed_into buf ts lo hi node l.key ~flagged:false
+    | Leaf k -> if k >= lo && k <= hi && k < inf0 then Sync.Key_run.push run k
+    | Entry e -> if e.key >= lo && e.key <= hi then Sync.Key_run.push run e.key
+    | Timed l -> timed_into run ts lo hi node l.key ~flagged:false
     | Internal n ->
-      if lo < n.ikey then keys_into buf ts lo hi n.left;
-      if hi >= n.ikey then keys_into buf ts lo hi n.right
-    | Version _ -> keys_into buf ts lo hi (L.value_at node ts)
+      if lo < n.ikey then keys_into run ts lo hi n.left;
+      if hi >= n.ikey then keys_into run ts lo hi n.right
+    | Version _ -> keys_into run ts lo hi (L.value_at node ts)
     | Mark { target = Timed l as leaf; flagged; _ } ->
-      timed_into buf ts lo hi leaf l.key ~flagged
-    | Mark m -> keys_into buf ts lo hi m.target
+      timed_into run ts lo hi leaf l.key ~flagged
+    | Mark m -> keys_into run ts lo hi m.target
 
-  let keys t ts ~lo ~hi =
-    let buf = Sync.Scratch.get buf_scratch in
-    Sync.Scratch.Int_buffer.clear buf;
+  let keys t ts ~lo ~hi run =
     Hwts_trace.Span.enter Hwts_trace.Traverse;
-    keys_into buf ts lo hi t.root;
+    keys_into run ts lo hi t.root;
     Hwts_trace.Span.exit Hwts_trace.Traverse;
-    L.recover t.labels ts ~lo ~hi buf;
-    Sync.Scratch.Int_buffer.to_sorted_array buf
+    L.recover t.labels ts ~lo ~hi run
+
+  (* every key of the current tree, ascending *)
+  let all_keys t =
+    let run = Dstruct.Ordered_set.scratch_run ~lo:min_int ~hi:max_int in
+    keys t now ~lo:min_int ~hi:max_int run;
+    Sync.Key_run.sort_unique run;
+    Sync.Key_run.to_array run
 
   let rec bindings_onto acc ts lo hi node =
     match node with
@@ -446,11 +443,11 @@ module Make (L : LABELING) = struct
     let ts = snap_label s in
     binding ts key (leaf_at key ts t.root)
 
-  let keys_at t s ~lo ~hi = keys t (snap_label s) ~lo ~hi
+  let keys_at t s ~lo ~hi run = keys t (snap_label s) ~lo ~hi run
   let bindings_at t s ~lo ~hi = bindings t (snap_label s) ~lo ~hi
-  let to_list t = Array.to_list (keys t now ~lo:min_int ~hi:max_int)
+  let to_list t = Array.to_list (all_keys t)
   let to_alist t = bindings t now ~lo:min_int ~hi:max_int
-  let size t = Array.length (keys t now ~lo:min_int ~hi:max_int)
+  let size t = Array.length (all_keys t)
 
   (* Edges and versions along the left spine; a bare edge is one
      version, the one a pruned chain would keep. *)

@@ -118,25 +118,25 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
        outside the tree has both times labeled ([cleanup]); an announced
        one still in the tree is judged as a walk through a clean edge
        judges it. *)
-    let recover_leaf buf ts lo hi leaf =
+    let recover_leaf run ts lo hi leaf =
       match leaf with
       | Timed l ->
         if l.key >= lo && l.key <= hi && visible ts leaf ~flagged:false then
-          Sync.Scratch.Int_buffer.push buf l.key
+          Sync.Key_run.push run l.key
       | Leaf _ | Entry _ | Internal _ | Mark _ | Version _ -> ()
 
-    let rec recover_cells buf ts lo hi = function
+    let rec recover_cells run ts lo hi = function
       | Hwts_reclaim.Limbo.Nil -> ()
       | Hwts_reclaim.Limbo.Cons c ->
-        recover_leaf buf ts lo hi c.node;
-        recover_cells buf ts lo hi c.next
+        recover_leaf run ts lo hi c.node;
+        recover_cells run ts lo hi c.next
 
-    let recover t ts ~lo ~hi buf =
+    let recover t ts ~lo ~hi run =
       for slot = 0 to Sync.Slot.max_slots - 1 do
-        recover_leaf buf ts lo hi (Atomic.get t.announced.(slot))
+        recover_leaf run ts lo hi (Atomic.get t.announced.(slot))
       done;
       for slot = 0 to Sync.Slot.max_slots - 1 do
-        recover_cells buf ts lo hi (Reclaim.limbo_cells t.ebr slot)
+        recover_cells run ts lo hi (Reclaim.limbo_cells t.ebr slot)
       done
 
     let hit key ts leaf =
@@ -204,7 +204,7 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
     let snap_label = K.snap_label
     let snap_release = K.snap_release
     let lookup_at = K.mem_at
-    let collect_at = K.keys_at
+    let collect_into = K.keys_at
     let quiesce t = Labels.Reclaim.quiesce t.K.labels.Labels.ebr
     let offline t = Labels.Reclaim.offline t.K.labels.Labels.ebr
   end

@@ -19,7 +19,7 @@ module Make (T : Hwts.Timestamp.S) = struct
     let snap_label = K.snap_label
     let snap_release = K.snap_release
     let lookup_at = K.mem_at
-    let collect_at = K.keys_at
+    let collect_into = K.keys_at
     let version_chain_stats = K.version_chain_stats
 
     (* Versioned links retain old values under GC; there is no

@@ -23,7 +23,7 @@ module Make (T : Hwts.Timestamp.S) = struct
   let lookup_at = K.find_at
   let mem_at = K.mem_at
   let collect_at = K.bindings_at
-  let keys_at = K.keys_at
+  let keys_into = K.keys_at
 
   (* The map's values are polymorphic, so it takes the derived range
      entry points from the shared derivation function rather than from

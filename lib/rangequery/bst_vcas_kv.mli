@@ -61,8 +61,9 @@ module Make (T : Hwts.Timestamp.S) : sig
   val collect_at : 'v t -> snap -> lo:int -> hi:int -> (int * 'v) list
   (** The bindings of [lo, hi] in the snapshot's cut, ascending. *)
 
-  val keys_at : 'v t -> snap -> lo:int -> hi:int -> int array
-  (** The keys of [collect_at], without building the pairs. *)
+  val keys_into : 'v t -> snap -> lo:int -> hi:int -> Sync.Key_run.t -> unit
+  (** Push the keys of [collect_at] into a run, without building the
+      pairs ({!Dstruct.Ordered_set.SNAPSHOT.collect_into}). *)
 
   val range_query : 'v t -> lo:int -> hi:int -> (int * 'v) list
   (** Linearizable snapshot of the bindings in [lo, hi], ascending:

@@ -112,8 +112,7 @@ module type LABELING = sig
   val read_exit : t -> unit
   (** Bracket a snapshot's walk of the tree. *)
 
-  val collect_limbo :
-    t -> int -> lo:int -> hi:int -> Sync.Scratch.Int_buffer.t -> unit
+  val collect_limbo : t -> int -> lo:int -> hi:int -> Sync.Key_run.t -> unit
   (** Push the keys in [lo..hi] of unlinked nodes visible at the label. *)
 end
 
@@ -359,41 +358,35 @@ module Make (L : LABELING) = struct
   let snap_label = L.snap_label
   let snap_release t s = L.snap_release t.labels s
 
-  let buf_scratch : Sync.Scratch.Int_buffer.t Sync.Scratch.t =
-    Sync.Scratch.make (fun () -> Sync.Scratch.Int_buffer.create ())
-
-  (* Range read at a snapshot label.  In-order traversal fills the
-     per-domain buffer ascending; limbo keys land after it, out of order.
-     Under vCAS the relocation is two versioned writes, so a snapshot
-     between them meets the relocated key twice; [to_sorted_array] sorts
-     and drops the duplicate, and costs nothing over [to_array] on an
-     ascending buffer. *)
-  let rec collect_into buf ts lo hi = function
+  (* Range read at a snapshot label.  In-order traversal pushes keys
+     ascending; limbo keys land after them, out of order.  Under vCAS
+     the relocation is two versioned writes, so a snapshot between them
+     meets the relocated key twice; the run's sort drops the duplicate. *)
+  let rec walk run ts lo hi = function
     | Nil | Version _ -> ()
     | Node m as n ->
-      if lo < m.key then collect_into buf ts lo hi (L.snap_child n L ts);
-      if m.key >= lo && m.key <= hi && L.visible ts n then
-        Sync.Scratch.Int_buffer.push buf m.key;
-      if hi > m.key then collect_into buf ts lo hi (L.snap_child n R ts)
+      if lo < m.key then walk run ts lo hi (L.snap_child n L ts);
+      if m.key >= lo && m.key <= hi && L.visible ts n then Sync.Key_run.push run m.key;
+      if hi > m.key then walk run ts lo hi (L.snap_child n R ts)
 
-  let collect_at t s ~lo ~hi =
+  let collect_into t s ~lo ~hi run =
     let ts = snap_label s in
-    let buf = Sync.Scratch.get buf_scratch in
-    Sync.Scratch.Int_buffer.clear buf;
     Hwts_trace.Span.enter Hwts_trace.Traverse;
     L.read_enter t.labels;
-    (match collect_into buf ts lo hi (L.snap_child t.root R ts) with
+    (match walk run ts lo hi (L.snap_child t.root R ts) with
      | () -> L.read_exit t.labels
      | exception e ->
        L.read_exit t.labels;
        raise e);
     Hwts_trace.Span.exit Hwts_trace.Traverse;
-    L.collect_limbo t.labels ts ~lo ~hi buf;
-    Sync.Scratch.Int_buffer.to_sorted_array buf
+    L.collect_limbo t.labels ts ~lo ~hi run
 
   (* Point read at the held label: a range read of [key] alone, which
      descends toward it as a directed search would. *)
-  let lookup_at t s key = Array.length (collect_at t s ~lo:key ~hi:key) > 0
+  let lookup_at t s key =
+    let run = Dstruct.Ordered_set.scratch_run ~lo:key ~hi:key in
+    collect_into t s ~lo:key ~hi:key run;
+    Sync.Key_run.length run > 0
 
   let to_list t =
     let rec walk acc = function

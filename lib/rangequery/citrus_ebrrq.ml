@@ -108,17 +108,16 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
     let read_enter t = Reclaim.read_lock t.ebr
     let read_exit t = Reclaim.read_unlock t.ebr
 
-    let rec collect_cells buf ts lo hi = function
+    let rec collect_cells run ts lo hi = function
       | Hwts_reclaim.Limbo.Nil -> ()
       | Hwts_reclaim.Limbo.Cons c ->
         let k = key_of c.node in
-        if k >= lo && k <= hi && covers ts c.node then
-          Sync.Scratch.Int_buffer.push buf k;
-        collect_cells buf ts lo hi c.next
+        if k >= lo && k <= hi && covers ts c.node then Sync.Key_run.push run k;
+        collect_cells run ts lo hi c.next
 
-    let collect_limbo t ts ~lo ~hi buf =
+    let collect_limbo t ts ~lo ~hi run =
       for slot = 0 to Sync.Slot.max_slots - 1 do
-        collect_cells buf ts lo hi (Reclaim.limbo_cells t.ebr slot)
+        collect_cells run ts lo hi (Reclaim.limbo_cells t.ebr slot)
       done
   end
 

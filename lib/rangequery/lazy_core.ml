@@ -155,9 +155,6 @@ module Make (S : SHAPE) (T : Hwts.Timestamp.S) = struct
           succs = Array.make (max_level + 1) Nil;
         })
 
-  let buf_scratch : Sync.Scratch.Int_buffer.t Sync.Scratch.t =
-    Sync.Scratch.make Sync.Scratch.Int_buffer.create
-
   (* The walks are module-level recursions with explicit arguments: a
      nested [let rec] would allocate a closure on every call.  Level 0
      is walked through [next], the levels above through the towers. *)
@@ -432,11 +429,11 @@ module Make (S : SHAPE) (T : Hwts.Timestamp.S) = struct
   let next_at n ts =
     match b_of n with Version _ as v -> L.value_at v ts | bare -> bare
 
-  let rec collect_from buf ts lo hi n =
+  let rec collect_from run ts lo hi n =
     match next_at n ts with
     | (Node { key = k; _ } | Tall { key = k; _ }) as m when k <= hi ->
-      if k >= lo then Sync.Scratch.Int_buffer.push buf k;
-      collect_from buf ts lo hi m
+      if k >= lo then Sync.Key_run.push run k;
+      collect_from run ts lo hi m
     | _ -> ()
 
   (* Snapshot handle: the announce-slot guard keeps bundle pruning below
@@ -450,15 +447,12 @@ module Make (S : SHAPE) (T : Hwts.Timestamp.S) = struct
   let snap_label = Rq_registry.snap_label
   let snap_release t s = Rq_registry.snap_release t.registry s
 
-  let collect_at t s ~lo ~hi =
+  let collect_into t s ~lo ~hi run =
     let ts = snap_label s in
     let start = start_at t lo ts in
-    let buf = Sync.Scratch.get buf_scratch in
-    Sync.Scratch.Int_buffer.clear buf;
     Hwts_trace.Span.enter Hwts_trace.Traverse;
-    collect_from buf ts lo hi start;
-    Hwts_trace.Span.exit Hwts_trace.Traverse;
-    Sync.Scratch.Int_buffer.to_array buf
+    collect_from run ts lo hi start;
+    Hwts_trace.Span.exit Hwts_trace.Traverse
 
   (* Point read at the held label: membership at [ts] is appearing on the
      bundled successor chain at [ts]. *)

@@ -94,7 +94,6 @@ module Core (T : Hwts.Timestamp.S) = struct
     preds : node array;
     succs : node array;
     mutable wit0 : node; (* level-0 CAS witness: preds.(0)'s [next] *)
-    buf : Sync.Scratch.Int_buffer.t;
   }
   (* Per-domain traversal workspace: [find] overwrites every entry it
      publishes before callers read it, so reuse across operations (and
@@ -114,7 +113,6 @@ module Core (T : Hwts.Timestamp.S) = struct
           preds = Array.make (max_level + 1) t.head;
           succs = Array.make (max_level + 1) t.tail;
           wit0 = next0 t.head;
-          buf = Sync.Scratch.Int_buffer.create ();
         }
       in
       cell := Some s;
@@ -326,25 +324,16 @@ module Core (T : Hwts.Timestamp.S) = struct
     let pred = sc.preds.(0) in
     if L.exists_at (next0 pred) ts then pred else t.head
 
-  let collect_ts t ts ~lo ~hi =
-    let sc = get_scratch t in
-    let start = start_at t sc lo ts in
-    let buf = sc.buf in
-    Sync.Scratch.Int_buffer.clear buf;
-    let rec walk node =
-      if node == t.tail || key node > hi then ()
-      else
-        match L.value_at (next0 node) ts with
-        | Mark succ -> walk succ
-        | succ ->
-          if key node >= lo && key node > Dstruct.Ordered_set.min_key then
-            Sync.Scratch.Int_buffer.push buf (key node);
-          walk succ
-    in
-    Hwts_trace.Span.enter Hwts_trace.Traverse;
-    walk start;
-    Hwts_trace.Span.exit Hwts_trace.Traverse;
-    Sync.Scratch.Int_buffer.to_array buf
+  (* a module-level recursion: a nested [let rec] would allocate a
+     closure per read *)
+  let rec collect_from run tail ts lo hi node =
+    if node != tail && key node <= hi then
+      match L.value_at (next0 node) ts with
+      | Mark succ -> collect_from run tail ts lo hi succ
+      | succ ->
+        if key node >= lo && key node > Dstruct.Ordered_set.min_key then
+          Sync.Key_run.push run (key node);
+        collect_from run tail ts lo hi succ
 
   (* Snapshot handle: the announce-slot guard pins version chains for the
      handle's lifetime; the RQ is the advancing operation (vCAS), and
@@ -357,11 +346,15 @@ module Core (T : Hwts.Timestamp.S) = struct
 
   let snap_label = Rq_registry.snap_label
   let snap_release t s = Rq_registry.snap_release t.registry s
-  let collect_at t s ~lo ~hi = collect_ts t (snap_label s) ~lo ~hi
+  let collect_into t s ~lo ~hi run =
+    let ts = snap_label s in
+    let start = start_at t (get_scratch t) lo ts in
+    Hwts_trace.Span.enter Hwts_trace.Traverse;
+    collect_from run t.tail ts lo hi start;
+    Hwts_trace.Span.exit Hwts_trace.Traverse
 
   (* Point read at the held label: walk level 0 through the version
-     chains, like [collect_ts] but without touching the collection
-     buffer. *)
+     chains, like [collect_into] but without a run. *)
   let lookup_at t s k =
     let ts = snap_label s in
     let start = start_at t (get_scratch t) k ts in

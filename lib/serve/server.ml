@@ -27,7 +27,8 @@ let out_size = 16384
    order, filled by the shard drain that answers it with the answer and
    its payload size, computed once.  [out] bytes [off, len) are still to
    be written; [sent] bytes of the head answer's frame are in [out], and
-   [cursor] is where among its members they end. *)
+   [cursor] is where among its members they end.  [in_rd]/[in_wr]: the
+   loop's select lists hold [fd] for reading/writing. *)
 type conn = {
   fd : Unix.file_descr;
   dec : Wire.decoder;
@@ -39,6 +40,8 @@ type conn = {
   mutable len : int;
   mutable sent : int;
   mutable since : int; (* ns of the last progress of the write in progress *)
+  mutable in_rd : bool;
+  mutable in_wr : bool;
 }
 
 type t = {
@@ -51,6 +54,9 @@ type t = {
   workers : bool;
       (* completions come from worker domains; inline, the loop's own
          round runs them, and nothing needs waking *)
+  home : Domain.id;
+      (* the loop's domain: a completion run there (a Ping, an
+         out-of-range key) is written in the same turn, unwoken *)
   stopping : bool Atomic.t;
   in_flight : int Atomic.t;
       (* cells queued on any connection and not yet popped: written or
@@ -96,7 +102,7 @@ let read_requests t buf conn =
           Atomic.incr t.in_flight;
           Shards.serve t.shards req (fun r ->
               Atomic.set cell (Some (sized r));
-              if t.workers then wake t);
+              if t.workers && Domain.self () <> t.home then wake t);
           route ()
       in
       route ()
@@ -177,6 +183,8 @@ let rec accept_all t conns now =
           len = 0;
           sent = 0;
           since = now;
+          in_rd = false;
+          in_wr = false;
         });
     accept_all t conns now
 
@@ -185,13 +193,16 @@ let rec accept_all t conns now =
    over it are made once, not per turn, and its clock is an int: what
    the loop allocates per turn widens the part of the domain's minor
    heap it touches, and brings its idle collections closer together.
-   The minor heap's size is read once: [hwts-serve] sets it before
-   {!start}. *)
+   So the select lists are rebuilt only when they would change: a
+   connection opens (it is not in them yet) or closes, starts or stops
+   reading or writing, or the listener is paused or resumed.  The minor
+   heap's size is read once: [hwts-serve] sets it before {!start}. *)
 let run t =
   let buf = Bytes.create 65536 and conns = Hashtbl.create 16 in
   let listening = ref true and paused_until = ref 0 in
   let now = ref (Tsc.monotonic_ns ()) in
   let rd = ref [] and wr = ref [] and next = ref max_int in
+  let stale = ref true and listener_in = ref false in
   let readable = ref [] and closed = ref [] in
   let share words = int_of_float (idle_fill *. float_of_int words) in
   let idle_words = share (Gc.get ()).Gc.minor_heap_size in
@@ -209,13 +220,14 @@ let run t =
     done;
     !due
   in
+  let check _ c = if c.reading <> c.in_rd || writing c <> c.in_wr then stale := true in
   let watch _ c =
-    if c.reading then rd := c.fd :: !rd;
-    if writing c then begin
-      wr := c.fd :: !wr;
-      if not !listening then next := Int.min !next (c.since + stop_grace)
-    end
+    c.in_rd <- c.reading;
+    c.in_wr <- writing c;
+    if c.in_rd then rd := c.fd :: !rd;
+    if c.in_wr then wr := c.fd :: !wr
   in
+  let grace _ c = if writing c then next := Int.min !next (c.since + stop_grace) in
   let serve fd =
     if fd = t.wake_r then begin
       (try ignore (Unix.read t.wake_r buf 0 64) with Unix.Unix_error _ -> ());
@@ -249,13 +261,19 @@ let run t =
     end
   in
   while !listening || Hashtbl.length conns > 0 do
-    rd := [ t.wake_r ];
-    wr := [];
+    let listen = !listening && !now >= !paused_until in
+    if listen <> !listener_in then stale := true;
+    if not !stale then Hashtbl.iter check conns;
+    if !stale then begin
+      stale := false;
+      listener_in := listen;
+      rd := (if listen then [ t.listen_fd; t.wake_r ] else [ t.wake_r ]);
+      wr := [];
+      Hashtbl.iter watch conns
+    end;
     next := max_int;
-    if !listening then
-      if !now >= !paused_until then rd := t.listen_fd :: !rd
-      else next := !paused_until;
-    Hashtbl.iter watch conns;
+    if not !listening then Hashtbl.iter grace conns
+    else if not listen then next := !paused_until;
     let timeout =
       if !next = max_int then -1. else float_of_int (Int.max 0 (!next - !now)) *. 1e-9
     in
@@ -276,7 +294,8 @@ let run t =
     | [] -> ()
     | fds ->
       List.iter (Hashtbl.remove conns) fds;
-      closed := []);
+      closed := [];
+      stale := true);
     if Atomic.get t.in_flight = 0 then begin
       let words = int_of_float (Gc.minor_words ()) in
       if nursery_due words then begin
@@ -318,6 +337,7 @@ let start ?(host = "127.0.0.1") ~port shards =
       wake_w;
       woken = Atomic.make false;
       workers = Shards.worker_domains shards > 0;
+      home = Domain.self ();
       stopping = Atomic.make false;
       in_flight = Atomic.make 0;
       loop = None;

@@ -48,8 +48,9 @@ type task =
       (* a batch's point ops on this shard, those with keys in [lo, hi],
          run in batch order, each answer marked in [ops]; [t0] is when
          the batch was routed *)
-  | Sub of int * int * (int -> int array -> unit)
-      (* one shard-local subrange; completion gets (label, keys) *)
+  | Sub of Sync.Key_run.t * int * int * (int -> unit)
+      (* one shard-local subrange [lo, hi], collected into its part's
+         own run, left strictly ascending; completion gets the label *)
   | MGet of int array * (int -> bool array -> unit)
       (* shard-local slice of a MultiGet; completion gets (label, bools),
          positionally matching the keys *)
@@ -149,7 +150,7 @@ let process (type a) (module S : Dstruct.Ordered_set.RQ with type t = a)
     (* multiget slices first, then subranges, each in arrival order *)
     let each_read ~mget ~sub =
       Queue.iter (function MGet (keys, k) -> mget keys k | _ -> ()) batch;
-      Queue.iter (function Sub (lo, hi, k) -> sub lo hi k | _ -> ()) batch
+      Queue.iter (function Sub (run, lo, hi, k) -> sub run lo hi k | _ -> ()) batch
     in
     if coalesce then begin
       Hwts_obs.Counter.incr m_snapshots;
@@ -160,7 +161,9 @@ let process (type a) (module S : Dstruct.Ordered_set.RQ with type t = a)
           let label = Hwts_snapshot.label snap in
           each_read
             ~mget:(fun keys k -> k label (Hwts_snapshot.multi_get snap keys))
-            ~sub:(fun lo hi k -> k label (Hwts_snapshot.keys snap ~lo ~hi)))
+            ~sub:(fun run lo hi k ->
+              Hwts_snapshot.collect_into snap ~lo ~hi run;
+              k label))
     end
     else
       each_read
@@ -171,10 +174,16 @@ let process (type a) (module S : Dstruct.Ordered_set.RQ with type t = a)
             st
             (fun snap ->
               k (Hwts_snapshot.label snap) (Hwts_snapshot.multi_get snap keys)))
-        ~sub:(fun lo hi k ->
+        ~sub:(fun run lo hi k ->
           Hwts_obs.Counter.incr m_snapshots;
-          let label, keys = S.range_query_labeled st ~lo ~hi in
-          k label keys)
+          let label, () =
+            Dstruct.Ordered_set.read_labeled ~snapshot:S.snapshot
+              ~snap_label:S.snap_label ~snap_release:S.snap_release
+              (fun st s ~lo ~hi -> S.collect_into st s ~lo ~hi run)
+              st ~lo ~hi
+          in
+          Sync.Key_run.sort_unique run;
+          k label)
   end;
   Queue.clear batch
 
@@ -380,11 +389,18 @@ let fan_out t n ~part finish =
   in
   go 0
 
-(* The parts' keys in part order, for an in-process caller: the server
-   writes a cross-shard answer from its parts.  Each part is already an
-   exact-size array, so a one-part answer is that array. *)
+(* The parts' keys in part order, in one exact-size array, for an
+   in-process caller: the server writes a range's answer from its
+   parts' runs. *)
 let merge parts =
-  if Array.length parts = 1 then parts.(0) else Array.concat (Array.to_list parts)
+  let keys = Array.make (Array.fold_left (fun n r -> n + Sync.Key_run.length r) 0 parts) 0 in
+  ignore
+    (Array.fold_left
+       (fun pos r ->
+         Sync.Key_run.blit r keys pos;
+         pos + Sync.Key_run.length r)
+       0 parts);
+  keys
 
 (* The in-process adapter, the only place an answer's pieces are merged
    or an [Rbatch] is built. *)
@@ -405,26 +421,29 @@ let response_of = function
     done;
     Wire.Rbatch rs
 
-(* Fan a clamped [lo, hi] out to its owning shards; completion fires on
-   the last part, with the maximal part label and the parts in shard
-   order (shards partition the key space ascending, and each part is
-   sorted, so their concatenation is the sorted union). *)
+(* Fan a clamped [lo, hi] out to its owning shards, each part collecting
+   into a run of its own; completion fires on the last part, with the
+   maximal part label and the parts in shard order (shards partition the
+   key space ascending, and each part is sorted, so their concatenation
+   is the sorted union). *)
 let submit_range t lo hi k =
   let lo = max lo 1 and hi = min hi t.key_space in
   if lo > hi then k (Wire.Whole (Wire.Keys (t.now (), [||])))
   else begin
     let s0 = shard_of_key t lo in
     let n = shard_of_key t hi - s0 + 1 in
-    let parts = Array.make n [||] and labels = Array.make n min_int in
+    let part_lo i = max lo (((s0 + i) * t.span) + 1)
+    and part_hi i = min hi ((s0 + i + 1) * t.span) in
+    let parts = Array.init n (fun i -> Sync.Key_run.make ~lo:(part_lo i) ~hi:(part_hi i))
+    and labels = Array.make n min_int in
     fan_out t n
       ~part:(fun i part_done ->
-        let s = s0 + i in
-        ( s,
+        ( s0 + i,
           Sub
-            ( max lo ((s * t.span) + 1),
-              min hi ((s + 1) * t.span),
-              fun label keys ->
-                parts.(i) <- keys;
+            ( parts.(i),
+              part_lo i,
+              part_hi i,
+              fun label ->
                 labels.(i) <- label;
                 part_done () ) ))
       (fun ok ->

@@ -80,9 +80,10 @@ val now : t -> int
 
 val serve : t -> Wire.incoming -> (Wire.answer -> unit) -> unit
 (** Route a decoded frame, answering it in pieces: a point batch as
-    [Marks] (one answer byte per op), a cross-shard [Range] as [Parts]
-    (its shards' key arrays under the maximal part label), anything else
-    [Whole].  [hwts-serve]'s entry point; otherwise as {!submit}. *)
+    [Marks] (one answer byte per op), a [Range] as [Parts] (one key run
+    per owning shard, each the part's own, filled by its read and
+    sorted in place if its pushes did not ascend, under the maximal part
+    label), anything else [Whole].  [hwts-serve]'s entry point; otherwise as {!submit}. *)
 
 val submit : t -> Wire.request -> (Wire.response -> unit) -> unit
 (** Route a request: {!serve} through an adapter that merges a range's

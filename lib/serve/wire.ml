@@ -78,7 +78,7 @@ type incoming = Request of request | Points of points
 
 type answer =
   | Whole of response
-  | Parts of int * int array array
+  | Parts of int * Sync.Key_run.t array
   | Marks of points * response array
 
 let stopping = Err "server stopping"
@@ -146,6 +146,23 @@ let put_keys w f keys =
   let n = Array.length keys in
   for i = max 0 ((w.lo - f) / 8) to min n ((w.hi - f + 7) / 8) - 1 do
     ignore (put w (f + (8 * i)) 8 (Array.unsafe_get keys i))
+  done;
+  f + (8 * n)
+
+(* A run's keys, indexed at the window like an array's: those wholly in
+   it in one pass over the run's segments, the (at most two) that an
+   edge cuts one by one. *)
+let put_run w f r =
+  let n = Sync.Key_run.length r in
+  let i0 = max 0 ((w.lo - f) / 8) and i1 = min n ((w.hi - f + 7) / 8) in
+  let a = if w.lo <= f then 0 else (w.lo - f + 7) / 8
+  and b = if w.hi <= f then 0 else min n ((w.hi - f) / 8) in
+  for i = i0 to min a i1 - 1 do
+    ignore (put w (f + (8 * i)) 8 (Sync.Key_run.get r i))
+  done;
+  if a < b then Sync.Key_run.blit_be r ~first:a ~count:(b - a) w.dst (w.base + f + (8 * a));
+  for i = max i0 (max a b) to i1 - 1 do
+    ignore (put w (f + (8 * i)) 8 (Sync.Key_run.get r i))
   done;
   f + (8 * n)
 
@@ -218,7 +235,7 @@ let rec walk w c a n i f j =
     let f' =
       match a with
       | Whole (Keyss (_, kss)) -> put_ints w f kss.(i)
-      | Parts (_, parts) -> put_keys w f parts.(i)
+      | Parts (_, parts) -> put_run w f parts.(i)
       | Marks (p, others) ->
         let m = mark p i in
         if m = next then put_response w f others.(j)
@@ -247,7 +264,7 @@ let put_answer w c f = function
     if f + 13 > w.lo then
       ignore
         (put w (put w (put w f 1 op_keys) 8 label) 4
-           (Array.fold_left (fun n keys -> n + Array.length keys) 0 parts));
+           (Array.fold_left (fun n r -> n + Sync.Key_run.length r) 0 parts));
     members w c a (f + 13) (Array.length parts)
   | Marks (p, _) as a -> members w c a (put_count w f op_rbatch p.n) p.n
 
@@ -298,14 +315,24 @@ let encode_response buf r = Buffer.add_bytes buf (response_frame r)
 
 (* --- incremental decoder -------------------------------------------- *)
 
-type decoder = { mutable buf : Bytes.t; mutable start : int; mutable len : int }
+(* [large]: a frame above [shrink_above] was decoded since the buffer
+   was last cut back *)
+type decoder = {
+  mutable buf : Bytes.t;
+  mutable start : int;
+  mutable len : int;
+  mutable large : bool;
+}
 
-(* The buffer doubles to fit what is fed; one grown past [shrink_above]
-   by a large frame is cut back once what is still buffered fits.  (The
-   served prefill's 4.6 KB frames would churn a lower threshold.) *)
+(* The buffer doubles to fit what is fed.  One that a frame above
+   [shrink_above] grew is cut back once that frame is decoded and what
+   is still buffered fits.  A pipeline of smaller frames that fills more
+   than [shrink_above] in one read (16 served 4.6 KB batches with a
+   64 KiB read) keeps its buffer: cutting it back on every such read
+   made a 128 KiB block in the major heap each time. *)
 let initial = 4096
 let shrink_above = 65536
-let decoder () = { buf = Bytes.create initial; start = 0; len = 0 }
+let decoder () = { buf = Bytes.create initial; start = 0; len = 0; large = false }
 let buffered d = d.len
 
 (* Move what is buffered to the front of a buffer of [cap] bytes: the
@@ -466,8 +493,11 @@ let next_frame d read =
       d.start <- d.start + 4 + n;
       d.len <- d.len - 4 - n;
       if d.len = 0 then d.start <- 0;
-      if Bytes.length d.buf > shrink_above && d.len <= initial then
-        resize d initial;
+      if 4 + n > shrink_above then d.large <- true;
+      if d.large && d.len <= initial then begin
+        d.large <- false;
+        resize d initial
+      end;
       Some v
     end
   end

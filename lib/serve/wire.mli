@@ -109,8 +109,10 @@ val stopping : response
 
 type answer =
   | Whole of response
-  | Parts of int * int array array
-      (** [Keys (label, keys)], [keys] the parts' concatenation *)
+  | Parts of int * Sync.Key_run.t array
+      (** [Keys (label, keys)], [keys] the parts' concatenation: each
+          part a strictly ascending run, written at the window with no
+          copy of its own *)
   | Marks of points * response array
       (** [Rbatch], member [i] answered by its {!mark} *)
 
@@ -137,7 +139,9 @@ val encode_request : Buffer.t -> request -> unit
 val encode_response : Buffer.t -> response -> unit
 
 (** Incremental decoder: feed raw bytes, pull complete frames.  A buffer
-    grown past 64 KiB returns to 4 KiB once that holds what is left. *)
+    grown past 64 KiB for a frame larger than that returns to 4 KiB once
+    the frame is decoded and 4 KiB holds what is left; one grown by many
+    smaller frames that arrived together keeps its size. *)
 
 type decoder
 

@@ -88,6 +88,13 @@ let keys (Snap s as h) ~lo ~hi =
   let (module S) = s.ops in
   S.collect_at s.st s.sn ~lo ~hi
 
+let collect_into (Snap s as h) ~lo ~hi run =
+  check_open h "collect_into";
+  record h ~aux:aux_range 1;
+  let (module S) = s.ops in
+  S.collect_into s.st s.sn ~lo ~hi run;
+  Sync.Key_run.sort_unique run
+
 let range h ~lo ~hi = Array.to_list (keys h ~lo ~hi)
 
 let multi_range (Snap s as h) ranges =

@@ -3,7 +3,7 @@
     The paper's amortization argument is that one timestamp acquisition
     can cover many reads; {!Dstruct.Ordered_set.SNAPSHOT} is the
     per-structure half of that (a [snap] handle plus [lookup_at] /
-    [collect_at]).  This module packs structure + handle into one
+    [collect_into]).  This module packs structure + handle into one
     existential value, so callers above the structure layer — the
     serving batcher, the harness, the checker — can hold "a captured
     cut of some ordered set" without knowing which implementation or
@@ -57,6 +57,12 @@ val multi_get : t -> int array -> bool array
 val keys : t -> lo:int -> hi:int -> int array
 (** Keys of [lo, hi] in the cut, strictly ascending, in a fresh array of
     exactly their number: the structure's [collect_at] result as is. *)
+
+val collect_into : t -> lo:int -> hi:int -> Sync.Key_run.t -> unit
+(** {!keys} written into a run made or reset for a span that holds
+    [[lo, hi]] instead of an array: the structure's [collect_into], then
+    {!Sync.Key_run.sort_unique}, so the run ends strictly ascending and
+    nothing is copied. *)
 
 val range : t -> lo:int -> hi:int -> int list
 (** {!keys} as a list. *)

@@ -292,7 +292,7 @@ module Kv_as_set (T : Hwts.Timestamp.S) = struct
     let snap_label s = K.snap_label s
     let snap_release t s = K.snap_release t s
     let lookup_at = K.mem_at
-    let collect_at = K.keys_at
+    let collect_into = K.keys_into
     let quiesce _ = ()
     let offline _ = ()
   end

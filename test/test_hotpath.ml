@@ -5,7 +5,7 @@
    HWTS_RQ_REFRESH), so the determinism tests run the same seeded
    operation script under both settings and require identical output. *)
 
-module Int_buffer = Sync.Scratch.Int_buffer
+module Key_run = Sync.Key_run
 
 let with_scratch enabled f =
   let prev = Sync.Scratch.enabled () in
@@ -19,41 +19,44 @@ let with_refresh_period period f =
     ~finally:(fun () -> Rangequery.Rq_registry.set_refresh_period prev)
     f
 
-(* ---------- Int_buffer ---------- *)
+(* ---------- Key_run ---------- *)
 
 let allocated_words = Util.allocated_words
 
-let fill b keys =
-  Int_buffer.clear b;
-  Array.iter (Int_buffer.push b) keys
+let fill r keys =
+  Key_run.reset r ~lo:0 ~hi:1_000_000;
+  Array.iter (Key_run.push r) keys
 
-(* Segments hold 64, 128, 256, ... slots, so 64 and 192 are the first
+(* Segments hold 64, 128, 256, ... keys, so 64 and 192 are the first
    two boundaries. *)
-let int_buffer_basics () =
-  let b = Int_buffer.create () in
+let key_run_basics () =
+  let r = Key_run.make ~lo:0 ~hi:0 in
   List.iter
     (fun n ->
       let keys = Array.init n (fun i -> (3 * i) + 1) in
-      fill b keys;
-      Alcotest.(check int) (Printf.sprintf "length %d" n) n (Int_buffer.length b);
+      fill r keys;
+      Alcotest.(check int) (Printf.sprintf "length %d" n) n (Key_run.length r);
       Alcotest.(check (array int))
         (Printf.sprintf "push order kept at %d" n)
-        keys (Int_buffer.to_array b))
+        keys (Key_run.to_array r);
+      if n > 0 then
+        Alcotest.(check int) (Printf.sprintf "get of the last at %d" n) keys.(n - 1)
+          (Key_run.get r (n - 1)))
     [ 0; 63; 64; 65; 192; 193; 10_000; 1 ];
-  Int_buffer.clear b;
-  Alcotest.(check int) "cleared" 0 (Int_buffer.length b);
-  Alcotest.(check (array int)) "cleared array" [||] (Int_buffer.to_array b);
-  Int_buffer.push b 7;
-  Alcotest.(check (array int)) "reusable after clear" [| 7 |]
-    (Int_buffer.to_array b)
+  Key_run.reset r ~lo:0 ~hi:10;
+  Alcotest.(check int) "reset" 0 (Key_run.length r);
+  Alcotest.(check (array int)) "reset array" [||] (Key_run.to_array r);
+  Key_run.push r 7;
+  Alcotest.(check (array int)) "reusable after reset" [| 7 |] (Key_run.to_array r)
 
-(* [to_sorted_array] returns ascending, duplicate-free keys whatever the
-   push order; a clear forgets an earlier out-of-order push. *)
-let int_buffer_sorted () =
-  let b = Int_buffer.create () in
+(* [sort_unique] leaves ascending, duplicate-free keys whatever the
+   push order; a reset forgets an earlier out-of-order push. *)
+let key_run_sorted () =
+  let r = Key_run.make ~lo:0 ~hi:0 in
   let sorted keys =
-    fill b (Array.of_list keys);
-    Int_buffer.to_sorted_array b
+    fill r (Array.of_list keys);
+    Key_run.sort_unique r;
+    Key_run.to_array r
   in
   Alcotest.(check (array int)) "empty" [||] (sorted []);
   Alcotest.(check (array int)) "ascending" [| 1; 2; 5; 9 |] (sorted [ 1; 2; 5; 9 ]);
@@ -71,43 +74,53 @@ let int_buffer_sorted () =
   Alcotest.(check (array int))
     "descending, each key twice, across four segments"
     (Array.of_list (List.rev descending))
-    (sorted (descending @ descending))
+    (sorted (descending @ descending));
+  (* a sorted run takes further pushes after its last key *)
+  ignore (sorted [ 9; 3; 3; 7 ]);
+  Key_run.push r 12;
+  Alcotest.(check (array int)) "pushed after the sort" [| 3; 7; 9; 12 |] (Key_run.to_array r)
 
-(* Growth allocates a segment once; a clear keeps every segment, so a
-   refill of the same length allocates nothing. *)
-let int_buffer_reuses_segments () =
-  let b = Int_buffer.create () in
+(* Growth allocates a segment once; a reset keeps every segment, so a
+   refill of the same length allocates nothing, and neither does an
+   in-place sort. *)
+let key_run_reuses_segments () =
+  let r = Key_run.make ~lo:0 ~hi:0 in
   let keys = Array.init 10_000 Fun.id in
-  fill b keys;
-  let (), words = allocated_words (fun () -> fill b keys) in
+  fill r keys;
+  let (), words = allocated_words (fun () -> fill r keys) in
   Alcotest.(check bool)
     (Printf.sprintf "refill of 10,000 allocated %d words" words)
     true (words <= 32);
-  Alcotest.(check (array int)) "refill contents" keys (Int_buffer.to_array b)
+  Alcotest.(check (array int)) "refill contents" keys (Key_run.to_array r);
+  let scrambled = Array.init 10_000 (fun i -> i * 7919 mod 4099) in
+  fill r scrambled;
+  let (), words = allocated_words (fun () -> Key_run.sort_unique r) in
+  Alcotest.(check int) "an in-place sort allocates nothing" 0 words;
+  Alcotest.(check (array int)) "sorted contents" (Array.init 4099 Fun.id) (Key_run.to_array r)
 
-(* A result is the caller's: writing into one leaves the buffer and every
+(* A result is the caller's: writing into one leaves the run and every
    other result as they were. *)
-let int_buffer_results_are_fresh () =
-  let b = Int_buffer.create () in
+let key_run_results_are_fresh () =
+  let r = Key_run.make ~lo:0 ~hi:0 in
   List.iter
     (fun n ->
       let keys = Array.init n (fun i -> i + 1) in
-      fill b keys;
-      let r1 = Int_buffer.to_array b in
-      let r2 = Int_buffer.to_sorted_array b in
+      fill r keys;
+      let r1 = Key_run.to_array r in
+      let r2 = Key_run.to_array r in
       Alcotest.(check bool) "two results, two blocks" false (r1 == r2);
       Array.fill r1 0 n (-1);
       Alcotest.(check (array int)) "second result intact" keys r2;
       Array.fill r2 0 n (-2);
-      Alcotest.(check (array int)) "buffer intact" keys (Int_buffer.to_array b);
-      Int_buffer.push b (n + 1);
+      Alcotest.(check (array int)) "run intact" keys (Key_run.to_array r);
+      Key_run.push r (n + 1);
       Alcotest.(check (array int)) "an earlier result does not grow"
         (Array.make n (-2)) r2)
     [ 1; 64; 65; 10_000 ]
 
 (* ---------- range answers allocate only themselves ---------- *)
 
-(* After a warm-up read has grown this domain's buffer, a [collect_at] of
+(* After a warm-up read has grown this domain's scratch run, a [collect_at] of
    [n] keys allocates its [n]-slot answer and its header; a list cell or
    a growth copy would cost [n] more.  bst-vcas
    takes the ascending path, citrus-ebrrq the sorted one. *)
@@ -368,7 +381,7 @@ let rq_slot_released_on_raise () =
     (versions <= (edges * 3) + 8)
 
 (* The derivation itself, against a stub core that counts acquisitions
-   and releases and whose [collect_at] raises on demand: the raise must
+   and releases and whose [collect_into] raises on demand: the raise must
    reach the caller, and the handle must be released exactly once on
    both exits. *)
 module Counting_core = struct
@@ -391,7 +404,10 @@ module Counting_core = struct
   let snap_label s = s
   let snap_release t _ = t.released <- t.released + 1
   let lookup_at _ _ _ = false
-  let collect_at _ _ ~lo ~hi = if lo > hi then raise Stdlib.Exit else [| lo; hi |]
+  let collect_into _ _ ~lo ~hi run =
+    if lo > hi then raise Stdlib.Exit;
+    Key_run.push run hi;
+    Key_run.push run lo
   let quiesce _ = ()
   let offline _ = ()
 end
@@ -413,14 +429,13 @@ let derived_range_releases_once () =
 let () =
   Alcotest.run "hotpath"
     [
-      ( "int-buffer",
+      ( "key-run",
         [
-          Alcotest.test_case "push/grow/clear/order" `Quick int_buffer_basics;
-          Alcotest.test_case "to_sorted_array" `Quick int_buffer_sorted;
-          Alcotest.test_case "clear keeps the segments" `Quick
-            int_buffer_reuses_segments;
+          Alcotest.test_case "push/grow/reset/order" `Quick key_run_basics;
+          Alcotest.test_case "sort_unique" `Quick key_run_sorted;
+          Alcotest.test_case "reset keeps the segments" `Quick key_run_reuses_segments;
           Alcotest.test_case "results share no storage" `Quick
-            int_buffer_results_are_fresh;
+            key_run_results_are_fresh;
         ] );
       ( "range-alloc",
         [
@@ -444,7 +459,7 @@ let () =
             ("bst-ebrrq-lockfree", 0., 20., 101., 20.);
             ("skiplist-bundle", 0., 20.49, 101., 20.47);
             ("lazylist-bundle", 0., 18., 101., 18.);
-            ("skiplist-vcas", 0., 25.65, 112., 25.43);
+            ("skiplist-vcas", 0., 25.65, 101., 25.43);
           ]
         @ [
             Alcotest.test_case "citrus contains <= 2x bst-vcas" `Quick

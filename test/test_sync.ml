@@ -168,51 +168,92 @@ let rwlock_released_on_raise () =
   Alcotest.(check bool) "free for a writer" true (Sync.Rwlock.try_write_lock l);
   Sync.Rwlock.write_unlock l
 
-(* ---------- Int_buffer ---------- *)
+(* ---------- Key_run ---------- *)
 
-module Int_buffer = Sync.Scratch.Int_buffer
+module Key_run = Sync.Key_run
 
-(* Segments double from 64 to 8192 slots, and hold 8192 from 16,320
-   keys on.  Fills on both sides of that change, each in ascending and
-   in scrambled order (duplicates included) and then refilled shorter,
-   give exact results; a buffer grown to 1M keys holds less than one
-   segment more, plus a header and a spine slot per segment. *)
-let int_buffer_fills () =
-  let b = Int_buffer.create () in
-  let fill n f =
-    Int_buffer.clear b;
-    for i = 0 to n - 1 do
-      Int_buffer.push b (f i)
-    done
+let uniq keys = Array.of_list (List.sort_uniq compare (Array.to_list keys))
+
+(* [keys] pushed into a run for [lo, hi]: kept in push order and, up to
+   100,000 keys (a heapsort of 1M scrambled keys takes seconds), sorted
+   in place without duplicates. *)
+let check_run what r ~lo ~hi keys =
+  Key_run.reset r ~lo ~hi;
+  Array.iter (Key_run.push r) keys;
+  Alcotest.(check (array int)) (what ^ ": to_array") keys (Key_run.to_array r);
+  if Array.length keys <= 100_000 then begin
+    Key_run.sort_unique r;
+    Alcotest.(check (array int)) (what ^ ": sort_unique") (uniq keys) (Key_run.to_array r)
+  end
+
+(* 4 bytes a key while [hi - lo] is below 2^32, 8 from 2^32 on, and 8
+   for [min_int, max_int], whose difference overflows. *)
+let key_run_width_edge () =
+  let width what ~lo ~hi expect =
+    Alcotest.(check int) what expect (Key_run.width (Key_run.make ~lo ~hi))
   in
-  let check what n f =
-    let want = Array.init n f in
-    Alcotest.(check (array int)) (what ^ ": to_array") want (Int_buffer.to_array b);
-    let sorted = Array.copy want in
-    Array.sort compare sorted;
-    let uniq = List.sort_uniq compare (Array.to_list sorted) in
-    Alcotest.(check (array int))
-      (what ^ ": to_sorted_array") (Array.of_list uniq)
-      (Int_buffer.to_sorted_array b)
-  in
+  let span32 = 1 lsl 32 in
+  width "a span of 2^32 - 1" ~lo:0 ~hi:(span32 - 1) 4;
+  width "a span of 2^32" ~lo:0 ~hi:span32 8;
+  width "a negative span of 2^32 - 1" ~lo:(-span32 + 1) ~hi:0 4;
+  width "min_int, max_int" ~lo:min_int ~hi:max_int 8;
+  width "min_int, 0" ~lo:min_int ~hi:0 8;
+  width "2^32 - 1 above min_int" ~lo:min_int ~hi:(min_int + span32 - 1) 4;
+  width "2^32 - 1 below max_int" ~lo:(max_int - span32 + 1) ~hi:max_int 4;
+  width "one key" ~lo:5 ~hi:5 4;
+  let r = Key_run.make ~lo:0 ~hi:0 in
+  let lo = 1_000 in
+  let hi = lo + span32 - 1 in
+  check_run "the ends of a 2^32 - 1 span, and the middle" r ~lo ~hi
+    [| lo; lo + 1; lo + (span32 / 2) - 1; lo + (span32 / 2); hi - 1; hi |];
+  Alcotest.(check int) "held in 4 bytes" 4 (Key_run.width r);
+  Alcotest.check_raises "a key past the span" (Invalid_argument "Key_run.push: key outside the run's span")
+    (fun () -> Key_run.push r (hi + 1));
+  Alcotest.check_raises "a key before the span" (Invalid_argument "Key_run.push: key outside the run's span")
+    (fun () -> Key_run.push r (lo - 1))
+
+let key_run_extremes () =
+  let r = Key_run.make ~lo:0 ~hi:0 in
+  check_run "min_int, max_int" r ~lo:min_int ~hi:max_int [| min_int; -1; 0; 1; max_int |];
+  check_run "min_int, max_int, scrambled" r ~lo:min_int ~hi:max_int
+    [| max_int; 0; min_int; max_int; -7; min_int; 7 |];
+  check_run "negative keys, 4 bytes" r ~lo:(-5_000) ~hi:(-1)
+    (Array.init 3_000 (fun i -> -1 - (i * 7 mod 4_999)));
+  Alcotest.(check int) "negative span in 4 bytes" 4 (Key_run.width r);
+  check_run "around zero" r ~lo:(-100) ~hi:100 [| -100; -1; 0; 1; 100; 0; -100 |];
+  check_run "the top of the int range, 4 bytes" r ~lo:(max_int - 9) ~hi:max_int
+    [| max_int; max_int - 9; max_int - 1; max_int |]
+
+(* Segments double from 64 to 8192 keys, and hold 8192 from 16,320 keys
+   on.  Fills on both sides of that change, at both widths, each in
+   ascending and in scrambled order (duplicates included) and then
+   refilled shorter, give exact results; a 4-byte run grown to 1M keys
+   holds less than one 8192-key segment more than 0.5M words, plus a
+   header and a spine slot per segment. *)
+let key_run_fills () =
+  let r = Key_run.make ~lo:0 ~hi:0 in
   let ascending i = (3 * i) + 1 and scrambled i = i * 7919 mod 4099 in
   List.iter
     (fun n ->
       List.iter
         (fun (order, f) ->
-          let what = Printf.sprintf "%d %s" n order in
-          fill n f;
-          check what n f;
-          fill (n / 3) f;
-          check (what ^ ", refilled with a third") (n / 3) f)
+          List.iter
+            (fun (span, lo, hi) ->
+              let what = Printf.sprintf "%d %s, %s" n order span in
+              check_run what r ~lo ~hi (Array.init n f);
+              check_run (what ^ ", refilled with a third") r ~lo ~hi (Array.init (n / 3) f))
+            [ ("4 bytes", 0, 4_000_000); ("8 bytes", min_int, max_int) ])
         [ ("ascending", ascending); ("scrambled", scrambled) ])
     [ 0; 64; 8191; 8192; 8193; 16_319; 16_320; 16_321; 1_000_000 ];
-  fill 1_000_000 Fun.id;
-  let words = Obj.reachable_words (Obj.repr b) in
+  let r = Key_run.make ~lo:0 ~hi:1_000_000 in
+  for i = 0 to 999_999 do
+    Key_run.push r i
+  done;
+  let words = Obj.reachable_words (Obj.repr r) in
   Alcotest.(check bool)
-    (Printf.sprintf "1M keys retain %d words, at most 1M + 8192 + 512" words)
+    (Printf.sprintf "1M 4-byte keys retain %d words, at most 500,000 + 4096 + 512" words)
     true
-    (words <= 1_000_000 + 8192 + 512)
+    (words <= 500_000 + 4096 + 512)
 
 let () =
   Alcotest.run "sync"
@@ -238,7 +279,10 @@ let () =
           Alcotest.test_case "rwlock released on raise" `Quick
             rwlock_released_on_raise;
         ] );
-      ( "int_buffer",
-        [ Alcotest.test_case "fills across the segment sizes" `Quick int_buffer_fills ]
-      );
+      ( "key_run",
+        [
+          Alcotest.test_case "width edge at 2^32" `Quick key_run_width_edge;
+          Alcotest.test_case "min_int, max_int and negative keys" `Quick key_run_extremes;
+          Alcotest.test_case "fills across the segment sizes" `Quick key_run_fills;
+        ] );
     ]

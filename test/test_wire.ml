@@ -431,7 +431,8 @@ let windowed_frames () =
    it. *)
 let response_of = function
   | Wire.Whole r -> r
-  | Wire.Parts (label, parts) -> Wire.Keys (label, Array.concat (Array.to_list parts))
+  | Wire.Parts (label, parts) ->
+    Wire.Keys (label, Array.concat (List.map Sync.Key_run.to_array (Array.to_list parts)))
   | Wire.Marks (p, others) ->
     let j = ref 0 in
     Wire.Rbatch
@@ -471,14 +472,33 @@ let marks reqs ~point others =
     reqs;
   Wire.Marks (p, others)
 
+(* [keys] in a run for [lo, hi] (by default their own first and last),
+   sorted in place as a served part is *)
+let run ?lo ?hi keys =
+  let n = Array.length keys in
+  let lo = match lo with Some lo -> lo | None -> if n = 0 then 0 else keys.(0) in
+  let hi = match hi with Some hi -> hi | None -> if n = 0 then 0 else keys.(n - 1) in
+  let r = Sync.Key_run.make ~lo ~hi in
+  Array.iter (Sync.Key_run.push r) keys;
+  Sync.Key_run.sort_unique r;
+  r
+
 (* Every answer form, each piece form beside plain responses with
    members, gives response_frame's bytes through 7-byte and 16 KiB
    windows, with one cursor kept across all the frames (each frame's
-   first window resets it) and without one.  The large frames, the
-   forms a cursor walks (marks, parts, a Keyss), take members x windows
-   steps without one, so they only run with one. *)
+   first window resets it) and without one, and its [answer_size] is
+   the payload size of the response it stands for.  Parts are key runs
+   of 4 and 8 bytes a key, empty ones, ones that end on both sides of
+   the 8192-key segment edge, and one filled out of order.  The large
+   frames, the forms a cursor walks (marks, parts, a Keyss), take
+   members x windows steps without one, so they only run with one. *)
 let answers_through_a_cursor () =
   let keys n = Array.init n (fun i -> (i * 7919) - 40_000) in
+  let runs n = run (keys n) in
+  let wide =
+    run ~lo:min_int ~hi:max_int [| min_int; -(1 lsl 40); -1; 0; 1 lsl 40; max_int |]
+  in
+  let scrambled = run ~lo:0 ~hi:2_002 (Array.init 3_000 (fun i -> i * 7919 mod 2_003)) in
   let mixed =
     [|
       Wire.Insert 3; Wire.Range (1, 9); Wire.Get 4; Wire.Ping; Wire.Delete 5;
@@ -494,9 +514,13 @@ let answers_through_a_cursor () =
              [| Wire.Bool true; Wire.Keyss (4, Array.init 40 keys); Wire.Err "e"; Wire.Pong |]) );
       ("Whole Keyss", Wire.Whole (Wire.Keyss (17, Array.init 50 keys)));
       ("Whole Bool", Wire.Whole (Wire.Bool false));
-      ("Parts, two", Wire.Parts (9, [| keys 3_000; keys 2_500 |]));
-      ("Parts, empty ones", Wire.Parts (-1, [| [||]; keys 7; [||]; keys 4_000; [||] |]));
+      ("Parts, two", Wire.Parts (9, [| runs 3_000; runs 2_500 |]));
+      ("Parts, empty ones", Wire.Parts (-1, [| run [||]; runs 7; run [||]; runs 4_000; run [||] |]));
       ("Parts, none", Wire.Parts (0, [||]));
+      ("Parts, 8 bytes a key", Wire.Parts (3, [| wide; runs 10; wide |]));
+      ( "Parts about the segment edge",
+        Wire.Parts (4, [| runs 8_191; runs 8_192; runs 8_193; runs 16_319; runs 16_321 |]) );
+      ("Parts, one filled out of order", Wire.Parts (5, [| scrambled; runs 3 |]));
       ( "Marks of points",
         marks (Array.init 3_000 (fun i -> Wire.Get i)) ~point:(fun i ->
             if i mod 3 = 0 then Wire.yes else Wire.no) [||] );
@@ -516,7 +540,8 @@ let answers_through_a_cursor () =
             if i land 1 = 0 then Wire.yes else Wire.refused) [||] );
       ( "Whole Keyss of 100,000 ranges",
         Wire.Whole (Wire.Keyss (1, Array.init 100_000 (fun i -> [| i |]))) );
-      ("Parts of 20,000 parts", Wire.Parts (1, Array.init 20_000 (fun i -> [| i |])));
+      ("Parts of 20,000 parts", Wire.Parts (1, Array.init 20_000 (fun i -> run [| i |])));
+      ("Parts of 100,000 keys", Wire.Parts (2, [| runs 60_000; runs 40_000 |]));
     ]
   in
   let cursor = Wire.cursor () in
@@ -525,6 +550,10 @@ let answers_through_a_cursor () =
       List.iter
         (fun (what, a) ->
           let want = Wire.response_frame (response_of a) in
+          Alcotest.(check int)
+            (what ^ ": answer_size")
+            (Wire.response_size (response_of a))
+            (Wire.answer_size a);
           let check how got =
             Alcotest.(check bytes)
               (Printf.sprintf "%s, %d-byte windows, %s" what window how)
@@ -597,6 +626,51 @@ let decoder_shrinks () =
   Alcotest.check request "a 20 KB request" mid (Option.get (Wire.next_request d));
   Alcotest.(check bool) "a buffer of at most 64 KiB stays" true
     (Obj.reachable_words (Obj.repr d) > 2_500)
+
+(* Words [f ()] allocated directly in this domain's major heap: what the
+   major heap gained, less what minor collections promoted into it. *)
+let direct_major_words f =
+  let _, pr0, ma0 = Gc.counters () in
+  let r = f () in
+  let _, pr1, ma1 = Gc.counters () in
+  (r, int_of_float (ma1 -. ma0 -. (pr1 -. pr0)))
+
+(* A pipeline of 512-op point batches (4.6 KB frames), 16 at a time,
+   read 64 KiB at a time as the server reads, fills the decoder past
+   64 KiB on most reads.  It keeps its buffer: after a first pass,
+   decoding 128 batches allocates less than one word a batch directly
+   in the major heap.  (Cutting the buffer back to 4 KiB whenever what
+   was left fitted made a 128 KiB block there on most reads, ~1,000
+   words a batch.) *)
+let decoder_keeps_a_pipelines_buffer () =
+  let batch b = Wire.request_frame (Wire.Batch (Array.init 512 (fun i -> Wire.Insert ((8 * i) + b)))) in
+  let burst = Bytes.concat Bytes.empty (List.init 16 batch) in
+  let stream = Bytes.concat Bytes.empty (List.init 8 (fun _ -> burst)) in
+  let d = Wire.decoder () in
+  let decode_stream () =
+    let pos = ref 0 and batches = ref 0 in
+    while !pos < Bytes.length stream do
+      let n = min 65_536 (Bytes.length stream - !pos) in
+      Wire.feed d stream !pos n;
+      pos := !pos + n;
+      let rec next () =
+        match Wire.next_incoming d with
+        | Some (Wire.Points p) when Wire.length p = 512 ->
+          incr batches;
+          next ()
+        | Some _ -> Alcotest.fail "a point batch decoded as something else"
+        | None -> ()
+      in
+      next ()
+    done;
+    !batches
+  in
+  ignore (decode_stream ());
+  let batches, direct = direct_major_words decode_stream in
+  Alcotest.(check int) "every batch decoded" 128 batches;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d batches allocated %d words directly in the major heap" batches direct)
+    true (direct < batches)
 
 let incomplete_frame_waits () =
   let d = Wire.decoder () in
@@ -768,6 +842,8 @@ let () =
             pipelined_chunked_feed;
           Alcotest.test_case "incomplete frame waits" `Quick
             incomplete_frame_waits;
+          Alcotest.test_case "a pipeline of batches keeps its buffer" `Quick
+            decoder_keeps_a_pipelines_buffer;
           Alcotest.test_case "decoder shrinks after a large frame" `Quick
             decoder_shrinks;
         ] );

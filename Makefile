@@ -81,6 +81,16 @@ check-torture: build
 	  dune exec bin/hwts_cli.exe -- check --structure lazylist-bundle \
 	    --provider logical --multi --rounds 24 --seed $$seed || exit 1; \
 	done
+	# The lock-based trees keep each node's lock bit and mark in one
+	# state word: citrus-ebrrq under the logical clock is the served
+	# churn-skew pairing, and citrus-bundle takes its locks under
+	# rdtscp-strict.
+	for seed in 0xC0FFEE 0xBADF00D; do \
+	  dune exec bin/hwts_cli.exe -- check --structure citrus-ebrrq \
+	    --provider logical --multi --rounds 24 --seed $$seed || exit 1; \
+	  dune exec bin/hwts_cli.exe -- check --structure citrus-bundle \
+	    --provider rdtscp-strict --multi --rounds 24 --seed $$seed || exit 1; \
+	done
 	$(MAKE) bench-hotpath-guard
 
 # Re-measure the optimized leg with fault injection disabled (the

@@ -10,7 +10,7 @@ end
 module Logical () = struct
   let name = "logical"
   let is_hardware = false
-  let raw = Sync.Padding.atomic 1
+  let raw = Atomic.make 1
   let read () = Atomic.get raw
   let read_floor = read
   let advance () = Atomic.fetch_and_add raw 1 + 1
@@ -58,39 +58,41 @@ end
 module Strict (T : S) () = struct
   let name = T.name ^ "-strict"
   let is_hardware = false (* the tie-break word is shared state *)
-  let last = Sync.Padding.atomic 0
+  let last = Atomic.make 0
   let advances = Hwts_obs.Registry.counter "timestamp.strict.advances"
   let ties = Hwts_obs.Registry.counter "timestamp.strict.ties"
   let read () = max (T.read ()) (Atomic.get last)
   let read_floor () = max (T.read_floor ()) (Atomic.get last)
 
+  (* On CAS failure (another domain advanced concurrently) back off
+     before retrying the shared tie-break word; the backoff state is
+     allocated only once a retry actually happens.  The two are functions
+     of the module, not closures built per advance. *)
+  let rec attempt backoff =
+    let t = T.advance () in
+    let prev = Atomic.get last in
+    if t > prev then
+      if Atomic.compare_and_set last prev t then t else contended backoff
+    else begin
+      (* Tie (or stale hardware read): bump past the last value handed
+         out, as Jiffy's revision lists require. *)
+      Hwts_obs.Counter.incr ties;
+      let bumped = prev + 1 in
+      if Atomic.compare_and_set last prev bumped then bumped
+      else contended backoff
+    end
+
+  and contended backoff =
+    let backoff =
+      match backoff with
+      | Some _ -> backoff
+      | None -> Some (Sync.Backoff.make ~min_spins:2 ~max_spins:512 ())
+    in
+    (match backoff with Some b -> Sync.Backoff.once b | None -> ());
+    attempt backoff
+
   let advance () =
     Hwts_obs.Counter.incr advances;
-    (* On CAS failure (another domain advanced concurrently) back off
-       before retrying the shared tie-break word; the backoff state is
-       allocated only once a retry actually happens. *)
-    let rec attempt backoff =
-      let t = T.advance () in
-      let prev = Atomic.get last in
-      if t > prev then
-        if Atomic.compare_and_set last prev t then t else contended backoff
-      else begin
-        (* Tie (or stale hardware read): bump past the last value handed
-           out, as Jiffy's revision lists require. *)
-        Hwts_obs.Counter.incr ties;
-        let bumped = prev + 1 in
-        if Atomic.compare_and_set last prev bumped then bumped
-        else contended backoff
-      end
-    and contended backoff =
-      let backoff =
-        match backoff with
-        | Some _ -> backoff
-        | None -> Some (Sync.Backoff.make ~min_spins:2 ~max_spins:512 ())
-      in
-      (match backoff with Some b -> Sync.Backoff.once b | None -> ());
-      attempt backoff
-    in
     attempt None
 
   (* strictly increasing labels make the advance itself a safe snapshot *)
@@ -117,7 +119,7 @@ module Strict_sharded (T : S) () = struct
   let () = assert (1 lsl shard_bits >= Sync.Slot.max_slots)
   let name = T.name ^ "-strict-sharded"
   let is_hardware = false (* the skew-guard word is shared state *)
-  let last_pub = Sync.Padding.atomic 0
+  let last_pub = Atomic.make 0
   let advances = Hwts_obs.Registry.counter "timestamp.sharded.advances"
   let bumps = Hwts_obs.Registry.counter "timestamp.sharded.bumps"
   let catchups = Hwts_obs.Registry.counter "timestamp.sharded.catchups"
@@ -127,6 +129,14 @@ module Strict_sharded (T : S) () = struct
 
   let read () = max (T.read () lsl shard_bits) (Atomic.get last_pub)
   let read_floor () = max (T.read_floor () lsl shard_bits) (Atomic.get last_pub)
+
+  (* Publish [label] for the skew guard; retry only while strictly ahead,
+     so a failed CAS (someone published a larger value, or a value we are
+     about to supersede) converges instead of storming. *)
+  let rec publish label =
+    let g = Atomic.get last_pub in
+    if label > g && not (Atomic.compare_and_set last_pub g label) then
+      publish label
 
   let advance () =
     Hwts_obs.Counter.incr advances;
@@ -152,15 +162,7 @@ module Strict_sharded (T : S) () = struct
     in
     mine := hw;
     let label = (hw lsl shard_bits) lor id in
-    (* Publish for the skew guard; retry only while strictly ahead, so a
-       failed CAS (someone published a larger value, or a value we are
-       about to supersede) converges instead of storming. *)
-    let rec publish () =
-      let g = Atomic.get last_pub in
-      if label > g && not (Atomic.compare_and_set last_pub g label) then
-        publish ()
-    in
-    publish ();
+    publish label;
     label
 
   (* strictly increasing labels make the advance itself a safe snapshot *)
@@ -228,7 +230,7 @@ end
 module Delayed () = struct
   let name = "delayed"
   let is_hardware = false
-  let raw = Sync.Padding.atomic 1
+  let raw = Atomic.make 1
   let advances = Hwts_obs.Registry.counter "timestamp.delayed.advances"
   let wins = Hwts_obs.Registry.counter "timestamp.delayed.faa_wins"
   let rides = Hwts_obs.Registry.counter "timestamp.delayed.rides"
@@ -272,9 +274,10 @@ module Delayed () = struct
 end
 
 (* Multi-slot summed logical clock (flock [timestamp_multiple]): the
-   stamp is the sum of [Zoo_config.ms_slots] cache-line-padded slots and
-   a domain fetch-and-adds only its own slot, so the write traffic of a
-   single counter line is cut by 1/k.  Sums are not atomic, but every
+   stamp is the sum of [Zoo_config.ms_slots] slots and a domain
+   fetch-and-adds only its own slot, so each slot takes 1/k of the
+   writes (the slots are not padded, so they may share a cache line).
+   Sums are not atomic, but every
    slot is monotone, so any sequential pass lies between the true sums at
    the pass's start and end — a later pass can never fall below an
    earlier label.  [read] and [snapshot] still double-collect (re-sum
@@ -293,7 +296,7 @@ module Multislot () = struct
 
   (* slot 0 starts at 1: sums never return the 0 consumers reserve as an
      "unlabeled" sentinel, mirroring [Logical]'s start at 1 *)
-  let slots = Sync.Padding.atomic_array k 0
+  let slots = Array.init k (fun _ -> Atomic.make 0)
   let () = Atomic.set slots.(0) 1
   let advances = Hwts_obs.Registry.counter "timestamp.multislot.advances"
   let rides = Hwts_obs.Registry.counter "timestamp.multislot.rides"
@@ -314,16 +317,15 @@ module Multislot () = struct
      was an instantaneous sum.  Give up after a few tries and return the
      last pass — still a valid monotone observation (between the true
      sums at its start and end), just not provably instantaneous. *)
-  let sum_stable () =
-    let rec go prev tries =
-      let s = sum_once () in
-      if s = prev || tries = 0 then s
-      else begin
-        Hwts_obs.Counter.incr collect_retries;
-        go s (tries - 1)
-      end
-    in
-    go (sum_once ()) 3
+  let rec collect prev tries =
+    let s = sum_once () in
+    if s = prev || tries = 0 then s
+    else begin
+      Hwts_obs.Counter.incr collect_retries;
+      collect s (tries - 1)
+    end
+
+  let sum_stable () = collect (sum_once ()) 3
 
   let read () = sum_stable ()
   let read_floor () = sum_once ()
@@ -381,7 +383,7 @@ module Tl2 () = struct
   let is_hardware = false
 
   (* epoch 1, id 0; epoch 0 stays clear of consumers' 0 sentinel *)
-  let stamp = Sync.Padding.atomic (1 lsl bits)
+  let stamp = Atomic.make (1 lsl bits)
   let advances = Hwts_obs.Registry.counter "timestamp.tl2.advances"
   let fastpath = Hwts_obs.Registry.counter "timestamp.tl2.fastpath"
   let bumps = Hwts_obs.Registry.counter "timestamp.tl2.bumps"

@@ -116,12 +116,13 @@ module Delayed () : S
 
 module Multislot () : S
 (** Summed multi-slot logical clock (flock's [timestamp_multiple]): k
-    cache-line-padded slots ({!Zoo_config.ms_slots}), the stamp is their
-    sum, and each domain fetch-and-adds only its own slot — write
-    contention drops by 1/k while every increment still moves the global
-    stamp.  Reads sum the slots with a bounded double-collect (two equal
+    slots ({!Zoo_config.ms_slots}), the stamp is their sum, and each
+    domain fetch-and-adds only its own slot — write contention on a slot
+    drops by 1/k while every increment still moves the global stamp.
+    Reads sum the slots with a bounded double-collect (two equal
     consecutive passes prove an instantaneous value; single sequential
-    passes are still valid monotone bounds because slots never decrease).
+    passes are still valid monotone bounds because slots never
+    decrease).
     [advance] applies the delayed-increment discipline on top
     ({!Zoo_config.ms_delay}).  Generative. *)
 

@@ -1,10 +1,11 @@
-(* One padded atomic per thread slot: [incr] touches only the caller's own
-   cache line, [sum] pays the full scan on the cold read path. *)
+(* One atomic per thread slot: [incr] writes only the caller's own word,
+   [sum] pays the full scan on the cold read path.  The slots are not
+   padded: OCaml 5.1 cannot keep a block on a cache line of its own. *)
 
 type t = { name : string; shards : int Atomic.t array }
 
 let create name =
-  { name; shards = Sync.Padding.atomic_array Sync.Slot.max_slots 0 }
+  { name; shards = Array.init Sync.Slot.max_slots (fun _ -> Atomic.make 0) }
 
 let name t = t.name
 

@@ -1,7 +1,7 @@
 (** Per-domain sharded event counter.
 
-    Each thread slot ({!Sync.Slot}) owns one cache-line-padded atomic, so
-    the [incr] hot path is an uncontended fetch-and-add; [sum] folds over
+    Each thread slot ({!Sync.Slot}) owns one atomic, so the [incr] hot
+    path is a fetch-and-add no other domain writes; [sum] folds over
     all slots on the (cold) read path.  Increments are dropped entirely
     when {!Config.enabled} is false. *)
 

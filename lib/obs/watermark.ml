@@ -1,6 +1,6 @@
 type t = { name : string; cell : int Atomic.t }
 
-let create name = { name; cell = Sync.Padding.atomic 0 }
+let create name = { name; cell = Atomic.make 0 }
 let name t = t.name
 
 (* A function of its own, not a closure over [v]: observing allocates

@@ -40,7 +40,7 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
     let create () =
       {
         ebr = Reclaim.create ~on_free:poison ();
-        announced = Sync.Padding.atomic_array Sync.Slot.max_slots none;
+        announced = Array.init Sync.Slot.max_slots (fun _ -> Atomic.make none);
       }
 
     (* Edges hold no versions: a write is the field CAS itself, and a

@@ -11,9 +11,10 @@
 type dir = L | R
 
 (* A [Node]'s inline record is its block, and an absent child is [Nil],
-   which is no block at all.  [left] (field 1), [right] (2) and [lock]
-   (3) are written only through {!Field_lock}, and [w0] (5) and [w1] (6)
-   through {!Link} where they are links, so the field order matters.
+   which is no block at all.  [left] (field 1), [right] (2) and [state]
+   (3, the lock bit and [marked]) are written only through {!Field_lock},
+   and [w0] (4) and [w1] (5) through {!Link} where they are links, so the
+   field order matters.
    The two label words belong to the labeling: the left and right
    labeled links under vCAS and Bundling, the insertion and deletion
    times under EBR-RQ.  A [Version] is a labeled link's version
@@ -25,16 +26,15 @@ type 'w node =
       key : int;
       mutable left : 'w node; (* raw links *)
       mutable right : 'w node;
-      mutable lock : bool;
-      mutable marked : bool;
+      mutable state : int;
       mutable w0 : 'w;
       mutable w1 : 'w;
     }
   | Version of { mutable ts : int; v : 'w node; mutable older : 'w node }
 
 let key_of = function Node n -> n.key | Nil | Version _ -> max_int
-let marked = function Node n -> n.marked | Nil | Version _ -> false
-let mark = function Node n -> n.marked <- true | Nil | Version _ -> ()
+let state = function Node n -> n.state | Nil | Version _ -> 0
+let marked n = Field_lock.has Field_lock.marked (state n)
 
 let child n d =
   match n with
@@ -122,9 +122,12 @@ module Make (L : LABELING) = struct
   module F = Field_lock.Make (struct
     type t = node
 
-    let lock_field = 3
-    let locked = function Node n -> n.lock | Nil | Version _ -> false
+    let state_field = 3
+    let state = state
   end)
+
+  (* The holder of [n]'s lock marks it. *)
+  let mark n = F.set n Field_lock.marked
 
   module Reclaim = L.Reclaim
 
@@ -138,8 +141,7 @@ module Make (L : LABELING) = struct
         key;
         left = l;
         right = r;
-        lock = false;
-        marked = false;
+        state = 0;
         w0 = L.fresh l;
         w1 = L.fresh r;
       }
@@ -482,7 +484,7 @@ module Heads (R : Hwts_reclaim.Intf.BACKEND) (V : VERSIONS) = struct
   let reads_heads = V.reads_heads
   let on_free = None
   let fresh child = W child
-  let field = function L -> 5 | R -> 6
+  let field = function L -> 4 | R -> 5
 
   (* the labeled link from [n] toward [d]; [n] is a node *)
   let link n d =

@@ -18,32 +18,29 @@ module Make (S : SHAPE) (T : Hwts.Timestamp.S) = struct
      [next], so a raw step is one load of it, and it is fully linked as
      soon as it is linked.  A [Tall] node keeps its raw links at levels
      1..top in [tower] (index l-1) and is fully linked once its inserter
-     sets [fully_linked].  The two share their first five fields: [next]
-     (field 1), [lock] (2), [marked] (3) and [b] (4), then [Tall]'s
-     [fully_linked] (6), are written only through {!Field_lock} and
-     {!Link}, so the field order matters; so are the tower's slots, once
-     the node is linked.  [b] is the bundled level-0 link: the successor
-     itself once no snapshot can need its history, else a [Version], the
-     head of its bundle ({!Link}).  The list ends in the immediate [Nil]
-     at every level.  No raw link and no version's value is a
-     [Version]. *)
+     sets the [fully_linked] bit of its state word.  The two share their
+     first four fields: [next] (field 1) and [state] (2: the lock bit,
+     [marked], and [Tall]'s [fully_linked]) are written only through
+     {!Field_lock}, [b] (3) only through {!Link}, so the field order
+     matters; so are the tower's slots, once the node is linked.  [b] is
+     the bundled level-0 link: the successor itself once no snapshot can
+     need its history, else a [Version], the head of its bundle
+     ({!Link}).  The list ends in the immediate [Nil] at every level.  No
+     raw link and no version's value is a [Version]. *)
   type node =
     | Nil
     | Node of {
         key : int;
         mutable next : node;
-        mutable lock : bool;
-        mutable marked : bool;
+        mutable state : int;
         mutable b : node;
       }
     | Tall of {
         key : int;
         mutable next : node;
-        mutable lock : bool;
-        mutable marked : bool;
+        mutable state : int;
         mutable b : node;
         tower : node array;
-        mutable fully_linked : bool;
       }
     | Version of { mutable ts : int; v : node; mutable older : node }
 
@@ -62,12 +59,14 @@ module Make (S : SHAPE) (T : Hwts.Timestamp.S) = struct
     | Node { b; _ } | Tall { b; _ } -> b
     | Nil | Version _ -> not_a_node "b_of"
 
-  let[@inline] marked = function
-    | Node { marked; _ } | Tall { marked; _ } -> marked
-    | Nil | Version _ -> false
+  let[@inline] state = function
+    | Node { state; _ } | Tall { state; _ } -> state
+    | Nil | Version _ -> 0
+
+  let[@inline] marked n = Field_lock.has Field_lock.marked (state n)
 
   let[@inline] fully_linked = function
-    | Tall { fully_linked; _ } -> fully_linked
+    | Tall { state; _ } -> Field_lock.has Field_lock.fully_linked state
     | Nil | Node _ | Version _ -> true
 
   let[@inline] tower_of = function
@@ -110,11 +109,8 @@ module Make (S : SHAPE) (T : Hwts.Timestamp.S) = struct
   module F = Field_lock.Make (struct
     type t = node
 
-    let lock_field = 2
-
-    let locked = function
-      | Node { lock; _ } | Tall { lock; _ } -> lock
-      | Nil | Version _ -> false
+    let state_field = 2
+    let state = state
   end)
 
   type t = { head : node; registry : Rq_registry.t }
@@ -126,17 +122,15 @@ module Make (S : SHAPE) (T : Hwts.Timestamp.S) = struct
     let key = Dstruct.Ordered_set.min_key in
     let head =
       if max_level = 0 then
-        Node { key; next = Nil; lock = false; marked = false; b = Nil }
+        Node { key; next = Nil; state = 0; b = Nil }
       else
         Tall
           {
             key;
             next = Nil;
-            lock = false;
-            marked = false;
+            state = Field_lock.fully_linked;
             b = Nil;
             tower = Array.make max_level Nil;
-            fully_linked = true;
           }
     in
     { head; registry = Rq_registry.create () }
@@ -273,7 +267,7 @@ module Make (S : SHAPE) (T : Hwts.Timestamp.S) = struct
   let prepare n target =
     let was = b_of n in
     let version = L.successor was target in
-    L.install n 4 ~was version;
+    L.install n 3 ~was version;
     version
 
   (* Link a fresh node of [key] over levels 0..[top]; the caller holds
@@ -283,17 +277,15 @@ module Make (S : SHAPE) (T : Hwts.Timestamp.S) = struct
     let own = L.pending succ in
     let node =
       if top = 0 then
-        Node { key; next = succ; lock = false; marked = false; b = own }
+        Node { key; next = succ; state = 0; b = own }
       else
         Tall
           {
             key;
             next = succ;
-            lock = false;
-            marked = false;
+            state = 0;
             b = own;
             tower = Array.sub succs 1 top;
-            fully_linked = false;
           }
     in
     let link = prepare pred node in
@@ -306,17 +298,17 @@ module Make (S : SHAPE) (T : Hwts.Timestamp.S) = struct
        its walk at it, as soon as it is reachable *)
     let ts = T.advance () in
     W.label own ts;
-    L.settle t.registry node 4 own;
+    L.settle t.registry node 3 own;
     F.link pred 1 ~was:succ node;
     for level = 1 to top do
       F.link_slot (tower_of preds.(level)) (level - 1) ~was:succs.(level) node
     done;
     W.label link ts;
-    L.settle t.registry pred 4 link;
+    L.settle t.registry pred 3 link;
     (* fault injection: labeled and linked; a [Tall] node is not yet
        fully linked, so point ops must wait, not answer "absent" *)
     Sync.Pause.point ();
-    if top > 0 then F.set node 6
+    if top > 0 then F.set node Field_lock.fully_linked
 
   let rec insert t key =
     assert (key > Dstruct.Ordered_set.min_key && key <= Dstruct.Ordered_set.max_key);
@@ -355,13 +347,13 @@ module Make (S : SHAPE) (T : Hwts.Timestamp.S) = struct
        can only do so after the label exists, so no snapshot taken later
        can predate the delete *)
     let ts = T.advance () in
-    F.set v 3;
+    F.set v Field_lock.marked;
     for level = top downto 1 do
       F.link_slot (tower_of preds.(level)) (level - 1) ~was:v (slot v level)
     done;
     F.link pred 1 ~was:v after;
     W.label link ts;
-    L.settle t.registry pred 4 link
+    L.settle t.registry pred 3 link
 
   (* Retry until [v]'s predecessors validate.  The mark, the point-op
      commit, waits for the unlink step, after the timestamp exists;
@@ -472,8 +464,8 @@ module Make (S : SHAPE) (T : Hwts.Timestamp.S) = struct
 
   let to_list t =
     let rec walk acc = function
-      | (Node { key; marked; next; _ } | Tall { key; marked; next; _ }) as n ->
-        walk (if marked || not (fully_linked n) then acc else key :: acc) next
+      | (Node { key; next; _ } | Tall { key; next; _ }) as n ->
+        walk (if marked n || not (fully_linked n) then acc else key :: acc) next
       | Nil | Version _ -> List.rev acc
     in
     walk [] (next_of t.head)

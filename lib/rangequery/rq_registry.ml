@@ -33,7 +33,7 @@ let default_refresh_period =
   | Some n when n >= 1 -> n
   | _ -> 64
 
-let refresh_period_state = Sync.Padding.atomic default_refresh_period
+let refresh_period_state = Atomic.make default_refresh_period
 let refresh_period () = Atomic.get refresh_period_state
 
 let set_refresh_period n =
@@ -42,12 +42,12 @@ let set_refresh_period n =
 
 let create () =
   {
-    slots = Sync.Padding.atomic_array Sync.Slot.max_slots 0;
+    slots = Array.init Sync.Slot.max_slots (fun _ -> Atomic.make 0);
     pins =
       Array.init Sync.Slot.max_slots (fun _ -> { ts = Array.make 4 0; n = 0 });
-    active = Sync.Padding.atomic 0;
-    hw_slot = Sync.Padding.atomic 0;
-    cached_floor = Sync.Padding.atomic 0;
+    active = Atomic.make 0;
+    hw_slot = Atomic.make 0;
+    cached_floor = Atomic.make 0;
     tick = Domain.DLS.new_key (fun () -> ref 0);
   }
 

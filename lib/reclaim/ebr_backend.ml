@@ -43,8 +43,8 @@ module Reads = struct
 
   let create () =
     {
-      global = Sync.Padding.atomic 1;
-      announce = Sync.Padding.atomic_array Sync.Slot.max_slots 0;
+      global = Atomic.make 1;
+      announce = Array.init Sync.Slot.max_slots (fun _ -> Atomic.make 0);
       nesting = Domain.DLS.new_key (fun () -> ref 0);
     }
 
@@ -135,8 +135,8 @@ struct
 
   let create ?(epoch_frequency = 64) ?on_free () =
     {
-      global = Sync.Padding.atomic 1;
-      announce = Sync.Padding.atomic_array Sync.Slot.max_slots 0;
+      global = Atomic.make 1;
+      announce = Array.init Sync.Slot.max_slots (fun _ -> Atomic.make 0);
       limbo = Limbo.create ?on_free ~limbo_len ();
       epoch_frequency;
       op_count = Domain.DLS.new_key (fun () -> ref 0);

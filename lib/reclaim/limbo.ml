@@ -34,7 +34,7 @@ let limbo_hwm = Hwts_obs.Registry.watermark "reclaim.limbo_hwm"
 
 let create ?on_free ~limbo_len () =
   {
-    lists = Sync.Padding.atomic_array Sync.Slot.max_slots Nil;
+    lists = Array.init Sync.Slot.max_slots (fun _ -> Atomic.make Nil);
     reclaimed = Atomic.make 0;
     on_free;
     limbo_len;

@@ -1,6 +1,6 @@
 (* Quiescent-state-based reclamation: no per-op announce store.
 
-   Per participating domain ("online"), two padded shared cells:
+   Per participating domain ("online"), two shared cells:
 
    - [announce.(slot)]: the stamp of the domain's last {e quiescence
      point} — published only at harness-loop / serve-batch boundaries
@@ -93,11 +93,12 @@ struct
   let create ?(epoch_frequency = 64) ?on_free () =
     {
       order = O.create ();
-      announce = Sync.Padding.atomic_array Sync.Slot.max_slots offline_stamp;
-      safe = Sync.Padding.atomic_array Sync.Slot.max_slots 0;
+      announce =
+        Array.init Sync.Slot.max_slots (fun _ -> Atomic.make offline_stamp);
+      safe = Array.init Sync.Slot.max_slots (fun _ -> Atomic.make 0);
       limbo = Limbo.create ?on_free ~limbo_len ();
       epoch_frequency;
-      waiters = Sync.Padding.atomic 0;
+      waiters = Atomic.make 0;
       dls =
         Domain.DLS.new_key (fun () ->
             { online = false; nesting = 0; since_trim = 0 });
@@ -262,7 +263,7 @@ end
 module Epoch_order = struct
   type t = int Atomic.t
 
-  let create () = Sync.Padding.atomic 1
+  let create () = Atomic.make 1
   let retire_stamp g = Atomic.get g
   let quiesce_stamp g = Atomic.get g
 

@@ -30,16 +30,16 @@ let env_seed =
   | Some s -> s
   | None -> 0x5EED
 
-let period_word = Padding.atomic env_period
-let seed_word = Padding.atomic env_seed
+let period_word = Atomic.make env_period
+let seed_word = Atomic.make env_seed
 
 (* Bumped on every [enable] so per-domain streams reseed; lets the torture
    driver run many independent seeded rounds in one process. *)
-let epoch = Padding.atomic 0
+let epoch = Atomic.make 0
 
 (* Total injections across all domains: tests assert the schedule actually
    fired.  Plain shared counter — contention is irrelevant in fault mode. *)
-let injected_total = Padding.atomic 0
+let injected_total = Atomic.make 0
 
 let enabled () = Atomic.get period_word > 0
 let injected () = Atomic.get injected_total
@@ -97,8 +97,8 @@ let inject st =
 
 (* [park_at]: a test sets [period_word] to -1, which routes every point to
    [slow_point], and [countdown] picks the point that parks. *)
-let countdown = Padding.atomic 0
-let parked_word = Padding.atomic false
+let countdown = Atomic.make 0
+let parked_word = Atomic.make false
 
 let park_at n =
   assert (n >= 1 && not (enabled ()));

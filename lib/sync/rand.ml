@@ -8,10 +8,10 @@
    (seed, slot id), reseeded whenever [set_seed] bumps the epoch, so a
    torture round or a --seed harness run replays with the same jitter. *)
 
-let seed_word = Padding.atomic 0x5EED
+let seed_word = Atomic.make 0x5EED
 
 (* Bumped on every [set_seed] so per-domain streams reseed lazily. *)
-let epoch = Padding.atomic 0
+let epoch = Atomic.make 0
 
 let set_seed s =
   Atomic.set seed_word s;

@@ -3,7 +3,7 @@
 type t = { state : int Atomic.t; waiting_writers : int Atomic.t }
 
 let make () =
-  { state = Padding.atomic 0; waiting_writers = Padding.atomic 0 }
+  { state = Atomic.make 0; waiting_writers = Atomic.make 0 }
 
 let try_read_lock t =
   Atomic.get t.waiting_writers = 0

@@ -10,7 +10,7 @@ let initial =
   | Some ("0" | "false" | "off" | "no") -> false
   | _ -> true
 
-let state = Padding.atomic initial
+let state = Atomic.make initial
 let enabled () = Atomic.get state
 let set_enabled b = Atomic.set state b
 

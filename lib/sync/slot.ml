@@ -1,7 +1,7 @@
 let max_slots = 256
 
-(* One padded atomic flag per slot: false = free. *)
-let taken = Padding.atomic_array max_slots false
+(* One atomic flag per slot: false = free. *)
+let taken = Array.init max_slots (fun _ -> Atomic.make false)
 
 let key : int option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)

@@ -42,7 +42,7 @@ let registry : info list =
       aliases = [ "slots" ];
       doc =
         "summed multi-slot counter (flock): each domain FAAs its own \
-         padded slot, stamp = sum";
+         slot, stamp = sum";
       ties = true;
     };
     {

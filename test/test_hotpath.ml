@@ -452,13 +452,13 @@ let () =
             Alcotest.test_case name `Quick
               (op_words name ~contains ~pair ~collect ~moved))
           [
-            ("citrus-vcas", 0., 20., 101., 37.61);
-            ("citrus-bundle", 0., 20., 101., 37.61);
-            ("citrus-ebrrq", 0., 16., 101., 33.96);
+            ("citrus-vcas", 0., 19., 101., 35.65);
+            ("citrus-bundle", 0., 19., 101., 35.65);
+            ("citrus-ebrrq", 0., 15., 101., 31.99);
             ("bst-vcas", 0., 22., 101., 22.);
             ("bst-ebrrq-lockfree", 0., 20., 101., 20.);
-            ("skiplist-bundle", 0., 20.49, 101., 20.47);
-            ("lazylist-bundle", 0., 18., 101., 18.);
+            ("skiplist-bundle", 0., 18.98, 101., 18.98);
+            ("lazylist-bundle", 0., 17., 101., 17.);
             ("skiplist-vcas", 0., 25.65, 101., 25.43);
           ]
         @ [

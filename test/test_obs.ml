@@ -54,6 +54,19 @@ let counter_bracket_drift () =
   Alcotest.(check int) "no drift when enabled mid-section" 0
     (Hwts_obs.Counter.sum c)
 
+(* A counter is its record, its slot array and one atomic per slot: a
+   filler block around each atomic spaces nothing once the atomics are
+   promoted, and cost 8 words a slot at start-up on every counter. *)
+let counter_create_words () =
+  let slots = Sync.Slot.max_slots in
+  let _, words =
+    Util.allocated_words (fun () -> Hwts_obs.Counter.create "test.words")
+  in
+  let bound = (slots * 2) + (slots + 1) + 64 in
+  Alcotest.(check bool)
+    (Printf.sprintf "create allocated %d words <= %d" words bound)
+    true (words <= bound)
+
 (* ---------- histograms ---------- *)
 
 let histogram_bucket_boundaries () =
@@ -214,6 +227,8 @@ let () =
           Alcotest.test_case "sharded sum" `Quick counter_sharded_sum;
           Alcotest.test_case "kill switch" `Quick counter_kill_switch;
           Alcotest.test_case "bracket drift" `Quick counter_bracket_drift;
+          Alcotest.test_case "create allocates its slots only" `Quick
+            counter_create_words;
         ] );
       ( "histogram",
         [

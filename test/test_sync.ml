@@ -1,7 +1,7 @@
 (* Tests for the synchronization substrate: backoff, slots, the
    reader-writer lock and the collection buffer. *)
 
-(* ---------- backoff / padding ---------- *)
+(* ---------- backoff ---------- *)
 
 let backoff_bounds () =
   let b = Sync.Backoff.make ~min_spins:2 ~max_spins:8 () in
@@ -12,12 +12,6 @@ let backoff_bounds () =
   Sync.Backoff.reset b;
   Sync.Backoff.once b;
   Alcotest.(check pass) "ran" () ()
-
-let padding_array () =
-  let arr = Sync.Padding.atomic_array 16 0 in
-  Array.iteri (fun i a -> Atomic.set a i) arr;
-  Array.iteri (fun i a -> Alcotest.(check int) "slot" i (Atomic.get a)) arr;
-  Alcotest.(check bool) "distinct cells" true (arr.(0) != arr.(1))
 
 let rand_seeded_deterministic () =
   Sync.Rand.set_seed 0xFEED;
@@ -261,7 +255,6 @@ let () =
       ( "primitives",
         [
           Alcotest.test_case "backoff" `Quick backoff_bounds;
-          Alcotest.test_case "padding array" `Quick padding_array;
           Alcotest.test_case "seeded rand deterministic" `Quick
             rand_seeded_deterministic;
           Alcotest.test_case "rand streams differ across domains" `Quick

@@ -428,11 +428,34 @@ let snapshot_contract_across_domains ts () =
   Alcotest.(check int) "no label at or below a completed snapshot" 0
     (Atomic.get violations)
 
+(* A label is taken on every update's path, so no provider allocates
+   per [advance] or per [read], tracing wrapper included.  The first
+   calls set up the domain's own state and are not counted. *)
+let allocates_nothing ts () =
+  let module P = (val Workload.Targets.provider_of ts) in
+  Sync.Slot.with_slot @@ fun _ ->
+  let calls = 10_000 in
+  let words f =
+    ignore (f ());
+    snd
+      (Util.allocated_words (fun () ->
+           for _ = 1 to calls do
+             ignore (Sys.opaque_identity (f ()))
+           done))
+  in
+  let name = Workload.Targets.ts_name ts in
+  Alcotest.(check int)
+    (name ^ ": words in 10,000 advances")
+    0 (words P.advance);
+  Alcotest.(check int) (name ^ ": words in 10,000 reads") 0 (words P.read)
+
 let contract_cases =
   List.concat_map
     (fun ts ->
       let name = Workload.Targets.ts_name ts in
       [
+        Alcotest.test_case (name ^ " allocates nothing per label") `Quick
+          (allocates_nothing ts);
         Alcotest.test_case (name ^ " snapshot contract") `Quick
           (snapshot_contract ts);
         Alcotest.test_case

@@ -108,12 +108,16 @@ bench-hotpath-guard: build
 	  -provider logical -guard-tol 0.5
 
 # End-to-end smoke of the metrics pipeline: a short instrumented run must
-# produce a JSON-lines file containing the canonical metric set.
+# produce a JSON-lines file containing the canonical metric set.  Then the
+# real-hardware probes: the Section III-A tie probe and the primitive and
+# strict-wrapper costs (under 0.5 s together).
 bench-smoke: build bench-scaling-smoke bench-provider-zoo trace-smoke \
   trend-guard bench-serve-smoke bench-reclaim-smoke bench-snapshot-smoke
 	dune exec bin/hwts_cli.exe -- run bst-vcas --provider rdtscp --seconds 0.2 \
 	  --metrics-out $(SMOKE_METRICS)
 	dune exec test/validate_metrics.exe -- $(SMOKE_METRICS)
+	dune exec bin/hwts_cli.exe -- tsc-info
+	dune exec bin/hwts_cli.exe -- calibrate
 
 # Every zoo provider run end to end through the harness: one short
 # instrumented run per provider, each metrics file schema-validated.

@@ -1,13 +1,22 @@
 (* hwts-cli: operational front-end for the library.
 
    Subcommands:
-     tsc-info    probe the hardware timestamp capabilities of this machine
-     calibrate   measure primitive costs and print a Costs.t suggestion
-     figure      regenerate one paper figure on the timing model
-     run         run a real workload on a chosen structure/timestamp
-     stress      concurrency smoke test of every range-query port
-     stats       run a short workload and dump the metrics registry
-     check       seeded fault-injection torture verified by the snapshot oracle
+     tsc-info      probe the hardware timestamp capabilities of this machine,
+                   with Section III-A's tie probe: fenced RDTSCP values two
+                   domains both read, and repeats within one domain's reads
+     calibrate     cycles per call of each timestamp primitive (logical
+                   read and advance, the TSC readers, the rdtscp-strict
+                   advance) and a Costs.t suggestion
+     figure        regenerate paper figures on the timing model: any of
+                   fig1 fig2 fig3 fig4 fig5 labeling lazylist ablate, all of
+                   them in that order when none is named
+     run           run a real workload on a chosen structure/timestamp
+     stress        concurrency smoke test of every range-query port
+     stats         run a short workload and dump the metrics registry
+     check         seeded fault-injection torture verified by the snapshot oracle
+     serve-load    drive a running hwts-serve with pipelined mixed traffic
+     trend         diff two runs of one BENCH_*.json family
+     trace-report  tail-latency attribution over a structure x provider grid
 
    Observability: `run` and `stress` accept --metrics-out FILE (JSON lines,
    see Hwts_obs.Registry); HWTS_OBS=0 in the environment disables every
@@ -24,35 +33,70 @@ let tsc_info () =
   let a = Tsc.rdtscp_lfence () in
   let b = Tsc.rdtscp_lfence () in
   Printf.printf "rdtscp sample:     %d -> %d (delta %d cycles)\n" a b (b - a);
+  (* Section III-A: two domains read the fenced TSC back to back, before
+     the pin below narrows the CPUs they may run on. *)
+  let samples = 100_000 in
+  let stream () = Array.init samples (fun _ -> Tsc.rdtscp_lfence ()) in
+  let d1 = Domain.spawn stream and d2 = Domain.spawn stream in
+  let s1 = Domain.join d1 and s2 = Domain.join d2 in
+  let seen = Hashtbl.create (2 * samples) in
+  Array.iter (fun v -> Hashtbl.replace seen v ()) s1;
+  let ties =
+    Array.fold_left (fun n v -> if Hashtbl.mem seen v then n + 1 else n) 0 s2
+  in
+  let repeats = ref 0 in
+  for i = 1 to samples - 1 do
+    if s1.(i) = s1.(i - 1) then incr repeats
+  done;
+  Printf.printf "cross-domain ties: %d / %d samples\n" ties samples;
+  Printf.printf "repeats:           %d / %d consecutive reads\n" !repeats
+    (samples - 1);
   Printf.printf "pin_to_cpu(0):     %b\n" (Tsc.pin_to_cpu 0);
   0
 
+(* Mean cycles per call over a tight loop ({!Tsc.measure_cost_cycles}).
+   rdtscp+lfence is [Hardware.advance] and logical-faa [Logical.advance],
+   so with rdtscp-strict they give the cost of Jiffy's strict wrapper. *)
 let calibrate () =
-  let cost name f = Printf.printf "%-18s %8.1f cycles\n" name (Tsc.measure_cost_cycles f) in
-  cost "rdtsc" Tsc.rdtsc;
-  cost "rdtscp" Tsc.rdtscp;
-  cost "rdtscp+lfence" Tsc.rdtscp_lfence;
-  cost "cpuid+rdtsc" Tsc.rdtsc_cpuid;
-  cost "monotonic-ns" Tsc.monotonic_ns;
   let module L = Hwts.Timestamp.Logical () in
-  cost "logical-faa" (fun () -> L.advance ());
+  let module SH = Hwts.Timestamp.Strict (Hwts.Timestamp.Hardware) () in
+  let costs =
+    List.map
+      (fun (name, f) ->
+        let c = Tsc.measure_cost_cycles f in
+        Printf.printf "%-18s %8.1f cycles\n%!" name c;
+        (name, c))
+      [
+        ("rdtsc", Tsc.rdtsc);
+        ("rdtscp", Tsc.rdtscp);
+        ("rdtscp+lfence", Tsc.rdtscp_lfence);
+        ("cpuid+rdtsc", Tsc.rdtsc_cpuid);
+        ("monotonic-ns", Tsc.monotonic_ns);
+        ("logical-faa", L.advance);
+        ("logical-read", L.read);
+        (SH.name, SH.advance);
+      ]
+  in
   Printf.printf
     "\nSuggested Model.Costs overrides: tsc_rdtscp_lfence = %.0f; tsc_rdtsc_cpuid = %.0f\n"
-    (Tsc.measure_cost_cycles Tsc.rdtscp_lfence)
-    (Tsc.measure_cost_cycles Tsc.rdtsc_cpuid);
+    (List.assoc "rdtscp+lfence" costs)
+    (List.assoc "cpuid+rdtsc" costs);
   0
 
-let figure id full csv =
-  if not (List.mem id Model.Figures.ids) then begin
+let figure ids full csv =
+  match List.filter (fun id -> not (List.mem id Model.Figures.ids)) ids with
+  | id :: _ ->
     Printf.eprintf "unknown figure %S (expected one of: %s)\n" id
       (String.concat ", " Model.Figures.ids);
     1
-  end
-  else begin
+  | [] ->
     let duration = if full then 2_000_000. else 400_000. in
     let tables = ref [] in
-    Model.Figures.run ~duration id ~on_table:(fun title series ->
-        tables := (title, series) :: !tables);
+    List.iter
+      (fun id ->
+        Model.Figures.run ~duration id ~on_table:(fun title series ->
+            tables := (title, series) :: !tables))
+      (if ids = [] then Model.Figures.ids else ids);
     (match csv with
     | None -> ()
     | Some path ->
@@ -64,7 +108,6 @@ let figure id full csv =
       close_out oc;
       Printf.printf "(wrote %s)\n" path);
     0
-  end
 
 let structure_conv =
   let parse s =
@@ -430,15 +473,23 @@ let calibrate_cmd =
     Term.(const calibrate $ const ())
 
 let figure_cmd =
-  let id = Arg.(required & pos 0 (some string) None & info [] ~docv:"FIGURE") in
+  let ids =
+    Arg.(
+      value & pos_all string []
+      & info [] ~docv:"FIGURE"
+          ~doc:
+            ("Figures to print, in order: any of "
+            ^ String.concat ", " Model.Figures.ids
+            ^ " (default: all of them)"))
+  in
   let full = Arg.(value & flag & info [ "full" ] ~doc:"Longer simulations") in
   let csv =
     Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE"
            ~doc:"Also write every table as CSV, each after a # title line")
   in
   Cmd.v
-    (Cmd.info "figure" ~doc:"Regenerate one paper figure on the timing model")
-    Term.(const figure $ id $ full $ csv)
+    (Cmd.info "figure" ~doc:"Regenerate paper figures on the timing model")
+    Term.(const figure $ ids $ full $ csv)
 
 let structure_pos ?(default = false) () =
   if default then

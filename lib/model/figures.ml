@@ -1,10 +1,10 @@
 (* Figures 1-5 and the Section-IV ablations, regenerated on the timing
    model: one table per paper sub-figure (workload mix), columns = the
-   technique under logical vs hardware timestamps.  Both [bench/main.exe]
-   and [hwts-cli figure] print these; [on_table] sees every table as it
-   is printed. *)
+   technique under logical vs hardware timestamps.  [hwts-cli figure]
+   prints these; [on_table] sees every table as it is printed. *)
 
-let ids = [ "fig1"; "fig2"; "fig3"; "fig4"; "fig5"; "labeling"; "lazylist" ]
+let ids =
+  [ "fig1"; "fig2"; "fig3"; "fig4"; "fig5"; "labeling"; "lazylist"; "ablate" ]
 let mix = Workload.Mix.of_label
 
 type ctx = { duration : float; on_table : string -> Sweep.series list -> unit }
@@ -203,6 +203,70 @@ let labeling ctx =
     "   expected ordering: helped >= structural-lock >> global-lock";
   print_newline ()
 
+(* Cost-model sensitivity: how the headline ratios move as the coherence
+   parameters vary.  Backs EXPERIMENTS.md's claim that the residual
+   deviations from the paper's absolute numbers are calibration, not
+   mechanism: the orderings never flip across a 4x parameter range. *)
+type ablation_row = { params : string; fig1 : float; fig2 : float; fig4 : float }
+
+let ablation_params =
+  let base = Costs.default in
+  let cross c =
+    (Printf.sprintf "cross_socket=%.0f" c, { base with Costs.cross_socket = c })
+  in
+  [
+    ("default (cross=260)", base);
+    cross 100.;
+    cross 180.;
+    cross 400.;
+    ("rmw_extra=40", { base with Costs.rmw_extra = 40. });
+    ( "no hyperthread penalty",
+      { base with Costs.ht_compute_factor = 1.; ht_memory_factor = 1. } );
+    ("slow fenced rdtscp (100cy)", { base with Costs.tsc_rdtscp_lfence = 100. });
+  ]
+
+let ablation_row ~duration (params, costs) =
+  let speedup run ~hw ~baseline =
+    let series mode =
+      Sweep.run_series ~duration ~costs ~threads:[ 1; 24; 96; 192 ] ~label:"x"
+        (run mode)
+    in
+    Sweep.max_speedup (series hw) ~baseline:(series baseline)
+  in
+  let workload builder m_label mode env = builder env ~mode ~mix:(mix m_label) in
+  {
+    params;
+    fig1 =
+      speedup
+        (fun mode env -> Kernels.ts_acquire env ~mode)
+        ~hw:(`Tsc Costs.Rdtscp_lfence) ~baseline:`Faa;
+    fig2 =
+      speedup
+        (workload Kernels.vcas_bst "0-10-90")
+        ~hw:Kernels.Hardware ~baseline:Kernels.Logical;
+    fig4 =
+      speedup
+        (workload Kernels.citrus_ebrrq "10-10-80")
+        ~hw:Kernels.Hardware ~baseline:Kernels.Logical;
+  }
+
+let ablation ~duration = List.map (ablation_row ~duration) ablation_params
+
+let ablate ctx =
+  print_endline "## ablate: cost-model sensitivity";
+  print_endline
+    "   (fig1 = raw acquisition ratio; fig2 = vCAS BST 0-10-90 speedup; fig4 = EBR-RQ 10-10-80 speedup)";
+  Printf.printf "  %-34s %10s %10s %10s\n" "parameters" "fig1" "fig2" "fig4";
+  List.iter
+    (fun p ->
+      let r = ablation_row ~duration:ctx.duration p in
+      Printf.printf "  %-34s %9.0fx %9.2fx %9.2fx\n%!" r.params r.fig1 r.fig2
+        r.fig4)
+    ablation_params;
+  print_endline
+    "   invariants: fig1 >> 1 and fig2 > 1 in every row; fig4 stays near 1";
+  print_newline ()
+
 let run ?(on_table = fun _ _ -> ()) ~duration id =
   let ctx = { duration; on_table } in
   (match id with
@@ -213,5 +277,6 @@ let run ?(on_table = fun _ _ -> ()) ~duration id =
   | "fig5" -> fig5 ctx
   | "labeling" -> labeling ctx
   | "lazylist" -> lazylist ctx
+  | "ablate" -> ablate ctx
   | _ -> invalid_arg ("Figures.run: unknown figure " ^ id));
   flush stdout

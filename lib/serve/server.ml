@@ -350,7 +350,6 @@ let start ?(host = "127.0.0.1") ~port shards =
   t
 
 let port t = t.port
-let router t = t.shards
 
 let stop t =
   if not (Atomic.exchange t.stopping true) then begin

@@ -66,8 +66,6 @@ val start : ?host:string -> port:int -> Shards.t -> t
 val port : t -> int
 (** The bound port (useful with [port:0]). *)
 
-val router : t -> Shards.t
-
 val stop : t -> unit
 (** Graceful shutdown as described above.  Blocks until every connection
     is flushed (or, for a client that stopped reading, closed after the

@@ -77,7 +77,6 @@ type t = {
   shards : shard array;
   span : int;
   key_space : int;
-  coalesce : bool;
   structure_name : string;
   provider : string;
   reclaim_name : string;
@@ -325,7 +324,6 @@ let create ?(reclaim = `Ebr) ?executor ~structure ~provider ~shards ~key_space
     shards = shard_arr;
     span;
     key_space;
-    coalesce;
     structure_name = structure;
     provider = inst.Workload.Targets.provider;
     reclaim_name = inst.Workload.Targets.reclaim;
@@ -339,7 +337,6 @@ let provider t = t.provider
 let reclaim t = t.reclaim_name
 let shard_count t = Array.length t.shards
 let key_space t = t.key_space
-let coalesce t = t.coalesce
 let worker_domains t = Array.length t.workers
 let inline t = Array.length t.workers = 0
 let worker_minor_words t i = Atomic.get t.shards.(i).allocated

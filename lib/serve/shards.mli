@@ -60,7 +60,6 @@ val provider : t -> string
 val reclaim : t -> string
 val shard_count : t -> int
 val key_space : t -> int
-val coalesce : t -> bool
 
 val shard_minor_heap_words : int
 (** Minor heap words each worker domain sets at spawn.  Inline, [create]

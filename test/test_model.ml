@@ -157,7 +157,7 @@ let figure_tables () =
       Alcotest.(check int) (id ^ " tables") tables !n)
     [
       ("fig1", 2); ("fig2", 10); ("fig3", 6); ("fig4", 4); ("fig5", 5);
-      ("labeling", 0); ("lazylist", 1);
+      ("labeling", 0); ("lazylist", 1); ("ablate", 0);
     ];
   Alcotest.check_raises "unknown id"
     (Invalid_argument "Figures.run: unknown figure fig9") (fun () ->
@@ -223,6 +223,19 @@ let labeling_ordering () =
     true
     (coarse <= fine +. 0.2 && fine <= helped +. 0.3 && coarse < helped)
 
+(* The orderings hold across every cost-model variation figure ablate
+   prints, at its quick duration. *)
+let ablation_orderings () =
+  List.iter
+    (fun r ->
+      let open Model.Figures in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: fig1 %.0fx > 100, fig2 %.2fx > 1, fig4 %.2fx < fig2"
+           r.params r.fig1 r.fig2 r.fig4)
+        true
+        (r.fig1 > 100. && r.fig2 > 1. && r.fig4 < r.fig2))
+    (Model.Figures.ablation ~duration:400_000.)
+
 let () =
   Alcotest.run "model"
     [
@@ -252,5 +265,6 @@ let () =
           Alcotest.test_case "fig4 properties" `Slow fig4_properties;
           Alcotest.test_case "fig5 properties" `Slow fig5_properties;
           Alcotest.test_case "labeling ordering" `Slow labeling_ordering;
+          Alcotest.test_case "ablation orderings" `Slow ablation_orderings;
         ] );
     ]

@@ -2,15 +2,16 @@
 
    Each point stands up the sharded server in-process (fresh shard
    domains, one shared provider) and drives it over loopback TCP with
-   the pipelined client, sweeping connections x pipeline depth x the
-   coalesce switch.  Pipeline depth is the load-bearing axis: at depth 1
-   a shard's queue rarely holds more than one range per drain and the
-   batcher has nothing to merge, while at depth >= 4 several ranges pile
-   up per drain and one snapshot acquisition covers them all.  The
-   per-point acquisition accounting (serve.rq.snapshots over
-   serve.rq.ops) is the paper's amortization ratio lifted to service
-   scale; the coalesce=false arm acquires once per subrange by
-   construction, so its ratio is exactly 1.
+   the served benchmark's generator (E2e.Spec, E2e.Loadgen) in closed
+   loop, a connection's window the pipeline depth, sweeping
+   connections x pipeline depth x the coalesce switch.  Pipeline depth
+   is the load-bearing axis: at depth 1 a shard's queue rarely holds
+   more than one range per drain and the batcher has nothing to merge,
+   while at depth >= 4 several ranges pile up per drain and one snapshot
+   acquisition covers them all.  The per-point acquisition accounting
+   (serve.rq.snapshots over serve.rq.ops) is the paper's amortization
+   ratio lifted to service scale; the coalesce=false arm acquires once
+   per subrange by construction, so its ratio is exactly 1.
 
    Pairing discipline (Benchkit.Kit): both arms run back to back per
    trial with the starting arm rotating, points keep medians, and the
@@ -36,37 +37,52 @@ let run_leg ~structure ~provider ~shards ~key_space ~coalesce ~connections
     Serve.Shards.create ~structure ~provider ~shards ~key_space ~coalesce ()
   in
   let server = Serve.Server.start ~port:0 router in
+  (* the served benchmark's generator: the leg's traffic as a workload *)
+  let w =
+    {
+      E2e.Spec.name = "serve-bench";
+      structure;
+      provider;
+      reclaim = `Ebr;
+      key_space;
+      mix;
+      theta;
+      rq_len;
+      multiget = 1;
+      loop = E2e.Spec.Closed pipeline;
+      rate = 0.;
+      reps = 1;
+    }
+  in
+  let reqs = E2e.Spec.requests_of w ~seed:7 (E2e.Spec.Measured 0) (connections * ops) in
+  let errors = ref 0 in
   let r =
     Fun.protect
       ~finally:(fun () -> Serve.Server.stop server)
       (fun () ->
-        Serve.Client.run
-          {
-            Serve.Client.host = "127.0.0.1";
-            port = Serve.Server.port server;
-            connections;
-            pipeline;
-            ops;
-            key_space;
-            mix;
-            rq_len;
-            theta;
-            batch = 1;
-            multiget = 1;
-            seed = 7;
-          })
+        let fds = E2e.Loadgen.connect ~port:(Serve.Server.port server) connections in
+        Fun.protect ~finally:(fun () -> E2e.Loadgen.close fds) @@ fun () ->
+        E2e.Loadgen.run fds
+          { E2e.Loadgen.reqs; due = None; window = pipeline }
+          ~on_answer:(fun _ -> function Serve.Wire.Err _ -> incr errors | _ -> ()))
   in
-  if r.Serve.Client.errors > 0 then begin
-    Printf.eprintf "serve_bench: %d error responses in a leg\n"
-      r.Serve.Client.errors;
+  if !errors > 0 then begin
+    Printf.eprintf "serve_bench: %d error responses in a leg\n" !errors;
     exit 1
   end;
+  Array.iteri
+    (fun i -> function
+      | Serve.Wire.Range _ ->
+        Hwts_obs.Histogram.record h_client_range (r.E2e.Loadgen.answered.(i) - r.sent.(i))
+      | _ -> ())
+    reqs;
+  let ops_sent = Array.length reqs and elapsed = float_of_int r.elapsed_ns /. 1e9 in
   let snapshots = Hwts_obs.Counter.sum c_snapshots in
   let rq_ops = Hwts_obs.Counter.sum c_rq_ops in
   [
-    ("mops", J.Float (float_of_int r.ops_sent /. r.elapsed /. 1e6));
-    ("ops", J.Int r.ops_sent);
-    ("elapsed", J.Float r.elapsed);
+    ("mops", J.Float (float_of_int ops_sent /. elapsed /. 1e6));
+    ("ops", J.Int ops_sent);
+    ("elapsed", J.Float elapsed);
     ("rq_ops", J.Int rq_ops);
     ("rq_snapshots", J.Int snapshots);
     ( "acquires_per_range",

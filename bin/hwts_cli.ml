@@ -9,12 +9,15 @@
                    advance) and a Costs.t suggestion
      figure        regenerate paper figures on the timing model: any of
                    fig1 fig2 fig3 fig4 fig5 labeling lazylist ablate, all of
-                   them in that order when none is named
+                   them in that order when none is named; --csv writes the
+                   sweep tables (labeling and ablate print none)
      run           run a real workload on a chosen structure/timestamp
      stress        concurrency smoke test of every range-query port
      stats         run a short workload and dump the metrics registry
      check         seeded fault-injection torture verified by the snapshot oracle
-     serve-load    drive a running hwts-serve with pipelined mixed traffic
+     serve-load    drive a running hwts-serve with pipelined mixed traffic:
+                   the served benchmark's request stream (E2e.Spec) sent
+                   by its select-loop generator (E2e.Loadgen)
      trend         diff two runs of one BENCH_*.json family
      trace-report  tail-latency attribution over a structure x provider grid
 
@@ -91,23 +94,37 @@ let figure ids full csv =
     1
   | [] ->
     let duration = if full then 2_000_000. else 400_000. in
+    let ids = if ids = [] then Model.Figures.ids else ids in
+    (* each table with the id that printed it *)
     let tables = ref [] in
     List.iter
       (fun id ->
         Model.Figures.run ~duration id ~on_table:(fun title series ->
-            tables := (title, series) :: !tables))
-      (if ids = [] then Model.Figures.ids else ids);
-    (match csv with
-    | None -> ()
+            tables := (id, title, series) :: !tables))
+      ids;
+    match csv with
+    | None -> 0
     | Some path ->
-      let oc = open_out path in
-      List.iter
-        (fun (title, series) ->
-          Printf.fprintf oc "# %s\n%s\n" title (Model.Sweep.to_csv series))
-        (List.rev !tables);
-      close_out oc;
-      Printf.printf "(wrote %s)\n" path);
-    0
+      let skipped =
+        List.filter (fun id -> not (List.exists (fun (i, _, _) -> i = id) !tables)) ids
+      in
+      if skipped <> [] then
+        Printf.eprintf "figure: no CSV form for %s (not a sweep table)\n"
+          (String.concat ", " skipped);
+      if !tables = [] then begin
+        Printf.eprintf "figure: no table to write, %s not written\n" path;
+        1
+      end
+      else begin
+        let oc = open_out path in
+        List.iter
+          (fun (_, title, series) ->
+            Printf.fprintf oc "# %s\n%s\n" title (Model.Sweep.to_csv series))
+          (List.rev !tables);
+        close_out oc;
+        Printf.printf "(wrote %s)\n" path;
+        0
+      end
 
 let structure_conv =
   let parse s =
@@ -665,46 +682,94 @@ let check_cmd =
       const check $ structure $ provider $ reclaim_opt $ seed_opt $ rounds
       $ no_faults $ multi $ fixture_out)
 
-(* Load generator for a running hwts-serve: pipelined connections over
-   the binary wire protocol, seeded mixed traffic, optional Zipfian
-   skew.  Client-observed latency lands in serve.client.latency.* and
-   goes out via --metrics-out. *)
+(* Load generator for a running hwts-serve: the served benchmark's
+   request generator (E2e.Spec.requests_of) and select-loop client
+   (E2e.Loadgen), closed loop at [pipeline] requests in flight per
+   connection, [ops] requests each.  Client-observed latency lands in
+   serve.client.latency.<class> and goes out via --metrics-out. *)
+let client_latency = function
+  | Serve.Wire.Get _ -> "serve.client.latency.get"
+  | Serve.Wire.Insert _ -> "serve.client.latency.insert"
+  | Serve.Wire.Delete _ -> "serve.client.latency.delete"
+  | Serve.Wire.Range _ -> "serve.client.latency.range"
+  | _ -> "serve.client.latency.multiget"
+
 let serve_load host port connections pipeline ops key_space mix_label rq_len
-    theta batch multiget seed metrics_out =
-  let cfg =
+    theta multiget seed metrics_out =
+  (* Spec.requests_of sends no Batch, so no answer is an Rbatch *)
+  let w =
     {
-      Serve.Client.host;
-      port;
-      connections;
-      pipeline;
-      ops;
+      E2e.Spec.name = "serve-load";
+      (* the server's own; only the benchmark reads these four *)
+      structure = "";
+      provider = `Logical;
+      reclaim = `Ebr;
+      rate = 0.;
       key_space;
       mix = Workload.Mix.of_label mix_label;
-      rq_len;
       theta;
-      batch;
+      rq_len;
       multiget;
-      seed;
+      loop = E2e.Spec.Closed pipeline;
+      reps = 1;
     }
   in
-  match Serve.Client.run cfg with
-  | exception Unix.Unix_error (e, _, _) ->
-    Printf.eprintf "serve-load: %s:%d: %s\n" host port (Unix.error_message e);
-    1
-  | r ->
-    Printf.printf
-      "serve-load %s:%d conns=%d depth=%d mix=%s theta=%.2f: %d ops in %.2fs \
-       (%.3f Mops/s), %d responses, %d errors\n"
-      host port connections pipeline mix_label theta r.Serve.Client.ops_sent
-      r.elapsed
-      (float_of_int r.ops_sent /. r.elapsed /. 1e6)
-      r.responses r.errors;
-    (match metrics_out with
-    | None -> ()
-    | Some path ->
-      Hwts_obs.Registry.write_json_lines path;
-      Printf.printf "(metrics -> %s)\n" path);
-    if r.errors > 0 then 1 else 0
+  let open_fd () =
+    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
+    Unix.setsockopt fd Unix.TCP_NODELAY true;
+    Unix.set_nonblock fd;
+    fd
+  in
+  let responses = ref 0 and errors = ref 0 in
+  let drive reqs =
+    let fds = Array.init connections (fun _ -> open_fd ()) in
+    Fun.protect ~finally:(fun () -> E2e.Loadgen.close fds) @@ fun () ->
+    E2e.Loadgen.run fds
+      { E2e.Loadgen.reqs; due = None; window = pipeline }
+      ~on_answer:(fun _ r ->
+        incr responses;
+        match r with Serve.Wire.Err _ -> incr errors | _ -> ())
+  in
+  if connections < 1 || pipeline < 1 || ops < 1 then begin
+    prerr_endline "serve-load: --connections, --pipeline and --ops must be >= 1";
+    2
+  end
+  else
+    let reqs = E2e.Spec.requests_of w ~seed (E2e.Spec.Measured 0) (connections * ops) in
+    match drive reqs with
+    | exception (Unix.Unix_error (e, _, _)) ->
+      Printf.eprintf "serve-load: %s:%d: %s\n" host port (Unix.error_message e);
+      1
+    | exception Failure msg ->
+      Printf.eprintf "serve-load: %s:%d: %s\n" host port msg;
+      1
+    | r ->
+      Array.iteri
+        (fun i req ->
+          Hwts_obs.Histogram.record
+            (Hwts_obs.Registry.histogram (client_latency req))
+            (r.E2e.Loadgen.answered.(i) - r.sent.(i)))
+        reqs;
+      (* each key of a MultiGet is one op *)
+      let ops_sent =
+        Array.fold_left
+          (fun n -> function Serve.Wire.MultiGet ks -> n + Array.length ks | _ -> n + 1)
+          0 reqs
+      in
+      let elapsed = float_of_int r.elapsed_ns /. 1e9 in
+      Printf.printf
+        "serve-load %s:%d conns=%d depth=%d mix=%s theta=%.2f: %d ops in %.2fs \
+         (%.3f Mops/s), %d responses, %d errors\n"
+        host port connections pipeline mix_label theta ops_sent elapsed
+        (float_of_int ops_sent /. elapsed /. 1e6)
+        !responses !errors;
+      (match metrics_out with
+      | None -> ()
+      | Some path ->
+        Hwts_obs.Registry.write_json_lines path;
+        Printf.printf "(metrics -> %s)\n" path);
+      if !errors > 0 then 1 else 0
 
 let serve_load_cmd =
   let host =
@@ -731,7 +796,8 @@ let serve_load_cmd =
   let ops =
     Arg.(
       value & opt int 10_000
-      & info [ "ops" ] ~docv:"N" ~doc:"Operations per connection")
+      & info [ "ops" ] ~docv:"N"
+          ~doc:"Requests per connection (a MultiGet is one request)")
   in
   let key_space =
     Arg.(
@@ -750,12 +816,6 @@ let serve_load_cmd =
       & info [ "zipf" ] ~docv:"THETA"
           ~doc:"Zipfian key skew (scrambled across shards); 0 = uniform")
   in
-  let batch =
-    Arg.(
-      value & opt int 1
-      & info [ "batch" ] ~docv:"N"
-          ~doc:"Group $(docv) ops into one wire Batch frame")
-  in
   let multiget =
     Arg.(
       value & opt int 1
@@ -769,7 +829,7 @@ let serve_load_cmd =
        ~doc:"Drive a running hwts-serve with pipelined mixed traffic")
     Term.(
       const serve_load $ host $ port $ connections $ pipeline $ ops
-      $ key_space $ mix_opt $ rq_len $ theta $ batch $ multiget $ seed_opt
+      $ key_space $ mix_opt $ rq_len $ theta $ multiget $ seed_opt
       $ metrics_out_opt)
 
 let trend_cmd =

@@ -1,7 +1,6 @@
 let m_conns = Hwts_obs.Registry.counter "serve.connections"
 let m_requests = Hwts_obs.Registry.counter "serve.requests"
 let m_malformed = Hwts_obs.Registry.counter "serve.malformed"
-let m_oversized = Hwts_obs.Registry.counter "serve.oversized"
 
 (* Once {!stop} has begun, a connection with a pending write that its
    client has taken no byte of for this long (ns) has stopped reading:
@@ -72,17 +71,6 @@ let wake t =
     try ignore (Unix.single_write_substring t.wake_w "!" 0 1)
     with Unix.Unix_error _ -> ()
 
-(* The answer at its exact size.  An answer too large for one frame is
-   sized before anything is allocated, and answered with [Err]. *)
-let sized a =
-  let n = Wire.answer_size a in
-  if n <= Wire.max_payload then (n, a)
-  else begin
-    Hwts_obs.Counter.incr m_oversized;
-    let e = Wire.Err (Printf.sprintf "answer of %d bytes exceeds max_payload" n) in
-    (Wire.response_size e, Wire.Whole e)
-  end
-
 (* Decode and route every complete request in one read's bytes. *)
 let read_requests t buf conn =
   match Unix.read conn.fd buf 0 (Bytes.length buf) with
@@ -101,7 +89,7 @@ let read_requests t buf conn =
           Queue.push cell conn.cells;
           Atomic.incr t.in_flight;
           Shards.serve t.shards req (fun r ->
-              Atomic.set cell (Some (sized r));
+              Atomic.set cell (Some r);
               if t.workers && Domain.self () <> t.home then wake t);
           route ()
       in
@@ -110,7 +98,7 @@ let read_requests t buf conn =
       (* answer the offense in order, then stop reading: the connection
          closes once everything before it and the error are out *)
       Hwts_obs.Counter.incr m_malformed;
-      Queue.push (Atomic.make (Some (sized (Wire.Whole (Wire.Err msg))))) conn.cells;
+      Queue.push (Atomic.make (Some (Shards.sized (Wire.Whole (Wire.Err msg))))) conn.cells;
       Atomic.incr t.in_flight;
       conn.reading <- false)
 

@@ -24,7 +24,8 @@
     into a frame, or merged, on its way out.  A write the client does not take at once resumes at its
     offset when the socket is writable again.  An answer whose payload
     would exceed {!Wire.max_payload} is answered, in its place in the
-    order, with an [Err] saying so, and the connection keeps serving.
+    order, with an [Err] saying so ({!Shards.sized}), and the connection
+    keeps serving.
 
     A turn of the loop that leaves no request in flight (every request's
     cell popped, or dropped with its connection) calls [Gc.minor] once

@@ -7,6 +7,7 @@ let m_rq_batch = Hwts_obs.Registry.histogram "serve.rq.batch"
 let m_point_ops = Hwts_obs.Registry.counter "serve.point.ops"
 let m_mget_ops = Hwts_obs.Registry.counter "serve.mget.ops"
 let m_mget_frames = Hwts_obs.Registry.counter "serve.mget.frames"
+let m_oversized = Hwts_obs.Registry.counter "serve.oversized"
 let h_get = Hwts_obs.Registry.histogram "serve.latency.get"
 let h_insert = Hwts_obs.Registry.histogram "serve.latency.insert"
 let h_delete = Hwts_obs.Registry.histogram "serve.latency.delete"
@@ -358,8 +359,6 @@ let enqueue t i task =
 
 let shard_of_key t key = (key - 1) / t.span
 
-let rejected = Wire.stopping
-
 (* Enqueue parts [0, n) of one request, [part i part_done] being the
    shard and task of part [i].  [finish ok] runs exactly once: when the
    last part has called [part_done], and a part a stopping shard refused
@@ -386,37 +385,16 @@ let fan_out t n ~part finish =
   in
   go 0
 
-(* The parts' keys in part order, in one exact-size array, for an
-   in-process caller: the server writes a range's answer from its
-   parts' runs. *)
-let merge parts =
-  let keys = Array.make (Array.fold_left (fun n r -> n + Sync.Key_run.length r) 0 parts) 0 in
-  ignore
-    (Array.fold_left
-       (fun pos r ->
-         Sync.Key_run.blit r keys pos;
-         pos + Sync.Key_run.length r)
-       0 parts);
-  keys
-
-(* The in-process adapter, the only place an answer's pieces are merged
-   or an [Rbatch] is built. *)
-let response_of = function
-  | Wire.Whole r -> r
-  | Wire.Parts (label, parts) -> Wire.Keys (label, merge parts)
-  | Wire.Marks (ops, others) ->
-    let rs = Array.make (Wire.length ops) Wire.Pong and j = ref 0 in
-    for i = 0 to Array.length rs - 1 do
-      let m = Wire.mark ops i in
-      rs.(i) <-
-        (if m = Wire.next then begin
-           incr j;
-           others.(!j - 1)
-         end
-         else if m = Wire.refused then rejected
-         else Wire.Bool (m = Wire.yes))
-    done;
-    Wire.Rbatch rs
+(* The answer at its exact size.  An answer too large for one frame is
+   sized before anything is allocated, and answered with [Err]. *)
+let sized a =
+  let n = Wire.answer_size a in
+  if n <= Wire.max_payload then (n, a)
+  else begin
+    Hwts_obs.Counter.incr m_oversized;
+    let e = Wire.Err (Printf.sprintf "answer of %d bytes exceeds max_payload" n) in
+    (Wire.response_size e, Wire.Whole e)
+  end
 
 (* Fan a clamped [lo, hi] out to its owning shards, each part collecting
    into a run of its own; completion fires on the last part, with the
@@ -445,7 +423,7 @@ let submit_range t lo hi k =
                 part_done () ) ))
       (fun ok ->
         if ok then k (Wire.Parts (Array.fold_left max min_int labels, parts))
-        else k (Wire.Whole rejected))
+        else k (Wire.Whole Wire.stopping))
   end
 
 (* Fan a MultiGet out to the shards owning its in-range keys; out-of-range
@@ -491,13 +469,13 @@ let submit_multiget t keys k =
           k
             (Wire.Whole
                (if ok then Wire.Bools (Array.fold_left max min_int labels, bools)
-                else rejected)))
+                else Wire.stopping)))
     end
   end
 
-(* Each range of a MultiRange reuses the Range fan-out, its parts
-   merged; the frame completes when the last range does, under the
-   maximal label. *)
+(* Each range of a MultiRange reuses the Range fan-out, its answer read
+   back as a client reads it; the frame completes when the last range
+   does, under the maximal label, or with the first failure seen. *)
 let submit_multirange t ranges k =
   let nr = Array.length ranges in
   if nr = 0 then k (Wire.Whole (Wire.Keyss (t.now (), [||])))
@@ -505,29 +483,31 @@ let submit_multirange t ranges k =
     let results = Array.make nr [||] in
     let labels = Array.make nr 0 in
     let remaining = Atomic.make nr in
-    let failed = Atomic.make false in
+    let failure = Atomic.make None in
     Array.iteri
       (fun i (lo, hi) ->
         submit_range t lo hi (fun a ->
-            (match response_of a with
+            (match Wire.read_back (sized a) with
             | Wire.Keys (label, keys) ->
               results.(i) <- keys;
               labels.(i) <- label
-            | _ -> Atomic.set failed true);
+            | r -> Atomic.set failure (Some r));
             if Atomic.fetch_and_add remaining (-1) = 1 then
               k
                 (Wire.Whole
-                   (if Atomic.get failed then rejected
-                    else Wire.Keyss (Array.fold_left max min_int labels, results)))))
+                   (match Atomic.get failure with
+                   | Some r -> r
+                   | None -> Wire.Keyss (Array.fold_left max min_int labels, results)))))
       ranges
   end
 
 let in_range t key = key >= 1 && key <= t.key_space
 
-(* [k], recording the latency since [t0] in [h] first *)
+(* [k] of the sized answer, recording the latency since [t0] in [h]
+   first *)
 let timed h t0 k a =
   Hwts_obs.Histogram.record h (Tsc.monotonic_ns () - t0);
-  k a
+  k (sized a)
 
 let rec route t req k =
   let t0 = Tsc.monotonic_ns () in
@@ -539,7 +519,7 @@ let rec route t req k =
     k (Wire.Whole (Wire.Err (Printf.sprintf "key %d out of [1, %d]" key t.key_space)))
   | Wire.Get key | Wire.Insert key | Wire.Delete key ->
     if not (enqueue t (shard_of_key t key) (Point (req, k))) then
-      k (Wire.Whole rejected)
+      k (Wire.Whole Wire.stopping)
   | Wire.Range (lo, hi) -> submit_range t lo hi k
   | Wire.MultiGet keys -> submit_multiget t keys k
   | Wire.MultiRange ranges -> submit_multirange t ranges k
@@ -550,7 +530,8 @@ let rec route t req k =
    each owning shard as ONE [Ops] task, through [fan_out]: if a stopping
    shard refuses a part, every one of these positions answers [Err],
    never a [Bool] from only some parts.  The other members answer, in
-   order, from [others]: routed one at a time after the point tasks, so
+   order, from [others]: routed one at a time after the point tasks,
+   each answer read back as a client reads it, so
    (per-shard FIFO, and a drain running its point ops before its reads)
    every read of the batch sees every point op of the batch. *)
 and batch t ops reqs ~t0 k =
@@ -597,7 +578,7 @@ and batch t ops reqs ~t0 k =
       route t
         (if Array.length reqs = 0 then Wire.member ops i else reqs.(i))
         (fun a ->
-          others.(j') <- response_of a;
+          others.(j') <- Wire.read_back a;
           answered 1)
     end
   done
@@ -612,7 +593,7 @@ let serve t incoming k =
         let t0 = Tsc.monotonic_ns () in
         batch t ops [||] ~t0 (timed h_batch t0 k))
 
-let submit t req k = serve t (Wire.Request req) (fun a -> k (response_of a))
+let submit t req k = serve t (Wire.Request req) (fun a -> k (Wire.read_back a))
 let round t f = exclusive t f
 
 let exec t req =

@@ -6,8 +6,11 @@
     call yields one provider module, and the [shards] structure instances
     created from it label against that one clock.  Labels from different
     shards are therefore mutually comparable — the Strict_sharded-style
-    slot-id discipline extends across the whole fleet, so a cross-shard
-    range response can report one (maximal) label its parts agree under.
+    slot-id discipline extends across the whole fleet.  A cross-shard
+    read does not yet take one label, though: each part reads under its
+    own shard's snapshot, at its own time, and the answer reports the
+    largest part label.  No single moment need have had the union of the
+    parts (ROADMAP item 2, one label per request, is the fix).
 
     Keys live in [1, key_space], partitioned contiguously: shard [i] owns
     [[i*span + 1, (i+1)*span]].  Each shard drains its queue in arrival
@@ -77,33 +80,39 @@ val worker_minor_words : t -> int -> int
 val now : t -> int
 (** A read of the fleet's shared clock (labels are comparable with it). *)
 
-val serve : t -> Wire.incoming -> (Wire.answer -> unit) -> unit
-(** Route a decoded frame, answering it in pieces: a point batch as
-    [Marks] (one answer byte per op), a [Range] as [Parts] (one key run
-    per owning shard, each the part's own, filled by its read and
-    sorted in place if its pushes did not ascend, under the maximal part
-    label), anything else [Whole].  [hwts-serve]'s entry point; otherwise as {!submit}. *)
+val sized : Wire.answer -> int * Wire.answer
+(** An answer with its payload size ({!Wire.answer_size}), computed
+    once; one above {!Wire.max_payload} becomes an [Err] saying so
+    (counted in [serve.oversized]).  {!serve} and {!submit} answer
+    through it. *)
+
+val serve : t -> Wire.incoming -> (int * Wire.answer -> unit) -> unit
+(** Route a decoded frame, answering it in pieces, {!sized}: a point
+    batch as [Marks] (one answer byte per op), a [Range] as [Parts] (one
+    key run per owning shard, each the part's own, filled by its read
+    and sorted in place if its pushes did not ascend, under the maximal
+    part label), anything else [Whole].  [hwts-serve]'s entry point;
+    otherwise as {!submit}. *)
 
 val submit : t -> Wire.request -> (Wire.response -> unit) -> unit
-(** Route a request: {!serve} through an adapter that merges a range's
-    parts and builds a batch's [Rbatch], so an in-process caller only
-    sees [Wire.response] values.  The completion runs exactly once: on a
-    worker domain, or under the inline executor on the submitting thread before
-    [submit] returns (at the end of the {!round} when called inside
-    one); and inline for [Ping], out-of-range keys and empty batches.
-    A submit made from inside a completion enqueues, and the drain in
-    progress runs it.  Cross-shard ranges fan out to every owning shard
-    and complete when the last part does, with the maximal part label,
-    their keys merged into one array of exactly the answer's length.
-    After {!stop}, completes with [Err]; so does a request split across
-    shards when a stopping shard refuses any part of it, never a partial
-    answer.
+(** Route a request: {!serve}, its answer read back from the frame a
+    client would get ({!Wire.read_back}).  The completion runs exactly
+    once: on a worker domain, or under the inline executor on the
+    submitting thread before [submit] returns (at the end of the
+    {!round} when called inside one); and inline for [Ping],
+    out-of-range keys and empty batches.  A submit made from inside a
+    completion enqueues, and the drain in progress runs it.
+    Cross-shard ranges fan out to every owning shard and complete when
+    the last part does, with the maximal part label.  After {!stop},
+    completes with [Err]; so does a request split across shards when a
+    stopping shard refuses any part of it, never a partial answer.
 
     A [Batch] is packed ({!Wire.pack}); its in-range Get/Insert/Delete
     ops reach each owning shard as one task, run in batch order; if a
     stopping shard refuses one, every point position answers [Err].
     Its other sub-requests are routed one at a time after those tasks,
-    so each read in a batch sees every point op of the batch. *)
+    each answer read back as {!submit} reads it, so each read in a batch
+    sees every point op of the batch. *)
 
 val round : t -> (unit -> 'a) -> 'a
 (** [round t f] runs [f], whose submits form one drain unit: under the

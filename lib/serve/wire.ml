@@ -282,7 +282,7 @@ let blit_answer c (n, a) ~src dst pos len =
   if
     n > max_payload || src < 0 || len < 0 || src + len > 4 + n || pos < 0
     || pos + len > Bytes.length dst
-  then invalid_arg "Wire.blit_frame";
+  then invalid_arg "Wire.blit_answer";
   if src = 0 || src < c.at then c.at <- 0;
   let w = c.w in
   w.dst <- dst;
@@ -292,26 +292,23 @@ let blit_answer c (n, a) ~src dst pos len =
   ignore (put_answer w c (put w 0 4 n) a);
   w.dst <- Bytes.empty
 
-let blit_frame (n, r) ~src dst pos len = blit_answer (cursor ()) (n, Whole r) ~src dst pos len
-
-let frame size v =
-  let n = size v in
+(* A frame of [n] payload bytes written by [write] and appended to [buf];
+   one above max_payload is refused before anything is allocated. *)
+let encode buf n write =
   if n > max_payload then invalid_arg "Wire: frame exceeds max_payload";
-  (Bytes.create (4 + n), n)
+  let b = Bytes.create (4 + n) in
+  write b;
+  Buffer.add_bytes buf b
 
-let request_frame r =
-  let b, n = frame request_size r in
-  let w = { dst = b; base = 0; lo = 0; hi = 4 + n } in
-  ignore (put_request w (put w 0 4 n) r);
-  b
+let encode_request buf r =
+  let n = request_size r in
+  encode buf n (fun b ->
+      let w = { dst = b; base = 0; lo = 0; hi = 4 + n } in
+      ignore (put_request w (put w 0 4 n) r))
 
-let response_frame r =
-  let b, n = frame response_size r in
-  blit_frame (n, r) ~src:0 b 0 (4 + n);
-  b
-
-let encode_request buf r = Buffer.add_bytes buf (request_frame r)
-let encode_response buf r = Buffer.add_bytes buf (response_frame r)
+let encode_response buf r =
+  let n = response_size r in
+  encode buf n (fun b -> blit_answer (cursor ()) (n, Whole r) ~src:0 b 0 (4 + n))
 
 (* --- incremental decoder -------------------------------------------- *)
 
@@ -536,3 +533,8 @@ let next_request d =
   | None -> None
 
 let next_response d = next_frame d read_response
+
+let read_back (n, a) =
+  let b = Bytes.create (4 + n) in
+  blit_answer (cursor ()) (n, a) ~src:0 b 0 (4 + n);
+  read_response { bytes = b; stop = 4 + n; pos = 4 } ~nested:false

@@ -53,26 +53,12 @@ val request_size : request -> int
 
 val response_size : response -> int
 
-val request_frame : request -> Bytes.t
-(** One framed request in a fresh buffer of exactly
-    [4 + request_size request] bytes, written in place by one pass.
-    Raises [Invalid_argument] on a nested batch or a payload above
-    {!max_payload}, before allocating. *)
-
-val response_frame : response -> Bytes.t
-
-val blit_frame : int * response -> src:int -> Bytes.t -> int -> int -> unit
-(** [blit_frame (n, r) ~src dst pos len] writes bytes [[src, src + len)]
-    of {!response_frame}[ r] into [dst] at [pos], [n] being
-    [response_size r], computed once by the caller, so an answer streams
-    through a fixed buffer with no frame of its own.  Raises
-    [Invalid_argument] on [n] above {!max_payload} or a bad window. *)
-
 (** {2 Point batches and answers from pieces}
 
-    [hwts-serve]'s forms, never an in-process caller's: {!next_incoming}
-    packs a [Batch] of point ops, and an {!answer} is one [response]'s
-    frame written from its pieces. *)
+    The server's forms: {!next_incoming} packs a [Batch] of point ops,
+    and an {!answer} is one [response]'s frame written from its pieces.
+    {!blit_answer} is the one response writer; an in-process caller reads
+    an answer back from its frame ({!read_back}). *)
 
 type points
 (** A [Batch]'s members packed, 9 bytes each, in chunks of at most 256
@@ -125,18 +111,28 @@ val cursor : unit -> cursor
 
 val blit_answer :
   cursor -> int * answer -> src:int -> Bytes.t -> int -> int -> unit
-(** {!blit_frame} for an answer.  A cursor kept across a frame's
-    consecutive windows (one at [src = 0] resets it) starts each at the
-    member of [Parts], [Marks] or a [Whole (Keyss _)] the last one
-    stopped in, so such a frame costs O(bytes + members) in all and a
-    window allocates nothing.  A [Whole (Rbatch _)] (the server answers
-    every batch as [Marks]) and a [Keyss] among a batch's others walk
-    their members from the start in each window they span. *)
+(** [blit_answer c (n, a) ~src dst pos len] writes bytes
+    [[src, src + len)] of answer [a]'s frame into [dst] at [pos], [n]
+    being [answer_size a], computed once by the caller, so an answer
+    streams through a fixed buffer with no frame of its own.  A cursor
+    kept across a frame's consecutive windows (one at [src = 0] resets
+    it) starts each at the member of [Parts], [Marks] or a
+    [Whole (Keyss _)] the last one stopped in, so such a frame costs
+    O(bytes + members) in all and a window allocates nothing.  A
+    [Whole (Rbatch _)] (the server answers every batch as [Marks]) and a
+    [Keyss] among a batch's others walk their members from the start in
+    each window they span.  Raises [Invalid_argument] on [n] above
+    {!max_payload} or a bad window. *)
 
 val encode_request : Buffer.t -> request -> unit
-(** Append {!request_frame}'s bytes. *)
+(** Append one framed request: the 4-byte length prefix and
+    [request_size request] bytes, written by one pass.  Raises
+    [Invalid_argument] on a nested batch or a payload above
+    {!max_payload}, before allocating. *)
 
 val encode_response : Buffer.t -> response -> unit
+(** Append one framed response, written by {!blit_answer} as one window
+    over [Whole response]; raises as {!encode_request} does. *)
 
 (** Incremental decoder: feed raw bytes, pull complete frames.  A buffer
     grown past 64 KiB for a frame larger than that returns to 4 KiB once
@@ -166,3 +162,7 @@ val next_incoming : decoder -> incoming option
     request per member; any other frame as [Request]. *)
 
 val next_response : decoder -> response option
+
+val read_back : int * answer -> response
+(** What a client parses from a sized answer's frame: the frame
+    {!blit_answer} writes, read by {!next_response}'s parser. *)

@@ -106,36 +106,3 @@ let multi_range (Snap s as h) ranges =
   let r = Array.make (Array.length ranges) [||] in
   Array.iteri (fun i (lo, hi) -> r.(i) <- S.collect_at s.st s.sn ~lo ~hi) ranges;
   r
-
-(* Each per-range result is strictly ascending, so the cross-range union
-   is a k-way merge; ranges are few, so pairwise merging is fine.  The
-   merge writes into a block of the worst-case size and cuts it to the
-   union's. *)
-let merge_dedup xs ys =
-  let nx = Array.length xs and ny = Array.length ys in
-  let r = Array.make (nx + ny) 0 in
-  let rec go i j n =
-    if i = nx then begin
-      Array.blit ys j r n (ny - j);
-      n + ny - j
-    end
-    else if j = ny then begin
-      Array.blit xs i r n (nx - i);
-      n + nx - i
-    end
-    else
-      let x = xs.(i) and y = ys.(j) in
-      r.(n) <- min x y;
-      go (if x <= y then i + 1 else i) (if y <= x then j + 1 else j) (n + 1)
-  in
-  let n = go 0 0 0 in
-  if n = nx + ny then r else Array.sub r 0 n
-
-let multi_range_union h ranges =
-  Array.fold_left merge_dedup [||] (multi_range h ranges)
-
-let count h ~lo ~hi = Array.length (keys h ~lo ~hi)
-
-let kth h ~lo ~hi k =
-  let ks = keys h ~lo ~hi in
-  if k >= 0 && k < Array.length ks then Some ks.(k) else None

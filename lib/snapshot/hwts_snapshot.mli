@@ -69,14 +69,3 @@ val range : t -> lo:int -> hi:int -> int list
 
 val multi_range : t -> (int * int) array -> int array array
 (** Per-range {!keys} results, positionally, all from the one cut. *)
-
-val multi_range_union : t -> (int * int) array -> int array
-(** The deduplicated sorted union across all ranges — overlapping
-    ranges contribute each key once. *)
-
-val count : t -> lo:int -> hi:int -> int
-(** Number of keys in [lo, hi] in the cut. *)
-
-val kth : t -> lo:int -> hi:int -> int -> int option
-(** [kth s ~lo ~hi k] — the [k]-th smallest key (0-based) of [lo, hi]
-    in the cut, or [None] if the range holds [<= k] keys. *)

@@ -236,6 +236,27 @@ let ablation_orderings () =
         (r.fig1 > 100. && r.fig2 > 1. && r.fig4 < r.fig2))
     (Model.Figures.ablation ~duration:400_000.)
 
+(* [hwts-cli figure labeling --csv F]: labeling prints no sweep table,
+   so there is nothing to write: no file, exit 1.  (Under `dune runtest`
+   the cwd is _build/default/test.) *)
+let figure_csv_without_a_table () =
+  match
+    List.find_opt Sys.file_exists [ "../bin/hwts_cli.exe"; "_build/default/bin/hwts_cli.exe" ]
+  with
+  | None -> Alcotest.skip ()
+  | Some exe ->
+    let path = Filename.concat (Filename.get_temp_dir_name ()) "hwts_figure_labeling.csv" in
+    if Sys.file_exists path then Sys.remove path;
+    let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+    let pid =
+      Unix.create_process exe [| exe; "figure"; "labeling"; "--csv"; path |] null null null
+    in
+    Unix.close null;
+    (match Unix.waitpid [] pid with
+    | _, Unix.WEXITED c -> Alcotest.(check int) "exit status" 1 c
+    | _ -> Alcotest.fail "killed by a signal");
+    Alcotest.(check bool) "no file written" false (Sys.file_exists path)
+
 let () =
   Alcotest.run "model"
     [
@@ -260,6 +281,8 @@ let () =
       ( "figures",
         [
           Alcotest.test_case "shared sweeps, every mix" `Quick figure_tables;
+          Alcotest.test_case "figure --csv with no sweep table" `Quick
+            figure_csv_without_a_table;
           Alcotest.test_case "fig2 properties" `Slow fig2_properties;
           Alcotest.test_case "fig3 properties" `Slow fig3_properties;
           Alcotest.test_case "fig4 properties" `Slow fig4_properties;

@@ -51,10 +51,15 @@ let write_all fd b =
     off := !off + Unix.write fd b !off (n - !off)
   done
 
-let send fd req =
+(* one frame, as the encoders append it *)
+let framed encode v =
   let b = Buffer.create 64 in
-  Wire.encode_request b req;
-  write_all fd (Buffer.to_bytes b)
+  encode b v;
+  Buffer.to_bytes b
+
+let request_bytes = framed Wire.encode_request
+let response_bytes = framed Wire.encode_response
+let send fd req = write_all fd (request_bytes req)
 
 type client = { fd : Unix.file_descr; dec : Wire.decoder; rbuf : Bytes.t }
 
@@ -667,12 +672,12 @@ let decode_forces_no_collection () =
     d
   in
   let points = [ 512; 60_000 ] in
-  let qd = fed (List.map request_frame reqs)
-  and rd = fed (List.map response_frame resps)
+  let qd = fed (List.map request_bytes reqs)
+  and rd = fed (List.map response_bytes resps)
   and pd =
     fed
       (List.map
-         (fun n -> request_frame (Batch (Array.init n (fun i -> Delete (i + 1)))))
+         (fun n -> request_bytes (Batch (Array.init n (fun i -> Delete (i + 1)))))
          points)
   in
   Gc.minor ();
@@ -989,7 +994,7 @@ let served_ranges_promote_little ~executor () =
             Bytes.concat Bytes.empty
               (List.init burst (fun j ->
                    let lo = 1 + ((b * burst) + j) * 769 mod (key_space - width) in
-                   Wire.request_frame (Wire.Range (lo, lo + width - 1)))))
+                   request_bytes (Wire.Range (lo, lo + width - 1)))))
       in
       let answer = 4 + Wire.response_size (Wire.Keys (0, Array.make width 0)) in
       let serve_bursts first last =
@@ -1032,8 +1037,8 @@ let loop_words_per_ping ~bound ~executor () =
   Fun.protect ~finally:(fun () -> Serve.Server.stop server) @@ fun () ->
   let port = Serve.Server.port server and n = 2_000 in
   let go = Atomic.make 0 and answered = Atomic.make 0 and pongs = Atomic.make 0 in
-  let ping = Wire.request_frame Wire.Ping in
-  let pong = Wire.response_frame Wire.Pong in
+  let ping = request_bytes Wire.Ping in
+  let pong = response_bytes Wire.Pong in
   let reader =
     Domain.spawn (fun () ->
         let cl = client port in
@@ -1494,6 +1499,123 @@ let executor_reported ~pinned () =
     Alcotest.(check bool) ("metrics carry " ^ gauge) true
       (contains ~needle:gauge contents)
 
+(* ---------- in-process answers are the served bytes ---------- *)
+
+(* [Shards.exec] and a client of a server on the same router get the
+   same answer to the same request, labels included: skiplist-bundle's
+   reads do not advance the logical clock, so with no write in between
+   every read labels alike.  The forms: a cross-shard Range (Parts), a
+   MultiRange and a MultiGet (Whole), and a mixed Batch (Marks with
+   others).  With worker domains, a Batch is also sent while shard 0 is
+   held, and again once a stop has reached every shard, so its points
+   and its Range are refused; the held one is answered on release.
+   Every read here is of keys the batch does not write. *)
+let in_process_answers_are_served_bytes ~executor () =
+  let router =
+    Serve.Shards.create ~executor ~structure:"skiplist-bundle" ~provider:`Logical
+      ~shards:2 ~key_space:100 ~coalesce:true ()
+  in
+  let server = Serve.Server.start ~port:0 router in
+  Fun.protect ~finally:(fun () -> Serve.Server.stop server) @@ fun () ->
+  let cl = client (Serve.Server.port server) in
+  Fun.protect ~finally:(fun () -> Unix.close cl.fd) @@ fun () ->
+  let same what a b =
+    if a <> b then Alcotest.failf "%s: in-process %s, served %s" what (show a) (show b)
+  in
+  let served req =
+    send cl.fd req;
+    recv_exn cl
+  in
+  List.iter (fun k -> ignore (Serve.Shards.exec router (Wire.Insert k))) [ 10; 20; 60; 70 ];
+  let mixed =
+    Wire.Batch
+      [| Wire.Get 10; Wire.Range (5, 80); Wire.Insert 0; Wire.MultiGet [| 20; 70 |];
+         Wire.Get 60; Wire.Get 101; Wire.Ping |]
+  in
+  List.iter
+    (fun (what, req) -> same what (Serve.Shards.exec router req) (served req))
+    [
+      ("cross-shard range", Wire.Range (5, 80));
+      ("multirange", Wire.MultiRange [| (5, 80); (15, 55); (90, 95) |]);
+      ("multiget", Wire.MultiGet [| 10; 11; 60; 200 |]);
+      ("mixed batch", mixed);
+    ];
+  if executor = `Domains then begin
+    (* the batch submitted here, then sent; the server has routed all
+       of it once its last member, the Ping, has been answered *)
+    let submitted req =
+      let answer = Atomic.make None in
+      Serve.Shards.submit router req (fun r -> Atomic.set answer (Some r));
+      let pings = hist_count "serve.latency.ping" in
+      send cl.fd req;
+      await "the server to route the batch" (fun () ->
+          hist_count "serve.latency.ping" > pings);
+      answer
+    in
+    let release = hold_shard router 1 in
+    Fun.protect ~finally:release @@ fun () ->
+    let held = submitted mixed in
+    let stopper = Domain.spawn (fun () -> Serve.Shards.stop router) in
+    let refused = Atomic.make false in
+    await "shard 1 to refuse" (fun () ->
+        Serve.Shards.submit router (Wire.Get 60) (function
+          | Wire.Err _ -> Atomic.set refused true
+          | _ -> ());
+        Atomic.get refused);
+    let after_stop = submitted mixed in
+    release ();
+    Domain.join stopper;
+    List.iter
+      (fun (what, answer) ->
+        await what (fun () -> Atomic.get answer <> None);
+        same what (Option.get (Atomic.get answer)) (recv_exn cl))
+      [ ("batch held on shard 0", held); ("batch after stop", after_stop) ];
+    match Atomic.get after_stop with
+    | Some (Wire.Rbatch rs) ->
+      stopping "a refused point" rs.(0);
+      stopping "a refused range" rs.(1)
+    | _ -> Alcotest.fail "expected Rbatch"
+  end
+
+(* ---------- hwts-cli serve-load ---------- *)
+
+let cli_exe =
+  List.find_opt Sys.file_exists
+    [ "../bin/hwts_cli.exe"; "_build/default/bin/hwts_cli.exe" ]
+
+(* [hwts-cli serve-load] as a subprocess against a server in this
+   process: 2 connections of 300 requests each, 8 in flight, MultiGets
+   of 4 keys over Zipf keys, all answered without an error. *)
+let serve_load_subprocess ~executor () =
+  match cli_exe with
+  | None -> Alcotest.skip ()
+  | Some exe ->
+    with_server ~executor ~provider:`Logical ~coalesce:true ~shards:2 ~key_space:16_384
+      (fun port ->
+        let out_r, out_w = Unix.pipe ~cloexec:true () in
+        let pid =
+          Unix.create_process exe
+            [|
+              exe; "serve-load"; "--port"; string_of_int port; "--connections"; "2";
+              "--pipeline"; "8"; "--ops"; "300"; "--mix"; "20-10-70"; "--multiget"; "4";
+              "--zipf"; "0.9";
+            |]
+            Unix.stdin out_w Unix.stderr
+        in
+        Unix.close out_w;
+        let ic = Unix.in_channel_of_descr out_r in
+        let out = In_channel.input_all ic in
+        close_in ic;
+        (match Unix.waitpid [] pid with
+        | _, Unix.WEXITED 0 -> ()
+        | _, Unix.WEXITED c -> Alcotest.failf "serve-load exited %d: %s" c out
+        | _ -> Alcotest.fail "serve-load killed by a signal");
+        List.iter
+          (fun needle ->
+            Alcotest.(check bool) (Printf.sprintf "%S in %S" needle out) true
+              (contains ~needle out))
+          [ "600 responses"; ", 0 errors" ])
+
 (* Each server-level case once with worker domains, under its own name,
    and once inline, as "inline: <name>". *)
 let both name f =
@@ -1545,7 +1667,9 @@ let () =
             (batch_matches_one_at_a_time ~tcp:false ~shards:3)
         @ both "batch over TCP: a last shard past the key space"
             (batch_matches_one_at_a_time ~tcp:true ~shards:3)
-        @ both "batch: after stop, Err at every point" batch_after_stop );
+        @ both "batch: after stop, Err at every point" batch_after_stop
+        @ both "in-process answers are the served bytes" in_process_answers_are_served_bytes
+        );
       ( "inline",
         [
           Alcotest.test_case
@@ -1589,6 +1713,7 @@ let () =
             Alcotest.test_case "SIGINT: drain, flush, exit 0" `Quick
               subprocess_sigint;
           ]
+        @ both "hwts-cli serve-load: 600 answers, 0 errors" serve_load_subprocess
         @ both "a stalled reader blocks no one" stalled_reader_blocks_no_one
         @ [
             Alcotest.test_case "a descriptor above FD_SETSIZE" `Quick

@@ -31,34 +31,11 @@ let engine_operators () =
     [| [| 2; 3; 5 |]; [| 5; 7; 11 |]; [||] |]
     (Hwts_snapshot.multi_range s [| (1, 6); (5, 12); (40, 50) |]);
   Alcotest.(check (array int))
-    "union dedups the overlap" [| 2; 3; 5; 7; 11 |]
-    (Hwts_snapshot.multi_range_union s [| (1, 6); (5, 12); (40, 50) |]);
+    "keys of an empty range" [||]
+    (Hwts_snapshot.keys s ~lo:40 ~hi:50);
   Alcotest.(check (array int))
-    "union of disjoint ranges arrives sorted" [| 2; 3; 17; 19 |]
-    (Hwts_snapshot.multi_range_union s [| (17, 30); (1, 4) |]);
-  Alcotest.(check (array int))
-    "union of empty ranges" [||]
-    (Hwts_snapshot.multi_range_union s [| (40, 50); (20, 22) |]);
-  Alcotest.(check int) "count" 3 (Hwts_snapshot.count s ~lo:3 ~hi:10);
-  Alcotest.(check int) "count of an empty range" 0
-    (Hwts_snapshot.count s ~lo:40 ~hi:50);
-  Alcotest.(check int) "count of an inverted range" 0
-    (Hwts_snapshot.count s ~lo:10 ~hi:3);
-  Alcotest.(check (option int))
-    "kth is 0-based" (Some 3)
-    (Hwts_snapshot.kth s ~lo:3 ~hi:10 0);
-  Alcotest.(check (option int))
-    "kth at len - 1" (Some 7)
-    (Hwts_snapshot.kth s ~lo:3 ~hi:10 2);
-  Alcotest.(check (option int))
-    "kth at len" None
-    (Hwts_snapshot.kth s ~lo:3 ~hi:10 3);
-  Alcotest.(check (option int))
-    "kth of an empty range" None
-    (Hwts_snapshot.kth s ~lo:40 ~hi:50 0);
-  Alcotest.(check (option int))
-    "kth negative" None
-    (Hwts_snapshot.kth s ~lo:3 ~hi:10 (-1))
+    "keys of an inverted range" [||]
+    (Hwts_snapshot.keys s ~lo:10 ~hi:3)
 
 let one_label_per_handle () =
   (* the cut must not move while the handle is open, whatever happens to

@@ -204,14 +204,14 @@ let response_round_trip () =
   (* every case's frame streamed back to back through one 7-byte buffer,
      as the server streams a connection's answers, decodes to the cases,
      in order *)
-  let d = Wire.decoder () and out = Bytes.create 7 in
+  let d = Wire.decoder () and out = Bytes.create 7 and c = Wire.cursor () in
   List.iter
     (fun r ->
       let n = Wire.response_size r in
       let sent = ref 0 in
       while !sent < 4 + n do
         let k = min 7 (4 + n - !sent) in
-        Wire.blit_frame (n, r) ~src:!sent out 0 k;
+        Wire.blit_answer c (n, Wire.Whole r) ~src:!sent out 0 k;
         Wire.feed d out 0 k;
         sent := !sent + k
       done)
@@ -234,7 +234,7 @@ let packed_decode () =
   let points = Array.init 500 (fun i -> match i mod 3 with 0 -> Wire.Get (i - 7) | 1 -> Wire.Insert (max_int - i) | _ -> Wire.Delete min_int) in
   let incoming r =
     let d = Wire.decoder () in
-    feed_all d (Wire.request_frame r);
+    feed_all d (encode_req r);
     Option.get (Wire.next_incoming d)
   in
   List.iter
@@ -249,7 +249,7 @@ let packed_decode () =
           reqs
       | Wire.Request _ -> Alcotest.fail "a point batch was not packed");
       Alcotest.check request "next_request unpacks" (Wire.Batch reqs)
-        (decode_one_req (Wire.request_frame (Wire.Batch reqs))))
+        (decode_one_req (encode_req (Wire.Batch reqs))))
     [ points; [| Wire.Get 1 |]; [||] ];
   List.iter
     (fun r ->
@@ -270,19 +270,17 @@ let packed_decode () =
 
 (* Every constructor, empty arrays and an empty Err included: the frame
    is exactly the length prefix plus the size pass's count, the prefix
-   says so, the Buffer wrapper emits the same bytes, and it decodes
-   back to the value. *)
+   says so, and it decodes back to the value. *)
 let prefix b = Int32.to_int (Bytes.get_int32_be b 0)
 
 let frames_are_exact_size () =
   List.iter
     (fun r ->
-      let f = Wire.request_frame r in
+      let f = encode_req r in
       let what = Format.asprintf "%a" pp_request r in
       Alcotest.(check int) (what ^ ": length") (4 + Wire.request_size r)
         (Bytes.length f);
       Alcotest.(check int) (what ^ ": prefix") (Wire.request_size r) (prefix f);
-      Alcotest.(check bytes) (what ^ ": Buffer wrapper") f (encode_req r);
       Alcotest.check request what r (decode_one_req f))
     [
       Wire.Get 7;
@@ -306,13 +304,12 @@ let frames_are_exact_size () =
     ];
   List.iter
     (fun r ->
-      let f = Wire.response_frame r in
+      let f = encode_resp r in
       let what = Format.asprintf "%a" pp_response r in
       Alcotest.(check int) (what ^ ": length") (4 + Wire.response_size r)
         (Bytes.length f);
       Alcotest.(check int)
         (what ^ ": prefix") (Wire.response_size r) (prefix f);
-      Alcotest.(check bytes) (what ^ ": Buffer wrapper") f (encode_resp r);
       Alcotest.check response what r (decode_one_resp f))
     [
       Wire.Bool false;
@@ -341,19 +338,19 @@ let frames_are_exact_size () =
 let large_keys_round_trip () =
   let keys = Array.init 262_144 (fun i -> (i * 7) - 1000) in
   let r = Wire.Keys (123_456, keys) in
-  let f = Wire.response_frame r in
+  let f = encode_resp r in
   Alcotest.(check int) "length" (4 + 13 + (8 * 262_144)) (Bytes.length f);
   Alcotest.check response "round trip" r (decode_one_resp f)
 
 let max_payload_boundary () =
   (* an Err's body is its opcode, its message's length and the message *)
   let at_max = Wire.Err (String.make (Wire.max_payload - 5) 'x') in
-  let f = Wire.response_frame at_max in
+  let f = encode_resp at_max in
   Alcotest.(check int) "a max_payload body encodes" (4 + Wire.max_payload)
     (Bytes.length f);
   Alcotest.check response "and decodes" at_max (decode_one_resp f);
   let over = Wire.Err (String.make (Wire.max_payload - 4) 'x') in
-  match Wire.response_frame over with
+  match encode_resp over with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "encoder accepted a body one byte over max_payload"
 
@@ -374,7 +371,7 @@ let windowed_frames () =
     while !sent < 4 + n do
       let k = min (1 + Random.State.int rng max_window) (4 + n - !sent) in
       let pos = Random.State.int rng (buf_size - k + 1) in
-      Wire.blit_frame (n, r) ~src:!sent dst pos k;
+      Wire.blit_answer (Wire.cursor ()) (n, Wire.Whole r) ~src:!sent dst pos k;
       Buffer.add_subbytes got dst pos k;
       sent := !sent + k
     done;
@@ -383,7 +380,7 @@ let windowed_frames () =
   let keys n = Array.init n (fun i -> (i * 7919) - 40_000) in
   List.iter
     (fun (what, r) ->
-      let want = Wire.response_frame r in
+      let want = encode_resp r in
       List.iter
         (fun max_window ->
           if max_window > 1 || Bytes.length want <= 65536 then
@@ -416,9 +413,9 @@ let windowed_frames () =
   let n = Wire.response_size r in
   List.iter
     (fun (what, src, pos, len) ->
-      match Wire.blit_frame (n, r) ~src dst pos len with
+      match Wire.blit_answer (Wire.cursor ()) (n, Wire.Whole r) ~src dst pos len with
       | exception Invalid_argument _ -> ()
-      | () -> Alcotest.failf "blit_frame accepted %s" what)
+      | () -> Alcotest.failf "blit_answer accepted %s" what)
     [
       ("a window past the frame", 1, 0, 4 + n);
       ("a negative offset", -1, 0, 2);
@@ -484,7 +481,7 @@ let run ?lo ?hi keys =
   r
 
 (* Every answer form, each piece form beside plain responses with
-   members, gives response_frame's bytes through 7-byte and 16 KiB
+   members, gives encode_response's bytes through 7-byte and 16 KiB
    windows, with one cursor kept across all the frames (each frame's
    first window resets it) and without one, and its [answer_size] is
    the payload size of the response it stands for.  Parts are key runs
@@ -549,7 +546,7 @@ let answers_through_a_cursor () =
     (fun window ->
       List.iter
         (fun (what, a) ->
-          let want = Wire.response_frame (response_of a) in
+          let want = encode_resp (response_of a) in
           Alcotest.(check int)
             (what ^ ": answer_size")
             (Wire.response_size (response_of a))
@@ -611,8 +608,8 @@ let decoder_shrinks () =
   let d = Wire.decoder () in
   let small = Obj.reachable_words (Obj.repr d) in
   let big = Wire.MultiGet (Array.init 131_072 Fun.id) in
-  let next = Wire.request_frame (Wire.Range (3, 9)) in
-  feed_all d (Wire.request_frame big);
+  let next = encode_req (Wire.Range (3, 9)) in
+  feed_all d (encode_req big);
   Wire.feed d next 0 5;
   Alcotest.(check bool) "grown to hold 1 MB" true
     (Obj.reachable_words (Obj.repr d) > 131_072);
@@ -622,7 +619,7 @@ let decoder_shrinks () =
   Alcotest.check request "the frame cut across the shrink" (Wire.Range (3, 9))
     (Option.get (Wire.next_request d));
   let mid = Wire.MultiGet (Array.init 2_500 Fun.id) in
-  feed_all d (Wire.request_frame mid);
+  feed_all d (encode_req mid);
   Alcotest.check request "a 20 KB request" mid (Option.get (Wire.next_request d));
   Alcotest.(check bool) "a buffer of at most 64 KiB stays" true
     (Obj.reachable_words (Obj.repr d) > 2_500)
@@ -643,7 +640,7 @@ let direct_major_words f =
    was left fitted made a 128 KiB block there on most reads, ~1,000
    words a batch.) *)
 let decoder_keeps_a_pipelines_buffer () =
-  let batch b = Wire.request_frame (Wire.Batch (Array.init 512 (fun i -> Wire.Insert ((8 * i) + b)))) in
+  let batch b = encode_req (Wire.Batch (Array.init 512 (fun i -> Wire.Insert ((8 * i) + b)))) in
   let burst = Bytes.concat Bytes.empty (List.init 16 batch) in
   let stream = Bytes.concat Bytes.empty (List.init 8 (fun _ -> burst)) in
   let d = Wire.decoder () in

@@ -6,13 +6,13 @@
                    domains both read, and repeats within one domain's reads
      calibrate     cycles per call of each timestamp primitive (logical
                    read and advance, the TSC readers, the rdtscp-strict
-                   advance) and a Costs.t suggestion
+                   advance), each the median of 5 loop means, and a
+                   Costs.t suggestion
      figure        regenerate paper figures on the timing model: any of
                    fig1 fig2 fig3 fig4 fig5 labeling lazylist ablate, all of
                    them in that order when none is named; --csv writes the
                    sweep tables (labeling and ablate print none)
      run           run a real workload on a chosen structure/timestamp
-     stress        concurrency smoke test of every range-query port
      stats         run a short workload and dump the metrics registry
      check         seeded fault-injection torture verified by the snapshot oracle
      serve-load    drive a running hwts-serve with pipelined mixed traffic:
@@ -21,9 +21,9 @@
      trend         diff two runs of one BENCH_*.json family
      trace-report  tail-latency attribution over a structure x provider grid
 
-   Observability: `run` and `stress` accept --metrics-out FILE (JSON lines,
-   see Hwts_obs.Registry); HWTS_OBS=0 in the environment disables every
-   hook. *)
+   Observability: `run` and `serve-load` accept --metrics-out FILE (JSON
+   lines, see Hwts_obs.Registry); HWTS_OBS=0 in the environment disables
+   every hook. *)
 
 open Cmdliner
 
@@ -57,16 +57,25 @@ let tsc_info () =
   Printf.printf "pin_to_cpu(0):     %b\n" (Tsc.pin_to_cpu 0);
   0
 
-(* Mean cycles per call over a tight loop ({!Tsc.measure_cost_cycles}).
-   rdtscp+lfence is [Hardware.advance] and logical-faa [Logical.advance],
-   so with rdtscp-strict they give the cost of Jiffy's strict wrapper. *)
+(* Cycles per call of each primitive: the median of [runs] loop means
+   ({!Tsc.measure_cost_cycles}), so one loop slowed by a noisy neighbour
+   moves no row.  rdtscp-strict is timed as structures get it from
+   [Workload.Targets.provider_of], tracing wrapper included; with
+   rdtscp+lfence it gives the cost of the strict wrapper. *)
 let calibrate () =
+  let runs = 5 in
   let module L = Hwts.Timestamp.Logical () in
-  let module SH = Hwts.Timestamp.Strict (Hwts.Timestamp.Hardware) () in
+  let module S = (val Workload.Targets.provider_of `Hardware_strict) in
+  let median f =
+    let means = Array.init runs (fun _ -> Tsc.measure_cost_cycles f) in
+    Array.sort Float.compare means;
+    means.(runs / 2)
+  in
+  Printf.printf "cycles per call, median of %d loop means:\n" runs;
   let costs =
     List.map
       (fun (name, f) ->
-        let c = Tsc.measure_cost_cycles f in
+        let c = median f in
         Printf.printf "%-18s %8.1f cycles\n%!" name c;
         (name, c))
       [
@@ -77,11 +86,12 @@ let calibrate () =
         ("monotonic-ns", Tsc.monotonic_ns);
         ("logical-faa", L.advance);
         ("logical-read", L.read);
-        (SH.name, SH.advance);
+        (S.name, S.advance);
       ]
   in
   Printf.printf
-    "\nSuggested Model.Costs overrides: tsc_rdtscp_lfence = %.0f; tsc_rdtsc_cpuid = %.0f\n"
+    "\nSuggested Model.Costs overrides (medians): tsc_rdtscp_lfence = %.0f; \
+     tsc_rdtsc_cpuid = %.0f\n"
     (List.assoc "rdtscp+lfence" costs)
     (List.assoc "cpuid+rdtsc" costs);
   0
@@ -249,61 +259,6 @@ let stats (name, _) provider reclaim threads seconds mix_label key_range format
       close_out oc;
       Printf.printf "(wrote %s)\n" path);
     0
-
-let stress provider reclaim seed metrics_out =
-  (* Backoff jitter draws from the seeded stream, so the whole smoke run
-     is a function of --seed. *)
-  Sync.Rand.set_seed seed;
-  let wanted : Workload.Targets.ts list =
-    match provider with Some ts -> [ ts ] | None -> Workload.Targets.all_ts
-  in
-  let ok = ref 0 in
-  List.iter
-    (fun (name, make) ->
-      List.iter
-        (fun ts ->
-          let inst = make reclaim ts in
-          let (module S : Dstruct.Ordered_set.RQ) =
-            inst.Workload.Targets.structure
-          in
-          let t = S.create () in
-          for k = 1 to 1_000 do
-            ignore (S.insert t (k * 2))
-          done;
-          (* the spawning domain is done mutating; under QSBR its slot
-             must leave the grace protocol or nothing ever frees *)
-          S.offline t;
-          let domains =
-            List.init 3 (fun i ->
-                Domain.spawn (fun () ->
-                    Sync.Slot.with_slot (fun _ ->
-                        let rng = Dstruct.Prng.make ~seed:(seed + i + 1) in
-                        for n = 1 to 5_000 do
-                          let k = 1 + Dstruct.Prng.below rng 2_000 in
-                          (match Dstruct.Prng.below rng 4 with
-                          | 0 -> ignore (S.insert t k)
-                          | 1 -> ignore (S.delete t k)
-                          | 2 -> ignore (S.contains t k)
-                          | _ -> ignore (S.range_query t ~lo:k ~hi:(k + 50)));
-                          if n mod 64 = 0 then S.quiesce t
-                        done;
-                        S.offline t)))
-          in
-          List.iter Domain.join domains;
-          incr ok;
-          Printf.printf "  %-18s %-13s %-8s ok (size now %d)\n%!" name
-            (Workload.Targets.ts_name ts)
-            inst.Workload.Targets.reclaim (S.size t))
-        wanted)
-    Workload.Targets.all_instances;
-  Printf.printf "stress: %d combinations passed\n" !ok;
-  (match metrics_out with
-  | None -> ()
-  | Some path ->
-    Workload.Harness.ensure_canonical_metrics ();
-    Hwts_obs.Registry.write_json_lines path;
-    Printf.printf "(metrics -> %s)\n" path);
-  0
 
 (* Torture driver: seeded randomized multi-domain rounds under fault
    injection, every recorded history checked by the snapshot oracle.  With
@@ -621,12 +576,6 @@ let stats_cmd =
       $ reclaim_opt $ threads_opt $ seconds $ mix_opt $ range_opt $ format
       $ out)
 
-let stress_cmd =
-  Cmd.v
-    (Cmd.info "stress" ~doc:"Concurrency smoke test of every port")
-    Term.(const stress $ provider_opt $ reclaim_opt $ seed_opt
-          $ metrics_out_opt)
-
 let check_cmd =
   let structure =
     Arg.(
@@ -905,6 +854,6 @@ let () =
           (Cmd.info "hwts-cli" ~doc)
           [
             tsc_info_cmd; calibrate_cmd; figure_cmd; run_cmd; stats_cmd;
-            stress_cmd; check_cmd; serve_load_cmd; trend_cmd;
+            check_cmd; serve_load_cmd; trend_cmd;
             trace_report_cmd;
           ]))

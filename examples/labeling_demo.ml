@@ -2,7 +2,7 @@
 
    Prints the taxonomy of the three studied techniques, shows tie behavior
    (the Section III-A corner case) with a frozen mock clock, and shows the
-   Jiffy-style strict wrapper restoring strict monotonicity.
+   strict TSC wrapper restoring strict monotonicity.
 
      dune exec examples/labeling_demo.exe *)
 
@@ -41,12 +41,18 @@ let () =
        (List.map string_of_int
           (Array.to_list (TiedSet.range_query t ~lo:0 ~hi:10))));
 
-  (* The strict wrapper (Jiffy's approach) forbids ties at the price of a
-     shared word. *)
-  let module Strict = Hwts.Timestamp.Strict (Frozen) () in
+  (* The strict wrapper forbids ties without a shared-word CAS: the
+     domain's slot id fills a label's low 8 bits, and a stamp that does
+     not pass the domain's previous one is bumped locally. *)
+  let module Strict = Hwts.Timestamp.Strict_sharded (Frozen) () in
   Frozen.freeze ();
-  let a = Strict.advance () and b = Strict.advance () and c = Strict.advance () in
-  Printf.printf "strict wrapper over the same frozen clock: %d < %d < %d\n" a b c;
+  let a = Strict.advance () in
+  let b = Strict.advance () in
+  let c = Strict.advance () in
+  Printf.printf
+    "strict wrapper over the same frozen clock: %d < %d < %d (stamps %d, %d, \
+     %d)\n"
+    a b c (a asr 8) (b asr 8) (c asr 8);
 
   (* The profiles above describe the paper's schemes: its lock-free
      EBR-RQ labels by DCSS on the timestamp's address, which no TSC

@@ -56,4 +56,4 @@ val check :
     is the provider's label comparator: it decides both label-in-interval
     validity and precedence between timestamped events, so histories
     stamped by a TL2-style clock pass
-    [~order:(Hwts.Labeling.order_of_provider "tl2")]. *)
+    [~order:(Hwts.Labeling.epoch_order ~bits:8)]. *)

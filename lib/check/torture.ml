@@ -167,8 +167,7 @@ let run_round cfg ~round_seed =
       List.iter Domain.join workers);
   (initial, Recorder.events recorder)
 
-let order_of cfg =
-  Hwts.Labeling.order_of_provider (Workload.Targets.ts_name cfg.provider)
+let order_of cfg = (Workload.Targets.info_of cfg.provider).label_order
 
 let run ?(log = fun (_ : string) -> ()) cfg =
   validate cfg;

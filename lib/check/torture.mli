@@ -69,7 +69,7 @@ val run_round : config -> round_seed:int -> int list * Lin_check.event list
 
 val order_of : config -> Hwts.Labeling.label_order
 (** The label comparator the oracle must use for this config's provider
-    ({!Hwts.Labeling.order_of_provider}). *)
+    (its [Workload.Targets] registry row's [label_order]). *)
 
 val trace_header : string
 (** First line of every trace artifact (lets tooling recognize them). *)

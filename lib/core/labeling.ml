@@ -67,13 +67,6 @@ let epoch_order ~bits =
     compare_labels = (fun x y -> Int.compare (x asr bits) (y asr bits));
   }
 
-let order_of_provider name =
-  (* TL2-style stamps carry the issuing domain's slot id in the low 8
-     bits purely for uniqueness: two labels from the same epoch are a
-     tie, not an order.  Every other provider's labels order by plain
-     integer comparison, with ties expressed as equality. *)
-  if name = "tl2" then epoch_order ~bits:8 else raw_order
-
 let pp_granularity ppf = function
   | Coarse_global_lock -> Format.pp_print_string ppf "coarse(global-lock)"
   | Fine_structural_lock -> Format.pp_print_string ppf "fine(structural-lock)"

@@ -51,21 +51,17 @@ type label_order = {
 (** How two values from one provider's clock compare for precedence.
     The snapshot oracle orders timestamped events with this instead of
     raw integer comparison, because some providers decorate labels with
-    bits that carry identity, not order. *)
+    bits that carry identity, not order.  Each [Workload.Targets]
+    registry row names its provider's order. *)
 
 val raw_order : label_order
 (** Plain integer comparison: logical, delayed, multislot, hardware and
-    the sharded-strict wrappers. *)
+    the strict TSC wrapper. *)
 
 val epoch_order : bits:int -> label_order
 (** Compare [x asr bits]: values sharing the high bits tie.  With
     [~bits:8] this is the TL2 comparator — the low byte is the issuing
     domain's slot id, uniqueness decoration only. *)
-
-val order_of_provider : string -> label_order
-(** The comparator for a provider name as registered in
-    [Workload.Targets] (["tl2"] gets {!epoch_order}; everything else
-    {!raw_order}). *)
 
 val pp_profile : Format.formatter -> profile -> unit
 val pp_granularity : Format.formatter -> granularity -> unit

@@ -76,27 +76,3 @@ let uncertainty () =
     ignore (Atomic.compare_and_set cache 0 (max measured 1));
     Atomic.get cache
   end
-
-let cmp a b =
-  let u = uncertainty () in
-  if a + u < b then `Before else if b + u < a then `After else `Concurrent
-
-module Timestamp () = struct
-  let name = "ordo"
-  let is_hardware = true
-  let window = uncertainty ()
-  let read = Tsc.rdtscp_lfence
-  let read_floor = Tsc.read_cached
-
-  (* Wait out one uncertainty window so the returned value is globally
-     ordered against every earlier [advance] on any core, even if clocks
-     were skewed by up to [window]. *)
-  let advance () =
-    let t = Tsc.rdtscp_lfence () in
-    while Tsc.rdtscp_lfence () - t < window do
-      Tsc.cpu_relax ()
-    done;
-    t
-
-  let snapshot = advance
-end

@@ -28,101 +28,29 @@ module Hardware = struct
   let snapshot = Tsc.rdtscp_lfence
 end
 
-module Hardware_unfenced = struct
-  let name = "rdtscp-nofence"
-  let is_hardware = true
-  let read = Tsc.rdtscp
-  let read_floor = Tsc.read_cached
-  let advance = Tsc.rdtscp
-  let snapshot = Tsc.rdtscp
-end
-
-module Hardware_rdtsc = struct
-  let name = "rdtsc"
-  let is_hardware = true
-  let read = Tsc.rdtsc_cpuid
-  let read_floor = Tsc.read_cached
-  let advance = Tsc.rdtsc_cpuid
-  let snapshot = Tsc.rdtsc_cpuid
-end
-
-module Hardware_rdtsc_unfenced = struct
-  let name = "rdtsc-nofence"
-  let is_hardware = true
-  let read = Tsc.rdtsc
-  let read_floor = Tsc.read_cached
-  let advance = Tsc.rdtsc
-  let snapshot = Tsc.rdtsc
-end
-
-module Strict (T : S) () = struct
-  let name = T.name ^ "-strict"
-  let is_hardware = false (* the tie-break word is shared state *)
-  let last = Atomic.make 0
-  let advances = Hwts_obs.Registry.counter "timestamp.strict.advances"
-  let ties = Hwts_obs.Registry.counter "timestamp.strict.ties"
-  let read () = max (T.read ()) (Atomic.get last)
-  let read_floor () = max (T.read_floor ()) (Atomic.get last)
-
-  (* On CAS failure (another domain advanced concurrently) back off
-     before retrying the shared tie-break word; the backoff state is
-     allocated only once a retry actually happens.  The two are functions
-     of the module, not closures built per advance. *)
-  let rec attempt backoff =
-    let t = T.advance () in
-    let prev = Atomic.get last in
-    if t > prev then
-      if Atomic.compare_and_set last prev t then t else contended backoff
-    else begin
-      (* Tie (or stale hardware read): bump past the last value handed
-         out, as Jiffy's revision lists require. *)
-      Hwts_obs.Counter.incr ties;
-      let bumped = prev + 1 in
-      if Atomic.compare_and_set last prev bumped then bumped
-      else contended backoff
-    end
-
-  and contended backoff =
-    let backoff =
-      match backoff with
-      | Some _ -> backoff
-      | None -> Some (Sync.Backoff.make ~min_spins:2 ~max_spins:512 ())
-    in
-    (match backoff with Some b -> Sync.Backoff.once b | None -> ());
-    attempt backoff
-
-  let advance () =
-    Hwts_obs.Counter.incr advances;
-    attempt None
-
-  (* strictly increasing labels make the advance itself a safe snapshot *)
-  let snapshot = advance
-end
-
 (* Strictly increasing labels without a shared-word CAS on the common
    path: the low [shard_bits] bits of every label carry the issuing
    domain's slot id, so two domains can never produce the same label and
-   the tie-bump war of [Strict] (every advance must win a CAS against
-   every other domain) disappears.  Within a domain, a stamp that does
-   not exceed the previous one is bumped using purely domain-local state.
-   Cross-domain monotonicity normally comes from the invariant TSC
-   itself: an advance that *begins* after another *completes* reads a
-   strictly larger stamp (an advance spans many TSC ticks), so its packed
-   label is strictly larger regardless of the id bits.  The shared word
-   exists only to defend against skewed clocks: it is read once per
-   advance, and written only while this domain's label is ahead of it —
-   a loop that, unlike [Strict], never re-reads the clock and backs off
-   losing because a failed CAS means another domain has already moved
-   the word toward (or past) our label. *)
+   no advance has to win a CAS against every other domain (the Jiffy
+   tie-bump).  Within a domain, a stamp that does not exceed the previous
+   one is bumped using purely domain-local state.  Cross-domain
+   monotonicity normally comes from the invariant TSC itself: an advance
+   that *begins* after another *completes* reads a strictly larger stamp
+   (an advance spans many TSC ticks), so its packed label is strictly
+   larger regardless of the id bits.  The shared word exists only to
+   defend against skewed clocks: it is read once per advance, and written
+   only while this domain's label is ahead of it.  The publish loop never
+   re-reads the clock, and it converges: a failed CAS means another
+   domain has already moved the word toward (or past) our label. *)
 module Strict_sharded (T : S) () = struct
   let shard_bits = 8 (* Sync.Slot.max_slots = 256 *)
   let () = assert (1 lsl shard_bits >= Sync.Slot.max_slots)
-  let name = T.name ^ "-strict-sharded"
+  let name = T.name ^ "-strict"
   let is_hardware = false (* the skew-guard word is shared state *)
   let last_pub = Atomic.make 0
-  let advances = Hwts_obs.Registry.counter "timestamp.sharded.advances"
-  let bumps = Hwts_obs.Registry.counter "timestamp.sharded.bumps"
-  let catchups = Hwts_obs.Registry.counter "timestamp.sharded.catchups"
+  let advances = Hwts_obs.Registry.counter "timestamp.strict.advances"
+  let ties = Hwts_obs.Registry.counter "timestamp.strict.ties"
+  let catchups = Hwts_obs.Registry.counter "timestamp.strict.catchups"
 
   (* Domain-local high-water stamp (pre-shift). *)
   let last_mine : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
@@ -145,7 +73,7 @@ module Strict_sharded (T : S) () = struct
     let hw = T.advance () in
     let hw =
       if hw <= !mine then begin
-        Hwts_obs.Counter.incr bumps;
+        Hwts_obs.Counter.incr ties;
         !mine + 1
       end
       else hw
@@ -167,46 +95,6 @@ module Strict_sharded (T : S) () = struct
 
   (* strictly increasing labels make the advance itself a safe snapshot *)
   let snapshot = advance
-end
-
-(* Knobs shared by the logical-clock zoo below; environment-initialized
-   so benches sweep them without recompiling
-   (EXPERIMENTS.md reproduces the flock delay-tuning curve by sweeping
-   HWTS_DELAY). *)
-module Zoo_config = struct
-  let getenv_int name d =
-    match Option.bind (Sys.getenv_opt name) int_of_string_opt with
-    | Some n when n >= 1 -> n
-    | Some _ | None -> d
-
-  let delay_init_word = Atomic.make (getenv_int "HWTS_DELAY" 1)
-  let delay_max_word = Atomic.make (getenv_int "HWTS_DELAY_MAX" 256)
-  let ms_slots_word = Atomic.make (min 64 (getenv_int "HWTS_SLOTS" 4))
-  let ms_delay_word = Atomic.make (getenv_int "HWTS_MS_DELAY" 64)
-  let delay_init () = Atomic.get delay_init_word
-
-  let set_delay_init n =
-    if n < 1 then invalid_arg "Zoo_config.set_delay_init: must be >= 1";
-    Atomic.set delay_init_word n
-
-  let delay_max () = Atomic.get delay_max_word
-
-  let set_delay_max n =
-    if n < 1 then invalid_arg "Zoo_config.set_delay_max: must be >= 1";
-    Atomic.set delay_max_word n
-
-  let ms_slots () = Atomic.get ms_slots_word
-
-  let set_ms_slots n =
-    if n < 1 || n > 64 then
-      invalid_arg "Zoo_config.set_ms_slots: must be in [1, 64]";
-    Atomic.set ms_slots_word n
-
-  let ms_delay () = Atomic.get ms_delay_word
-
-  let set_ms_delay n =
-    if n < 1 then invalid_arg "Zoo_config.set_ms_delay: must be >= 1";
-    Atomic.set ms_delay_word n
 end
 
 (* Delayed-increment logical clock (flock [timestamp_read], Wei et al.):
@@ -235,8 +123,10 @@ module Delayed () = struct
   let wins = Hwts_obs.Registry.counter "timestamp.delayed.faa_wins"
   let rides = Hwts_obs.Registry.counter "timestamp.delayed.rides"
 
-  let delay_dls : int ref Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> ref (Zoo_config.delay_init ()))
+  (* the per-domain spin starts at 1 and adapts up to [delay_max] *)
+  let delay_max = 256
+
+  let delay_dls : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 1)
 
   let read () = Atomic.get raw
   let read_floor = read
@@ -255,12 +145,12 @@ module Delayed () = struct
       else begin
         (* lost the race for this very increment: it still happened *)
         Hwts_obs.Counter.incr rides;
-        d := min (Zoo_config.delay_max ()) (2 * !d)
+        d := min delay_max (2 * !d)
       end
     end
     else begin
       Hwts_obs.Counter.incr rides;
-      d := min (Zoo_config.delay_max ()) (2 * !d)
+      d := min delay_max (2 * !d)
     end;
     ts
 
@@ -274,7 +164,7 @@ module Delayed () = struct
 end
 
 (* Multi-slot summed logical clock (flock [timestamp_multiple]): the
-   stamp is the sum of [Zoo_config.ms_slots] slots and a domain
+   stamp is the sum of [k] = 4 slots and a domain
    fetch-and-adds only its own slot, so each slot takes 1/k of the
    writes (the slots are not padded, so they may share a cache line).
    Sums are not atomic, but every
@@ -292,7 +182,8 @@ end
 module Multislot () = struct
   let name = "multislot"
   let is_hardware = false
-  let k = Zoo_config.ms_slots ()
+  let k = 4
+  let delay = 64 (* spin before the own-slot increment *)
 
   (* slot 0 starts at 1: sums never return the 0 consumers reserve as an
      "unlabeled" sentinel, mirroring [Logical]'s start at 1 *)
@@ -334,7 +225,7 @@ module Multislot () = struct
      and add only if no other slot moved the total meanwhile. *)
   let observe () =
     let s1 = sum_stable () in
-    Sync.Backoff.spin (Zoo_config.ms_delay ());
+    Sync.Backoff.spin delay;
     if sum_once () = s1 then
       ignore (Atomic.fetch_and_add slots.(my_idx ()) 1)
     else Hwts_obs.Counter.incr rides;
@@ -365,8 +256,8 @@ end
    strictly above s in plain integer order even though earlier same-epoch
    labels from different domains are not mutually ordered by their id
    bits.  (Snapshots at epoch granularity are what make raw integer
-   comparison sound for consumers; [Labeling.order_of_provider] supplies
-   the epoch-aware comparator for checkers that want the id bits masked.)
+   comparison sound for consumers; [Labeling.epoch_order ~bits:8] is the
+   epoch-aware comparator for checkers that want the id bits masked.)
 
    [read] returns the raw stamp; [read_floor] serves a domain-local
    cached stamp refreshed every few calls — the "skip the shared read
@@ -489,11 +380,3 @@ module Mock () = struct
 
   let snapshot = advance
 end
-
-let providers =
-  [
-    ("rdtscp", (module Hardware : S));
-    ("rdtscp-nofence", (module Hardware_unfenced : S));
-    ("rdtsc", (module Hardware_rdtsc : S));
-    ("rdtsc-nofence", (module Hardware_rdtsc_unfenced : S));
-  ]

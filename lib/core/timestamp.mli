@@ -17,8 +17,8 @@
 
     Hardware timestamps are monotone but not strictly increasing across
     cores: [advance] may return the same value to two threads (the "tie"
-    corner case of Section III-A).  [Strict] recovers strict increase at
-    the cost of reintroducing a shared word, as Jiffy does. *)
+    corner case of Section III-A).  {!Strict_sharded} recovers strict
+    increase without a shared-word CAS on the common path. *)
 
 module type S = sig
   val name : string
@@ -59,72 +59,42 @@ module Logical () : S
 module Hardware : S
 (** TSC via [RDTSCP; LFENCE] (Listing 1). *)
 
-module Hardware_unfenced : S
-(** TSC via bare [RDTSCP] — the "no fences" series of Figure 1; unsafe as
-    a linearization point in general, included for measurement. *)
-
-module Hardware_rdtsc : S
-(** TSC via [CPUID; RDTSC] — the serialized RDTSC series of Figure 1. *)
-
-module Hardware_rdtsc_unfenced : S
-(** Bare [RDTSC] — no ordering at all; measurement only. *)
-
-module Strict (T : S) () : S
-(** Strictly increasing wrapper over [T]: ties are broken by bumping a
-    shared last-seen word (the Jiffy approach, Section III-A).  Generative
-    because of that shared state. *)
-
 module Strict_sharded (T : S) () : S
-(** Strictly increasing wrapper over [T] without a shared-word CAS on the
-    common path: the low 8 bits of every label carry the issuing domain's
-    {!Sync.Slot} id, so labels from different domains can never collide
-    and within-domain ties are bumped with domain-local state only.  A
-    shared word is read once per advance (and written only when a skewed
-    clock left this domain behind) to preserve cross-domain monotonicity,
-    replacing [Strict]'s must-win CAS per advance.  Labels are the
-    hardware stamp shifted left by 8, so they are ordered consistently
-    with, but not numerically equal to, raw [T] stamps. *)
-
-(** Shared knobs of the logical-clock zoo, environment-initialized:
-    [HWTS_DELAY] (initial delayed-increment spin, default 1),
-    [HWTS_DELAY_MAX] (adaptation cap, default 256), [HWTS_SLOTS]
-    (multislot slot count k, default 4, clamped to [1,64]),
-    [HWTS_MS_DELAY] (multislot pre-FAA spin, default 64).  Setters reject
-    values < 1 (and slot counts > 64) with [Invalid_argument]; they steer
-    only instances created after the call. *)
-module Zoo_config : sig
-  val delay_init : unit -> int
-  val set_delay_init : int -> unit
-  val delay_max : unit -> int
-  val set_delay_max : int -> unit
-  val ms_slots : unit -> int
-  val set_ms_slots : int -> unit
-  val ms_delay : unit -> int
-  val set_ms_delay : int -> unit
-end
+(** The strict TSC provider: strictly increasing labels over [T] without
+    a shared-word CAS on the common path.  The low 8 bits of every label
+    carry the issuing domain's {!Sync.Slot} id, so labels from different
+    domains can never collide, and within-domain ties are bumped with
+    domain-local state only.  A shared word is read once per advance (and
+    written only when a skewed clock left this domain behind) to
+    preserve cross-domain monotonicity.  Labels are the hardware stamp
+    shifted left by 8, so they are ordered consistently with, but not
+    numerically equal to, raw [T] stamps.  Named [T.name ^ "-strict"];
+    counts [timestamp.strict.advances], [timestamp.strict.ties] (a stamp
+    not above the domain's previous one, bumped) and
+    [timestamp.strict.catchups] (a label stepped past the shared word). *)
 
 module Delayed () : S
 (** Delayed-increment logical clock (flock's [timestamp_read]): [advance]
     loads the shared stamp, spins a per-domain tuned delay, and increments
     (CAS) only if nobody else moved it meanwhile — racers of one window
     share the label, so under contention the line takes one write per
-    window instead of one per advance.  The delay halves on a CAS win and
-    doubles (capped at {!Zoo_config.delay_max}) when the stamp moved
+    window instead of one per advance.  The delay starts at 1 spin,
+    halves on a CAS win and doubles (capped at 256) when the stamp moved
     underfoot.  Labels tie across domains exactly like hardware-stamp
     ties, and are strict per domain.  Generative: one counter per
     instance. *)
 
 module Multislot () : S
-(** Summed multi-slot logical clock (flock's [timestamp_multiple]): k
-    slots ({!Zoo_config.ms_slots}), the stamp is their sum, and each
-    domain fetch-and-adds only its own slot — write contention on a slot
-    drops by 1/k while every increment still moves the global stamp.
+(** Summed multi-slot logical clock (flock's [timestamp_multiple]): 4
+    slots, the stamp is their sum, and each domain fetch-and-adds only
+    its own slot — write contention on a slot drops by 1/4 while every
+    increment still moves the global stamp.
     Reads sum the slots with a bounded double-collect (two equal
     consecutive passes prove an instantaneous value; single sequential
     passes are still valid monotone bounds because slots never
     decrease).
-    [advance] applies the delayed-increment discipline on top
-    ({!Zoo_config.ms_delay}).  Generative. *)
+    [advance] applies the delayed-increment discipline on top (a 64-spin
+    wait before the own-slot increment).  Generative. *)
 
 module Tl2 () : S
 (** TL2-style stamp (verlib): one shared word holding
@@ -136,7 +106,7 @@ module Tl2 () : S
     epoch and returns its top, so later labels order strictly above.
     Labels are raw-int comparable; across domains within one epoch the
     low bits order by slot id — an arbitrary but fixed tie-break
-    ({!Labeling.order_of_provider}).  Generative. *)
+    ({!Labeling.epoch_order}).  Generative. *)
 
 module Traced (T : S) : S
 (** [T] with every [advance]/[snapshot] bracketed in an
@@ -159,6 +129,3 @@ module Mock () : sig
   val thaw : unit -> unit
 end
 (** Deterministic provider for tests and failure injection. *)
-
-val providers : (string * (module S)) list
-(** The stateless hardware providers, keyed by name (for CLIs/benches). *)

@@ -28,12 +28,7 @@ let slot_scans = Hwts_obs.Registry.counter "rangequery.rq.slot_scans"
 (* Staleness knob for the cached floor: a full slot scan at most once per
    this many update operations per domain.  1 = scan every time (the
    uncached behavior). *)
-let default_refresh_period =
-  match Option.bind (Sys.getenv_opt "HWTS_RQ_REFRESH") int_of_string_opt with
-  | Some n when n >= 1 -> n
-  | _ -> 64
-
-let refresh_period_state = Atomic.make default_refresh_period
+let refresh_period_state = Atomic.make 64
 let refresh_period () = Atomic.get refresh_period_state
 
 let set_refresh_period n =

@@ -65,7 +65,7 @@ val refresh_period : unit -> int
 
 val set_refresh_period : int -> unit
 (** Set the cached-floor staleness knob (>= 1; 1 = scan on every call).
-    Default 64, overridable at load time with [HWTS_RQ_REFRESH]. *)
+    Default 64. *)
 
 val active_count : t -> int
 (** Number of currently announced RQs (one shared load). *)

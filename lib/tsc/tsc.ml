@@ -22,12 +22,7 @@ let serializing_read = rdtscp_lfence
    for preceding instructions, so a refreshed value is never ahead of any
    ordered read that completed before the refresh on this domain, which
    keeps the cache a true lower bound of [rdtscp_lfence]. *)
-let default_refresh_period =
-  match Option.bind (Sys.getenv_opt "HWTS_TSC_REFRESH") int_of_string_opt with
-  | Some n when n >= 1 -> n
-  | Some _ | None -> 64
-
-let refresh_word = Atomic.make default_refresh_period
+let refresh_word = Atomic.make 64
 let refresh_period () = Atomic.get refresh_word
 
 let set_refresh_period n =

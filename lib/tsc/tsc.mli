@@ -43,8 +43,7 @@ val read_cached : unit -> int
     never a linearization point. *)
 
 val refresh_period : unit -> int
-(** Calls served per cached RDTSCP value (default 64, or
-    [HWTS_TSC_REFRESH] from the environment). *)
+(** Calls served per cached RDTSCP value (default 64). *)
 
 val set_refresh_period : int -> unit
 (** Override the refresh period (>= 1); 1 refreshes on every call.

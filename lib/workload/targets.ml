@@ -4,18 +4,17 @@ type ts =
   | `Multislot
   | `Tl2
   | `Hardware
-  | `Hardware_strict
-  | `Hardware_strict_cas ]
+  | `Hardware_strict ]
 
-(* The one provider registry.  Names, aliases, CLI help text and tie
-   semantics all derive from this table — the drift-prone
-   per-subcommand string matches are gone. *)
+(* The one provider registry.  Names, aliases, CLI help text and label
+   orders all derive from this table — the drift-prone per-subcommand
+   string matches are gone. *)
 type info = {
   key : ts;
   name : string;  (* canonical, as artifacts/series spell it *)
   aliases : string list;
   doc : string;  (* one line for --provider help *)
-  ties : bool;  (* concurrent labels may compare equal/tied in rank *)
+  label_order : Hwts.Labeling.label_order;
 }
 
 let registry : info list =
@@ -25,7 +24,7 @@ let registry : info list =
       name = "logical";
       aliases = [];
       doc = "shared fetch-and-add counter (the paper's software baseline)";
-      ties = false;
+      label_order = Hwts.Labeling.raw_order;
     };
     {
       key = `Delayed;
@@ -34,7 +33,7 @@ let registry : info list =
       doc =
         "delayed-increment counter (flock): racers of one tuned spin \
          window share a label";
-      ties = true;
+      label_order = Hwts.Labeling.raw_order;
     };
     {
       key = `Multislot;
@@ -43,7 +42,7 @@ let registry : info list =
       doc =
         "summed multi-slot counter (flock): each domain FAAs its own \
          slot, stamp = sum";
-      ties = true;
+      label_order = Hwts.Labeling.raw_order;
     };
     {
       key = `Tl2;
@@ -52,28 +51,23 @@ let registry : info list =
       doc =
         "TL2-style epoch stamp (verlib): slot id in the low bits, epochs \
          reused without shared writes";
-      ties = true;
+      (* the low 8 bits are the issuing slot, uniqueness only: two
+         labels of one epoch are a tie, not an order *)
+      label_order = Hwts.Labeling.epoch_order ~bits:8;
     };
     {
       key = `Hardware;
       name = "rdtscp";
       aliases = [ "hardware" ];
       doc = "raw RDTSCP;LFENCE stamps (ties possible, Section III-A)";
-      ties = true;
+      label_order = Hwts.Labeling.raw_order;
     };
     {
       key = `Hardware_strict;
       name = "rdtscp-strict";
       aliases = [ "sharded" ];
       doc = "strict sharded TSC: slot id in the low bits, no common-path CAS";
-      ties = false;
-    };
-    {
-      key = `Hardware_strict_cas;
-      name = "rdtscp-strict-cas";
-      aliases = [ "strict" ];
-      doc = "strict TSC via shared-word tie-bump CAS (the Jiffy scheme)";
-      ties = false;
+      label_order = Hwts.Labeling.raw_order;
     };
   ]
 
@@ -178,9 +172,7 @@ let reclaim_sensitive = function
    not strictly increasing across domains (the tie corner case of Section
    III-A), so techniques that need strictness get rdtscp wrapped in
    {!Hwts.Timestamp.Strict_sharded} — strict labels without a shared-word
-   CAS on the common path.  [`Hardware_strict_cas] is the original
-   shared-word tie-bump ({!Hwts.Timestamp.Strict}, the Jiffy scheme),
-   kept for comparison.  [`Delayed], [`Multislot] and [`Tl2] are the
+   CAS on the common path.  [`Delayed], [`Multislot] and [`Tl2] are the
    flock/verlib logical-clock optimizations.  The plain
    [`Hardware] series keeps raw [RDTSCP; LFENCE] stamps for comparison
    with the paper's figures. *)
@@ -212,10 +204,6 @@ let provider_of (ts : ts) : (module Hwts.Timestamp.S) =
     (module H)
   | `Hardware_strict ->
     let module S0 = Hwts.Timestamp.Strict_sharded (Hwts.Timestamp.Hardware) () in
-    let module S = Hwts.Timestamp.Traced (S0) in
-    (module S)
-  | `Hardware_strict_cas ->
-    let module S0 = Hwts.Timestamp.Strict (Hwts.Timestamp.Hardware) () in
     let module S = Hwts.Timestamp.Traced (S0) in
     (module S)
 

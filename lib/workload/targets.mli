@@ -13,18 +13,19 @@ type ts =
   | `Multislot
   | `Tl2
   | `Hardware
-  | `Hardware_strict
-  | `Hardware_strict_cas ]
+  | `Hardware_strict ]
 
 type info = {
   key : ts;
-  name : string;  (** canonical name, as artifacts/series spell it *)
+  name : string;
+      (** canonical name, as artifacts/series spell it; the [name] of the
+          module {!provider_of} builds *)
   aliases : string list;  (** accepted by {!ts_of_name} *)
   doc : string;  (** one line for [--provider] help *)
-  ties : bool;
-      (** concurrent labels may compare equal/tied in rank (hardware
-          same-cycle stamps, delayed/multislot window-sharers, TL2
-          same-epoch labels) *)
+  label_order : Hwts.Labeling.label_order;
+      (** how the snapshot oracle compares this provider's labels:
+          {!Hwts.Labeling.epoch_order} for tl2, whose low byte is the
+          issuing slot, {!Hwts.Labeling.raw_order} for the rest *)
 }
 (** One registry row.  Every name-keyed surface — {!ts_name},
     {!ts_of_name}, {!provider_help} — derives from
@@ -32,9 +33,12 @@ type info = {
 
 val registry : info list
 
+val info_of : ts -> info
+(** The provider's registry row. *)
+
 val ts_name : ts -> string
 (** ["logical"], ["delayed"], ["multislot"], ["tl2"], ["rdtscp"],
-    ["rdtscp-strict"], ["rdtscp-strict-cas"]. *)
+    ["rdtscp-strict"]. *)
 
 val all_ts : ts list
 
@@ -46,8 +50,7 @@ val zoo : ts list
 val ts_of_name : string -> ts option
 (** Parse a provider name as CLIs and benches spell it: any canonical
     {!registry} name or alias (["hardware"] = ["rdtscp"], ["sharded"] =
-    ["rdtscp-strict"], ["strict"] = ["rdtscp-strict-cas"], ["slots"] =
-    ["multislot"]). *)
+    ["rdtscp-strict"], ["slots"] = ["multislot"]). *)
 
 val provider_of : ts -> (module Hwts.Timestamp.S)
 (** A fresh instance of the provider, wrapped in

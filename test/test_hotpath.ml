@@ -2,8 +2,9 @@
    min-active pruning floor, and buffered range-query collection.
 
    The two mechanisms ship with runtime switches (HWTS_SCRATCH /
-   HWTS_RQ_REFRESH), so the determinism tests run the same seeded
-   operation script under both settings and require identical output. *)
+   Rq_registry.set_refresh_period), so the determinism tests run the
+   same seeded operation script under both settings and require
+   identical output. *)
 
 module Key_run = Sync.Key_run
 

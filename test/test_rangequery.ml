@@ -19,7 +19,7 @@ module L6 = Hwts.Timestamp.Logical ()
 module L7 = Hwts.Timestamp.Logical ()
 module L8 = Hwts.Timestamp.Logical ()
 module H = Hwts.Timestamp.Hardware
-module SH = Hwts.Timestamp.Strict (Hwts.Timestamp.Hardware) ()
+module SH = Hwts.Timestamp.Strict_sharded (Hwts.Timestamp.Hardware) ()
 
 module Bst_vcas_l = Rangequery.Bst_vcas.Make (L1)
 module Bst_vcas_h = Rangequery.Bst_vcas.Make (H)
@@ -39,6 +39,30 @@ module Lazylist_bundle_l = Rangequery.Lazylist_bundle.Make (L6)
 module Lazylist_bundle_h = Rangequery.Lazylist_bundle.Make (H)
 module Bst_ebrrq_lf = Rangequery.Bst_ebrrq_lockfree.Make (Ebr_b) (L7)
 
+(* A clock frozen at 7: every [advance] and [snapshot] ties. *)
+let frozen () =
+  let module F = Hwts.Timestamp.Mock () in
+  F.set 7;
+  F.freeze ();
+  (module F : Hwts.Timestamp.S)
+
+(* §III-A failure injection for the strict provider: its clock is frozen,
+   so every raw stamp ties and every label comes from the within-domain
+   bump or the catch-up past the shared word.  Unlike a raw frozen clock
+   (the forced-ties group below), the strict labels must keep the
+   bundles' snapshots consistent: bundles label with [advance], which is
+   strictly above every earlier [read].  vCAS and EBR-RQ label with
+   [read], which under a frozen clock ties with the last snapshot, so
+   they are held to the forced-ties checks only. *)
+let frozen_strict () =
+  let module F = (val frozen ()) in
+  (module Hwts.Timestamp.Strict_sharded (F) () : Hwts.Timestamp.S)
+
+module SF = (val frozen_strict ())
+module Citrus_bundle_sf = Rangequery.Citrus_bundle.Make (Ebr_b) (SF)
+module Skiplist_bundle_sf = Rangequery.Skiplist_bundle.Make (SF)
+module Lazylist_bundle_sf = Rangequery.Lazylist_bundle.Make (SF)
+
 let impls : (module RQSET) list =
   [
     (module Bst_vcas_l);
@@ -57,6 +81,9 @@ let impls : (module RQSET) list =
     (module Lazylist_bundle_l);
     (module Lazylist_bundle_h);
     (module Bst_ebrrq_lf);
+    (module Citrus_bundle_sf);
+    (module Skiplist_bundle_sf);
+    (module Lazylist_bundle_sf);
   ]
 
 (* ---------- sequential semantics ---------- *)
@@ -226,11 +253,10 @@ let static_backdrop (module S : RQSET) () =
 (* §III-A failure injection: drive each technique with a frozen clock so
    every label and every snapshot tie.  Sequential semantics must be
    unaffected (chain order disambiguates), and concurrent use must neither
-   crash nor hang. *)
-let forced_ties_sequential () =
-  let module Frozen = Hwts.Timestamp.Mock () in
-  Frozen.set 7;
-  Frozen.freeze ();
+   crash nor hang.  [clock] builds the provider under test over a fresh
+   frozen clock. *)
+let forced_ties_sequential clock () =
+  let module Frozen = (val clock () : Hwts.Timestamp.S) in
   let checks = ref 0 in
   let check (module S : RQSET) =
     let t = S.create () in
@@ -257,10 +283,8 @@ let forced_ties_sequential () =
   check (module H);
   Alcotest.(check int) "all techniques exercised" 7 !checks
 
-let forced_ties_concurrent_smoke () =
-  let module Frozen = Hwts.Timestamp.Mock () in
-  Frozen.set 7;
-  Frozen.freeze ();
+let forced_ties_concurrent_smoke clock () =
+  let module Frozen = (val clock () : Hwts.Timestamp.S) in
   let module S = Rangequery.Bst_vcas.Make (Frozen) in
   let t = S.create () in
   let strays =
@@ -452,9 +476,15 @@ let () =
       ( "forced-ties",
         [
           Alcotest.test_case "sequential under 100% ties" `Quick
-            forced_ties_sequential;
+            (forced_ties_sequential frozen);
+          Alcotest.test_case "strict provider sequential under 100% ties"
+            `Quick
+            (forced_ties_sequential frozen_strict);
           Alcotest.test_case "concurrent smoke under ties" `Slow
-            forced_ties_concurrent_smoke;
+            (forced_ties_concurrent_smoke frozen);
+          Alcotest.test_case "strict provider concurrent smoke under ties"
+            `Slow
+            (forced_ties_concurrent_smoke frozen_strict);
         ] );
       ( "visibility",
         [

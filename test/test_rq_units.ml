@@ -1381,12 +1381,13 @@ let snapshot_pinned_across_nested_rqs_and_pruning () =
 
 (* One deterministic vCAS RQ scenario with a known number of forced
    timestamp ties: after [advance] settles the strict clock at the frozen
-   mock value, every further snapshot observes a tie and bumps. *)
+   mock value, every further snapshot on this domain observes a tie and
+   bumps. *)
 let obs_scenario enabled =
   Hwts_obs.Config.set_enabled enabled;
   Hwts_obs.Registry.reset_all ();
   let module MT = Hwts.Timestamp.Mock () in
-  let module ST = Hwts.Timestamp.Strict (MT) () in
+  let module ST = Hwts.Timestamp.Strict_sharded (MT) () in
   let module T = Rangequery.Bst_vcas.Make (ST) in
   let t = T.create () in
   for k = 1 to 16 do
@@ -1399,8 +1400,8 @@ let obs_scenario enabled =
      ties and must bump *)
   let rqs = List.init 5 (fun i -> T.range_query t ~lo:1 ~hi:(4 + i)) in
   MT.thaw ();
-  (* move the mock clock past the bumped strict word so the final check
-     query is not itself a tie *)
+  (* move the mock clock past the bumped stamps so the final check query
+     is not itself a tie *)
   MT.set 1000;
   ignore (T.delete t 3);
   ignore (T.insert t 40);

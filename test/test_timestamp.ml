@@ -67,26 +67,6 @@ let hardware_cross_domain_monotone () =
   let mine = Hwts.Timestamp.Hardware.advance () in
   Alcotest.(check bool) "synchronized across domains" true (mine >= other)
 
-let strict_strictly_increasing () =
-  let module Frozen = Hwts.Timestamp.Mock () in
-  Frozen.set 50;
-  Frozen.freeze ();
-  let module S = Hwts.Timestamp.Strict (Frozen) () in
-  let a = S.advance () in
-  let b = S.advance () in
-  let c = S.advance () in
-  Alcotest.(check bool) "a<b<c despite frozen base" true (a < b && b < c)
-
-let strict_concurrent_unique () =
-  let module S = Hwts.Timestamp.Strict (Hwts.Timestamp.Hardware) () in
-  let per_domain = 3_000 in
-  let results =
-    Util.spawn_workers 4 (fun _ -> List.init per_domain (fun _ -> S.advance ()))
-  in
-  let all = List.concat results in
-  Alcotest.(check int) "strict advances unique" (4 * per_domain)
-    (List.length (List.sort_uniq compare all))
-
 let strict_sharded_strictly_increasing () =
   (* Frozen base clock: every strictness guarantee must come from the
      wrapper's own bumping, none from the TSC moving. *)
@@ -103,14 +83,16 @@ let strict_sharded_strictly_increasing () =
     if S.read () < l then Alcotest.fail "read fell below a published label"
   done
 
-let strict_sharded_across_domains () =
+let strict_sharded_across_domains clock () =
   (* 8 domains race on [advance]; each checks its fresh label against the
      global maximum of *completed* advances (an atomic-max register read
      before, updated after).  A label seen in [seen] was published before
      this advance began, so strict cross-domain monotonicity requires the
      new label to exceed it; any <= is a violation.  Labels must also be
-     globally unique (the slot-id low bits). *)
-  let module S = Hwts.Timestamp.Strict_sharded (Hwts.Timestamp.Hardware) () in
+     globally unique (the slot-id low bits).  Over a frozen [clock] every
+     label comes from the catch-up past the shared word. *)
+  let module C = (val clock () : Hwts.Timestamp.S) in
+  let module S = Hwts.Timestamp.Strict_sharded (C) () in
   let per_domain = 5_000 in
   let seen = Atomic.make 0 in
   let violations = Atomic.make 0 in
@@ -288,35 +270,24 @@ let label_orders () =
     (eo.compare_labels ((7 lsl 8) lor 3) ((7 lsl 8) lor 200));
   Alcotest.(check bool) "later epoch above" true
     (eo.compare_labels (8 lsl 8) ((7 lsl 8) lor 255) > 0);
-  Alcotest.(check string) "tl2 gets the epoch comparator" "epoch>>8"
-    (order_of_provider "tl2").order_name;
+  (* each registry row names its provider's order: only tl2's labels
+     carry identity bits below the order *)
   List.iter
-    (fun p ->
+    (fun (i : Workload.Targets.info) ->
       Alcotest.(check string)
-        (p ^ " compares raw") "raw"
-        (order_of_provider p).order_name)
-    [ "logical"; "delayed"; "multislot"; "rdtscp-strict" ]
+        (i.name ^ " label order")
+        (if i.key = `Tl2 then "epoch>>8" else "raw")
+        i.label_order.order_name)
+    Workload.Targets.registry
 
-let zoo_config_knobs () =
-  let open Hwts.Timestamp.Zoo_config in
-  let saved = (delay_init (), delay_max (), ms_slots (), ms_delay ()) in
-  Fun.protect ~finally:(fun () ->
-      let a, b, c, d = saved in
-      set_delay_init a; set_delay_max b; set_ms_slots c; set_ms_delay d)
-  @@ fun () ->
-  set_delay_init 8;
-  Alcotest.(check int) "delay_init set" 8 (delay_init ());
-  set_ms_slots 16;
-  Alcotest.(check int) "ms_slots set" 16 (ms_slots ());
-  let rejects f = match f () with
-    | () -> Alcotest.fail "out-of-range knob accepted"
-    | exception Invalid_argument _ -> ()
-  in
-  rejects (fun () -> set_delay_init 0);
-  rejects (fun () -> set_delay_max 0);
-  rejects (fun () -> set_ms_slots 0);
-  rejects (fun () -> set_ms_slots 65);
-  rejects (fun () -> set_ms_delay 0)
+(* A registry row names what runs: the module [provider_of] builds for a
+   row, tracing wrapper included, carries the row's name. *)
+let registry_names_providers () =
+  List.iter
+    (fun (i : Workload.Targets.info) ->
+      let module P = (val Workload.Targets.provider_of i.key) in
+      Alcotest.(check string) "provider module name" i.name P.name)
+    Workload.Targets.registry
 
 let mock_controls () =
   let module M = Hwts.Timestamp.Mock () in
@@ -331,17 +302,6 @@ let mock_controls () =
   M.thaw ();
   Alcotest.(check int) "thawed" 43 (M.advance ());
   Alcotest.(check int) "moves again" 44 (M.read ())
-
-let providers_list () =
-  let names = List.map fst Hwts.Timestamp.providers in
-  Alcotest.(check (list string)) "names"
-    [ "rdtscp"; "rdtscp-nofence"; "rdtsc"; "rdtsc-nofence" ]
-    names;
-  List.iter
-    (fun (_, (module P : Hwts.Timestamp.S)) ->
-      Alcotest.(check bool) "hardware" true P.is_hardware;
-      Alcotest.(check bool) "usable" true (P.advance () > 0))
-    Hwts.Timestamp.providers
 
 let labeling_taxonomy () =
   Alcotest.(check int) "four profiles" 4 (List.length Hwts.Labeling.all);
@@ -374,11 +334,10 @@ let labeling_taxonomy () =
 let above (module P : Hwts.Timestamp.S) l s =
   if P.is_hardware then l >= s else l > s
 
-let snapshot_contract ts () =
-  let p = Workload.Targets.provider_of ts in
-  let module P = (val p) in
+let snapshot_contract (name, p) () =
+  let module P = (val p : Hwts.Timestamp.S) in
   Sync.Slot.with_slot @@ fun _ ->
-  let fail what = Alcotest.failf "%s: %s" (Workload.Targets.ts_name ts) what in
+  let fail what = Alcotest.failf "%s: %s" name what in
   let last = ref 0 in
   for i = 1 to 2_000 do
     if i mod 5 = 0 then begin
@@ -401,9 +360,8 @@ let snapshot_contract ts () =
 (* 4 domains mix snapshots and advances; each advance checks its label
    against an atomic-max register of *completed* snapshots, read before
    the advance began, so the label must be above all of them. *)
-let snapshot_contract_across_domains ts () =
-  let p = Workload.Targets.provider_of ts in
-  let module P = (val p) in
+let snapshot_contract_across_domains (_, p) () =
+  let module P = (val p : Hwts.Timestamp.S) in
   let snapped = Atomic.make 0 in
   let violations = Atomic.make 0 in
   ignore
@@ -431,8 +389,8 @@ let snapshot_contract_across_domains ts () =
 (* A label is taken on every update's path, so no provider allocates
    per [advance] or per [read], tracing wrapper included.  The first
    calls set up the domain's own state and are not counted. *)
-let allocates_nothing ts () =
-  let module P = (val Workload.Targets.provider_of ts) in
+let allocates_nothing (name, p) () =
+  let module P = (val p : Hwts.Timestamp.S) in
   Sync.Slot.with_slot @@ fun _ ->
   let calls = 10_000 in
   let words f =
@@ -443,27 +401,38 @@ let allocates_nothing ts () =
              ignore (Sys.opaque_identity (f ()))
            done))
   in
-  let name = Workload.Targets.ts_name ts in
   Alcotest.(check int)
     (name ^ ": words in 10,000 advances")
     0 (words P.advance);
   Alcotest.(check int) (name ^ ": words in 10,000 reads") 0 (words P.read)
 
+(* The strict provider over a frozen clock: every raw stamp ties, so each
+   label comes from the within-domain bump or the catch-up past the
+   shared word, paths a real TSC takes only on a same-cycle tie. *)
+let frozen_strict =
+  let module Frozen = Hwts.Timestamp.Mock () in
+  Frozen.set 7;
+  Frozen.freeze ();
+  ( "rdtscp-strict over a frozen clock",
+    (module Hwts.Timestamp.Strict_sharded (Frozen) () : Hwts.Timestamp.S) )
+
 let contract_cases =
   List.concat_map
-    (fun ts ->
-      let name = Workload.Targets.ts_name ts in
+    (fun ((name, _) as provider) ->
       [
         Alcotest.test_case (name ^ " allocates nothing per label") `Quick
-          (allocates_nothing ts);
+          (allocates_nothing provider);
         Alcotest.test_case (name ^ " snapshot contract") `Quick
-          (snapshot_contract ts);
+          (snapshot_contract provider);
         Alcotest.test_case
           (name ^ " snapshot contract across 4 domains")
           `Slow
-          (snapshot_contract_across_domains ts);
+          (snapshot_contract_across_domains provider);
       ])
-    Workload.Targets.all_ts
+    (List.map
+       (fun ts -> Workload.Targets.(ts_name ts, provider_of ts))
+       Workload.Targets.all_ts
+    @ [ frozen_strict ])
 
 let () =
   Alcotest.run "timestamp"
@@ -481,14 +450,18 @@ let () =
           Alcotest.test_case "hardware monotone" `Quick hardware_monotone;
           Alcotest.test_case "hardware cross-domain" `Quick
             hardware_cross_domain_monotone;
-          Alcotest.test_case "strict strictly increasing" `Quick
-            strict_strictly_increasing;
           Alcotest.test_case "strict-sharded strictly increasing" `Quick
             strict_sharded_strictly_increasing;
           Alcotest.test_case "strict-sharded across 8 domains" `Slow
-            strict_sharded_across_domains;
-          Alcotest.test_case "strict concurrent unique" `Slow
-            strict_concurrent_unique;
+            (strict_sharded_across_domains (fun () ->
+                 (module Hwts.Timestamp.Hardware : Hwts.Timestamp.S)));
+          Alcotest.test_case "strict-sharded over a frozen clock across 8 domains"
+            `Slow
+            (strict_sharded_across_domains (fun () ->
+                 let module F = Hwts.Timestamp.Mock () in
+                 F.set 50;
+                 F.freeze ();
+                 (module F : Hwts.Timestamp.S)));
           Alcotest.test_case "delayed basics" `Quick delayed_basics;
           Alcotest.test_case "delayed across 8 domains" `Slow
             delayed_across_domains;
@@ -499,9 +472,9 @@ let () =
           Alcotest.test_case "tl2 unique across 8 domains" `Slow
             tl2_unique_across_domains;
           Alcotest.test_case "label orders" `Quick label_orders;
-          Alcotest.test_case "zoo config knobs" `Quick zoo_config_knobs;
+          Alcotest.test_case "registry names its providers" `Quick
+            registry_names_providers;
           Alcotest.test_case "mock controls" `Quick mock_controls;
-          Alcotest.test_case "providers list" `Quick providers_list;
           Alcotest.test_case "labeling taxonomy" `Quick labeling_taxonomy;
         ] );
       ("contract", contract_cases);

@@ -276,7 +276,6 @@ let provider_registry () =
   Alcotest.(check (list string)) "canonical names, registry order"
     [
       "logical"; "delayed"; "multislot"; "tl2"; "rdtscp"; "rdtscp-strict";
-      "rdtscp-strict-cas";
     ]
     (List.map (fun i -> i.name) registry);
   (* every name-keyed surface round-trips through the registry *)

@@ -58,12 +58,16 @@ check-torture: build
 	# can come back to a node it held and a CAS that expects that node
 	# succeeds again; multi-range rounds hold snapshots across such writes.
 	# citrus-vcas and skiplist-vcas keep their links the same way; the
-	# skip list's are lock-free too.  bst-ebrrq-lockfree is the same tree
-	# with its leaves labeled by helping: any update may splice a flagged
-	# leaf out before its deleter retires it, and held snapshots must
-	# still find it through the deleters' announcements.
+	# skip list's are lock-free too.  bst-vcas's set leaves are immediate
+	# keys in their parents' edges, while bst-vcas-kv keeps its leaves in
+	# [Entry] blocks beside immediate sentinels: both meet the tree's leaf
+	# classifier.  bst-ebrrq-lockfree is the same tree with its leaves
+	# labeled by helping: any update may splice a flagged leaf out before
+	# its deleter retires it, and held snapshots must still find it
+	# through the deleters' announcements.
 	for seed in 0xC0FFEE 0xBADF00D; do \
-	  for s in bst-vcas citrus-vcas skiplist-vcas bst-ebrrq-lockfree; do \
+	  for s in bst-vcas bst-vcas-kv citrus-vcas skiplist-vcas \
+	    bst-ebrrq-lockfree; do \
 	    dune exec bin/hwts_cli.exe -- check --structure $$s \
 	      --provider rdtscp-strict --multi --rounds 24 --seed $$seed || exit 1; \
 	  done; \

@@ -41,7 +41,13 @@ end
    defend against skewed clocks: it is read once per advance, and written
    only while this domain's label is ahead of it.  The publish loop never
    re-reads the clock, and it converges: a failed CAS means another
-   domain has already moved the word toward (or past) our label. *)
+   domain has already moved the word toward (or past) our label.
+
+   Stamps count from the provider's first reading of [T], not from
+   [T]'s zero: shifted left by [shard_bits], a raw TSC stamp leaves the
+   int range once it passes 2^54 (about 99 days of count at 2.1 GHz
+   since the machine's reset), so labels would wrap negative.  Rebased,
+   that horizon runs from the provider's creation instead. *)
 module Strict_sharded (T : S) () = struct
   let shard_bits = 8 (* Sync.Slot.max_slots = 256 *)
   let () = assert (1 lsl shard_bits >= Sync.Slot.max_slots)
@@ -55,8 +61,20 @@ module Strict_sharded (T : S) () = struct
   (* Domain-local high-water stamp (pre-shift). *)
   let last_mine : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
 
-  let read () = max (T.read () lsl shard_bits) (Atomic.get last_pub)
-  let read_floor () = max (T.read_floor () lsl shard_bits) (Atomic.get last_pub)
+  (* The provider's first reading: stamp 0.  A domain's first advance
+     bumps a stamp at or below 0 to 1, so every label is above 0 (the
+     consumers' "unlabeled"), and a stamp read on a core whose clock
+     lags the first reading's never goes negative past the bump. *)
+  let base = T.read ()
+
+  (* Strictly above every published label, so a version labeled with
+     [read] after a [snapshot] returned lands above that snapshot even
+     when the clock has not moved since. *)
+  let read () =
+    max ((T.read () - base) lsl shard_bits) (Atomic.get last_pub + 1)
+
+  let read_floor () =
+    max ((T.read_floor () - base) lsl shard_bits) (Atomic.get last_pub + 1)
 
   (* Publish [label] for the skew guard; retry only while strictly ahead,
      so a failed CAS (someone published a larger value, or a value we are
@@ -70,7 +88,7 @@ module Strict_sharded (T : S) () = struct
     Hwts_obs.Counter.incr advances;
     let id = Sync.Slot.my_slot () in
     let mine = Domain.DLS.get last_mine in
-    let hw = T.advance () in
+    let hw = T.advance () - base in
     let hw =
       if hw <= !mine then begin
         Hwts_obs.Counter.incr ties;

@@ -66,9 +66,16 @@ module Strict_sharded (T : S) () : S
     domains can never collide, and within-domain ties are bumped with
     domain-local state only.  A shared word is read once per advance (and
     written only when a skewed clock left this domain behind) to
-    preserve cross-domain monotonicity.  Labels are the hardware stamp
-    shifted left by 8, so they are ordered consistently with, but not
-    numerically equal to, raw [T] stamps.  Named [T.name ^ "-strict"];
+    preserve cross-domain monotonicity.  Labels are the [T] stamp less
+    the provider's first reading of [T] (taken when the functor is
+    applied), shifted left by 8, so they are ordered consistently with,
+    but not numerically equal to, raw [T] stamps, and every label is
+    above 0.  They stay positive and increasing for 2^54 - 1 ticks of
+    [T] after that first reading (about 99 days at 2.1 GHz); past that
+    horizon the shift leaves the int range.  [read] is strictly above
+    every label published so far, [snapshot]'s included, so a label
+    taken with [read] after a [snapshot] returns orders after it even
+    when [T] has not moved.  Named [T.name ^ "-strict"];
     counts [timestamp.strict.advances], [timestamp.strict.ties] (a stamp
     not above the domain's previous one, bumped) and
     [timestamp.strict.catchups] (a label stepped past the shared word). *)

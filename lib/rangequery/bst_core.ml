@@ -8,31 +8,47 @@
    updates and its walks are the same for both; a {!LABELING} module
    supplies what differs. *)
 
-(* A set keeps its keys in [Leaf]s; a map keeps each binding in an
-   [Entry] and uses [Leaf] only for the sentinels; EBR-RQ keeps each key
-   in a [Timed] leaf with its two times.  An [Internal] holds each child
-   edge in a mutable field, so an edge is one pointer: a tree level is
-   one heap block.  Only a flagged (leaf being deleted) or tagged (parent
-   being spliced out) edge allocates a [Mark] around its target, and a
-   [Mark]'s target is never itself a [Mark].  Under vCAS, an edge written
-   while a snapshot may still read its older values holds a [Version],
-   the head of a {!Link} chain that keeps that history; no version's
-   value is a [Version].  A [Timed] leaf's [itime] is its field 0 and
-   [dtime] its field 1, so they are read and CASed like a version's
-   label. *)
+(* A set's leaf is its key: the edge that leads to it holds the key as an
+   immediate int, so a set leaf is no heap block ({!leaf}).  A map keeps
+   each binding in an [Entry], EBR-RQ keeps each key in a [Timed] leaf
+   with its two times, and both trees' sentinels are immediates too.  An
+   [Internal] holds each child edge in a mutable field, so an edge is one
+   word: a tree level is one heap block.  Only a flagged (leaf being
+   deleted) or tagged (parent being spliced out) edge allocates a [Mark]
+   around its target, and a [Mark]'s target is never itself a [Mark].
+   Under vCAS, an edge written while a snapshot may still read its older
+   values holds a [Version], the head of a {!Link} chain that keeps that
+   history; no version's value is a [Version].  A [Timed] leaf's [itime]
+   is its field 0 and [dtime] its field 1, so they are read and CASed
+   like a version's label.
+
+   The type has no constant constructor, so a [match] on a node reads
+   its block's tag without first testing for an immediate: every read of
+   an edge value tests {!is_leaf} before it matches.  A set leaf has no
+   identity, only its key; where the tree compares leaves with [==], two
+   leaves of one key are one leaf, which [finish] alone must tell apart
+   (see there). *)
 type 'v node =
-  | Leaf of int
   | Entry of { key : int; value : 'v }
   | Internal of { ikey : int; mutable left : 'v node; mutable right : 'v node }
   | Mark of { target : 'v node; flagged : bool; tagged : bool }
   | Version of { mutable ts : int; v : 'v node; mutable older : 'v node }
   | Timed of { mutable itime : int; mutable dtime : int; key : int }
 
+(* The one encoding of a set leaf: the key itself, an immediate where a
+   node is a pointer.  The GC skips immediates, the field CAS compares
+   words, and no [match] ever sees one ({!is_leaf} first). *)
+let leaf (key : int) : 'v node = Obj.magic key
+let is_leaf (n : 'v node) = Obj.is_int (Obj.repr n)
+let leaf_key (n : 'v node) : int = Obj.magic n
+
 module Node = struct
   type 'v t = 'v node
 
   let version ts v older = Version { ts; v; older }
-  let is_version = function Version _ -> true | _ -> false
+
+  let is_version n =
+    (not (is_leaf n)) && match n with Version _ -> true | _ -> false
 
   let value = function
     | Version x -> x.v
@@ -60,27 +76,38 @@ let inf1 = max_int - 1
 (* The label a current read resolves at: every version and every time
    qualifies. *)
 let now = max_int
-let target = function Mark m -> m.target | node -> node
-let flagged = function Mark m -> m.flagged | _ -> false
-let tagged = function Mark m -> m.tagged | _ -> false
-let marked = function Mark _ -> true | _ -> false
+
+let target n =
+  if is_leaf n then n else match n with Mark m -> m.target | _ -> n
+
+let flagged n =
+  (not (is_leaf n)) && match n with Mark m -> m.flagged | _ -> false
+
+let tagged n = (not (is_leaf n)) && match n with Mark m -> m.tagged | _ -> false
+let marked n = (not (is_leaf n)) && match n with Mark _ -> true | _ -> false
 
 let edge target ~flagged ~tagged =
   if flagged || tagged then Mark { target; flagged; tagged } else target
 
 (* [Internal]'s inline record is its block: [ikey] is field 0, [left]
-   field 1, [right] field 2. *)
+   field 1, [right] field 2.  [node] is always an [Internal]: the root,
+   or a seek record's parent or ancestor. *)
 let head node left =
-  match node with
-  | Internal n -> if left then n.left else n.right
-  | Leaf _ | Entry _ | Mark _ | Version _ | Timed _ ->
-    invalid_arg "Bst_core.head: not internal"
+  if is_leaf node then invalid_arg "Bst_core.head: not internal"
+  else
+    match node with
+    | Internal n -> if left then n.left else n.right
+    | Entry _ | Mark _ | Version _ | Timed _ ->
+      invalid_arg "Bst_core.head: not internal"
 
-let key_of = function
-  | Leaf k -> k
-  | Entry e -> e.key
-  | Timed l -> l.key
-  | Internal _ | Mark _ | Version _ -> invalid_arg "Bst_core.key_of: not a leaf"
+let key_of n =
+  if is_leaf n then leaf_key n
+  else
+    match n with
+    | Entry e -> e.key
+    | Timed l -> l.key
+    | Internal _ | Mark _ | Version _ ->
+      invalid_arg "Bst_core.key_of: not a leaf"
 
 module type LABELING = sig
   type t (* per tree *)
@@ -141,13 +168,14 @@ module Make (L : LABELING) = struct
      [s] is at most a seek's successor and no update writes [r]'s edges. *)
   type 'v t = { root : 'v node; labels : L.t }
 
-  (* A [Leaf] or an [Entry] holds its key at every label a read reaches
-     it at; a [Timed] leaf holds it as its labeling judges. *)
+  (* A set leaf or an [Entry] holds its key at every label a read
+     reaches it at; a [Timed] leaf holds it as its labeling judges. *)
   let visible ts leaf ~flagged =
-    match leaf with Timed _ -> L.visible ts leaf ~flagged | _ -> true
+    is_leaf leaf
+    || match leaf with Timed _ -> L.visible ts leaf ~flagged | _ -> true
 
   (* The current value of an edge as read from its field. *)
-  let current = function Version _ as head -> L.current head | node -> node
+  let current n = if Node.is_version n then L.current n else n
   let edge_value node left = current (head node left)
 
   let cas_edge t parent left expected node =
@@ -161,8 +189,8 @@ module Make (L : LABELING) = struct
     L.cas t.labels parent field expected node
 
   let create () =
-    let s = Internal { ikey = inf1; left = Leaf inf0; right = Leaf inf1 } in
-    let r = Internal { ikey = max_int; left = s; right = Leaf max_int } in
+    let s = Internal { ikey = inf1; left = leaf inf0; right = leaf inf1 } in
+    let r = Internal { ikey = max_int; left = s; right = leaf max_int } in
     { root = r; labels = L.create () }
 
   (* The seek record names each edge by its node and side: [parent]'s
@@ -190,7 +218,7 @@ module Make (L : LABELING) = struct
      domain's next seek. *)
   let seek_scratch : unit seek_record Sync.Scratch.t =
     Sync.Scratch.make (fun () ->
-        let n = Leaf 0 in
+        let n = leaf 0 in
         {
           anc = n;
           anc_left = true;
@@ -205,34 +233,44 @@ module Make (L : LABELING) = struct
   let seek_record () : 'v seek_record =
     Obj.magic (Sync.Scratch.get seek_scratch)
 
-  (* [value] is the current value of [par_edge]. *)
+  let found r anc anc_left successor parent par_left par_edge leaf =
+    r.anc <- anc;
+    r.anc_left <- anc_left;
+    r.successor <- successor;
+    r.parent <- parent;
+    r.par_left <- par_left;
+    r.par_edge <- par_edge;
+    r.leaf_key <- key_of leaf;
+    r.leaf <- leaf;
+    r
+
+  (* [value] is the current value of [par_edge] (a bare edge is itself,
+     a [Version] is read through to its value, never a version): a leaf,
+     an internal, or a [Mark] around either. *)
   let rec descend r key anc anc_left successor parent par_left par_edge value =
-    match target value with
-    | (Leaf _ | Entry _ | Timed _) as leaf ->
-      r.anc <- anc;
-      r.anc_left <- anc_left;
-      r.successor <- successor;
-      r.parent <- parent;
-      r.par_left <- par_left;
-      r.par_edge <- par_edge;
-      r.leaf_key <- key_of leaf;
-      r.leaf <- leaf;
-      r
-    | Internal n as node ->
-      let left = key < n.ikey in
-      let edge = if left then n.left else n.right in
-      if tagged value then
-        descend r key anc anc_left successor node left edge (current edge)
-      else descend r key parent par_left node node left edge (current edge)
-    | Mark _ | Version _ -> invalid_arg "Bst_core.descend: not a value"
+    let t = target value in
+    if is_leaf t then found r anc anc_left successor parent par_left par_edge t
+    else
+      match t with
+      | Internal n ->
+        let left = key < n.ikey in
+        let edge = if left then n.left else n.right in
+        if t != value && tagged value then
+          descend r key anc anc_left successor t left edge edge
+        else descend r key parent par_left t t left edge edge
+      | Version _ ->
+        descend r key anc anc_left successor parent par_left par_edge
+          (L.current t)
+      | Entry _ | Timed _ ->
+        found r anc anc_left successor parent par_left par_edge t
+      | Mark _ -> invalid_arg "Bst_core.descend: not a target"
 
   (* Entering [s] through [r]'s clean left edge makes [r] the ancestor
      and [s] the successor, the seek's usual start. *)
   let seek t key =
     Hwts_trace.Span.enter Hwts_trace.Traverse;
     let edge = head t.root true in
-    let s = current edge in
-    let r = descend (seek_record ()) key t.root true s t.root true edge s in
+    let r = descend (seek_record ()) key t.root true edge t.root true edge edge in
     Hwts_trace.Span.exit Hwts_trace.Traverse;
     r
 
@@ -336,20 +374,36 @@ module Make (L : LABELING) = struct
       end
     end
 
+  (* The delete's own splice failed: seek again and splice its leaf out
+     if it is still there.  Two set leaves of one key are one word, so
+     [r.leaf == leaf] alone would also name a leaf of the key inserted
+     after this one left the tree, and [cleanup] would promote it and
+     splice out its unflagged sibling.  A leaf's flag travels with it
+     when a splice promotes its edge, so a flagged edge on the key names
+     this delete's leaf or a concurrent delete's, which is harmless to
+     help; an unflagged one means this delete's leaf is gone. *)
   and finish t key leaf =
     let r = seek t key in
-    r.leaf != leaf || cleanup t r || finish t key leaf
+    r.leaf != leaf
+    || (not (flagged (current r.par_edge)))
+    || cleanup t r || finish t key leaf
 
   (* Point reads descend to the edge value that leads to the leaf [key]
      routes to at label [ts] ([now] for the current tree): the leaf, or
      the [Mark] around it.  A bare edge is its value at every label; only
      a versioned one costs a chain walk. *)
   let rec leaf_at key ts node =
-    match node with
-    | Internal n -> leaf_at key ts (if key < n.ikey then n.left else n.right)
-    | Version _ -> leaf_at key ts (L.value_at node ts)
-    | Mark { target = Internal _ as inner; _ } -> leaf_at key ts inner
-    | Leaf _ | Entry _ | Timed _ | Mark _ -> node
+    if is_leaf node then node
+    else
+      match node with
+      | Internal n -> leaf_at key ts (if key < n.ikey then n.left else n.right)
+      | Version _ -> leaf_at key ts (L.value_at node ts)
+      | Mark m ->
+        let t = m.target in
+        if (not (is_leaf t)) && match t with Internal _ -> true | _ -> false
+        then leaf_at key ts t
+        else node
+      | Entry _ | Timed _ -> node
 
   let leaf_now t key =
     Hwts_trace.Span.enter Hwts_trace.Traverse;
@@ -360,15 +414,21 @@ module Make (L : LABELING) = struct
   (* Whether the leaf edge value [e] leads to holds [key] at [ts]; the
      sentinels' keys are reserved, so no reader reports them present. *)
   let holds ts key e =
-    let leaf = target e in
-    key < inf0 && key_of leaf = key && visible ts leaf ~flagged:(flagged e)
+    key < inf0
+    &&
+    if is_leaf e then leaf_key e = key
+    else
+      let leaf = target e in
+      key_of leaf = key && visible ts leaf ~flagged:(flagged e)
 
   let binding ts key e =
-    match target e with
-    | Entry x when x.key = key && visible ts (target e) ~flagged:(flagged e)
-      ->
-      Some x.value
-    | Leaf _ | Entry _ | Timed _ | Internal _ | Mark _ | Version _ -> None
+    let leaf = target e in
+    if is_leaf leaf then None
+    else
+      match leaf with
+      | Entry x when x.key = key && visible ts leaf ~flagged:(flagged e) ->
+        Some x.value
+      | Entry _ | Timed _ | Internal _ | Mark _ | Version _ -> None
 
   let mem t key = holds now key (leaf_now t key)
   let find t key = binding now key (leaf_now t key)
@@ -382,17 +442,27 @@ module Make (L : LABELING) = struct
       Sync.Key_run.push run key
 
   let rec keys_into run ts lo hi node =
-    match node with
-    | Leaf k -> if k >= lo && k <= hi && k < inf0 then Sync.Key_run.push run k
-    | Entry e -> if e.key >= lo && e.key <= hi then Sync.Key_run.push run e.key
-    | Timed l -> timed_into run ts lo hi node l.key ~flagged:false
-    | Internal n ->
-      if lo < n.ikey then keys_into run ts lo hi n.left;
-      if hi >= n.ikey then keys_into run ts lo hi n.right
-    | Version _ -> keys_into run ts lo hi (L.value_at node ts)
-    | Mark { target = Timed l as leaf; flagged; _ } ->
-      timed_into run ts lo hi leaf l.key ~flagged
-    | Mark m -> keys_into run ts lo hi m.target
+    if is_leaf node then begin
+      let k = leaf_key node in
+      if k >= lo && k <= hi && k < inf0 then Sync.Key_run.push run k
+    end
+    else
+      match node with
+      | Entry e ->
+        if e.key >= lo && e.key <= hi then Sync.Key_run.push run e.key
+      | Timed l -> timed_into run ts lo hi node l.key ~flagged:false
+      | Internal n ->
+        if lo < n.ikey then keys_into run ts lo hi n.left;
+        if hi >= n.ikey then keys_into run ts lo hi n.right
+      | Version _ -> keys_into run ts lo hi (L.value_at node ts)
+      | Mark m -> (
+        let t = m.target in
+        if is_leaf t then keys_into run ts lo hi t
+        else
+          match t with
+          | Timed l -> timed_into run ts lo hi t l.key ~flagged:m.flagged
+          | Entry _ | Internal _ | Mark _ | Version _ ->
+            keys_into run ts lo hi t)
 
   let keys t ts ~lo ~hi run =
     Hwts_trace.Span.enter Hwts_trace.Traverse;
@@ -408,16 +478,19 @@ module Make (L : LABELING) = struct
     Sync.Key_run.to_array run
 
   let rec bindings_onto acc ts lo hi node =
-    match node with
-    | Entry e -> if e.key >= lo && e.key <= hi then (e.key, e.value) :: acc else acc
-    | Leaf _ | Timed _ -> acc
-    | Internal n ->
-      let acc =
-        if hi >= n.ikey then bindings_onto acc ts lo hi n.right else acc
-      in
-      if lo < n.ikey then bindings_onto acc ts lo hi n.left else acc
-    | Version _ -> bindings_onto acc ts lo hi (L.value_at node ts)
-    | Mark m -> bindings_onto acc ts lo hi m.target
+    if is_leaf node then acc
+    else
+      match node with
+      | Entry e ->
+        if e.key >= lo && e.key <= hi then (e.key, e.value) :: acc else acc
+      | Timed _ -> acc
+      | Internal n ->
+        let acc =
+          if hi >= n.ikey then bindings_onto acc ts lo hi n.right else acc
+        in
+        if lo < n.ikey then bindings_onto acc ts lo hi n.left else acc
+      | Version _ -> bindings_onto acc ts lo hi (L.value_at node ts)
+      | Mark m -> bindings_onto acc ts lo hi m.target
 
   let bindings t ts ~lo ~hi =
     Hwts_trace.Span.enter Hwts_trace.Traverse;
@@ -453,10 +526,14 @@ module Make (L : LABELING) = struct
      version, the one a pruned chain would keep. *)
   let version_chain_stats t =
     let rec spine edges versions node =
-      match node with
-      | Internal n ->
-        spine (edges + 1) (versions + L.chain_of n.left) (target (current n.left))
-      | Leaf _ | Entry _ | Timed _ | Mark _ | Version _ -> (edges, versions)
+      if is_leaf node then (edges, versions)
+      else
+        match node with
+        | Internal n ->
+          spine (edges + 1)
+            (versions + L.chain_of n.left)
+            (target (current n.left))
+        | Entry _ | Timed _ | Mark _ | Version _ -> (edges, versions)
     in
     spine 0 0 t.root
 end
@@ -491,10 +568,11 @@ module Edges (T : Hwts.Timestamp.S) = struct
        end
 
   let cas registry parent field expected node =
-    match expected with
-    | Version _ -> versioned registry parent field expected node
-    | bare when target node == target bare -> L.cas parent field bare node
-    | bare -> versioned registry parent field bare node
+    if Node.is_version expected then
+      versioned registry parent field expected node
+    else if target node == target expected then
+      L.cas parent field expected node
+    else versioned registry parent field expected node
 
   let current = L.current
   let value_at = L.value_at

@@ -26,16 +26,19 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
 
     (* [announced.(slot)]: the leaf the domain in [slot] is deleting,
        from before its flag CAS until after it retires the leaf, else
-       [none]. *)
+       [none], an immediate like the tree's sentinels, so every read of
+       a slot tests {!is_leaf} before it matches. *)
     type t = { ebr : Reclaim.t; announced : unit node Atomic.t array }
 
-    let none : unit node = Leaf max_int
+    let none : unit node = leaf max_int
 
     (* A [Timed] leaf holds no value, so it is the same block at every
        ['v]: limbo and the announcements hold it at [unit]. *)
     let untyped (leaf : 'v node) : unit node = Obj.magic leaf
 
-    let poison = function Timed l -> l.dtime <- -l.dtime | _ -> ()
+    let poison leaf =
+      if not (is_leaf leaf) then
+        match leaf with Timed l -> l.dtime <- -l.dtime | _ -> ()
 
     let create () =
       {
@@ -53,10 +56,11 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
     let label_itime leaf =
       if Itime.label leaf = 0 then ignore (Itime.cas_label leaf 0 (T.read ()))
 
+    (* [label_dtime] and [visible] are only given [Timed] leaves. *)
     let label_dtime leaf =
       match leaf with
       | Timed l -> if l.dtime = 0 then ignore (cas_dtime leaf 1 0 (T.read ()))
-      | Leaf _ | Entry _ | Internal _ | Mark _ | Version _ -> ()
+      | Entry _ | Internal _ | Mark _ | Version _ -> ()
 
     (* A leaf holds its key at [ts] iff it was inserted at or before [ts]
        and not deleted at or before [ts].  A reader never judges on a time
@@ -77,7 +81,7 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
         if covered && d < 0 then
           Hwts_reclaim.Debug.poison_hit "bst-ebrrq leaf covered after free";
         covered
-      | Leaf _ | Entry _ | Internal _ | Mark _ | Version _ -> true
+      | Entry _ | Internal _ | Mark _ | Version _ -> true
 
     (* EBR-RQ's announcement: a deleter names its leaf before the flag
        CAS, and [unannounce] clears it after the retire.  A leaf that any
@@ -119,11 +123,12 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
        one still in the tree is judged as a walk through a clean edge
        judges it. *)
     let recover_leaf run ts lo hi leaf =
-      match leaf with
-      | Timed l ->
-        if l.key >= lo && l.key <= hi && visible ts leaf ~flagged:false then
-          Sync.Key_run.push run l.key
-      | Leaf _ | Entry _ | Internal _ | Mark _ | Version _ -> ()
+      if not (is_leaf leaf) then
+        match leaf with
+        | Timed l ->
+          if l.key >= lo && l.key <= hi && visible ts leaf ~flagged:false then
+            Sync.Key_run.push run l.key
+        | Entry _ | Internal _ | Mark _ | Version _ -> ()
 
     let rec recover_cells run ts lo hi = function
       | Hwts_reclaim.Limbo.Nil -> ()
@@ -140,9 +145,11 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
       done
 
     let hit key ts leaf =
+      (not (is_leaf leaf))
+      &&
       match leaf with
       | Timed l -> l.key = key && visible ts leaf ~flagged:false
-      | Leaf _ | Entry _ | Internal _ | Mark _ | Version _ -> false
+      | Entry _ | Internal _ | Mark _ | Version _ -> false
 
     let rec hit_in_cells key ts = function
       | Hwts_reclaim.Limbo.Nil -> false

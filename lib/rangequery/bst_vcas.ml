@@ -6,7 +6,7 @@ module Make (T : Hwts.Timestamp.S) = struct
 
     let name = "vcas-bst(" ^ T.name ^ ")"
     let create = K.create
-    let set_leaf key () = Bst_core.Leaf key
+    let set_leaf key () = Bst_core.leaf key
     let insert t key = K.add t key () ~leaf:set_leaf ~overwrite:false
     let delete = K.remove
     let contains = K.mem

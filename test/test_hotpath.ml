@@ -456,7 +456,7 @@ let () =
             ("citrus-vcas", 0., 19., 101., 35.65);
             ("citrus-bundle", 0., 19., 101., 35.65);
             ("citrus-ebrrq", 0., 15., 101., 31.99);
-            ("bst-vcas", 0., 22., 101., 22.);
+            ("bst-vcas", 0., 20., 101., 20.);
             ("bst-ebrrq-lockfree", 0., 20., 101., 20.);
             ("skiplist-bundle", 0., 18.98, 101., 18.98);
             ("lazylist-bundle", 0., 17., 101., 17.);

@@ -49,11 +49,11 @@ let frozen () =
 (* §III-A failure injection for the strict provider: its clock is frozen,
    so every raw stamp ties and every label comes from the within-domain
    bump or the catch-up past the shared word.  Unlike a raw frozen clock
-   (the forced-ties group below), the strict labels must keep the
-   bundles' snapshots consistent: bundles label with [advance], which is
-   strictly above every earlier [read].  vCAS and EBR-RQ label with
-   [read], which under a frozen clock ties with the last snapshot, so
-   they are held to the forced-ties checks only. *)
+   (the forced-ties group below), the strict labels must keep every
+   snapshot consistent: bundles label with [advance], which is strictly
+   above every earlier [read], and vCAS and EBR-RQ label with [read],
+   which is strictly above every published label, the last snapshot's
+   included, though the clock never moves. *)
 let frozen_strict () =
   let module F = (val frozen ()) in
   (module Hwts.Timestamp.Strict_sharded (F) () : Hwts.Timestamp.S)
@@ -62,6 +62,10 @@ module SF = (val frozen_strict ())
 module Citrus_bundle_sf = Rangequery.Citrus_bundle.Make (Ebr_b) (SF)
 module Skiplist_bundle_sf = Rangequery.Skiplist_bundle.Make (SF)
 module Lazylist_bundle_sf = Rangequery.Lazylist_bundle.Make (SF)
+module Bst_vcas_sf = Rangequery.Bst_vcas.Make (SF)
+module Skiplist_vcas_sf = Rangequery.Skiplist_vcas.Make (SF)
+module Citrus_vcas_sf = Rangequery.Citrus_vcas.Make (Ebr_b) (SF)
+module Citrus_ebrrq_sf = Rangequery.Citrus_ebrrq.Make (Ebr_b) (SF)
 
 let impls : (module RQSET) list =
   [
@@ -84,6 +88,10 @@ let impls : (module RQSET) list =
     (module Citrus_bundle_sf);
     (module Skiplist_bundle_sf);
     (module Lazylist_bundle_sf);
+    (module Bst_vcas_sf);
+    (module Skiplist_vcas_sf);
+    (module Citrus_vcas_sf);
+    (module Citrus_ebrrq_sf);
   ]
 
 (* ---------- sequential semantics ---------- *)
@@ -100,6 +108,22 @@ let sequential_rq (module S : RQSET) () =
   Alcotest.(check (array int)) "point miss" [||] (S.range_query t ~lo:31 ~hi:31);
   ignore (S.delete t 30);
   Alcotest.(check (array int)) "after delete" [| 20; 40 |] (S.range_query t ~lo:20 ~hi:40)
+
+(* A snapshot holds the state it was taken at: a key inserted after it
+   is not in it, and a key deleted after it still is. *)
+let updates_after_snapshot (module S : RQSET) () =
+  let t = S.create () in
+  ignore (S.insert t 10);
+  let s = S.snapshot t in
+  Alcotest.(check bool) "insert after the snapshot" true (S.insert t 20);
+  Alcotest.(check bool) "delete after the snapshot" true (S.delete t 10);
+  Alcotest.(check bool) "lookup_at of the later key" false (S.lookup_at t s 20);
+  Alcotest.(check bool) "lookup_at of the deleted key" true
+    (S.lookup_at t s 10);
+  Alcotest.(check (array int)) "collect_at" [| 10 |]
+    (S.collect_at t s ~lo:0 ~hi:100);
+  S.snap_release t s;
+  Alcotest.(check (list int)) "current state" [ 20 ] (S.to_list t)
 
 let quiescent_matches_contents (module S : RQSET) =
   let gen =
@@ -313,6 +337,7 @@ let per_impl (module S : RQSET) =
   let t name speed f = Alcotest.test_case (S.name ^ ": " ^ name) speed f in
   [
     t "sequential rq" `Quick (sequential_rq (module S));
+    t "updates after a snapshot" `Quick (updates_after_snapshot (module S));
     quiescent_matches_contents (module S);
     t "prefix consistency" `Slow (prefix_consistency (module S));
     t "suffix consistency" `Slow (suffix_consistency (module S));

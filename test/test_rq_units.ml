@@ -1506,7 +1506,7 @@ let layout_cases =
   let module Lb = Rangequery.Lazylist_bundle.Make (LL) in
   let module Bl = Rangequery.Bst_ebrrq_lockfree.Make (Ebr) (LL) in
   [
-    ("bst-vcas", 6., fun () -> words_per_key Bst.create Bst.insert);
+    ("bst-vcas", 4., fun () -> words_per_key Bst.create Bst.insert);
     ( "bst-vcas-kv",
       7.,
       fun () -> words_per_key Kv.create (fun t k -> Kv.add t k k) );
@@ -1792,6 +1792,75 @@ let ebrrq_stale_helper kind () =
   S.snap_release t s;
   Alcotest.(check (list int)) "current state" [ 10; 30 ] (S.to_list t)
 
+(* A set leaf is its key, so a leaf of [k] inserted after an earlier
+   one left the tree is the same word as it.  10 and 20 are siblings;
+   the delete of 10 is parked at each pause point in turn.  While it is
+   parked, a second domain deletes 10 (splicing the parked delete's leaf
+   out, and returning false, once that delete has flagged it) and
+   inserts 10 again, as 20's sibling under a new parent.  A parked
+   delete that then looks for its own leaf by key and identity alone
+   finds the new 10 and splices out its unflagged sibling 20.  Whatever
+   the point, the parked delete removes a 10, 20 stays, and 10 is there
+   at the end iff the second delete found it flagged. *)
+let value_equal_leaves (module S : Dstruct.Ordered_set.RQ) () =
+  let flagged = ref 0 and point = ref 1 and more = ref true in
+  while !more do
+    let t = S.create () in
+    List.iter (fun k -> ignore (S.insert t k)) [ 10; 20 ];
+    let finished = Atomic.make false in
+    Sync.Pause.park_at !point;
+    let deleter =
+      Domain.spawn (fun () ->
+          Sync.Slot.with_slot (fun _ ->
+              let r = S.delete t 10 in
+              Atomic.set finished true;
+              r))
+    in
+    while not (Sync.Pause.parked () || Atomic.get finished) do
+      Domain.cpu_relax ()
+    done;
+    if Sync.Pause.parked () then begin
+      let deleted, inserted =
+        List.hd
+          (Util.spawn_workers 1 (fun _ ->
+               let d = S.delete t 10 in
+               (d, S.insert t 10)))
+      in
+      if not deleted then incr flagged;
+      Sync.Pause.unpark ();
+      let at = Printf.sprintf " (delete parked at point %d)" !point in
+      Alcotest.(check bool) ("parked delete" ^ at) true (Domain.join deleter);
+      Alcotest.(check bool) ("second insert" ^ at) true inserted;
+      Alcotest.(check (list int))
+        ("final set" ^ at)
+        (if deleted then [ 20 ] else [ 10; 20 ])
+        (S.to_list t);
+      Alcotest.(check bool) ("contains 20" ^ at) true (S.contains t 20)
+    end
+    else begin
+      (* the delete passed fewer points than [point]: disarm the park *)
+      Sync.Pause.disable ();
+      more := false;
+      Alcotest.(check bool) "delete" true (Domain.join deleter)
+    end;
+    incr point
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "a delete was parked after its flag (points 1-%d)"
+       (!point - 2))
+    true (!flagged > 0)
+
+let value_equal_cases =
+  let module Bv = Rangequery.Bst_vcas.Make (LL) in
+  let module Bl =
+    Rangequery.Bst_ebrrq_lockfree.Make (Hwts_reclaim.Ebr_backend) (LL)
+  in
+  [
+    Alcotest.test_case "bst-vcas" `Quick (value_equal_leaves (module Bv));
+    Alcotest.test_case "bst-ebrrq-lockfree" `Quick
+      (value_equal_leaves (module Bl));
+  ]
+
 let collect_path_cases =
   let module Ebr = Hwts_reclaim.Ebr_backend in
   let module Ce = Rangequery.Citrus_ebrrq.Make (Ebr) (LL) in
@@ -1886,6 +1955,7 @@ let () =
       ( "observability",
         [ Alcotest.test_case "obs is inert" `Quick obs_inert ] );
       ("layout", layout_cases);
+      ("value-equal leaves", value_equal_cases);
       ("large collect", large_collect_cases);
       ("collect paths", collect_path_cases);
     ]

@@ -83,6 +83,30 @@ let strict_sharded_strictly_increasing () =
     if S.read () < l then Alcotest.fail "read fell below a published label"
   done
 
+(* A clock already near 2^54 when the provider is created: shifted left
+   by the slot bits, a raw stamp past 2^54 leaves the int range.  The
+   provider's stamps count from its first reading, so every label stays
+   above 0 and above the one before as the clock crosses 2^54, and a
+   [read] after each advance is above it. *)
+let strict_sharded_near_wrap () =
+  let module Clock = Hwts.Timestamp.Mock () in
+  Clock.set ((1 lsl 54) - 3);
+  let module S = Hwts.Timestamp.Strict_sharded (Clock) () in
+  Sync.Slot.with_slot @@ fun _ ->
+  let last = ref 0 in
+  for i = 1 to 6 do
+    let l = S.advance () in
+    Alcotest.(check bool)
+      (Printf.sprintf "label %d (%d) above the one before (%d)" i l !last)
+      true (l > !last);
+    let r = S.read () in
+    Alcotest.(check bool)
+      (Printf.sprintf "read after label %d (%d) above it" i r)
+      true (r > l);
+    last := l
+  done;
+  Alcotest.(check bool) "the clock crossed 2^54" true (Clock.read () > 1 lsl 54)
+
 let strict_sharded_across_domains clock () =
   (* 8 domains race on [advance]; each checks its fresh label against the
      global maximum of *completed* advances (an atomic-max register read
@@ -452,6 +476,8 @@ let () =
             hardware_cross_domain_monotone;
           Alcotest.test_case "strict-sharded strictly increasing" `Quick
             strict_sharded_strictly_increasing;
+          Alcotest.test_case "strict-sharded near 2^54 of clock count" `Quick
+            strict_sharded_near_wrap;
           Alcotest.test_case "strict-sharded across 8 domains" `Slow
             (strict_sharded_across_domains (fun () ->
                  (module Hwts.Timestamp.Hardware : Hwts.Timestamp.S)));

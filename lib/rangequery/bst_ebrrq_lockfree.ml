@@ -132,9 +132,10 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
 
     let rec recover_cells run ts lo hi = function
       | Hwts_reclaim.Limbo.Nil -> ()
-      | Hwts_reclaim.Limbo.Cons c ->
-        recover_leaf run ts lo hi c.node;
-        recover_cells run ts lo hi c.next
+      | Hwts_reclaim.Limbo.(Cons { node; next; _ } | Labeled { node; next; _ })
+        ->
+        recover_leaf run ts lo hi node;
+        recover_cells run ts lo hi next
 
     let recover t ts ~lo ~hi run =
       for slot = 0 to Sync.Slot.max_slots - 1 do
@@ -153,7 +154,9 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) = struct
 
     let rec hit_in_cells key ts = function
       | Hwts_reclaim.Limbo.Nil -> false
-      | Hwts_reclaim.Limbo.Cons c -> hit key ts c.node || hit_in_cells key ts c.next
+      | Hwts_reclaim.Limbo.(Cons { node; next; _ } | Labeled { node; next; _ })
+        ->
+        hit key ts node || hit_in_cells key ts next
 
     let rec hit_announced t key ts slot =
       slot < Sync.Slot.max_slots

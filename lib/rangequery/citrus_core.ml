@@ -2,7 +2,8 @@
    compares.  vCAS (readers help label a pending version) and Bundling
    (the update labels, readers wait) label every edge through a
    versioned link (Fig. 3); EBR-RQ labels every node with its insertion
-   and deletion times, under one global readers-writer lock (Fig. 4).
+   time and the limbo entry that retires it with its deletion time,
+   under one global readers-writer lock (Fig. 4).
    The tree, its locks, its relocation and its grace wait are the same
    for all three; a {!LABELING} module supplies what differs.
    Citrus_vcas and Citrus_bundle label through {!Heads}, Citrus_ebrrq
@@ -10,16 +11,18 @@
 
 type dir = L | R
 
-(* A [Node]'s inline record is its block, and an absent child is [Nil],
-   which is no block at all.  [left] (field 1), [right] (2) and [state]
-   (3, the lock bit and [marked]) are written only through {!Field_lock},
-   and [w0] (4) and [w1] (5) through {!Link} where they are links, so the
-   field order matters.
-   The two label words belong to the labeling: the left and right
-   labeled links under vCAS and Bundling, the insertion and deletion
-   times under EBR-RQ.  A [Version] is a labeled link's version
-   ({!Link}): it is only ever held by a label word, never by [left] or
-   [right], and no version's value is a [Version]. *)
+(* A tree node is a [Node] (vCAS, Bundling) or a [Timed] node (EBR-RQ),
+   one block either way, and an absent child is [Nil], which is no
+   block at all.  Both share their first fields: [key] (0), [left] (1),
+   [right] (2) and [state] (3, the lock bit and [marked]), which are
+   written only through {!Field_lock}, so the field order matters.
+   A [Node]'s two label words [w0] (4) and [w1] (5) are its left and
+   right labeled links, written through {!Link}.  A [Timed] node keeps
+   only its insertion time [itime] (4): its deletion time is needed
+   only once it is retired, and rides in its limbo entry.  A [Version]
+   is a labeled link's version ({!Link}): it is only ever held by a
+   label word, never by [left] or [right], and no version's value is a
+   [Version]. *)
 type 'w node =
   | Nil
   | Node of {
@@ -31,15 +34,29 @@ type 'w node =
       mutable w1 : 'w;
     }
   | Version of { mutable ts : int; v : 'w node; mutable older : 'w node }
+  | Timed of {
+      key : int;
+      mutable left : 'w node;
+      mutable right : 'w node;
+      mutable state : int;
+      mutable itime : int;
+    }
 
-let key_of = function Node n -> n.key | Nil | Version _ -> max_int
-let state = function Node n -> n.state | Nil | Version _ -> 0
+let key_of = function
+  | Node { key; _ } | Timed { key; _ } -> key
+  | Nil | Version _ -> max_int
+
+let state = function
+  | Node { state; _ } | Timed { state; _ } -> state
+  | Nil | Version _ -> 0
+
 let marked n = Field_lock.has Field_lock.marked (state n)
 
 let child n d =
-  match n with
-  | Node n -> ( match d with L -> n.left | R -> n.right)
-  | Nil | Version _ -> Nil
+  match (n, d) with
+  | (Node { left; _ } | Timed { left; _ }), L -> left
+  | (Node { right; _ } | Timed { right; _ }), R -> right
+  | (Nil | Version _), _ -> Nil
 
 module type LABELING = sig
   type w
@@ -66,22 +83,20 @@ module type LABELING = sig
       [contains] saw.  The flag also decides when the relocation's final
       unlink is labeled (see [delete_two_children]). *)
 
-  val on_free : (w node -> unit) option
-  (** Run by the reclaimer as it frees a node. *)
-
   val create : w node -> Reclaim.t -> t
   (** Labels the root's words before any snapshot reads them. *)
 
-  val fresh : w node -> w
-  (** The label word of a new node's side whose child is given. *)
+  val node : int -> w node -> w node -> w node
+  (** A new node of the key, with the given left and right children. *)
 
   (** {1 One labeled write}
 
       [prepare n d target] every link from [n] toward [d] the write
       changes (holding [n]'s lock), [enter] the labeled section (which
       takes its stamp), label the node it links ([born]) and the nodes it
-      unlinks ([dies]), write the raw links, [label] each prepared link,
-      [settle] all but one, and [leave] the section with that one. *)
+      unlinks ([dies], after which the core marks each), write the raw
+      links, [label] each prepared link, [settle] all but one, and
+      [leave] the section with that one. *)
 
   val prepare : w node -> dir -> w node -> link
   val enter : t -> int
@@ -106,7 +121,8 @@ module type LABELING = sig
   (** The child toward [d] at a snapshot label; at [max_int], the newest. *)
 
   val visible : int -> w node -> bool
-  (** Whether a node a snapshot walk reaches holds its key at the label. *)
+  (** Whether a node a snapshot walk reaches holds its key at the label
+      (EBR-RQ: never a marked one). *)
 
   val read_enter : t -> unit
   val read_exit : t -> unit
@@ -135,20 +151,9 @@ module Make (L : LABELING) = struct
 
   let name = L.name
 
-  let make_node key l r =
-    Node
-      {
-        key;
-        left = l;
-        right = r;
-        state = 0;
-        w0 = L.fresh l;
-        w1 = L.fresh r;
-      }
-
   let create () =
-    let root = make_node Dstruct.Ordered_set.min_key Nil Nil in
-    let grace = Reclaim.create ?on_free:L.on_free () in
+    let root = L.node Dstruct.Ordered_set.min_key Nil Nil in
+    let grace = Reclaim.create () in
     { root; grace; labels = L.create root grace }
 
   let set_child n d ~was v = F.link n (match d with L -> 1 | R -> 2) ~was v
@@ -167,8 +172,8 @@ module Make (L : LABELING) = struct
      empty slot follows from it. *)
   let rec seek key n =
     match step n (if key < key_of n then L else R) with
-    | Node m as c when m.key <> key -> seek key c
-    | Node _ as c -> c
+    | (Node { key = k; _ } | Timed { key = k; _ }) as c ->
+      if k <> key then seek key c else c
     | Nil | Version _ -> n
 
   let find root key =
@@ -181,10 +186,10 @@ module Make (L : LABELING) = struct
      [Nil] where [key] would be attached.  Only [delete] needs [prev]. *)
   let rec walk key prev d n =
     match n with
-    | Node m when m.key <> key ->
-      let d' = if key < m.key then L else R in
+    | (Node { key = k; _ } | Timed { key = k; _ }) when k <> key ->
+      let d' = if key < k then L else R in
       walk key n d' (step n d')
-    | Node _ | Nil | Version _ -> (prev, d, n)
+    | Node _ | Timed _ | Nil | Version _ -> (prev, d, n)
 
   let find_edge root key =
     Hwts_trace.Span.enter Hwts_trace.Traverse;
@@ -207,17 +212,28 @@ module Make (L : LABELING) = struct
   let holds t n key = n != t.root && key_of n = key
   let contains t key = holds t (traverse t find key) key
 
+  (* Label the death of [n] ([Nil] for none), held locked, and mark it,
+     inside the labeled section that unlinks it.  The mark follows
+     [L.dies]: under EBR-RQ a snapshot walk skips a marked node, and by
+     then [L.dies] has retired it into limbo, where the snapshot finds
+     it if it holds its key at the snapshot's label. *)
+  let dies t n ts =
+    if n != Nil then begin
+      L.dies t.labels n ts;
+      mark n
+    end
+
   (* One labeled write by the holder of [n]'s lock of the link toward [d],
      which it read as [was], linking the fresh [born] or unlinking [dies]
      ([Nil] for none): the stamp is taken before the raw link (the commit
      point unlocked traversals observe), so once a traversal can see the
      change, every later snapshot label covers it.  [born] is labeled
      before it is reachable. *)
-  let write t n d ~was v ~born ~dies =
+  let write t n d ~was v ~born ~dies:gone =
     let link = L.prepare n d v in
     let ts = L.enter t.labels in
     L.born born ts;
-    L.dies t.labels dies ts;
+    dies t gone ts;
     set_child n d ~was v;
     L.label link ts;
     L.leave t.labels n d link
@@ -249,7 +265,7 @@ module Make (L : LABELING) = struct
         (not (marked prev)) && child prev d == Nil && confirm t prev key
       in
       if valid then begin
-        let node = make_node key Nil Nil in
+        let node = L.node key Nil Nil in
         write t prev d ~was:Nil node ~born:node ~dies:Nil;
         F.unlock prev;
         true
@@ -286,7 +302,6 @@ module Make (L : LABELING) = struct
 
   and splice_out t prev d curr repl =
     write t prev d ~was:curr repl ~born:Nil ~dies:curr;
-    mark curr;
     F.unlock curr;
     F.unlock prev;
     true
@@ -312,7 +327,7 @@ module Make (L : LABELING) = struct
       let succ_right = child succ R in
       let direct = succ_prev == curr in
       let replacement =
-        make_node (key_of succ) l (if direct then succ_right else r)
+        L.node (key_of succ) l (if direct then succ_right else r)
       in
       (* One section labels the delete of [curr], the relocation of
          [succ] and the birth of its replacement with one stamp.  Where
@@ -326,8 +341,8 @@ module Make (L : LABELING) = struct
       let cut = if early then L.prepare succ_prev L succ_right else link in
       let ts = L.enter t.labels in
       L.born replacement ts;
-      L.dies t.labels curr ts;
-      L.dies t.labels succ ts;
+      dies t curr ts;
+      dies t succ ts;
       set_child prev d ~was:curr replacement;
       L.label link ts;
       if early then begin
@@ -338,9 +353,13 @@ module Make (L : LABELING) = struct
         L.settle t.labels succ_prev L cut
       end;
       L.leave t.labels prev d link;
-      mark curr;
-      mark succ;
       if not direct then begin
+        (* fault injection: labeled and marked, the successor still
+           linked under [succ_prev], where walks meet it.  [prev] stays
+           locked until it is unlinked: the replacement, and with it the
+           successor's key, cannot be deleted while a find can still
+           reach the successor. *)
+        Sync.Pause.point ();
         (* Unlocked traversals may still be en route to the original
            successor through the old links: drain them before unlinking. *)
         Reclaim.wait_until_quiescent t.grace;
@@ -366,10 +385,10 @@ module Make (L : LABELING) = struct
      meets the relocated key twice; the run's sort drops the duplicate. *)
   let rec walk run ts lo hi = function
     | Nil | Version _ -> ()
-    | Node m as n ->
-      if lo < m.key then walk run ts lo hi (L.snap_child n L ts);
-      if m.key >= lo && m.key <= hi && L.visible ts n then Sync.Key_run.push run m.key;
-      if hi > m.key then walk run ts lo hi (L.snap_child n R ts)
+    | (Node { key; _ } | Timed { key; _ }) as n ->
+      if lo < key then walk run ts lo hi (L.snap_child n L ts);
+      if key >= lo && key <= hi && L.visible ts n then Sync.Key_run.push run key;
+      if hi > key then walk run ts lo hi (L.snap_child n R ts)
 
   let collect_into t s ~lo ~hi run =
     let ts = snap_label s in
@@ -393,9 +412,8 @@ module Make (L : LABELING) = struct
   let to_list t =
     let rec walk acc = function
       | Nil | Version _ -> acc
-      | Node n ->
-        let acc = walk acc n.right in
-        walk (n.key :: acc) n.left
+      | (Node { key; left; right; _ } | Timed { key; left; right; _ }) ->
+        walk (key :: walk acc right) left
     in
     walk [] (child t.root R)
 
@@ -414,20 +432,21 @@ module Versions = struct
   type _ t = w node
 
   let version ts v older = Version { ts; v; older }
-  let is_version = function Version _ -> true | Nil | Node _ -> false
+  let is_version = function Version _ -> true | Nil | Node _ | Timed _ -> false
 
   let value = function
     | Version x -> x.v
-    | Nil | Node _ -> invalid_arg "Citrus_core.value: not a version"
+    | Nil | Node _ | Timed _ -> invalid_arg "Citrus_core.value: not a version"
 
   let older = function
     | Version x -> x.older
-    | Nil | Node _ -> invalid_arg "Citrus_core.older: not a version"
+    | Nil | Node _ | Timed _ -> invalid_arg "Citrus_core.older: not a version"
 
   let set_older n older =
     match n with
     | Version x -> x.older <- older
-    | Nil | Node _ -> invalid_arg "Citrus_core.set_older: not a version"
+    | Nil | Node _ | Timed _ ->
+      invalid_arg "Citrus_core.set_older: not a version"
 end
 
 module Cell = Link.Cell (Versions)
@@ -482,15 +501,18 @@ module Heads (R : Hwts_reclaim.Intf.BACKEND) (V : VERSIONS) = struct
 
   let name = V.name
   let reads_heads = V.reads_heads
-  let on_free = None
-  let fresh child = W child
+
+  let node key l r =
+    Node { key; left = l; right = r; state = 0; w0 = W l; w1 = W r }
+
   let field = function L -> 4 | R -> 5
 
   (* the labeled link from [n] toward [d]; [n] is a node *)
   let link n d =
     match (n, d) with
     | Node { w0 = W l; _ }, L | Node { w1 = W l; _ }, R -> l
-    | (Nil | Version _), _ -> invalid_arg "Citrus_core.link: not a node"
+    | (Nil | Version _ | Timed _), _ ->
+      invalid_arg "Citrus_core.link: not a node"
 
   (* Install a pending version of [target] on the link; [label] labels
      it, [leave] settles it. *)
@@ -525,7 +547,7 @@ module Heads (R : Hwts_reclaim.Intf.BACKEND) (V : VERSIONS) = struct
   (* Labeled links and the values they retain, over every node the raw
      links reach from [root]. *)
   let rec stats links values = function
-    | Nil | Version _ -> (links, values)
+    | Nil | Version _ | Timed _ -> (links, values)
     | Node n as node ->
       let values =
         values + Links.chain_of (link node L) + Links.chain_of (link node R)

@@ -1,11 +1,12 @@
 (** Lock-based EBR-RQ port of the Citrus tree (the Figure-4 system).
 
     The tree is the one citrus-vcas and citrus-bundle run; only the
-    labels differ.  Nodes carry insertion and deletion timestamps;
-    deleted nodes are retired into the reclamation backend's limbo lists.
-    A range query advances the timestamp while holding a global
-    readers-writer lock in exclusive mode, then scans the structure {e and}
-    the limbo lists, keeping keys whose [itime <= ts < dtime] window covers
+    labels differ.  A node carries its insertion timestamp; a deleted
+    node is retired, with its deletion timestamp, into the reclamation
+    backend's limbo lists, then marked.  A range query advances the
+    timestamp while holding a global readers-writer lock in exclusive
+    mode, then scans the structure, skipping marked nodes, {e and} the
+    limbo lists, keeping keys whose [itime <= ts < dtime] window covers
     its snapshot.  Updates label nodes while holding the same lock in
     shared mode, which makes "read the timestamp" and "write it into the
     node" atomic with respect to range queries — the coarse-grained
@@ -25,4 +26,15 @@ module Make (R : Hwts_reclaim.Intf.BACKEND) (T : Hwts.Timestamp.S) : sig
 
   val limbo_size : t -> int
   val reclaimed : t -> int
+
+  type limbo
+  (** One slot's limbo list, newest cell first. *)
+
+  val limbo : t -> int -> limbo
+  (** Slot [i]'s list, as a range query's recovery reads it. *)
+
+  val recover : limbo -> int -> lo:int -> hi:int -> Sync.Key_run.t -> unit
+  (** Push the keys in [lo..hi] of the list's cells that hold their key
+      at the label, as a range query's recovery does; a freed cell among
+      them counts a [reclaim.poison_hits]. *)
 end

@@ -200,13 +200,22 @@ struct
   let read_unlock t = Reads.read_unlock t.rcu
   let with_read t f = Reads.with_read t.rcu f
 
-  let retire t node =
+  (* The calling domain's slot, checked to be inside an op section. *)
+  let retiring t =
     let slot = Sync.Slot.my_slot () in
     Debug.check
       (Atomic.get t.announce.(slot) <> 0)
       "Ebr_backend.retire outside an op section";
     Hwts_obs.Counter.incr retired_total;
+    slot
+
+  let retire t node =
+    let slot = retiring t in
     Limbo.push t.limbo slot node ~stamp:(Atomic.get t.global)
+
+  let retire_labeled t node ~label =
+    let slot = retiring t in
+    Limbo.push_labeled t.limbo slot node ~stamp:(Atomic.get t.global) ~label
 
   (* EBR announces per op; boundary announcements add nothing. *)
   let quiesce _ = ()

@@ -60,6 +60,10 @@ module type S = sig
       called inside an op section, after the node is unreachable from
       the structure (modulo limbo recovery). *)
 
+  val retire_labeled : t -> node -> label:int -> unit
+  (** [retire] into a {!Limbo.Labeled} cell that carries [label] for
+      the structure's limbo readers; freeing the cell negates it. *)
+
   val quiesce : t -> unit
   (** Announce a quiescence point: the calling domain holds no reference
       into any structure protected by [t].  Must not be called inside an

@@ -14,8 +14,20 @@
 (* A slot's list, newest entry first.  Only the owner writes [next],
    and only to cut a freed tail off; a reader on another domain that
    races the cut sees the cell's old tail or [Nil], both fine since the
-   cut entries are past their grace period. *)
-type 'a cell = Nil | Cons of { node : 'a; stamp : int; mutable next : 'a cell }
+   cut entries are past their grace period.  A [Labeled] cell also
+   carries a label its retirer gave it (EBR-RQ Citrus: the node's
+   deletion time, which the node itself does not keep).  Freeing the
+   cell negates the label: the poison a reader that raced the cut and
+   still counts the entry checks for. *)
+type 'a cell =
+  | Nil
+  | Cons of { node : 'a; stamp : int; mutable next : 'a cell }
+  | Labeled of {
+      node : 'a;
+      stamp : int;
+      mutable next : 'a cell;
+      mutable label : int;
+    }
 
 type 'a t = {
   lists : 'a cell Atomic.t array; (* owner-mutated, anyone-read *)
@@ -45,20 +57,31 @@ let push t slot node ~stamp =
   let cell = t.lists.(slot) in
   Atomic.set cell (Cons { node; stamp; next = Atomic.get cell })
 
+let push_labeled t slot node ~stamp ~label =
+  Hwts_obs.Counter.incr retired_total;
+  let cell = t.lists.(slot) in
+  Atomic.set cell (Labeled { node; stamp; next = Atomic.get cell; label })
+
 let cells t slot = Atomic.get t.lists.(slot)
 
-let rec length n = function Nil -> n | Cons c -> length (n + 1) c.next
+let rec length n = function
+  | Nil -> n
+  | Cons { next; _ } | Labeled { next; _ } -> length (n + 1) next
 
 (* The last entry of [cells] that is not due under [bound] ([bound -
    stamp > 0], signed, so stamps may wrap), or [last] when none is. *)
 let rec last_live bound last = function
   | Nil -> last
-  | Cons c as cell ->
-    last_live bound (if bound - c.stamp > 0 then last else cell) c.next
+  | (Cons { stamp; next; _ } | Labeled { stamp; next; _ }) as cell ->
+    last_live bound (if bound - stamp > 0 then last else cell) next
 
 let rec free on_free dropped = function
   | Nil -> dropped
   | Cons c ->
+    (match on_free with None -> () | Some f -> f c.node);
+    free on_free (dropped + 1) c.next
+  | Labeled c ->
+    c.label <- -c.label;
     (match on_free with None -> () | Some f -> f c.node);
     free on_free (dropped + 1) c.next
 
@@ -82,6 +105,10 @@ let trim t slot ~bound =
       Atomic.set cell Nil;
       entries
     | Cons c ->
+      let tail = c.next in
+      c.next <- Nil;
+      tail
+    | Labeled c ->
       let tail = c.next in
       c.next <- Nil;
       tail

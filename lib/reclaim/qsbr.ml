@@ -167,11 +167,15 @@ struct
       read_unlock t;
       raise e
 
-  let retire t node =
+  (* The calling domain's slot, checked to be online. *)
+  let retiring t =
+    Debug.check (Domain.DLS.get t.dls).online "Qsbr.retire before any enter";
+    Sync.Slot.my_slot ()
+
+  (* After a push into [slot]'s limbo: a trim every [epoch_frequency]
+     retirements. *)
+  let retired t slot =
     let d = Domain.DLS.get t.dls in
-    Debug.check d.online "Qsbr.retire before any enter";
-    let slot = Sync.Slot.my_slot () in
-    Limbo.push t.limbo slot node ~stamp:(O.retire_stamp t.order);
     d.since_trim <- d.since_trim + 1;
     if d.since_trim >= t.epoch_frequency then begin
       d.since_trim <- 0;
@@ -179,6 +183,17 @@ struct
       trim t slot;
       Hwts_trace.Span.exit Hwts_trace.Reclaim
     end
+
+  let retire t node =
+    let slot = retiring t in
+    Limbo.push t.limbo slot node ~stamp:(O.retire_stamp t.order);
+    retired t slot
+
+  let retire_labeled t node ~label =
+    let slot = retiring t in
+    Limbo.push_labeled t.limbo slot node ~stamp:(O.retire_stamp t.order)
+      ~label;
+    retired t slot
 
   let quiesce t =
     let d = Domain.DLS.get t.dls in

@@ -198,7 +198,8 @@ let near_wrap () =
 let limbo_nodes limbo_cells =
   let rec nodes acc = function
     | Reclaim.Limbo.Nil -> acc
-    | Reclaim.Limbo.Cons c -> nodes (c.node :: acc) c.next
+    | Reclaim.Limbo.(Cons { node; next; _ } | Labeled { node; next; _ }) ->
+      nodes (node :: acc) next
   in
   List.concat_map
     (fun slot -> nodes [] (limbo_cells slot))
@@ -215,6 +216,28 @@ let retire_visible (module B : Reclaim.Intf.BACKEND) () =
   Alcotest.(check (list int)) "limbo contents" [ 11; 22 ]
     (List.sort compare seen);
   Alcotest.(check int) "size" 2 (R.limbo_size r);
+  R.offline r
+
+(* A labeled retirement's cell carries its label; the free negates it,
+   on a cell a reader kept from before the trim cut it off. *)
+let labeled_cell_poisoned (module B : Reclaim.Intf.BACKEND) () =
+  let module R = B.Make (Cell) in
+  let r = R.create ~epoch_frequency:1 () in
+  R.with_op r (fun () -> R.retire_labeled r (cell 7) ~label:42);
+  let kept = R.limbo_cells r (Sync.Slot.my_slot ()) in
+  let label () =
+    match kept with
+    | Reclaim.Limbo.Labeled c -> c.label
+    | Reclaim.Limbo.(Nil | Cons _) -> Alcotest.fail "no labeled cell"
+  in
+  Alcotest.(check int) "label while in limbo" 42 (label ());
+  drain R.name ~rounds:10
+    (fun () -> R.reclaimed r = 1)
+    (fun () ->
+      R.with_op r (fun () -> ());
+      R.quiesce r);
+  Alcotest.(check int) "reclaimed" 1 (R.reclaimed r);
+  Alcotest.(check int) "label once freed" (-42) (label ());
   R.offline r
 
 (* Alone, a domain passing op sections and quiescence points frees what
@@ -681,6 +704,7 @@ let () =
            [
              tc "retire visible" `Quick (retire_visible b);
              tc "trim reclaims" `Quick (trim_reclaims b);
+             tc "labeled cell poisoned" `Quick (labeled_cell_poisoned b);
              tc "stale thread blocks" `Slow (stale_thread_blocks b);
              tc "active op protects" `Slow (active_op_protects b);
              tc "read nesting" `Slow (read_nesting b);

@@ -1512,7 +1512,7 @@ let layout_cases =
       fun () -> words_per_key Kv.create (fun t k -> Kv.add t k k) );
     ("citrus-vcas", 7., fun () -> words_per_key Cv.create Cv.insert);
     ("citrus-bundle", 7., fun () -> words_per_key Cb.create Cb.insert);
-    ("citrus-ebrrq", 7., fun () -> words_per_key Ce.create Ce.insert);
+    ("citrus-ebrrq", 6., fun () -> words_per_key Ce.create Ce.insert);
     ("skiplist-vcas", 5.6, fun () -> words_per_key Sv.create Sv.insert);
     ("skiplist-bundle", 7.1, fun () -> words_per_key Sb.create Sb.insert);
     ("lazylist-bundle", 5., fun () -> words_per_key Lb.create Lb.insert);
@@ -1881,6 +1881,250 @@ let collect_path_cases =
       (ebrrq_stale_helper `Spliced);
   ]
 
+(* ---------- citrus-ebrrq: marks, limbo and the grace window ---------- *)
+
+(* [f ()] on a fresh domain, and a flag raised once it returns. *)
+let spawn_flagged f =
+  let finished = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        Sync.Slot.with_slot (fun _ ->
+            Fun.protect ~finally:(fun () -> Atomic.set finished true) f))
+  in
+  (finished, d)
+
+(* Wait until the domain of [spawn_flagged] returns or [until ()] holds,
+   publishing this domain's QSBR safe points meanwhile: a grace wait on
+   the other domain waits for them.  It does not pass a pause point, so
+   it cannot take a park meant for the other domain. *)
+let await ?(until = fun () -> false) (finished, _) =
+  while not (Atomic.get finished || until ()) do
+    Sync.Quiesce.poke ();
+    Domain.cpu_relax ()
+  done
+
+let join_flagged ((_, d) as job) =
+  await job;
+  Domain.join d
+
+(* A citrus-ebrrq tree in which the delete of 50 relocates 60: 70 is the
+   successor's parent, and 65 its right child. *)
+let relocation_tree (type a) (module S : Dstruct.Ordered_set.RQ with type t = a)
+    : a =
+  let t = S.create () in
+  List.iter (fun k -> ignore (S.insert t k)) [ 50; 30; 70; 60; 80; 65 ];
+  t
+
+let count k l = List.length (List.filter (( = ) k) l)
+
+(* The delete of 50 is parked at each pause point in turn until it stops
+   between its labeled section and its grace wait: the replacement of
+   60 has taken 50's place, and the successor, dead and marked, is still
+   linked under 70.  Another domain then deletes 60, the replacement's
+   key: it needs the locks the parked delete holds, so it completes only
+   once that delete does.  A snapshot taken while the delete is parked
+   holds 60 once; one taken after both deletes does not hold it, and the
+   marked successor, which walks could reach until it was unlinked,
+   does not bring it back. *)
+let citrus_parked_relocation (module S : Dstruct.Ordered_set.RQ) () =
+  let reached = ref false and point = ref 1 in
+  while not !reached do
+    let t = relocation_tree (module S) in
+    Sync.Pause.park_at !point;
+    let first =
+      spawn_flagged (fun () ->
+          let r = S.delete t 50 in
+          S.offline t;
+          r)
+    in
+    await ~until:Sync.Pause.parked first;
+    if not (Sync.Pause.parked ()) then begin
+      Sync.Pause.disable ();
+      Alcotest.failf "the delete of 50 passed %d points without a grace window"
+        (!point - 1)
+    end;
+    if count 60 (S.to_list t) = 2 then begin
+      reached := true;
+      let second =
+        spawn_flagged (fun () ->
+            let r = S.delete t 60 in
+            S.offline t;
+            r)
+      in
+      let during = S.snapshot t in
+      let got = S.collect_at t during ~lo:0 ~hi:100
+      and hit = S.lookup_at t during 60 in
+      Sync.Pause.unpark ();
+      Alcotest.(check bool) "delete 50" true (join_flagged first);
+      Alcotest.(check bool) "delete 60" true (join_flagged second);
+      let after = S.snapshot t in
+      check_answer "snapshot in the grace window" [| 30; 60; 65; 70; 80 |] got;
+      Alcotest.(check bool) "60 at that snapshot" true hit;
+      check_answer "snapshot after both deletes" [| 30; 65; 70; 80 |]
+        (S.collect_at t after ~lo:0 ~hi:100);
+      Alcotest.(check bool) "60 at it" false (S.lookup_at t after 60);
+      check_answer "the grace-window snapshot, from limbo"
+        [| 30; 60; 65; 70; 80 |]
+        (S.collect_at t during ~lo:0 ~hi:100);
+      Alcotest.(check (list int)) "current tree" [ 30; 65; 70; 80 ]
+        (S.to_list t);
+      S.snap_release t during;
+      S.snap_release t after
+    end
+    else begin
+      Sync.Pause.unpark ();
+      Alcotest.(check bool) "delete 50" true (join_flagged first)
+    end;
+    incr point
+  done
+
+(* A scan at a snapshot taken before a delete must return the deleted
+   key, whenever it runs.  First, the delete of [victim] is parked at
+   each of its pause points in turn, and the scan runs while it is
+   parked: a node marked there must already be in limbo, since the walk
+   skips it.  Then a scan is parked as its walk reaches 30, the first
+   key, holding 50; the delete of 50 labels, marks and retires 50 and
+   60, replaces 50, and waits in its grace wait for the scan.  The scan
+   resumes through 50 and the marked successor, skips both, and finds
+   them in limbo. *)
+let citrus_scan_beside_delete (module S : Dstruct.Ordered_set.RQ) victim () =
+  let all = [| 30; 50; 60; 65; 70; 80 |] in
+  let point = ref 1 and more = ref true in
+  while !more do
+    let t = relocation_tree (module S) in
+    let s = S.snapshot t in
+    Sync.Pause.park_at !point;
+    let job =
+      spawn_flagged (fun () ->
+          let r = S.delete t victim in
+          S.offline t;
+          r)
+    in
+    await ~until:Sync.Pause.parked job;
+    let at = Printf.sprintf " (delete of %d parked at point %d)" victim !point in
+    if Sync.Pause.parked () then begin
+      let got = S.collect_at t s ~lo:0 ~hi:100
+      and hit = S.lookup_at t s victim in
+      Sync.Pause.unpark ();
+      Alcotest.(check bool) ("delete" ^ at) true (join_flagged job);
+      check_answer ("scan" ^ at) all got;
+      Alcotest.(check bool) ("lookup" ^ at) true hit
+    end
+    else begin
+      Sync.Pause.disable ();
+      more := false;
+      Alcotest.(check bool) "delete" true (join_flagged job)
+    end;
+    check_answer ("scan after the delete" ^ at) all
+      (S.collect_at t s ~lo:0 ~hi:100);
+    S.snap_release t s;
+    incr point
+  done;
+  (* the section's lock, and one [dies] per node that dies *)
+  let least = if victim = 50 then 3 else 2 in
+  Alcotest.(check bool)
+    (Printf.sprintf "the delete passed %d points, at least %d" (!point - 2)
+       least)
+    true
+    (!point - 2 >= least);
+  let t = relocation_tree (module S) in
+  let taken = Atomic.make false and go = Atomic.make false in
+  let scan =
+    spawn_flagged (fun () ->
+        let s = S.snapshot t in
+        Atomic.set taken true;
+        while not (Atomic.get go) do
+          Domain.cpu_relax ()
+        done;
+        let got = S.collect_at t s ~lo:0 ~hi:100 in
+        S.snap_release t s;
+        S.offline t;
+        got)
+  in
+  while not (Atomic.get taken) do
+    Domain.cpu_relax ()
+  done;
+  Sync.Pause.park_at 1;
+  Atomic.set go true;
+  await ~until:Sync.Pause.parked scan;
+  let delete =
+    spawn_flagged (fun () ->
+        let r = S.delete t 50 in
+        S.offline t;
+        r)
+  in
+  await ~until:(fun () -> count 60 (S.to_list t) = 2) delete;
+  Sync.Pause.unpark ();
+  check_answer "scan parked mid-walk" all (join_flagged scan);
+  Alcotest.(check bool) "delete 50" true (join_flagged delete);
+  Alcotest.(check (list int)) "current tree" [ 30; 60; 65; 70; 80 ]
+    (S.to_list t)
+
+(* A reader that races a limbo trim may still hold a freed cell.  The
+   free negates the cell's label, and recovery that counts such a cell
+   counts a [reclaim.poison_hits].  Here a list head is kept from before
+   the delete's cell, the slot's oldest, was freed, and recovery walks
+   it at a label the cell covers, before and after the free. *)
+let citrus_freed_cell_poisons () =
+  let module LC = Hwts.Timestamp.Logical () in
+  let module Ce = Rangequery.Citrus_ebrrq.Make (Hwts_reclaim.Ebr_backend) (LC) in
+  let t = Ce.create () in
+  List.iter (fun k -> ignore (Ce.insert t k)) [ 10; 20; 30 ];
+  let s = Ce.snapshot t in
+  let label = Ce.snap_label s in
+  Ce.snap_release t s;
+  ignore (Ce.delete t 20);
+  let held = Ce.limbo t (Sync.Slot.my_slot ()) in
+  let poison () =
+    Option.value ~default:0
+      (Hwts_obs.Registry.counter_value "reclaim.poison_hits")
+  in
+  let recovered () =
+    let run = Sync.Key_run.make ~lo:0 ~hi:100 in
+    Ce.recover held label ~lo:0 ~hi:100 run;
+    Sync.Key_run.to_array run
+  in
+  let hits = poison () in
+  Alcotest.(check (array int)) "counted while live" [| 20 |] (recovered ());
+  Alcotest.(check int) "no poison while live" hits (poison ());
+  let deadline = Unix.gettimeofday () +. 2. in
+  while Ce.reclaimed t = 0 && Unix.gettimeofday () < deadline do
+    for i = 1 to 256 do
+      ignore (Ce.insert t (1_000 + i));
+      ignore (Ce.delete t (1_000 + i))
+    done
+  done;
+  Alcotest.(check bool) "freed by the churn" true (Ce.reclaimed t > 0);
+  Alcotest.(check (array int)) "counted once freed" [| 20 |] (recovered ());
+  Alcotest.(check int) "one poison hit" (hits + 1) (poison ())
+
+let citrus_limbo_cases =
+  List.concat_map
+    (fun (reclaim : Workload.Targets.reclaim) ->
+      let module LC = Hwts.Timestamp.Logical () in
+      let module R = (val Workload.Targets.backend_of reclaim) in
+      let module S = Rangequery.Citrus_ebrrq.Make (R) (LC) in
+      let name = Workload.Targets.reclaim_name reclaim in
+      [
+        Alcotest.test_case
+          ("citrus-ebrrq relocation parked before its grace wait/" ^ name)
+          `Quick
+          (citrus_parked_relocation (module S));
+        Alcotest.test_case
+          ("citrus-ebrrq scan beside a relocation/" ^ name)
+          `Quick
+          (citrus_scan_beside_delete (module S) 50);
+        Alcotest.test_case
+          ("citrus-ebrrq scan beside a splice/" ^ name)
+          `Quick
+          (citrus_scan_beside_delete (module S) 30);
+      ])
+    [ `Ebr; `Qsbr; `Qsbr_tsc ]
+  @ [
+      Alcotest.test_case "citrus-ebrrq freed cell counted is poison" `Quick
+        citrus_freed_cell_poisons;
+    ]
+
 let () =
   Alcotest.run "rq-units"
     [
@@ -1949,7 +2193,8 @@ let () =
         [
           Alcotest.test_case "citrus-ebrrq relocated key under a snapshot"
             `Quick citrus_limbo_keeps_relocated;
-        ] );
+        ]
+        @ citrus_limbo_cases );
       ( "reserved keys",
         [ Alcotest.test_case "sentinels absent" `Quick sentinels_absent ] );
       ( "observability",

@@ -261,7 +261,9 @@ let scaling =
 
 (* Wherever pipeline depth reaches 4, the coalesced arm must acquire
    strictly fewer snapshots per range than the per-RQ arm (1 by
-   construction) without giving up throughput beyond a noise floor. *)
+   construction) without giving up throughput beyond a noise floor, and
+   the run's own summary must say coalescing won ([coalesce_wins]: fewer
+   acquires everywhere and a best-of throughput ratio of at least 0.9). *)
 let serve =
   let arm b = point @ [ ("coalesce", J.Bool b) ] in
   {
@@ -270,6 +272,7 @@ let serve =
       sweep_meta
       @ [
           Some_lines summary;
+          Holds (summary, [ "coalesce_wins" ]);
           Some_lines point;
           Fields
             ( point,

@@ -25,8 +25,8 @@
    only at an int (the state word) or an [N.t] (a link), so a field can
    only be given a value of its own type; a versioned link is written
    through {!Link}.  The caller names each field by its index in the
-   node record.  A skip list tower is a plain [N.t array]; an array is a
-   block too, so the same stub writes its slots. *)
+   node's block: a lazy skip-list node keeps its raw links above level 0
+   in slots after its record fields, and [link] writes them too. *)
 
 let locked = 1
 let marked = 2
@@ -45,10 +45,6 @@ module Make (N : NODE) = struct
   [@@noalloc]
 
   external cas_link : N.t -> int -> N.t -> N.t -> bool = "hwts_cas_field"
-  [@@noalloc]
-
-  external cas_slot : N.t array -> int -> N.t -> N.t -> bool
-    = "hwts_cas_field"
   [@@noalloc]
 
   let try_lock n =
@@ -76,9 +72,5 @@ module Make (N : NODE) = struct
 
   let link n field ~was v =
     let unchanged = cas_link n field was v in
-    assert unchanged
-
-  let link_slot tower level ~was v =
-    let unchanged = cas_slot tower level was v in
     assert unchanged
 end

@@ -48,8 +48,4 @@ module Make (N : NODE) : sig
   val link : N.t -> int -> was:N.t -> N.t -> unit
   (** [link n field ~was v]: the holder of [n]'s lock replaces the link
       at [field], which it read as [was], with [v]. *)
-
-  val link_slot : N.t array -> int -> was:N.t -> N.t -> unit
-  (** [link] for a slot of a tower array, written by the holder of its
-      node's lock. *)
 end

@@ -14,19 +14,24 @@ end
 module Make (S : SHAPE) (T : Hwts.Timestamp.S) = struct
   let max_level = S.max_level
 
-  (* A node is one block.  A [Node] has level 0: its only raw link is
-     [next], so a raw step is one load of it, and it is fully linked as
-     soon as it is linked.  A [Tall] node keeps its raw links at levels
-     1..top in [tower] (index l-1) and is fully linked once its inserter
-     sets the [fully_linked] bit of its state word.  The two share their
-     first four fields: [next] (field 1) and [state] (2: the lock bit,
-     [marked], and [Tall]'s [fully_linked]) are written only through
-     {!Field_lock}, [b] (3) only through {!Link}, so the field order
-     matters; so are the tower's slots, once the node is linked.  [b] is
-     the bundled level-0 link: the successor itself once no snapshot can
-     need its history, else a [Version], the head of its bundle
-     ({!Link}).  The list ends in the immediate [Nil] at every level.  No
-     raw link and no version's value is a [Version]. *)
+  (* A node is one block: [key] (field 0), [next] (1), [state] (2) and
+     [b] (3), then its raw links at levels 1..top, the level-l one at
+     field [3 + l].  A node of level 0 is the record alone; its only raw
+     link is [next], so a raw step is one load of it.  [state] holds the
+     lock bit, [marked] and [fully_linked]: a level-0 node is created
+     fully linked, a taller one is fully linked once its inserter sets
+     the bit.  [next], [state] and the slots are written only through
+     {!Field_lock}, [b] only through {!Link}, so the field order matters.
+     [b] is the bundled level-0 link: the successor itself once no
+     snapshot can need its history, else a [Version], the head of its
+     bundle ({!Link}).  The list ends in the immediate [Nil] at every
+     level.  No raw link and no version's value is a [Version].
+
+     The record type names fields 0-3 only.  [Obj] appears in [alloc],
+     which builds a taller block, and in the two externals below, which
+     read its size and its slots ({!Field_lock}'s CAS, typed at [node],
+     writes them); every slot holds a node or [Nil] from allocation on
+     (DESIGN.md, "One lazy skip list"). *)
   type node =
     | Nil
     | Node of {
@@ -35,70 +40,85 @@ module Make (S : SHAPE) (T : Hwts.Timestamp.S) = struct
         mutable state : int;
         mutable b : node;
       }
-    | Tall of {
-        key : int;
-        mutable next : node;
-        mutable state : int;
-        mutable b : node;
-        tower : node array;
-      }
     | Version of { mutable ts : int; v : node; mutable older : node }
+
+  external words : node -> int = "%obj_size"
+  external field : node -> int -> node = "%obj_field"
+
+  (* Fields before the first slot. *)
+  let prefix = 4
+
+  let node_tag =
+    Obj.tag (Obj.repr (Node { key = 0; next = Nil; state = 0; b = Nil }))
+
+  (* A node of [top] levels whose slots hold [succs.(1..top)]. *)
+  let alloc key next state b succs top =
+    if top = 0 then Node { key; next; state; b }
+    else begin
+      let n = Obj.new_block node_tag (prefix + top) in
+      Obj.set_field n 0 (Obj.repr key);
+      Obj.set_field n 1 (Obj.repr next);
+      Obj.set_field n 2 (Obj.repr state);
+      Obj.set_field n 3 (Obj.repr b);
+      for level = 1 to top do
+        Obj.set_field n (prefix - 1 + level) (Obj.repr succs.(level))
+      done;
+      (Obj.obj n : node)
+    end
 
   let not_a_node what = invalid_arg ("Lazy_core." ^ what ^ ": not a node")
 
   let[@inline] key_of = function
-    | Node { key; _ } | Tall { key; _ } -> key
+    | Node { key; _ } -> key
     | Nil -> max_int
     | Version _ -> not_a_node "key_of"
 
   let[@inline] next_of = function
-    | Node { next; _ } | Tall { next; _ } -> next
+    | Node { next; _ } -> next
     | Nil | Version _ -> not_a_node "next_of"
 
   let[@inline] b_of = function
-    | Node { b; _ } | Tall { b; _ } -> b
+    | Node { b; _ } -> b
     | Nil | Version _ -> not_a_node "b_of"
 
   let[@inline] state = function
-    | Node { state; _ } | Tall { state; _ } -> state
+    | Node { state; _ } -> state
     | Nil | Version _ -> 0
 
   let[@inline] marked n = Field_lock.has Field_lock.marked (state n)
 
   let[@inline] fully_linked = function
-    | Tall { state; _ } -> Field_lock.has Field_lock.fully_linked state
-    | Nil | Node _ | Version _ -> true
-
-  let[@inline] tower_of = function
-    | Tall { tower; _ } -> tower
-    | Nil | Node _ | Version _ -> not_a_node "tower_of"
+    | Node { state; _ } -> Field_lock.has Field_lock.fully_linked state
+    | Nil | Version _ -> true
 
   let top_level = function
-    | Tall { tower; _ } -> Array.length tower
-    | Nil | Node _ | Version _ -> 0
+    | Node _ as n -> words n - prefix
+    | Nil | Version _ -> 0
 
-  (* The raw link of [n] at [level] >= 1, and at any level. *)
-  let[@inline] slot n level = (tower_of n).(level - 1)
+  (* The field of the raw link at [level] >= 1, and that link: [n] is a
+     node linked at [level], so its block has the slot. *)
+  let[@inline] slot_field level = prefix - 1 + level
+  let[@inline] slot n level = field n (slot_field level)
   let link_at n level = if level = 0 then next_of n else slot n level
 
   module Versions = struct
     type _ t = node
 
     let version ts v older = Version { ts; v; older }
-    let is_version = function Version _ -> true | Nil | Node _ | Tall _ -> false
+    let is_version = function Version _ -> true | Nil | Node _ -> false
 
     let value = function
       | Version x -> x.v
-      | Nil | Node _ | Tall _ -> invalid_arg "Lazy_core.value: not a version"
+      | Nil | Node _ -> invalid_arg "Lazy_core.value: not a version"
 
     let older = function
       | Version x -> x.older
-      | Nil | Node _ | Tall _ -> invalid_arg "Lazy_core.older: not a version"
+      | Nil | Node _ -> invalid_arg "Lazy_core.older: not a version"
 
     let set_older n older =
       match n with
       | Version x -> x.older <- older
-      | Nil | Node _ | Tall _ ->
+      | Nil | Node _ ->
         invalid_arg "Lazy_core.set_older: not a version"
   end
 
@@ -121,17 +141,9 @@ module Make (S : SHAPE) (T : Hwts.Timestamp.S) = struct
   let create () =
     let key = Dstruct.Ordered_set.min_key in
     let head =
-      if max_level = 0 then
-        Node { key; next = Nil; state = 0; b = Nil }
-      else
-        Tall
-          {
-            key;
-            next = Nil;
-            state = Field_lock.fully_linked;
-            b = Nil;
-            tower = Array.make max_level Nil;
-          }
+      alloc key Nil Field_lock.fully_linked Nil
+        (Array.make (max_level + 1) Nil)
+        max_level
     in
     { head; registry = Rq_registry.create () }
 
@@ -151,7 +163,7 @@ module Make (S : SHAPE) (T : Hwts.Timestamp.S) = struct
 
   (* The walks are module-level recursions with explicit arguments: a
      nested [let rec] would allocate a closure on every call.  Level 0
-     is walked through [next], the levels above through the towers. *)
+     is walked through [next], the levels above through the slots. *)
 
   (* The last level-0 node from [pred] whose key is below [key], and its
      successor [curr], stored at level 0.  A step loads [curr]'s key and
@@ -159,7 +171,7 @@ module Make (S : SHAPE) (T : Hwts.Timestamp.S) = struct
      successor it no longer links to. *)
   let rec find0 key preds succs pred curr =
     match curr with
-    | (Node { key = k; next; _ } | Tall { key = k; next; _ }) when k < key ->
+    | Node { key = k; next; _ } when k < key ->
       find0 key preds succs curr next
     | _ ->
       preds.(0) <- pred;
@@ -168,7 +180,7 @@ module Make (S : SHAPE) (T : Hwts.Timestamp.S) = struct
   (* The first level-0 node from [n] whose key is at least [key]. *)
   let rec first0 key n =
     match n with
-    | (Node { key = k; next; _ } | Tall { key = k; next; _ }) when k < key ->
+    | Node { key = k; next; _ } when k < key ->
       first0 key next
     | _ -> n
 
@@ -205,9 +217,9 @@ module Make (S : SHAPE) (T : Hwts.Timestamp.S) = struct
     !lfound
 
   (* An insert labels its bundles before it sets [fully_linked], so a
-     snapshot may already hold a linked [Tall] node that is not yet fully
-     linked.  Point ops wait for such a node instead of calling it
-     absent, as [insert] does (and as the lazy skip list does). *)
+     snapshot may already hold a linked node above level 0 that is not
+     yet fully linked.  Point ops wait for such a node instead of calling
+     it absent, as [insert] does (and as the lazy skip list does). *)
   let await_linked n =
     while not (fully_linked n) do
       Tsc.cpu_relax ()
@@ -275,19 +287,8 @@ module Make (S : SHAPE) (T : Hwts.Timestamp.S) = struct
   let link_new t key preds succs top =
     let pred = preds.(0) and succ = succs.(0) in
     let own = L.pending succ in
-    let node =
-      if top = 0 then
-        Node { key; next = succ; state = 0; b = own }
-      else
-        Tall
-          {
-            key;
-            next = succ;
-            state = 0;
-            b = own;
-            tower = Array.sub succs 1 top;
-          }
-    in
+    let state = if top = 0 then Field_lock.fully_linked else 0 in
+    let node = alloc key succ state own succs top in
     let link = prepare pred node in
     (* the timestamp must exist before the node becomes raw-visible: a
        clock read that happens after any traversal can observe the insert
@@ -301,12 +302,12 @@ module Make (S : SHAPE) (T : Hwts.Timestamp.S) = struct
     L.settle t.registry node 3 own;
     F.link pred 1 ~was:succ node;
     for level = 1 to top do
-      F.link_slot (tower_of preds.(level)) (level - 1) ~was:succs.(level) node
+      F.link preds.(level) (slot_field level) ~was:succs.(level) node
     done;
     W.label link ts;
     L.settle t.registry pred 3 link;
-    (* fault injection: labeled and linked; a [Tall] node is not yet
-       fully linked, so point ops must wait, not answer "absent" *)
+    (* fault injection: labeled and linked; a node above level 0 is not
+       yet fully linked, so point ops must wait, not answer "absent" *)
     Sync.Pause.point ();
     if top > 0 then F.set node Field_lock.fully_linked
 
@@ -349,7 +350,7 @@ module Make (S : SHAPE) (T : Hwts.Timestamp.S) = struct
     let ts = T.advance () in
     F.set v Field_lock.marked;
     for level = top downto 1 do
-      F.link_slot (tower_of preds.(level)) (level - 1) ~was:v (slot v level)
+      F.link preds.(level) (slot_field level) ~was:v (slot v level)
     done;
     F.link pred 1 ~was:v after;
     W.label link ts;
@@ -423,7 +424,7 @@ module Make (S : SHAPE) (T : Hwts.Timestamp.S) = struct
 
   let rec collect_from run ts lo hi n =
     match next_at n ts with
-    | (Node { key = k; _ } | Tall { key = k; _ }) as m when k <= hi ->
+    | Node { key = k; _ } as m when k <= hi ->
       if k >= lo then Sync.Key_run.push run k;
       collect_from run ts lo hi m
     | _ -> ()
@@ -450,7 +451,7 @@ module Make (S : SHAPE) (T : Hwts.Timestamp.S) = struct
      bundled successor chain at [ts]. *)
   let rec member_from ts key n =
     match next_at n ts with
-    | (Node { key = k; _ } | Tall { key = k; _ }) as m when k <= key ->
+    | Node { key = k; _ } as m when k <= key ->
       k = key || member_from ts key m
     | _ -> false
 
@@ -464,7 +465,7 @@ module Make (S : SHAPE) (T : Hwts.Timestamp.S) = struct
 
   let to_list t =
     let rec walk acc = function
-      | (Node { key; next; _ } | Tall { key; next; _ }) as n ->
+      | Node { key; next; _ } as n ->
         walk (if marked n || not (fully_linked n) then acc else key :: acc) next
       | Nil | Version _ -> List.rev acc
     in
@@ -472,11 +473,27 @@ module Make (S : SHAPE) (T : Hwts.Timestamp.S) = struct
 
   let size t = List.length (to_list t)
 
+  (* Each level's raw walk from the head, for tests at quiescence. *)
+  let towers t =
+    let live n =
+      fully_linked n
+      && state n land (Field_lock.marked lor Field_lock.locked) = 0
+    in
+    let rec walk level acc n =
+      match link_at n level with
+      | Node { key; _ } as m ->
+        let seen = { Dstruct.Skip_level.key; words = words m; live = live m } in
+        walk level (seen :: acc) m
+      | Nil -> List.rev acc
+      | Version _ -> not_a_node "towers"
+    in
+    Array.init (max_level + 1) (fun level -> walk level [] t.head)
+
   (* Bundled links and the values they retain, over the head and every
      linked node. *)
   let version_chain_stats t =
     let rec walk links values = function
-      | Node { b; next; _ } | Tall { b; next; _ } ->
+      | Node { b; next; _ } ->
         walk (links + 1) (values + L.chain_of b) next
       | Nil | Version _ -> (links, values)
     in

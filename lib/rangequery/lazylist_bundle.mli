@@ -1,5 +1,5 @@
 (** Bundled-references port of the lazy list: {!Skiplist_bundle}'s lazy
-    skip list with every node at level 0, one 6-word block per key.
+    skip list with every node at level 0, one 5-word block per key.
 
     The paper tested this combination and omitted it from the figures: the
     O(n) traversal dominates, so hardware timestamps bring no speedup.  We

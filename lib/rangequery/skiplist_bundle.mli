@@ -5,9 +5,9 @@
     already hold (fine-grained labeling), so with hardware timestamps the
     atomic-increment bottleneck disappears — but, as Figure 5 shows, the
     benefit surfaces only in update-heavy mixes because read-heavy mixes
-    are bottlenecked by the skip list itself.  A node of level 0 carries
-    no tower.  {!Lazylist_bundle} is the same lazy skip list with every
-    node at level 0. *)
+    are bottlenecked by the skip list itself.  A node is one block, its
+    links above level 0 after its fields.  {!Lazylist_bundle} is the
+    same lazy skip list with every node at level 0. *)
 
 module Make (T : Hwts.Timestamp.S) : sig
   include Dstruct.Ordered_set.RQ
@@ -17,4 +17,8 @@ module Make (T : Hwts.Timestamp.S) : sig
       node: a probe for tests.  A bare link counts as one value. *)
 
   val active_rqs : t -> int
+
+  val towers : t -> Dstruct.Skip_level.seen list array
+  (** Index [l]: the nodes a raw walk of level [l] meets after the head,
+      in order.  A probe for tests, at quiescence. *)
 end

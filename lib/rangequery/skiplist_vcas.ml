@@ -2,22 +2,55 @@ let max_level = Dstruct.Skip_level.max_level
 
 module Core (T : Hwts.Timestamp.S) = struct
   (* Fraser's lock-free skip list with a vCAS level 0.  A [Node] is one
-     block: its level-0 link is the mutable field [next], a {!Link}
-     labeled by helping; [tower] holds its raw links at levels 1..top
-     (index l-1), [[||]] for a node of level 0.  A clean link is the
-     successor node itself.  A marked link (its owner is being deleted)
-     is a [Mark] around the successor, allocated only by a delete, and a
-     [Mark]'s successor is never itself a [Mark].  [next] holds that link
-     bare once no snapshot can need its history, else a [Version] whose
-     value is a node or a [Mark]; no tower slot and no version's value is
-     a [Version].  CASes on either compare what the field holds, so a
-     link can come back to the node it held, and the CAS then succeeds:
-     a clean link equal to the one a thread read is the same state, as
-     with Harris-style marked pointers. *)
+     block: [key] (field 0), its level-0 link [next] (1), a {!Link}
+     labeled by helping, then its raw links at levels 1..top, the
+     level-l one at field [1 + l]; a node of level 0 is the record
+     alone.  A clean link is the successor node itself.  A marked link
+     (its owner is being deleted) is a [Mark] around the successor,
+     allocated only by a delete, and a [Mark]'s successor is never
+     itself a [Mark].  [next] holds that link bare once no snapshot can
+     need its history, else a [Version] whose value is a node or a
+     [Mark]; no slot and no version's value is a [Version].  CASes on
+     either compare what the field holds, so a link can come back to the
+     node it held, and the CAS then succeeds: a clean link equal to the
+     one a thread read is the same state, as with Harris-style marked
+     pointers.
+
+     The record type names fields 0-1 only.  [Obj] appears in [alloc],
+     which builds a taller block, and in the externals below, which read
+     its size and its slots and CAS a slot; every slot holds a node from
+     allocation on (DESIGN.md, "vCAS skip list"). *)
   type node =
-    | Node of { key : int; mutable next : node; tower : node array }
+    | Node of { key : int; mutable next : node }
     | Mark of node
     | Version of { mutable ts : int; v : node; mutable older : node }
+
+  external words : node -> int = "%obj_size"
+  external field : node -> int -> node = "%obj_field"
+
+  (* [L.cas]'s stub, for a slot. *)
+  external cas_field : node -> int -> node -> node -> bool = "hwts_cas_field"
+  [@@noalloc]
+
+  (* Fields before the first slot. *)
+  let prefix = 2
+
+  let node_tag =
+    let rec n = Node { key = 0; next = n } in
+    Obj.tag (Obj.repr n)
+
+  (* A node of [top] levels whose slots hold [succs.(1..top)]. *)
+  let alloc key next succs top =
+    if top = 0 then Node { key; next }
+    else begin
+      let n = Obj.new_block node_tag (prefix + top) in
+      Obj.set_field n 0 (Obj.repr key);
+      Obj.set_field n 1 (Obj.repr next);
+      for level = 1 to top do
+        Obj.set_field n (prefix - 1 + level) (Obj.repr succs.(level))
+      done;
+      (Obj.obj n : node)
+    end
 
   module Versions = struct
     type _ t = node
@@ -43,12 +76,6 @@ module Core (T : Hwts.Timestamp.S) = struct
   module H = Vcas_obj.Helping (T) (Link.Cell (Versions))
   module L = Link.Make (Versions) (H)
 
-  (* A tower is a block; [cas_slot] writes its slots through the same
-     stub as [L.cas] writes [next] (field 1 of [Node]'s block). *)
-  external cas_slot : node array -> int -> node -> node -> bool
-    = "hwts_cas_field"
-  [@@noalloc]
-
   type t = { head : node; tail : node; registry : Rq_registry.t }
 
   let name = "vcas-skiplist(" ^ T.name ^ ")"
@@ -62,29 +89,32 @@ module Core (T : Hwts.Timestamp.S) = struct
     | Node n -> n.next
     | Mark _ | Version _ -> not_a_node "next0"
 
-  let tower = function
-    | Node n -> n.tower
-    | Mark _ | Version _ -> not_a_node "tower"
+  let top_level = function
+    | Node _ as n -> words n - prefix
+    | Mark _ | Version _ -> not_a_node "top_level"
 
   let target = function Mark succ -> succ | link -> link
   let marked = function Mark _ -> true | Node _ | Version _ -> false
 
-  (* The current level-0 link of [n] and the link at tower level [level]. *)
+  (* The current level-0 link of [n]. *)
   let link0 n = L.current (next0 n)
-  let slot n level = (tower n).(level - 1)
+
+  (* The raw link of [n] at [level] >= 1, read and CASed: [n] is linked
+     at [level], so its block has the slot. *)
+  let[@inline] slot n level = field n (prefix - 1 + level)
+
+  let[@inline] cas_slot n level expected v =
+    cas_field n (prefix - 1 + level) expected v
 
   (* The tail ends every level; its link is never read (every walk stops
      at the tail), so it holds the tail itself.  The head's link is bare
      from the start: the head holds at every label. *)
   let create () =
-    let rec tail = Node { key = max_int; next = tail; tower = [||] } in
+    let rec tail = Node { key = max_int; next = tail } in
     let head =
-      Node
-        {
-          key = Dstruct.Ordered_set.min_key;
-          next = tail;
-          tower = Array.make max_level tail;
-        }
+      alloc Dstruct.Ordered_set.min_key tail
+        (Array.make (max_level + 1) tail)
+        max_level
     in
     { head; tail; registry = Rq_registry.create () }
 
@@ -153,7 +183,7 @@ module Core (T : Hwts.Timestamp.S) = struct
     else
       match slot curr level with
       | Mark succ ->
-        if cas_slot (tower pred) (level - 1) curr succ then
+        if cas_slot pred level curr succ then
           find_upper t k preds succs pred level
         else raise_notrace Retry
       | Node _ | Version _ ->
@@ -219,7 +249,7 @@ module Core (T : Hwts.Timestamp.S) = struct
       let succs = sc.succs in
       let top = Dstruct.Skip_level.random () in
       let own = L.pending succs.(0) in
-      let node = Node { key = k; next = own; tower = Array.sub succs 1 top } in
+      let node = alloc k own succs top in
       if not (write t sc.preds.(0) sc.wit0 node) then insert t k
       else begin
         H.publish own;
@@ -230,7 +260,7 @@ module Core (T : Hwts.Timestamp.S) = struct
     end
 
   and link_upper t k node sc level =
-    if level <= Array.length (tower node) then link_level t k node sc level
+    if level <= top_level node then link_level t k node sc level
 
   (* A module-level recursion, not a closure per level. *)
   and link_level t k node sc level =
@@ -238,20 +268,21 @@ module Core (T : Hwts.Timestamp.S) = struct
     if marked cur then ()
     else if
       cur != sc.succs.(level)
-      && not (cas_slot (tower node) (level - 1) cur sc.succs.(level))
+      && not (cas_slot node level cur sc.succs.(level))
     then link_level t k node sc level
-    else if cas_slot (tower sc.preds.(level)) (level - 1) sc.succs.(level) node
+    else if cas_slot sc.preds.(level) level sc.succs.(level) node
     then link_upper t k node sc (level + 1)
     else begin
       ignore (find t k sc);
       if sc.succs.(0) == node then link_level t k node sc level
     end
 
-  (* A delete marks its victim's tower top down, then level 0: the
+  (* A delete marks its victim's slots top down, then level 0: the
      versioned mark is the delete's linearizing write. *)
-  let rec mark_slot tw i =
-    let s = tw.(i) in
-    if (not (marked s)) && not (cas_slot tw i s (Mark s)) then mark_slot tw i
+  let rec mark_slot victim level =
+    let s = slot victim level in
+    if (not (marked s)) && not (cas_slot victim level s (Mark s)) then
+      mark_slot victim level
 
   let rec mark0 t k sc victim =
     let link = next0 victim in
@@ -269,9 +300,8 @@ module Core (T : Hwts.Timestamp.S) = struct
     find t k sc
     &&
     let victim = sc.succs.(0) in
-    let tw = tower victim in
-    for i = Array.length tw - 1 downto 0 do
-      mark_slot tw i
+    for level = top_level victim downto 1 do
+      mark_slot victim level
     done;
     mark0 t k sc victim
 
@@ -384,6 +414,28 @@ module Core (T : Hwts.Timestamp.S) = struct
     walk [] t.head
 
   let size t = List.length (to_list t)
+
+  (* Each level's raw walk from the head, for tests at quiescence: a
+     node is live when none of its links is marked. *)
+  let towers t =
+    let link n level = if level = 0 then link0 n else slot n level in
+    let rec unmarked n level =
+      level < 0 || ((not (marked (link n level))) && unmarked n (level - 1))
+    in
+    let rec walk level acc n =
+      let m = target (link n level) in
+      if m == t.tail then List.rev acc
+      else
+        let seen =
+          {
+            Dstruct.Skip_level.key = key m;
+            words = words m;
+            live = unmarked m (top_level m);
+          }
+        in
+        walk level (seen :: acc) m
+    in
+    Array.init (max_level + 1) (fun level -> walk level [] t.head)
 
   (* Level-0 links and the values they retain, over the head and every
      node linked at level 0.  A version is read without labeling it. *)

@@ -20,4 +20,8 @@ module Make (T : Hwts.Timestamp.S) : sig
   val version_chain_stats : t -> int * int
   (** Level-0 links and the values they retain, over the head and every
       linked node (a bare link retains one). *)
+
+  val towers : t -> Dstruct.Skip_level.seen list array
+  (** Index [l]: the nodes a raw walk of level [l] meets after the head,
+      in order.  A probe for tests, at quiescence. *)
 end

@@ -78,6 +78,7 @@ struct
     mutable online : bool;
     mutable nesting : int; (* read-section depth; domain-local *)
     mutable since_trim : int;
+    mutable hooked : bool; (* [depart] waits for this slot's release *)
   }
 
   type t = {
@@ -101,7 +102,7 @@ struct
       waiters = Atomic.make 0;
       dls =
         Domain.DLS.new_key (fun () ->
-            { online = false; nesting = 0; since_trim = 0 });
+            { online = false; nesting = 0; since_trim = 0; hooked = false });
     }
 
   let trim t slot =
@@ -109,10 +110,43 @@ struct
       (Limbo.trim t.limbo slot
          ~bound:(O.free_bound t.order ~announce:t.announce))
 
+  (* The domain leaves [slot]'s announcement: grace waiters watching
+     the slot stop waiting on it. *)
+  let leave d ~announce ~safe =
+    d.online <- false;
+    Sync.Quiesce.clear ();
+    Hwts_obs.Counter.incr announce_stores;
+    Atomic.set announce offline_stamp;
+    Atomic.incr safe
+
+  let offline t =
+    let d = Domain.DLS.get t.dls in
+    if d.online then begin
+      Debug.check (d.nesting = 0) "Qsbr.offline inside a read section";
+      let slot = Sync.Slot.my_slot () in
+      leave d ~announce:t.announce.(slot) ~safe:t.safe.(slot);
+      O.after_publish t.order ~announce:t.announce;
+      (* own limbo may be freeable now that this domain left the min *)
+      trim t slot
+    end
+
+  (* The domain releases its slot: whatever section it was in is over,
+     and it goes offline while the slot is still its own.  The hook
+     holds the slot's two cells, not the instance, so it keeps no
+     instance alive; the slot's limbo waits for the next trim of a
+     domain that holds the slot. *)
+  let depart d ~announce ~safe () =
+    d.hooked <- false;
+    d.nesting <- 0;
+    if d.online then leave d ~announce ~safe
+
   (* First touch brings the domain online: publish a quiescence stamp
      (its ops all start after this point) and install the safe-point
      hook for contended waits.  The hook closure captures this domain's
-     slot and state; [Sync.Slot] pins both for the domain's lifetime. *)
+     slot and state; [Sync.Slot] pins both for the domain's lifetime.
+     It also asks the slot to run [depart] on release, so a domain that
+     leaves its slot while online (a raise out of [with_slot]) stalls no
+     grace wait, and the slot's next owner inherits no stale stamp. *)
   let online t d =
     let slot = Sync.Slot.my_slot () in
     d.online <- true;
@@ -120,7 +154,11 @@ struct
     Atomic.set t.announce.(slot) (O.quiesce_stamp t.order);
     Atomic.incr t.safe.(slot);
     let safe_cell = t.safe.(slot) in
-    Sync.Quiesce.set (fun () -> if d.nesting = 0 then Atomic.incr safe_cell)
+    Sync.Quiesce.set (fun () -> if d.nesting = 0 then Atomic.incr safe_cell);
+    if not d.hooked then begin
+      d.hooked <- true;
+      Sync.Slot.on_release (depart d ~announce:t.announce.(slot) ~safe:safe_cell)
+    end
 
   let enter t =
     let d = Domain.DLS.get t.dls in
@@ -208,22 +246,6 @@ struct
       O.after_publish t.order ~announce:t.announce;
       trim t slot;
       Hwts_trace.Span.exit Hwts_trace.Reclaim
-    end
-
-  let offline t =
-    let d = Domain.DLS.get t.dls in
-    if d.online then begin
-      Debug.check (d.nesting = 0) "Qsbr.offline inside a read section";
-      let slot = Sync.Slot.my_slot () in
-      d.online <- false;
-      Sync.Quiesce.clear ();
-      Hwts_obs.Counter.incr announce_stores;
-      Atomic.set t.announce.(slot) offline_stamp;
-      (* wake grace waiters watching this slot *)
-      Atomic.incr t.safe.(slot);
-      O.after_publish t.order ~announce:t.announce;
-      (* own limbo may be freeable now that this domain left the min *)
-      trim t slot
     end
 
   (* Loops, not a closure per slot and a [Fun.protect]: a citrus

@@ -16,6 +16,21 @@ let find_free () =
   in
   scan 0
 
+(* What the domain runs when it releases its slot, while it still holds
+   it. *)
+let hooks : (unit -> unit) list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
+
+let on_release f =
+  let cell = Domain.DLS.get hooks in
+  cell := f :: !cell
+
+let run_hooks () =
+  let cell = Domain.DLS.get hooks in
+  let hs = !cell in
+  cell := [];
+  List.iter (fun f -> f ()) hs
+
 let current () = !(Domain.DLS.get key)
 
 let acquire () =
@@ -32,6 +47,7 @@ let release () =
   match !cell with
   | None -> ()
   | Some slot ->
+    run_hooks ();
     cell := None;
     Atomic.set taken.(slot) false
 

@@ -15,7 +15,13 @@ val acquire : unit -> int
     domain already holds one. *)
 
 val release : unit -> unit
-(** Release the calling domain's slot.  No-op if it holds none. *)
+(** Release the calling domain's slot, first running its {!on_release}
+    hooks.  No-op if it holds none. *)
+
+val on_release : (unit -> unit) -> unit
+(** [on_release f]: run [f ()] when the calling domain next releases its
+    slot, while it still holds it.  Until then the slot keeps [f] and
+    all it reaches alive, so a hook should hold only what it writes. *)
 
 val current : unit -> int option
 (** The calling domain's slot, if it holds one. *)

@@ -112,6 +112,8 @@ let broken_artifacts_rejected () =
        "acquires_per_range" (J.Float 1.5) serve);
   expect_error "no deep pipelines" "pairs with pipeline >= 4" Family.serve
     (drop (point @ [ ("pipeline", J.Int 4) ]) (drop (point @ [ ("pipeline", J.Int 16) ]) serve));
+  expect_error "coalescing lost its own gate" "coalesce_wins is not true" Family.serve
+    (set [ ("type", J.Str "summary") ] "coalesce_wins" (J.Bool false) serve);
   let reclaim = read "../BENCH_reclaim.json" in
   expect_error "failed summary" "ok is not true" Family.reclaim
     (set [ ("type", J.Str "summary") ] "ok" (J.Bool false) reclaim);

@@ -349,8 +349,8 @@ let per_impl (module S : RQSET) =
    An insert takes its stamp, labels the new node's own link, links the
    node, labels its predecessor's link, then passes its last pause point
    (the 4th: the predecessor link's install and the two labels come
-   first).  A node of level 0 is fully linked once it is linked; a node
-   of a higher level ([Tall]) sets [fully_linked] after that point. *)
+   first).  A node of level 0 is created fully linked; the insert of a
+   node above level 0 sets [fully_linked] after that point. *)
 
 let spawn f = Domain.spawn (fun () -> Sync.Slot.with_slot (fun _ -> f ()))
 
@@ -408,14 +408,14 @@ let lazylist_bundle_sees_level0_insert () =
   List.iter (fun k -> ignore (S.insert t k)) [ 10; 30 ];
   level0_seen_at_once (module S) t (parked_insert (fun () -> S.insert t 20))
 
-(* A [Tall] insert parked before [fully_linked]: a snapshot taken then
-   holds the key, so [contains] and [delete] must agree with it.  They
-   wait for the inserter instead of answering "absent"; the reader gets
-   200 ms to answer early, which it may only do wrongly.  Each attempt's
-   inserter is a fresh domain, with its own stream of level draws; an
-   insert that drew level 0 shows in [to_list] while parked, and is
-   checked as one. *)
-let skiplist_bundle_waits_for_tall_insert () =
+(* An insert above level 0 parked before [fully_linked]: a snapshot
+   taken then holds the key, so [contains] and [delete] must agree with
+   it.  They wait for the inserter instead of answering "absent"; the
+   reader gets 200 ms to answer early, which it may only do wrongly.
+   Each attempt's inserter is a fresh domain, with its own stream of
+   level draws; an insert that drew level 0 shows in [to_list] while
+   parked, and is checked as one. *)
+let skiplist_bundle_waits_for_upper_insert () =
   let module LB = Hwts.Timestamp.Logical () in
   let module S = Rangequery.Skiplist_bundle.Make (LB) in
   let rec attempt left =
@@ -514,7 +514,7 @@ let () =
       ( "visibility",
         [
           Alcotest.test_case "skiplist-bundle point ops wait for an insert"
-            `Quick skiplist_bundle_waits_for_tall_insert;
+            `Quick skiplist_bundle_waits_for_upper_insert;
           Alcotest.test_case "lazylist-bundle sees a level-0 insert at once"
             `Quick lazylist_bundle_sees_level0_insert;
           Alcotest.test_case "citrus-vcas reads agree on a pending insert"

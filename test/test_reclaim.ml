@@ -163,6 +163,57 @@ let waiter_released (module B : Reclaim.Intf.BACKEND) () =
         (at_release < budget);
       R.offline r)
 
+(* A domain that raises out of [with_slot] while online goes offline as
+   its slot is released, so a grace wait on another domain returns at
+   once instead of waiting on the departed slot forever.  The waiter
+   holds its slot before the peer takes one, so it cannot be handed the
+   departed slot and skip it as its own.  Should the wait stall, a
+   domain that takes the freed slot and goes offline releases it. *)
+let departed_peer (module B : Reclaim.Intf.BACKEND) () =
+  let module R = B.Make (Cell) in
+  let r = R.create () in
+  let holding = Atomic.make false and go = Atomic.make false in
+  let waited = Atomic.make false in
+  let waiter =
+    Domain.spawn (fun () ->
+        Sync.Slot.with_slot (fun _ ->
+            Atomic.set holding true;
+            while not (Atomic.get go) do
+              Domain.cpu_relax ()
+            done;
+            R.wait_until_quiescent r;
+            Atomic.set waited true))
+  in
+  while not (Atomic.get holding) do
+    Domain.cpu_relax ()
+  done;
+  let peer =
+    Domain.spawn (fun () ->
+        match Sync.Slot.with_slot (fun _ -> R.with_op r (fun () -> raise Exit)) with
+        | () -> false
+        | exception Exit -> true)
+  in
+  Alcotest.(check bool) "the peer raised out of its slot" true (Domain.join peer);
+  Atomic.set go true;
+  let within seconds =
+    let deadline = Unix.gettimeofday () +. seconds in
+    while (not (Atomic.get waited)) && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.001
+    done;
+    Atomic.get waited
+  in
+  let returned = within 1.0 in
+  if not returned then begin
+    Domain.join
+      (Domain.spawn (fun () ->
+           Sync.Slot.with_slot (fun _ ->
+               R.enter r;
+               R.offline r)));
+    ignore (within 1.0)
+  end;
+  if Atomic.get waited then Domain.join waiter;
+  Alcotest.(check bool) "a peer's grace wait returned within 1 s" true returned
+
 (* A counter-injected clock near max_int: retirement stamps and
    quiescence stamps straddle the wrap, and the wrap-safe signed
    comparisons must keep freeing (a naive [stamp <= bound] would retain
@@ -736,6 +787,9 @@ let () =
         @ List.map
             (fun (n, b) ->
               tc ("waiter released " ^ n) `Quick (waiter_released b))
+            qsbr_only
+        @ List.map
+            (fun (n, b) -> tc ("departed peer " ^ n) `Quick (departed_peer b))
             qsbr_only
         @ [ tc "near-wrap tsc stamps" `Quick near_wrap ] );
       ( "observability",

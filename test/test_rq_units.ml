@@ -930,7 +930,7 @@ let on_worker f = ignore (Util.spawn_workers 1 (fun _ -> f ()))
 
 (* The Natarajan–Mittal trees, the three Citrus trees, both skip lists and
    the lazy list store fresh nodes (or fresh versions) into fields of their
-   nodes, and the skip lists into slots of their towers, through a C
+   nodes, the skip lists' links above level 0 included, through a C
    stub.  Once the structure is promoted to the major heap,
    each such store puts a minor-heap pointer into a major-heap block;
    without the runtime's write barrier the next minor collection would
@@ -1464,17 +1464,19 @@ let sentinels_absent () =
 (* ---------- memory layout ---------- *)
 
 (* Heap words each key adds to a structure, over seeded inserts from
-   1024 to 8192 keys under the logical clock.  One more heap block per node shows up here
-   as whole words per key, without timing anything.  The bounds are the
-   measured values, so a block added back to any node fails this; a skip
-   list's tower size follows its domain's level draws, so its bound sits
-   a fraction of a word above the measured value (5.49-5.50 for
-   skiplist-vcas and 6.99-7.00 for skiplist-bundle, by test order). *)
+   1024 to 8192 keys under the logical clock.  One more heap block per
+   node shows up here as whole words per key, without timing anything.
+   The bounds are the measured values, so a block added back to any node
+   fails this.  A skip-list node's size follows its tower height, so the
+   case restarts the domain's height stream from its own seed and reads
+   the same in any order: 4.0088 for skiplist-vcas and 6.0088 for
+   skiplist-bundle. *)
 let words_per_key create insert =
   let warm = 1024 and keys = 8192 in
   let t = create () in
   let words () = Obj.reachable_words (Obj.repr t) in
   let rng = Util.rng 0x1A40 in
+  Dstruct.Skip_level.reseed 0x1A40;
   let n = ref 0 in
   let fill upto =
     while !n < upto do
@@ -1491,7 +1493,7 @@ let words_per_key create insert =
 let layout_bound name bound words () =
   let w = words () in
   Alcotest.(check bool)
-    (Printf.sprintf "%s: %.2f words/key <= %.1f" name w bound)
+    (Printf.sprintf "%s: %.4f words/key <= %.2f" name w bound)
     true (w <= bound)
 
 let layout_cases =
@@ -1513,13 +1515,97 @@ let layout_cases =
     ("citrus-vcas", 7., fun () -> words_per_key Cv.create Cv.insert);
     ("citrus-bundle", 7., fun () -> words_per_key Cb.create Cb.insert);
     ("citrus-ebrrq", 6., fun () -> words_per_key Ce.create Ce.insert);
-    ("skiplist-vcas", 5.6, fun () -> words_per_key Sv.create Sv.insert);
-    ("skiplist-bundle", 7.1, fun () -> words_per_key Sb.create Sb.insert);
+    ("skiplist-vcas", 4.01, fun () -> words_per_key Sv.create Sv.insert);
+    ("skiplist-bundle", 6.01, fun () -> words_per_key Sb.create Sb.insert);
     ("lazylist-bundle", 5., fun () -> words_per_key Lb.create Lb.insert);
     ("bst-ebrrq-lockfree", 8., fun () -> words_per_key Bl.create Bl.insert);
   ]
   |> List.map (fun (name, bound, words) ->
          Alcotest.test_case name `Quick (layout_bound name bound words))
+
+(* ---------- towers ---------- *)
+
+(* A skip list's levels at quiescence, after 8,192 seeded inserts and
+   4,096 deletes.  Level 0 holds the live keys; each level above it is
+   strictly ascending, a subsequence of the level below, and holds only
+   live nodes; each node's block is its [prefix] fields plus one slot per
+   level above 0 that it is linked at.  On skiplist-bundle, Field_lock
+   writes a state word at every lock, unlock and flag of the run: one
+   written into a slot would cut that level short or put a node there
+   out of order, so some node's block would outgrow the levels it is
+   seen at. *)
+let towers_case ~prefix create insert delete towers () =
+  Dstruct.Skip_level.reseed 0x70E5;
+  let t = create () in
+  let rng = Util.rng 0x70E5 in
+  let keys = Array.make 8_192 0 and n = ref 0 in
+  while !n < Array.length keys do
+    let k = 1 + Dstruct.Prng.below rng (1 lsl 30) in
+    if insert t k then begin
+      keys.(!n) <- k;
+      incr n
+    end
+  done;
+  Util.shuffle rng keys;
+  for i = 0 to 4_095 do
+    assert (delete t keys.(i))
+  done;
+  let live = Array.sub keys 4_096 4_096 in
+  Array.sort compare live;
+  let levels : Dstruct.Skip_level.seen list array = towers t in
+  let keys_at l = List.map (fun s -> s.Dstruct.Skip_level.key) levels.(l) in
+  Alcotest.(check (list int)) "level 0 holds the live keys"
+    (Array.to_list live) (keys_at 0);
+  let rec ascending = function
+    | a :: (b :: _ as rest) -> a < b && ascending rest
+    | _ -> true
+  in
+  (* both ascending, so a merge decides it *)
+  let rec within upper lower =
+    match (upper, lower) with
+    | [], _ -> true
+    | _ :: _, [] -> false
+    | u :: us, l :: ls ->
+      if u = l then within us ls else u > l && within upper ls
+  in
+  let top = Hashtbl.create 8_192 in
+  Array.iteri
+    (fun l seen ->
+      let ks = keys_at l in
+      Alcotest.(check bool)
+        (Printf.sprintf "level %d strictly ascending" l)
+        true (ascending ks);
+      if l > 0 then
+        Alcotest.(check bool)
+          (Printf.sprintf "level %d within level %d" l (l - 1))
+          true
+          (within ks (keys_at (l - 1)));
+      Alcotest.(check int)
+        (Printf.sprintf "level %d: nodes not live" l)
+        0
+        (List.length (List.filter (fun s -> not s.Dstruct.Skip_level.live) seen));
+      List.iter (fun k -> Hashtbl.replace top k l) ks)
+    levels;
+  Alcotest.(check bool) "some node above level 3" true
+    (Array.length levels > 4 && levels.(4) <> []);
+  let misfit =
+    List.filter
+      (fun { Dstruct.Skip_level.key; words; _ } ->
+        words <> prefix + Hashtbl.find top key)
+      levels.(0)
+  in
+  Alcotest.(check int) "blocks that are not their prefix plus their top" 0
+    (List.length misfit)
+
+let towers_cases =
+  let module Sv = Rangequery.Skiplist_vcas.Make (LL) in
+  let module Sb = Rangequery.Skiplist_bundle.Make (LL) in
+  [
+    Alcotest.test_case "skiplist-bundle" `Quick
+      (towers_case ~prefix:4 Sb.create Sb.insert Sb.delete Sb.towers);
+    Alcotest.test_case "skiplist-vcas" `Quick
+      (towers_case ~prefix:2 Sv.create Sv.insert Sv.delete Sv.towers);
+  ]
 
 (* ---------- range answers: exact-size ascending arrays ---------- *)
 
@@ -2200,6 +2286,7 @@ let () =
       ( "observability",
         [ Alcotest.test_case "obs is inert" `Quick obs_inert ] );
       ("layout", layout_cases);
+      ("towers", towers_cases);
       ("value-equal leaves", value_equal_cases);
       ("large collect", large_collect_cases);
       ("collect paths", collect_path_cases);

@@ -1,11 +1,23 @@
 (* Shared helpers for the test suites. *)
 
+(* Every worker is joined before the first one's exception, in spawn
+   order, is raised again: a failed worker leaves none running. *)
 let spawn_workers n body =
   let domains =
     List.init n (fun i ->
         Domain.spawn (fun () -> Sync.Slot.with_slot (fun _ -> body i)))
   in
-  List.map Domain.join domains
+  let joined =
+    List.map
+      (fun d ->
+        match Domain.join d with
+        | v -> Ok v
+        | exception e -> Error (e, Printexc.get_raw_backtrace ()))
+      domains
+  in
+  List.map
+    (function Ok v -> v | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+    joined
 
 (* A deterministic PRNG per test. *)
 let rng seed = Dstruct.Prng.make ~seed
